@@ -9,6 +9,9 @@
 //      ref-counted BufferView per hop (what the zero-copy write path does).
 //   4. Simulator EventQueue: schedule/fire and schedule/cancel rates (every
 //      simulated I/O, RPC, and timeout rides this queue).
+//   5. PageStore, the extent store behind every device that carries bytes:
+//      shared 4 KiB and 1 MiB writes, 4 KiB reads across split extents, and
+//      journal-ring-style scatter appends that wrap and overwrite.
 //
 // Emits BENCH_hotpath.json (or the --metrics-json=<path> override) for the
 // CI bench-smoke regression gate.
@@ -26,6 +29,7 @@
 #include "src/core/metrics.h"
 #include "src/index/range_index.h"
 #include "src/sim/event_queue.h"
+#include "src/storage/block_device.h"
 
 using namespace ursa;
 
@@ -211,6 +215,94 @@ EventResult BenchEvents() {
   return {fire_rate, cancel_rate};
 }
 
+// ---- 5. PageStore ----
+
+struct PageStoreResult {
+  double write4k_per_s;  // shared 4 KiB writes at random aligned offsets
+  double write1m_per_s;  // shared 1 MiB writes, sequential with wrap-around
+  double read4k_per_s;   // 4 KiB reads over extents split every 2 KiB
+  double ring_per_s;     // journal-style scatter appends around a ring
+};
+
+PageStoreResult BenchPageStore() {
+  constexpr uint64_t kSpace = 256ull << 20;
+  constexpr int kSmallOps = 200000;
+  constexpr int kLargeOps = 2000;
+  Rng rng(11);
+  volatile uint64_t sink = 0;
+  std::vector<uint8_t> bytes(1 << 20, 0x3C);
+  Buffer small = Buffer::CopyOf(bytes.data(), 4096);
+  Buffer large = Buffer::CopyOf(bytes.data(), bytes.size());
+  std::vector<uint64_t> offsets(kSmallOps);
+  for (uint64_t& off : offsets) {
+    off = rng.Uniform(kSpace / 4096) * 4096;
+  }
+
+  storage::PageStore store;
+  auto t0 = Clock::now();
+  for (uint64_t off : offsets) {
+    store.Write(off, small.View());
+  }
+  auto t1 = Clock::now();
+  double write4k = kSmallOps / Seconds(t0, t1);
+
+  storage::PageStore seq;
+  t0 = Clock::now();
+  for (int i = 0; i < kLargeOps; ++i) {
+    seq.Write((static_cast<uint64_t>(i) << 20) % kSpace, large.View());
+  }
+  t1 = Clock::now();
+  double write1m = kLargeOps / Seconds(t0, t1);
+
+  // 64 MiB of 1 MiB extents, each split by a 512-byte write every 2 KiB, so
+  // a 4 KiB read at a random byte offset crosses four or five extents.
+  constexpr uint64_t kSplitSpace = 64u << 20;
+  storage::PageStore split;
+  for (uint64_t off = 0; off < kSplitSpace; off += 1u << 20) {
+    split.Write(off, large.View());
+    for (uint64_t cut = 0; cut < (1u << 20); cut += 2048) {
+      split.Write(off + cut, bytes.data(), 512);
+    }
+  }
+  for (uint64_t& off : offsets) {
+    off = rng.Uniform(kSplitSpace - 4096);
+  }
+  std::vector<uint8_t> out(4096);
+  t0 = Clock::now();
+  for (uint64_t off : offsets) {
+    split.Read(off, out.data(), out.size());
+    sink = sink + out[0];
+  }
+  t1 = Clock::now();
+  double read4k = kSmallOps / Seconds(t0, t1);
+
+  // A 64 MiB journal ring of {40-byte header, zero tail, 4 KiB payload}
+  // records: after the first lap every append overwrites older records.
+  storage::PageStore ring;
+  constexpr uint64_t kRing = 64u << 20;
+  constexpr uint64_t kRecord = 512 + 4096;
+  Buffer header = Buffer::CopyOf(bytes.data(), 40);
+  storage::IoRequest req;
+  req.type = storage::IoType::kWrite;
+  req.length = kRecord;
+  req.scatter = {storage::IoSegment{header.View(), 40}, storage::IoSegment{BufferView(), 472},
+                 storage::IoSegment{small.View(), 4096}};
+  uint64_t pos = 0;
+  t0 = Clock::now();
+  for (int i = 0; i < kSmallOps; ++i) {
+    if (pos + kRecord > kRing) {
+      pos = 0;
+    }
+    req.offset = pos;
+    storage::ApplyWritePayload(ring, req);
+    pos += kRecord;
+  }
+  t1 = Clock::now();
+  double ring_rate = kSmallOps / Seconds(t0, t1);
+  (void)sink;
+  return {write4k, write1m, read4k, ring_rate};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -257,6 +349,15 @@ int main(int argc, char** argv) {
   ev_table.AddRow({"schedule+fire", core::Table::Int(ev.fire_per_s)});
   ev_table.AddRow({"schedule+cancel", core::Table::Int(ev.cancel_per_s)});
   ev_table.Print();
+  std::printf("\n");
+
+  PageStoreResult ps = BenchPageStore();
+  core::Table ps_table({"PageStore op", "ops/s"});
+  ps_table.AddRow({"write 4KiB (shared)", core::Table::Int(ps.write4k_per_s)});
+  ps_table.AddRow({"write 1MiB (shared)", core::Table::Int(ps.write1m_per_s)});
+  ps_table.AddRow({"read 4KiB (split extents)", core::Table::Int(ps.read4k_per_s)});
+  ps_table.AddRow({"ring append (scatter)", core::Table::Int(ps.ring_per_s)});
+  ps_table.Print();
 
   std::string json_path = core::MetricsJsonPath(argc, argv);
   if (json_path.empty()) {
@@ -276,7 +377,11 @@ int main(int argc, char** argv) {
      << ",\"buffer_copy_hops_per_s\":" << buf.copy_hops_per_s
      << ",\"buffer_view_hops_per_s\":" << buf.view_hops_per_s
      << ",\"event_fire_per_s\":" << ev.fire_per_s
-     << ",\"event_cancel_per_s\":" << ev.cancel_per_s << "}\n";
+     << ",\"event_cancel_per_s\":" << ev.cancel_per_s
+     << ",\"page_store_write4k_per_s\":" << ps.write4k_per_s
+     << ",\"page_store_write1m_per_s\":" << ps.write1m_per_s
+     << ",\"page_store_read4k_per_s\":" << ps.read4k_per_s
+     << ",\"page_store_ring_per_s\":" << ps.ring_per_s << "}\n";
   std::printf("\nmetrics written to %s\n", json_path.c_str());
   return 0;
 }

@@ -10,7 +10,9 @@
 //   * Buffer owns a heap block; it is mutable only until published — once a
 //     BufferView of it has been handed to another component, treat the bytes
 //     as immutable (re-using the block for a different payload would be a
-//     data race in a real system and is a logic bug here).
+//     data race in a real system and is a logic bug here). Device stores
+//     keep owned views as their contents after the write completes, so a
+//     mutation after publish would silently rewrite "on-disk" bytes.
 //   * BufferView is offset/length slice + strong ref: holding the view keeps
 //     the bytes alive. Closures capture views, never raw pointers.
 //   * BufferView::Unowned wraps a raw pointer WITHOUT taking ownership — the
@@ -37,10 +39,11 @@ class Buffer {
   Buffer() = default;
 
   // Uninitialized storage — caller fills every byte before publishing views.
+  // One heap block holds both the bytes and the reference count.
   static Buffer Allocate(size_t n) {
     Buffer b;
     if (n > 0) {
-      b.data_ = std::shared_ptr<uint8_t[]>(new uint8_t[n]);
+      b.data_ = std::make_shared_for_overwrite<uint8_t[]>(n);
     }
     b.size_ = n;
     return b;
@@ -79,6 +82,8 @@ class Buffer {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   explicit operator bool() const { return data_ != nullptr; }
+  // Number of Buffers and views sharing these bytes (0 for an empty Buffer).
+  long use_count() const { return data_.use_count(); }
 
   // Whole-buffer and sliced views (defined after BufferView).
   BufferView View() const;
@@ -131,6 +136,10 @@ class BufferView {
   bool empty() const { return size_ == 0; }
   // True when the view carries bytes (false = timing-only null view).
   explicit operator bool() const { return data_ != nullptr; }
+  // True when the view holds a strong reference to its bytes (false for
+  // Unowned and null views). Device stores share owned views and copy the
+  // rest.
+  bool owned() const { return owner_ != nullptr; }
 
  private:
   std::shared_ptr<const uint8_t[]> owner_;  // null for unowned and null views

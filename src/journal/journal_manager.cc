@@ -418,14 +418,16 @@ void JournalManager::Kick() {
 
 // One pending merge write: a live segment of a wave record, addressed both in
 // chunk space (for the ChunkStore API) and device space (the elevator sort
-// key). A null `src` is a timing-only merge.
+// key). `src` slices the record's payload as read from the journal device,
+// so the backup device store shares those bytes instead of copying them; a
+// null `src` is a timing-only merge.
 struct JournalManager::ReplayWave {
   struct Intent {
     storage::ChunkId chunk = 0;
     index::Segment seg{};    // for EraseIfMapsTo after the write lands
     uint64_t chunk_off = 0;  // bytes within the chunk
     uint64_t length = 0;     // bytes
-    const uint8_t* src = nullptr;
+    ursa::BufferView src;
     size_t record = 0;  // wave-local record position
     uint64_t device_off = 0;
   };
@@ -435,10 +437,8 @@ struct JournalManager::ReplayWave {
   size_t prep_remaining = 0;     // phase-A completions outstanding
   size_t records_remaining = 0;  // records not yet consumed
   std::vector<Intent> intents;
-  // Payload buffers backing `src` pointers; released when the wave's last
-  // completion drops the shared_ptr to the wave.
-  std::vector<std::shared_ptr<std::vector<uint8_t>>> buffers;
-  std::vector<size_t> segs_remaining;  // per record: merge writes outstanding
+  std::vector<ursa::BufferView> payloads;  // per record: replay-read payload
+  std::vector<size_t> segs_remaining;      // per record: merge writes outstanding
 };
 
 void JournalManager::ReplayTick() {
@@ -502,6 +502,7 @@ void JournalManager::ReplayTick() {
   wave->records = n;
   wave->records_remaining = n;
   wave->prep_remaining = n;
+  wave->payloads.resize(n);
   wave->segs_remaining.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     PrepareReplay(chosen, i, wave);
@@ -679,13 +680,15 @@ void JournalManager::PrepareReplay(size_t idx, size_t record_pos,
     // journal was silently corrupted after the durable append (bit flip, lost
     // write) — the record's live ranges are quarantined and re-replicated
     // from a healthy replica instead of being replayed as garbage.
-    auto buf = std::make_shared<std::vector<uint8_t>>(rec.length);
-    wave->buffers.push_back(buf);
-    writer->ReadPayload(
-        rec.j_offset, rec.length, buf->data(),
-        [this, idx, rec, live, buf, wave, record_pos, slot_off](const Status& s) {
+    // The read is zero-copy: the payload view shares the journal device's
+    // stored bytes (the appended Buffer), and the merge writes below hand
+    // slices of it on to the backup device store.
+    ursa::BufferView* payload = &wave->payloads[record_pos];
+    writer->ReadPayloadView(
+        rec.j_offset, rec.length, payload,
+        [this, idx, rec, live, payload, wave, record_pos, slot_off](const Status& s) {
           URSA_CHECK(s.ok()) << "journal read failed during replay: " << s.ToString();
-          if (rec.ToHeader().ComputeCrc(buf->data()) != rec.crc) {
+          if (rec.ToHeader().ComputeCrc(payload->data()) != rec.crc) {
             OnCorruptRecord(idx, rec);
             wave->segs_remaining[record_pos] = 0;  // consume: data is unusable
             RecordDone(wave);
@@ -698,7 +701,7 @@ void JournalManager::PrepareReplay(size_t idx, size_t record_pos,
             intent.seg = seg;
             intent.chunk_off = static_cast<uint64_t>(seg.offset) * kSector;
             intent.length = static_cast<uint64_t>(seg.length) * kSector;
-            intent.src = buf->data() + (ByteOffsetOf(seg.j_offset) - rec.j_offset);
+            intent.src = payload->Slice(ByteOffsetOf(seg.j_offset) - rec.j_offset, intent.length);
             intent.record = record_pos;
             intent.device_off = slot_off + intent.chunk_off;
             wave->intents.push_back(intent);
@@ -758,7 +761,7 @@ void JournalManager::FlushWave(const std::shared_ptr<ReplayWave>& wave) {
     while (j < wave->intents.size()) {
       const ReplayWave::Intent& prev = wave->intents[j - 1];
       const ReplayWave::Intent& next = wave->intents[j];
-      if (next.chunk != prev.chunk || (next.src == nullptr) != (prev.src == nullptr) ||
+      if (next.chunk != prev.chunk || !next.src != !prev.src ||
           prev.device_off + prev.length != next.device_off) {
         break;
       }
@@ -781,7 +784,7 @@ void JournalManager::FlushWave(const std::shared_ptr<ReplayWave>& wave) {
         }
       }
     };
-    if (run.front().src != nullptr) {
+    if (run.front().src) {
       std::vector<storage::IoSegment> segments;
       segments.reserve(run.size());
       for (const ReplayWave::Intent& intent : run) {

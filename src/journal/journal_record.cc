@@ -50,7 +50,8 @@ Result<RecordHeader> RecordHeader::Decode(const uint8_t* in) {
 namespace {
 
 // Folds `count` zero bytes into a running CRC32C (timing-only payloads, null
-// scatter segments): a real reader of a zero-filled PageStore still validates.
+// scatter segments): a real reader of a PageStore's implicit zeros still
+// validates.
 uint32_t FoldZeros(uint32_t c, uint64_t count) {
   static constexpr uint8_t kZeros[4096] = {};
   while (count > 0) {
@@ -91,8 +92,8 @@ uint32_t RecordHeader::ComputeCrcVectored(const storage::IoSegment* segments,
     return c;
   }
   for (size_t i = 0; i < count; ++i) {
-    if (segments[i].data != nullptr) {
-      c = Crc32c(segments[i].data, segments[i].length, c);
+    if (segments[i].data) {
+      c = Crc32c(segments[i].data.data(), segments[i].length, c);
     } else {
       c = FoldZeros(c, segments[i].length);
     }
@@ -107,26 +108,6 @@ std::vector<uint8_t> EncodeRecord(const RecordHeader& header, const void* payloa
   h.EncodeTo(image.data());
   if (payload != nullptr) {
     std::memcpy(image.data() + kSector, payload, header.length);
-  }
-  return image;
-}
-
-Buffer EncodeRecordImage(const RecordHeader& header, BufferView payload) {
-  uint64_t footprint = RecordFootprint(header.length);
-  Buffer image = Buffer::Allocate(footprint);
-  RecordHeader h = header;
-  h.crc = h.ComputeCrc(payload.data());
-  // Zero only the bytes the payload does not cover: the header sector past
-  // the encoded fields and the sector-padding tail. Uninitialized padding
-  // would make on-device bytes nondeterministic (recovery scans re-read it).
-  std::memset(image.data(), 0, kSector);
-  h.EncodeTo(image.data());
-  if (payload.data() != nullptr) {
-    std::memcpy(image.data() + kSector, payload.data(), header.length);
-    std::memset(image.data() + kSector + header.length, 0,
-                footprint - kSector - header.length);
-  } else {
-    std::memset(image.data() + kSector, 0, footprint - kSector);
   }
   return image;
 }

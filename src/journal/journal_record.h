@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/buffer.h"
 #include "src/common/status.h"
 #include "src/storage/chunk_store.h"
 
@@ -68,14 +67,10 @@ struct RecordHeader {
   uint32_t ComputeCrcVectored(const storage::IoSegment* segments, size_t count) const;
 };
 
-// Builds the full on-disk image of a record (header sector + padded payload).
+// Builds the full on-disk image of a record (header sector + padded payload):
+// the layout JournalWriter::Append assembles on the device from scatter
+// segments without materializing it.
 std::vector<uint8_t> EncodeRecord(const RecordHeader& header, const void* payload);
-
-// Zero-copy-path variant: one uninitialized allocation, header sector and
-// padding tail zeroed, payload copied once. Byte-identical to EncodeRecord.
-// This is the single payload copy on the journaled write path (the on-device
-// image must be contiguous); every hop before it shares the caller's Buffer.
-Buffer EncodeRecordImage(const RecordHeader& header, BufferView payload);
 
 }  // namespace ursa::journal
 

@@ -3,10 +3,25 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
 
 namespace ursa::journal {
+
+namespace {
+
+// Appends a record's header sector to `scatter`: the encoded fields as a
+// small Buffer the device store keeps, then the sector's zero tail (which
+// the store holds as implicit zeros rather than as bytes).
+void PushHeaderSector(const RecordHeader& header, std::vector<storage::IoSegment>* scatter) {
+  ursa::Buffer fields = ursa::Buffer::Allocate(RecordHeader::kEncodedSize);
+  header.EncodeTo(fields.data());
+  scatter->push_back(storage::IoSegment{fields.View(), RecordHeader::kEncodedSize});
+  scatter->push_back(storage::IoSegment{{}, kSector - RecordHeader::kEncodedSize});
+}
+
+}  // namespace
 
 JournalWriter::JournalWriter(sim::Simulator* sim, storage::BlockDevice* device,
                              uint64_t region_offset, uint64_t region_length, std::string name)
@@ -60,15 +75,12 @@ Result<uint64_t> JournalWriter::AppendInvalidation(storage::ChunkId chunk_id,
   meta.invalidation = true;
   pending_.push_back(meta);
 
-  ursa::Buffer image = ursa::Buffer::AllocateZeroed(kSector);
   header.crc = header.ComputeCrc(nullptr);
-  header.EncodeTo(image.data());
   storage::IoRequest req;
   req.type = storage::IoType::kWrite;
   req.offset = region_offset_ + record_phys;
   req.length = kSector;
-  req.data = image.data();
-  req.hold = image.View();  // keeps the image alive until the device is done
+  PushHeaderSector(header, &req.scatter);
   req.tag = tag;
   req.done = std::move(done);
   device_->Submit(std::move(req));
@@ -121,24 +133,22 @@ Result<uint64_t> JournalWriter::Append(storage::ChunkId chunk_id, uint32_t chunk
   if (data) {
     // Scatter append: the on-device image is assembled by the device from
     // {header sector, caller's payload view, zeroed pad tail}, so the
-    // journaled path carries the payload with zero copies end to end. The CRC
-    // streams across the same segments (vectored), and the pad segment really
-    // writes zeros — ring space is reused, stale bytes must not survive.
-    // Byte-identical to the old contiguous EncodeRecordImage layout, which is
-    // what recovery Scan re-validates.
-    storage::IoSegment payload{data.data(), length};
+    // journaled path carries the payload with zero copies end to end — the
+    // device store keeps sharing the payload when the caller's view is owned.
+    // The CRC streams across the same segments (vectored), and the pad
+    // segment really writes zeros — ring space is reused, stale bytes must
+    // not survive. Byte-identical to the contiguous EncodeRecord layout,
+    // which is what recovery Scan re-validates.
+    storage::IoSegment payload{data.size() == length ? std::move(data) : data.Slice(0, length),
+                               length};
     header.crc = header.ComputeCrcVectored(&payload, 1);
     meta.crc = header.crc;
-    ursa::Buffer hdr = ursa::Buffer::AllocateZeroed(kSector);
-    header.EncodeTo(hdr.data());
-    req.scatter.reserve(3);
-    req.scatter.push_back(storage::IoSegment{hdr.data(), kSector});
-    req.scatter.push_back(payload);
+    req.scatter.reserve(4);
+    PushHeaderSector(header, &req.scatter);
+    req.scatter.push_back(std::move(payload));
     if (footprint > kSector + length) {
-      req.scatter.push_back(storage::IoSegment{nullptr, footprint - kSector - length});
+      req.scatter.push_back(storage::IoSegment{{}, footprint - kSector - length});
     }
-    req.hold = std::move(data);  // payload strong ref
-    req.hold2 = hdr.View();      // header sector
   }
   pending_.push_back(meta);
   req.done = std::move(done);
@@ -146,16 +156,29 @@ Result<uint64_t> JournalWriter::Append(storage::ChunkId chunk_id, uint32_t chunk
   return meta.j_offset;
 }
 
-void JournalWriter::ReadPayload(uint64_t j_offset, uint32_t length, void* out,
-                                storage::IoCallback done, storage::IoTag tag) {
+storage::IoRequest JournalWriter::PayloadRead(uint64_t j_offset, uint32_t length,
+                                              storage::IoCallback done, storage::IoTag tag) const {
   URSA_CHECK_LE(j_offset + length, region_length_);
   storage::IoRequest req;
   req.type = storage::IoType::kRead;
   req.offset = region_offset_ + j_offset;
   req.length = length;
-  req.out = out;
   req.tag = tag;
   req.done = std::move(done);
+  return req;
+}
+
+void JournalWriter::ReadPayload(uint64_t j_offset, uint32_t length, void* out,
+                                storage::IoCallback done, storage::IoTag tag) {
+  storage::IoRequest req = PayloadRead(j_offset, length, std::move(done), tag);
+  req.out = out;
+  device_->Submit(std::move(req));
+}
+
+void JournalWriter::ReadPayloadView(uint64_t j_offset, uint32_t length, ursa::BufferView* out,
+                                    storage::IoCallback done, storage::IoTag tag) {
+  storage::IoRequest req = PayloadRead(j_offset, length, std::move(done), tag);
+  req.out_view = out;
   device_->Submit(std::move(req));
 }
 

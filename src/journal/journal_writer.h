@@ -83,9 +83,9 @@ class JournalWriter {
   // Fails immediately with kResourceExhausted when the ring lacks space (the
   // caller then expands to another journal, §3.2) — `done` is not invoked.
   // `data` is a BufferView appended zero-copy: the device request carries
-  // {header sector, payload view, zero pad} as scatter segments with the view
-  // riding along as a strong reference, so no contiguous record image is ever
-  // built (a null view appends a timing-only record). The raw-pointer
+  // {header sector, payload view, zero pad} as scatter segments, so no
+  // contiguous record image is ever built and an owned view stays shared with
+  // the device store (a null view appends a timing-only record). The raw-pointer
   // overload keeps the legacy buffer-outlives-callback contract. The optional
   // `tag` classifies the journal-device write for QoS.
   Result<uint64_t> Append(storage::ChunkId chunk_id, uint32_t chunk_offset, uint32_t length,
@@ -112,6 +112,11 @@ class JournalWriter {
   // Reads `length` payload bytes at region-relative `j_offset`.
   void ReadPayload(uint64_t j_offset, uint32_t length, void* out, storage::IoCallback done,
                    storage::IoTag tag = {});
+  // Zero-copy form: `*out` (which must outlive `done`) receives the payload
+  // as a view sharing the journal device's stored bytes — the appended
+  // payload Buffer itself when the record is intact.
+  void ReadPayloadView(uint64_t j_offset, uint32_t length, ursa::BufferView* out,
+                       storage::IoCallback done, storage::IoTag tag = {});
 
   // FIFO of records not yet replayed. The replayer consumes from the front
   // and calls PopFrontAndFree() after merging.
@@ -151,6 +156,10 @@ class JournalWriter {
 
  private:
   uint64_t PhysicalPos(uint64_t logical) const { return logical % region_length_; }
+  // A read request for `length` payload bytes at region-relative `j_offset`,
+  // without a destination.
+  storage::IoRequest PayloadRead(uint64_t j_offset, uint32_t length, storage::IoCallback done,
+                                 storage::IoTag tag) const;
 
   sim::Simulator* sim_;
   storage::BlockDevice* device_;

@@ -31,8 +31,12 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
   sweep->buf.resize(std::min<uint64_t>(config_.read_bytes, chunk_size));
   sweep->done = std::move(done);
 
+  // The closure refers to itself weakly: a strong self-capture would be a
+  // cycle that leaks the sweep and its piece buffer. Whoever invokes it — this
+  // frame, then the read callback's yield event — holds the strong reference,
+  // so the closure stays alive while it runs and dies after the last piece.
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, sweep, step] {
+  *step = [this, sweep, weak_step = std::weak_ptr<std::function<void()>>(step)] {
     if (sweep->offset >= sweep->chunk_size) {
       sweep->result.completed = true;
       ++chunks_scrubbed_;
@@ -47,7 +51,7 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
     // — the buffer may hold pre-write bytes for the sectors it touched.
     uint64_t gen = hooks_.generation ? hooks_.generation(sweep->chunk) : 0;
     hooks_.read(sweep->chunk, offset, length, sweep->buf.data(),
-                [this, sweep, step, offset, length, gen](const Status& st) {
+                [this, sweep, self = weak_step.lock(), offset, length, gen](const Status& st) {
                   if (!st.ok()) {
                     // A journal-CRC hit: JournalManager::Read already
                     // quarantined the record and invoked the corruption
@@ -78,7 +82,7 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
                   }
                   // Yield between pieces so a scrub never occupies more than
                   // one device slot back to back.
-                  sim_->After(Nanos{0}, [step] { (*step)(); });
+                  sim_->After(Nanos{0}, [self] { (*self)(); });
                 });
   };
   (*step)();

@@ -1,8 +1,92 @@
 #include "src/storage/block_device.h"
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <utility>
 
 namespace ursa::storage {
+
+PageStore::Map::iterator PageStore::Erase(uint64_t start, uint64_t end) {
+  // First extent that ends past `start`: the predecessor of the first one
+  // starting after `start` when it reaches into the range.
+  auto it = extents_.upper_bound(start);
+  if (it != extents_.begin()) {
+    auto prev = std::prev(it);
+    if (prev->second.end > start) {
+      it = prev;
+    }
+  }
+  while (it != extents_.end() && it->first < end) {
+    const uint64_t s = it->first;
+    Extent& ext = it->second;
+    if (s < start) {
+      // Keep the head [s, start); an extent covering the whole range also
+      // keeps its tail [end, ext.end) as a second slice of the same bytes.
+      if (ext.end > end) {
+        Extent tail{ext.end, ext.bytes.Slice(end - s, ext.end - end)};
+        ext.bytes = ext.bytes.Slice(0, start - s);
+        ext.end = start;
+        return extents_.emplace_hint(std::next(it), end, std::move(tail));
+      }
+      ext.bytes = ext.bytes.Slice(0, start - s);
+      ext.end = start;
+      ++it;
+    } else if (ext.end > end) {
+      // Keep the tail [end, ext.end), re-keying the node in place.
+      ext.bytes = ext.bytes.Slice(end - s, ext.end - end);
+      auto node = extents_.extract(it++);
+      node.key() = end;
+      return extents_.insert(it, std::move(node));
+    } else {
+      it = extents_.erase(it);
+    }
+  }
+  return it;
+}
+
+void PageStore::Write(uint64_t offset, BufferView data) {
+  if (data.empty()) {
+    return;
+  }
+  if (!data.owned()) {
+    data = Buffer::CopyOf(data.data(), data.size()).View();
+  }
+  const uint64_t end = offset + data.size();
+  auto hint = Erase(offset, end);
+  extents_.emplace_hint(hint, offset, Extent{end, std::move(data)});
+}
+
+void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {
+  auto* dst = static_cast<uint8_t*>(out);
+  const uint64_t end = offset + length;
+  auto it = extents_.upper_bound(offset);
+  if (it != extents_.begin() && std::prev(it)->second.end > offset) {
+    --it;
+  }
+  uint64_t pos = offset;
+  for (; it != extents_.end() && it->first < end; ++it) {
+    const uint64_t s = std::max(it->first, pos);
+    const uint64_t e = std::min(it->second.end, end);
+    std::memset(dst + (pos - offset), 0, s - pos);  // gap before the extent
+    std::memcpy(dst + (s - offset), it->second.bytes.data() + (s - it->first), e - s);
+    pos = e;
+  }
+  std::memset(dst + (pos - offset), 0, end - pos);
+}
+
+BufferView PageStore::ReadView(uint64_t offset, uint64_t length) const {
+  auto it = extents_.upper_bound(offset);
+  if (it != extents_.begin()) {
+    const auto& [start, ext] = *std::prev(it);
+    if (offset + length <= ext.end) {
+      return ext.bytes.Slice(offset - start, length);
+    }
+  }
+  Buffer copy = Buffer::Allocate(length);
+  Read(offset, copy.data(), length);
+  return copy.View();
+}
 
 void BlockDevice::Submit(IoRequest req) {
   if (gate_ != nullptr) {
@@ -11,13 +95,12 @@ void BlockDevice::Submit(IoRequest req) {
         // Apply the payload now so scheduler reordering stays timing-only:
         // data visibility keeps submission order, matching the ungated path
         // where every device model applies bytes at SubmitIo. Dropping the
-        // payload refs afterwards releases buffers while the request queues
-        // and keeps the device model from re-applying.
+        // payload refs afterwards keeps a queued request from pinning bytes a
+        // later write replaces, and keeps the device model from re-applying.
         ApplyWritePayload(*store, req);
         req.data = nullptr;
         req.scatter.clear();
         req.hold = BufferView();
-        req.hold2 = BufferView();
       }
     }
     gate_->OnSubmit(std::move(req));

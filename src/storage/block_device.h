@@ -9,8 +9,9 @@
 #define URSA_STORAGE_BLOCK_DEVICE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -139,66 +140,60 @@ class BlockDevice {
   uint64_t fault_stuck_ops_ = 0;
 };
 
-// Sparse page-granular byte store backing devices that carry real data.
-// Pages materialize on first write; reads of untouched pages return zeros.
+// Sparse extent store backing devices that carry real data: an ordered map
+// of disjoint [start, end) extents, each a BufferView slice. A write erases
+// the range it covers (trimming or splitting the extents at its edges into
+// sub-slices) and inserts one extent. Owned views are shared, not copied, so
+// the primary, journal and replica devices that receive one payload keep a
+// single resident copy of it; un-owned (raw-pointer) payloads are copied into
+// a fresh Buffer. Stored bytes are never mutated in place — an overwrite
+// replaces the extent — so every overwrite, bit-flip injection included, is
+// copy-on-write. Untouched space reads back as zeros.
 class PageStore {
  public:
-  static constexpr uint64_t kPageSize = 4096;
-
-  void Write(uint64_t offset, const void* data, uint64_t length);
+  // Stores `data` at [offset, offset + data.size()); an empty view is a no-op.
+  void Write(uint64_t offset, BufferView data);
+  void Write(uint64_t offset, const void* data, uint64_t length) {
+    Write(offset, BufferView::Unowned(data, length));
+  }
   void Read(uint64_t offset, void* out, uint64_t length) const;
-  // Writes `length` zero bytes. Not a no-op: pages may hold earlier data
-  // (ring journals reuse space), so the zeros must land.
-  void WriteZeros(uint64_t offset, uint64_t length);
+  // The bytes at [offset, offset + length) as a view: a slice of the stored
+  // bytes when one extent covers the range, else a fresh Buffer filled by
+  // Read.
+  BufferView ReadView(uint64_t offset, uint64_t length) const;
+  // Writes `length` zero bytes. Not a no-op: the range may hold earlier data
+  // (ring journals reuse space), so it is erased back to implicit zeros.
+  void WriteZeros(uint64_t offset, uint64_t length) {
+    if (length > 0) {
+      Erase(offset, offset + length);
+    }
+  }
 
-  size_t allocated_pages() const { return pages_.size(); }
+  size_t extent_count() const { return extents_.size(); }
 
  private:
-  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_;
+  struct Extent {
+    uint64_t end;
+    BufferView bytes;  // bytes.size() == end - start
+  };
+  using Map = std::map<uint64_t, Extent>;  // keyed by start
+
+  // Removes [start, end) from the map and returns the first extent at or
+  // past `end` (the insertion hint for an extent starting at `start`).
+  Map::iterator Erase(uint64_t start, uint64_t end);
+
+  Map extents_;
 };
 
-inline void PageStore::Write(uint64_t offset, const void* data, uint64_t length) {
-  const auto* src = static_cast<const uint8_t*>(data);
-  while (length > 0) {
-    uint64_t page = offset / kPageSize;
-    uint64_t in_page = offset % kPageSize;
-    uint64_t n = std::min(kPageSize - in_page, length);
-    auto& bytes = pages_[page];
-    if (bytes.empty()) {
-      bytes.assign(kPageSize, 0);
-    }
-    std::copy(src, src + n, bytes.begin() + static_cast<ptrdiff_t>(in_page));
-    src += n;
-    offset += n;
-    length -= n;
-  }
-}
-
-inline void PageStore::WriteZeros(uint64_t offset, uint64_t length) {
-  while (length > 0) {
-    uint64_t page = offset / kPageSize;
-    uint64_t in_page = offset % kPageSize;
-    uint64_t n = std::min(kPageSize - in_page, length);
-    auto it = pages_.find(page);
-    if (it != pages_.end()) {
-      std::fill(it->second.begin() + static_cast<ptrdiff_t>(in_page),
-                it->second.begin() + static_cast<ptrdiff_t>(in_page + n), uint8_t{0});
-    }
-    // Untouched pages already read back as zeros; no need to materialize them.
-    offset += n;
-    length -= n;
-  }
-}
-
 // Applies a write request's payload to a PageStore, handling both the
-// contiguous (`data`) and scatter-gather (`scatter`) forms. Shared by every
-// device model that carries real bytes.
+// contiguous (`hold`/`data`) and scatter-gather (`scatter`) forms. Shared by
+// every device model that carries real bytes.
 inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
   if (!req.scatter.empty()) {
     uint64_t offset = req.offset;
     for (const IoSegment& seg : req.scatter) {
-      if (seg.data != nullptr) {
-        store.Write(offset, seg.data, seg.length);
+      if (seg.data) {
+        store.Write(offset, seg.data);
       } else {
         store.WriteZeros(offset, seg.length);
       }
@@ -206,27 +201,18 @@ inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
     }
     return;
   }
-  if (req.data != nullptr) {
-    store.Write(req.offset, req.data, req.length);
+  if (BufferView payload = req.payload()) {
+    store.Write(req.offset, std::move(payload));
   }
 }
 
-inline void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {
-  auto* dst = static_cast<uint8_t*>(out);
-  while (length > 0) {
-    uint64_t page = offset / kPageSize;
-    uint64_t in_page = offset % kPageSize;
-    uint64_t n = std::min(kPageSize - in_page, length);
-    auto it = pages_.find(page);
-    if (it == pages_.end()) {
-      std::fill(dst, dst + n, 0);
-    } else {
-      std::copy(it->second.begin() + static_cast<ptrdiff_t>(in_page),
-                it->second.begin() + static_cast<ptrdiff_t>(in_page + n), dst);
-    }
-    dst += n;
-    offset += n;
-    length -= n;
+// Serves a read request from a PageStore into `out_view` or `out` (neither:
+// timing-only).
+inline void ApplyReadPayload(const PageStore& store, const IoRequest& req) {
+  if (req.out_view != nullptr) {
+    *req.out_view = store.ReadView(req.offset, req.length);
+  } else if (req.out != nullptr) {
+    store.Read(req.offset, req.out, req.length);
   }
 }
 

@@ -14,8 +14,8 @@ void HddModel::SubmitIo(IoRequest req) {
 
   if (req.type == IoType::kWrite) {
     ApplyWritePayload(store_, req);
-  } else if (req.out != nullptr) {
-    store_.Read(req.offset, req.out, req.length);
+  } else {
+    ApplyReadPayload(store_, req);
   }
 
   uint64_t offset = req.offset;

@@ -16,10 +16,14 @@ enum class IoType { kRead, kWrite };
 
 using IoCallback = std::function<void(const Status&)>;
 
-// One fragment of a scatter-gather write payload. A null `data` pointer means
-// `length` zero bytes (sector-padding tails on journal appends).
+// One fragment of a scatter-gather write payload. A null `data` view means
+// `length` zero bytes (sector-padding tails on journal appends); otherwise
+// data.size() == length. An owned view is shared by the device store for as
+// long as the bytes stay on the device, so its Buffer must never be written
+// again once the segment is submitted; an Unowned view is copied at apply
+// time and follows the legacy buffer-outlives-callback contract.
 struct IoSegment {
-  const void* data = nullptr;
+  BufferView data;
   uint64_t length = 0;
 };
 
@@ -45,12 +49,15 @@ struct IoRequest {
   // queued (§5.3's single-threaded per-disk scheduling).
   bool background = false;
   IoCallback done;
-  // Strong reference keeping `data` alive until the device consumes it (a
-  // stuck-fault device may hold the request indefinitely). Submitters on the
-  // zero-copy path set data = hold.data(); legacy raw-pointer callers leave
-  // it empty and keep their buffer-outlives-callback contract. Last so the
-  // positional {type, offset, length, data, out, background, done} aggregate
-  // initializations used across tests and benches stay valid.
+  // The write payload as a strong reference: submitters on the zero-copy
+  // path set hold = the payload view and data = hold.data(). It keeps the
+  // bytes alive while a device parks the request (a stuck-fault device may
+  // hold it indefinitely), and the device store then shares the view instead
+  // of copying it — so the Buffer behind it must never be written again once
+  // submitted. Legacy raw-pointer callers leave it empty; their bytes are
+  // copied at apply time and they keep the buffer-outlives-callback contract.
+  // Last so the positional {type, offset, length, data, out, background,
+  // done} aggregate initializations used across tests and benches stay valid.
   BufferView hold;
 
   // ---- Extensions (appended after `hold` for the same reason) ----
@@ -59,13 +66,24 @@ struct IoRequest {
   IoTag tag;
   // Scatter-gather write payload. When non-empty the on-device bytes are the
   // concatenation of the segments (lengths must sum to `length`) and `data`
-  // is ignored; devices treat the request as one contiguous write for timing.
-  // Null-data segments write zeros (they really overwrite — ring journals
-  // reuse space, so stale bytes must not survive under the padding).
+  // and `hold` are ignored; devices treat the request as one contiguous write
+  // for timing. Null-data segments write zeros (they really overwrite — ring
+  // journals reuse space, so stale bytes must not survive under the padding).
   std::vector<IoSegment> scatter;
-  // Second strong reference for scatter appends (header sector buffer; the
-  // payload segment is kept alive by `hold`).
-  BufferView hold2;
+  // Zero-copy read: when set, the read stores its bytes here instead of
+  // copying them into `out` — shared with the device's stored bytes when the
+  // range was written as one extent (see PageStore::ReadView). The pointee
+  // must outlive the callback.
+  BufferView* out_view = nullptr;
+
+  // The contiguous write payload: the shared `hold` view when set, else an
+  // un-owned wrap of `data` (null when both are empty: timing-only).
+  BufferView payload() const {
+    if (!hold) {
+      return BufferView::Unowned(data, length);
+    }
+    return hold.size() == length ? hold : hold.Slice(0, length);
+  }
 };
 
 // Effective service class of a request: the explicit tag, or for kAuto the

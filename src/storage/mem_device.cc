@@ -27,8 +27,8 @@ void MemDevice::SubmitIo(IoRequest req) {
   // of submission order) but report completion through the event loop.
   if (req.type == IoType::kWrite) {
     ApplyWritePayload(store_, req);
-  } else if (req.out != nullptr) {
-    store_.Read(req.offset, req.out, req.length);
+  } else {
+    ApplyReadPayload(store_, req);
   }
 
   sim_->After(fixed_latency_, [this, done = std::move(req.done)]() {

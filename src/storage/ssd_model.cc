@@ -22,8 +22,8 @@ void SsdModel::SubmitIo(IoRequest req) {
 
   if (req.type == IoType::kWrite) {
     ApplyWritePayload(store_, req);
-  } else if (req.out != nullptr) {
-    store_.Read(req.offset, req.out, req.length);
+  } else {
+    ApplyReadPayload(store_, req);
   }
 
   bool is_read = req.type == IoType::kRead;

@@ -91,6 +91,22 @@ TEST(BufferTest, UnownedWrapsWithoutOwnership) {
   EXPECT_EQ(n.size(), 0u);
 }
 
+// Device stores share owned views and copy the rest, so ownership must
+// survive slicing and never be claimed for borrowed or null bytes.
+TEST(BufferTest, OwnedDistinguishesSharedFromBorrowedBytes) {
+  Buffer b = Buffer::CopyOf("0123456789", 10);
+  EXPECT_EQ(b.use_count(), 1);
+  BufferView whole = b.View();
+  BufferView mid = whole.Slice(2, 3);
+  EXPECT_TRUE(whole.owned());
+  EXPECT_TRUE(mid.owned());
+  EXPECT_EQ(b.use_count(), 3);
+  uint8_t raw[4] = {1, 2, 3, 4};
+  EXPECT_FALSE(BufferView::Unowned(raw, sizeof(raw)).owned());
+  EXPECT_FALSE(BufferView::Unowned(raw, sizeof(raw)).Slice(1, 2).owned());
+  EXPECT_FALSE(BufferView().owned());
+}
+
 TEST(BufferTest, FromVectorAdoptsStorage) {
   std::vector<uint8_t> v(1024);
   for (size_t i = 0; i < v.size(); ++i) {

@@ -66,20 +66,22 @@ TEST(RecordTest, VectoredCrcMatchesContiguous) {
   uint32_t flat = h.ComputeCrc(payload.data());
 
   // Single segment.
-  storage::IoSegment whole{payload.data(), 3000};
+  storage::IoSegment whole{BufferView::Unowned(payload.data(), 3000), 3000};
   EXPECT_EQ(h.ComputeCrcVectored(&whole, 1), flat);
 
   // Split at several boundaries, including odd and sector-unaligned ones.
   for (uint64_t split : {1ull, 511ull, 512ull, 513ull, 1499ull, 2999ull}) {
-    storage::IoSegment segs[2] = {{payload.data(), split},
-                                  {payload.data() + split, 3000 - split}};
+    storage::IoSegment segs[2] = {{BufferView::Unowned(payload.data(), split), split},
+                                  {BufferView::Unowned(payload.data() + split, 3000 - split),
+                                   3000 - split}};
     EXPECT_EQ(h.ComputeCrcVectored(segs, 2), flat) << "split " << split;
   }
 
   // Many tiny segments.
   std::vector<storage::IoSegment> fine;
   for (uint64_t off = 0; off < 3000; off += 97) {
-    fine.push_back(storage::IoSegment{payload.data() + off, std::min<uint64_t>(97, 3000 - off)});
+    uint64_t n = std::min<uint64_t>(97, 3000 - off);
+    fine.push_back(storage::IoSegment{BufferView::Unowned(payload.data() + off, n), n});
   }
   EXPECT_EQ(h.ComputeCrcVectored(fine.data(), fine.size()), flat);
 
@@ -89,11 +91,12 @@ TEST(RecordTest, VectoredCrcMatchesContiguous) {
   hz.length = 3600;
   std::vector<uint8_t> padded(3600, 0);
   std::copy(payload.begin(), payload.end(), padded.begin());
-  storage::IoSegment with_zero_tail[2] = {{payload.data(), 3000}, {nullptr, 600}};
+  storage::IoSegment with_zero_tail[2] = {{BufferView::Unowned(payload.data(), 3000), 3000},
+                                          {BufferView(), 600}};
   EXPECT_EQ(hz.ComputeCrcVectored(with_zero_tail, 2), hz.ComputeCrc(padded.data()));
 
   // All-null vector equals the null-payload (all-zeros) contiguous CRC.
-  storage::IoSegment all_zero{nullptr, 3600};
+  storage::IoSegment all_zero{BufferView(), 3600};
   EXPECT_EQ(hz.ComputeCrcVectored(&all_zero, 1), hz.ComputeCrc(nullptr));
 }
 

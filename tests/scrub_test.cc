@@ -360,6 +360,26 @@ TEST_F(ScrubberRearmTest, DisabledFlagLeavesSectorsSkipped) {
   EXPECT_EQ(store_.sectors_tracked(), tracked_before);
 }
 
+// Regression: the per-chunk piece loop once captured its own shared_ptr, so
+// every sweep (its piece buffer and `done` callback included) leaked. Once
+// the chunk completes and the last yield event has run, everything `done`
+// captured must be released.
+TEST_F(ScrubberRearmTest, CompletedChunkReleasesItsSweep) {
+  ScrubConfig config;
+  config.read_bytes = 8 * kKiB;  // several pieces, several yields
+  Scrubber scrubber(&sim_, config, Hooks());
+  auto sentinel = std::make_shared<int>(0);
+  bool fired = false;
+  scrubber.ScrubChunk(1, kChunkSize, [&fired, sentinel](Scrubber::ChunkResult r) {
+    EXPECT_TRUE(r.completed);
+    fired = true;
+  });
+  EXPECT_GT(sentinel.use_count(), 1);  // held by the in-flight sweep
+  sim_.RunToCompletion();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // ScrubCoordinator (fake hooks)
 // ---------------------------------------------------------------------------

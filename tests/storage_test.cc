@@ -1,8 +1,10 @@
 // Unit tests for device models and the chunk store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/common/buffer.h"
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/storage/chunk_store.h"
@@ -45,6 +47,229 @@ TEST(PageStoreTest, PartialOverwrite) {
   for (size_t i = 4100; i < 8192; ++i) {
     EXPECT_EQ(back[i], a[i]);
   }
+}
+
+// Model-based: random owned, un-owned, scatter (with zero segments) and
+// zeroing writes at unaligned offsets, so overwrites trim, split and swallow
+// extents; every read — plain or zero-copy, across gaps or not — must match
+// a flat byte array.
+TEST(PageStoreTest, MatchesFlatModelUnderRandomWrites) {
+  constexpr uint64_t kSpace = 64 * kKiB;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    PageStore store;
+    std::vector<uint8_t> model(kSpace, 0);
+    auto random_bytes = [&rng](uint64_t n) {
+      std::vector<uint8_t> v(n);
+      for (auto& b : v) {
+        b = static_cast<uint8_t>(rng.Uniform(256));
+      }
+      return v;
+    };
+    for (int step = 0; step < 400; ++step) {
+      uint64_t off = rng.Uniform(kSpace - 1);
+      uint64_t len = 1 + rng.Uniform(std::min<uint64_t>(kSpace - off, 3 * kKiB));
+      switch (rng.Uniform(5)) {
+        case 0: {  // owned, as a slice from the middle of a larger Buffer
+          std::vector<uint8_t> bytes = random_bytes(len + 64);
+          Buffer buf = Buffer::CopyOf(bytes.data(), bytes.size());
+          store.Write(off, buf.View(32, len));
+          std::copy_n(bytes.begin() + 32, len, model.begin() + static_cast<ptrdiff_t>(off));
+          break;
+        }
+        case 1: {  // un-owned: the caller reuses its buffer right after
+          std::vector<uint8_t> bytes = random_bytes(len);
+          store.Write(off, bytes.data(), len);
+          std::copy(bytes.begin(), bytes.end(), model.begin() + static_cast<ptrdiff_t>(off));
+          std::fill(bytes.begin(), bytes.end(), uint8_t{0xEE});
+          break;
+        }
+        case 2: {  // scatter: owned, zeros, un-owned
+          uint64_t a = rng.Uniform(len + 1);
+          uint64_t b = a + rng.Uniform(len - a + 1);
+          std::vector<uint8_t> head = random_bytes(a);
+          std::vector<uint8_t> tail = random_bytes(len - b);
+          IoRequest req;
+          req.type = IoType::kWrite;
+          req.offset = off;
+          req.length = len;
+          req.scatter = {IoSegment{Buffer::CopyOf(head.data(), a).View(), a},
+                         IoSegment{BufferView(), b - a},
+                         IoSegment{BufferView::Unowned(tail.data(), len - b), len - b}};
+          ApplyWritePayload(store, req);
+          auto at = model.begin() + static_cast<ptrdiff_t>(off);
+          std::copy(head.begin(), head.end(), at);
+          std::fill(at + static_cast<ptrdiff_t>(a), at + static_cast<ptrdiff_t>(b), uint8_t{0});
+          std::copy(tail.begin(), tail.end(), at + static_cast<ptrdiff_t>(b));
+          break;
+        }
+        case 3:
+          store.WriteZeros(off, len);
+          std::fill_n(model.begin() + static_cast<ptrdiff_t>(off), len, uint8_t{0});
+          break;
+        default: {
+          std::vector<uint8_t> got(len, 0xCD);
+          store.Read(off, got.data(), len);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                 model.begin() + static_cast<ptrdiff_t>(off)))
+              << "seed " << seed << " step " << step;
+          BufferView view = store.ReadView(off, len);
+          ASSERT_EQ(view.size(), len);
+          ASSERT_TRUE(std::equal(view.data(), view.data() + len,
+                                 model.begin() + static_cast<ptrdiff_t>(off)))
+              << "seed " << seed << " step " << step;
+          break;
+        }
+      }
+    }
+    std::vector<uint8_t> all(kSpace);
+    store.Read(0, all.data(), kSpace);
+    EXPECT_EQ(all, model) << "seed " << seed;
+  }
+}
+
+TEST(PageStoreTest, FullyOverwrittenPayloadIsReleased) {
+  PageStore store;
+  auto bytes = test::Pattern(8192, 5);
+  Buffer payload = Buffer::CopyOf(bytes.data(), bytes.size());
+  store.Write(0, payload.View());
+  EXPECT_EQ(payload.use_count(), 2);  // shared, not copied
+  // A write inside the extent splits it: both remainders slice the payload.
+  store.Write(1000, test::Pattern(100, 6).data(), 100);
+  EXPECT_EQ(payload.use_count(), 3);
+  EXPECT_EQ(store.extent_count(), 3u);
+  store.WriteZeros(0, 1000);
+  EXPECT_EQ(payload.use_count(), 2);
+  store.Write(1100, Buffer::CopyOf(bytes.data(), 8192 - 1100).View());
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(PageStoreTest, SharedBytesOutliveTheWritersBuffer) {
+  PageStore store;
+  auto bytes = test::Pattern(4096, 7);
+  {
+    Buffer payload = Buffer::CopyOf(bytes.data(), bytes.size());
+    store.Write(512, payload.View());
+  }
+  std::vector<uint8_t> back(4096);
+  store.Read(512, back.data(), back.size());
+  EXPECT_EQ(back, bytes);
+}
+
+TEST(PageStoreTest, ReadViewSharesOneExtentAndCopiesAcrossEdges) {
+  PageStore store;
+  auto bytes = test::Pattern(4096, 8);
+  Buffer payload = Buffer::CopyOf(bytes.data(), bytes.size());
+  store.Write(0, payload.View());
+  BufferView inside = store.ReadView(100, 1000);
+  EXPECT_EQ(inside.data(), payload.data() + 100);
+  BufferView across = store.ReadView(4000, 200);  // extent tail + gap
+  ASSERT_EQ(across.size(), 200u);
+  EXPECT_NE(across.data(), payload.data() + 4000);
+  EXPECT_TRUE(std::equal(across.data(), across.data() + 96, bytes.begin() + 4000));
+  EXPECT_TRUE(
+      std::all_of(across.data() + 96, across.data() + 200, [](uint8_t b) { return b == 0; }));
+}
+
+// One payload written through two chunk stores is resident once; a bit flip
+// injected on one device is copy-on-write and leaves the other device (and
+// the payload itself) byte-exact.
+TEST(ChunkStoreTest, CorruptByteLeavesSharingPeerIntact) {
+  sim::Simulator sim;
+  MemDevice dev_a(&sim, 4 * kMiB);
+  MemDevice dev_b(&sim, 4 * kMiB);
+  ChunkStore a(&dev_a, 1 * kMiB);
+  ChunkStore b(&dev_b, 1 * kMiB);
+  ASSERT_TRUE(a.Allocate(1).ok());
+  ASSERT_TRUE(b.Allocate(1).ok());
+  auto bytes = test::Pattern(8192, 9);
+  Buffer payload = Buffer::CopyOf(bytes.data(), bytes.size());
+  a.Write(1, 0, 8192, payload.View(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  b.Write(1, 0, 8192, payload.View(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  sim.RunToCompletion();
+  EXPECT_EQ(payload.use_count(), 3);
+
+  a.CorruptByte(1, 1234, 0x10);
+  sim.RunToCompletion();
+  std::vector<uint8_t> got_a(8192);
+  std::vector<uint8_t> got_b(8192);
+  dev_a.ReadSync(a.SlotOffset(1), got_a.data(), got_a.size());
+  dev_b.ReadSync(b.SlotOffset(1), got_b.data(), got_b.size());
+  EXPECT_EQ(got_b, bytes);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), payload.data()));
+  std::vector<uint8_t> expect_a = bytes;
+  expect_a[1234] ^= 0x10;
+  EXPECT_EQ(got_a, expect_a);
+}
+
+// Reorders admission: holds every request, then admits newest first.
+class ReversingGate : public IoGate {
+ public:
+  explicit ReversingGate(BlockDevice* dev) : dev_(dev) {}
+  void OnSubmit(IoRequest req) override { held_.push_back(std::move(req)); }
+  void Release() {
+    while (!held_.empty()) {
+      IoRequest req = std::move(held_.back());
+      held_.pop_back();
+      dev_->Admit(std::move(req));
+    }
+  }
+  const std::vector<IoRequest>& held() const { return held_; }
+
+ private:
+  BlockDevice* dev_;
+  std::vector<IoRequest> held_;
+};
+
+// With a QoS gate attached the device applies write payloads at Submit, so
+// bytes become visible in submission order however the gate reorders
+// service — and queued requests no longer pin their payloads.
+TEST(BlockDeviceTest, GatedWritesApplyInSubmissionOrder) {
+  sim::Simulator sim;
+  MemDevice dev(&sim, 1 * kMiB);
+  ReversingGate gate(&dev);
+  dev.SetGate(&gate);
+  auto first = test::Pattern(4096, 11);
+  auto second = test::Pattern(1024, 12);
+  Buffer one = Buffer::CopyOf(first.data(), first.size());
+  Buffer two = Buffer::CopyOf(second.data(), second.size());
+  int done = 0;
+  auto write = [&](uint64_t offset, const Buffer& buf) {
+    IoRequest req;
+    req.type = IoType::kWrite;
+    req.offset = offset;
+    req.length = buf.size();
+    req.hold = buf.View();
+    req.data = buf.data();
+    req.done = [&done](const Status& s) { done += s.ok() ? 1 : 0; };
+    dev.Submit(std::move(req));
+  };
+  write(0, one);
+  write(1024, two);
+  IoRequest zeros;  // scatter of one null segment: zeroes [512, 1024)
+  zeros.type = IoType::kWrite;
+  zeros.offset = 512;
+  zeros.length = 512;
+  zeros.scatter = {IoSegment{BufferView(), 512}};
+  zeros.done = [&done](const Status& s) { done += s.ok() ? 1 : 0; };
+  dev.Submit(std::move(zeros));
+
+  ASSERT_EQ(gate.held().size(), 3u);
+  for (const IoRequest& req : gate.held()) {
+    EXPECT_FALSE(req.hold);
+    EXPECT_TRUE(req.scatter.empty());
+  }
+  EXPECT_EQ(one.use_count(), 3);  // the Buffer + the two remainders of its extent
+  gate.Release();
+  sim.RunToCompletion();
+  EXPECT_EQ(done, 3);
+
+  std::vector<uint8_t> expect = first;
+  std::fill(expect.begin() + 512, expect.begin() + 1024, uint8_t{0});
+  std::copy(second.begin(), second.end(), expect.begin() + 1024);
+  std::vector<uint8_t> got(4096);
+  dev.ReadSync(0, got.data(), got.size());
+  EXPECT_EQ(got, expect);
 }
 
 TEST(MemDeviceTest, AsyncCompletionCarriesData) {
