@@ -193,8 +193,9 @@ void ChaosEngine::ScheduleFaults() {
   const Nanos flip_deadline = plan_.warmup + plan_.fault_window + plan_.max_fault_len;
   for (int i = 0; i < plan_.bit_flips; ++i) {
     Nanos start = sample_start();
+    // Weak self-reference: the pending retry event holds the closure.
     auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, attempt, flip_deadline]() {
+    *attempt = [this, flip_deadline, weak = std::weak_ptr<std::function<void()>>(attempt)]() {
       const auto& managers = cluster_->journal_managers();
       if (managers.empty()) {
         return;
@@ -210,7 +211,7 @@ void ChaosEngine::ScheduleFaults() {
         }
       }
       if (sim_->Now() + msec(1) <= flip_deadline) {
-        sim_->After(msec(1), *attempt);
+        sim_->After(msec(1), [self = weak.lock()]() { (*self)(); });
       } else {
         Note("bit flip abandoned: no journal held pending data before the window closed");
       }

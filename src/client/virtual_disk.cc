@@ -998,10 +998,12 @@ void VirtualDisk::Upgrade(const std::string& version, Nanos swap_window,
   upgrading_ = true;  // (i) stop receiving new I/O requests from the VMM
 
   // (ii) complete pending requests, polling until the core is quiescent.
+  // Weak self-reference: the pending poll event holds the closure.
   auto wait_drain = std::make_shared<std::function<void()>>();
-  *wait_drain = [this, version, swap_window, done = std::move(done), wait_drain]() mutable {
+  *wait_drain = [this, version, swap_window, done = std::move(done),
+                 weak = std::weak_ptr<std::function<void()>>(wait_drain)]() mutable {
     if (inflight_user_ops_ > 0) {
-      sim_->After(msec(1), *wait_drain);
+      sim_->After(msec(1), [self = weak.lock()]() { (*self)(); });
       return;
     }
     // (iii) save status, exit; the shell starts the new core, which reads

@@ -223,12 +223,6 @@ class ChunkServer {
   void HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t length,
                            ursa::BufferView data, storage::IoCallback done,
                            qos::ServiceClass cls = qos::ServiceClass::kRecovery);
-  void HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t length, const void* data,
-                           storage::IoCallback done,
-                           qos::ServiceClass cls = qos::ServiceClass::kRecovery) {
-    HandleRecoveryWrite(chunk, offset, length, ursa::BufferView::Unowned(data, length),
-                        std::move(done), cls);
-  }
 
   // Incremental repair support: ranges of `chunk` modified after `version`,
   // from this replica's journal lite; false => history lost, full copy.

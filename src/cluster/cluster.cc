@@ -144,14 +144,17 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
       // NotFound is terminal, not transient: replay scans can quarantine a
       // record whose decoded chunk id is itself garbage (corrupt header), and
       // no amount of retrying repairs a chunk the master never allocated.
+      // The closure refers to itself weakly; the repair in flight and the
+      // pending retry hold it (a strong self-capture would leak it).
       auto attempt = std::make_shared<std::function<void()>>();
-      *attempt = [this, sid, chunk, offset, length, healed = std::move(healed), attempt]() {
+      *attempt = [this, sid, chunk, offset, length, healed = std::move(healed),
+                  weak = std::weak_ptr<std::function<void()>>(attempt)]() {
         master_->RepairCorruptRange(chunk, sid, offset, length,
-                                    [this, healed, attempt](Status s2) {
+                                    [this, healed, self = weak.lock()](Status s2) {
                                       if (s2.ok()) {
                                         healed();
                                       } else if (s2.code() != StatusCode::kNotFound) {
-                                        sim_->After(msec(100), *attempt);
+                                        sim_->After(msec(100), [self]() { (*self)(); });
                                       }
                                     });
       };
@@ -222,13 +225,14 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
               server->AddScrubQuarantine(chunk, offset, length);
               ServerId sid = server->id();
               auto attempt = std::make_shared<std::function<void()>>();
-              *attempt = [this, sid, chunk, offset, length, attempt]() {
+              *attempt = [this, sid, chunk, offset, length,
+                          weak = std::weak_ptr<std::function<void()>>(attempt)]() {
                 master_->RepairCorruptRange(chunk, sid, offset, length,
-                                            [this, attempt](Status s2) {
+                                            [this, self = weak.lock()](Status s2) {
                                               if (s2.ok()) {
                                                 ++scrub_repairs_completed_;
                                               } else if (s2.code() != StatusCode::kNotFound) {
-                                                sim_->After(msec(100), *attempt);
+                                                sim_->After(msec(100), [self]() { (*self)(); });
                                               }
                                             });
               };

@@ -19,6 +19,34 @@ int ReplicaRank(const ReplicaRef& r) {
 }
 }  // namespace
 
+// Shared state of one background job. `lock` is the chunk whose migration
+// mark the job drops when it ends (0 = none); `failures` is the tier stat a
+// failure bumps (null = none).
+struct Master::Job {
+  ChunkId lock = 0;
+  uint64_t* failures = nullptr;
+  bool finished = false;
+  bool granted = false;  // holding an admission slot
+  uint64_t admission_source = 0;
+  sim::EventId timeout_event = 0;
+  // Chunks allocated by this job; freed again if it fails before commit.
+  std::vector<std::pair<ServerId, ChunkId>> allocated;
+  // Speculative back-fill: the spec replicas alive at pass start — the set
+  // the commit installs. Must be a majority of the spec set so it is
+  // guaranteed to intersect every client write quorum (the freshest acked
+  // data is on some member).
+  std::vector<ServerId> targets;
+  std::function<void(Status)> done;
+};
+
+struct Master::SpecState {
+  std::shared_ptr<Job> pass;  // null between retries
+  int retries = 0;
+};
+
+// Defined after SpecState so ~unique_ptr<SpecState> sees a complete type.
+Master::~Master() = default;
+
 Master::Master(sim::Simulator* sim, net::Transport* transport, Placement placement,
                std::vector<ChunkServer*> servers)
     : sim_(sim),
@@ -335,7 +363,9 @@ void Master::Restore(const Checkpoint& checkpoint) {
   std::vector<ChunkId> old_spec;
   for (auto& [id, st] : spec_) {
     old_spec.push_back(id);
-    CancelSpecPass(st.get());
+    if (st->pass != nullptr) {
+      EndJob(st->pass.get());
+    }
   }
   spec_.clear();
   // Rebuild the chunk index; leases are deliberately NOT restored — clients
@@ -391,199 +421,276 @@ ChunkLayout* Master::FindLayout(ChunkId chunk) {
   return &disks_[ref->second.disk].chunks[ref->second.index];
 }
 
-void Master::TransferChunk(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                           uint64_t chunk_size, std::function<void(Status, uint64_t)> done,
-                           qos::ServiceClass cls) {
-  if (admission_ != nullptr) {
-    // Cluster-wide per-source pacing: the piece pump starts only once this
-    // source device has a free transfer slot, and holds it until `done`.
-    auto priority = cls == qos::ServiceClass::kScrub
-                        ? scrub::RecoveryAdmission::Priority::kScrub
-                        : scrub::RecoveryAdmission::Priority::kRecovery;
-    uint64_t source_id = source->id();
-    auto released = [this, source_id, done = std::move(done)](Status s, uint64_t version) {
-      admission_->Release(source_id);
-      done(s, version);
-    };
-    admission_->Acquire(source_id, priority,
-                        [this, chunk, source, target, chunk_size, cls,
-                         released = std::move(released)]() mutable {
-                          TransferChunkNow(chunk, source, target, chunk_size,
-                                           std::move(released), cls);
-                        });
-    return;
+const ReplicaRef* Master::FreshestReplica(const ChunkLayout& layout, ServerId exclude,
+                                          uint64_t* version) const {
+  const ReplicaRef* best = nullptr;
+  for (const ReplicaRef& r : layout.replicas) {
+    if (r.server == exclude || servers_[r.server]->crashed()) {
+      continue;
+    }
+    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(layout.chunk);
+    if (!st.ok()) {
+      continue;
+    }
+    // Version first (a stale source would hide committed writes); at equal
+    // versions prefer healthy over demoted, SSD over HDD, and lower health
+    // score (a gray-slow source would drag the whole transfer).
+    if (best == nullptr || st->version > *version ||
+        (st->version == *version && PreferReplica(r, *best))) {
+      *version = st->version;
+      best = &r;
+    }
   }
-  TransferChunkNow(chunk, source, target, chunk_size, std::move(done), cls);
+  return best;
 }
 
-void Master::TransferRanges(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                            std::vector<Interval> ranges, std::function<void(Status)> done,
-                            qos::ServiceClass cls) {
-  if (admission_ != nullptr && !ranges.empty()) {
-    auto priority = cls == qos::ServiceClass::kScrub
-                        ? scrub::RecoveryAdmission::Priority::kScrub
-                        : scrub::RecoveryAdmission::Priority::kRecovery;
-    uint64_t source_id = source->id();
-    auto released = [this, source_id, done = std::move(done)](Status s) {
-      admission_->Release(source_id);
-      done(s);
-    };
-    admission_->Acquire(source_id, priority,
-                        [this, chunk, source, target, cls, ranges = std::move(ranges),
-                         released = std::move(released)]() mutable {
-                          TransferRangesNow(chunk, source, target, std::move(ranges),
-                                            std::move(released), cls);
-                        });
-    return;
+std::vector<ServerId> Master::PlaceReplicaTargets(ChunkId chunk) const {
+  const ChunkRef& ref = chunk_refs_.at(chunk);
+  const DiskMeta& disk = disks_.at(ref.disk);
+  std::vector<ServerId> targets;
+  std::vector<MachineId> used;
+  auto try_add = [this, chunk, &targets, &used](ServerId sid) {
+    ChunkServer* server = servers_[sid];
+    if (server->crashed() || server->HasChunk(chunk)) {
+      return;
+    }
+    targets.push_back(sid);
+    used.push_back(placement_.MachineOf(sid));
+  };
+  Result<std::vector<ServerId>> placed =
+      placement_.PlaceChunk(ref.index, disk.replication, disk.id * 7919);
+  if (placed.ok()) {
+    for (ServerId sid : *placed) {
+      try_add(sid);
+    }
   }
-  TransferRangesNow(chunk, source, target, std::move(ranges), std::move(done), cls);
+  for (uint64_t salt = chunk;
+       static_cast<int>(targets.size()) < disk.replication && salt < chunk + 2 * num_servers();
+       ++salt) {
+    Result<ServerId> cand = placement_.PlaceReplacement(targets.empty(), used, salt);
+    if (cand.ok()) {
+      try_add(*cand);
+    }
+  }
+  if (static_cast<int>(targets.size()) < disk.replication) {
+    targets.clear();
+  }
+  return targets;
 }
 
-void Master::TransferChunkNow(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                              uint64_t chunk_size, std::function<void(Status, uint64_t)> done,
-                              qos::ServiceClass cls) {
-  // Sliding window of `recovery_window_` pieces, each `recovery_piece_`
-  // bytes: read at the source (journal-aware), ship over the network, write
-  // at the target. Saturates the target's inbound NIC when sources are fast
-  // enough — the Fig. 12 bound.
+// ---- Background copy engine (DESIGN.md §14) ----
+
+std::vector<Interval> Master::Pieces(const std::vector<Interval>& ranges) const {
+  std::vector<Interval> pieces;
+  for (const Interval& r : ranges) {
+    for (uint64_t offset = r.offset; offset < r.end(); offset += recovery_piece_) {
+      pieces.push_back(Interval{offset, std::min(recovery_piece_, r.end() - offset)});
+    }
+  }
+  return pieces;
+}
+
+void Master::RunCopy(Copy copy, std::function<void(Status)> done) {
   struct State {
-    uint64_t next_offset = 0;
-    uint64_t completed = 0;
-    uint64_t total_pieces = 0;
-    uint64_t source_version = 0;
+    Copy copy;
+    size_t issued = 0;
+    size_t landed = 0;
     bool failed = false;
     bool waiting = false;
-    std::function<void(Status, uint64_t)> done;
+    std::function<void(Status)> done;
   };
   auto st = std::make_shared<State>();
-  st->total_pieces = (chunk_size + recovery_piece_ - 1) / recovery_piece_;
+  st->copy = std::move(copy);
   st->done = std::move(done);
 
+  // The pump refers to itself weakly: a strong self-capture would be a cycle
+  // that leaks the state and its buffers. Every piece in flight and every
+  // gate wait holds the strong reference, so the pump lives exactly as long
+  // as it has work outstanding.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, chunk, source, target, chunk_size, cls, st, pump]() {
+  *pump = [this, st, weak = std::weak_ptr<std::function<void()>>(pump)] {
+    const Copy& c = st->copy;
     if (st->failed || st->waiting) {
       return;
     }
-    // QoS backpressure: when the target device's scheduler reports the
-    // recovery class past its queue-depth high watermark, pause issuing
-    // pieces until it drains to the low watermark (in-flight pieces finish).
-    storage::IoGate* gate = target->store()->device()->gate();
-    if (gate != nullptr && gate->ShouldThrottle(cls)) {
+    // QoS backpressure: while the target device's scheduler reports the
+    // class past its queue-depth high watermark, issue nothing until it
+    // drains to the low watermark (pieces in flight finish).
+    storage::IoGate* gate = c.target != nullptr ? c.target->store()->device()->gate() : nullptr;
+    if (gate != nullptr && gate->ShouldThrottle(c.cls)) {
       st->waiting = true;
-      gate->WhenReady(cls, [st, pump]() {
+      gate->WhenReady(c.cls, [st, self = weak.lock()] {
         st->waiting = false;
-        (*pump)();
+        (*self)();
       });
       return;
     }
-    while (st->next_offset < chunk_size &&
-           (st->next_offset / recovery_piece_) - st->completed <
-               static_cast<uint64_t>(recovery_window_)) {
-      uint64_t offset = st->next_offset;
-      uint64_t len = std::min(recovery_piece_, chunk_size - offset);
-      st->next_offset += len;
-      std::shared_ptr<std::vector<uint8_t>> buf;
-      if (recovery_carries_data_) {
-        buf = std::make_shared<std::vector<uint8_t>>(len);
+    while (st->issued < c.pieces.size() &&
+           st->issued - st->landed < static_cast<size_t>(recovery_window_)) {
+      const Interval piece = c.pieces[st->issued++];
+      Slot bytes = c.bytes;
+      bytes.at += piece.offset - c.pieces.front().offset;
+      if (!bytes.buf && c.source != nullptr && c.target != nullptr && recovery_carries_data_) {
+        bytes = Slot{ursa::Buffer::Allocate(piece.length)};
       }
-      void* buf_ptr = buf ? buf->data() : nullptr;
-      source->HandleRecoveryRead(
-          chunk, offset, len, buf_ptr,
-          [this, chunk, source, target, offset, len, cls, st, pump, buf](const Status& s,
-                                                                         uint64_t version) {
-            if (st->failed) {
-              return;
+      auto landed = [this, st, self = weak.lock(), len = piece.length](const Status& s) {
+        if (st->failed) {
+          return;
+        }
+        if (!s.ok()) {
+          st->failed = true;
+          st->done(s);
+          return;
+        }
+        if (st->copy.target != nullptr) {
+          recovery_stats_.bytes_transferred += len;
+        }
+        if (++st->landed == st->copy.pieces.size()) {
+          st->done(OkStatus());
+        } else {
+          (*self)();
+        }
+      };
+      // Sends the piece to the target and writes it there; the view is cut
+      // only now, once the bytes behind it are final.
+      auto ship = [this, st, piece, bytes, landed]() {
+        const Copy& c = st->copy;
+        ursa::BufferView view = bytes.buf ? bytes.buf.View(bytes.at, piece.length)
+                                          : ursa::BufferView();
+        net::NodeId from = c.source != nullptr ? c.source->node() : c.from;
+        uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, piece.length);
+        transport_->Send(from, c.target->node(), wire, [st, piece, view, landed]() {
+          const Copy& c = st->copy;
+          if (c.shielded) {
+            c.target->HandleBackfillWrite(c.chunk, piece.offset, piece.length, view, landed,
+                                          c.cls);
+          } else {
+            c.target->HandleRecoveryWrite(c.chunk, piece.offset, piece.length, view, landed,
+                                          c.cls);
+          }
+        });
+      };
+      if (c.source == nullptr) {
+        ship();
+        continue;
+      }
+      c.source->HandleRecoveryRead(
+          c.chunk, piece.offset, piece.length, bytes.data(),
+          [st, landed, ship](const Status& s, uint64_t) {
+            if (st->copy.target == nullptr || !s.ok()) {
+              landed(s);
+            } else if (!st->failed) {
+              ship();
             }
-            if (!s.ok()) {
-              st->failed = true;
-              st->done(s, 0);
-              return;
-            }
-            st->source_version = std::max(st->source_version, version);
-            uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, len);
-            transport_->Send(source->node(), target->node(), wire,
-                             [this, chunk, target, offset, len, cls, st, pump, buf]() {
-                               target->HandleRecoveryWrite(
-                                   chunk, offset, len, buf ? buf->data() : nullptr,
-                                   [this, len, st, pump, buf](const Status& s2) {
-                                     if (st->failed) {
-                                       return;
-                                     }
-                                     if (!s2.ok()) {
-                                       st->failed = true;
-                                       st->done(s2, 0);
-                                       return;
-                                     }
-                                     ++st->completed;
-                                     recovery_stats_.bytes_transferred += len;
-                                     if (st->completed == st->total_pieces) {
-                                       st->done(OkStatus(), st->source_version);
-                                     } else {
-                                       (*pump)();
-                                     }
-                                   },
-                                   cls);
-                             });
           },
-          cls);
+          c.cls);
     }
   };
   (*pump)();
 }
 
-void Master::TransferRangesNow(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                               std::vector<Interval> ranges, std::function<void(Status)> done,
-                               qos::ServiceClass cls) {
-  if (ranges.empty()) {
+void Master::StartJob(const std::shared_ptr<Job>& job, ChunkServer* source,
+                      scrub::RecoveryAdmission::Priority priority, const char* timeout,
+                      std::function<void()> body) {
+  if (timeout != nullptr) {
+    job->timeout_event = sim_->After(migration_timeout_, [this, job, timeout]() {
+      job->timeout_event = 0;
+      FailJob(job, TimedOut(timeout));
+    });
+  }
+  if (admission_ == nullptr) {
+    body();
+    return;
+  }
+  // Cluster-wide per-source pacing: the job runs only once this source
+  // device has a free transfer slot, and holds it until the job ends.
+  job->admission_source = source->id();
+  admission_->Acquire(source->id(), priority, [this, job, body = std::move(body)]() {
+    if (job->finished) {
+      admission_->Release(job->admission_source);
+      return;
+    }
+    job->granted = true;
+    body();
+  });
+}
+
+bool Master::EndJob(Job* job) {
+  if (job->finished) {
+    return false;
+  }
+  job->finished = true;
+  if (job->timeout_event != 0) {
+    sim_->Cancel(job->timeout_event);
+  }
+  if (job->granted) {
+    admission_->Release(job->admission_source);
+  }
+  return true;
+}
+
+void Master::FinishJob(std::shared_ptr<Job> job, Status s) {
+  if (!EndJob(job.get())) {
+    return;
+  }
+  if (!s.ok()) {
+    // Roll back anything this job allocated but never committed.
+    for (const auto& [sid, cid] : job->allocated) {
+      if (!servers_[sid]->crashed() && servers_[sid]->HasChunk(cid)) {
+        servers_[sid]->FreeChunk(cid);
+      }
+      ec_shards_.erase(cid);
+      if (heat_ != nullptr) {
+        heat_->ClearAlias(cid);
+      }
+    }
+  }
+  if (job->lock != 0) {
+    FinishMigration(job->lock);
+  }
+  if (job->done) {
+    job->done(std::move(s));
+  }
+}
+
+void Master::FailJob(std::shared_ptr<Job> job, Status s) {
+  if (!job->finished && job->failures != nullptr) {
+    ++*job->failures;
+  }
+  FinishJob(std::move(job), std::move(s));
+}
+
+void Master::CopyReplica(ChunkId chunk, ChunkServer* source, ChunkServer* target,
+                         std::vector<Interval> ranges, qos::ServiceClass cls,
+                         std::function<void(Status)> done) {
+  Copy copy{.chunk = chunk, .pieces = Pieces(ranges), .source = source, .target = target,
+            .cls = cls};
+  if (copy.pieces.empty()) {
     sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
     return;
   }
-  auto remaining = std::make_shared<size_t>(ranges.size());
-  auto failed = std::make_shared<bool>(false);
-  auto done_shared = std::make_shared<std::function<void(Status)>>(std::move(done));
-  for (const Interval& range : ranges) {
-    std::shared_ptr<std::vector<uint8_t>> buf;
-    if (recovery_carries_data_) {
-      buf = std::make_shared<std::vector<uint8_t>>(range.length);
-    }
-    void* buf_ptr = buf ? buf->data() : nullptr;
-    source->HandleRecoveryRead(
-        chunk, range.offset, range.length, buf_ptr,
-        [this, chunk, source, target, range, cls, remaining, failed, done_shared,
-         buf](const Status& s, uint64_t) {
-          if (*failed) {
-            return;
-          }
-          if (!s.ok()) {
-            *failed = true;
-            (*done_shared)(s);
-            return;
-          }
-          uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, range.length);
-          transport_->Send(
-              source->node(), target->node(), wire,
-              [this, chunk, target, range, cls, remaining, failed, done_shared, buf]() {
-                target->HandleRecoveryWrite(
-                    chunk, range.offset, range.length, buf ? buf->data() : nullptr,
-                    [this, range, remaining, failed, done_shared, buf](const Status& s2) {
-                      if (*failed) {
-                        return;
-                      }
-                      if (!s2.ok()) {
-                        *failed = true;
-                        (*done_shared)(s2);
-                        return;
-                      }
-                      recovery_stats_.bytes_transferred += range.length;
-                      if (--*remaining == 0) {
-                        (*done_shared)(OkStatus());
-                      }
-                    },
-                    cls);
-              });
-        },
-        cls);
+  auto job = std::make_shared<Job>();
+  job->done = std::move(done);
+  auto priority = cls == qos::ServiceClass::kScrub ? scrub::RecoveryAdmission::Priority::kScrub
+                                                   : scrub::RecoveryAdmission::Priority::kRecovery;
+  StartJob(job, source, priority, /*timeout=*/nullptr,
+           [this, job, copy = std::move(copy)]() mutable {
+             RunCopy(std::move(copy), [this, job](Status s) { FinishJob(job, std::move(s)); });
+           });
+}
+
+void Master::CatchUp(ChunkId chunk, ChunkServer* source, ChunkServer* laggard,
+                     uint64_t from_version, std::function<void(Status)> done) {
+  std::vector<Interval> ranges;
+  if (source->ModifiedSince(chunk, from_version, &ranges)) {
+    ++recovery_stats_.incremental_repairs;
+  } else {
+    // History GC'd: transfer the whole chunk (§4.2.1).
+    ++recovery_stats_.full_copies;
+    ranges = {Interval{0, disks_[chunk_refs_.at(chunk).disk].chunk_size}};
   }
+  CopyReplica(chunk, source, laggard, std::move(ranges), qos::ServiceClass::kRecovery,
+              std::move(done));
 }
 
 void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
@@ -657,27 +764,12 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
   }
 
   uint64_t version_h = 0;
-  ChunkServer* source = nullptr;
-  const ReplicaRef* source_ref = nullptr;
-  for (const ReplicaRef& r : survivors) {
-    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
-    if (!st.ok()) {
-      continue;
-    }
-    // Version first (a stale source would hide committed writes); at equal
-    // versions prefer healthy over demoted, SSD over HDD, and lower health
-    // score (a gray-slow source would drag the whole transfer).
-    if (source == nullptr || st->version > version_h ||
-        (st->version == version_h && PreferReplica(r, *source_ref))) {
-      version_h = st->version;
-      source = servers_[r.server];
-      source_ref = &r;
-    }
-  }
-  if (source == nullptr) {
+  const ReplicaRef* source_ref = FreshestReplica(*layout, failed, &version_h);
+  if (source_ref == nullptr) {
     done(Unavailable("no readable survivor"));
     return;
   }
+  ChunkServer* source = servers_[source_ref->server];
 
   // Allocate the replacement on a machine hosting no survivor.
   std::vector<MachineId> exclude;
@@ -715,12 +807,10 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
     return;
   }
 
-  uint64_t chunk_size = disk.chunk_size;
-  ChunkServer* source_ptr = source;
-  TransferChunk(
-      chunk, source, target, chunk_size,
-      [this, chunk, layout, failed, source_ptr, target, new_view, version_h, chunk_size,
-       done = std::move(done)](const Status& s, uint64_t) {
+  CopyReplica(
+      chunk, source, target, {Interval{0, disk.chunk_size}}, qos::ServiceClass::kRecovery,
+      [this, chunk, layout, failed, source, target, new_view, version_h,
+       done = std::move(done)](const Status& s) {
         if (!s.ok()) {
           done(s);
           return;
@@ -773,21 +863,12 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
         auto finish_shared = std::make_shared<std::function<void()>>(std::move(finish));
         for (ChunkServer* laggard : *laggards) {
           Result<ChunkServer::ReplicaState> st = laggard->GetState(chunk);
-          uint64_t from_version = st.ok() ? st->version : 0;
-          std::vector<Interval> ranges;
-          auto on_done = [remaining, finish_shared](Status) {
-            if (--*remaining == 0) {
-              (*finish_shared)();
-            }
-          };
-          if (source_ptr->ModifiedSince(chunk, from_version, &ranges)) {
-            ++recovery_stats_.incremental_repairs;
-            TransferRanges(chunk, source_ptr, laggard, std::move(ranges), on_done);
-          } else {
-            ++recovery_stats_.full_copies;
-            TransferChunk(chunk, source_ptr, laggard, chunk_size,
-                          [on_done](Status s2, uint64_t) { on_done(s2); });
-          }
+          CatchUp(chunk, source, laggard, st.ok() ? st->version : 0,
+                  [remaining, finish_shared](Status) {
+                    if (--*remaining == 0) {
+                      (*finish_shared)();
+                    }
+                  });
         }
       });
 }
@@ -835,24 +916,8 @@ void Master::RepairCorruptRange(ChunkId chunk, ServerId corrupt_server, uint64_t
   // Freshest alive replica OTHER than the damaged one. Version order does not
   // gate this repair: the corrupt replica may well hold the highest version —
   // the flipped bits destroyed its data, not its metadata.
-  ChunkServer* source = nullptr;
-  uint64_t best_version = 0;
-  const ReplicaRef* best_ref = nullptr;
-  for (const ReplicaRef& r : layout->replicas) {
-    if (r.server == corrupt_server || servers_[r.server]->crashed()) {
-      continue;
-    }
-    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
-    if (!st.ok()) {
-      continue;
-    }
-    if (source == nullptr || st->version > best_version ||
-        (st->version == best_version && PreferReplica(r, *best_ref))) {
-      best_version = st->version;
-      source = servers_[r.server];
-      best_ref = &r;
-    }
-  }
+  uint64_t version = 0;
+  const ReplicaRef* source = FreshestReplica(*layout, corrupt_server, &version);
   if (source == nullptr) {
     // No healthy replica to heal from: leave the range quarantined (reads
     // keep failing with kCorruption rather than serving stale bytes).
@@ -862,11 +927,10 @@ void Master::RepairCorruptRange(ChunkId chunk, ServerId corrupt_server, uint64_t
     return;
   }
   ++recovery_stats_.corruption_repairs;
-  ChunkServer* target = servers_[corrupt_server];
   // Scrub repair: lowest-priority class — it races nothing (reads of the
   // range stay quarantined until `done`).
-  TransferRanges(chunk, source, target, {Interval{offset, length}}, std::move(done),
-                 qos::ServiceClass::kScrub);
+  CopyReplica(chunk, servers_[source->server], servers_[corrupt_server],
+              {Interval{offset, length}}, qos::ServiceClass::kScrub, std::move(done));
 }
 
 void Master::RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(Status)> done) {
@@ -887,106 +951,26 @@ void Master::RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(S
   }
 
   // Find the freshest peer (healthy over demoted, SSD over HDD at ties).
-  uint64_t version_h = lag_state->version;
-  ChunkServer* source = nullptr;
-  const ReplicaRef* source_ref = nullptr;
-  for (const ReplicaRef& r : layout->replicas) {
-    if (r.server == lagging || servers_[r.server]->crashed()) {
-      continue;
-    }
-    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
-    if (!st.ok() || st->version <= lag_state->version) {
-      continue;
-    }
-    if (source == nullptr || st->version > version_h ||
-        (st->version == version_h && PreferReplica(r, *source_ref))) {
-      version_h = st->version;
-      source = servers_[r.server];
-      source_ref = &r;
-    }
-  }
-  if (source == nullptr) {
+  uint64_t version_h = 0;
+  const ReplicaRef* source = FreshestReplica(*layout, lagging, &version_h);
+  if (source == nullptr || version_h <= lag_state->version) {
     done(OkStatus());  // already up to date
     return;
   }
-
-  auto ref = chunk_refs_.find(chunk);
-  uint64_t chunk_size = disks_[ref->second.disk].chunk_size;
-  uint64_t target_version = version_h;
-  uint64_t view = layout->view;
-
   // The laggard may receive replications while the repair transfer runs;
   // never move its version backward when installing the repaired state.
-  auto install = [laggard, chunk, target_version, view](const Status& s) {
-    if (s.ok()) {
-      Result<ChunkServer::ReplicaState> now = laggard->GetState(chunk);
-      uint64_t v = now.ok() ? std::max(now->version, target_version) : target_version;
-      laggard->SetState(chunk, v, view);
-    }
-  };
-  std::vector<Interval> ranges;
-  if (source->ModifiedSince(chunk, lag_state->version, &ranges)) {
-    ++recovery_stats_.incremental_repairs;
-    TransferRanges(chunk, source, laggard, std::move(ranges),
-                   [install, done = std::move(done)](Status s) {
-                     install(s);
-                     done(s);
-                   });
-  } else {
-    // History GC'd: transfer the whole chunk (§4.2.1).
-    ++recovery_stats_.full_copies;
-    TransferChunk(chunk, source, laggard, chunk_size,
-                  [install, done = std::move(done)](Status s, uint64_t) {
-                    install(s);
-                    done(s);
-                  });
-  }
+  CatchUp(chunk, servers_[source->server], laggard, lag_state->version,
+          [laggard, chunk, version_h, view = layout->view, done = std::move(done)](Status s) {
+            if (s.ok()) {
+              Result<ChunkServer::ReplicaState> now = laggard->GetState(chunk);
+              laggard->SetState(chunk, now.ok() ? std::max(now->version, version_h) : version_h,
+                                view);
+            }
+            done(s);
+          });
 }
 
 // ---- Tiered placement (DESIGN.md §13) ----
-
-// Shared completion state for one migration. Exactly one of the transfer
-// callbacks, the commit step, or the timeout finishes the op; everyone else
-// sees `finished` and backs off.
-struct Master::MigrationOp {
-  ChunkId chunk = 0;
-  bool finished = false;
-  bool granted = false;          // holding an admission slot
-  uint64_t admission_source = 0;
-  sim::EventId timeout_event = 0;
-  // Chunks allocated by this op; freed again if it aborts before commit.
-  std::vector<std::pair<ServerId, ChunkId>> allocated;
-  std::function<void(Status)> done;
-};
-
-// One attempt at back-filling a speculatively-promoted chunk from its
-// shards (DESIGN.md §13.6). Exactly one of the final write completion, the
-// timeout, or a cancel finishes a pass; late callbacks see `finished` or
-// `canceled` and fall silent.
-struct Master::SpecPass {
-  ChunkId chunk = 0;
-  bool finished = false;
-  bool canceled = false;
-  bool granted = false;          // holding an admission slot
-  uint64_t admission_source = 0;
-  sim::EventId timeout_event = 0;
-  uint64_t chunk_size = 0;
-  // Reconstructed old image: chunk bytes followed by m parity slots
-  // (null in timing-only mode).
-  std::shared_ptr<std::vector<uint8_t>> image;
-  // Spec replicas alive at pass start — the set the commit installs. Must
-  // be a majority of the spec set so it is guaranteed to intersect every
-  // client write quorum (the freshest acked data is on some member).
-  std::vector<ServerId> targets;
-};
-
-struct Master::SpecState {
-  std::shared_ptr<SpecPass> pass;  // null between retries
-  int retries = 0;
-};
-
-// Defined after SpecState so ~unique_ptr<SpecState> sees a complete type.
-Master::~Master() = default;
 
 ec::ReedSolomon* Master::Codec(int k, int m) {
   auto key = std::make_pair(k, m);
@@ -1027,151 +1011,99 @@ Result<std::vector<ServerId>> Master::PickShardServers(int n, uint64_t salt) con
   return out;
 }
 
-void Master::ReadChunkPieces(ChunkServer* server, ChunkId chunk, uint64_t size, uint8_t* out,
-                             std::shared_ptr<void> hold, qos::ServiceClass cls,
-                             std::function<void(Status, uint64_t)> done) {
-  struct State {
-    uint64_t next_offset = 0;
-    uint64_t completed = 0;
-    uint64_t total_pieces = 0;
-    uint64_t version = 0;
-    bool failed = false;
-    std::shared_ptr<void> hold;
-    std::function<void(Status, uint64_t)> done;
-  };
-  auto st = std::make_shared<State>();
-  st->total_pieces = (size + recovery_piece_ - 1) / recovery_piece_;
-  st->hold = std::move(hold);
-  st->done = std::move(done);
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, server, chunk, size, out, cls, st, pump]() {
-    while (!st->failed && st->next_offset < size &&
-           (st->next_offset / recovery_piece_) - st->completed <
-               static_cast<uint64_t>(recovery_window_)) {
-      uint64_t offset = st->next_offset;
-      uint64_t len = std::min(recovery_piece_, size - offset);
-      st->next_offset += len;
-      server->HandleRecoveryRead(
-          chunk, offset, len, out == nullptr ? nullptr : out + offset,
-          [st, pump](const Status& s, uint64_t version) {
-            if (st->failed) {
-              return;
-            }
-            if (!s.ok()) {
-              st->failed = true;
-              st->done(s, 0);
-              return;
-            }
-            st->version = std::max(st->version, version);
-            if (++st->completed == st->total_pieces) {
-              st->done(OkStatus(), st->version);
-            } else {
-              (*pump)();
-            }
-          },
-          cls);
+ChunkServer* Master::FirstAliveShard(const ChunkLayout& layout, int skip) const {
+  for (int i = 0; i < static_cast<int>(layout.ec_shards.size()); ++i) {
+    if (i != skip && !servers_[layout.ec_shards[i].server]->crashed()) {
+      return servers_[layout.ec_shards[i].server];
     }
-  };
-  (*pump)();
+  }
+  return nullptr;
 }
 
-void Master::WriteChunkPieces(ChunkServer* target, ChunkId chunk, uint64_t size,
-                              const uint8_t* data, std::shared_ptr<void> hold,
-                              net::NodeId from_node, qos::ServiceClass cls,
-                              std::function<void(Status)> done, bool shielded) {
+Status Master::PlanStripeRead(const std::vector<EcShardRef>& shards, int k, int m, int lost,
+                              ec::BackfillReadPlan* plan) const {
+  std::vector<bool> alive(k + m);
+  for (int i = 0; i < k + m; ++i) {
+    alive[i] = i != lost && !servers_[shards[i].server]->crashed();
+  }
+  return ec::PlanBackfillRead(alive, k, m, plan);
+}
+
+std::vector<Master::Slot> Master::ChunkSlots(const ursa::Buffer& data, const ursa::Buffer& parity,
+                                             int k, int m, uint64_t shard_size) {
+  std::vector<Slot> slots;
+  slots.reserve(static_cast<size_t>(k + m));
+  for (int i = 0; i < k; ++i) {
+    slots.push_back(Slot{data, static_cast<uint64_t>(i) * shard_size});
+  }
+  for (int j = 0; j < m; ++j) {
+    slots.push_back(Slot{parity, static_cast<uint64_t>(j) * shard_size});
+  }
+  return slots;
+}
+
+void Master::ReadStripe(const std::vector<EcShardRef>& shards, int k, int m,
+                        std::vector<int> sources, std::vector<int> wanted, Interval range,
+                        std::vector<Slot> slots, qos::ServiceClass cls,
+                        std::function<void(Status)> done) {
   struct State {
-    uint64_t next_offset = 0;
-    uint64_t completed = 0;
-    uint64_t total_pieces = 0;
+    size_t remaining = 0;
     bool failed = false;
-    bool waiting = false;
-    std::shared_ptr<void> hold;
+    std::vector<int> sources;
+    std::vector<int> wanted;
+    std::vector<Slot> slots;
     std::function<void(Status)> done;
   };
   auto st = std::make_shared<State>();
-  st->total_pieces = (size + recovery_piece_ - 1) / recovery_piece_;
-  st->hold = std::move(hold);
+  st->remaining = sources.size();
+  st->sources = std::move(sources);
+  st->wanted = std::move(wanted);
+  st->slots = std::move(slots);
   st->done = std::move(done);
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, target, chunk, size, data, from_node, cls, st, pump, shielded]() {
-    if (st->failed || st->waiting) {
-      return;
+  for (int idx : st->sources) {
+    Slot& slot = st->slots[idx];
+    if (!slot.buf && recovery_carries_data_) {
+      slot = Slot{ursa::Buffer::Allocate(range.length)};  // decode-only scratch
     }
-    storage::IoGate* gate = target->store()->device()->gate();
-    if (gate != nullptr && gate->ShouldThrottle(cls)) {
-      st->waiting = true;
-      gate->WhenReady(cls, [st, pump]() {
-        st->waiting = false;
-        (*pump)();
-      });
-      return;
-    }
-    while (st->next_offset < size &&
-           (st->next_offset / recovery_piece_) - st->completed <
-               static_cast<uint64_t>(recovery_window_)) {
-      uint64_t offset = st->next_offset;
-      uint64_t len = std::min(recovery_piece_, size - offset);
-      st->next_offset += len;
-      uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, len);
-      transport_->Send(from_node, target->node(), wire,
-                       [this, target, chunk, offset, len, data, cls, st, pump, shielded]() {
-                         auto piece_done = [this, len, st, pump](const Status& s) {
-                           if (st->failed) {
-                             return;
-                           }
-                           if (!s.ok()) {
-                             st->failed = true;
-                             st->done(s);
-                             return;
-                           }
-                           recovery_stats_.bytes_transferred += len;
-                           if (++st->completed == st->total_pieces) {
-                             st->done(OkStatus());
-                           } else {
-                             (*pump)();
-                           }
-                         };
-                         const uint8_t* src = data == nullptr ? nullptr : data + offset;
-                         if (shielded) {
-                           target->HandleBackfillWrite(chunk, offset, len,
-                                                       ursa::BufferView::Unowned(src, len),
-                                                       std::move(piece_done), cls);
-                         } else {
-                           target->HandleRecoveryWrite(chunk, offset, len, src,
-                                                       std::move(piece_done), cls);
-                         }
-                       });
-    }
-  };
-  (*pump)();
-}
-
-void Master::CompleteMigration(std::shared_ptr<MigrationOp> op, Status s) {
-  if (op->finished) {
-    return;
-  }
-  op->finished = true;
-  if (op->timeout_event != 0) {
-    sim_->Cancel(op->timeout_event);
-  }
-  if (op->granted) {
-    admission_->Release(op->admission_source);
-  }
-  if (!s.ok()) {
-    // Roll back anything this op allocated but never committed.
-    for (const auto& [sid, cid] : op->allocated) {
-      if (!servers_[sid]->crashed() && servers_[sid]->HasChunk(cid)) {
-        servers_[sid]->FreeChunk(cid);
+    Copy read{.chunk = shards[idx].shard_chunk,
+              .pieces = Pieces({range}),
+              .source = servers_[shards[idx].server],
+              .bytes = slot,
+              .cls = cls};
+    RunCopy(std::move(read), [this, st, k, m, length = range.length](Status s) {
+      if (st->failed) {
+        return;
       }
-      ec_shards_.erase(cid);
-      if (heat_ != nullptr) {
-        heat_->ClearAlias(cid);
+      if (!s.ok()) {
+        st->failed = true;
+        st->done(s);
+        return;
       }
-    }
-  }
-  FinishMigration(op->chunk);
-  if (op->done) {
-    op->done(std::move(s));
+      if (--st->remaining > 0) {
+        return;
+      }
+      // All k sources are in: rebuild the wanted slots from them.
+      if (recovery_carries_data_ && !st->wanted.empty()) {
+        std::vector<bool> present(k + m, false);
+        std::vector<const uint8_t*> in(k + m, nullptr);
+        for (int i : st->sources) {
+          present[i] = true;
+          in[i] = st->slots[i].data();
+        }
+        ec::ReedSolomon::DecodePlan plan;
+        Status ps = Codec(k, m)->PlanReconstruct(present, st->wanted, &plan);
+        if (!ps.ok()) {
+          st->done(ps);
+          return;
+        }
+        std::vector<uint8_t*> out(k + m, nullptr);
+        for (int t : st->wanted) {
+          out[t] = st->slots[t].data();
+        }
+        Codec(k, m)->ReconstructWith(plan, in, out, length);
+      }
+      st->done(OkStatus());
+    });
   }
 }
 
@@ -1221,47 +1153,21 @@ void Master::BeginWritePromote(ChunkId chunk, std::function<void(Status)> done) 
   }
 
   // Place the future replica set exactly like a blocking promotion would.
-  auto ref = chunk_refs_.find(chunk);
-  const DiskMeta& disk = disks_[ref->second.disk];
-  const int replication = disk.replication;
-  std::vector<ServerId> targets;
-  std::vector<MachineId> used;
-  auto try_add = [this, chunk, &targets, &used](ServerId sid) {
-    ChunkServer* server = servers_[sid];
-    if (server->crashed() || server->HasChunk(chunk)) {
-      return;
-    }
-    targets.push_back(sid);
-    used.push_back(placement_.MachineOf(sid));
-  };
-  Result<std::vector<ServerId>> placed =
-      placement_.PlaceChunk(ref->second.index, replication, disk.id * 7919);
-  if (placed.ok()) {
-    for (ServerId sid : *placed) {
-      try_add(sid);
-    }
-  }
-  for (uint64_t salt = chunk;
-       static_cast<int>(targets.size()) < replication && salt < chunk + 2 * num_servers();
-       ++salt) {
-    Result<ServerId> cand = placement_.PlaceReplacement(targets.empty(), used, salt);
-    if (cand.ok()) {
-      try_add(*cand);
-    }
-  }
-  if (static_cast<int>(targets.size()) < replication) {
+  std::vector<ServerId> targets = PlaceReplicaTargets(chunk);
+  if (targets.empty()) {
     // Not enough healthy servers for the fast path; take the blocking one
     // (it shares the shortage, but also its retry/queueing machinery).
     PromoteChunk(chunk, /*write_triggered=*/true, std::move(done));
     return;
   }
+  const DiskId disk_id = chunk_refs_.at(chunk).disk;
   // Allocate all-or-nothing, then install. Targets start at the frozen EC
   // version AND the *current* view: shard reads stay valid and the client
   // needs no resteer — the view bumps only at commit.
   std::vector<ReplicaRef> refs;
   for (size_t i = 0; i < targets.size(); ++i) {
     ChunkServer* server = servers_[targets[i]];
-    Status alloc = server->AllocateChunk(chunk, layout->view, disk.id);
+    Status alloc = server->AllocateChunk(chunk, layout->view, disk_id);
     if (!alloc.ok()) {
       for (size_t j = 0; j < i; ++j) {
         servers_[targets[j]]->FreeChunk(chunk);
@@ -1291,22 +1197,6 @@ void Master::RegisterSpecExtent(ChunkId chunk, uint64_t offset, uint64_t length)
   InsertInterval(&layout->spec_extents, Interval{offset, length});
 }
 
-void Master::CancelSpecPass(SpecState* st) {
-  if (st == nullptr || st->pass == nullptr) {
-    return;
-  }
-  st->pass->canceled = true;
-  if (st->pass->timeout_event != 0) {
-    sim_->Cancel(st->pass->timeout_event);
-    st->pass->timeout_event = 0;
-  }
-  if (st->pass->granted) {
-    admission_->Release(st->pass->admission_source);
-    st->pass->granted = false;
-  }
-  st->pass = nullptr;
-}
-
 void Master::StartSpecBackfill(ChunkId chunk) {
   auto it = spec_.find(chunk);
   if (it == spec_.end() || it->second->pass != nullptr) {
@@ -1316,60 +1206,43 @@ void Master::StartSpecBackfill(ChunkId chunk) {
   if (layout == nullptr || layout->tier != ChunkTier::kEc || !layout->speculating()) {
     return;  // committed or vanished while the retry was pending
   }
-  auto pass = std::make_shared<SpecPass>();
-  pass->chunk = chunk;
+  auto pass = std::make_shared<Job>();
+  // A pass ends in CommitSpecPromote or fails here: the retry is
+  // unconditional, the cause only matters for stats.
+  pass->done = [this, chunk, id = pass.get()](Status) {
+    auto it = spec_.find(chunk);
+    if (it == spec_.end() || it->second->pass.get() != id) {
+      return;
+    }
+    it->second->pass = nullptr;
+    ++it->second->retries;
+    ++tier_stats_.spec_backfill_retries;
+    sim_->After(spec_retry_, [this, chunk]() { StartSpecBackfill(chunk); });
+  };
   it->second->pass = pass;
-  pass->timeout_event = sim_->After(migration_timeout_, [this, chunk, pass]() {
-    pass->timeout_event = 0;
-    FailSpecPass(chunk, pass, TimedOut("spec back-fill timed out"));
-  });
   // First alive shard is the admission source, as in PromoteChunk. The
   // back-fill unblocks the chunk's EC capacity reclaim but no ack, so it
   // competes at recovery priority like any promotion finishing a write.
-  ChunkServer* admit_on = nullptr;
-  for (const EcShardRef& sh : layout->ec_shards) {
-    if (!servers_[sh.server]->crashed()) {
-      admit_on = servers_[sh.server];
-      break;
-    }
-  }
+  ChunkServer* admit_on = FirstAliveShard(*layout, -1);
   if (admit_on == nullptr) {
-    FailSpecPass(chunk, pass, Unavailable("no alive shard"));
+    FinishJob(pass, Unavailable("no alive shard"));
     return;
   }
-  if (admission_ != nullptr) {
-    pass->admission_source = admit_on->id();
-    admission_->Acquire(admit_on->id(), scrub::RecoveryAdmission::Priority::kRecovery,
-                        [this, chunk, pass]() {
-                          if (pass->finished || pass->canceled) {
-                            admission_->Release(pass->admission_source);
-                            return;
-                          }
-                          pass->granted = true;
-                          RunSpecBackfill(chunk, pass);
-                        });
-  } else {
-    RunSpecBackfill(chunk, pass);
-  }
+  StartJob(pass, admit_on, scrub::RecoveryAdmission::Priority::kRecovery,
+           "spec back-fill timed out", [this, chunk, pass]() { RunSpecBackfill(chunk, pass); });
 }
 
-void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<SpecPass> pass) {
-  if (pass->finished || pass->canceled) {
-    return;
-  }
+void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr || layout->tier != ChunkTier::kEc || !layout->speculating()) {
-    FailSpecPass(chunk, pass, Aborted("layout changed"));
+    FinishJob(pass, Aborted("layout changed"));
     return;
   }
-  auto ref = chunk_refs_.find(chunk);
-  const DiskMeta& disk = disks_[ref->second.disk];
   const int k = layout->ec_k;
   const int m = layout->ec_m;
-  const int n = k + m;
   const uint64_t shard_size = layout->ec_shard_size;
-  pass->chunk_size = disk.chunk_size;
-  const std::vector<EcShardRef> shards = layout->ec_shards;
+  const uint64_t chunk_size = disks_[chunk_refs_.at(chunk).disk].chunk_size;
+  const std::vector<EcShardRef>& shards = layout->ec_shards;
 
   // The commit installs exactly the replicas this pass back-fills, so fix
   // the target set now: every spec replica alive at this instant. A
@@ -1382,142 +1255,73 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<SpecPass> pass) {
     }
   }
   if (pass->targets.size() < layout->spec_replicas.size() / 2 + 1) {
-    FailSpecPass(chunk, pass, Unavailable("spec replica majority down"));
+    FinishJob(pass, Unavailable("spec replica majority down"));
     return;
   }
 
-  std::vector<bool> alive(n);
-  for (int i = 0; i < n; ++i) {
-    alive[i] = !servers_[shards[i].server]->crashed();
-  }
   ec::BackfillReadPlan plan;
-  Status plan_s = ec::PlanBackfillRead(alive, k, m, &plan);
+  Status plan_s = PlanStripeRead(shards, k, m, /*lost=*/-1, &plan);
   if (!plan_s.ok()) {
-    FailSpecPass(chunk, pass, plan_s);
+    FinishJob(pass, plan_s);
     return;
   }
-  const bool carry = recovery_carries_data_;
-  pass->image = carry ? std::make_shared<std::vector<uint8_t>>(
-                            pass->chunk_size + static_cast<uint64_t>(m) * shard_size)
-                      : nullptr;
-  auto buf = pass->image;
-  const uint64_t chunk_size = pass->chunk_size;
-  auto slot = [buf, chunk_size, shard_size, k](int i) -> uint8_t* {
-    if (!buf) {
-      return nullptr;
-    }
-    return i < k ? buf->data() + static_cast<uint64_t>(i) * shard_size
-                 : buf->data() + chunk_size + static_cast<uint64_t>(i - k) * shard_size;
-  };
-
-  auto remaining = std::make_shared<int>(k);
-  for (int idx : plan.sources) {
-    ReadChunkPieces(
-        servers_[shards[idx].server], shards[idx].shard_chunk, shard_size, slot(idx), buf,
-        qos::ServiceClass::kRecovery,
-        [this, chunk, pass, buf, carry, slot, plan, shards, k, m, n, shard_size,
-         remaining](const Status& s, uint64_t) {
-          if (pass->finished || pass->canceled) {
-            return;
-          }
-          if (!s.ok()) {
-            FailSpecPass(chunk, pass, s);
-            return;
-          }
-          if (--*remaining > 0) {
-            return;
-          }
-          // All k source shards are in; rebuild any dead data shards so the
-          // image is complete before it streams out.
-          if (carry && !plan.missing_data.empty()) {
-            std::vector<bool> present(n, false);
-            for (int i : plan.sources) {
-              present[i] = true;
-            }
-            ec::ReedSolomon::DecodePlan dplan;
-            Status ps = Codec(k, m)->PlanReconstruct(present, plan.missing_data, &dplan);
-            if (!ps.ok()) {
-              FailSpecPass(chunk, pass, ps);
+  // The old chunk image; parity sources read into scratch of their own.
+  ursa::Buffer data;
+  if (recovery_carries_data_) {
+    data = ursa::Buffer::Allocate(chunk_size);
+  }
+  // Rebuild any dead data shards so the image is complete before it
+  // streams out.
+  ReadStripe(
+      shards, k, m, plan.sources, plan.missing_data, Interval{0, shard_size},
+      ChunkSlots(data, ursa::Buffer(), k, m, shard_size), qos::ServiceClass::kRecovery,
+      [this, chunk, pass, data, chunk_size, from = shards[plan.sources[0]].node](Status s) {
+        if (pass->finished) {
+          return;
+        }
+        if (!s.ok()) {
+          FinishJob(pass, s);
+          return;
+        }
+        // Stream the old image into every pass target through the write
+        // shield: ranges the client already wrote are subtracted at apply
+        // time, so old bytes can never clobber new data.
+        auto remaining = std::make_shared<size_t>(pass->targets.size());
+        for (ServerId sid : pass->targets) {
+          Copy write{.chunk = chunk,
+                     .pieces = Pieces({Interval{0, chunk_size}}),
+                     .target = servers_[sid],
+                     .from = from,
+                     .bytes = Slot{data},
+                     .shielded = true};
+          RunCopy(std::move(write), [this, chunk, pass, remaining](Status ws) {
+            if (pass->finished) {
               return;
             }
-            std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-            for (int i : plan.sources) {
-              shard_ptrs[i] = slot(i);
+            if (!ws.ok()) {
+              FinishJob(pass, ws);
+              return;
             }
-            std::vector<uint8_t*> outs(n, nullptr);
-            for (int t : plan.missing_data) {
-              outs[t] = slot(t);
+            if (--*remaining == 0) {
+              CommitSpecPromote(chunk, pass);
             }
-            Codec(k, m)->ReconstructWith(dplan, shard_ptrs, outs, shard_size);
-          }
-          // Stream the old image into every pass target through the write
-          // shield: ranges the client already wrote are subtracted at apply
-          // time, so old bytes can never clobber new data.
-          auto wremaining = std::make_shared<int>(static_cast<int>(pass->targets.size()));
-          net::NodeId from_node = shards[plan.sources[0]].node;
-          for (ServerId sid : pass->targets) {
-            WriteChunkPieces(servers_[sid], chunk, pass->chunk_size,
-                             carry ? buf->data() : nullptr, buf, from_node,
-                             qos::ServiceClass::kRecovery,
-                             [this, chunk, pass, wremaining](const Status& ws) {
-                               if (pass->finished || pass->canceled) {
-                                 return;
-                               }
-                               if (!ws.ok()) {
-                                 FailSpecPass(chunk, pass, ws);
-                                 return;
-                               }
-                               if (--*wremaining > 0) {
-                                 return;
-                               }
-                               CommitSpecPromote(chunk, pass);
-                             },
-                             /*shielded=*/true);
-          }
-        });
-  }
+          });
+        }
+      });
 }
 
-void Master::FailSpecPass(ChunkId chunk, std::shared_ptr<SpecPass> pass, Status s) {
-  if (pass->finished || pass->canceled) {
-    return;
-  }
-  pass->finished = true;
-  if (pass->timeout_event != 0) {
-    sim_->Cancel(pass->timeout_event);
-  }
-  if (pass->granted) {
-    admission_->Release(pass->admission_source);
-  }
-  auto it = spec_.find(chunk);
-  if (it == spec_.end() || it->second->pass != pass) {
-    return;
-  }
-  it->second->pass = nullptr;
-  ++it->second->retries;
-  ++tier_stats_.spec_backfill_retries;
-  (void)s;  // the retry is unconditional; the cause only matters for stats
-  sim_->After(spec_retry_, [this, chunk]() { StartSpecBackfill(chunk); });
-}
-
-void Master::CommitSpecPromote(ChunkId chunk, std::shared_ptr<SpecPass> pass) {
-  if (pass->finished || pass->canceled) {
+void Master::CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass) {
+  if (pass->finished) {
     return;
   }
   ChunkLayout* layout = FindLayout(chunk);
   auto it = spec_.find(chunk);
   if (layout == nullptr || layout->tier != ChunkTier::kEc || !layout->speculating() ||
       it == spec_.end() || it->second->pass != pass) {
-    FailSpecPass(chunk, pass, Aborted("layout changed"));
+    FinishJob(pass, Aborted("layout changed"));
     return;
   }
-  pass->finished = true;
-  if (pass->timeout_event != 0) {
-    sim_->Cancel(pass->timeout_event);
-  }
-  if (pass->granted) {
-    admission_->Release(pass->admission_source);
-  }
+  EndJob(pass.get());
 
   const uint64_t new_view = layout->view + 1;
   // Retire the shards (a crashed server keeps its stale image, as in
@@ -1648,39 +1452,19 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
     return;
   }
 
-  auto op = std::make_shared<MigrationOp>();
-  op->chunk = chunk;
+  auto op = std::make_shared<Job>();
+  op->lock = chunk;
+  op->failures = &tier_stats_.demote_failures;
   op->done = std::move(done);
   migrating_.insert(chunk);
-  op->timeout_event = sim_->After(migration_timeout_, [this, op]() {
-    op->timeout_event = 0;
-    ++tier_stats_.demote_failures;
-    CompleteMigration(op, TimedOut("demotion timed out"));
-  });
-  if (admission_ != nullptr) {
-    op->admission_source = source->id();
-    admission_->Acquire(source->id(), scrub::RecoveryAdmission::Priority::kScrub,
-                        [this, chunk, k, m, op]() {
-                          if (op->finished) {
-                            admission_->Release(op->admission_source);
-                            return;
-                          }
-                          op->granted = true;
-                          DemoteChunkNow(chunk, k, m, op);
-                        });
-  } else {
-    DemoteChunkNow(chunk, k, m, op);
-  }
+  StartJob(op, source, scrub::RecoveryAdmission::Priority::kScrub, "demotion timed out",
+           [this, chunk, k, m, op]() { DemoteChunkNow(chunk, k, m, op); });
 }
 
-void Master::DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<MigrationOp> op) {
-  if (op->finished) {
-    return;
-  }
+void Master::DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<Job> op) {
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr || layout->tier != ChunkTier::kReplicated) {
-    ++tier_stats_.demote_failures;
-    CompleteMigration(op, Aborted("layout changed"));
+    FailJob(op, Aborted("layout changed"));
     return;
   }
   auto ref = chunk_refs_.find(chunk);
@@ -1709,102 +1493,101 @@ void Master::DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<Migrati
     }
   }
   if (source == nullptr) {
-    ++tier_stats_.demote_failures;
-    CompleteMigration(op, Unavailable("no alive replica"));
+    FailJob(op, Unavailable("no alive replica"));
     return;
   }
   Result<std::vector<ServerId>> targets = PickShardServers(n, chunk);
   if (!targets.ok()) {
-    ++tier_stats_.demote_failures;
-    CompleteMigration(op, targets.status());
+    FailJob(op, targets.status());
     return;
   }
-  // Buffer: the chunk image (k contiguous data shards) followed by m parity
-  // shards. Timing-only mode (large benches) skips the bytes entirely.
-  const bool carry = recovery_carries_data_;
-  auto buf = carry ? std::make_shared<std::vector<uint8_t>>(chunk_size +
-                                                            static_cast<uint64_t>(m) * shard_size)
-                   : nullptr;
-  ReadChunkPieces(
-      source, chunk, chunk_size, carry ? buf->data() : nullptr, buf, qos::ServiceClass::kScrub,
-      [this, chunk, k, m, n, shard_size, chunk_size, op, buf, carry, source,
-       targets = *targets, disk_id = disk.id, version0](const Status& s, uint64_t) {
-        if (op->finished) {
-          return;
-        }
-        if (!s.ok()) {
-          ++tier_stats_.demote_failures;
-          CompleteMigration(op, s);
-          return;
-        }
-        ChunkLayout* layout = FindLayout(chunk);
-        if (layout == nullptr || layout->tier != ChunkTier::kReplicated) {
-          ++tier_stats_.demote_failures;
-          CompleteMigration(op, Aborted("layout changed"));
-          return;
-        }
-        if (carry) {
-          std::vector<const uint8_t*> data(k);
-          std::vector<uint8_t*> parity(m);
-          for (int i = 0; i < k; ++i) {
-            data[i] = buf->data() + static_cast<uint64_t>(i) * shard_size;
-          }
-          for (int j = 0; j < m; ++j) {
-            parity[j] = buf->data() + chunk_size + static_cast<uint64_t>(j) * shard_size;
-          }
-          Codec(k, m)->Encode(data, parity, shard_size);
-        }
-        tier_stats_.ec_bytes_encoded += chunk_size;
+  // The chunk image (k contiguous data shards) and the m parity shards.
+  // Timing-only mode (large benches) skips the bytes entirely.
+  ursa::Buffer data;
+  ursa::Buffer parity;
+  if (recovery_carries_data_) {
+    data = ursa::Buffer::Allocate(chunk_size);
+    parity = ursa::Buffer::Allocate(static_cast<uint64_t>(m) * shard_size);
+  }
+  Copy read{.chunk = chunk,
+            .pieces = Pieces({Interval{0, chunk_size}}),
+            .source = source,
+            .bytes = Slot{data},
+            .cls = qos::ServiceClass::kScrub};
+  RunCopy(std::move(read), [this, chunk, k, m, n, shard_size, chunk_size, op, source,
+                            slots = ChunkSlots(data, parity, k, m, shard_size),
+                            targets = *targets, disk_id = disk.id,
+                            version0](Status s) mutable {
+    if (op->finished) {
+      return;
+    }
+    if (!s.ok()) {
+      FailJob(op, s);
+      return;
+    }
+    ChunkLayout* layout = FindLayout(chunk);
+    if (layout == nullptr || layout->tier != ChunkTier::kReplicated) {
+      FailJob(op, Aborted("layout changed"));
+      return;
+    }
+    if (recovery_carries_data_) {
+      std::vector<const uint8_t*> data(k);
+      std::vector<uint8_t*> parity(m);
+      for (int i = 0; i < k; ++i) {
+        data[i] = slots[i].data();
+      }
+      for (int j = 0; j < m; ++j) {
+        parity[j] = slots[k + j].data();
+      }
+      Codec(k, m)->Encode(data, parity, shard_size);
+    }
+    tier_stats_.ec_bytes_encoded += chunk_size;
 
-        std::vector<EcShardRef> shards(n);
-        const uint64_t alloc_view = layout->view + 1;
-        for (int i = 0; i < n; ++i) {
-          ChunkServer* target = servers_[targets[i]];
-          ChunkId shard_id = next_chunk_id_++;
-          Status alloc = target->AllocateChunk(shard_id, alloc_view, disk_id);
-          if (!alloc.ok()) {
-            ++tier_stats_.demote_failures;
-            CompleteMigration(op, alloc);
-            return;
-          }
-          op->allocated.emplace_back(targets[i], shard_id);
-          ec_shards_[shard_id] = EcShardInfo{chunk, i};
-          if (heat_ != nullptr) {
-            heat_->SetAlias(shard_id, chunk);
-          }
-          shards[i] = EcShardRef{targets[i], target->node(), shard_id};
-        }
+    std::vector<EcShardRef> shards(n);
+    const uint64_t alloc_view = layout->view + 1;
+    for (int i = 0; i < n; ++i) {
+      ChunkServer* target = servers_[targets[i]];
+      ChunkId shard_id = next_chunk_id_++;
+      Status alloc = target->AllocateChunk(shard_id, alloc_view, disk_id);
+      if (!alloc.ok()) {
+        FailJob(op, alloc);
+        return;
+      }
+      op->allocated.emplace_back(targets[i], shard_id);
+      ec_shards_[shard_id] = EcShardInfo{chunk, i};
+      if (heat_ != nullptr) {
+        heat_->SetAlias(shard_id, chunk);
+      }
+      shards[i] = EcShardRef{targets[i], target->node(), shard_id};
+    }
 
-        auto remaining = std::make_shared<int>(n);
-        for (int i = 0; i < n; ++i) {
-          const uint8_t* src = nullptr;
-          if (carry) {
-            src = i < k ? buf->data() + static_cast<uint64_t>(i) * shard_size
-                        : buf->data() + chunk_size + static_cast<uint64_t>(i - k) * shard_size;
-          }
-          WriteChunkPieces(servers_[shards[i].server], shards[i].shard_chunk, shard_size, src,
-                           buf, source->node(), qos::ServiceClass::kScrub,
-                           [this, chunk, op, shards, remaining, version0, k, m,
-                            shard_size](const Status& ws) {
-                             if (op->finished) {
-                               return;
-                             }
-                             if (!ws.ok()) {
-                               ++tier_stats_.demote_failures;
-                               CompleteMigration(op, ws);
-                               return;
-                             }
-                             if (--*remaining > 0) {
-                               return;
-                             }
-                             CommitDemote(chunk, shards, version0, k, m, shard_size, op);
-                           });
-        }
-      });
+    auto remaining = std::make_shared<int>(n);
+    for (int i = 0; i < n; ++i) {
+      Copy write{.chunk = shards[i].shard_chunk,
+                 .pieces = Pieces({Interval{0, shard_size}}),
+                 .target = servers_[shards[i].server],
+                 .from = source->node(),
+                 .bytes = slots[i],
+                 .cls = qos::ServiceClass::kScrub};
+      RunCopy(std::move(write),
+              [this, chunk, op, shards, remaining, version0, k, m, shard_size](Status ws) {
+                if (op->finished) {
+                  return;
+                }
+                if (!ws.ok()) {
+                  FailJob(op, ws);
+                  return;
+                }
+                if (--*remaining == 0) {
+                  CommitDemote(chunk, shards, version0, k, m, shard_size, op);
+                }
+              });
+    }
+  });
 }
 
 void Master::CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_t frozen_version,
-                          int k, int m, uint64_t shard_size, std::shared_ptr<MigrationOp> op) {
+                          int k, int m, uint64_t shard_size, std::shared_ptr<Job> op) {
   if (op->finished) {
     return;
   }
@@ -1833,7 +1616,7 @@ void Master::CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_
   }
   if (dirty) {
     ++tier_stats_.demote_aborts;
-    CompleteMigration(op, Aborted("chunk went hot during demotion"));
+    FinishJob(op, Aborted("chunk went hot during demotion"));
     return;
   }
   const uint64_t new_view = layout->view + 1;
@@ -1857,7 +1640,7 @@ void Master::CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_
   op->allocated.clear();  // committed: the abort path must not free them
   ++tier_stats_.demotions;
   NotifyTierChanged(chunk, true);
-  CompleteMigration(op, OkStatus());
+  FinishJob(op, OkStatus());
 }
 
 void Master::PromoteChunk(ChunkId chunk, bool write_triggered, std::function<void(Status)> done) {
@@ -1879,224 +1662,119 @@ void Master::PromoteChunk(ChunkId chunk, bool write_triggered, std::function<voi
   }
   // First alive shard is the admission source (the stripe read fans out, but
   // one slot per migration keeps the controller's accounting simple).
-  ChunkServer* admit_on = nullptr;
-  for (const EcShardRef& sh : layout->ec_shards) {
-    if (!servers_[sh.server]->crashed()) {
-      admit_on = servers_[sh.server];
-      break;
-    }
-  }
+  ChunkServer* admit_on = FirstAliveShard(*layout, -1);
   if (admit_on == nullptr) {
     ++tier_stats_.promote_failures;
     sim_->After(0, [done = std::move(done)]() { done(Unavailable("no alive shard")); });
     return;
   }
-  auto op = std::make_shared<MigrationOp>();
-  op->chunk = chunk;
+  auto op = std::make_shared<Job>();
+  op->lock = chunk;
+  op->failures = &tier_stats_.promote_failures;
   op->done = std::move(done);
   migrating_.insert(chunk);
-  op->timeout_event = sim_->After(migration_timeout_, [this, op]() {
-    op->timeout_event = 0;
-    ++tier_stats_.promote_failures;
-    CompleteMigration(op, TimedOut("promotion timed out"));
-  });
-  if (admission_ != nullptr) {
-    op->admission_source = admit_on->id();
-    // A write is blocked on this promotion, so it competes at recovery
-    // priority; policy promotions yield like scrub traffic.
-    auto priority = write_triggered ? scrub::RecoveryAdmission::Priority::kRecovery
-                                    : scrub::RecoveryAdmission::Priority::kScrub;
-    admission_->Acquire(admit_on->id(), priority, [this, chunk, write_triggered, op]() {
-      if (op->finished) {
-        admission_->Release(op->admission_source);
-        return;
-      }
-      op->granted = true;
-      PromoteChunkNow(chunk, write_triggered, op);
-    });
-  } else {
-    PromoteChunkNow(chunk, write_triggered, op);
-  }
+  // A write is blocked on this promotion, so it competes at recovery
+  // priority; policy promotions yield like scrub traffic.
+  StartJob(op, admit_on,
+           write_triggered ? scrub::RecoveryAdmission::Priority::kRecovery
+                           : scrub::RecoveryAdmission::Priority::kScrub,
+           "promotion timed out",
+           [this, chunk, write_triggered, op]() { PromoteChunkNow(chunk, write_triggered, op); });
 }
 
-void Master::PromoteChunkNow(ChunkId chunk, bool write_triggered,
-                             std::shared_ptr<MigrationOp> op) {
-  if (op->finished) {
-    return;
-  }
+void Master::PromoteChunkNow(ChunkId chunk, bool write_triggered, std::shared_ptr<Job> op) {
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    CompleteMigration(op, layout == nullptr ? NotFound("unknown chunk") : OkStatus());
+    FinishJob(op, layout == nullptr ? NotFound("unknown chunk") : OkStatus());
     return;
   }
-  auto ref = chunk_refs_.find(chunk);
-  const DiskMeta& disk = disks_[ref->second.disk];
   const int k = layout->ec_k;
   const int m = layout->ec_m;
-  const int n = k + m;
   const uint64_t shard_size = layout->ec_shard_size;
-  const uint64_t chunk_size = disk.chunk_size;
+  const uint64_t chunk_size = disks_[chunk_refs_.at(chunk).disk].chunk_size;
   const uint64_t frozen_version = layout->ec_version;
-  const std::vector<EcShardRef> shards = layout->ec_shards;
+  const std::vector<EcShardRef>& shards = layout->ec_shards;
   const qos::ServiceClass cls =
       write_triggered ? qos::ServiceClass::kRecovery : qos::ServiceClass::kScrub;
 
   // Any k alive shards suffice; data shards first minimizes reconstruction.
-  std::vector<bool> alive(n);
-  for (int i = 0; i < n; ++i) {
-    alive[i] = !servers_[shards[i].server]->crashed();
-  }
-  ec::BackfillReadPlan rplan;
-  Status plan_s = ec::PlanBackfillRead(alive, k, m, &rplan);
+  ec::BackfillReadPlan plan;
+  Status plan_s = PlanStripeRead(shards, k, m, /*lost=*/-1, &plan);
   if (!plan_s.ok()) {
-    ++tier_stats_.promote_failures;
-    CompleteMigration(op, plan_s);
+    FailJob(op, plan_s);
     return;
   }
-  const std::vector<int> sources = rplan.sources;
-  const bool carry = recovery_carries_data_;
-  auto buf = carry ? std::make_shared<std::vector<uint8_t>>(chunk_size +
-                                                            static_cast<uint64_t>(m) * shard_size)
-                   : nullptr;
-  auto slot = [buf, chunk_size, shard_size, k](int i) -> uint8_t* {
-    if (!buf) {
-      return nullptr;
-    }
-    return i < k ? buf->data() + static_cast<uint64_t>(i) * shard_size
-                 : buf->data() + chunk_size + static_cast<uint64_t>(i - k) * shard_size;
-  };
-
-  auto remaining = std::make_shared<int>(k);
-  for (int idx : sources) {
-    ReadChunkPieces(
-        servers_[shards[idx].server], shards[idx].shard_chunk, shard_size, slot(idx), buf, cls,
-        [this, chunk, write_triggered, op, buf, carry, slot, sources, shards, k, m, n,
-         shard_size, chunk_size, frozen_version, cls, remaining, disk_id = disk.id,
-         seq = ref->second.index, replication = disk.replication](const Status& s, uint64_t) {
-          if (op->finished) {
-            return;
-          }
-          if (!s.ok()) {
-            ++tier_stats_.promote_failures;
-            CompleteMigration(op, s);
-            return;
-          }
-          if (--*remaining > 0) {
-            return;
-          }
-          // All k source shards are in; rebuild any missing data shards.
-          if (carry) {
-            std::vector<bool> present(n, false);
-            for (int i : sources) {
-              present[i] = true;
-            }
-            std::vector<int> wanted;
-            for (int d = 0; d < k; ++d) {
-              if (!present[d]) {
-                wanted.push_back(d);
-              }
-            }
-            if (!wanted.empty()) {
-              ec::ReedSolomon::DecodePlan plan;
-              Status ps = Codec(k, m)->PlanReconstruct(present, wanted, &plan);
-              if (!ps.ok()) {
-                ++tier_stats_.promote_failures;
-                CompleteMigration(op, ps);
-                return;
-              }
-              std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-              for (int i : sources) {
-                shard_ptrs[i] = slot(i);
-              }
-              std::vector<uint8_t*> outs(n, nullptr);
-              for (int t : wanted) {
-                outs[t] = slot(t);
-              }
-              Codec(k, m)->ReconstructWith(plan, shard_ptrs, outs, shard_size);
-            }
-          }
-          // Place fresh replicas through the normal policy; top up around
-          // crashed servers with replacements.
-          ChunkLayout* layout = FindLayout(chunk);
-          if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-            CompleteMigration(op, Aborted("layout changed"));
-            return;
-          }
-          std::vector<ServerId> targets;
-          std::vector<MachineId> used;
-          auto try_add = [this, chunk, &targets, &used](ServerId sid) {
-            ChunkServer* server = servers_[sid];
-            if (server->crashed() || server->HasChunk(chunk)) {
-              return;
-            }
-            targets.push_back(sid);
-            used.push_back(placement_.MachineOf(sid));
-          };
-          Result<std::vector<ServerId>> placed =
-              placement_.PlaceChunk(seq, replication, disk_id * 7919);
-          if (placed.ok()) {
-            for (ServerId sid : *placed) {
-              try_add(sid);
-            }
-          }
-          for (uint64_t salt = chunk;
-               static_cast<int>(targets.size()) < replication && salt < chunk + 2 * num_servers();
-               ++salt) {
-            Result<ServerId> cand =
-                placement_.PlaceReplacement(targets.empty(), used, salt);
-            if (cand.ok()) {
-              try_add(*cand);
-            }
-          }
-          if (static_cast<int>(targets.size()) < replication) {
-            ++tier_stats_.promote_failures;
-            CompleteMigration(op, ResourceExhausted("too few servers to re-replicate"));
-            return;
-          }
-          const uint64_t new_view = layout->view + 1;
-          for (ServerId sid : targets) {
-            Status alloc = servers_[sid]->AllocateChunk(chunk, new_view, disk_id);
-            if (!alloc.ok()) {
-              ++tier_stats_.promote_failures;
-              CompleteMigration(op, alloc);
-              return;
-            }
-            op->allocated.emplace_back(sid, chunk);
-          }
-          auto wremaining = std::make_shared<int>(static_cast<int>(targets.size()));
-          for (ServerId sid : targets) {
-            WriteChunkPieces(servers_[sid], chunk, chunk_size, carry ? buf->data() : nullptr,
-                             buf, shards[sources[0]].node, cls,
-                             [this, chunk, op, targets, write_triggered, wremaining,
-                              frozen_version](const Status& ws) {
-                               if (op->finished) {
-                                 return;
-                               }
-                               if (!ws.ok()) {
-                                 ++tier_stats_.promote_failures;
-                                 CompleteMigration(op, ws);
-                                 return;
-                               }
-                               if (--*wremaining > 0) {
-                                 return;
-                               }
-                               CommitPromote(chunk, targets, frozen_version, write_triggered,
-                                             op);
-                             });
-          }
-        });
+  // The chunk image; parity sources read into scratch of their own.
+  ursa::Buffer data;
+  if (recovery_carries_data_) {
+    data = ursa::Buffer::Allocate(chunk_size);
   }
+  ReadStripe(
+      shards, k, m, plan.sources, plan.missing_data, Interval{0, shard_size},
+      ChunkSlots(data, ursa::Buffer(), k, m, shard_size), cls,
+      [this, chunk, write_triggered, op, data, chunk_size, frozen_version, cls,
+       from = shards[plan.sources[0]].node](Status s) {
+        if (op->finished) {
+          return;
+        }
+        if (!s.ok()) {
+          FailJob(op, s);
+          return;
+        }
+        ChunkLayout* layout = FindLayout(chunk);
+        if (layout == nullptr || layout->tier != ChunkTier::kEc) {
+          FinishJob(op, Aborted("layout changed"));
+          return;
+        }
+        std::vector<ServerId> targets = PlaceReplicaTargets(chunk);
+        if (targets.empty()) {
+          FailJob(op, ResourceExhausted("too few servers to re-replicate"));
+          return;
+        }
+        const uint64_t new_view = layout->view + 1;
+        const DiskId disk_id = chunk_refs_.at(chunk).disk;
+        for (ServerId sid : targets) {
+          Status alloc = servers_[sid]->AllocateChunk(chunk, new_view, disk_id);
+          if (!alloc.ok()) {
+            FailJob(op, alloc);
+            return;
+          }
+          op->allocated.emplace_back(sid, chunk);
+        }
+        auto remaining = std::make_shared<size_t>(targets.size());
+        for (ServerId sid : targets) {
+          Copy write{.chunk = chunk,
+                     .pieces = Pieces({Interval{0, chunk_size}}),
+                     .target = servers_[sid],
+                     .from = from,
+                     .bytes = Slot{data},
+                     .cls = cls};
+          RunCopy(std::move(write), [this, chunk, op, targets, write_triggered, remaining,
+                                     frozen_version](Status ws) {
+            if (op->finished) {
+              return;
+            }
+            if (!ws.ok()) {
+              FailJob(op, ws);
+              return;
+            }
+            if (--*remaining == 0) {
+              CommitPromote(chunk, targets, frozen_version, write_triggered, op);
+            }
+          });
+        }
+      });
 }
 
 void Master::CommitPromote(ChunkId chunk, std::vector<ServerId> targets,
                            uint64_t frozen_version, bool write_triggered,
-                           std::shared_ptr<MigrationOp> op) {
+                           std::shared_ptr<Job> op) {
   if (op->finished) {
     return;
   }
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    CompleteMigration(op, Aborted("layout changed"));
+    FinishJob(op, Aborted("layout changed"));
     return;
   }
   const uint64_t new_view = layout->view + 1;
@@ -2136,7 +1814,7 @@ void Master::CommitPromote(ChunkId chunk, std::vector<ServerId> targets,
     ++tier_stats_.write_promotions;
   }
   NotifyTierChanged(chunk, false);
-  CompleteMigration(op, OkStatus());
+  FinishJob(op, OkStatus());
 }
 
 void Master::RepairEcShard(ChunkId parent, int shard_index, std::function<void(Status)> done) {
@@ -2160,52 +1838,25 @@ void Master::RepairEcShard(ChunkId parent, int shard_index, std::function<void(S
     fail(Unavailable("migration in flight"));
     return;
   }
-  ChunkServer* admit_on = nullptr;
-  for (int i = 0; i < static_cast<int>(layout->ec_shards.size()); ++i) {
-    if (i != shard_index && !servers_[layout->ec_shards[i].server]->crashed()) {
-      admit_on = servers_[layout->ec_shards[i].server];
-      break;
-    }
-  }
+  ChunkServer* admit_on = FirstAliveShard(*layout, shard_index);
   if (admit_on == nullptr) {
     fail(Unavailable("fewer than k shards alive"));
     return;
   }
-  auto op = std::make_shared<MigrationOp>();
-  op->chunk = parent;
+  auto op = std::make_shared<Job>();
+  op->lock = parent;
   op->done = std::move(done);
   migrating_.insert(parent);
-  op->timeout_event = sim_->After(migration_timeout_, [this, op]() {
-    op->timeout_event = 0;
-    CompleteMigration(op, TimedOut("shard repair timed out"));
-  });
-  if (admission_ != nullptr) {
-    op->admission_source = admit_on->id();
-    admission_->Acquire(admit_on->id(), scrub::RecoveryAdmission::Priority::kRecovery,
-                        [this, parent, shard_index, op]() {
-                          if (op->finished) {
-                            admission_->Release(op->admission_source);
-                            return;
-                          }
-                          op->granted = true;
-                          RepairEcShardNow(parent, shard_index, op);
-                        });
-  } else {
-    RepairEcShardNow(parent, shard_index, op);
-  }
+  StartJob(op, admit_on, scrub::RecoveryAdmission::Priority::kRecovery, "shard repair timed out",
+           [this, parent, shard_index, op]() { RepairEcShardNow(parent, shard_index, op); });
 }
 
-void Master::RepairEcShardNow(ChunkId parent, int shard_index,
-                              std::shared_ptr<MigrationOp> op) {
-  if (op->finished) {
-    return;
-  }
+void Master::RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<Job> op) {
   ChunkLayout* layout = FindLayout(parent);
   if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    CompleteMigration(op, Aborted("layout changed"));
+    FinishJob(op, Aborted("layout changed"));
     return;
   }
-  auto ref = chunk_refs_.find(parent);
   const int k = layout->ec_k;
   const int m = layout->ec_m;
   const int n = k + m;
@@ -2214,14 +1865,10 @@ void Master::RepairEcShardNow(ChunkId parent, int shard_index,
   const ChunkId shard_id = shards[shard_index].shard_chunk;
   const ServerId old_server = shards[shard_index].server;
 
-  std::vector<int> sources;
-  for (int i = 0; i < n && static_cast<int>(sources.size()) < k; ++i) {
-    if (i != shard_index && !servers_[shards[i].server]->crashed()) {
-      sources.push_back(i);
-    }
-  }
-  if (static_cast<int>(sources.size()) < k) {
-    CompleteMigration(op, Unavailable("fewer than k shards alive"));
+  ec::BackfillReadPlan plan;
+  Status plan_s = PlanStripeRead(shards, k, m, shard_index, &plan);
+  if (!plan_s.ok()) {
+    FinishJob(op, plan_s);
     return;
   }
   // Replacement: no machine hosting a surviving shard, falling back to any
@@ -2257,102 +1904,80 @@ void Master::RepairEcShardNow(ChunkId parent, int shard_index,
     }
   }
   if (replacement == nullptr) {
-    CompleteMigration(op, ResourceExhausted("no replacement server for shard"));
+    FinishJob(op, ResourceExhausted("no replacement server for shard"));
     return;
   }
-  const bool carry = recovery_carries_data_;
-  auto buf =
-      carry ? std::make_shared<std::vector<uint8_t>>(static_cast<uint64_t>(n) * shard_size)
-            : nullptr;
-  auto slot = [buf, shard_size](int i) -> uint8_t* {
-    return buf ? buf->data() + static_cast<uint64_t>(i) * shard_size : nullptr;
-  };
-  auto remaining = std::make_shared<int>(k);
-  for (int idx : sources) {
-    ReadChunkPieces(
-        servers_[shards[idx].server], shards[idx].shard_chunk, shard_size, slot(idx), buf,
-        qos::ServiceClass::kRecovery,
-        [this, parent, shard_index, shard_id, op, buf, carry, slot, sources, shards, k, m, n,
-         shard_size, replacement, remaining,
-         disk_id = ref->second.disk](const Status& s, uint64_t) {
+  // The rebuilt shard gets a buffer of its own, so the replacement's store
+  // does not pin the source shards' bytes.
+  std::vector<Slot> slots(n);
+  if (recovery_carries_data_) {
+    slots[shard_index].buf = ursa::Buffer::Allocate(shard_size);
+  }
+  const Slot rebuilt = slots[shard_index];
+  const net::NodeId from = shards[plan.sources[0]].node;
+  ReadStripe(
+      shards, k, m, plan.sources, {shard_index}, Interval{0, shard_size}, std::move(slots),
+      qos::ServiceClass::kRecovery,
+      [this, parent, shard_index, shard_id, op, rebuilt, from, shard_size, replacement,
+       disk_id = chunk_refs_.at(parent).disk](Status s) {
+        if (op->finished) {
+          return;
+        }
+        if (!s.ok()) {
+          FinishJob(op, s);
+          return;
+        }
+        ChunkLayout* layout = FindLayout(parent);
+        if (layout == nullptr || layout->tier != ChunkTier::kEc) {
+          FinishJob(op, Aborted("layout changed"));
+          return;
+        }
+        const uint64_t new_view = layout->view + 1;
+        Status alloc = replacement->AllocateChunk(shard_id, new_view, disk_id);
+        if (!alloc.ok()) {
+          FinishJob(op, alloc);
+          return;
+        }
+        op->allocated.emplace_back(replacement->id(), shard_id);
+        Copy write{.chunk = shard_id,
+                   .pieces = Pieces({Interval{0, shard_size}}),
+                   .target = replacement,
+                   .from = from,
+                   .bytes = rebuilt};
+        RunCopy(std::move(write), [this, parent, shard_index, shard_id, op,
+                                   replacement](Status ws) {
           if (op->finished) {
             return;
           }
-          if (!s.ok()) {
-            CompleteMigration(op, s);
+          if (!ws.ok()) {
+            FinishJob(op, ws);
             return;
-          }
-          if (--*remaining > 0) {
-            return;
-          }
-          if (carry) {
-            std::vector<bool> present(n, false);
-            for (int i : sources) {
-              present[i] = true;
-            }
-            ec::ReedSolomon::DecodePlan plan;
-            Status ps = Codec(k, m)->PlanReconstruct(present, {shard_index}, &plan);
-            if (!ps.ok()) {
-              CompleteMigration(op, ps);
-              return;
-            }
-            std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-            for (int i : sources) {
-              shard_ptrs[i] = slot(i);
-            }
-            std::vector<uint8_t*> outs(n, nullptr);
-            outs[shard_index] = slot(shard_index);
-            Codec(k, m)->ReconstructWith(plan, shard_ptrs, outs, shard_size);
           }
           ChunkLayout* layout = FindLayout(parent);
           if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-            CompleteMigration(op, Aborted("layout changed"));
+            FinishJob(op, Aborted("layout changed"));
             return;
           }
+          EcShardRef& sh = layout->ec_shards[shard_index];
+          ChunkServer* old = servers_[sh.server];
+          if (old != replacement && !old->crashed() && old->HasChunk(shard_id)) {
+            old->FreeChunk(shard_id);
+          }
+          sh = EcShardRef{replacement->id(), replacement->node(), shard_id};
           const uint64_t new_view = layout->view + 1;
-          Status alloc = replacement->AllocateChunk(shard_id, new_view, disk_id);
-          if (!alloc.ok()) {
-            CompleteMigration(op, alloc);
-            return;
+          layout->view = new_view;
+          ++recovery_stats_.view_changes;
+          for (const EcShardRef& other : layout->ec_shards) {
+            if (!servers_[other.server]->crashed()) {
+              servers_[other.server]->SetView(other.shard_chunk, new_view);
+            }
           }
-          op->allocated.emplace_back(replacement->id(), shard_id);
-          WriteChunkPieces(
-              replacement, shard_id, shard_size, slot(shard_index), buf,
-              servers_[shards[sources[0]].server]->node(), qos::ServiceClass::kRecovery,
-              [this, parent, shard_index, shard_id, op, replacement](const Status& ws) {
-                if (op->finished) {
-                  return;
-                }
-                if (!ws.ok()) {
-                  CompleteMigration(op, ws);
-                  return;
-                }
-                ChunkLayout* layout = FindLayout(parent);
-                if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-                  CompleteMigration(op, Aborted("layout changed"));
-                  return;
-                }
-                EcShardRef& sh = layout->ec_shards[shard_index];
-                ChunkServer* old = servers_[sh.server];
-                if (old != replacement && !old->crashed() && old->HasChunk(shard_id)) {
-                  old->FreeChunk(shard_id);
-                }
-                sh = EcShardRef{replacement->id(), replacement->node(), shard_id};
-                const uint64_t new_view = layout->view + 1;
-                layout->view = new_view;
-                ++recovery_stats_.view_changes;
-                for (const EcShardRef& other : layout->ec_shards) {
-                  if (!servers_[other.server]->crashed()) {
-                    servers_[other.server]->SetView(other.shard_chunk, new_view);
-                  }
-                }
-                op->allocated.clear();
-                ++tier_stats_.shard_repairs;
-                ++recovery_stats_.chunks_recovered;
-                CompleteMigration(op, OkStatus());
-              });
+          op->allocated.clear();
+          ++tier_stats_.shard_repairs;
+          ++recovery_stats_.chunks_recovered;
+          FinishJob(op, OkStatus());
         });
-  }
+      });
 }
 
 void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
@@ -2380,104 +2005,55 @@ void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
     fail(Unavailable("shard server down"));
     return;
   }
-  std::vector<int> sources;
-  for (int i = 0; i < n && static_cast<int>(sources.size()) < k; ++i) {
-    if (i != target && !servers_[shards[i].server]->crashed()) {
-      sources.push_back(i);
-    }
-  }
-  if (static_cast<int>(sources.size()) < k) {
-    fail(Unavailable("fewer than k shards alive"));
+  ec::BackfillReadPlan plan;
+  Status plan_s = PlanStripeRead(shards, k, m, target, &plan);
+  if (!plan_s.ok()) {
+    fail(plan_s);
     return;
   }
-  auto op = std::make_shared<MigrationOp>();
-  op->chunk = 0;  // range repairs don't hold the parent's migration lock
+  // Range repairs don't hold the parent's migration lock.
+  auto op = std::make_shared<Job>();
   op->done = std::move(done);
-  op->timeout_event = sim_->After(migration_timeout_, [this, op]() {
-    op->timeout_event = 0;
-    CompleteMigration(op, TimedOut("shard range repair timed out"));
-  });
-  auto run = [this, shard, offset, length, target, k, m, n, sources, shards, damaged, op]() {
-    const bool carry = recovery_carries_data_;
-    // RS reconstruction is positional: byte b of the lost shard needs byte b
-    // of k others, so only [offset, offset+length) of each source is read.
-    auto buf = carry
-                   ? std::make_shared<std::vector<uint8_t>>(static_cast<uint64_t>(n) * length)
-                   : nullptr;
-    auto slot = [buf, length](int i) -> uint8_t* {
-      return buf ? buf->data() + static_cast<uint64_t>(i) * length : nullptr;
-    };
-    auto remaining = std::make_shared<int>(k);
-    for (int idx : sources) {
-      servers_[shards[idx].server]->HandleRecoveryRead(
-          shards[idx].shard_chunk, offset, length, slot(idx),
-          [this, shard, offset, length, target, k, m, n, sources, shards, damaged, op, buf,
-           carry, slot, remaining](const Status& s, uint64_t) {
-            if (op->finished) {
-              return;
-            }
-            if (!s.ok()) {
-              CompleteMigration(op, s);
-              return;
-            }
-            if (--*remaining > 0) {
-              return;
-            }
-            if (carry) {
-              std::vector<bool> present(n, false);
-              for (int i : sources) {
-                present[i] = true;
-              }
-              ec::ReedSolomon::DecodePlan plan;
-              Status ps = Codec(k, m)->PlanReconstruct(present, {target}, &plan);
-              if (!ps.ok()) {
-                CompleteMigration(op, ps);
-                return;
-              }
-              std::vector<const uint8_t*> shard_ptrs(n, nullptr);
-              for (int i : sources) {
-                shard_ptrs[i] = slot(i);
-              }
-              std::vector<uint8_t*> outs(n, nullptr);
-              outs[target] = slot(target);
-              Codec(k, m)->ReconstructWith(plan, shard_ptrs, outs, length);
-            }
-            uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, length);
-            transport_->Send(
-                shards[sources[0]].node, damaged->node(), wire,
-                [this, shard, offset, length, target, damaged, op, buf, slot]() {
-                  damaged->HandleRecoveryWrite(
-                      shard, offset, length, slot(target),
-                      [this, length, op, buf](const Status& ws) {
-                        if (op->finished) {
-                          return;
-                        }
-                        if (ws.ok()) {
-                          recovery_stats_.bytes_transferred += length;
-                          ++tier_stats_.shard_range_repairs;
-                        }
-                        CompleteMigration(op, ws);
-                      },
-                      qos::ServiceClass::kScrub);
-                });
-          },
-          qos::ServiceClass::kScrub);
-    }
-  };
-  if (admission_ != nullptr) {
-    op->admission_source = servers_[shards[sources[0]].server]->id();
-    admission_->Acquire(op->admission_source, scrub::RecoveryAdmission::Priority::kScrub,
-                        [this, op, run]() {
+  StartJob(op, servers_[shards[plan.sources[0]].server],
+           scrub::RecoveryAdmission::Priority::kScrub, "shard range repair timed out",
+           [this, shard, offset, length, target, k, m, n, sources = plan.sources, shards, damaged,
+            op]() {
+             // RS reconstruction is positional: byte b of the lost shard
+             // needs byte b of k others, so only [offset, offset+length) of
+             // each source is read.
+             std::vector<Slot> slots(n);
+             if (recovery_carries_data_) {
+               slots[target].buf = ursa::Buffer::Allocate(length);
+             }
+             const Slot rebuilt = slots[target];
+             ReadStripe(shards, k, m, sources, {target}, Interval{offset, length},
+                        std::move(slots), qos::ServiceClass::kScrub,
+                        [this, shard, offset, length, damaged, op, rebuilt,
+                         from = shards[sources[0]].node](Status s) {
                           if (op->finished) {
-                            admission_->Release(op->admission_source);
                             return;
                           }
-                          op->granted = true;
-                          run();
+                          if (!s.ok()) {
+                            FinishJob(op, s);
+                            return;
+                          }
+                          Copy write{.chunk = shard,
+                                     .pieces = Pieces({Interval{offset, length}}),
+                                     .target = damaged,
+                                     .from = from,
+                                     .bytes = rebuilt,
+                                     .cls = qos::ServiceClass::kScrub};
+                          RunCopy(std::move(write), [this, op](Status ws) {
+                            if (op->finished) {
+                              return;
+                            }
+                            if (ws.ok()) {
+                              ++tier_stats_.shard_range_repairs;
+                            }
+                            FinishJob(op, ws);
+                          });
                         });
-  } else {
-    run();
-  }
+           });
 }
 
 std::vector<Master::TierChunkInfo> Master::ListTierChunks() const {

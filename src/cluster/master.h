@@ -18,6 +18,7 @@
 #include "src/cluster/chunk_server.h"
 #include "src/cluster/placement.h"
 #include "src/cluster/types.h"
+#include "src/common/buffer.h"
 #include "src/ec/reed_solomon.h"
 #include "src/net/transport.h"
 #include "src/scrub/recovery_admission.h"
@@ -152,9 +153,10 @@ class Master {
   // ---- Recovery admission (DESIGN.md §11) ----
 
   // Installs the cluster-wide per-source transfer admission controller.
-  // Every transfer the master issues — failure recovery, demotion-steered
-  // repair, scrub corruption repair — acquires a source slot before its piece
-  // pump starts; scrub-class transfers yield to recovery-class ones.
+  // Every background job the master runs (DESIGN.md §14) — failure recovery,
+  // demotion-steered repair, scrub corruption repair, migrations, shard
+  // repair — acquires a source slot before its first piece; scrub-class jobs
+  // yield to recovery-class ones.
   void SetAdmission(scrub::RecoveryAdmission* admission) { admission_ = admission; }
   scrub::RecoveryAdmission* admission() const { return admission_; }
 
@@ -296,37 +298,84 @@ class Master {
     size_t index;  // position in DiskMeta::chunks
   };
 
-  // Copies [0, chunk_size) of `chunk` from `source` to `target` over the
-  // network in pieces; `done` runs with the source's version on success.
-  // `cls` is the QoS class the transfer's device I/O runs under; when the
-  // target device has an I/O gate, the piece pump pauses at the recovery
-  // class's queue-depth high watermark and resumes on drain (backpressure —
-  // recovery yields to foreground instead of flooding the device queue).
-  // With an admission controller installed, the transfer first acquires a
-  // per-source slot (and releases it when `done` fires).
-  void TransferChunk(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                     uint64_t chunk_size, std::function<void(Status, uint64_t)> done,
-                     qos::ServiceClass cls = qos::ServiceClass::kRecovery);
-
-  // Copies specific ranges (incremental repair / corruption scrub). Same
-  // admission contract as TransferChunk.
-  void TransferRanges(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                      std::vector<Interval> ranges, std::function<void(Status)> done,
-                      qos::ServiceClass cls = qos::ServiceClass::kRecovery);
-
-  // Un-admitted piece pumps (the bodies of the above).
-  void TransferChunkNow(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                        uint64_t chunk_size, std::function<void(Status, uint64_t)> done,
-                        qos::ServiceClass cls);
-  void TransferRangesNow(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                         std::vector<Interval> ranges, std::function<void(Status)> done,
-                         qos::ServiceClass cls);
-
   // Rank-first replica preference with the continuous-health tiebreak.
   bool PreferReplica(const ReplicaRef& a, const ReplicaRef& b) const;
   void SortLayout(ChunkLayout* layout);
 
   ChunkLayout* FindLayout(ChunkId chunk);
+
+  // Freshest alive replica of `layout` other than `exclude`: highest version
+  // first, then PreferReplica. Null when none answers; `*version` gets its
+  // version.
+  const ReplicaRef* FreshestReplica(const ChunkLayout& layout, ServerId exclude,
+                                    uint64_t* version) const;
+
+  // A fresh replica set for `chunk`, placed as CreateDisk placed it and topped
+  // up around crashed servers and current holders; empty when fewer than the
+  // disk's replication factor qualify.
+  std::vector<ServerId> PlaceReplicaTargets(ChunkId chunk) const;
+
+  // ---- Background copy engine (DESIGN.md §14) ----
+
+  // Bytes of one copied range in memory: the range's first byte sits at
+  // `buf[at]`. An empty `buf` is a timing-only copy.
+  struct Slot {
+    ursa::Buffer buf;
+    uint64_t at = 0;
+    uint8_t* data() { return buf ? buf.data() + at : nullptr; }
+  };
+
+  // One windowed copy: `pieces` of `chunk` go through at most
+  // recovery_window_ pieces in flight. With a `source` and no `target` each
+  // piece is read into `bytes`; with a `target` and no `source` each piece
+  // ships from node `from` out of `bytes` and is recovery-written (through
+  // the write shield when `shielded`); with both, each piece is read, sent
+  // and written in its own buffer. A copy with a target pauses at the
+  // target's gate high watermark for `cls` and resumes when it drains.
+  struct Copy {
+    ChunkId chunk = 0;
+    std::vector<Interval> pieces = {};
+    ChunkServer* source = nullptr;
+    ChunkServer* target = nullptr;
+    net::NodeId from = 0;
+    Slot bytes = {};
+    qos::ServiceClass cls = qos::ServiceClass::kRecovery;
+    bool shielded = false;
+  };
+  void RunCopy(Copy copy, std::function<void(Status)> done);
+
+  // `ranges` split at recovery_piece_.
+  std::vector<Interval> Pieces(const std::vector<Interval>& ranges) const;
+
+  // One background job: a replica copy, a migration, a shard repair or a
+  // speculative back-fill pass. Exactly one of its own completion, its
+  // timeout, or a cancel ends it; late callbacks see `finished` and back off.
+  struct Job;
+  struct SpecState;
+
+  // Arms the job's timeout (when `timeout` names one), then runs `body` once
+  // an admission slot on `source` is granted — at once without a controller.
+  void StartJob(const std::shared_ptr<Job>& job, ChunkServer* source,
+                scrub::RecoveryAdmission::Priority priority, const char* timeout,
+                std::function<void()> body);
+  // Marks the job finished, cancels its timeout and releases its slot;
+  // false when it had already ended.
+  bool EndJob(Job* job);
+  // Ends the job; on failure frees what it allocated. Then drops its chunk's
+  // migration mark and runs `done`.
+  void FinishJob(std::shared_ptr<Job> job, Status s);
+  // FinishJob that also counts the failure in the job's tier stat.
+  void FailJob(std::shared_ptr<Job> job, Status s);
+
+  // Copies `ranges` of `chunk` from `source` to `target` as a job admitted
+  // on `source` (scrub-class copies yield to recovery-class ones).
+  void CopyReplica(ChunkId chunk, ChunkServer* source, ChunkServer* target,
+                   std::vector<Interval> ranges, qos::ServiceClass cls,
+                   std::function<void(Status)> done);
+  // Brings `laggard` up to `source`: the ranges `source`'s journal lite
+  // records since `from_version`, or the whole chunk when history is gone.
+  void CatchUp(ChunkId chunk, ChunkServer* source, ChunkServer* laggard, uint64_t from_version,
+               std::function<void(Status)> done);
 
   // ---- Tiering internals (DESIGN.md §13) ----
 
@@ -335,54 +384,46 @@ class Master {
     int index = 0;
   };
 
-  // Shared completion state for one migration: guards against the timeout
-  // and a late transfer callback both finishing the operation.
-  struct MigrationOp;
-
-  // One attempt at back-filling a speculatively-promoted chunk from its
-  // shards, plus the per-chunk record that owns it. Exactly one of the
-  // final write completion, the timeout, or a Restore finishes a pass;
-  // canceled passes let their in-flight callbacks die silently.
-  struct SpecPass;
-  struct SpecState;
-
   ec::ReedSolomon* Codec(int k, int m);
 
   // Picks `n` distinct alive servers, round-robining machines for spread.
   Result<std::vector<ServerId>> PickShardServers(int n, uint64_t salt) const;
 
-  // Windowed piece pump reading [0, size) of `chunk` on `server` into `out`
-  // (null = timing-only) under `cls`; `done(status, replica_version)`.
-  // `hold` keeps the buffer behind `out` alive until every piece lands.
-  void ReadChunkPieces(ChunkServer* server, ChunkId chunk, uint64_t size, uint8_t* out,
-                       std::shared_ptr<void> hold, qos::ServiceClass cls,
-                       std::function<void(Status, uint64_t)> done);
+  // First alive server holding a shard of `layout` other than shard `skip`
+  // (a stripe job's admission source); null when there is none.
+  ChunkServer* FirstAliveShard(const ChunkLayout& layout, int skip) const;
 
-  // Ships [0, size) over the wire from `from_node` and recovery-writes it
-  // into `chunk` on `target` (gate-backpressured like TransferChunkNow).
-  // `shielded` routes pieces through HandleBackfillWrite, which subtracts
-  // the target's client-written ranges at apply time — the speculative
-  // back-fill path, where old shard bytes must never clobber new data.
-  void WriteChunkPieces(ChunkServer* target, ChunkId chunk, uint64_t size, const uint8_t* data,
-                        std::shared_ptr<void> hold, net::NodeId from_node, qos::ServiceClass cls,
-                        std::function<void(Status)> done, bool shielded = false);
+  // Picks k alive shards of a stripe to read, data shards first, treating
+  // shard `lost` (-1 = none) as gone; `plan->missing_data` lists the data
+  // shards to rebuild.
+  Status PlanStripeRead(const std::vector<EcShardRef>& shards, int k, int m, int lost,
+                        ec::BackfillReadPlan* plan) const;
 
-  void DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<MigrationOp> op);
-  void PromoteChunkNow(ChunkId chunk, bool write_triggered, std::shared_ptr<MigrationOp> op);
-  void RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<MigrationOp> op);
+  // Slots of a whole-chunk stripe image: the data shards back to back in
+  // `data` (the chunk image), the parity shards back to back in `parity`
+  // (an empty `parity` leaves their slots without a buffer).
+  static std::vector<Slot> ChunkSlots(const ursa::Buffer& data, const ursa::Buffer& parity, int k,
+                                      int m, uint64_t shard_size);
+
+  // Reads `range` of each `sources` shard into its slot (scratch of its own
+  // when the slot has no buffer), then rebuilds the `wanted` slots from them;
+  // `done` runs once, with the first failure.
+  void ReadStripe(const std::vector<EcShardRef>& shards, int k, int m, std::vector<int> sources,
+                  std::vector<int> wanted, Interval range, std::vector<Slot> slots,
+                  qos::ServiceClass cls, std::function<void(Status)> done);
+
+  void DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<Job> op);
+  void PromoteChunkNow(ChunkId chunk, bool write_triggered, std::shared_ptr<Job> op);
+  void RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<Job> op);
   void RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
                           std::function<void(Status)> done);
 
   // Atomic commit steps — each runs in one event, re-verifying preconditions
   // before mutating the layout (nothing can interleave mid-function).
   void CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_t frozen_version,
-                    int k, int m, uint64_t shard_size, std::shared_ptr<MigrationOp> op);
+                    int k, int m, uint64_t shard_size, std::shared_ptr<Job> op);
   void CommitPromote(ChunkId chunk, std::vector<ServerId> targets, uint64_t frozen_version,
-                     bool write_triggered, std::shared_ptr<MigrationOp> op);
-
-  // Single completion funnel: cancels the timeout, releases the admission
-  // slot, frees uncommitted allocations on failure, and runs `done` once.
-  void CompleteMigration(std::shared_ptr<MigrationOp> op, Status s);
+                     bool write_triggered, std::shared_ptr<Job> op);
 
   // Ends a migration: drops the in-flight mark and reruns queued promotes.
   void FinishMigration(ChunkId chunk);
@@ -391,18 +432,15 @@ class Master {
 
   // Arms a back-fill pass for a speculating chunk (admission + timeout);
   // no-op when the chunk stopped speculating or a pass is already running.
+  // A failed pass is retried after spec_retry_.
   void StartSpecBackfill(ChunkId chunk);
   // The pass body: plan the shard reads, reconstruct missing data shards,
   // then stream the old image into every alive spec replica via shielded
   // back-fill writes (client-written ranges are subtracted at apply time).
-  void RunSpecBackfill(ChunkId chunk, std::shared_ptr<SpecPass> pass);
-  // Fails the pass and schedules a retry after spec_retry_.
-  void FailSpecPass(ChunkId chunk, std::shared_ptr<SpecPass> pass, Status s);
-  // Cancels a state's in-flight pass (if any): late callbacks fall silent.
-  void CancelSpecPass(SpecState* st);
+  void RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass);
   // Atomic commit: retires the shards, turns the spec replicas into the
   // chunk's replica set at view+1, and clears all speculation state.
-  void CommitSpecPromote(ChunkId chunk, std::shared_ptr<SpecPass> pass);
+  void CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass);
 
   void NotifyTierChanged(ChunkId chunk, bool ec) {
     if (tier_changed_) {

@@ -57,17 +57,18 @@ void UpgradeCoordinator::UpgradeAllServers(const std::string& version,
                                            std::function<bool(ServerId)> health_check,
                                            std::function<void(UpgradeReport)> done) {
   auto report = std::make_shared<UpgradeReport>();
+  // Weak self-reference: each server's upgrade callback holds the chain.
   auto next = std::make_shared<std::function<void(ServerId)>>();
   size_t total = cluster_->num_servers();
-  *next = [this, version, health_check = std::move(health_check), done = std::move(done),
-           report, next, total](ServerId id) mutable {
+  *next = [this, version, health_check = std::move(health_check), done = std::move(done), report,
+           weak = std::weak_ptr<std::function<void(ServerId)>>(next), total](ServerId id) mutable {
     if (id >= total) {
       done(*report);
       return;
     }
     UpgradeServer(
         id, version, [health_check, id]() { return !health_check || health_check(id); },
-        [this, id, report, next](bool ok) {
+        [this, id, report, next = weak.lock()](bool ok) {
           if (ok) {
             ++report->upgraded;
             report->log.push_back("server " + std::to_string(id) + ": upgraded");

@@ -239,16 +239,18 @@ void EcStripeStore::Write(uint64_t offset, uint64_t length, const void* data,
   if (!partials.empty()) {
     auto idx = std::make_shared<size_t>(0);
     auto exts = std::make_shared<std::vector<Extent>>(std::move(partials));
+    // Weak self-reference: the extent in flight holds the pump, so it dies
+    // with the last one instead of leaking through a self-cycle.
     auto pump = std::make_shared<std::function<void()>>();
-    *pump = [this, idx, exts, src, joiner, pump]() {
+    *pump = [this, idx, exts, src, joiner, weak = std::weak_ptr<std::function<void()>>(pump)]() {
       if (*idx >= exts->size()) {
         return;
       }
       const Extent& ext = (*exts)[(*idx)++];
       const uint8_t* bytes = src == nullptr ? nullptr : src + ext.user_off;
-      PartialWriteExtent(ext, bytes, [joiner, pump](const Status& s) {
+      PartialWriteExtent(ext, bytes, [joiner, self = weak.lock()](const Status& s) {
         joiner->Finish(s);
-        (*pump)();
+        (*self)();
       });
     };
     (*pump)();
@@ -594,9 +596,12 @@ void EcStripeStore::RepairShardNow(int shard, storage::BlockDevice* replacement,
     }
     uint64_t u = config_.stripe_unit;
     auto row = std::make_shared<uint64_t>(0);
+    // Weak self-reference, as in the partial-write pump above: the row in
+    // flight holds the step.
     auto step = std::make_shared<std::function<void()>>();
     auto done_shared = std::make_shared<storage::IoCallback>(std::move(done));
-    *step = [this, shard, replacement, row, step, u, done_shared]() {
+    *step = [this, shard, replacement, row, u, done_shared,
+             weak = std::weak_ptr<std::function<void()>>(step)]() {
       if (*row >= rows_) {
         devices_[shard] = replacement;
         alive_[shard] = true;
@@ -607,7 +612,7 @@ void EcStripeStore::RepairShardNow(int shard, storage::BlockDevice* replacement,
       Extent ext{*row, shard, shard_off, u, 0};
       auto buf = AcquireBuf(u, false);
       DegradedReadExtent(ext, buf->data(),
-                         [this, replacement, shard_off, u, buf, row, step,
+                         [this, replacement, shard_off, u, buf, row, step = weak.lock(),
                           done_shared](const Status& s) {
                            if (!s.ok()) {
                              (*done_shared)(s);

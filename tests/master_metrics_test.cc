@@ -4,7 +4,6 @@
 
 #include "src/cluster/cluster.h"
 #include "src/core/metrics.h"
-#include "src/journal/journal_replayer.h"
 #include "test_util.h"
 
 namespace ursa {
@@ -116,15 +115,6 @@ TEST(TableTest, Formatting) {
   core::Table ragged({"x", "y", "z"});
   ragged.AddRow({"only-one"});
   ragged.Print();
-}
-
-TEST(ReplayRateTest, MergingRaisesSustainableRate) {
-  storage::HddParams hdd;
-  double no_merge = journal::EstimateReplayRate(hdd, 4096, 0.0);
-  double half_merged = journal::EstimateReplayRate(hdd, 4096, 0.5);
-  EXPECT_GT(half_merged, 1.9 * no_merge);
-  EXPECT_GT(no_merge, 50);    // a 7200rpm disk replays at least tens/sec
-  EXPECT_LT(no_merge, 5000);  // and no miracles
 }
 
 TEST(HistogramEdgeTest, EmptyHistogram) {

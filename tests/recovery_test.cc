@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/client/virtual_disk.h"
@@ -258,6 +259,141 @@ TEST_F(RecoveryTest, AllReplicasLostReportsDataLoss) {
                                           [&](Status s) { recovery = s; });
   sim_.RunUntil(sim_.Now() + sec(5));
   EXPECT_EQ(recovery.code(), StatusCode::kUnavailable);
+}
+
+// Leak regression: once a copy job completes, nothing may still hold its
+// `done` callback (a self-capturing piece pump used to keep its whole state,
+// callback included, alive forever).
+TEST_F(RecoveryTest, FullTransferReleasesDoneCallback) {
+  Build();
+  ASSERT_TRUE(WriteSync(0, test::Pattern(8192, 30)).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[1].server;
+  cluster_->CrashServer(failed);
+
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed,
+                                          [&recovery, sentinel](Status s) { recovery = s; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(recovery.ok()) << recovery.ToString();
+  EXPECT_EQ(cluster_->master().recovery_stats().chunks_recovered, 1u);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST_F(RecoveryTest, IncrementalRepairReleasesDoneCallback) {
+  Build();
+  ASSERT_TRUE(WriteSync(0, test::Pattern(4096, 31)).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId lagging = layout.replicas[2].server;
+  cluster_->CrashServer(lagging);
+  ASSERT_TRUE(WriteSync(0, test::Pattern(4096, 32), sec(10)).ok());
+  cluster_->RestoreServer(lagging);
+
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  Status repair = Internal("pending");
+  cluster_->master().RepairReplica(layout.chunk, lagging,
+                                   [&repair, sentinel](Status s) { repair = s; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(repair.ok()) << repair.ToString();
+  EXPECT_GE(cluster_->master().recovery_stats().incremental_repairs, 1u);
+  EXPECT_TRUE(watch.expired());
+}
+
+// QoS backpressure on the read -> send -> write copy: once the target's gate
+// reports the recovery class past its high watermark the copy issues no new
+// piece, and it finishes the chunk once the class drains.
+TEST_F(RecoveryTest, PipelinedCopyPausesAtTargetGateAndResumes) {
+  Build();
+  cluster_->master().set_recovery_piece(64 * kKiB);  // 16 pieces, window 8
+  auto data = test::Pattern(1 * kMiB, 33);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[1].server;
+  cluster_->CrashServer(failed);
+
+  // The replacement is not known up front: gate every live server.
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    cluster::ChunkServer* server = cluster_->master().server(s);
+    if (!server->crashed()) {
+      gates.push_back(std::make_unique<test::TripGate>(
+          &sim_, server->store()->device(), qos::ServiceClass::kRecovery, /*trip_after=*/4));
+    }
+  }
+  auto total = [&gates](auto field) {
+    uint64_t n = 0;
+    for (const auto& g : gates) {
+      n += field(*g);
+    }
+    return n;
+  };
+  auto writes = [](const test::TripGate& g) { return g.writes(); };
+  auto parked = [](const test::TripGate& g) { return static_cast<uint64_t>(g.parked()); };
+
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed,
+                                          [&recovery](Status s) { recovery = s; });
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(recovery.code(), StatusCode::kInternal);  // still pending
+  EXPECT_GE(total(writes), 4u);
+  EXPECT_LT(total(writes), 16u);
+  EXPECT_EQ(total(parked), 1u);  // the copy waits on its target's gate
+
+  for (auto& g : gates) {
+    g->Open();
+  }
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(recovery.ok()) << recovery.ToString();
+  EXPECT_EQ(total(writes), 16u);
+  disk_->RefreshLayout();
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// A target freed under a running copy fails it: `done` runs exactly once and
+// the source's admission slot comes back.
+TEST_F(RecoveryTest, FreedTargetFailsCopyOnceAndReleasesSlot) {
+  Build();
+  cluster_->master().set_recovery_piece(64 * kKiB);
+  cluster_->master().set_recovery_window(1);
+  ASSERT_TRUE(WriteSync(0, test::Pattern(64 * kKiB, 34)).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[1].server;
+  cluster_->CrashServer(failed);
+  std::set<cluster::ServerId> holders;
+  for (const auto& r : layout.replicas) {
+    holders.insert(r.server);
+  }
+
+  int calls = 0;
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed, [&](Status s) {
+    ++calls;
+    recovery = s;
+  });
+  // ReportReplicaFailure allocated the replacement synchronously: free it
+  // again before the first piece lands.
+  cluster::ChunkServer* target = nullptr;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    cluster::ChunkServer* server = cluster_->master().server(s);
+    if (holders.count(s) == 0 && server->HasChunk(layout.chunk)) {
+      target = server;
+    }
+  }
+  ASSERT_NE(target, nullptr);
+  ASSERT_TRUE(target->FreeChunk(layout.chunk).ok());
+  sim_.RunUntil(sim_.Now() + sec(10));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(recovery.code(), StatusCode::kNotFound) << recovery.ToString();
+  scrub::RecoveryAdmission* admission = cluster_->recovery_admission();
+  ASSERT_NE(admission, nullptr);
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    EXPECT_EQ(admission->InFlight(s), 0) << s;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // scrub-detected corruption healing through stripe reconstruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <set>
@@ -577,6 +578,125 @@ TEST_F(TierClusterTest, ScrubDetectsAndRepairsCorruptShardRange) {
 
   EXPECT_EQ(ReadSync(0, data.size()), data);
   EXPECT_EQ(disk_->stats().integrity_errors, 0u);
+}
+
+// Leak regression: a finished demotion or promotion holds no reference to
+// its `done` callback (the shard read/write pumps used to capture themselves).
+TEST_F(TierClusterTest, DemotePromoteRoundTripReleasesDoneCallbacks) {
+  Build();
+  auto data = test::Pattern(1 * kMiB, 71);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  const storage::ChunkId chunk = Layout(0).chunk;
+
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = sentinel;
+  Status demote = Internal("pending");
+  Status promote = Internal("pending");
+  cluster_->master().DemoteChunkToEc(chunk, 4, 2,
+                                     [&demote, sentinel](const Status& s) { demote = s; });
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(demote.ok()) << demote.ToString();
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
+                                  [&promote, sentinel](const Status& s) { promote = s; });
+  sentinel.reset();
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// QoS backpressure on an EC write leg: each shard's write pump stops issuing
+// pieces once its target's gate reports the class past its high watermark,
+// and the demotion completes after the class drains.
+TEST_F(TierClusterTest, ShardWritesPauseAtTargetGateAndResume) {
+  Build();
+  cluster_->master().set_recovery_piece(64 * kKiB);  // 4 pieces per 256 KiB shard
+  cluster_->master().set_recovery_window(1);         // a gate check before each
+  auto data = test::Pattern(1 * kMiB, 72);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    gates.push_back(std::make_unique<test::TripGate>(
+        &sim_, cluster_->master().server(s)->store()->device(), qos::ServiceClass::kScrub,
+        /*trip_after=*/2));
+  }
+  Status demote = Internal("pending");
+  cluster_->master().DemoteChunkToEc(Layout(0).chunk, 4, 2,
+                                     [&demote](const Status& s) { demote = s; });
+  sim_.RunUntil(sim_.Now() + sec(1));
+  EXPECT_EQ(demote.code(), StatusCode::kInternal);  // still pending
+  int shard_targets = 0;
+  for (const auto& g : gates) {
+    if (g->writes() > 0) {
+      ++shard_targets;
+      EXPECT_EQ(g->writes(), 2u);  // paused at the trip point
+      EXPECT_EQ(g->parked(), 1u);
+    }
+  }
+  EXPECT_EQ(shard_targets, 6);
+
+  for (auto& g : gates) {
+    g->Open();
+  }
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(demote.ok()) << demote.ToString();
+  for (const auto& g : gates) {
+    EXPECT_TRUE(g->writes() == 0 || g->writes() == 4u);
+  }
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// A shard freed under a running demotion fails it: `done` runs exactly once,
+// the admission slot comes back, every shard the migration allocated is
+// freed, and the chunk stays replicated.
+TEST_F(TierClusterTest, FreedShardFailsDemotionOnceAndRollsBack) {
+  Build(/*admission=*/true);
+  cluster_->master().set_recovery_piece(64 * kKiB);
+  cluster_->master().set_recovery_window(1);
+  auto data = test::Pattern(1 * kMiB, 73);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  storage::ChunkId first_shard = 0;
+  for (const cluster::ChunkLayout& l : (*cluster_->master().GetDisk(disk_id_))->chunks) {
+    first_shard = std::max(first_shard, l.chunk + 1);
+  }
+
+  int calls = 0;
+  Status demote = Internal("pending");
+  cluster_->master().DemoteChunkToEc(Layout(0).chunk, 4, 2, [&](const Status& s) {
+    ++calls;
+    demote = s;
+  });
+  // The shards are allocated once the chunk image is read; free the first
+  // one the moment it exists, before any piece reaches it.
+  while (!cluster_->master().IsEcShard(first_shard) && sim_.Step(sim_.Now() + sec(1))) {
+  }
+  ASSERT_TRUE(cluster_->master().IsEcShard(first_shard));
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    if (cluster_->master().server(s)->HasChunk(first_shard)) {
+      ASSERT_TRUE(cluster_->master().server(s)->FreeChunk(first_shard).ok());
+    }
+  }
+  sim_.RunUntil(sim_.Now() + sec(30));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(demote.code(), StatusCode::kNotFound) << demote.ToString();
+  EXPECT_EQ(cluster_->master().tier_stats().demote_failures, 1u);
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  scrub::RecoveryAdmission* admission = cluster_->recovery_admission();
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    EXPECT_EQ(admission->InFlight(s), 0) << s;
+    for (storage::ChunkId id = first_shard; id < first_shard + 6; ++id) {
+      EXPECT_FALSE(cluster_->master().server(s)->HasChunk(id)) << s << " " << id;
+    }
+  }
+  for (storage::ChunkId id = first_shard; id < first_shard + 6; ++id) {
+    EXPECT_FALSE(cluster_->master().IsEcShard(id)) << id;
+  }
+  EXPECT_EQ(ReadSync(0, data.size()), data);
 }
 
 }  // namespace
