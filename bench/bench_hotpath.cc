@@ -2,13 +2,16 @@
 //
 //   1. CRC32C throughput per implementation (table / slicing-by-8 / SSE4.2
 //      hardware) — the journaled write path hashes every payload twice
-//      (append + replay verify), so this is pure data-plane overhead.
+//      (append + replay verify), so this is pure data-plane overhead — plus
+//      the dispatched Crc32c() at the 4 KiB and 64 KiB payload sizes.
 //   2. RangeIndex insert and query rates, allocating Query() vs the
 //      allocation-free QueryTo() used by journal overlay reads.
 //   3. Buffer pass-through: a payload crossing N hops as memcpy-per-hop vs a
 //      ref-counted BufferView per hop (what the zero-copy write path does).
 //   4. Simulator EventQueue: schedule/fire and schedule/cancel rates (every
-//      simulated I/O, RPC, and timeout rides this queue).
+//      simulated I/O, RPC, and timeout rides this queue), and the RPC
+//      pattern: each request's completion cancels a timeout armed 800 ms out,
+//      so cancelled entries never reach the heap head.
 //   5. PageStore, the extent store behind every device that carries bytes:
 //      shared 4 KiB and 1 MiB writes, 4 KiB reads across split extents, and
 //      journal-ring-style scatter appends that wrap and overwrite.
@@ -64,6 +67,27 @@ CrcResult BenchCrcImpl(Crc32cImpl impl, const char* name, const std::vector<uint
   (void)sink;
   double bytes = static_cast<double>(buf.size()) * passes;
   return {name, true, bytes / Seconds(t0, t1) / 1e9};
+}
+
+// Dispatched Crc32c() over `len`-byte payloads, GB/s (best of three passes).
+double BenchCrcSize(const std::vector<uint8_t>& buf, size_t len) {
+  const size_t payloads = buf.size() / len;
+  const int passes = static_cast<int>(std::max<size_t>(1, (256u << 20) / buf.size()));
+  volatile uint32_t sink = 0;
+  double best = 0;
+  for (int round = 0; round < 3; ++round) {
+    auto t0 = Clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (size_t i = 0; i < payloads; ++i) {
+        sink = Crc32c(buf.data() + i * len, len, sink);
+      }
+    }
+    auto t1 = Clock::now();
+    double bytes = static_cast<double>(len) * payloads * passes;
+    best = std::max(best, bytes / Seconds(t0, t1) / 1e9);
+  }
+  (void)sink;
+  return best;
 }
 
 // ---- 2. RangeIndex ----
@@ -180,6 +204,7 @@ BufferResult BenchBuffer() {
 struct EventResult {
   double fire_per_s;    // schedule + pop/invoke
   double cancel_per_s;  // schedule + cancel (tombstone path)
+  double rpc_per_s;     // requests: completion + cancelled long timeout each
 };
 
 EventResult BenchEvents() {
@@ -212,7 +237,35 @@ EventResult BenchEvents() {
   t1 = Clock::now();
   double cancel_rate = kEvents / Seconds(t0, t1);
   (void)counter;
-  return {fire_rate, cancel_rate};
+
+  // The RPC pattern: 128 requests in flight, each with a completion a few
+  // microseconds out and a timeout 800 ms out. Every fired completion cancels
+  // its request's timeout and issues the next request, so the cancelled
+  // timeouts never surface at the heap head within the run.
+  constexpr int kRequests = 1000000;
+  constexpr uint32_t kInflight = 128;
+  sim::EventQueue rpc;
+  Rng rng(5);
+  std::vector<sim::EventId> timeouts(kInflight);
+  uint32_t completed = 0;
+  Nanos now = 0;
+  auto issue = [&](uint32_t request) {
+    rpc.Schedule(now + 1000 + static_cast<Nanos>(rng.Uniform(4000)),
+                 [request, &completed]() { completed = request; });
+    timeouts[request] = rpc.Schedule(now + 800'000'000, []() {});
+  };
+  for (uint32_t r = 0; r < kInflight; ++r) {
+    issue(r);
+  }
+  t0 = Clock::now();
+  for (int i = 0; i < kRequests; ++i) {
+    rpc.PopNext(&now)();
+    rpc.Cancel(timeouts[completed]);
+    issue(completed);
+  }
+  t1 = Clock::now();
+  double rpc_rate = kRequests / Seconds(t0, t1);
+  return {fire_rate, cancel_rate, rpc_rate};
 }
 
 // ---- 5. PageStore ----
@@ -327,7 +380,10 @@ int main(int argc, char** argv) {
     }
   }
   crc_table.Print();
-  std::printf("active dispatch: %s\n\n", Crc32cImplName());
+  std::printf("active dispatch: %s\n", Crc32cImplName());
+  const double crc_4k = BenchCrcSize(crc_buf, 4096);
+  const double crc_64k = BenchCrcSize(crc_buf, 64 * 1024);
+  std::printf("Crc32c() on 4 KiB payloads: %.2f GB/s, on 64 KiB: %.2f GB/s\n\n", crc_4k, crc_64k);
 
   IndexResult idx = BenchIndex();
   core::Table idx_table({"RangeIndex op", "ops/s"});
@@ -348,6 +404,7 @@ int main(int argc, char** argv) {
   core::Table ev_table({"EventQueue op", "events/s"});
   ev_table.AddRow({"schedule+fire", core::Table::Int(ev.fire_per_s)});
   ev_table.AddRow({"schedule+cancel", core::Table::Int(ev.cancel_per_s)});
+  ev_table.AddRow({"RPC: fire + cancel 800ms timeout", core::Table::Int(ev.rpc_per_s)});
   ev_table.Print();
   std::printf("\n");
 
@@ -371,6 +428,7 @@ int main(int argc, char** argv) {
      << ",\"crc32c_hw_available\":" << (hw.available ? "true" : "false")
      << ",\"crc32c_best_vs_table\":"
      << ((hw.available ? hw.gbps : slice8.available ? slice8.gbps : table.gbps) / table.gbps)
+     << ",\"crc32c_4k_gbps\":" << crc_4k << ",\"crc32c_64k_gbps\":" << crc_64k
      << ",\"index_insert_per_s\":" << idx.inserts_per_s
      << ",\"index_query_per_s\":" << idx.query_per_s
      << ",\"index_queryto_per_s\":" << idx.queryto_per_s
@@ -378,6 +436,7 @@ int main(int argc, char** argv) {
      << ",\"buffer_view_hops_per_s\":" << buf.view_hops_per_s
      << ",\"event_fire_per_s\":" << ev.fire_per_s
      << ",\"event_cancel_per_s\":" << ev.cancel_per_s
+     << ",\"event_rpc_timeout_per_s\":" << ev.rpc_per_s
      << ",\"page_store_write4k_per_s\":" << ps.write4k_per_s
      << ",\"page_store_write1m_per_s\":" << ps.write1m_per_s
      << ",\"page_store_read4k_per_s\":" << ps.read4k_per_s

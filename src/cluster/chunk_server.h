@@ -123,7 +123,7 @@ class ChunkServer {
   // True when this replica still has journal records to replay for `chunk`.
   // Demotion must wait them out: replaying into a freed chunk is fatal.
   bool HasJournalBacklog(ChunkId chunk) const {
-    return journal_manager_ != nullptr && !journal_manager_->IndexSnapshot(chunk).empty();
+    return journal_manager_ != nullptr && journal_manager_->HasIndexedData(chunk);
   }
 
   // ---- Speculative-promotion write shield (DESIGN.md §13.6) ----

@@ -15,13 +15,18 @@ namespace {
 
 // ---- Byte-at-a-time table (reference implementation) ----
 
-// Table-driven CRC32C (polynomial 0x82F63B78, reflected).
+constexpr uint32_t kPoly = 0x82F63B78u;  // CRC32C polynomial, reflected
+
+// One zero bit through the CRC register: r * x modulo the polynomial.
+uint32_t TimesX(uint32_t r) { return (r >> 1) ^ ((r & 1) != 0 ? kPoly : 0u); }
+
+// Table-driven CRC32C.
 std::array<uint32_t, 256> BuildTable() {
   std::array<uint32_t, 256> table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
-      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+      crc = TimesX(crc);
     }
     table[i] = crc;
   }
@@ -103,10 +108,87 @@ uint32_t CrcSlice8(const void* data, size_t len, uint32_t seed) {
 // ---- SSE4.2 hardware path ----
 // Compiled with a per-function target attribute so the rest of the build
 // keeps the baseline ISA; only reached after a cpuid check.
+//
+// One crc32q chain is bound by the instruction's 3-cycle latency, not its
+// 1-per-cycle throughput, so long inputs run three independent chains over
+// adjacent blocks (Mark Adler's crc32c.c scheme). CRC is linear: the register
+// after A|B|C equals shift(shift(crc(A), |B|) ^ crc0(B), |C|) ^ crc0(C), where
+// crc0 starts from a zero register and shift(r, n) advances r over n zero
+// bytes — a GF(2)-linear map applied with four byte-indexed tables. Results
+// are bit-identical to the serial chain.
 
 #ifdef URSA_CRC32_X86
+constexpr size_t kLongBlock = 8192;
+constexpr size_t kShortBlock = 256;
+
+// Byte-indexed tables for shift(r, n): t[k][b] = shift(b << 8k, n).
+using ShiftTables = std::array<std::array<uint32_t, 256>, 4>;
+
+// a * b modulo the CRC polynomial, in the reflected bit order (x^0 is the
+// top bit).
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+    }
+    b = TimesX(b);
+  }
+  return product;
+}
+
+ShiftTables BuildShiftTables(size_t zero_bytes) {
+  uint32_t x_pow = 1u << 31;  // x^0
+  for (size_t bit = 0; bit < 8 * zero_bytes; ++bit) {
+    x_pow = TimesX(x_pow);
+  }
+  ShiftTables t{};
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      t[k][b] = MultModP(x_pow, b << (8 * k));
+    }
+  }
+  return t;
+}
+
+uint32_t Shift(const ShiftTables& t, uint32_t crc) {
+  return t[0][crc & 0xFF] ^ t[1][(crc >> 8) & 0xFF] ^ t[2][(crc >> 16) & 0xFF] ^ t[3][crc >> 24];
+}
+
+// While at least 3 * kBlock bytes remain, runs three crc32q chains over the
+// next three kBlock-byte blocks and folds them into crc, advancing p and len.
+template <size_t kBlock>
+__attribute__((target("sse4.2"))) inline uint64_t CrcThreeWay(const ShiftTables& shift,
+                                                               const uint8_t*& p, size_t& len,
+                                                               uint64_t crc) {
+  while (len >= 3 * kBlock) {
+    uint64_t crc1 = 0;
+    uint64_t crc2 = 0;
+    const uint8_t* end = p + kBlock;
+    do {
+      uint64_t v0;
+      uint64_t v1;
+      uint64_t v2;
+      std::memcpy(&v0, p, 8);
+      std::memcpy(&v1, p + kBlock, 8);
+      std::memcpy(&v2, p + 2 * kBlock, 8);
+      crc = _mm_crc32_u64(crc, v0);
+      crc1 = _mm_crc32_u64(crc1, v1);
+      crc2 = _mm_crc32_u64(crc2, v2);
+      p += 8;
+    } while (p < end);
+    crc = Shift(shift, static_cast<uint32_t>(crc)) ^ crc1;
+    crc = Shift(shift, static_cast<uint32_t>(crc)) ^ crc2;
+    p += 2 * kBlock;
+    len -= 3 * kBlock;
+  }
+  return crc;
+}
+
 __attribute__((target("sse4.2"))) uint32_t CrcHardware(const void* data, size_t len,
                                                        uint32_t seed) {
+  static const ShiftTables long_shift = BuildShiftTables(kLongBlock);
+  static const ShiftTables short_shift = BuildShiftTables(kShortBlock);
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
   // Byte steps until the pointer is 8-byte aligned (also covers short inputs).
@@ -115,6 +197,8 @@ __attribute__((target("sse4.2"))) uint32_t CrcHardware(const void* data, size_t 
     --len;
   }
   uint64_t crc64 = crc;
+  crc64 = CrcThreeWay<kLongBlock>(long_shift, p, len, crc64);
+  crc64 = CrcThreeWay<kShortBlock>(short_shift, p, len, crc64);
   while (len >= 8) {
     uint64_t v;
     std::memcpy(&v, p, 8);

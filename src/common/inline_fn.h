@@ -2,8 +2,11 @@
 //
 // Drop-in replacement for `std::function<void()>` on the simulator hot path.
 // Closures up to kInlineBytes live inside the object — no heap allocation on
-// construct, move, or copy. Larger closures (rare: deep capture chains in the
-// failure paths) fall back to a single heap cell, exactly like std::function.
+// construct, move, or copy. Larger closures fall back to a single heap cell,
+// exactly like std::function. Note that an InlineFn is itself larger than
+// kInlineBytes, so a closure that captures one always spills: hot-path code
+// keeps such state in pooled slots and captures only an index (see
+// sim::Resource and net::Transport, which static_assert their closure sizes).
 //
 // Semantics mirror std::function<void()>:
 //   * copyable (the transport's chaos duplicate path copies delivery
@@ -23,9 +26,8 @@ namespace ursa {
 
 class InlineFn {
  public:
-  // Sized so every closure on the simulator's hot path (event delivery,
-  // resource completions, RPC timeouts) stays inline. Measured: the largest
-  // transport delivery chain closures are ~56 bytes.
+  // Sized for the simulator's small hot-path closures (event delivery,
+  // resource completions, RPC timeouts): a few pointers and scalars.
   static constexpr size_t kInlineBytes = 64;
 
   InlineFn() = default;

@@ -1,7 +1,8 @@
-// A B+-tree map from uint32_t keys to small values — the level-0 structure
-// of the journal index (§3.3 calls for a red-black tree; we keep its
-// interface but store entries in wide pooled nodes instead of one
-// heap-allocated node per entry).
+// A B+-tree map from integer keys (uint32_t by default) to values — the
+// level-0 structure of the journal index (§3.3 calls for a red-black tree; we
+// keep its interface but store entries in wide pooled nodes instead of one
+// heap-allocated node per entry), and, keyed by uint64_t byte offset, the
+// extent map of storage::PageStore.
 //
 // Why not std::map: on a ~100K-entry level 0 every lookup chases ~17
 // pointer hops through cold 56-byte nodes, which measures at ~270ns per
@@ -11,17 +12,20 @@
 // pools (stable addresses, no per-entry malloc), with free lists so the
 // carve-heavy insert path reuses nodes instead of allocating.
 //
-// Interface subset used by RangeIndex: Put (insert-or-assign), lower_bound,
+// Interface subset: Put (insert-or-assign), lower_bound, upper_bound,
 // begin/end, erase(it) -> next, bidirectional iterators (std::prev works),
 // range-for with structured bindings (it->first / it->second), size, empty,
-// clear.
+// clear. Put and erase invalidate iterators. Values are moved, never copied,
+// and a slot vacated by erase is reset to Value(), so an erased value releases
+// whatever it owns right away instead of lingering in a leaf.
 //
 // Simplifications relative to a textbook B+-tree, safe for a level-0 write
 // cache that Compact() periodically clears:
 //   - no underflow rebalancing on erase: leaves simply shrink, and a node is
 //     unlinked only when it empties (a 1-child root still collapses), so
 //     depth never grows from erases and the periodic clear() resets any
-//     accumulated sparsity;
+//     accumulated sparsity (PageStore never clears, but nearly every erase
+//     there is an overwrite whose insert refills the same leaf);
 //   - separator keys are not tightened when a subtree's minimum is erased:
 //     they stay valid lower bounds, which keeps descents correct.
 #ifndef URSA_INDEX_BTREE_MAP_H_
@@ -32,14 +36,19 @@
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
 
 namespace ursa::index {
 
-template <typename Value>
+template <typename Value, typename Key = uint32_t>
 class BtreeMap {
+  static_assert(std::is_integral_v<Key> && std::is_unsigned_v<Key>);
+
  public:
   static constexpr int kLeafCap = 16;   // entries per leaf
   static constexpr int kInnerCap = 16;  // children per inner node
@@ -51,7 +60,7 @@ class BtreeMap {
 
  private:
   struct Leaf {
-    uint32_t keys[kLeafCap];
+    Key keys[kLeafCap];
     Value vals[kLeafCap];
     uint16_t count = 0;
     Leaf* next = nullptr;
@@ -61,7 +70,7 @@ class BtreeMap {
     // child[j] covers keys in [sep[j-1], sep[j]); sep[j] is the minimum key
     // of child[j+1]'s subtree at split time (erases may raise the true
     // minimum, which keeps sep a valid lower bound).
-    uint32_t sep[kInnerCap - 1];
+    Key sep[kInnerCap - 1];
     void* child[kInnerCap];
     uint16_t count = 0;  // number of children
   };
@@ -70,7 +79,7 @@ class BtreeMap {
   // What iterators dereference to: a pair-shaped proxy so call sites keep
   // the std::map spelling (it->first, it->second, structured bindings).
   struct Ref {
-    const uint32_t first;
+    const Key first;
     Value& second;
   };
   struct Arrow {
@@ -134,7 +143,7 @@ class BtreeMap {
   iterator end() const { return iterator(this, nullptr, 0); }
 
   // First entry with key >= k.
-  iterator lower_bound(uint32_t k) const {
+  iterator lower_bound(Key k) const {
     Leaf* leaf = Descend(k, nullptr, nullptr);
     for (int i = 0; i < leaf->count; ++i) {
       if (leaf->keys[i] >= k) {
@@ -144,8 +153,13 @@ class BtreeMap {
     return leaf->next ? iterator(this, leaf->next, 0) : end();
   }
 
+  // First entry with key > k.
+  iterator upper_bound(Key k) const {
+    return k == std::numeric_limits<Key>::max() ? end() : lower_bound(k + 1);
+  }
+
   // Insert-or-assign.
-  void Put(uint32_t k, const Value& v) {
+  void Put(Key k, Value v) {
     Inner* path[kMaxDepth];
     int slot[kMaxDepth];
     Leaf* leaf = Descend(k, path, slot);
@@ -154,16 +168,17 @@ class BtreeMap {
       ++pos;
     }
     if (pos < leaf->count && leaf->keys[pos] == k) {
-      leaf->vals[pos] = v;
+      leaf->vals[pos] = std::move(v);
       return;
     }
     if (leaf->count == kLeafCap) {
       // Split: upper half moves to a fresh right sibling.
       Leaf* right = AllocLeaf();
       constexpr int kHalf = kLeafCap / 2;
-      std::memcpy(right->keys, leaf->keys + kHalf, kHalf * sizeof(uint32_t));
+      std::memcpy(right->keys, leaf->keys + kHalf, kHalf * sizeof(Key));
       for (int i = 0; i < kHalf; ++i) {
-        right->vals[i] = leaf->vals[kHalf + i];
+        right->vals[i] = std::move(leaf->vals[kHalf + i]);
+        leaf->vals[kHalf + i] = Value();
       }
       right->count = kHalf;
       leaf->count = kHalf;
@@ -181,13 +196,12 @@ class BtreeMap {
         pos -= kHalf;
       }
     }
-    std::memmove(leaf->keys + pos + 1, leaf->keys + pos,
-                 (leaf->count - pos) * sizeof(uint32_t));
+    std::memmove(leaf->keys + pos + 1, leaf->keys + pos, (leaf->count - pos) * sizeof(Key));
     for (int i = leaf->count; i > pos; --i) {
-      leaf->vals[i] = leaf->vals[i - 1];
+      leaf->vals[i] = std::move(leaf->vals[i - 1]);
     }
     leaf->keys[pos] = k;
-    leaf->vals[pos] = v;
+    leaf->vals[pos] = std::move(v);
     ++leaf->count;
     ++size_;
   }
@@ -196,12 +210,12 @@ class BtreeMap {
   iterator erase(iterator it) {
     Leaf* leaf = it.leaf_;
     int pos = it.slot_;
-    uint32_t key = leaf->keys[pos];
-    std::memmove(leaf->keys + pos, leaf->keys + pos + 1,
-                 (leaf->count - pos - 1) * sizeof(uint32_t));
+    Key key = leaf->keys[pos];
+    std::memmove(leaf->keys + pos, leaf->keys + pos + 1, (leaf->count - pos - 1) * sizeof(Key));
     for (int i = pos; i < leaf->count - 1; ++i) {
-      leaf->vals[i] = leaf->vals[i + 1];
+      leaf->vals[i] = std::move(leaf->vals[i + 1]);
     }
+    leaf->vals[leaf->count - 1] = Value();
     --leaf->count;
     --size_;
     if (leaf->count > 0) {
@@ -269,7 +283,7 @@ class BtreeMap {
   // Walks from the root to the leaf whose range contains k. When `path` /
   // `slot` are non-null they receive the inner nodes visited and the child
   // slot taken at each, indexed top-down (path[0] = root).
-  Leaf* Descend(uint32_t k, Inner** path, int* slot) const {
+  Leaf* Descend(Key k, Inner** path, int* slot) const {
     void* node = root_;
     for (int h = 0; h < height_; ++h) {
       Inner* in = static_cast<Inner*>(node);
@@ -288,12 +302,12 @@ class BtreeMap {
 
   // Inserts (sep, child) just right of the slot recorded at each level,
   // splitting full inner nodes on the way up.
-  void InsertChildUp(Inner** path, int* slot, uint32_t sep, void* child) {
+  void InsertChildUp(Inner** path, int* slot, Key sep, void* child) {
     for (int h = height_ - 1; h >= 0; --h) {
       Inner* p = path[h];
       int j = slot[h];
       if (p->count < kInnerCap) {
-        std::memmove(p->sep + j + 1, p->sep + j, (p->count - 1 - j) * sizeof(uint32_t));
+        std::memmove(p->sep + j + 1, p->sep + j, (p->count - 1 - j) * sizeof(Key));
         std::memmove(p->child + j + 2, p->child + j + 1,
                      (p->count - 1 - j) * sizeof(void*));
         p->sep[j] = sep;
@@ -305,8 +319,8 @@ class BtreeMap {
       // separator moves up.
       Inner* right = AllocInner();
       constexpr int kHalf = kInnerCap / 2;
-      uint32_t promoted = p->sep[kHalf - 1];
-      std::memcpy(right->sep, p->sep + kHalf, (kHalf - 1) * sizeof(uint32_t));
+      Key promoted = p->sep[kHalf - 1];
+      std::memcpy(right->sep, p->sep + kHalf, (kHalf - 1) * sizeof(Key));
       std::memcpy(right->child, p->child + kHalf, kHalf * sizeof(void*));
       right->count = kHalf;
       p->count = kHalf;
@@ -315,8 +329,7 @@ class BtreeMap {
         target = right;
         j -= kHalf;
       }
-      std::memmove(target->sep + j + 1, target->sep + j,
-                   (target->count - 1 - j) * sizeof(uint32_t));
+      std::memmove(target->sep + j + 1, target->sep + j, (target->count - 1 - j) * sizeof(Key));
       std::memmove(target->child + j + 2, target->child + j + 1,
                    (target->count - 1 - j) * sizeof(void*));
       target->sep[j] = sep;
@@ -340,7 +353,7 @@ class BtreeMap {
   void RemoveChild(Inner* p, int j) {
     if (p->count >= 2) {
       int s = j > 0 ? j - 1 : 0;  // separator to drop alongside the child
-      std::memmove(p->sep + s, p->sep + s + 1, (p->count - 2 - s) * sizeof(uint32_t));
+      std::memmove(p->sep + s, p->sep + s + 1, (p->count - 2 - s) * sizeof(Key));
     }
     std::memmove(p->child + j, p->child + j + 1, (p->count - 1 - j) * sizeof(void*));
     --p->count;

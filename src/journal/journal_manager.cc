@@ -97,7 +97,8 @@ uint64_t JournalManager::PendingRecords() const {
 uint64_t JournalManager::IndexSegments() const {
   uint64_t total = 0;
   for (const auto& [chunk, index] : indexes_) {
-    total += index.QueryMapped(0, index::kMaxOffset).size();
+    index.QueryMappedTo(0, index::kMaxOffset, &scratch_segments_);
+    total += scratch_segments_.size();
   }
   return total;
 }
@@ -402,7 +403,17 @@ std::vector<index::Segment> JournalManager::IndexSnapshot(storage::ChunkId chunk
   if (it == indexes_.end()) {
     return {};
   }
-  return it->second.QueryMapped(0, index::kMaxOffset);
+  it->second.QueryMappedTo(0, index::kMaxOffset, &scratch_segments_);
+  return std::vector<index::Segment>(scratch_segments_.begin(), scratch_segments_.end());
+}
+
+bool JournalManager::HasIndexedData(storage::ChunkId chunk) const {
+  auto it = indexes_.find(chunk);
+  if (it == indexes_.end() || (it->second.tree_size() == 0 && it->second.array_size() == 0)) {
+    return false;
+  }
+  it->second.QueryMappedTo(0, index::kMaxOffset, &scratch_segments_);
+  return !scratch_segments_.empty();
 }
 
 void JournalManager::Kick() {

@@ -149,6 +149,9 @@ class JournalManager {
 
   // Live journal-index mappings for `chunk` (whole-chunk query).
   std::vector<index::Segment> IndexSnapshot(storage::ChunkId chunk) const;
+  // Whether `chunk` has any live journal-index mapping, i.e. records still
+  // to replay (IndexSnapshot(chunk) is non-empty) — without building a copy.
+  bool HasIndexedData(storage::ChunkId chunk) const;
 
  private:
   // Each journal occupies a disjoint 64 GiB window of the index's 30-bit
@@ -219,6 +222,9 @@ class JournalManager {
   obs::Counter* corruptions_repaired_;
   obs::Counter* torn_tail_bytes_;
   mutable JournalStats stats_cache_;
+  // Reused result buffer for the whole-index queries behind IndexSegments
+  // and HasIndexedData, so the gauge pollers do not allocate.
+  mutable index::SegmentVec scratch_segments_;
 
   CorruptionHandler corruption_handler_;
   std::map<storage::ChunkId, std::vector<std::pair<uint64_t, uint64_t>>> quarantine_;

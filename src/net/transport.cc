@@ -192,12 +192,10 @@ void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventF
 
   if (from == to) {
     // Loopback: no NIC occupancy, just a scheduler hop.
-    sim_->After(usec(2) + chaos_delay,
-                [this, &dst, wire_bytes, deliver = std::move(deliver)]() mutable {
-                  dst.bytes_in += wire_bytes;
-                  ++messages_delivered_;
-                  deliver();
-                });
+    uint32_t id = AcquireInFlight(to, wire_bytes, std::move(deliver));
+    auto loopback = [this, id]() { Deliver(id); };
+    static_assert(sizeof(loopback) <= InlineFn::kInlineBytes);
+    sim_->After(usec(2) + chaos_delay, loopback);
     return;
   }
 
@@ -231,27 +229,70 @@ void Transport::Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extr
   size_t tx_nic = flow_hash % src.egress.size();
   size_t rx_nic = flow_hash % dst.ingress.size();
 
-  src.egress[tx_nic]->Submit(
-      tx_time, [this, to, wire_bytes, rx_time, rx_nic, propagation,
-                deliver = std::move(deliver)]() mutable {
-        sim_->After(propagation, [this, to, wire_bytes, rx_time, rx_nic,
-                                  deliver = std::move(deliver)]() mutable {
-          Node& dst2 = *nodes_[to];
-          if (dst2.down) {
-            return;  // destination died while in flight
-          }
-          dst2.ingress[rx_nic]->Submit(rx_time, [this, to, wire_bytes,
-                                                 deliver = std::move(deliver)]() mutable {
-            Node& dst3 = *nodes_[to];
-            if (dst3.down) {
-              return;
-            }
-            dst3.bytes_in += wire_bytes;
-            ++messages_delivered_;
-            deliver();
-          });
-        });
-      });
+  uint32_t id = AcquireInFlight(to, wire_bytes, std::move(deliver));
+  InFlight& msg = in_flight_[id];
+  msg.rx_time = rx_time;
+  msg.rx_nic = rx_nic;
+  msg.propagation = propagation;
+  auto egress_done = [this, id]() { Propagate(id); };
+  static_assert(sizeof(egress_done) <= InlineFn::kInlineBytes);
+  src.egress[tx_nic]->Submit(tx_time, egress_done);
+}
+
+void Transport::Propagate(uint32_t id) {
+  auto arrived = [this, id]() { Arrive(id); };
+  static_assert(sizeof(arrived) <= InlineFn::kInlineBytes);
+  sim_->After(in_flight_[id].propagation, arrived);
+}
+
+void Transport::Arrive(uint32_t id) {
+  const InFlight& msg = in_flight_[id];
+  Node& dst = *nodes_[msg.to];
+  if (dst.down) {
+    ReleaseInFlight(id);  // destination died while in flight
+    return;
+  }
+  auto ingress_done = [this, id]() { IngressDone(id); };
+  static_assert(sizeof(ingress_done) <= InlineFn::kInlineBytes);
+  dst.ingress[msg.rx_nic]->Submit(msg.rx_time, ingress_done);
+}
+
+void Transport::IngressDone(uint32_t id) {
+  if (nodes_[in_flight_[id].to]->down) {
+    ReleaseInFlight(id);
+    return;
+  }
+  Deliver(id);
+}
+
+void Transport::Deliver(uint32_t id) {
+  InFlight& msg = in_flight_[id];
+  nodes_[msg.to]->bytes_in += msg.wire_bytes;
+  ++messages_delivered_;
+  sim::EventFn deliver = std::move(msg.deliver);
+  ReleaseInFlight(id);
+  deliver();
+}
+
+uint32_t Transport::AcquireInFlight(NodeId to, uint64_t wire_bytes, sim::EventFn deliver) {
+  uint32_t id;
+  if (!free_in_flight_.empty()) {
+    id = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  } else {
+    id = static_cast<uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  }
+  InFlight& msg = in_flight_[id];
+  msg.to = to;
+  msg.wire_bytes = wire_bytes;
+  msg.deliver = std::move(deliver);
+  return id;
+}
+
+void Transport::ReleaseInFlight(uint32_t id) {
+  in_flight_[id].deliver = nullptr;
+  free_in_flight_.push_back(id);
 }
 
 }  // namespace ursa::net

@@ -127,6 +127,9 @@ class Transport {
   uint64_t bytes_in(NodeId node) const { return nodes_[node]->bytes_in; }
   uint64_t bytes_out(NodeId node) const { return nodes_[node]->bytes_out; }
   uint64_t messages_delivered() const { return messages_delivered_; }
+  // Messages sent but not yet delivered or dropped in flight (pooled
+  // in-flight records in use).
+  size_t messages_in_flight() const { return in_flight_.size() - free_in_flight_.size(); }
   size_t num_nodes() const { return nodes_.size(); }
 
   double nic_bw(NodeId node) const { return nodes_[node]->params.nic_bw; }
@@ -157,16 +160,39 @@ class Transport {
     std::vector<sim::EventFn> delivers;
   };
 
+  // Per-message state while a message crosses the NICs, pooled so each hop's
+  // event captures only (this, id) and stays inside InlineFn's buffer.
+  struct InFlight {
+    NodeId to = 0;
+    uint64_t wire_bytes = 0;
+    Nanos rx_time = 0;
+    size_t rx_nic = 0;
+    Nanos propagation = 0;
+    sim::EventFn deliver;
+  };
+
+  uint32_t AcquireInFlight(NodeId to, uint64_t wire_bytes, sim::EventFn deliver);
+  void ReleaseInFlight(uint32_t id);
+
   // The NIC-and-propagation delivery path shared by the original message and
   // chaos duplicates. `extra_propagation` is the chaos delay for this copy.
   void Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extra_propagation,
                 sim::EventFn deliver);
+  // Transmit's stages: egress done -> propagation done -> ingress done.
+  void Propagate(uint32_t id);
+  void Arrive(uint32_t id);
+  void IngressDone(uint32_t id);
+  // Counts the message in at its destination, frees its record and runs
+  // its deliver closure.
+  void Deliver(uint32_t id);
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::pair<NodeId, NodeId>> broken_links_;
   std::map<std::pair<NodeId, NodeId>, LinkChaosRule> chaos_rules_;
   std::map<std::pair<NodeId, NodeId>, PendingBatch> pending_batches_;
+  std::vector<InFlight> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
   uint64_t coalesced_batches_ = 0;   // flushes that carried > 1 message
   uint64_t coalesced_messages_ = 0;  // messages that rode an existing batch
   Rng* chaos_rng_ = nullptr;

@@ -1,5 +1,6 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -17,7 +18,8 @@ EventId EventQueue::Schedule(Nanos when, EventFn fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  heap_.push(Entry{when, next_seq_++, slot, s.gen});
+  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), EntryGreater());
   ++live_;
   return MakeId(slot, s.gen);
 }
@@ -36,32 +38,46 @@ bool EventQueue::Cancel(EventId id) {
   slots_[slot].fn = nullptr;  // release captures now
   Retire(slot);
   --live_;
+  MaybeCompact();
   return true;
 }
 
+void EventQueue::MaybeCompact() {
+  if (heap_.size() - live_ <= live_ + kCompactSlack) {
+    return;
+  }
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const Entry& e) { return !Live(e); }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), EntryGreater());
+}
+
 void EventQueue::SkipStale() const {
-  while (!heap_.empty() && !Live(heap_.top())) {
-    heap_.pop();
+  while (!heap_.empty() && !Live(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), EntryGreater());
+    heap_.pop_back();
   }
 }
 
 Nanos EventQueue::NextTime() const {
   SkipStale();
   URSA_CHECK(!heap_.empty());
-  return heap_.top().when;
+  return heap_.front().when;
 }
 
 EventFn EventQueue::PopNext(Nanos* when) {
   SkipStale();
   URSA_CHECK(!heap_.empty());
-  const Entry& top = heap_.top();
+  const Entry& top = heap_.front();
   *when = top.when;
   uint32_t slot = top.slot;
   EventFn fn = std::move(slots_[slot].fn);
   slots_[slot].fn = nullptr;
   Retire(slot);
   --live_;
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), EntryGreater());
+  heap_.pop_back();
+  MaybeCompact();
   return fn;
 }
 

@@ -4,19 +4,27 @@
 // increasing sequence number breaks ties), which keeps runs deterministic.
 //
 // Hot-path design:
-//   * EventFn is an InlineFn — closures live inside the queue's slot array,
-//     no per-event heap allocation (std::function would allocate for nearly
-//     every capture on this path);
+//   * EventFn is an InlineFn — a closure of up to InlineFn::kInlineBytes
+//     lives inside the queue's slot array; a larger capture spills to one
+//     heap cell, so hot-path call sites keep their captures small (the
+//     closures in resource.cc and transport.cc static_assert it);
 //   * cancellation uses generation-tagged slots instead of a side
 //     unordered_set: an EventId is (slot << 32) | generation, Cancel bumps
 //     the slot's generation (freeing the closure immediately), and stale heap
 //     entries are skipped when they surface — the heap holds 24-byte PODs, so
-//     sift operations are trivial copies and tombstones cost nothing to drop.
+//     sift operations are trivial copies;
+//   * tombstones do not pile up: RPC timeouts are armed far in the future and
+//     almost always cancelled, so their entries would never surface. Once
+//     dead entries outnumber live ones by more than kCompactSlack (checked
+//     after every cancel and pop), the heap is rebuilt from the live entries
+//     (filter + make_heap: O(n), paid for by the >= n/2 cancels that made
+//     the dead entries, so amortised O(1) per cancel). The (when, seq) key
+//     is unique, so the pop order — and every simulated result — does not
+//     depend on heap layout.
 #ifndef URSA_SIM_EVENT_QUEUE_H_
 #define URSA_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/common/inline_fn.h"
@@ -49,6 +57,12 @@ class EventQueue {
   // Pops the earliest live event; sets *when to its timestamp.
   // Only valid when !empty().
   EventFn PopNext(Nanos* when);
+
+  // Entries in the heap, cancelled ones not yet dropped included. Stays
+  // within 2 * size() + kCompactSlack.
+  size_t heap_entries() const { return heap_.size(); }
+
+  static constexpr size_t kCompactSlack = 64;
 
  private:
   // POD heap entry: the closure stays put in slots_, so heap sifts move
@@ -83,13 +97,17 @@ class EventQueue {
   // Drops tombstoned entries sitting at the heap head.
   void SkipStale() const;
 
+  // Rebuilds the heap from its live entries once dead ones outnumber them
+  // by more than kCompactSlack.
+  void MaybeCompact();
+
   // Retires slot `slot` (generation bump + free-list push). The caller is
   // responsible for the closure and the live count.
   void Retire(uint32_t slot);
 
   uint64_t next_seq_ = 0;
   size_t live_ = 0;
-  mutable std::priority_queue<Entry, std::vector<Entry>, EntryGreater> heap_;
+  mutable std::vector<Entry> heap_;  // binary min-heap under EntryGreater
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 };

@@ -1,5 +1,6 @@
 #include "src/sim/resource.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -19,18 +20,35 @@ void Resource::Submit(Nanos service_time, EventFn done) {
 }
 
 void Resource::StartNext() {
-  while (busy_ < servers_ && !queue_.empty()) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
+  while (busy_ < servers_ && head_ < queue_.size()) {
+    Job& job = queue_[head_++];
+    uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      in_service_[slot] = std::move(job.done);
+    } else {
+      slot = static_cast<uint32_t>(in_service_.size());
+      in_service_.push_back(std::move(job.done));
+    }
     ++busy_;
     busy_time_ += job.service_time;
-    Nanos service_time = job.service_time;
-    sim_->After(service_time,
-                [this, done = std::move(job.done)]() mutable { FinishJob(0, std::move(done)); });
+    auto complete = [this, slot]() { FinishJob(slot); };
+    static_assert(sizeof(complete) <= InlineFn::kInlineBytes);
+    sim_->After(job.service_time, complete);
+  }
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+  } else if (head_ >= 64 && head_ * 2 >= queue_.size()) {
+    queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 
-void Resource::FinishJob(Nanos /*service_time*/, EventFn done) {
+void Resource::FinishJob(uint32_t slot) {
+  EventFn done = std::move(in_service_[slot]);
+  free_slots_.push_back(slot);
   --busy_;
   ++completed_jobs_;
   // Start successors before running the completion so the resource never

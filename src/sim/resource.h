@@ -5,13 +5,16 @@
 // channel group. Jobs acquire a server for a fixed service time and run a
 // completion callback when done. Utilization feeds the Fig. 7 efficiency
 // numbers (IOPS per core = throughput / busy-cores).
+//
+// Submit and completion allocate nothing once warmed: waiting jobs sit in a
+// vector queue, and an in-service job's callback moves to a pooled slot, so
+// the completion event captures only (this, slot).
 #ifndef URSA_SIM_RESOURCE_H_
 #define URSA_SIM_RESOURCE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
@@ -28,7 +31,7 @@ class Resource {
 
   int servers() const { return servers_; }
   int busy() const { return busy_; }
-  size_t queue_depth() const { return queue_.size(); }
+  size_t queue_depth() const { return queue_.size() - head_; }
   const std::string& name() const { return name_; }
 
   // Total busy server-time accumulated since construction (or ResetStats).
@@ -47,13 +50,19 @@ class Resource {
   };
 
   void StartNext();
-  void FinishJob(Nanos service_time, EventFn done);
+  void FinishJob(uint32_t slot);
 
   Simulator* sim_;
   std::string name_;
   int servers_;
   int busy_ = 0;
-  std::deque<Job> queue_;
+  // FIFO of waiting jobs: queue_[head_, size) are pending; the consumed
+  // prefix is dropped once it dominates.
+  std::vector<Job> queue_;
+  size_t head_ = 0;
+  // Callbacks of in-service jobs (at most `servers_`), indexed by slot.
+  std::vector<EventFn> in_service_;
+  std::vector<uint32_t> free_slots_;
   Nanos busy_time_ = 0;
   uint64_t completed_jobs_ = 0;
   Nanos stats_epoch_ = 0;

@@ -7,7 +7,7 @@
 
 namespace ursa::storage {
 
-PageStore::Map::iterator PageStore::Erase(uint64_t start, uint64_t end) {
+void PageStore::Erase(uint64_t start, uint64_t end) {
   // First extent that ends past `start`: the predecessor of the first one
   // starting after `start` when it reaches into the range.
   auto it = extents_.upper_bound(start);
@@ -27,34 +27,56 @@ PageStore::Map::iterator PageStore::Erase(uint64_t start, uint64_t end) {
         Extent tail{ext.end, ext.bytes.Slice(end - s, ext.end - end)};
         ext.bytes = ext.bytes.Slice(0, start - s);
         ext.end = start;
-        return extents_.emplace_hint(std::next(it), end, std::move(tail));
+        extents_.Put(end, std::move(tail));
+        return;
       }
       ext.bytes = ext.bytes.Slice(0, start - s);
       ext.end = start;
       ++it;
     } else if (ext.end > end) {
-      // Keep the tail [end, ext.end), re-keying the node in place.
-      ext.bytes = ext.bytes.Slice(end - s, ext.end - end);
-      auto node = extents_.extract(it++);
-      node.key() = end;
-      return extents_.insert(it, std::move(node));
+      // Keep the tail [end, ext.end), re-keyed to start at `end`.
+      Extent tail{ext.end, ext.bytes.Slice(end - s, ext.end - end)};
+      extents_.erase(it);
+      extents_.Put(end, std::move(tail));
+      return;
     } else {
       it = extents_.erase(it);
     }
   }
-  return it;
+}
+
+void PageStore::Insert(uint64_t offset, BufferView data) {
+  if (!data.owned()) {
+    data = Buffer::CopyOf(data.data(), data.size()).View();
+  }
+  const uint64_t end = offset + data.size();
+  extents_.Put(offset, Extent{end, std::move(data)});
 }
 
 void PageStore::Write(uint64_t offset, BufferView data) {
   if (data.empty()) {
     return;
   }
-  if (!data.owned()) {
-    data = Buffer::CopyOf(data.data(), data.size()).View();
+  Erase(offset, offset + data.size());
+  Insert(offset, std::move(data));
+}
+
+void PageStore::WriteScatter(uint64_t offset, const std::vector<IoSegment>& segments) {
+  uint64_t end = offset;
+  for (const IoSegment& seg : segments) {
+    end += seg.length;
   }
-  const uint64_t end = offset + data.size();
-  auto hint = Erase(offset, end);
-  extents_.emplace_hint(hint, offset, Extent{end, std::move(data)});
+  if (end == offset) {
+    return;
+  }
+  Erase(offset, end);
+  for (const IoSegment& seg : segments) {
+    if (seg.data && seg.length > 0) {
+      URSA_CHECK_EQ(seg.data.size(), seg.length);
+      Insert(offset, seg.data);
+    }
+    offset += seg.length;
+  }
 }
 
 void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {

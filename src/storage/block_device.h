@@ -9,12 +9,12 @@
 #define URSA_STORAGE_BLOCK_DEVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/index/btree_map.h"
 #include "src/sim/simulator.h"
 #include "src/storage/io_request.h"
 
@@ -141,9 +141,11 @@ class BlockDevice {
 };
 
 // Sparse extent store backing devices that carry real data: an ordered map
-// of disjoint [start, end) extents, each a BufferView slice. A write erases
-// the range it covers (trimming or splitting the extents at its edges into
-// sub-slices) and inserts one extent. Owned views are shared, not copied, so
+// (a B+-tree keyed by start offset) of disjoint [start, end) extents, each a
+// BufferView slice. A write erases the range it covers (trimming or
+// splitting the extents at its edges into sub-slices) and inserts one
+// extent; a scatter write erases its whole range once and then inserts its
+// data segments in order. Owned views are shared, not copied, so
 // the primary, journal and replica devices that receive one payload keep a
 // single resident copy of it; un-owned (raw-pointer) payloads are copied into
 // a fresh Buffer. Stored bytes are never mutated in place — an overwrite
@@ -156,6 +158,9 @@ class PageStore {
   void Write(uint64_t offset, const void* data, uint64_t length) {
     Write(offset, BufferView::Unowned(data, length));
   }
+  // Stores the segments back to back from `offset`; a segment without data
+  // writes `length` zeros. A data segment's view must be `length` bytes.
+  void WriteScatter(uint64_t offset, const std::vector<IoSegment>& segments);
   void Read(uint64_t offset, void* out, uint64_t length) const;
   // The bytes at [offset, offset + length) as a view: a slice of the stored
   // bytes when one extent covers the range, else a fresh Buffer filled by
@@ -173,14 +178,15 @@ class PageStore {
 
  private:
   struct Extent {
-    uint64_t end;
+    uint64_t end = 0;
     BufferView bytes;  // bytes.size() == end - start
   };
-  using Map = std::map<uint64_t, Extent>;  // keyed by start
+  using Map = index::BtreeMap<Extent, uint64_t>;  // keyed by start
 
-  // Removes [start, end) from the map and returns the first extent at or
-  // past `end` (the insertion hint for an extent starting at `start`).
-  Map::iterator Erase(uint64_t start, uint64_t end);
+  // Removes [start, end) from the map.
+  void Erase(uint64_t start, uint64_t end);
+  // Inserts `data` at `offset` into a range Erase has just cleared.
+  void Insert(uint64_t offset, BufferView data);
 
   Map extents_;
 };
@@ -190,15 +196,7 @@ class PageStore {
 // every device model that carries real bytes.
 inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
   if (!req.scatter.empty()) {
-    uint64_t offset = req.offset;
-    for (const IoSegment& seg : req.scatter) {
-      if (seg.data) {
-        store.Write(offset, seg.data);
-      } else {
-        store.WriteZeros(offset, seg.length);
-      }
-      offset += seg.length;
-    }
+    store.WriteScatter(req.offset, req.scatter);
     return;
   }
   if (BufferView payload = req.payload()) {

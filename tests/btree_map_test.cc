@@ -5,8 +5,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "src/common/buffer.h"
 #include "src/index/btree_map.h"
 
 namespace ursa::index {
@@ -188,6 +190,83 @@ TEST(BtreeMapTest, RandomOpsAgainstModel) {
     }
     ExpectSameContents(t, m);
   }
+}
+
+TEST(BtreeMapTest, Uint64KeysAgainstModel) {
+  // The PageStore instantiation: byte offsets far above 2^32, with the same
+  // Put/erase/lower_bound/upper_bound mix checked against std::map.
+  BtreeMap<Val, uint64_t> t;
+  std::map<uint64_t, Val> m;
+  uint64_t state = 0x5EED;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (int step = 0; step < 30000; ++step) {
+    uint64_t k = (uint64_t{1} << 40) + (next() % 40000) * 4096;
+    uint64_t op = next() % 100;
+    if (op < 55) {
+      Val v{next()};
+      t.Put(k, v);
+      m[k] = v;
+    } else if (op < 85) {
+      auto tit = t.upper_bound(k);
+      auto mit = m.upper_bound(k);
+      if (mit == m.end()) {
+        ASSERT_EQ(tit, t.end()) << "step " << step;
+      } else {
+        ASSERT_NE(tit, t.end()) << "step " << step;
+        ASSERT_EQ(tit->first, mit->first) << "step " << step;
+        t.erase(tit);
+        m.erase(mit);
+      }
+    } else {
+      auto tit = t.lower_bound(k);
+      auto mit = m.lower_bound(k);
+      if (mit == m.end()) {
+        ASSERT_EQ(tit, t.end()) << "step " << step;
+      } else {
+        ASSERT_NE(tit, t.end()) << "step " << step;
+        ASSERT_EQ(tit->first, mit->first) << "step " << step;
+        ASSERT_EQ(tit->second, mit->second) << "step " << step;
+      }
+    }
+    ASSERT_EQ(t.size(), m.size()) << "step " << step;
+  }
+  ASSERT_EQ(t.size(), m.size());
+  auto mit = m.begin();
+  for (auto it = t.begin(); it != t.end(); ++it, ++mit) {
+    ASSERT_EQ(it->first, mit->first);
+    ASSERT_EQ(it->second, mit->second);
+  }
+}
+
+TEST(BtreeMapTest, ErasedValueReleasesItsBuffer) {
+  // An erased extent must not pin its payload: the vacated slot is reset,
+  // not left holding a moved-from copy. Enough keys to split leaves, so the
+  // erase shifts values within a leaf.
+  BtreeMap<BufferView, uint64_t> t;
+  Buffer payload = Buffer::AllocateZeroed(64);
+  const long base = payload.use_count();
+  for (uint64_t k = 0; k < 100; ++k) {
+    t.Put(k * 10, payload.View());
+  }
+  EXPECT_EQ(payload.use_count(), base + 100);
+  t.erase(t.lower_bound(420));
+  EXPECT_EQ(payload.use_count(), base + 99);
+  for (auto it = t.begin(); it != t.end();) {
+    it = t.erase(it);
+  }
+  EXPECT_EQ(payload.use_count(), base);
+  // Overwrite and in-leaf shift paths hold exactly one reference too.
+  for (uint64_t k = 0; k < 100; ++k) {
+    t.Put(k * 10, BufferView());
+  }
+  t.Put(425, payload.View());
+  t.Put(421, BufferView());  // shifts the held value right within its leaf
+  EXPECT_EQ(payload.use_count(), base + 1);
+  t.Put(425, BufferView());
+  EXPECT_EQ(payload.use_count(), base);
 }
 
 }  // namespace

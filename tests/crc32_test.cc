@@ -138,6 +138,57 @@ TEST(Crc32cTest, RandomBuffersAgreeAcrossImpls) {
   }
 }
 
+// The hardware kernel splits long inputs into three interleaved streams of
+// 8 KiB blocks, then of 256-byte blocks, then finishes serially. Every length
+// up to three long blocks plus a tail, at every start alignment, must match
+// the byte-at-a-time reference (built as a running prefix, so the sweep stays
+// linear in reference work) and slicing-by-8.
+TEST(Crc32cTest, ThreeWayKernelMatchesReferenceAtEveryLength) {
+  if (!Crc32cImplAvailable(Crc32cImpl::kHardware)) {
+    GTEST_SKIP() << "no SSE4.2";
+  }
+  constexpr size_t kMaxLen = 3 * 8192 + 64;
+  Rng rng(0x3AA7);
+  std::vector<uint8_t> raw(kMaxLen + 8);
+  for (auto& b : raw) {
+    b = static_cast<uint8_t>(rng.Uniform(256));
+  }
+  std::vector<uint32_t> prefix(kMaxLen + 1);
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = raw.data() + align;
+    prefix[0] = 0;
+    for (size_t len = 1; len <= kMaxLen; ++len) {
+      prefix[len] = Crc32cWith(Crc32cImpl::kTable, p + len - 1, 1, prefix[len - 1]);
+    }
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32cWith(Crc32cImpl::kHardware, p, len), prefix[len])
+          << "len=" << len << " align=" << align;
+    }
+    // Slicing-by-8 one-shot at a stride (it is the slow side of this sweep).
+    for (size_t len = align; len <= kMaxLen; len += 61) {
+      ASSERT_EQ(Crc32cWith(Crc32cImpl::kSlice8, p, len), prefix[len])
+          << "len=" << len << " align=" << align;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainingAcrossThreeWayBlockBoundaries) {
+  constexpr size_t kLen = 3 * 8192 + 3 * 256 + 77;
+  Rng rng(0xB10C);
+  std::vector<uint8_t> buf(kLen);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.Uniform(256));
+  }
+  const uint32_t whole = Crc32cWith(Crc32cImpl::kTable, buf.data(), buf.size());
+  for (size_t edge : {size_t{256}, size_t{768}, size_t{8192}, size_t{3 * 8192},
+                      size_t{3 * 8192 + 768}}) {
+    for (size_t split = edge - 9; split <= edge + 9; ++split) {
+      uint32_t head = Crc32c(buf.data(), split);
+      EXPECT_EQ(Crc32c(buf.data() + split, kLen - split, head), whole) << "split=" << split;
+    }
+  }
+}
+
 // With URSA_FORCE_PORTABLE_KERNELS set, the dispatcher must skip the SSE4.2
 // tier and report it unavailable; without it, whatever was picked must be
 // available. CI runs this binary both ways to cover both branches.

@@ -3,6 +3,7 @@
 // (PendingCall timeouts, QuorumTracker commit rules).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/net/message.h"
@@ -122,6 +123,38 @@ TEST(TransportTest, DownNodeDropsMessages) {
   net.Send(a, b, 100, [&]() { delivered = true; });
   sim.RunToCompletion();
   EXPECT_TRUE(delivered);
+}
+
+TEST(TransportTest, MessageToNodeThatGoesDownInFlightFreesItsRecord) {
+  // A message whose destination dies while it is on the wire (egress and
+  // propagation stages) or in the destination's NIC (ingress stage) is
+  // dropped, and its pooled in-flight record and deliver closure go with it.
+  NetParams params;
+  const uint64_t wire = (1u << 20) + params.overhead_bytes;
+  const Nanos ser = TransferTime(wire, params.nic_bw);
+  for (Nanos down_at : {ser / 2, ser + params.propagation / 2, ser + params.propagation + ser / 2}) {
+    sim::Simulator sim;
+    Transport net(&sim);
+    NodeId a = net.AddNode("a", params);
+    NodeId b = net.AddNode("b", params);
+    auto token = std::make_shared<int>(0);
+    bool delivered = false;
+    net.Send(a, b, 1u << 20, [token, &delivered]() { delivered = true; });
+    EXPECT_EQ(net.messages_in_flight(), 1u);
+    EXPECT_EQ(token.use_count(), 2);
+    sim.RunUntil(down_at);
+    net.SetNodeDown(b, true);
+    sim.RunToCompletion();
+    EXPECT_FALSE(delivered) << "down_at=" << down_at;
+    EXPECT_EQ(net.messages_in_flight(), 0u) << "down_at=" << down_at;
+    EXPECT_EQ(token.use_count(), 1) << "down_at=" << down_at;
+    // The freed record is reused by the next message, which arrives.
+    net.SetNodeDown(b, false);
+    net.Send(a, b, 100, [&delivered]() { delivered = true; });
+    sim.RunToCompletion();
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(net.messages_in_flight(), 0u);
+  }
 }
 
 TEST(TransportTest, BrokenLinkIsBidirectional) {

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -135,6 +136,84 @@ TEST(EventQueueTest, CancelRescheduleStress) {
     EXPECT_TRUE(fired.count(payload)) << "live event " << payload << " lost";
   }
   EXPECT_EQ(fired.size(), expected_fired.size() + live.size());
+}
+
+TEST(EventQueueTest, CancelledTimeoutsDoNotAccumulate) {
+  // The RPC pattern: every request arms a timeout far beyond anything else in
+  // the queue and cancels it on reply, so cancelled entries would never reach
+  // the heap head. Fire order must still follow the (when, seq) reference,
+  // and the heap must stay within 2 * live + slack entries throughout.
+  EventQueue q;
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  struct Pending {
+    EventId id;
+    Nanos when;
+    uint64_t seq;
+  };
+  std::map<uint64_t, Pending> live;             // payload -> event
+  std::set<std::pair<Nanos, uint64_t>> order;  // (when, seq) of live events
+  std::map<uint64_t, uint64_t> payload_of_seq;
+  std::vector<uint64_t> timeouts;               // payloads of armed timeouts
+  uint64_t seq = 0;
+  uint64_t fired_payload = 0;
+  Nanos now = 0;
+
+  auto schedule = [&](Nanos when) {
+    uint64_t payload = seq;
+    EventId id = q.Schedule(when, [payload, &fired_payload]() { fired_payload = payload; });
+    live[payload] = Pending{id, when, seq};
+    order.insert({when, seq});
+    payload_of_seq[seq] = payload;
+    ++seq;
+    return payload;
+  };
+  for (int step = 0; step < 60000; ++step) {
+    uint64_t r = next() % 100;
+    if (r < 40) {
+      // A request: a short completion plus a long-lived timeout.
+      schedule(now + static_cast<Nanos>(next() % 50));
+      timeouts.push_back(schedule(now + 800'000'000 + static_cast<Nanos>(next() % 1000)));
+    } else if (r < 75 && !timeouts.empty()) {
+      // A reply: cancel a pseudo-random armed timeout (mostly recent ones).
+      size_t back = std::min<size_t>(timeouts.size() - 1, next() % 8);
+      size_t idx = timeouts.size() - 1 - back;
+      uint64_t payload = timeouts[idx];
+      timeouts.erase(timeouts.begin() + static_cast<long>(idx));
+      auto it = live.find(payload);
+      if (it != live.end()) {
+        EXPECT_TRUE(q.Cancel(it->second.id));
+        order.erase({it->second.when, it->second.seq});
+        live.erase(it);
+      }
+    } else if (!q.empty() && order.begin()->first < now + 1000) {
+      // Fire the head; it must be the (when, seq) minimum of the reference.
+      Nanos when = 0;
+      q.PopNext(&when)();
+      auto head = *order.begin();
+      ASSERT_EQ(when, head.first);
+      ASSERT_EQ(fired_payload, payload_of_seq[head.second]) << "step " << step;
+      order.erase(order.begin());
+      live.erase(fired_payload);
+      now = when;
+    } else {
+      now += 10;
+    }
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_LE(q.heap_entries(), 2 * q.size() + EventQueue::kCompactSlack) << "step " << step;
+  }
+  while (!q.empty()) {
+    Nanos when = 0;
+    q.PopNext(&when)();
+    auto head = *order.begin();
+    ASSERT_EQ(when, head.first);
+    ASSERT_EQ(fired_payload, payload_of_seq[head.second]);
+    order.erase(order.begin());
+  }
+  EXPECT_TRUE(order.empty());
 }
 
 TEST(SimulatorTest, ClockAdvances) {
