@@ -15,6 +15,9 @@
 //   5. PageStore, the extent store behind every device that carries bytes:
 //      shared 4 KiB and 1 MiB writes, 4 KiB reads across split extents, and
 //      journal-ring-style scatter appends that wrap and overwrite.
+//   6. The client hot path end to end: closed-loop 4 KiB writes, then reads,
+//      at queue depth 16 through a VirtualDisk on a 3-machine hybrid
+//      TestBed — simulated client ops completed per wall-clock second.
 //
 // Emits BENCH_hotpath.json (or the --metrics-json=<path> override) for the
 // CI bench-smoke regression gate.
@@ -23,13 +26,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/client/virtual_disk.h"
 #include "src/common/buffer.h"
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/core/metrics.h"
+#include "src/core/params.h"
+#include "src/core/system.h"
 #include "src/index/range_index.h"
 #include "src/sim/event_queue.h"
 #include "src/storage/block_device.h"
@@ -356,6 +363,57 @@ PageStoreResult BenchPageStore() {
   return {write4k, write1m, read4k, ring_rate};
 }
 
+// ---- 6. VirtualDisk client ----
+
+struct VdiskResult {
+  double write4k_per_s;
+  double read4k_per_s;
+};
+
+VdiskResult BenchVdisk() {
+  constexpr int kQueueDepth = 16;
+  constexpr int kOps = 60000;
+  constexpr uint64_t kDiskSize = 1ull << 30;
+  core::TestBed bed(core::UrsaHybridProfile(3));
+  client::VirtualDisk* disk = bed.NewDisk(kDiskSize);
+  Buffer payload = Buffer::CopyOf(std::vector<uint8_t>(4096, 0x5A).data(), 4096);
+  std::vector<std::vector<uint8_t>> read_bufs(kQueueDepth, std::vector<uint8_t>(4096));
+  Rng rng(13);
+
+  // Keeps kQueueDepth ops in flight until kOps completed; returns ops per
+  // wall-clock second.
+  auto closed_loop = [&](bool write) {
+    int issued = 0;
+    int completed = 0;
+    std::function<void(int)> issue = [&](int slot) {
+      ++issued;
+      uint64_t offset = rng.Uniform(kDiskSize / 4096) * 4096;
+      auto done = [&, slot](const Status&) {
+        ++completed;
+        if (issued < kOps) {
+          issue(slot);
+        }
+      };
+      if (write) {
+        disk->Write(offset, 4096, payload.View(), done);
+      } else {
+        disk->Read(offset, 4096, read_bufs[slot].data(), done);
+      }
+    };
+    auto t0 = Clock::now();
+    for (int slot = 0; slot < kQueueDepth; ++slot) {
+      issue(slot);
+    }
+    while (completed < kOps) {
+      bed.sim().RunUntil(bed.sim().Now() + msec(10));
+    }
+    return kOps / Seconds(t0, Clock::now());
+  };
+  double write4k = closed_loop(true);
+  double read4k = closed_loop(false);
+  return {write4k, read4k};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -415,6 +473,13 @@ int main(int argc, char** argv) {
   ps_table.AddRow({"read 4KiB (split extents)", core::Table::Int(ps.read4k_per_s)});
   ps_table.AddRow({"ring append (scatter)", core::Table::Int(ps.ring_per_s)});
   ps_table.Print();
+  std::printf("\n");
+
+  VdiskResult vd = BenchVdisk();
+  core::Table vd_table({"VirtualDisk 4KiB, qd16", "ops/s"});
+  vd_table.AddRow({"write", core::Table::Int(vd.write4k_per_s)});
+  vd_table.AddRow({"read", core::Table::Int(vd.read4k_per_s)});
+  vd_table.Print();
 
   std::string json_path = core::MetricsJsonPath(argc, argv);
   if (json_path.empty()) {
@@ -440,7 +505,9 @@ int main(int argc, char** argv) {
      << ",\"page_store_write4k_per_s\":" << ps.write4k_per_s
      << ",\"page_store_write1m_per_s\":" << ps.write1m_per_s
      << ",\"page_store_read4k_per_s\":" << ps.read4k_per_s
-     << ",\"page_store_ring_per_s\":" << ps.ring_per_s << "}\n";
+     << ",\"page_store_ring_per_s\":" << ps.ring_per_s
+     << ",\"vdisk_write4k_per_s\":" << vd.write4k_per_s
+     << ",\"vdisk_read4k_per_s\":" << vd.read4k_per_s << "}\n";
   std::printf("\nmetrics written to %s\n", json_path.c_str());
   return 0;
 }

@@ -14,8 +14,6 @@ using cluster::ChunkLayout;
 using cluster::ChunkServer;
 using cluster::ReplicaRef;
 using net::MessageType;
-using net::PendingCall;
-using net::QuorumTracker;
 using net::WireBytes;
 using storage::ChunkId;
 
@@ -157,8 +155,8 @@ void VirtualDisk::RefreshLayout() {
   }
 }
 
-std::vector<VirtualDisk::SubRequest> VirtualDisk::SplitRequest(uint64_t offset,
-                                                               uint64_t length) const {
+void VirtualDisk::SplitRequest(uint64_t offset, uint64_t length,
+                               std::vector<SubRequest>* subs) const {
   URSA_CHECK_EQ(offset % journal::kSector, 0u);
   URSA_CHECK_EQ(length % journal::kSector, 0u);
   URSA_CHECK_GT(length, 0u);
@@ -169,7 +167,7 @@ std::vector<VirtualDisk::SubRequest> VirtualDisk::SplitRequest(uint64_t offset,
   uint64_t c = meta_.chunk_size;
   uint64_t group_span = g * c;
 
-  std::vector<SubRequest> subs;
+  const size_t first = subs->size();
   uint64_t pos = offset;
   uint64_t remaining = length;
   while (remaining > 0) {
@@ -182,144 +180,228 @@ std::vector<VirtualDisk::SubRequest> VirtualDisk::SplitRequest(uint64_t offset,
     uint64_t run = std::min(remaining, u - in_unit);
     URSA_CHECK_LT(chunk_index, meta_.chunks.size());
 
-    if (!subs.empty() && subs.back().chunk_index == chunk_index &&
-        subs.back().chunk_offset + subs.back().length == chunk_off) {
-      subs.back().length += run;  // contiguous in the same chunk: merge
+    if (subs->size() > first && subs->back().chunk_index == chunk_index &&
+        subs->back().chunk_offset + subs->back().length == chunk_off) {
+      subs->back().length += run;  // contiguous in the same chunk: merge
     } else {
-      subs.push_back(SubRequest{chunk_index, chunk_off, run, pos - offset});
+      subs->push_back(SubRequest{chunk_index, chunk_off, run, pos - offset});
     }
     pos += run;
     remaining -= run;
   }
-  return subs;
 }
 
 void VirtualDisk::Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done) {
-  URSA_CHECK(open_);
-  if (upgrading_) {
-    // Core/shell upgrade in progress: buffer the request; it resumes on the
-    // new core (§5.2).
-    paused_ops_.push_back([this, offset, length, out, done = std::move(done)]() mutable {
-      Read(offset, length, out, std::move(done));
-    });
-    return;
-  }
-  ++inflight_user_ops_;
-  done = [this, done = std::move(done)](const Status& s) {
-    --inflight_user_ops_;
-    done(s);
-  };
-  ++stats_.reads;
-  stats_.read_bytes += length;
-  Nanos start = sim_->Now();
-  obs::SpanRef span = cluster_->tracer().StartSpan(/*is_write=*/false, start);
-  if (span != nullptr) {
-    // Both fixed VMM/NBD hops are deterministic configured costs.
-    span->RecordStage(obs::Stage::kVmm, 2 * options_.vmm_overhead);
-  }
+  uint32_t op = ops_.Acquire();
+  OpRecord& rec = ops_[op];
+  rec.is_write = false;
+  rec.offset = offset;
+  rec.length = length;
+  rec.out = out;
+  rec.done = std::make_shared<storage::IoCallback>(std::move(done));
+  StartRead(op);
+}
 
-  std::vector<SubRequest> subs = SplitRequest(offset, length);
-  auto remaining = std::make_shared<size_t>(subs.size());
-  auto first_error = std::make_shared<Status>();
-  auto finish = [this, start, remaining, first_error, span,
-                 done = std::move(done)](const Status& s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
-    }
-    if (--*remaining > 0) {
-      return;
-    }
-    // VMM/NBD fixed return-path cost, then the user callback.
-    sim_->After(options_.vmm_overhead,
-                [this, start, first_error, span, done = std::move(done)]() {
-      stats_.read_latency_us.Record(static_cast<int64_t>(ToUsec(sim_->Now() - start)));
-      if (qos::SloMonitor* slo = cluster_->slo_monitor()) {
-        slo->RecordForeground(sim_->Now() - start);
-      }
-      if (span != nullptr) {
-        cluster_->tracer().FinishSpan(span, sim_->Now());
-      }
-      done(*first_error);
-    });
-  };
+void VirtualDisk::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
+                        storage::IoCallback done) {
+  uint32_t op = ops_.Acquire();
+  OpRecord& rec = ops_[op];
+  rec.is_write = true;
+  rec.offset = offset;
+  rec.length = length;
+  rec.data = std::move(data);
+  rec.done = std::make_shared<storage::IoCallback>(std::move(done));
+  StartWrite(op);
+}
 
-  for (const SubRequest& sub : subs) {
-    void* dest = out == nullptr ? nullptr : static_cast<uint8_t*>(out) + sub.user_offset;
-    // VMM/NBD entry cost, then the client loop issues the request.
-    sim_->After(options_.vmm_overhead, [this, sub, dest, finish, span]() {
-      loop_->Submit(options_.loop_issue_cost,
-                    [this, sub, dest, finish, span]() { IssueRead(sub, dest, 1, finish, span); });
-    });
+void VirtualDisk::StartOp(uint32_t op) {
+  if (ops_[op].is_write) {
+    StartWrite(op);
+  } else {
+    StartRead(op);
   }
 }
 
-void VirtualDisk::IssueRead(const SubRequest& sub, void* out, int attempt,
-                            storage::IoCallback done, const obs::SpanRef& span) {
-  if (span != nullptr) {
+void VirtualDisk::StartRead(uint32_t op) {
+  URSA_CHECK(open_);
+  if (upgrading_) {
+    // Core/shell upgrade in progress: hold the request; it resumes on the
+    // new core (§5.2).
+    paused_ops_.push_back(op);
+    return;
+  }
+  ++inflight_user_ops_;
+  OpRecord& rec = ops_[op];
+  ++stats_.reads;
+  stats_.read_bytes += rec.length;
+  rec.start = sim_->Now();
+  rec.span = cluster_->tracer().StartSpan(/*is_write=*/false, rec.start);
+  if (rec.span != nullptr) {
+    // Both fixed VMM/NBD hops are deterministic configured costs.
+    rec.span->RecordStage(obs::Stage::kVmm, 2 * options_.vmm_overhead);
+  }
+
+  split_.clear();
+  SplitRequest(rec.offset, rec.length, &split_);
+  rec.remaining = static_cast<uint32_t>(split_.size());
+  for (const SubRequest& sub : split_) {
+    uint32_t s = subs_.Acquire();
+    SubRecord& sr = subs_[s];
+    sr.op = op;
+    sr.sub = sub;
+    sr.attempt = 1;
+    sr.out = rec.out == nullptr ? nullptr : static_cast<uint8_t*>(rec.out) + sub.user_offset;
+    // VMM/NBD entry cost, then the client loop issues the request.
+    auto enter = [this, s, gen = sr.gen]() {
+      URSA_CHECK(SubLive(s, gen));
+      auto issue = [this, s, gen]() {
+        URSA_CHECK(SubLive(s, gen));
+        IssueRead(s);
+      };
+      static_assert(sizeof(issue) <= InlineFn::kInlineBytes);
+      loop_->Submit(options_.loop_issue_cost, issue);
+    };
+    static_assert(sizeof(enter) <= InlineFn::kInlineBytes);
+    sim_->After(options_.vmm_overhead, enter);
+  }
+}
+
+void VirtualDisk::StartWrite(uint32_t op) {
+  URSA_CHECK(open_);
+  if (upgrading_) {
+    paused_ops_.push_back(op);
+    return;
+  }
+  // Master-imposed throttle (§3.2): delay the write until a token is free.
+  Nanos wait = write_limiter_.Acquire(sim_->Now());
+  if (wait > 0) {
+    ++stats_.throttled_writes;
+    auto resume = [this, op, gen = ops_[op].gen]() {
+      URSA_CHECK(ops_[op].gen == gen);
+      StartWrite(op);
+    };
+    static_assert(sizeof(resume) <= InlineFn::kInlineBytes);
+    sim_->After(wait, resume);
+    return;
+  }
+  ++inflight_user_ops_;
+  OpRecord& rec = ops_[op];
+  ++stats_.writes;
+  stats_.write_bytes += rec.length;
+  rec.start = sim_->Now();
+  rec.span = cluster_->tracer().StartSpan(/*is_write=*/true, rec.start);
+  if (rec.span != nullptr) {
+    rec.span->RecordStage(obs::Stage::kVmm, 2 * options_.vmm_overhead);
+  }
+
+  split_.clear();
+  SplitRequest(rec.offset, rec.length, &split_);
+  rec.remaining = static_cast<uint32_t>(split_.size());
+  for (const SubRequest& sub : split_) {
+    uint32_t s = subs_.Acquire();
+    SubRecord& sr = subs_[s];
+    sr.op = op;
+    sr.sub = sub;
+    // Stable per-sub-write identity (survives retries); client id folded in
+    // so concurrent clients never collide.
+    sr.sub.write_id = (client_id_ << 40) | ++next_write_id_;
+    sr.attempt = 1;
+    // Slice shares the payload's refcount; a null view slices to a null view.
+    sr.data = rec.data.Slice(sub.user_offset, sub.length);
+    auto enqueue = [this, s, gen = sr.gen]() {
+      URSA_CHECK(SubLive(s, gen));
+      EnqueueWrite(s);
+    };
+    static_assert(sizeof(enqueue) <= InlineFn::kInlineBytes);
+    sim_->After(options_.vmm_overhead, enqueue);
+  }
+  rec.data = {};  // each sub-request holds its own slice
+}
+
+void VirtualDisk::FinishSub(uint32_t s, Status status) {
+  SubRecord& rec = subs_[s];
+  const uint32_t op = rec.op;
+  const bool is_write = ops_[op].is_write;
+  const SubRequest sub = rec.sub;
+  if (rec.spec_write && status.ok()) {
+    const ChunkLayout& now = Layout(sub.chunk_index);
+    if (now.speculating()) {
+      ++stats_.spec_writes;
+      InsertInterval(&chunk_states_[sub.chunk_index].spec_extents,
+                     Interval{sub.chunk_offset, sub.length});
+      // Post-ack, fire-and-forget: lets a re-opened client route reads of
+      // these bytes at the spec replicas. Not on the ack path.
+      cluster_->master().RegisterSpecExtent(now.chunk, sub.chunk_offset, sub.length);
+    }
+  }
+  subs_.Release(s);
+  if (is_write) {
+    chunk_states_[sub.chunk_index].write_inflight = false;
+    PumpWriteQueue(sub.chunk_index);
+  }
+  OpRecord& o = ops_[op];
+  if (!status.ok() && o.first_error.ok()) {
+    o.first_error = std::move(status);
+  }
+  if (--o.remaining > 0) {
+    return;
+  }
+  // VMM/NBD fixed return-path cost, then the user callback.
+  auto finish = [this, op, gen = o.gen]() {
+    URSA_CHECK(ops_[op].gen == gen);
+    FinishOp(op);
+  };
+  static_assert(sizeof(finish) <= InlineFn::kInlineBytes);
+  sim_->After(options_.vmm_overhead, finish);
+}
+
+void VirtualDisk::FinishOp(uint32_t op) {
+  OpRecord& rec = ops_[op];
+  const Nanos latency = sim_->Now() - rec.start;
+  (rec.is_write ? stats_.write_latency_us : stats_.read_latency_us)
+      .Record(static_cast<int64_t>(ToUsec(latency)));
+  if (qos::SloMonitor* slo = cluster_->slo_monitor()) {
+    slo->RecordForeground(latency);
+  }
+  if (rec.span != nullptr) {
+    cluster_->tracer().FinishSpan(rec.span, sim_->Now());
+  }
+  std::shared_ptr<storage::IoCallback> done = std::move(rec.done);
+  Status status = std::move(rec.first_error);
+  ops_.Release(op);
+  --inflight_user_ops_;
+  (*done)(status);
+}
+
+// ---- Reads ----
+
+void VirtualDisk::IssueRead(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  if (const obs::SpanRef& span = SubSpan(s); span != nullptr) {
     // Loop queue + issue cost since the VMM entry hop completed.
     span->RecordStage(obs::Stage::kClientIssue,
                       sim_->Now() - span->start() - options_.vmm_overhead);
   }
-  const ChunkLayout& layout = Layout(sub.chunk_index);
+  rec.status = Status();
+  const ChunkLayout& layout = Layout(rec.sub.chunk_index);
   if (layout.tier == cluster::ChunkTier::kEc) {
     // Cold chunk: read from the EC shards (degraded if one is down).
-    IssueEcRead(sub, out, attempt, std::move(done), span);
+    IssueEcRead(s);
     return;
   }
-  ChunkState& cs = chunk_states_[sub.chunk_index];
-  const ReplicaRef replica = layout.replicas[cs.primary % layout.replicas.size()];
-
-  auto replied_version = std::make_shared<uint64_t>(0);
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, sub, out, attempt, done, replied_version, span](const Status& s) {
-        Nanos copy_cost = static_cast<Nanos>(options_.loop_byte_cost_ns *
-                                             static_cast<double>(sub.length));
-        Nanos replied = sim_->Now();
-        loop_->Submit(options_.loop_complete_cost + (s.ok() ? copy_cost : 0),
-                      [this, sub, out, attempt, done, s, replied_version, replied, span]() {
-                        if (span != nullptr) {
-                          span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - replied);
-                        }
-                        if (s.ok()) {
-                          chunk_states_[sub.chunk_index].timeout_streak = 0;
-                          done(OkStatus());
-                          return;
-                        }
-                        if (s.code() == StatusCode::kVersionMismatch &&
-                            *replied_version > chunk_states_[sub.chunk_index].version) {
-                          chunk_states_[sub.chunk_index].version = *replied_version;
-                        }
-                        HandleAttemptFailure(sub, s, attempt, done, [this, sub, out, attempt,
-                                                                     done, span]() {
-                          IssueRead(sub, out, attempt + 1, done, span);
-                        });
-                      });
-      });
-
-  uint64_t view = layout.view;
-  uint64_t version = cs.version;
-  ChunkId chunk = layout.chunk;
-  cluster_->transport().Send(
-      host_->node(), replica.node, WireBytes(MessageType::kReadRequest),
-      [this, replica, chunk, sub, view, version, out, guard, replied_version, span]() {
-        ChunkServer* server = Server(replica.server);
-        if (server == nullptr) {
-          return;  // the guard's timeout handles it
-        }
-        server->HandleRead(
-            chunk, sub.chunk_offset, sub.length, view, version, out,
-            [this, replica, sub, guard, replied_version, span](const Status& s, uint64_t ver) {
-              *replied_version = ver;
-              uint64_t bytes = s.ok() ? sub.length : 0;
-              cluster_->transport().Send(replica.node, host_->node(),
-                                         WireBytes(MessageType::kReadReply, bytes),
-                                         [guard, s]() { guard->Complete(s); }, span,
-                                         obs::Stage::kNetReply);
-            },
-            span);
-      },
-      span, obs::Stage::kNetRequest);
+  const ChunkState& cs = chunk_states_[rec.sub.chunk_index];
+  const ReplicaRef& replica = layout.replicas[cs.primary % layout.replicas.size()];
+  rec.replica_read = true;
+  rec.replied_version = 0;
+  rec.pieces = 1;
+  uint32_t p = AcquirePiece(s, PieceKind::kReplica, rec.sub.chunk_offset, rec.sub.length, rec.out);
+  PieceRecord& piece = pieces_[p];
+  piece.server = replica.server;
+  piece.node = replica.node;
+  piece.chunk = layout.chunk;
+  piece.view = layout.view;
+  piece.version = cs.version;
+  SendPiece(p);
 }
 
 ec::ReedSolomon* VirtualDisk::Codec(int k, int m) {
@@ -331,435 +413,420 @@ ec::ReedSolomon* VirtualDisk::Codec(int k, int m) {
   return it->second.get();
 }
 
-void VirtualDisk::IssueEcRead(const SubRequest& sub, void* out, int attempt,
-                              storage::IoCallback done, const obs::SpanRef& span) {
+void VirtualDisk::IssueEcRead(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  const SubRequest& sub = rec.sub;
   const ChunkLayout& layout = Layout(sub.chunk_index);
   if (layout.tier != cluster::ChunkTier::kEc || layout.ec_shards.empty() ||
       layout.ec_shard_size == 0) {
     // Promoted back under us (or a stale routing decision): take the
     // replicated path on the current layout.
-    IssueRead(sub, out, attempt, std::move(done), span);
+    IssueRead(s);
     return;
   }
+  rec.replica_read = false;
   // Split the range on shard boundaries. Data shard d owns chunk bytes
   // [d*S, (d+1)*S); stripe units normally sit entirely inside one shard, so
   // the common case is a single piece.
-  struct Piece {
-    int shard;
-    uint64_t off;
-    uint64_t len;
-    uint64_t buf_off;
-  };
   const uint64_t S = layout.ec_shard_size;
+  auto add_shard_pieces = [&](const Interval& r) {
+    for (uint64_t pos = r.offset; pos < r.end();) {
+      uint64_t off = pos % S;
+      uint64_t run = std::min(r.end() - pos, S - off);
+      void* dest = rec.out == nullptr ? nullptr
+                                      : static_cast<uint8_t*>(rec.out) + (pos - sub.chunk_offset);
+      uint32_t p = AcquirePiece(s, PieceKind::kShard, off, run, dest);
+      pieces_[p].shard = static_cast<int>(pos / S);
+      piece_scratch_.push_back(p);
+      pos += run;
+    }
+  };
   // While the chunk speculates, ranges known durable on the spec replicas
   // read THERE (the shards never saw those bytes); only the remainder goes
   // to the shards.
   const ChunkState& cs = chunk_states_[sub.chunk_index];
-  std::vector<Interval> spec_pieces;
-  std::vector<Interval> shard_ranges{Interval{sub.chunk_offset, sub.length}};
-  if (layout.speculating() && !cs.spec_extents.empty()) {
-    const Interval range{sub.chunk_offset, sub.length};
+  const Interval range{sub.chunk_offset, sub.length};
+  piece_scratch_.clear();
+  if (!layout.speculating() || cs.spec_extents.empty()) {
+    add_shard_pieces(range);
+  } else {
+    for (const Interval& r : SubtractAll(range, cs.spec_extents)) {
+      add_shard_pieces(r);
+    }
     for (const Interval& e : cs.spec_extents) {
       Interval isect = range.Intersect(e);
-      if (!isect.empty()) {
-        spec_pieces.push_back(isect);
+      if (isect.empty()) {
+        continue;
       }
-    }
-    shard_ranges = SubtractAll(range, cs.spec_extents);
-  }
-  std::vector<Piece> pieces;
-  for (const Interval& r : shard_ranges) {
-    uint64_t pos = r.offset;
-    const uint64_t end = r.end();
-    while (pos < end) {
-      uint64_t off = pos % S;
-      uint64_t run = std::min(end - pos, S - off);
-      pieces.push_back(Piece{static_cast<int>(pos / S), off, run, pos - sub.chunk_offset});
-      pos += run;
+      void* dest = rec.out == nullptr
+                       ? nullptr
+                       : static_cast<uint8_t*>(rec.out) + (isect.offset - sub.chunk_offset);
+      piece_scratch_.push_back(AcquirePiece(s, PieceKind::kSpec, isect.offset, isect.length, dest));
     }
   }
-
-  auto remaining = std::make_shared<size_t>(pieces.size() + spec_pieces.size());
-  auto first_error = std::make_shared<Status>();
-  auto join = [this, sub, out, attempt, done, remaining, first_error,
-               span](const Status& s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
+  rec.pieces = static_cast<uint32_t>(piece_scratch_.size());
+  for (uint32_t p : piece_scratch_) {
+    if (pieces_[p].kind == PieceKind::kShard) {
+      StartShardPiece(p);
+    } else {
+      StartSpecPiece(p);
     }
-    if (--*remaining > 0) {
-      return;
-    }
-    Nanos copy_cost =
-        static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(sub.length));
-    loop_->Submit(options_.loop_complete_cost + (first_error->ok() ? copy_cost : 0),
-                  [this, sub, out, attempt, done, first_error, span]() {
-                    if (first_error->ok()) {
-                      chunk_states_[sub.chunk_index].timeout_streak = 0;
-                      done(OkStatus());
-                      return;
-                    }
-                    HandleAttemptFailure(sub, *first_error, attempt, done,
-                                         [this, sub, out, attempt, done, span]() {
-                                           IssueRead(sub, out, attempt + 1, done, span);
-                                         });
-                  });
-  };
-  for (const Piece& p : pieces) {
-    void* dest = out == nullptr ? nullptr : static_cast<uint8_t*>(out) + p.buf_off;
-    ReadShardPiece(sub.chunk_index, p.shard, p.off, p.len, dest, join, span);
-  }
-  for (const Interval& p : spec_pieces) {
-    void* dest =
-        out == nullptr ? nullptr : static_cast<uint8_t*>(out) + (p.offset - sub.chunk_offset);
-    ReadSpecPiece(sub.chunk_index, p.offset, p.length, dest, /*replica_idx=*/0, join, span);
   }
 }
 
-void VirtualDisk::ReadSpecPiece(size_t chunk_index, uint64_t offset, uint64_t len, void* out,
-                                size_t replica_idx, storage::IoCallback done,
-                                const obs::SpanRef& span) {
-  const ChunkLayout& layout = Layout(chunk_index);
-  if (!layout.speculating()) {
-    // Speculation committed under us; a refresh re-routes to the replicas.
-    done(VersionMismatch("speculation ended"));
-    return;
-  }
-  if (replica_idx >= layout.spec_replicas.size()) {
-    // Every spec replica is stale or unreachable. Surface a mismatch: the
-    // retry refreshes the layout, and by then either the back-fill committed
-    // (replicated reads work) or a fresher spec replica answers.
-    done(VersionMismatch("no spec replica served the range"));
-    return;
-  }
-  ++stats_.spec_reads;
-  const ReplicaRef replica = layout.spec_replicas[replica_idx];
-  const uint64_t view = layout.view;
-  // Any replica at the client's acked version holds every acked byte (the
-  // version guard makes each replica a prefix of the write sequence).
-  const uint64_t version = chunk_states_[chunk_index].version;
-  const ChunkId chunk = layout.chunk;
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, chunk_index, offset, len, out, replica_idx, done, span](const Status& s) {
-        if (s.ok()) {
-          done(s);
-          return;
-        }
-        // Stale or dead replica: fail over to the next spec replica.
-        ReadSpecPiece(chunk_index, offset, len, out, replica_idx + 1, done, span);
-      });
-  cluster_->transport().Send(
-      host_->node(), replica.node, WireBytes(MessageType::kReadRequest),
-      [this, replica, chunk, offset, len, view, version, out, guard, span]() {
-        ChunkServer* server = Server(replica.server);
-        if (server == nullptr) {
-          return;  // the guard's timeout handles it
-        }
-        server->HandleRead(
-            chunk, offset, len, view, version, out,
-            [this, replica, len, guard, span](const Status& s, uint64_t) {
-              uint64_t bytes = s.ok() ? len : 0;
-              cluster_->transport().Send(replica.node, host_->node(),
-                                         WireBytes(MessageType::kReadReply, bytes),
-                                         [guard, s]() { guard->Complete(s); }, span,
-                                         obs::Stage::kNetReply);
-            },
-            span);
-      },
-      span, obs::Stage::kNetRequest);
+uint32_t VirtualDisk::AcquirePiece(uint32_t s, PieceKind kind, uint64_t offset, uint64_t length,
+                                   void* out) {
+  uint32_t p = pieces_.Acquire();
+  PieceRecord& piece = pieces_[p];
+  piece.kind = kind;
+  piece.sub = s;
+  piece.replica = 0;
+  piece.offset = offset;
+  piece.length = length;
+  piece.out = out;
+  piece.replied_version = 0;
+  return p;
 }
 
-void VirtualDisk::ReadShardPiece(size_t chunk_index, int shard_index, uint64_t shard_off,
-                                 uint64_t len, void* out, storage::IoCallback done,
-                                 const obs::SpanRef& span) {
-  const ChunkLayout& layout = Layout(chunk_index);
-  if (shard_index >= static_cast<int>(layout.ec_shards.size())) {
-    done(Unavailable("shard index out of range"));  // layout moved; caller retries
+void VirtualDisk::StartShardPiece(uint32_t p) {
+  PieceRecord& piece = pieces_[p];
+  const ChunkLayout& layout = Layout(subs_[piece.sub].sub.chunk_index);
+  if (piece.shard >= static_cast<int>(layout.ec_shards.size())) {
+    FinishPiece(p, Unavailable("shard index out of range"));  // layout moved; caller retries
     return;
   }
   ++stats_.ec_shard_reads;
-  const cluster::EcShardRef shard = layout.ec_shards[shard_index];
-  const uint64_t view = layout.view;
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, chunk_index, shard_index, shard, shard_off, len, out, done,
-       span](const Status& s) {
-        if (s.ok() || s.code() == StatusCode::kVersionMismatch ||
-            s.code() == StatusCode::kNotFound) {
-          // Mismatch/NotFound mean the layout moved (promote or shard
-          // repair), not that the bytes are gone: bubble up so the caller
-          // refreshes and re-routes.
-          done(s);
-          return;
-        }
-        // The shard server failed (timeout / crash / corruption): tell the
-        // master — it schedules a stripe repair — and satisfy the read in
-        // degraded mode from the surviving shards.
-        ++stats_.failures_reported;
-        cluster_->master().ReportReplicaFailure(shard.shard_chunk, shard.server,
-                                                [](const Status&) {});
-        DegradedShardRead(chunk_index, shard_index, shard_off, len, out, std::move(done),
-                          span);
-      });
-  cluster_->transport().Send(
-      host_->node(), shard.node, WireBytes(MessageType::kReadRequest),
-      [this, shard, shard_off, len, view, out, guard, span]() {
-        ChunkServer* server = Server(shard.server);
-        if (server == nullptr) {
-          return;  // the guard's timeout handles it
-        }
-        server->HandleRead(
-            shard.shard_chunk, shard_off, len, view, /*expected_version=*/0, out,
-            [this, shard, len, guard, span](const Status& s, uint64_t) {
-              uint64_t bytes = s.ok() ? len : 0;
-              cluster_->transport().Send(shard.node, host_->node(),
-                                         WireBytes(MessageType::kReadReply, bytes),
-                                         [guard, s]() { guard->Complete(s); }, span,
-                                         obs::Stage::kNetReply);
-            },
-            span);
-      },
-      span, obs::Stage::kNetRequest);
+  const cluster::EcShardRef& shard = layout.ec_shards[piece.shard];
+  piece.server = shard.server;
+  piece.node = shard.node;
+  piece.chunk = shard.shard_chunk;
+  piece.view = layout.view;
+  piece.version = 0;
+  SendPiece(p);
 }
 
-void VirtualDisk::DegradedShardRead(size_t chunk_index, int shard_index, uint64_t shard_off,
-                                    uint64_t len, void* out, storage::IoCallback done,
-                                    const obs::SpanRef& span) {
+void VirtualDisk::StartSpecPiece(uint32_t p) {
+  PieceRecord& piece = pieces_[p];
+  const size_t chunk_index = subs_[piece.sub].sub.chunk_index;
   const ChunkLayout& layout = Layout(chunk_index);
+  if (!layout.speculating()) {
+    // Speculation committed under us; a refresh re-routes to the replicas.
+    FinishPiece(p, VersionMismatch("speculation ended"));
+    return;
+  }
+  if (piece.replica >= layout.spec_replicas.size()) {
+    // Every spec replica is stale or unreachable. Surface a mismatch: the
+    // retry refreshes the layout, and by then either the back-fill committed
+    // (replicated reads work) or a fresher spec replica answers.
+    FinishPiece(p, VersionMismatch("no spec replica served the range"));
+    return;
+  }
+  ++stats_.spec_reads;
+  const ReplicaRef& replica = layout.spec_replicas[piece.replica];
+  piece.server = replica.server;
+  piece.node = replica.node;
+  piece.chunk = layout.chunk;
+  piece.view = layout.view;
+  // Any replica at the client's acked version holds every acked byte (the
+  // version guard makes each replica a prefix of the write sequence).
+  piece.version = chunk_states_[chunk_index].version;
+  SendPiece(p);
+}
+
+void VirtualDisk::StartDegradedRead(uint32_t p) {
+  PieceRecord& piece = pieces_[p];
+  const ChunkLayout& layout = Layout(subs_[piece.sub].sub.chunk_index);
   if (layout.tier != cluster::ChunkTier::kEc) {
-    done(VersionMismatch("chunk promoted during degraded read"));
+    FinishPiece(p, VersionMismatch("chunk promoted during degraded read"));
     return;
   }
   const int k = layout.ec_k;
   const int n = k + layout.ec_m;
-  std::vector<int> sources;
-  for (int i = 0; i < n && static_cast<int>(sources.size()) < k; ++i) {
-    if (i == shard_index) {
+  piece.ec_m = layout.ec_m;
+  piece.sources.clear();
+  for (int i = 0; i < n && static_cast<int>(piece.sources.size()) < k; ++i) {
+    if (i == piece.shard) {
       continue;
     }
     ChunkServer* server = Server(layout.ec_shards[i].server);
     if (server == nullptr || server->crashed()) {
       continue;
     }
-    sources.push_back(i);
+    piece.sources.push_back(i);
   }
-  if (static_cast<int>(sources.size()) < k) {
-    done(Unavailable("too few live shards for degraded read"));
+  if (static_cast<int>(piece.sources.size()) < k) {
+    FinishPiece(p, Unavailable("too few live shards for degraded read"));
     return;
   }
   ++stats_.ec_degraded_reads;
-  const uint64_t view = layout.view;
-  std::vector<cluster::EcShardRef> refs;
-  refs.reserve(sources.size());
-  for (int i : sources) {
-    refs.push_back(layout.ec_shards[i]);
-  }
   // One contiguous survivor buffer: slot i holds source i's [off, off+len)
   // range. Reconstruction is positional per byte, so reading the SAME range
   // from k peers is enough to rebuild the missing shard's range.
-  auto buf = out == nullptr ? std::shared_ptr<std::vector<uint8_t>>()
-                            : std::make_shared<std::vector<uint8_t>>(sources.size() * len);
-  auto remaining = std::make_shared<size_t>(sources.size());
-  auto first_error = std::make_shared<Status>();
-  auto finish = [this, k, n, shard_index, sources, buf, len, out, done, remaining,
-                 first_error](const Status& s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
-    }
-    if (--*remaining > 0) {
-      return;
-    }
-    if (!first_error->ok()) {
-      done(*first_error);
-      return;
-    }
-    if (out != nullptr && buf != nullptr) {
-      ec::ReedSolomon* rs = Codec(k, n - k);
-      std::vector<bool> present(n, false);
-      std::vector<const uint8_t*> shards(n, nullptr);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        present[sources[i]] = true;
-        shards[sources[i]] = buf->data() + i * len;
+  if (piece.out != nullptr) {
+    piece.survivors = std::make_shared<std::vector<uint8_t>>(piece.sources.size() * piece.length);
+  }
+  piece.pending = static_cast<uint32_t>(piece.sources.size());
+  piece.status = Status();
+  for (size_t i = 0; i < piece.sources.size(); ++i) {
+    const cluster::EcShardRef& ref = layout.ec_shards[piece.sources[i]];
+    void* dst = piece.survivors == nullptr ? nullptr : piece.survivors->data() + i * piece.length;
+    uint32_t q = AcquirePiece(piece.sub, PieceKind::kSurvivor, piece.offset, piece.length, dst);
+    PieceRecord& survivor = pieces_[q];
+    survivor.degraded = p;
+    survivor.server = ref.server;
+    survivor.node = ref.node;
+    survivor.chunk = ref.shard_chunk;
+    survivor.view = layout.view;
+    survivor.version = 0;
+    SendPiece(q);
+  }
+}
+
+void VirtualDisk::SendPiece(uint32_t p) {
+  PieceRecord& piece = pieces_[p];
+  const uint32_t gen = piece.gen;
+  if (options_.request_timeout > 0) {
+    auto expire = [this, p, gen]() {
+      if (pieces_[p].gen == gen) {
+        OnPieceDone(p, TimedOut("rpc timeout"));
       }
-      ec::ReedSolomon::DecodePlan plan;
-      Status ps = rs->PlanReconstruct(present, {shard_index}, &plan);
-      if (!ps.ok()) {
-        done(ps);
+    };
+    static_assert(sizeof(expire) <= InlineFn::kInlineBytes);
+    piece.timeout = sim_->After(options_.request_timeout, expire);
+  }
+  auto deliver = [this, p, gen]() { DeliverPiece(p, gen); };
+  static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+  cluster_->transport().Send(host_->node(), piece.node, WireBytes(MessageType::kReadRequest),
+                             deliver, SubSpan(piece.sub), obs::Stage::kNetRequest);
+}
+
+void VirtualDisk::DeliverPiece(uint32_t p, uint32_t gen) {
+  PieceRecord& piece = pieces_[p];
+  if (piece.gen != gen) {
+    return;  // the piece already timed out
+  }
+  ChunkServer* server = Server(piece.server);
+  if (server == nullptr) {
+    return;  // the timeout handles it
+  }
+  const obs::SpanRef& span = SubSpan(piece.sub);
+  if (piece.kind == PieceKind::kSurvivor) {
+    // Also holds the survivor buffer until the server has written into it.
+    auto served = [this, p, gen, keep = UserCallback(piece.sub),
+                   buf = pieces_[piece.degraded].survivors](const Status& s, uint64_t version) {
+      OnPieceServed(p, gen, s, version);
+    };
+    static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+    server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version,
+                       piece.out, served, span);
+    return;
+  }
+  auto served = [this, p, gen, keep = UserCallback(piece.sub)](const Status& s,
+                                                                uint64_t version) {
+    OnPieceServed(p, gen, s, version);
+  };
+  static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+  server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version, piece.out,
+                     served, span);
+}
+
+void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status,
+                                uint64_t version) {
+  PieceRecord& piece = pieces_[p];
+  if (piece.gen != gen) {
+    return;  // a late or duplicated request; the piece already finished
+  }
+  piece.replied_version = version;
+  uint64_t bytes = status.ok() ? piece.length : 0;
+  auto reply = [this, p, gen, status]() {
+    if (pieces_[p].gen == gen) {
+      OnPieceDone(p, status);
+    }
+  };
+  static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
+  cluster_->transport().Send(piece.node, host_->node(), WireBytes(MessageType::kReadReply, bytes),
+                             reply, SubSpan(piece.sub), obs::Stage::kNetReply);
+}
+
+void VirtualDisk::OnPieceDone(uint32_t p, const Status& status) {
+  PieceRecord& piece = pieces_[p];
+  if (options_.request_timeout > 0) {
+    sim_->Cancel(piece.timeout);
+  }
+  piece.gen += kGenStride;  // the RPC is decided: its late replies are stale
+  switch (piece.kind) {
+    case PieceKind::kReplica: {
+      SubRecord& rec = subs_[piece.sub];
+      rec.replied = sim_->Now();
+      rec.replied_version = piece.replied_version;
+      FinishPiece(p, status);
+      return;
+    }
+    case PieceKind::kShard:
+      if (status.ok() || status.code() == StatusCode::kVersionMismatch ||
+          status.code() == StatusCode::kNotFound) {
+        // Mismatch/NotFound mean the layout moved (promote or shard
+        // repair), not that the bytes are gone: bubble up so the caller
+        // refreshes and re-routes.
+        FinishPiece(p, status);
         return;
       }
-      std::vector<uint8_t*> rebuild(n, nullptr);
-      rebuild[shard_index] = static_cast<uint8_t*>(out);
-      rs->ReconstructWith(plan, shards, rebuild, len);
-    }
-    done(OkStatus());
-  };
-  for (size_t i = 0; i < refs.size(); ++i) {
-    const cluster::EcShardRef ref = refs[i];
-    void* dst = buf == nullptr ? nullptr : buf->data() + i * len;
-    auto guard = PendingCall::Start(sim_, options_.request_timeout,
-                                    [finish, buf](const Status& s) { finish(s); });
-    cluster_->transport().Send(
-        host_->node(), ref.node, WireBytes(MessageType::kReadRequest),
-        [this, ref, shard_off, len, view, dst, guard, span]() {
-          ChunkServer* server = Server(ref.server);
-          if (server == nullptr) {
-            return;  // the guard's timeout handles it
-          }
-          server->HandleRead(
-              ref.shard_chunk, shard_off, len, view, /*expected_version=*/0, dst,
-              [this, ref, len, guard, span](const Status& s, uint64_t) {
-                uint64_t bytes = s.ok() ? len : 0;
-                cluster_->transport().Send(ref.node, host_->node(),
-                                           WireBytes(MessageType::kReadReply, bytes),
-                                           [guard, s]() { guard->Complete(s); }, span,
-                                           obs::Stage::kNetReply);
-              },
-              span);
-        },
-        span, obs::Stage::kNetRequest);
+      // The shard server failed (timeout / crash / corruption): tell the
+      // master — it schedules a stripe repair — and satisfy the read in
+      // degraded mode from the surviving shards.
+      ++stats_.failures_reported;
+      cluster_->master().ReportReplicaFailure(piece.chunk, piece.server, [](const Status&) {});
+      StartDegradedRead(p);
+      return;
+    case PieceKind::kSpec:
+      if (status.ok()) {
+        FinishPiece(p, status);
+        return;
+      }
+      // Stale or dead replica: fail over to the next spec replica.
+      ++piece.replica;
+      StartSpecPiece(p);
+      return;
+    case PieceKind::kSurvivor:
+      FinishPiece(p, status);
+      return;
   }
 }
 
-void VirtualDisk::PromoteForWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                                  storage::IoCallback done, const obs::SpanRef& span) {
-  ++stats_.write_promotes;
-  storage::ChunkId chunk = Layout(sub.chunk_index).chunk;
-  // With speculation enabled this returns as soon as the spec targets are
-  // allocated (no reconstruction wait); otherwise it blocks on the full
-  // promotion like before.
-  cluster_->master().BeginWritePromote(
-      chunk, [this, sub, data, attempt, done, span](const Status& s) {
-        loop_->Submit(options_.loop_complete_cost, [this, sub, data, attempt, done, s,
-                                                    span]() {
-          RefreshLayout();
-          const ChunkLayout& layout = Layout(sub.chunk_index);
-          if (s.ok() || layout.tier == cluster::ChunkTier::kReplicated ||
-              layout.speculating()) {
-            // Promoted or speculating (by us or a concurrent migration):
-            // retry on the fresh layout. Same attempt number — the promote
-            // round-trip is not a replica failure.
-            IssueWriteAttempt(sub, data, attempt, done, span);
-            return;
-          }
-          HandleAttemptFailure(sub, s, attempt, done,
-                               [this, sub, data, attempt, done, span]() {
-                                 IssueWriteAttempt(sub, data, attempt + 1, done, span);
-                               });
-        });
-      });
+void VirtualDisk::FinishPiece(uint32_t p, Status status) {
+  PieceRecord& piece = pieces_[p];
+  const PieceKind kind = piece.kind;
+  const uint32_t s = piece.sub;
+  const uint32_t degraded = piece.degraded;
+  pieces_.Release(p);
+  if (kind == PieceKind::kSurvivor) {
+    OnSurvivorDone(degraded, status);
+    return;
+  }
+  SubRecord& rec = subs_[s];
+  if (!status.ok() && rec.status.ok()) {
+    rec.status = std::move(status);
+  }
+  if (--rec.pieces > 0) {
+    return;
+  }
+  Nanos copy_cost =
+      static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(rec.sub.length));
+  auto done = [this, s, gen = rec.gen]() {
+    URSA_CHECK(SubLive(s, gen));
+    FinishReadAttempt(s);
+  };
+  static_assert(sizeof(done) <= InlineFn::kInlineBytes);
+  loop_->Submit(options_.loop_complete_cost + (rec.status.ok() ? copy_cost : 0), done);
 }
 
-void VirtualDisk::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
-                        storage::IoCallback done) {
-  URSA_CHECK(open_);
-  if (upgrading_) {
-    paused_ops_.push_back(
-        [this, offset, length, data = std::move(data), done = std::move(done)]() mutable {
-          Write(offset, length, std::move(data), std::move(done));
-        });
+void VirtualDisk::OnSurvivorDone(uint32_t p, const Status& status) {
+  PieceRecord& piece = pieces_[p];
+  if (!status.ok() && piece.status.ok()) {
+    piece.status = status;
+  }
+  if (--piece.pending > 0) {
     return;
   }
-  // Master-imposed throttle (§3.2): delay the write until a token is free.
-  Nanos wait = write_limiter_.Acquire(sim_->Now());
-  if (wait > 0) {
-    ++stats_.throttled_writes;
-    sim_->After(wait,
-                [this, offset, length, data = std::move(data), done = std::move(done)]() mutable {
-                  Write(offset, length, std::move(data), std::move(done));
-                });
+  if (!piece.status.ok()) {
+    FinishPiece(p, piece.status);
     return;
   }
-  ++inflight_user_ops_;
-  done = [this, done = std::move(done)](const Status& s) {
-    --inflight_user_ops_;
-    done(s);
-  };
-  ++stats_.writes;
-  stats_.write_bytes += length;
-  Nanos start = sim_->Now();
-  obs::SpanRef span = cluster_->tracer().StartSpan(/*is_write=*/true, start);
-  if (span != nullptr) {
-    span->RecordStage(obs::Stage::kVmm, 2 * options_.vmm_overhead);
-  }
-
-  std::vector<SubRequest> subs = SplitRequest(offset, length);
-  for (SubRequest& sub : subs) {
-    // Stable per-sub-write identity (survives retries); client id folded in
-    // so concurrent clients never collide.
-    sub.write_id = (client_id_ << 40) | ++next_write_id_;
-  }
-  auto remaining = std::make_shared<size_t>(subs.size());
-  auto first_error = std::make_shared<Status>();
-  auto finish = [this, start, remaining, first_error, span,
-                 done = std::move(done)](const Status& s) {
-    if (!s.ok() && first_error->ok()) {
-      *first_error = s;
+  if (piece.out != nullptr && piece.survivors != nullptr) {
+    const int k = static_cast<int>(piece.sources.size());
+    const int n = k + piece.ec_m;
+    ec::ReedSolomon* rs = Codec(k, piece.ec_m);
+    std::vector<bool> present(n, false);
+    std::vector<const uint8_t*> shards(n, nullptr);
+    for (size_t i = 0; i < piece.sources.size(); ++i) {
+      present[piece.sources[i]] = true;
+      shards[piece.sources[i]] = piece.survivors->data() + i * piece.length;
     }
-    if (--*remaining > 0) {
+    ec::ReedSolomon::DecodePlan plan;
+    Status ps = rs->PlanReconstruct(present, {piece.shard}, &plan);
+    if (!ps.ok()) {
+      FinishPiece(p, ps);
       return;
     }
-    sim_->After(options_.vmm_overhead,
-                [this, start, first_error, span, done = std::move(done)]() {
-      stats_.write_latency_us.Record(static_cast<int64_t>(ToUsec(sim_->Now() - start)));
-      if (qos::SloMonitor* slo = cluster_->slo_monitor()) {
-        slo->RecordForeground(sim_->Now() - start);
-      }
-      if (span != nullptr) {
-        cluster_->tracer().FinishSpan(span, sim_->Now());
-      }
-      done(*first_error);
-    });
-  };
-
-  for (const SubRequest& sub : subs) {
-    // Slice shares the payload's refcount; a null view slices to a null view.
-    ursa::BufferView src = data.Slice(sub.user_offset, sub.length);
-    sim_->After(options_.vmm_overhead, [this, sub, src, finish, span]() {
-      size_t idx = sub.chunk_index;
-      ChunkState& cs = chunk_states_[idx];
-      // Writes to one chunk are ordered by version; queue and pipeline.
-      cs.write_queue.push_back(PendingWrite{
-          [this, sub, src, finish, idx, span]() {
-            IssueWrite(sub, src, 1,
-                       [this, finish, idx](const Status& s) {
-                         chunk_states_[idx].write_inflight = false;
-                         PumpWriteQueue(idx);
-                         finish(s);
-                       },
-                       span);
-          },
-          sub.length});
-      PumpWriteQueue(idx);
-    });
+    std::vector<uint8_t*> rebuild(n, nullptr);
+    rebuild[piece.shard] = static_cast<uint8_t*>(piece.out);
+    rs->ReconstructWith(plan, shards, rebuild, piece.length);
   }
+  FinishPiece(p, OkStatus());
+}
+
+void VirtualDisk::FinishReadAttempt(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  ChunkState& cs = chunk_states_[rec.sub.chunk_index];
+  if (rec.replica_read) {
+    if (const obs::SpanRef& span = SubSpan(s); span != nullptr) {
+      span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - rec.replied);
+    }
+  }
+  if (rec.status.ok()) {
+    cs.timeout_streak = 0;
+    FinishSub(s, OkStatus());
+    return;
+  }
+  if (rec.replica_read && rec.status.code() == StatusCode::kVersionMismatch &&
+      rec.replied_version > cs.version) {
+    cs.version = rec.replied_version;
+  }
+  HandleAttemptFailure(s, rec.status);
+}
+
+// ---- Writes ----
+
+void VirtualDisk::EnqueueWrite(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  const size_t idx = rec.sub.chunk_index;
+  ChunkState& cs = chunk_states_[idx];
+  // Writes to one chunk are ordered by version and run one at a time: the
+  // rest wait here in FIFO order (ROADMAP.md item 7 would pipeline them).
+  if (cs.queue_tail == kNoRecord) {
+    cs.queue_head = s;
+  } else {
+    subs_[cs.queue_tail].next_queued = s;
+  }
+  cs.queue_tail = s;
+  PumpWriteQueue(idx);
 }
 
 void VirtualDisk::PumpWriteQueue(size_t chunk_index) {
   ChunkState& cs = chunk_states_[chunk_index];
-  if (cs.write_inflight || cs.write_queue.empty()) {
+  if (cs.write_inflight || cs.queue_head == kNoRecord) {
     return;
   }
   cs.write_inflight = true;
-  PendingWrite next = std::move(cs.write_queue.front());
-  cs.write_queue.pop_front();
+  const uint32_t s = cs.queue_head;
+  SubRecord& rec = subs_[s];
+  cs.queue_head = rec.next_queued;
+  if (cs.queue_head == kNoRecord) {
+    cs.queue_tail = kNoRecord;
+  }
+  rec.next_queued = kNoRecord;
   Nanos copy_cost =
-      static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(next.bytes));
-  loop_->Submit(options_.loop_issue_cost + copy_cost, std::move(next.fn));
+      static_cast<Nanos>(options_.loop_byte_cost_ns * static_cast<double>(rec.sub.length));
+  auto issue = [this, s, gen = rec.gen]() {
+    URSA_CHECK(SubLive(s, gen));
+    IssueWrite(s);
+  };
+  static_assert(sizeof(issue) <= InlineFn::kInlineBytes);
+  loop_->Submit(options_.loop_issue_cost + copy_cost, issue);
 }
 
-void VirtualDisk::IssueWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                             storage::IoCallback done, const obs::SpanRef& span) {
-  if (span != nullptr) {
+void VirtualDisk::IssueWrite(uint32_t s) {
+  if (const obs::SpanRef& span = SubSpan(s); span != nullptr) {
     // Loop queue + per-chunk write-order queue + issue cost since VMM entry.
     span->RecordStage(obs::Stage::kClientIssue,
                       sim_->Now() - span->start() - options_.vmm_overhead);
   }
-  IssueWriteAttempt(sub, std::move(data), attempt, std::move(done), span);
+  IssueWriteAttempt(s);
 }
 
-void VirtualDisk::IssueWriteAttempt(const SubRequest& sub, ursa::BufferView data, int attempt,
-                                    storage::IoCallback done, const obs::SpanRef& span) {
-  const ChunkLayout& layout = Layout(sub.chunk_index);
+void VirtualDisk::IssueWriteAttempt(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  const ChunkLayout& layout = Layout(rec.sub.chunk_index);
   if (layout.tier == cluster::ChunkTier::kEc) {
     if (layout.speculating()) {
       // Speculative fast path (DESIGN.md §13.6): the new data goes straight
@@ -767,120 +834,70 @@ void VirtualDisk::IssueWriteAttempt(const SubRequest& sub, ursa::BufferView data
       // the reconstruction. All sizes take the client-directed form: a
       // primary-driven chain through a crashed spec target would stall the
       // whole write, while the quorum tolerates a minority down.
-      ChunkState& cs = chunk_states_[sub.chunk_index];
+      ChunkState& cs = chunk_states_[rec.sub.chunk_index];
       // Spec replicas start at the frozen EC version; a fresh client (whose
       // counter may still read 0) adopts it rather than burning an attempt
       // on the inevitable mismatch.
       cs.version = std::max(cs.version, layout.ec_version);
-      auto acked = [this, sub, done = std::move(done)](const Status& s) {
-        if (s.ok()) {
-          ChunkState& ok_cs = chunk_states_[sub.chunk_index];
-          const ChunkLayout& now = Layout(sub.chunk_index);
-          if (now.speculating()) {
-            ++stats_.spec_writes;
-            InsertInterval(&ok_cs.spec_extents, Interval{sub.chunk_offset, sub.length});
-            // Post-ack, fire-and-forget: lets a re-opened client route reads
-            // of these bytes at the spec replicas. Not on the ack path.
-            cluster_->master().RegisterSpecExtent(now.chunk, sub.chunk_offset, sub.length);
-          }
-        }
-        done(s);
-      };
-      ClientDirectedWrite(sub, std::move(data), attempt, std::move(acked), span);
+      rec.spec_write = true;
+      ClientDirectedWrite(s);
       return;
     }
     // Cold chunk: writes always go to replicated form — promote first, ack
     // after (DESIGN.md §13 keeps the write path single-tier).
-    PromoteForWrite(sub, std::move(data), attempt, std::move(done), span);
+    PromoteForWrite(s);
     return;
   }
-  if (options_.client_directed && sub.length <= options_.tiny_write_threshold) {
-    ClientDirectedWrite(sub, std::move(data), attempt, std::move(done), span);
+  if (options_.client_directed && rec.sub.length <= options_.tiny_write_threshold) {
+    ClientDirectedWrite(s);
   } else {
-    PrimaryDrivenWrite(sub, std::move(data), attempt, std::move(done), span);
+    PrimaryDrivenWrite(s);
   }
 }
 
-void VirtualDisk::ClientDirectedWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                                      storage::IoCallback done, const obs::SpanRef& span) {
-  const ChunkLayout& layout = Layout(sub.chunk_index);
-  ChunkState& cs = chunk_states_[sub.chunk_index];
-  uint64_t view = layout.view;
-  uint64_t version = cs.version;
-  ChunkId chunk = layout.chunk;
-
-  // Speculating chunks replicate onto the spec targets (same quorum rule).
-  const std::vector<ReplicaRef>& replicas = WriteSet(layout);
-  int total = static_cast<int>(replicas.size());
-  int majority = total / 2 + 1;
-
-  auto saw_mismatch = std::make_shared<bool>(false);
-  auto replied_version = std::make_shared<uint64_t>(0);
-
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, sub, data, attempt, done, version, saw_mismatch, replied_version,
-       span](const Status& s) {
-        Nanos replied = sim_->Now();
-        loop_->Submit(
-            options_.loop_complete_cost,
-            [this, sub, data, attempt, done, s, version, saw_mismatch, replied_version,
-             replied, span]() {
-              if (span != nullptr) {
-                span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - replied);
-              }
-              if (s.ok()) {
-                // This attempt committed exactly version+1. Concurrent reads
-                // (or earlier failed attempts) may have ALREADY adopted that
-                // number after observing our write applied at a replica, so
-                // a blind ++ here would double-count the same commit and
-                // strand the client one version above every replica forever.
-                ChunkState& ok_cs = chunk_states_[sub.chunk_index];
-                ok_cs.version = std::max(ok_cs.version, version + 1);
-                ok_cs.timeout_streak = 0;
-                done(OkStatus());
-                return;
-              }
-              Status effective = *saw_mismatch ? VersionMismatch("replica ahead/behind") : s;
-              if (*saw_mismatch &&
-                  *replied_version > chunk_states_[sub.chunk_index].version) {
-                chunk_states_[sub.chunk_index].version = *replied_version;
-              }
-              HandleAttemptFailure(sub, effective, attempt, done,
-                                   [this, sub, data, attempt, done, span]() {
-                                     IssueWriteAttempt(sub, data, attempt + 1, done, span);
-                                   });
-            });
-      });
-
-  auto tracker = std::make_shared<QuorumTracker>(
-      total, majority,
-      [this, guard, chunk](const Status& s, int successes, int failures) {
-        if (s.ok() && failures > 0) {
-          // Committed on a majority: notify the master to fix the lagging
-          // replicas (§4.1 — "the client also notifies the master to fix the
-          // problem").
-          cluster_->master().RepairChunkReplicas(chunk);
-        }
-        guard->Complete(s);
-      });
-  sim::EventId commit_timer =
-      sim_->After(options_.commit_timeout, [tracker]() { tracker->TimeoutExpired(); });
-  auto leg = [this, tracker, commit_timer, saw_mismatch, replied_version](const Status& s,
-                                                                          uint64_t ver) {
-    if (s.ok()) {
-      tracker->RecordSuccess();
-    } else {
-      if (s.code() == StatusCode::kVersionMismatch) {
-        *saw_mismatch = true;
-        *replied_version = std::max(*replied_version, ver);
-      }
-      tracker->RecordFailure();
-    }
-    if (tracker->decided()) {
-      sim_->Cancel(commit_timer);
+void VirtualDisk::ArmWriteTimeout(uint32_t s) {
+  if (options_.request_timeout <= 0) {
+    return;
+  }
+  auto expire = [this, s, gen = subs_[s].gen]() {
+    if (SubLive(s, gen)) {
+      DecideWriteAttempt(s, TimedOut("rpc timeout"));
     }
   };
+  static_assert(sizeof(expire) <= InlineFn::kInlineBytes);
+  subs_[s].timeout = sim_->After(options_.request_timeout, expire);
+}
+
+void VirtualDisk::ClientDirectedWrite(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  const ChunkLayout& layout = Layout(rec.sub.chunk_index);
+  rec.primary_driven = false;
+  rec.chunk = layout.chunk;
+  rec.view = layout.view;
+  rec.version = chunk_states_[rec.sub.chunk_index].version;
+  // Speculating chunks replicate onto the spec targets (same quorum rule).
+  const std::vector<ReplicaRef>& replicas = WriteSet(layout);
+  URSA_CHECK_LE(replicas.size(), kMaxLegs);
+  rec.targets.assign(replicas.begin(), replicas.end());
+  int total = static_cast<int>(replicas.size());
+  int majority = total / 2 + 1;
+  rec.saw_mismatch = false;
+  rec.replied_version = 0;
+
+  ArmWriteTimeout(s);
+  rec.quorum = net::QuorumTracker(total, majority);
+  auto commit = [this, s, gen = rec.gen]() {
+    if (!SubLive(s, gen)) {
+      return;
+    }
+    subs_[s].quorum.TimeoutExpired();
+    if (subs_[s].quorum.decided()) {
+      OnQuorumDecided(s);
+    }
+  };
+  static_assert(sizeof(commit) <= InlineFn::kInlineBytes);
+  rec.commit_timer = sim_->After(options_.commit_timeout, commit);
+  rec.legs_fired = 0;
 
   // Client-directed replication (§3.2): one message per replica in parallel;
   // all legs stamp the shared span, which keeps the per-stage maximum (the
@@ -888,108 +905,222 @@ void VirtualDisk::ClientDirectedWrite(const SubRequest& sub, ursa::BufferView da
   // the critical path). Each replica counts toward the quorum at most once:
   // a chaos-duplicated request or reply must not let one replica's ack
   // masquerade as a majority.
-  auto leg_fired = std::make_shared<std::vector<bool>>(replicas.size(), false);
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    const ReplicaRef& replica = replicas[r];
-    auto leg_once = [leg, leg_fired, r](const Status& s, uint64_t ver) {
-      if ((*leg_fired)[r]) {
-        return;
-      }
-      (*leg_fired)[r] = true;
-      leg(s, ver);
-    };
-    cluster_->transport().Send(
-        host_->node(), replica.node, WireBytes(MessageType::kReplicate, sub.length),
-        [this, replica, chunk, sub, view, version, data, leg_once, span]() {
-          ChunkServer* server = Server(replica.server);
-          if (server == nullptr) {
-            return;  // silent drop; timeout/quorum handles it
-          }
-          server->HandleReplicate(
-              chunk, sub.chunk_offset, sub.length, view, version, data,
-              [this, replica, leg_once, span](const Status& s, uint64_t ver) {
-                cluster_->transport().Send(replica.node, host_->node(),
-                                           WireBytes(MessageType::kReplicateReply),
-                                           [leg_once, s, ver]() { leg_once(s, ver); }, span,
-                                           obs::Stage::kNetReply);
-              },
-              span, sub.write_id);
-        },
-        span, obs::Stage::kNetRequest);
+  for (uint32_t r = 0; r < rec.targets.size(); ++r) {
+    auto deliver = [this, s, tag = rec.gen + r]() { DeliverLeg(s, tag); };
+    static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+    cluster_->transport().Send(host_->node(), rec.targets[r].node,
+                               WireBytes(MessageType::kReplicate, rec.sub.length), deliver,
+                               SubSpan(s), obs::Stage::kNetRequest);
   }
 }
 
-void VirtualDisk::PrimaryDrivenWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                                     storage::IoCallback done, const obs::SpanRef& span) {
-  const ChunkLayout& layout = Layout(sub.chunk_index);
-  ChunkState& cs = chunk_states_[sub.chunk_index];
-  size_t primary_idx = cs.primary % layout.replicas.size();
-  const ReplicaRef primary = layout.replicas[primary_idx];
+void VirtualDisk::DeliverLeg(uint32_t s, uint32_t tag) {
+  if (!SubLive(s, tag)) {
+    return;  // the attempt was decided before this leg arrived
+  }
+  SubRecord& rec = subs_[s];
+  ChunkServer* server = Server(rec.targets[tag % kGenStride].server);
+  if (server == nullptr) {
+    return;  // silent drop; timeout/quorum handles it
+  }
+  auto served = [this, s, tag, keep = UserCallback(s)](const Status& status, uint64_t version) {
+    OnLegServed(s, tag, status.code(), version);
+  };
+  static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+  server->HandleReplicate(rec.chunk, rec.sub.chunk_offset, rec.sub.length, rec.view, rec.version,
+                          rec.data, served, SubSpan(s), rec.sub.write_id);
+}
 
-  std::vector<ReplicaRef> backups;
+void VirtualDisk::OnLegServed(uint32_t s, uint32_t tag, StatusCode code, uint64_t version) {
+  if (!SubLive(s, tag)) {
+    return;
+  }
+  auto reply = [this, s, tag, code, version]() { OnLegReply(s, tag, code, version); };
+  static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
+  cluster_->transport().Send(subs_[s].targets[tag % kGenStride].node, host_->node(),
+                             WireBytes(MessageType::kReplicateReply), reply, SubSpan(s),
+                             obs::Stage::kNetReply);
+}
+
+void VirtualDisk::OnLegReply(uint32_t s, uint32_t tag, StatusCode code, uint64_t version) {
+  if (!SubLive(s, tag)) {
+    return;
+  }
+  SubRecord& rec = subs_[s];
+  const uint32_t leg = 1u << (tag % kGenStride);
+  if ((rec.legs_fired & leg) != 0) {
+    return;  // this replica already counted
+  }
+  rec.legs_fired |= leg;
+  if (code == StatusCode::kOk) {
+    rec.quorum.RecordSuccess();
+  } else {
+    if (code == StatusCode::kVersionMismatch) {
+      rec.saw_mismatch = true;
+      rec.replied_version = std::max(rec.replied_version, version);
+    }
+    rec.quorum.RecordFailure();
+  }
+  if (rec.quorum.decided()) {
+    const sim::EventId commit_timer = rec.commit_timer;
+    OnQuorumDecided(s);
+    sim_->Cancel(commit_timer);
+  }
+}
+
+void VirtualDisk::OnQuorumDecided(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  Status outcome = rec.quorum.outcome();
+  if (outcome.ok() && rec.quorum.failures() > 0) {
+    // Committed on a majority: notify the master to fix the lagging
+    // replicas (§4.1 — "the client also notifies the master to fix the
+    // problem").
+    cluster_->master().RepairChunkReplicas(rec.chunk);
+  }
+  DecideWriteAttempt(s, std::move(outcome));
+}
+
+void VirtualDisk::PrimaryDrivenWrite(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  const ChunkLayout& layout = Layout(rec.sub.chunk_index);
+  const ChunkState& cs = chunk_states_[rec.sub.chunk_index];
+  size_t primary_idx = cs.primary % layout.replicas.size();
+  rec.primary_driven = true;
+  rec.targets.assign(1, layout.replicas[primary_idx]);
+  rec.backups.clear();
   for (size_t r = 0; r < layout.replicas.size(); ++r) {
     if (r != primary_idx) {
-      backups.push_back(layout.replicas[r]);
+      rec.backups.push_back(layout.replicas[r]);
     }
   }
+  rec.chunk = layout.chunk;
+  rec.view = layout.view;
+  rec.version = cs.version;
+  rec.replied_version = 0;
 
-  uint64_t view = layout.view;
-  uint64_t version = cs.version;
-  ChunkId chunk = layout.chunk;
+  ArmWriteTimeout(s);
+  auto deliver = [this, s, gen = rec.gen]() { DeliverPrimaryWrite(s, gen); };
+  static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+  cluster_->transport().Send(host_->node(), rec.targets[0].node,
+                             WireBytes(MessageType::kWriteRequest, rec.sub.length), deliver,
+                             SubSpan(s), obs::Stage::kNetRequest);
+}
 
-  auto replied_version = std::make_shared<uint64_t>(0);
-  auto guard = PendingCall::Start(
-      sim_, options_.request_timeout,
-      [this, sub, data, attempt, done, version, replied_version, span](const Status& s) {
-        Nanos replied = sim_->Now();
-        loop_->Submit(options_.loop_complete_cost, [this, sub, data, attempt, done, s,
-                                                    version, replied_version, replied,
-                                                    span]() {
-          if (span != nullptr) {
-            span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - replied);
-          }
-          if (s.ok()) {
-            // Commit is idempotent against concurrent version adoption (see
-            // ClientDirectedWrite): this attempt committed version+1 — the
-            // primary's replied new_version — never a blind increment.
-            ChunkState& ok_cs = chunk_states_[sub.chunk_index];
-            ok_cs.version = std::max({ok_cs.version, version + 1, *replied_version});
-            ok_cs.timeout_streak = 0;
-            done(OkStatus());
-            return;
-          }
-          if (s.code() == StatusCode::kVersionMismatch &&
-              *replied_version > chunk_states_[sub.chunk_index].version) {
-            chunk_states_[sub.chunk_index].version = *replied_version;
-          }
-          HandleAttemptFailure(sub, s, attempt, done, [this, sub, data, attempt, done,
-                                                       span]() {
-            IssueWriteAttempt(sub, data, attempt + 1, done, span);
-          });
-        });
-      });
+void VirtualDisk::DeliverPrimaryWrite(uint32_t s, uint32_t gen) {
+  if (!SubLive(s, gen)) {
+    return;
+  }
+  SubRecord& rec = subs_[s];
+  ChunkServer* server = Server(rec.targets[0].server);
+  if (server == nullptr) {
+    return;
+  }
+  auto served = [this, s, gen, keep = UserCallback(s)](const Status& status,
+                                                        uint64_t new_version) {
+    OnPrimaryServed(s, gen, status, new_version);
+  };
+  static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+  server->HandleWrite(rec.chunk, rec.sub.chunk_offset, rec.sub.length, rec.view, rec.version,
+                      rec.data, rec.backups, served, SubSpan(s), rec.sub.write_id);
+}
 
-  cluster_->transport().Send(
-      host_->node(), primary.node, WireBytes(MessageType::kWriteRequest, sub.length),
-      [this, primary, chunk, sub, view, version, data, backups = std::move(backups), guard,
-       replied_version, span]() {
-        ChunkServer* server = Server(primary.server);
-        if (server == nullptr) {
-          return;
-        }
-        server->HandleWrite(
-            chunk, sub.chunk_offset, sub.length, view, version, data, backups,
-            [this, primary, guard, replied_version, span](const Status& s,
-                                                          uint64_t new_version) {
-              *replied_version = new_version;
-              cluster_->transport().Send(primary.node, host_->node(),
-                                         WireBytes(MessageType::kWriteReply),
-                                         [guard, s]() { guard->Complete(s); }, span,
-                                         obs::Stage::kNetReply);
-            },
-            span, sub.write_id);
-      },
-      span, obs::Stage::kNetRequest);
+void VirtualDisk::OnPrimaryServed(uint32_t s, uint32_t gen, const Status& status,
+                                  uint64_t new_version) {
+  if (!SubLive(s, gen)) {
+    return;
+  }
+  subs_[s].replied_version = new_version;
+  auto reply = [this, s, gen, status]() {
+    if (SubLive(s, gen)) {
+      DecideWriteAttempt(s, status);
+    }
+  };
+  static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
+  cluster_->transport().Send(subs_[s].targets[0].node, host_->node(),
+                             WireBytes(MessageType::kWriteReply), reply, SubSpan(s),
+                             obs::Stage::kNetReply);
+}
+
+void VirtualDisk::DecideWriteAttempt(uint32_t s, Status status) {
+  SubRecord& rec = subs_[s];
+  if (options_.request_timeout > 0) {
+    sim_->Cancel(rec.timeout);
+  }
+  rec.gen += kGenStride;  // the attempt is decided: its late replies are stale
+  rec.status = std::move(status);
+  rec.replied = sim_->Now();
+  auto done = [this, s, gen = rec.gen]() {
+    URSA_CHECK(SubLive(s, gen));
+    FinishWriteAttempt(s);
+  };
+  static_assert(sizeof(done) <= InlineFn::kInlineBytes);
+  loop_->Submit(options_.loop_complete_cost, done);
+}
+
+void VirtualDisk::FinishWriteAttempt(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  if (const obs::SpanRef& span = SubSpan(s); span != nullptr) {
+    span->RecordStage(obs::Stage::kClientComplete, sim_->Now() - rec.replied);
+  }
+  ChunkState& cs = chunk_states_[rec.sub.chunk_index];
+  if (rec.status.ok()) {
+    // This attempt committed exactly version+1 (primary-driven: the
+    // primary's replied new_version). Concurrent reads (or earlier failed
+    // attempts) may have ALREADY adopted that number after observing our
+    // write applied at a replica, so a blind ++ here would double-count the
+    // same commit and strand the client one version above every replica
+    // forever.
+    cs.version = std::max(cs.version, rec.version + 1);
+    if (rec.primary_driven) {
+      cs.version = std::max(cs.version, rec.replied_version);
+    }
+    cs.timeout_streak = 0;
+    FinishSub(s, OkStatus());
+    return;
+  }
+  const bool mismatch = rec.primary_driven ? rec.status.code() == StatusCode::kVersionMismatch
+                                           : rec.saw_mismatch;
+  if (mismatch && rec.replied_version > cs.version) {
+    cs.version = rec.replied_version;
+  }
+  HandleAttemptFailure(s, !rec.primary_driven && rec.saw_mismatch
+                              ? VersionMismatch("replica ahead/behind")
+                              : rec.status);
+}
+
+void VirtualDisk::PromoteForWrite(uint32_t s) {
+  ++stats_.write_promotes;
+  storage::ChunkId chunk = Layout(subs_[s].sub.chunk_index).chunk;
+  // With speculation enabled this returns as soon as the spec targets are
+  // allocated (no reconstruction wait); otherwise it blocks on the full
+  // promotion like before.
+  auto promoted = [this, s, gen = subs_[s].gen](Status status) {
+    URSA_CHECK(SubLive(s, gen));
+    subs_[s].status = std::move(status);
+    auto resume = [this, s, gen]() {
+      URSA_CHECK(SubLive(s, gen));
+      FinishPromote(s);
+    };
+    static_assert(sizeof(resume) <= InlineFn::kInlineBytes);
+    loop_->Submit(options_.loop_complete_cost, resume);
+  };
+  static_assert(sizeof(promoted) <= InlineFn::kInlineBytes);
+  cluster_->master().BeginWritePromote(chunk, promoted);
+}
+
+void VirtualDisk::FinishPromote(uint32_t s) {
+  RefreshLayout();
+  SubRecord& rec = subs_[s];
+  const ChunkLayout& layout = Layout(rec.sub.chunk_index);
+  if (rec.status.ok() || layout.tier == cluster::ChunkTier::kReplicated ||
+      layout.speculating()) {
+    // Promoted or speculating (by us or a concurrent migration): retry on
+    // the fresh layout. Same attempt number — the promote round-trip is not
+    // a replica failure.
+    IssueWriteAttempt(s);
+    return;
+  }
+  HandleAttemptFailure(s, rec.status);
 }
 
 void VirtualDisk::Upgrade(const std::string& version, Nanos swap_window,
@@ -1011,10 +1142,10 @@ void VirtualDisk::Upgrade(const std::string& version, Nanos swap_window,
     sim_->After(swap_window, [this, version, done = std::move(done)]() {
       software_version_ = version;
       upgrading_ = false;
-      std::vector<std::function<void()>> resume;
+      std::vector<uint32_t> resume;
       resume.swap(paused_ops_);
-      for (auto& op : resume) {
-        op();
+      for (uint32_t op : resume) {
+        StartOp(op);
       }
       done();
     });
@@ -1037,20 +1168,35 @@ Nanos VirtualDisk::BackoffDelay(int attempt) {
   return half + static_cast<Nanos>(retry_rng_.Uniform(static_cast<uint64_t>(half) + 1));
 }
 
-void VirtualDisk::ScheduleRetry(int attempt, std::function<void()> retry) {
-  Nanos delay = BackoffDelay(attempt);
+void VirtualDisk::ScheduleRetry(uint32_t s) {
+  Nanos delay = BackoffDelay(subs_[s].attempt);
   if (delay <= 0) {
-    retry();
+    Retry(s);
     return;
   }
   ++stats_.backoff_retries;
   stats_.backoff_wait_ns += delay;
-  sim_->After(delay, std::move(retry));
+  auto retry = [this, s, gen = subs_[s].gen]() {
+    URSA_CHECK(SubLive(s, gen));
+    Retry(s);
+  };
+  static_assert(sizeof(retry) <= InlineFn::kInlineBytes);
+  sim_->After(delay, retry);
 }
 
-void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& status, int attempt,
-                                       storage::IoCallback done, std::function<void()> retry) {
-  ChunkState& cs = chunk_states_[sub.chunk_index];
+void VirtualDisk::Retry(uint32_t s) {
+  SubRecord& rec = subs_[s];
+  ++rec.attempt;
+  if (ops_[rec.op].is_write) {
+    IssueWriteAttempt(s);
+  } else {
+    IssueRead(s);
+  }
+}
+
+void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
+  const size_t chunk_index = subs_[s].sub.chunk_index;
+  ChunkState& cs = chunk_states_[chunk_index];
   // Classify first (timeout vs explicit-fail vs integrity): the class drives
   // both the counters and the reaction below.
   const bool is_timeout = status.code() == StatusCode::kTimedOut;
@@ -1063,8 +1209,8 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
     ++stats_.explicit_failures;
   }
 
-  if (attempt >= options_.max_attempts) {
-    done(status);
+  if (subs_[s].attempt >= options_.max_attempts) {
+    FinishSub(s, std::move(status));
     return;
   }
   ++stats_.retries;
@@ -1079,19 +1225,19 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
     // in the background (§4.2.1: "the primary tries to update its state by
     // incremental repair").
     RefreshLayout();
-    const ChunkLayout& nl = Layout(sub.chunk_index);
+    const ChunkLayout& nl = Layout(chunk_index);
     if (nl.tier == cluster::ChunkTier::kEc || nl.replicas.empty()) {
       // Demoted under us: the issue path re-routes (EC shard read, or
       // promote-on-write) against the fresh layout.
       cs.timeout_streak = 0;
-      retry();
+      Retry(s);
       return;
     }
     if (status.code() == StatusCode::kNotFound) {
       // Promoted under us (replicas replaced wholesale): nothing to steer —
       // the fresh layout is enough.
       cs.timeout_streak = 0;
-      retry();
+      Retry(s);
       return;
     }
     cluster::ServerId stale = nl.replicas[cs.primary % nl.replicas.size()].server;
@@ -1120,18 +1266,18 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
     // only adopt newer observations.
     cs.version = std::max(cs.version, best_version);
     cs.timeout_streak = 0;
-    retry();
+    Retry(s);
     return;
   }
 
-  const ChunkLayout& layout = Layout(sub.chunk_index);
+  const ChunkLayout& layout = Layout(chunk_index);
   if (layout.tier == cluster::ChunkTier::kEc || layout.replicas.empty()) {
     // EC-tier failure (a shard timed out, or the degraded read exhausted its
     // survivors): the shard failure was already reported inside the EC read
     // path; back off and retry — repair or promotion may land meanwhile.
     cs.timeout_streak = 0;
     RefreshLayout();
-    ScheduleRetry(attempt, std::move(retry));
+    ScheduleRetry(s);
     return;
   }
 
@@ -1143,7 +1289,7 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
     cs.primary = (cs.primary + 1) % layout.replicas.size();
     ++stats_.primary_switches;
     cluster_->master().RepairChunkReplicas(layout.chunk);
-    ScheduleRetry(attempt, std::move(retry));
+    ScheduleRetry(s);
     return;
   }
 
@@ -1152,7 +1298,7 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
     // retry the same primary after a backoff before declaring it failed.
     // Persistent timeouts exhaust the hysteresis and fall through to the
     // switch-and-report path below.
-    ScheduleRetry(attempt, std::move(retry));
+    ScheduleRetry(s);
     return;
   }
   cs.timeout_streak = 0;
@@ -1168,13 +1314,12 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
   cs.primary = (cs.primary + 1) % layout.replicas.size();
   ++stats_.primary_switches;
   ++stats_.failures_reported;
-  cluster_->master().ReportReplicaFailure(layout.chunk, suspected, [this, sub](const Status& s) {
-    (void)s;
+  auto resync = [this, chunk_index](const Status&) {
     RefreshLayout();
     // Resync the client version after the view change — upward only:
     // the single-writer client's number is authoritative (§4.1).
-    const ChunkLayout& nl = Layout(sub.chunk_index);
-    ChunkState& ncs = chunk_states_[sub.chunk_index];
+    const ChunkLayout& nl = Layout(chunk_index);
+    ChunkState& ncs = chunk_states_[chunk_index];
     uint64_t version = ncs.version;
     for (const ReplicaRef& r : nl.replicas) {
       ChunkServer* server = Server(r.server);
@@ -1199,8 +1344,9 @@ void VirtualDisk::HandleAttemptFailure(const SubRequest& sub, const Status& stat
         ncs.primary = r;
       }
     }
-  });
-  ScheduleRetry(attempt, std::move(retry));
+  };
+  cluster_->master().ReportReplicaFailure(layout.chunk, suspected, resync);
+  ScheduleRetry(s);
 }
 
 }  // namespace ursa::client

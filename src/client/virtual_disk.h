@@ -6,7 +6,7 @@
 //     chunks at a fixed stripe unit; large requests fan out to many chunks
 //     and complete out of order, joined per user request;
 //   * per-chunk write ordering: writes to one chunk carry consecutive version
-//     numbers and are pipelined one-at-a-time (the "lock contention" that
+//     numbers and are issued one at a time (the "lock contention" that
 //     makes Fig. 9's sequential-write IOPS much lower than reads);
 //   * client-directed replication (§3.2): writes <= Tc go to all replicas in
 //     parallel from the client; larger writes are primary-driven (Fig. 5);
@@ -19,7 +19,6 @@
 #ifndef URSA_CLIENT_VIRTUAL_DISK_H_
 #define URSA_CLIENT_VIRTUAL_DISK_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -27,9 +26,11 @@
 #include "src/cluster/cluster.h"
 #include "src/common/buffer.h"
 #include "src/common/histogram.h"
+#include "src/common/inline_fn.h"
 #include "src/common/rate_limiter.h"
 #include "src/common/rng.h"
 #include "src/ec/reed_solomon.h"
+#include "src/net/rpc.h"
 
 namespace ursa::client {
 
@@ -124,6 +125,9 @@ class VirtualDisk {
   // primary index for chunk `index` of the open disk.
   uint64_t chunk_version(size_t index) const { return chunk_states_[index].version; }
   size_t chunk_primary(size_t index) const { return chunk_states_[index].primary; }
+  // Pooled op, sub-request and read-piece records in use. Zero once every
+  // accepted op has called back.
+  size_t live_records() const { return ops_.live() + subs_.live() + pieces_.live(); }
 
   // ---- Online client upgrade (§5.2, core/shell split) ----
   // Stops accepting new I/O from the VMM, completes pending requests, saves
@@ -151,15 +155,163 @@ class VirtualDisk {
     uint64_t write_id = 0;
   };
 
-  struct PendingWrite {
-    std::function<void()> fn;
-    uint64_t bytes = 0;  // payload size, for the per-byte loop cost
+  // ---- Pooled per-op state (DESIGN.md §8) ----
+  // Every closure the client hands to the simulator, the loop, the transport
+  // or a chunk server captures (this, record index, generation tag); chunk-
+  // server callbacks also hold the user callback (see OpRecord::done).
+  // A record's generation advances when the read RPC or write attempt it
+  // tracks is decided and again when the record is released, so a late
+  // timeout, a stale reply or a chaos duplicate finds a different tag and is
+  // dropped: it can never complete a recycled record or a later attempt.
+  // Sub-request generations advance in steps of kGenStride; the low bits of
+  // a tag name a replication leg of the attempt.
+  static constexpr uint32_t kGenStride = 8;
+  static constexpr uint32_t kMaxLegs = kGenStride;
+  static constexpr uint32_t kNoRecord = ~0u;
+
+  // Records at fixed addresses, recycled through a free list. Release()
+  // calls T::Reset (which keeps reusable capacity) and bumps the generation.
+  template <typename T>
+  class Pool {
+   public:
+    uint32_t Acquire() {
+      if (free_.empty()) {
+        slots_.push_back(std::make_unique<T>());
+        return static_cast<uint32_t>(slots_.size() - 1);
+      }
+      uint32_t i = free_.back();
+      free_.pop_back();
+      return i;
+    }
+    void Release(uint32_t i) {
+      T& r = *slots_[i];
+      r.Reset();
+      r.gen += kGenStride;
+      free_.push_back(i);
+    }
+    T& operator[](uint32_t i) { return *slots_[i]; }
+    size_t live() const { return slots_.size() - free_.size(); }
+
+   private:
+    std::vector<std::unique_ptr<T>> slots_;
+    std::vector<uint32_t> free_;
+  };
+
+  // One user Read/Write, from entry (paused and throttled included) to the
+  // user callback.
+  struct OpRecord {
+    uint32_t gen = 0;
+    bool is_write = false;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+    void* out = nullptr;    // read destination (may be null)
+    ursa::BufferView data;  // write payload, until it is sliced into subs
+    // Shared with every chunk-server callback of the op: a server may still
+    // write into `out` (or read a borrowed payload) after a timeout retired
+    // its request, so the user callback, and any buffer it owns, lives until
+    // the last server lets go of the op. Raw-pointer callers that free their
+    // buffer from the callback rely on this.
+    std::shared_ptr<storage::IoCallback> done;
+    obs::SpanRef span;
+    Nanos start = 0;
+    uint32_t remaining = 0;  // sub-requests still running
+    Status first_error;
+    void Reset() {
+      out = nullptr;
+      data = {};
+      done = nullptr;
+      span = nullptr;
+      first_error = Status();
+    }
+  };
+
+  // One sub-request of an op, across all of its attempts.
+  struct SubRecord {
+    uint32_t gen = 0;
+    uint32_t op = 0;
+    SubRequest sub;
+    void* out = nullptr;    // read destination for this sub (may be null)
+    ursa::BufferView data;  // write payload slice
+    int attempt = 1;
+    bool spec_write = false;           // acked against speculative replicas
+    uint32_t next_queued = kNoRecord;  // per-chunk write-order queue link
+
+    // The attempt in flight.
+    Status status;  // outcome (reads: first piece error)
+    Nanos replied = 0;
+    uint64_t replied_version = 0;
+    bool saw_mismatch = false;
+    // Reads: pieces outstanding, and whether the attempt is one replica
+    // read (as opposed to EC shard / spec-replica pieces).
+    uint32_t pieces = 0;
+    bool replica_read = false;
+    // Writes: request parameters, shared by every leg.
+    bool primary_driven = false;
+    storage::ChunkId chunk = 0;
+    uint64_t view = 0;
+    uint64_t version = 0;
+    sim::EventId timeout = 0;
+    std::vector<cluster::ReplicaRef> targets;  // legs, or {primary}
+    std::vector<cluster::ReplicaRef> backups;  // primary-driven chain
+    // Client-directed quorum (§4.1).
+    net::QuorumTracker quorum{0, 0};
+    sim::EventId commit_timer = 0;
+    uint32_t legs_fired = 0;  // bit r: replica r already counted
+    void Reset() {
+      out = nullptr;
+      data = {};
+      spec_write = false;
+      next_queued = kNoRecord;
+      status = Status();
+      targets.clear();
+      backups.clear();
+    }
+  };
+
+  // One read RPC of a read attempt: the replica read, an EC shard piece, a
+  // spec-replica piece, or a survivor read feeding a degraded reconstruct.
+  enum class PieceKind : uint8_t { kReplica, kShard, kSpec, kSurvivor };
+  struct PieceRecord {
+    uint32_t gen = 0;
+    PieceKind kind = PieceKind::kReplica;
+    uint32_t sub = 0;       // the sub-request this piece serves
+    uint32_t degraded = 0;  // kSurvivor: the shard piece it feeds
+    int shard = 0;          // kShard: shard index
+    size_t replica = 0;     // kSpec: index into spec_replicas
+    uint64_t offset = 0;    // chunk or shard offset of the range
+    uint64_t length = 0;
+    void* out = nullptr;
+    // The RPC in flight.
+    cluster::ServerId server = 0;
+    uint32_t node = 0;
+    storage::ChunkId chunk = 0;
+    uint64_t view = 0;
+    uint64_t version = 0;
+    uint64_t replied_version = 0;
+    sim::EventId timeout = 0;
+    // kShard whose server failed: the k survivor ranges it reconstructs
+    // from. Shared with each survivor's server callback, so a late server
+    // read never lands in a recycled buffer.
+    std::shared_ptr<std::vector<uint8_t>> survivors;
+    std::vector<int> sources;  // the k shards read (k = sources.size())
+    int ec_m = 0;
+    uint32_t pending = 0;
+    Status status;
+    void Reset() {
+      out = nullptr;
+      survivors = nullptr;
+      sources.clear();
+      status = Status();
+    }
   };
 
   struct ChunkState {
     uint64_t version = 0;
     size_t primary = 0;  // index into layout replicas
-    std::deque<PendingWrite> write_queue;
+    // Writes waiting for the chunk's one in-flight write (FIFO through
+    // SubRecord::next_queued).
+    uint32_t queue_head = kNoRecord;
+    uint32_t queue_tail = kNoRecord;
     bool write_inflight = false;
     int timeout_streak = 0;  // consecutive timeouts on the current primary
     // While the chunk speculates (DESIGN.md §13.6): ranges known durable on
@@ -169,56 +321,86 @@ class VirtualDisk {
     std::vector<Interval> spec_extents;
   };
 
-  // Maps a logical byte range to per-chunk sub-requests (striping).
-  std::vector<SubRequest> SplitRequest(uint64_t offset, uint64_t length) const;
+  // Maps a logical byte range to per-chunk sub-requests (striping),
+  // appended to `subs`.
+  void SplitRequest(uint64_t offset, uint64_t length, std::vector<SubRequest>* subs) const;
 
+  // Entry (and re-entry after an upgrade pause or a throttle wait).
+  void StartOp(uint32_t op);
+  void StartRead(uint32_t op);
+  void StartWrite(uint32_t op);
+  // A sub-request finished for good: frees the chunk's write slot and joins
+  // the op; the last sub completes the op after the VMM return hop.
+  void FinishSub(uint32_t s, Status status);
+  void FinishOp(uint32_t op);
+
+  // ---- Reads ----
   // The span (null when the request is unsampled) rides along every attempt;
   // retries max-merge into the same span, inflating kClientIssue — acceptable
   // for a failure-path sample, and the common case has one attempt.
-  void IssueRead(const SubRequest& sub, void* out, int attempt, storage::IoCallback done,
-                 const obs::SpanRef& span);
-  void IssueWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                  storage::IoCallback done, const obs::SpanRef& span);
-  void IssueWriteAttempt(const SubRequest& sub, ursa::BufferView data, int attempt,
-                         storage::IoCallback done, const obs::SpanRef& span);
-  void ClientDirectedWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                           storage::IoCallback done, const obs::SpanRef& span);
-  void PrimaryDrivenWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                          storage::IoCallback done, const obs::SpanRef& span);
+  void IssueRead(uint32_t s);
+  // Routes an EC-tier sub-request to the shard(s) owning the range (and,
+  // while the chunk speculates, the spec replicas for ranges known there).
+  void IssueEcRead(uint32_t s);
+  uint32_t AcquirePiece(uint32_t s, PieceKind kind, uint64_t offset, uint64_t length, void* out);
+  // A shard piece falls back to a client-side degraded read when its shard
+  // server fails (reconstruct from k surviving shards).
+  void StartShardPiece(uint32_t p);
+  // Reads a speculating chunk's range from spec replica `replica` (version-
+  // guarded: a replica that missed an acked write fails the version check
+  // and the piece fails over to the next one).
+  void StartSpecPiece(uint32_t p);
+  void StartDegradedRead(uint32_t p);
+  // Arms the piece's timeout and sends its read request.
+  void SendPiece(uint32_t p);
+  void DeliverPiece(uint32_t p, uint32_t gen);
+  void OnPieceServed(uint32_t p, uint32_t gen, const Status& status, uint64_t version);
+  // First of {reply, timeout} for the piece's RPC.
+  void OnPieceDone(uint32_t p, const Status& status);
+  // Retires a piece and reports `status` to whatever it feeds.
+  void FinishPiece(uint32_t p, Status status);
+  void OnSurvivorDone(uint32_t p, const Status& status);
+  void FinishReadAttempt(uint32_t s);
+  ec::ReedSolomon* Codec(int k, int m);
 
-  // ---- EC cold-tier paths (DESIGN.md §13) ----
-  // Routes a sub-request at an EC-tier chunk to the shard(s) owning the
-  // range; each shard piece falls back to a client-side degraded read when
-  // its shard server fails (reconstruct from k surviving shards).
-  void IssueEcRead(const SubRequest& sub, void* out, int attempt, storage::IoCallback done,
-                   const obs::SpanRef& span);
-  void ReadShardPiece(size_t chunk_index, int shard_index, uint64_t shard_off, uint64_t len,
-                      void* out, storage::IoCallback done, const obs::SpanRef& span);
-  // Reads [offset, offset+len) of a speculating chunk from its spec
-  // replicas (version-guarded: a replica that missed an acked write fails
-  // the version check and the read fails over to the next one).
-  void ReadSpecPiece(size_t chunk_index, uint64_t offset, uint64_t len, void* out,
-                     size_t replica_idx, storage::IoCallback done, const obs::SpanRef& span);
-  void DegradedShardRead(size_t chunk_index, int shard_index, uint64_t shard_off, uint64_t len,
-                         void* out, storage::IoCallback done, const obs::SpanRef& span);
+  // ---- Writes ----
+  void EnqueueWrite(uint32_t s);
+  void PumpWriteQueue(size_t chunk_index);
+  void IssueWrite(uint32_t s);
+  void IssueWriteAttempt(uint32_t s);
+  void ArmWriteTimeout(uint32_t s);
+  void ClientDirectedWrite(uint32_t s);
+  void DeliverLeg(uint32_t s, uint32_t tag);
+  void OnLegServed(uint32_t s, uint32_t tag, StatusCode code, uint64_t version);
+  void OnLegReply(uint32_t s, uint32_t tag, StatusCode code, uint64_t version);
+  void OnQuorumDecided(uint32_t s);
+  void PrimaryDrivenWrite(uint32_t s);
+  void DeliverPrimaryWrite(uint32_t s, uint32_t gen);
+  void OnPrimaryServed(uint32_t s, uint32_t gen, const Status& status, uint64_t new_version);
   // A write landed on an EC-tier chunk: promote it back to replicated form
   // through the master BEFORE the ack, then retry on the fresh layout.
-  void PromoteForWrite(const SubRequest& sub, ursa::BufferView data, int attempt,
-                       storage::IoCallback done, const obs::SpanRef& span);
-  ec::ReedSolomon* Codec(int k, int m);
+  void PromoteForWrite(uint32_t s);
+  void FinishPromote(uint32_t s);
+  // First of {decision, timeout} for a write attempt.
+  void DecideWriteAttempt(uint32_t s, Status status);
+  void FinishWriteAttempt(uint32_t s);
 
   // Failure path: classify the error (timeout / explicit / integrity), apply
   // primary-switch hysteresis, report to the master when warranted, then
-  // retry via `retry` after a bounded-backoff delay.
-  void HandleAttemptFailure(const SubRequest& sub, const Status& status, int attempt,
-                            storage::IoCallback done, std::function<void()> retry);
-
+  // retry after a bounded-backoff delay (or fail the sub-request once its
+  // attempts are spent).
+  void HandleAttemptFailure(uint32_t s, Status status);
   // Backoff delay before retry attempt `attempt`+1 (0 = immediate).
   Nanos BackoffDelay(int attempt);
-  // Runs `retry` after BackoffDelay(attempt), tracking backoff stats.
-  void ScheduleRetry(int attempt, std::function<void()> retry);
+  // Runs Retry(s) after BackoffDelay, tracking backoff stats.
+  void ScheduleRetry(uint32_t s);
+  void Retry(uint32_t s);
 
-  void PumpWriteQueue(size_t chunk_index);
+  bool SubLive(uint32_t s, uint32_t tag) { return subs_[s].gen == (tag & ~(kGenStride - 1)); }
+  const obs::SpanRef& SubSpan(uint32_t s) { return ops_[subs_[s].op].span; }
+  const std::shared_ptr<storage::IoCallback>& UserCallback(uint32_t s) {
+    return ops_[subs_[s].op].done;
+  }
 
   const cluster::ChunkLayout& Layout(size_t chunk_index) const {
     return meta_.chunks[chunk_index];
@@ -242,11 +424,17 @@ class VirtualDisk {
   std::vector<ChunkState> chunk_states_;
   ClientStats stats_;
 
+  Pool<OpRecord> ops_;
+  Pool<SubRecord> subs_;
+  Pool<PieceRecord> pieces_;
+  std::vector<SubRequest> split_;        // SplitRequest scratch
+  std::vector<uint32_t> piece_scratch_;  // IssueEcRead scratch
+
   // Upgrade machinery (§5.2).
   bool upgrading_ = false;
   std::string software_version_ = "v1";
   uint64_t inflight_user_ops_ = 0;
-  std::vector<std::function<void()>> paused_ops_;
+  std::vector<uint32_t> paused_ops_;  // op records held across the swap
 
   // Master-imposed write throttle (§3.2).
   RateLimiter write_limiter_;

@@ -269,9 +269,12 @@ Result<DiskId> Master::CreateDisk(const std::string& name, uint64_t size, int re
   uint64_t group = static_cast<uint64_t>(stripe_group);
   num_chunks = (num_chunks + group - 1) / group * group;
   meta.chunks.reserve(num_chunks);
+  // Never place a new replica on a server held down: it could not take the
+  // chunk's writes until a repair moved it.
+  auto alive = [this](ServerId sid) { return !servers_[sid]->crashed(); };
   for (uint64_t seq = 0; seq < num_chunks; ++seq) {
     Result<std::vector<ServerId>> servers =
-        placement_.PlaceChunk(seq, replication, meta.id * 7919);
+        placement_.PlaceChunk(seq, replication, meta.id * 7919, alive);
     if (!servers.ok()) {
       return servers.status();
     }

@@ -13,8 +13,21 @@ Placement::Placement(std::vector<std::vector<ServerId>> primary_servers,
   backup_cursor_.assign(backup_servers_.size(), 0);
 }
 
-Result<std::vector<ServerId>> Placement::PlaceChunk(uint64_t chunk_seq, int replication,
-                                                    uint64_t salt) const {
+ServerId Placement::TakeLive(const std::vector<ServerId>& pool, size_t* cursor,
+                            const std::function<bool(ServerId)>& alive) {
+  for (size_t i = 0; i < pool.size(); ++i) {
+    ServerId sid = pool[(*cursor + i) % pool.size()];
+    if (!alive || alive(sid)) {
+      *cursor += i + 1;
+      return sid;
+    }
+  }
+  return kNoServer;
+}
+
+Result<std::vector<ServerId>> Placement::PlaceChunk(
+    uint64_t chunk_seq, int replication, uint64_t salt,
+    const std::function<bool(ServerId)>& alive) const {
   size_t machines = primary_servers_.size();
   if (static_cast<size_t>(replication) > machines) {
     return ResourceExhausted("replication factor exceeds machine count");
@@ -24,22 +37,26 @@ Result<std::vector<ServerId>> Placement::PlaceChunk(uint64_t chunk_seq, int repl
 
   // Rotate the starting machine per chunk so consecutive chunks of a striping
   // group spread across machines; the per-machine cursor rotates through the
-  // machine's disks so chunks of one group never share a disk.
+  // machine's disks so chunks of one group never share a disk. Machines are
+  // walked in rotation order from m0, each used at most once; the first one
+  // with a live primary-capable disk takes the primary, the following ones
+  // with a live backup disk take the backups.
   size_t m0 = (chunk_seq + salt) % machines;
-
-  const std::vector<ServerId>& primaries = primary_servers_[m0];
-  if (primaries.empty()) {
-    return ResourceExhausted("no primary-capable server on machine");
-  }
-  out.push_back(primaries[primary_cursor_[m0]++ % primaries.size()]);
-
-  for (int r = 1; r < replication; ++r) {
-    size_t m = (m0 + r) % machines;
-    const std::vector<ServerId>& backups = backup_servers_[m];
-    if (backups.empty()) {
-      return ResourceExhausted("no backup server on machine");
+  for (size_t i = 0; i < machines && static_cast<int>(out.size()) < replication; ++i) {
+    size_t m = (m0 + i) % machines;
+    const bool primary = out.empty();
+    const std::vector<ServerId>& pool = primary ? primary_servers_[m] : backup_servers_[m];
+    if (pool.empty()) {
+      return ResourceExhausted(primary ? "no primary-capable server on machine"
+                                       : "no backup server on machine");
     }
-    out.push_back(backups[backup_cursor_[m]++ % backups.size()]);
+    ServerId sid = TakeLive(pool, primary ? &primary_cursor_[m] : &backup_cursor_[m], alive);
+    if (sid != kNoServer) {
+      out.push_back(sid);
+    }
+  }
+  if (static_cast<int>(out.size()) < replication) {
+    return ResourceExhausted("too few machines with a live server");
   }
   return out;
 }

@@ -8,6 +8,7 @@
 #ifndef URSA_CLUSTER_PLACEMENT_H_
 #define URSA_CLUSTER_PLACEMENT_H_
 
+#include <functional>
 #include <vector>
 
 #include "src/cluster/types.h"
@@ -30,8 +31,13 @@ class Placement {
   // `salt` decorrelates different disks' rotations (each disk starts its
   // machine rotation at a different point), so many clients writing the same
   // relative offsets do not converge on the same machines.
-  Result<std::vector<ServerId>> PlaceChunk(uint64_t chunk_seq, int replication,
-                                           uint64_t salt = 0) const;
+  // `alive`, when set, vetoes servers held down: the cursor moves past them
+  // to the machine's next live disk, and a machine with none is skipped for
+  // the next machine in the rotation. With every server alive the choice and
+  // the cursor sequence are those of a call without `alive`.
+  Result<std::vector<ServerId>> PlaceChunk(
+      uint64_t chunk_seq, int replication, uint64_t salt = 0,
+      const std::function<bool(ServerId)>& alive = nullptr) const;
 
   // A replacement server for recovery: same pool kind as `like_primary`,
   // hosted on a machine not in `exclude_machines`.
@@ -44,6 +50,12 @@ class Placement {
   size_t num_machines() const { return primary_servers_.size(); }
 
  private:
+  // Takes the first live server of `pool` at or after `*cursor` (mod its
+  // size) and moves the cursor past it; kNoServer when none is alive.
+  static ServerId TakeLive(const std::vector<ServerId>& pool, size_t* cursor,
+                           const std::function<bool(ServerId)>& alive);
+  static constexpr ServerId kNoServer = ~ServerId{0};
+
   std::vector<std::vector<ServerId>> primary_servers_;
   std::vector<std::vector<ServerId>> backup_servers_;
   // Round-robin disk cursors per machine (advanced on every placement).

@@ -1,2 +1,2 @@
-// PendingCall and QuorumTracker are header-only; this TU anchors the library.
+// QuorumTracker is header-only; this TU anchors the library.
 #include "src/net/rpc.h"

@@ -1,77 +1,26 @@
-// Request/response helpers over the active-message transport.
-//
-// PendingCall wraps a continuation with exactly-once semantics plus an
-// optional timeout: whichever of {reply, timeout} fires first wins, the loser
-// becomes a no-op. Replication's hybrid fault model (§4.1) relies on this —
-// the client commits on majority-after-timeout but a straggler's late reply
-// must not double-complete the write.
+// Reply counting for replicated writes (§4.1). Exactly-once completion of a
+// request (the first of reply or timeout wins) is the sender's job: the
+// client keeps it in generation-tagged pooled records (DESIGN.md §8).
 #ifndef URSA_NET_RPC_H_
 #define URSA_NET_RPC_H_
 
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "src/common/status.h"
-#include "src/common/units.h"
-#include "src/sim/simulator.h"
 
 namespace ursa::net {
-
-class PendingCall : public std::enable_shared_from_this<PendingCall> {
- public:
-  using Callback = std::function<void(const Status&)>;
-
-  // Creates a pending call; if `timeout` > 0 and no reply arrives within it,
-  // `done` fires with kTimedOut.
-  static std::shared_ptr<PendingCall> Start(sim::Simulator* sim, Nanos timeout, Callback done) {
-    auto call = std::shared_ptr<PendingCall>(new PendingCall(std::move(done)));
-    if (timeout > 0) {
-      // The timeout holds a STRONG reference: a crashed server silently drops
-      // the request, and if every other reference dies with the dropped
-      // message the timeout must still fire to fail the call.
-      call->timeout_event_ = sim->After(timeout, [call]() {
-        call->Complete(TimedOut("rpc timeout"));
-      });
-      call->sim_ = sim;
-      call->has_timeout_ = true;
-    }
-    return call;
-  }
-
-  // Completes the call (idempotent; later invocations are ignored).
-  void Complete(const Status& status) {
-    if (completed_) {
-      return;
-    }
-    completed_ = true;
-    if (has_timeout_) {
-      sim_->Cancel(timeout_event_);
-    }
-    done_(status);
-  }
-
-  bool completed() const { return completed_; }
-
- private:
-  explicit PendingCall(Callback done) : done_(std::move(done)) {}
-
-  Callback done_;
-  bool completed_ = false;
-  bool has_timeout_ = false;
-  sim::Simulator* sim_ = nullptr;
-  sim::EventId timeout_event_ = 0;
-};
 
 // Counts replies toward quorum/all-success decisions (§4.1 step 6):
 // commits when all `total` replies succeed, or — after `Arm()`ed timeout —
 // when at least `majority` have succeeded. Reports failure when success can
-// no longer be reached.
+// no longer be reached. Without a `decision` callback the owner polls
+// decided() after each Record*/TimeoutExpired call and reads outcome().
 class QuorumTracker {
  public:
   using Decision = std::function<void(const Status&, int successes, int failures)>;
 
-  QuorumTracker(int total, int majority, Decision decision)
+  QuorumTracker(int total, int majority, Decision decision = nullptr)
       : total_(total), majority_(majority), decision_(std::move(decision)) {}
 
   void RecordSuccess() {
@@ -89,6 +38,7 @@ class QuorumTracker {
   }
 
   bool decided() const { return decided_; }
+  const Status& outcome() const { return outcome_; }
   int successes() const { return successes_; }
   int failures() const { return failures_; }
 
@@ -97,19 +47,22 @@ class QuorumTracker {
     if (decided_) {
       return;
     }
-    if (successes_ == total_) {
-      decided_ = true;
-      decision_(OkStatus(), successes_, failures_);
-    } else if (timed_out_ && successes_ >= majority_) {
-      decided_ = true;
-      decision_(OkStatus(), successes_, failures_);
+    if (successes_ == total_ || (timed_out_ && successes_ >= majority_)) {
+      Decide(OkStatus());
     } else if (total_ - failures_ < majority_) {
       // Even if every outstanding reply succeeds, majority is unreachable.
-      decided_ = true;
-      decision_(Unavailable("replication quorum failed"), successes_, failures_);
+      Decide(Unavailable("replication quorum failed"));
     }
     // Otherwise wait: either more replies arrive, or the commit timeout
     // authorizes a majority commit (write-to-all first, §4.1).
+  }
+
+  void Decide(Status outcome) {
+    decided_ = true;
+    outcome_ = std::move(outcome);
+    if (decision_) {
+      decision_(outcome_, successes_, failures_);
+    }
   }
 
   int total_;
@@ -119,6 +72,7 @@ class QuorumTracker {
   int failures_ = 0;
   bool timed_out_ = false;
   bool decided_ = false;
+  Status outcome_;
 };
 
 }  // namespace ursa::net

@@ -16,23 +16,24 @@ ChunkStore::ChunkStore(BlockDevice* device, uint64_t chunk_size, uint64_t region
     region_length = device->capacity() - region_offset;
   }
   URSA_CHECK_LE(region_offset + region_length, device->capacity());
-  uint64_t slots = region_length / chunk_size;
-  free_slots_.reserve(slots);
-  // Push in reverse so allocation proceeds from the start of the region.
-  for (uint64_t s = slots; s > 0; --s) {
-    free_slots_.push_back(s - 1);
-  }
+  total_slots_ = region_length / chunk_size;
 }
 
 Status ChunkStore::Allocate(ChunkId id) {
   if (slots_.find(id) != slots_.end()) {
     return AlreadyExists("chunk " + std::to_string(id) + " already allocated");
   }
-  if (free_slots_.empty()) {
+  // Freed slots first, most recent first; then the lowest never-used slot.
+  // That is the order of an eager free list filled lowest-slot-on-top.
+  uint64_t slot = 0;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else if (next_unused_ < total_slots_) {
+    slot = next_unused_++;
+  } else {
     return ResourceExhausted("no free chunk slots");
   }
-  uint64_t slot = free_slots_.back();
-  free_slots_.pop_back();
   slots_.emplace(id, slot);
   return OkStatus();
 }

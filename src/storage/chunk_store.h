@@ -68,7 +68,7 @@ class ChunkStore {
 
   uint64_t chunk_size() const { return chunk_size_; }
   size_t allocated_chunks() const { return slots_.size(); }
-  size_t total_slots() const { return free_slots_.size() + slots_.size(); }
+  size_t total_slots() const { return total_slots_; }
   BlockDevice* device() const { return device_; }
 
   // Device-absolute offset of a chunk (for recovery transfers). Requires the
@@ -88,7 +88,12 @@ class ChunkStore {
   uint64_t chunk_size_;
   uint64_t region_offset_;
   std::unordered_map<ChunkId, uint64_t> slots_;  // chunk id -> slot index
-  std::vector<uint64_t> free_slots_;             // LIFO free list
+  // Slots are handed out lazily: state grows with the slots a run touches,
+  // not with the device. Slots >= next_unused_ have never been allocated;
+  // free_slots_ holds freed ones below it (LIFO).
+  uint64_t total_slots_ = 0;
+  uint64_t next_unused_ = 0;
+  std::vector<uint64_t> free_slots_;
 };
 
 }  // namespace ursa::storage

@@ -20,8 +20,8 @@ class ClientTest : public ::testing::Test {
   void Build(cluster::StorageMode mode = cluster::StorageMode::kHybrid, int stripe_group = 2) {
     cluster_ = std::make_unique<cluster::Cluster>(&sim_, test::SmallClusterConfig(mode));
     disk_id_ = *cluster_->master().CreateDisk("d", 8 * kMiB, 3, stripe_group);
-    disk_ = std::make_unique<VirtualDisk>(cluster_.get(), cluster_->AddClientMachine(), 1,
-                                          VirtualDiskClientOptions{});
+    host_ = cluster_->AddClientMachine();
+    disk_ = std::make_unique<VirtualDisk>(cluster_.get(), host_, 1, VirtualDiskClientOptions{});
     ASSERT_TRUE(disk_->Open(disk_id_).ok());
   }
 
@@ -45,7 +45,26 @@ class ClientTest : public ::testing::Test {
     return out;
   }
 
+  // Issues one op whose callback bumps its own counter and stores its status.
+  struct Tracked {
+    int calls = 0;
+    Status status = Internal("pending");
+  };
+  void TrackedWrite(uint64_t offset, const std::vector<uint8_t>& data, Tracked* t) {
+    disk_->Write(offset, data.size(), data.data(), [t](const Status& s) {
+      ++t->calls;
+      t->status = s;
+    });
+  }
+  void TrackedRead(uint64_t offset, std::vector<uint8_t>* out, Tracked* t) {
+    disk_->Read(offset, out->size(), out->data(), [t](const Status& s) {
+      ++t->calls;
+      t->status = s;
+    });
+  }
+
   sim::Simulator sim_;
+  cluster::Machine* host_ = nullptr;
   std::unique_ptr<cluster::Cluster> cluster_;
   cluster::DiskId disk_id_ = 0;
   std::unique_ptr<VirtualDisk> disk_;
@@ -222,6 +241,170 @@ TEST_F(ClientTest, RandomizedDifferentialAgainstShadowBuffer) {
       ASSERT_EQ(got, expect) << "step " << step << " offset " << offset;
     }
   }
+}
+
+// ---- Op-record lifecycle: every user callback fires exactly once and no
+// pooled record outlives its op, whatever path the op took. ----
+
+TEST_F(ClientTest, RecordsDrainAfterOpSplitAcrossStripeGroup) {
+  Build(cluster::StorageMode::kHybrid, /*stripe_group=*/2);
+  // 1 MiB at 256 KiB crosses three 512 KiB stripe units: chunk 0, chunk 1,
+  // then chunk 0 again, so one op queues two writes on one chunk.
+  auto data = test::Pattern(1 * kMiB, 40);
+  Tracked w;
+  TrackedWrite(256 * kKiB, data, &w);
+  EXPECT_GT(disk_->live_records(), 1u);
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(w.calls, 1);
+  EXPECT_TRUE(w.status.ok()) << w.status.ToString();
+  EXPECT_EQ(disk_->live_records(), 0u);
+
+  std::vector<uint8_t> back(data.size());
+  Tracked r;
+  TrackedRead(256 * kKiB, &back, &r);
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(r.calls, 1);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(disk_->live_records(), 0u);
+}
+
+TEST_F(ClientTest, RecordsDrainAfterReadRetriedPastReplicaTimeout) {
+  Build();
+  auto data = test::Pattern(4096, 41);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  // Silence the chunk's primary: the read times out on it (twice, through
+  // the switch hysteresis) and then succeeds on a backup.
+  const cluster::DiskMeta* meta = *cluster_->master().GetDisk(disk_id_);
+  const cluster::ChunkLayout& layout = meta->chunks[0];
+  cluster_->CrashServer(layout.replicas[disk_->chunk_primary(0)].server);
+
+  std::vector<uint8_t> back(data.size());
+  Tracked r;
+  TrackedRead(0, &back, &r);
+  sim_.RunUntil(sim_.Now() + sec(10));
+  EXPECT_EQ(r.calls, 1);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(back, data);
+  EXPECT_GE(disk_->stats().timeouts, 1u);
+  EXPECT_GE(disk_->stats().retries, 1u);
+  EXPECT_EQ(disk_->live_records(), 0u);
+}
+
+// A read whose primary dies with the request still in its (slow) device
+// completes on a backup while that device still holds the first request and
+// its raw destination pointer. The caller's buffer, owned by its callback,
+// must stay alive until the late device read is done with it.
+TEST_F(ClientTest, LateServerReadNeverOutlivesCallerBuffer) {
+  Build();
+  auto data = test::Pattern(4096, 45);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  const cluster::DiskMeta* meta = *cluster_->master().GetDisk(disk_id_);
+  const cluster::ServerId primary = meta->chunks[0].replicas[disk_->chunk_primary(0)].server;
+  cluster_->server(primary)->store()->device()->SetFault(storage::DeviceFault{sec(3), false});
+
+  auto buf = std::make_shared<std::vector<uint8_t>>(data.size());
+  std::weak_ptr<std::vector<uint8_t>> watch = buf;
+  uint8_t* out = buf->data();
+  Tracked r;
+  disk_->Read(0, data.size(), out, [&r, &data, buf = std::move(buf)](const Status& s) {
+    ++r.calls;
+    r.status = s;
+    EXPECT_EQ(*buf, data);
+  });
+  sim_.RunUntil(sim_.Now() + msec(100));
+  cluster_->CrashServer(primary);  // the accepted read stays in the device
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(r.calls, 1);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_GE(disk_->stats().timeouts, 1u);
+  EXPECT_EQ(disk_->live_records(), 0u);
+  EXPECT_FALSE(watch.expired());  // the slow device still targets it
+
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(r.calls, 1);
+}
+
+TEST_F(ClientTest, RecordsDrainAfterDuplicatedReplicationReplies) {
+  Build();
+  // Every message from a server to this client arrives twice, and the last
+  // replica's replies come 50 ms late: the write must wait for that replica
+  // rather than count another replica's duplicate ack in its place.
+  net::LinkChaosRule dup;
+  dup.dup_prob = 1.0;
+  for (size_t id = 0; id < cluster_->num_servers(); ++id) {
+    cluster_->transport().SetLinkChaos(cluster_->server(id)->node(), host_->node(), dup);
+  }
+  const cluster::DiskMeta* meta = *cluster_->master().GetDisk(disk_id_);
+  net::LinkChaosRule late = dup;
+  late.extra_delay = msec(50);
+  cluster_->transport().SetLinkChaos(meta->chunks[0].replicas[2].node, host_->node(), late);
+  auto data = test::Pattern(4096, 42);  // <= Tc: client-directed, one leg per replica
+  Tracked w;
+  const Nanos issued = sim_.Now();
+  Nanos acked = 0;
+  disk_->Write(8192, data.size(), data.data(), [&](const Status& s) {
+    ++w.calls;
+    w.status = s;
+    acked = sim_.Now();
+  });
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(w.calls, 1);
+  EXPECT_TRUE(w.status.ok()) << w.status.ToString();
+  EXPECT_GE(acked - issued, msec(50));
+  EXPECT_GE(cluster_->transport().chaos_counters().duplicated, 3u);
+  EXPECT_EQ(disk_->stats().retries, 0u);
+  EXPECT_EQ(disk_->chunk_version(0), 1u);  // one commit, counted once
+  EXPECT_EQ(disk_->live_records(), 0u);
+
+  std::vector<uint8_t> back(data.size());
+  Tracked r;
+  TrackedRead(8192, &back, &r);
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(r.calls, 1);
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(disk_->live_records(), 0u);
+}
+
+TEST_F(ClientTest, RecordsDrainAfterOpsPausedAcrossUpgradeAndThrottle) {
+  Build();
+  auto a = test::Pattern(4096, 43);
+  auto b = test::Pattern(64 * kKiB, 44);
+  Tracked before;
+  TrackedWrite(0, a, &before);  // in flight when the upgrade starts
+  bool upgraded = false;
+  disk_->Upgrade("v2", msec(5), [&]() { upgraded = true; });
+  Tracked paused_write;
+  TrackedWrite(1 * kMiB, b, &paused_write);
+  std::vector<uint8_t> back(a.size());
+  Tracked paused_read;
+  TrackedRead(0, &back, &paused_read);
+  EXPECT_GT(disk_->live_records(), 0u);
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_TRUE(upgraded);
+  EXPECT_EQ(disk_->software_version(), "v2");
+  for (const Tracked* t : {&before, &paused_write, &paused_read}) {
+    EXPECT_EQ(t->calls, 1);
+    EXPECT_TRUE(t->status.ok()) << t->status.ToString();
+  }
+  EXPECT_EQ(back, a);
+  EXPECT_EQ(disk_->live_records(), 0u);
+
+  // Throttled writes wait in their records and re-enter after the delay
+  // (the bucket's burst is 32 writes).
+  disk_->SetWriteRateLimit(100);
+  std::vector<Tracked> throttled(40);
+  for (size_t i = 0; i < throttled.size(); ++i) {
+    TrackedWrite(i * 4096, a, &throttled[i]);
+  }
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_GE(disk_->stats().throttled_writes, 1u);
+  for (const Tracked& t : throttled) {
+    EXPECT_EQ(t.calls, 1);
+    EXPECT_TRUE(t.status.ok()) << t.status.ToString();
+  }
+  EXPECT_EQ(disk_->live_records(), 0u);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "src/client/virtual_disk.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/failure_injector.h"
+#include "src/common/rng.h"
 #include "test_util.h"
 
 namespace ursa::cluster {
@@ -120,6 +123,50 @@ TEST(MasterTest, CreateDiskAllocatesChunksEverywhere) {
     for (const ReplicaRef& r : layout.replicas) {
       EXPECT_TRUE(cluster.server(r.server)->HasChunk(layout.chunk));
     }
+  }
+}
+
+// A disk created while a server is down must not place replicas on it: its
+// chunks would start with a dead replica that takes none of their writes.
+TEST(MasterTest, CreateDiskSkipsDownServers) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    sim::Simulator sim;
+    Cluster cluster(&sim, test::SmallClusterConfig());
+    Rng rng(seed);
+    const ServerId down = static_cast<ServerId>(rng.Uniform(cluster.num_servers()));
+    cluster.CrashServer(down);
+    Result<DiskId> disk = cluster.master().CreateDisk("d", 8 * kMiB, 3, 2);
+    ASSERT_TRUE(disk.ok()) << "seed " << seed << ": " << disk.status().ToString();
+    Result<const DiskMeta*> meta = cluster.master().GetDisk(*disk);
+    ASSERT_TRUE(meta.ok());
+    for (const ChunkLayout& layout : (*meta)->chunks) {
+      ASSERT_EQ(layout.replicas.size(), 3u);
+      std::set<MachineId> machines;
+      for (const ReplicaRef& r : layout.replicas) {
+        EXPECT_NE(r.server, down) << "seed " << seed << " chunk " << layout.chunk;
+        machines.insert(cluster.master().placement().MachineOf(r.server));
+      }
+      EXPECT_EQ(machines.size(), 3u);
+      EXPECT_TRUE(layout.replicas[0].on_ssd);
+    }
+
+    // Every chunk's replica set is fully alive, so I/O commits on all three
+    // replicas without a timeout or a primary switch.
+    client::VirtualDisk vd(&cluster, cluster.AddClientMachine(), 1);
+    ASSERT_TRUE(vd.Open(*disk).ok());
+    std::vector<uint8_t> data = test::Pattern(8 * kMiB, seed);
+    Status wrote = Internal("pending");
+    vd.Write(0, data.size(), data.data(), [&](const Status& s) { wrote = s; });
+    sim.RunUntil(sim.Now() + sec(5));
+    ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+    std::vector<uint8_t> back(data.size());
+    Status read = Internal("pending");
+    vd.Read(0, back.size(), back.data(), [&](const Status& s) { read = s; });
+    sim.RunUntil(sim.Now() + sec(5));
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(vd.stats().timeouts, 0u);
+    EXPECT_EQ(vd.stats().primary_switches, 0u);
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the simulated network: serialization + propagation timing,
 // bandwidth contention, FIFO delivery, fault injection, and the RPC helpers
-// (PendingCall timeouts, QuorumTracker commit rules).
+// (QuorumTracker commit rules).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -241,39 +241,6 @@ TEST(MessageTest, WireBytesComposition) {
     EXPECT_STRNE(MessageTypeName(static_cast<MessageType>(t)), "UNKNOWN");
     EXPECT_GT(FixedBytes(static_cast<MessageType>(t)), 0u);
   }
-}
-
-TEST(PendingCallTest, CompletesOnce) {
-  sim::Simulator sim;
-  int count = 0;
-  Status last;
-  auto call = PendingCall::Start(&sim, 0, [&](const Status& s) {
-    ++count;
-    last = s;
-  });
-  call->Complete(OkStatus());
-  call->Complete(Unavailable("late"));
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(last.ok());
-}
-
-TEST(PendingCallTest, TimeoutFires) {
-  sim::Simulator sim;
-  Status got;
-  auto call = PendingCall::Start(&sim, msec(5), [&](const Status& s) { got = s; });
-  sim.RunToCompletion();
-  EXPECT_EQ(got.code(), StatusCode::kTimedOut);
-}
-
-TEST(PendingCallTest, ReplyCancelsTimeout) {
-  sim::Simulator sim;
-  int count = 0;
-  auto call = PendingCall::Start(&sim, msec(5), [&](const Status&) { ++count; });
-  sim.After(msec(1), [call]() { call->Complete(OkStatus()); });
-  sim.RunToCompletion();
-  EXPECT_EQ(count, 1);
-  // The timeout event was cancelled, so time stops at the reply.
-  EXPECT_EQ(sim.Now(), msec(1));
 }
 
 TEST(QuorumTrackerTest, AllSuccessCommitsImmediately) {

@@ -1,5 +1,6 @@
 // Unit tests for device models and the chunk store.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <vector>
@@ -551,6 +552,85 @@ TEST(ChunkStoreTest, RegionOffsetRespected) {
   EXPECT_EQ(store.total_slots(), 4u);
   ASSERT_TRUE(store.Allocate(1).ok());
   EXPECT_GE(store.SlotOffset(1), 4 * kMiB);
+}
+
+// The lazy slot allocator must hand out exactly the slots an eager LIFO free
+// list (filled so the lowest slot is on top) would, in the same order.
+TEST(ChunkStoreTest, LazySlotsMatchEagerFreeList) {
+  sim::Simulator sim;
+  constexpr uint64_t kSlots = 64;
+  MemDevice dev(&sim, kSlots * kMiB);
+  ChunkStore store(&dev, 1 * kMiB);
+  ASSERT_EQ(store.total_slots(), kSlots);
+
+  std::vector<uint64_t> model_free;
+  for (uint64_t s = kSlots; s > 0; --s) {
+    model_free.push_back(s - 1);
+  }
+  std::vector<ChunkId> live;
+  Rng rng(0x51075EED);
+  ChunkId next_id = 1;
+  bool exhausted_seen = false;
+  bool reused_after_exhaustion = false;
+  for (int step = 0; step < 4000; ++step) {
+    // Drift between mostly-allocate and mostly-free phases so the run both
+    // reaches exhaustion and drains back down.
+    const bool allocate_phase = (step / 300) % 2 == 0;
+    const uint64_t coin = rng.Uniform(4);
+    const bool allocate = live.empty() || (allocate_phase ? coin != 0 : coin == 0);
+    if (allocate) {
+      ChunkId id = next_id++;
+      Status s = store.Allocate(id);
+      if (model_free.empty()) {
+        ASSERT_EQ(s.code(), StatusCode::kResourceExhausted) << "step " << step;
+        ASSERT_EQ(live.size(), store.total_slots());
+        exhausted_seen = true;
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << "step " << step;
+      uint64_t slot = model_free.back();
+      model_free.pop_back();
+      ASSERT_EQ(store.SlotOffset(id), slot * kMiB) << "step " << step;
+      if (exhausted_seen) {
+        reused_after_exhaustion = true;
+      }
+      live.push_back(id);
+    } else {
+      size_t pick = rng.Uniform(live.size());
+      ChunkId id = live[pick];
+      model_free.push_back(store.SlotOffset(id) / kMiB);
+      ASSERT_TRUE(store.Free(id).ok());
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(store.allocated_chunks(), live.size());
+    for (ChunkId id : live) {
+      ASSERT_TRUE(store.Contains(id));
+    }
+  }
+  EXPECT_TRUE(exhausted_seen);
+  EXPECT_TRUE(reused_after_exhaustion);
+  EXPECT_EQ(store.total_slots(), kSlots);
+}
+
+// Heap bytes in use: arena chunks plus mmapped ones (large blocks).
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(ChunkStoreTest, MultiTerabyteStoreAllocatesNoPerSlotMemory) {
+  sim::Simulator sim;
+  MemDevice dev(&sim, 4 * kTiB);
+  const size_t before = HeapInUse();
+  {
+    // 4M slots of 1 MiB: an eager free list would be 32 MiB.
+    ChunkStore store(&dev, 1 * kMiB);
+    EXPECT_EQ(store.total_slots(), 4u * 1024 * 1024);
+    EXPECT_LT(HeapInUse() - before, 4096u);
+    ASSERT_TRUE(store.Allocate(1).ok());
+    EXPECT_EQ(store.SlotOffset(1), 0u);
+  }
 }
 
 }  // namespace
