@@ -53,7 +53,7 @@ std::vector<ChunkId> ChunkServer::HostedChunks() const {
 }
 
 void ChunkServer::AddScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t length) {
-  scrub_quarantine_[chunk].emplace_back(offset, length);
+  scrub_quarantine_[chunk].push_back(Interval{offset, length});
 }
 
 void ChunkServer::ClearScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t length) {
@@ -61,12 +61,10 @@ void ChunkServer::ClearScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t 
   if (it == scrub_quarantine_.end()) {
     return;
   }
-  auto& ranges = it->second;
-  ranges.erase(std::remove_if(ranges.begin(), ranges.end(),
-                              [offset, length](const std::pair<uint64_t, uint64_t>& r) {
-                                return r.first < offset + length && offset < r.first + r.second;
-                              }),
-               ranges.end());
+  std::vector<Interval>& ranges = it->second;
+  std::erase_if(ranges, [cleared = Interval{offset, length}](const Interval& r) {
+    return r.Overlaps(cleared);
+  });
   if (ranges.empty()) {
     scrub_quarantine_.erase(it);
   }
@@ -77,12 +75,10 @@ bool ChunkServer::IsScrubQuarantined(ChunkId chunk, uint64_t offset, uint64_t le
   if (it == scrub_quarantine_.end()) {
     return false;
   }
-  for (const auto& [qoff, qlen] : it->second) {
-    if (qoff < offset + length && offset < qoff + qlen) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [range = Interval{offset, length}](const Interval& r) {
+                       return r.Overlaps(range);
+                     });
 }
 
 size_t ChunkServer::scrub_quarantine_size() const {
@@ -107,16 +103,18 @@ Result<ChunkServer::ReplicaState> ChunkServer::GetState(ChunkId chunk) const {
 }
 
 void ChunkServer::SetState(ChunkId chunk, uint64_t version, uint64_t view) {
-  states_[chunk] = ReplicaState{version, view};
+  ReplicaState& st = states_[chunk];
+  if (st.version != version) {
+    st.last_write_id = 0;  // a different history: no known last write
+  }
+  st.version = version;
+  st.view = view;
 }
 
 void ChunkServer::SetView(ChunkId chunk, uint64_t view) {
   auto it = states_.find(chunk);
   if (it != states_.end()) {
-    // Unlike SetState, preserves version AND last_write_id: a view bump that
-    // clears the write-identity would make an in-flight retry of the last
-    // committed write look like a different write reusing its version.
-    it->second.view = view;
+    SetState(chunk, it->second.version, view);
   }
 }
 
@@ -133,9 +131,9 @@ void ChunkServer::RegisterMetrics(obs::MetricsRegistry* registry) {
                                   [this]() { return static_cast<double>(inflight_ops_); });
 }
 
-void ChunkServer::BackupWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
-                              ursa::BufferView data, storage::IoCallback done,
-                              const obs::SpanRef& span, storage::IoTag tag) {
+void ChunkServer::ReplicaWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
+                               ursa::BufferView data, storage::IoCallback done,
+                               const obs::SpanRef& span, storage::IoTag tag) {
   if (journal_manager_ != nullptr) {
     journal_manager_->Write(chunk, offset, length, version, std::move(data), std::move(done),
                             span, tag);
@@ -152,8 +150,8 @@ void ChunkServer::BackupWrite(ChunkId chunk, uint64_t offset, uint64_t length, u
   }
 }
 
-void ChunkServer::BackupRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
-                             storage::IoCallback done, storage::IoTag tag) {
+void ChunkServer::ReplicaRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
+                              storage::IoCallback done, storage::IoTag tag) {
   if (journal_manager_ != nullptr) {
     journal_manager_->Read(chunk, offset, length, out, std::move(done), tag);
   } else {
@@ -212,13 +210,79 @@ void ChunkServer::HandleRead(ChunkId chunk, uint64_t offset, uint64_t length, ui
       }
       done(s, version);
     };
-    storage::IoTag tag{qos::ServiceClass::kForegroundRead, TenantOf(chunk)};
-    if (on_ssd_ && journal_manager_ == nullptr) {
-      store_->Read(chunk, offset, length, out, std::move(io_done), tag);
-    } else {
-      BackupRead(chunk, offset, length, out, std::move(io_done), tag);
-    }
+    ReplicaRead(chunk, offset, length, out, std::move(io_done),
+                storage::IoTag{qos::ServiceClass::kForegroundRead, TenantOf(chunk)});
   });
+}
+
+// One primary-driven write in flight, shared by its legs and its timeout.
+struct ChunkServer::PrimaryWrite {
+  net::QuorumTracker quorum;
+  std::vector<bool> backup_counted;  // a duplicated ack must not count twice
+  sim::EventId timeout = 0;
+  std::function<void(const Status&)> decided;  // runs once, with the outcome
+};
+
+Status ChunkServer::AcceptWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
+                                uint64_t version, uint64_t write_id,
+                                const ursa::BufferView& data, bool* applied,
+                                uint64_t* replica_version) {
+  *applied = false;
+  *replica_version = 0;
+  auto it = states_.find(chunk);
+  if (it == states_.end()) {
+    return NotFound("chunk not hosted here");
+  }
+  ReplicaState& st = it->second;
+  *replica_version = st.version;
+  if (st.view != view) {
+    return VersionMismatch("stale view");
+  }
+  if (version + 1 == st.version) {
+    if (write_id == 0 || write_id == st.last_write_id) {
+      return OkStatus();  // the applied write again (a client retry or a duplicate)
+    }
+    // A DIFFERENT write reusing the version of one that failed at the
+    // client. Acking it would lose its data; make the client resync.
+    return VersionMismatch("stale client version; resync required");
+  }
+  if (version != st.version) {
+    return VersionMismatch("version gap; repair required");
+  }
+  st.version = version + 1;
+  st.last_write_id = write_id;
+  *applied = true;
+  *replica_version = st.version;
+  auto shield = write_shield_.find(chunk);
+  if (shield != write_shield_.end()) {
+    // Speculative promotion target: remember the client-written range so
+    // the back-fill never overwrites it with reconstructed old data.
+    InsertInterval(&shield->second, Interval{offset, length});
+  }
+  if (heat_ != nullptr) {
+    heat_->RecordWrite(chunk, length);
+    heat_->BeginWrite(chunk);
+  }
+  journal_lite_.Record(chunk, st.version, offset, length);
+  if (checksums_ != nullptr) {
+    checksums_->OnWrite(chunk, offset, length, data.data());
+  }
+  return OkStatus();
+}
+
+void ChunkServer::CountLeg(PrimaryWrite& w, const Status& s) {
+  if (w.quorum.decided()) {
+    return;
+  }
+  if (s.ok()) {
+    w.quorum.RecordSuccess();
+  } else {
+    w.quorum.RecordFailure();
+  }
+  if (w.quorum.decided()) {
+    w.decided(w.quorum.outcome());
+    sim_->Cancel(w.timeout);
+  }
 }
 
 void ChunkServer::HandleWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
@@ -237,141 +301,80 @@ void ChunkServer::HandleWrite(ChunkId chunk, uint64_t offset, uint64_t length, u
     if (span != nullptr) {
       span->RecordStage(obs::Stage::kServerCpu, sim_->Now() - entered);
     }
-    auto it = states_.find(chunk);
-    if (it == states_.end()) {
-      done(NotFound("chunk not hosted here"), 0);
-      return;
-    }
-    ReplicaState& st = it->second;
-    if (st.view != view) {
-      done(VersionMismatch("stale view"), st.version);
-      return;
-    }
-    bool skip_local = false;
-    if (version == st.version) {
-      // Normal case: execute locally and advance the version.
-      st.version = version + 1;
-      st.last_write_id = write_id;
-      auto shield = write_shield_.find(chunk);
-      if (shield != write_shield_.end()) {
-        // Speculative promotion target: remember the client-written range so
-        // the back-fill never overwrites it with reconstructed old data.
-        InsertInterval(&shield->second, Interval{offset, length});
-      }
-    } else if (version + 1 == st.version &&
-               (write_id == 0 || write_id == st.last_write_id)) {
-      // Already executed (client retry after partial failure): skip the
-      // local write but still forward to backups (§4.2.1).
-      skip_local = true;
-    } else if (version + 1 == st.version) {
-      // A DIFFERENT write reusing the version of one that failed at the
-      // client. Acking it would lose its data; make the client resync.
-      done(VersionMismatch("stale client version; resync required"), st.version);
-      return;
-    } else {
-      done(VersionMismatch("version gap; repair required"), st.version);
+    bool applied = false;
+    uint64_t replica_version = 0;
+    Status accepted = AcceptWrite(chunk, offset, length, view, version, write_id, data, &applied,
+                                  &replica_version);
+    if (!accepted.ok()) {
+      done(accepted, replica_version);
       return;
     }
     ++writes_served_;
-    if (heat_ != nullptr) {
-      heat_->RecordWrite(chunk, length);
-      heat_->BeginWrite(chunk);
-    }
-    uint64_t new_version = version + 1;
-    journal_lite_.Record(chunk, new_version, offset, length);
-
     int total = 1 + static_cast<int>(backups.size());
-    int majority = total / 2 + 1;
-    auto tracker = std::make_shared<net::QuorumTracker>(
-        total, majority,
-        [this, chunk, done = std::move(done), new_version](const Status& s, int, int) {
-          if (heat_ != nullptr) {
+    auto w = std::make_shared<PrimaryWrite>(PrimaryWrite{
+        .quorum = net::QuorumTracker(total, total / 2 + 1),
+        .backup_counted = std::vector<bool>(backups.size(), false),
+        .decided = [this, chunk, applied, version, done = std::move(done)](const Status& s) {
+          if (applied && heat_ != nullptr) {
             heat_->EndWrite(chunk);
           }
-          done(s, new_version);
-        });
+          done(s, version + 1);
+        }});
     // Authorize majority commit after the timeout (§4.1 step 6).
-    sim::EventId timeout_event =
-        sim_->After(config_.majority_commit_timeout, [tracker]() { tracker->TimeoutExpired(); });
-    auto leg = [this, tracker, timeout_event](const Status& s) {
-      if (s.ok()) {
-        tracker->RecordSuccess();
-      } else {
-        tracker->RecordFailure();
+    w->timeout = sim_->After(config_.majority_commit_timeout, [w]() {
+      w->quorum.TimeoutExpired();
+      if (w->quorum.decided()) {
+        w->decided(w->quorum.outcome());
       }
-      if (tracker->decided()) {
-        sim_->Cancel(timeout_event);
-      }
-    };
+    });
 
     // Local chunk write (LCW). The primary's device time is its own stage so
-    // the trace separates it from the parallel backup legs.
-    storage::IoCallback local_leg = leg;
-    if (span != nullptr) {
-      Nanos io_start = sim_->Now();
-      local_leg = [this, span, io_start, leg](const Status& s) {
+    // the trace separates it from the parallel backup legs. A duplicate is a
+    // client retry after a partial failure: skip the local write but still
+    // forward to backups (§4.2.1).
+    Nanos io_start = sim_->Now();
+    storage::IoCallback local_leg = [this, w, span, io_start](const Status& s) {
+      if (span != nullptr) {
         span->RecordStage(obs::Stage::kPrimaryStorage, sim_->Now() - io_start);
-        leg(s);
-      };
-    }
-    storage::IoTag tag{qos::ServiceClass::kForegroundWrite, TenantOf(chunk)};
-    if (!skip_local && checksums_ != nullptr) {
-      checksums_->OnWrite(chunk, offset, length, data.data());
-    }
-    if (skip_local) {
-      sim_->After(0, [local_leg]() { local_leg(OkStatus()); });
-    } else if (journal_manager_ != nullptr) {
-      BackupWrite(chunk, offset, length, new_version, data, local_leg, {}, tag);
+      }
+      CountLeg(*w, s);
+    };
+    if (applied) {
+      ReplicaWrite(chunk, offset, length, version + 1, data, local_leg, {},
+                   storage::IoTag{qos::ServiceClass::kForegroundWrite, TenantOf(chunk)});
     } else {
-      store_->Write(chunk, offset, length, data, local_leg, tag);
+      sim_->After(0, [local_leg]() { local_leg(OkStatus()); });
     }
 
     // Parallel replication to backups over the network. The shared span
     // max-merges the backup legs' journal appends against the local write.
-    // Each backup counts toward the quorum at most once: under chaos a
-    // request or reply can be duplicated in flight, and double-counting one
-    // backup's ack could commit a write that only a minority holds.
-    auto leg_fired = std::make_shared<std::vector<bool>>(backups.size(), false);
+    uint64_t wire = net::WireBytes(net::MessageType::kReplicate, length);
     for (size_t b = 0; b < backups.size(); ++b) {
       const ReplicaRef& backup = backups[b];
-      auto leg_once = [leg, leg_fired, b](const Status& s) {
-        if ((*leg_fired)[b]) {
-          return;
+      auto backup_leg = [this, w, b](const Status& s) {
+        if (!w->backup_counted[b]) {
+          w->backup_counted[b] = true;
+          CountLeg(*w, s);
         }
-        (*leg_fired)[b] = true;
-        leg(s);
       };
-      // Small replication legs (and their acks) coalesce: concurrent small
-      // writes to the same backup share one framed wire message.
-      bool coalesce =
-          config_.coalesce_max_bytes != 0 && length <= config_.coalesce_max_bytes;
-      uint64_t wire = net::WireBytes(net::MessageType::kReplicate, length);
-      auto deliver = [this, backup, chunk, offset, length, view, version, data, leg_once,
-                      span, write_id, coalesce]() {
+      auto deliver = [this, backup, chunk, offset, length, view, version, data, backup_leg,
+                      span, write_id]() {
         ChunkServer* server = resolver_(backup.server);
         if (server == nullptr) {
-          leg_once(Unavailable("backup server gone"));
+          backup_leg(Unavailable("backup server gone"));
           return;
         }
         server->HandleReplicate(
             chunk, offset, length, view, version, data,
-            [this, backup, leg_once, coalesce](const Status& s, uint64_t) {
+            [this, backup, backup_leg](const Status& s, uint64_t) {
               // Reply travels back over the network.
-              uint64_t rwire = net::WireBytes(net::MessageType::kReplicateReply);
-              auto reply = [leg_once, s]() { leg_once(s); };
-              if (coalesce) {
-                transport_->SendCoalesced(backup.node, node(), rwire, std::move(reply));
-              } else {
-                transport_->Send(backup.node, node(), rwire, std::move(reply));
-              }
+              transport_->Send(backup.node, node(),
+                               net::WireBytes(net::MessageType::kReplicateReply),
+                               [backup_leg, s]() { backup_leg(s); });
             },
             span, write_id);
       };
-      if (coalesce) {
-        transport_->SendCoalesced(node(), backup.node, wire, std::move(deliver));
-      } else {
-        transport_->Send(node(), backup.node, wire, std::move(deliver));
-      }
+      transport_->Send(node(), backup.node, wire, std::move(deliver));
     }
   });
 }
@@ -392,54 +395,23 @@ void ChunkServer::HandleReplicate(ChunkId chunk, uint64_t offset, uint64_t lengt
         if (span != nullptr) {
           span->RecordStage(obs::Stage::kServerCpu, sim_->Now() - entered);
         }
-        auto it = states_.find(chunk);
-        if (it == states_.end()) {
-          done(NotFound("chunk not hosted here"), 0);
+        bool applied = false;
+        uint64_t new_version = 0;
+        Status accepted = AcceptWrite(chunk, offset, length, view, version, write_id, data,
+                                      &applied, &new_version);
+        if (!accepted.ok() || !applied) {
+          done(accepted, new_version);  // a duplicate delivery is acked again
           return;
-        }
-        ReplicaState& st = it->second;
-        if (st.view != view) {
-          done(VersionMismatch("stale view"), st.version);
-          return;
-        }
-        if (version + 1 == st.version && (write_id == 0 || write_id == st.last_write_id)) {
-          done(OkStatus(), st.version);  // duplicate delivery of the applied write
-          return;
-        }
-        if (version + 1 == st.version) {
-          // Different write reusing a failed predecessor's version (see
-          // HandleWrite): acking without writing would lose its data.
-          done(VersionMismatch("stale client version; resync required"), st.version);
-          return;
-        }
-        if (version != st.version) {
-          done(VersionMismatch("version gap; repair required"), st.version);
-          return;
-        }
-        st.version = version + 1;
-        st.last_write_id = write_id;
-        auto shield = write_shield_.find(chunk);
-        if (shield != write_shield_.end()) {
-          InsertInterval(&shield->second, Interval{offset, length});
         }
         ++replicates_served_;
-        if (heat_ != nullptr) {
-          heat_->RecordWrite(chunk, length);
-          heat_->BeginWrite(chunk);
-        }
-        uint64_t new_version = st.version;
-        journal_lite_.Record(chunk, new_version, offset, length);
-        if (checksums_ != nullptr) {
-          checksums_->OnWrite(chunk, offset, length, data.data());
-        }
-        BackupWrite(chunk, offset, length, new_version, data,
-                    [this, chunk, done = std::move(done), new_version](const Status& s) {
-                      if (heat_ != nullptr) {
-                        heat_->EndWrite(chunk);
-                      }
-                      done(s, new_version);
-                    },
-                    span, storage::IoTag{qos::ServiceClass::kForegroundWrite, TenantOf(chunk)});
+        ReplicaWrite(chunk, offset, length, new_version, data,
+                     [this, chunk, done = std::move(done), new_version](const Status& s) {
+                       if (heat_ != nullptr) {
+                         heat_->EndWrite(chunk);
+                       }
+                       done(s, new_version);
+                     },
+                     span, storage::IoTag{qos::ServiceClass::kForegroundWrite, TenantOf(chunk)});
       });
 }
 
@@ -475,9 +447,9 @@ void ChunkServer::HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t le
       done(Corruption("range quarantined by scrub"), version);
       return;
     }
-    BackupRead(chunk, offset, length, out,
-               [done = std::move(done), version](const Status& s) { done(s, version); },
-               storage::IoTag{cls, TenantOf(chunk)});
+    ReplicaRead(chunk, offset, length, out,
+                [done = std::move(done), version](const Status& s) { done(s, version); },
+                storage::IoTag{cls, TenantOf(chunk)});
   });
 }
 
@@ -487,59 +459,30 @@ void ChunkServer::HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t l
   if (crashed_) {
     return;
   }
-  machine_->RunOnCpu(config_.cpu.server_op,
-                     [this, chunk, offset, length, cls, data = std::move(data),
-                      done = std::move(done)]() mutable {
-                       if (!store_->Contains(chunk)) {
-                         done(NotFound("recovery target chunk not allocated"));
-                         return;
-                       }
-                       if (checksums_ != nullptr) {
-                         checksums_->OnWrite(chunk, offset, length, data.data());
-                       }
-                       // Fresh bytes heal whatever scrub flagged in range.
-                       ClearScrubQuarantine(chunk, offset, length);
-                       store_->Write(chunk, offset, length, std::move(data), std::move(done),
-                                     storage::IoTag{cls, TenantOf(chunk)});
-                     });
-}
-
-void ChunkServer::HandleBackfillWrite(ChunkId chunk, uint64_t offset, uint64_t length,
-                                      ursa::BufferView data, storage::IoCallback done,
-                                      qos::ServiceClass cls) {
-  if (crashed_) {
-    return;
-  }
   machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, cls,
                                              data = std::move(data),
                                              done = std::move(done)]() mutable {
     if (!store_->Contains(chunk)) {
-      done(NotFound("back-fill target chunk not allocated"));
+      done(NotFound("recovery target chunk not allocated"));
       return;
     }
     // Subtract the shield INSIDE this event: every client write applied so
     // far is in the shield, and no new one can interleave before the pieces
     // below are submitted, so old bytes never land over newer client bytes.
-    std::vector<Interval> pieces{Interval{offset, length}};
     auto shield = write_shield_.find(chunk);
-    if (shield != write_shield_.end()) {
-      pieces = SubtractAll(Interval{offset, length}, shield->second);
-    }
+    std::vector<Interval> pieces = shield == write_shield_.end()
+                                       ? std::vector<Interval>{Interval{offset, length}}
+                                       : SubtractAll(Interval{offset, length}, shield->second);
     if (pieces.empty()) {
       sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
       return;
     }
-    auto remaining = std::make_shared<size_t>(pieces.size());
-    auto first_error = std::make_shared<Status>();
-    auto held = std::make_shared<storage::IoCallback>(std::move(done));
-    auto join = [remaining, first_error, held](const Status& s) {
-      if (!s.ok() && first_error->ok()) {
-        *first_error = s;
-      }
-      if (--*remaining == 0) {
-        (*held)(*first_error);
-      }
+    struct Join {
+      size_t remaining;
+      Status first_error;
+      storage::IoCallback done;
     };
+    auto join = std::make_shared<Join>(Join{pieces.size(), OkStatus(), std::move(done)});
     storage::IoTag tag{cls, TenantOf(chunk)};
     for (const Interval& p : pieces) {
       ursa::BufferView piece_data = data.Slice(p.offset - offset, p.length);
@@ -548,7 +491,16 @@ void ChunkServer::HandleBackfillWrite(ChunkId chunk, uint64_t offset, uint64_t l
       }
       // Fresh bytes heal whatever scrub flagged in range.
       ClearScrubQuarantine(chunk, p.offset, p.length);
-      store_->Write(chunk, p.offset, p.length, piece_data, join, tag);
+      store_->Write(chunk, p.offset, p.length, piece_data,
+                    [join](const Status& s) {
+                      if (!s.ok() && join->first_error.ok()) {
+                        join->first_error = s;
+                      }
+                      if (--join->remaining == 0) {
+                        join->done(join->first_error);
+                      }
+                    },
+                    tag);
     }
   });
 }

@@ -42,11 +42,6 @@ struct ChunkServerConfig {
   // Wait before committing on a bare majority (§4.1 step 6). In the normal
   // case all replicas reply far sooner and the timeout is cancelled.
   Nanos majority_commit_timeout = msec(200);
-  // Replication legs (and their acks) of writes at or below this size ride
-  // the transport's coalescing path: concurrent small writes to the same
-  // backup share one framed message. Larger writes are sent individually so
-  // a bulky message never delays a batch. 0 disables coalescing.
-  uint64_t coalesce_max_bytes = 64 * kKiB;
 };
 
 // Resolves a ServerId to the in-process server object (set up by Cluster).
@@ -88,9 +83,12 @@ class ChunkServer {
   // Every chunk with a replica state here (the coordinator's sweep source).
   std::vector<ChunkId> HostedChunks() const;
   Result<ReplicaState> GetState(ChunkId chunk) const;
+  // Installs {version, view}. The write identity survives when the version
+  // does not change: the replica still holds exactly the write it names, so
+  // a client's retry of that write after a view change is acked as a
+  // duplicate instead of being taken for a different write.
   void SetState(ChunkId chunk, uint64_t version, uint64_t view);
-  // View-only update preserving version and write identity (health demotion
-  // view bumps, where no data moved).
+  // SetState at the replica's current version (a no-op for an unknown chunk).
   void SetView(ChunkId chunk, uint64_t view);
 
   // Fault injection: a crashed server drops every message (clients time out).
@@ -130,23 +128,17 @@ class ChunkServer {
   //
   // While a chunk is a speculative promotion target, client writes land here
   // BEFORE the back-fill copies the old chunk image over. The shield records
-  // every client-written range so back-fill writes (HandleBackfillWrite)
-  // never clobber newer client bytes with reconstructed old data; the check
-  // happens at apply time inside one simulator event, so there is no window
-  // between "client write applied" and "shield visible to back-fill".
-  // (Clears leftovers: a chunk can speculate again after demoting anew.)
+  // every client-written range, and HandleRecoveryWrite skips those ranges,
+  // so the back-fill never clobbers newer client bytes with reconstructed
+  // old data; the check happens at apply time inside one simulator event,
+  // so there is no window between "client write applied" and "shield
+  // visible to back-fill". (Clears leftovers: a chunk can speculate again
+  // after demoting anew.)
   void EnableWriteShield(ChunkId chunk) { write_shield_[chunk].clear(); }
   void DisableWriteShield(ChunkId chunk) { write_shield_.erase(chunk); }
   bool write_shield_enabled(ChunkId chunk) const {
     return write_shield_.find(chunk) != write_shield_.end();
   }
-
-  // Back-fill write: like HandleRecoveryWrite, but any subrange the shield
-  // covers is skipped at apply time (the client's bytes there are newer than
-  // the reconstructed image). A fully-shielded piece completes immediately.
-  void HandleBackfillWrite(ChunkId chunk, uint64_t offset, uint64_t length,
-                           ursa::BufferView data, storage::IoCallback done,
-                           qos::ServiceClass cls = qos::ServiceClass::kRecovery);
 
   // Hot-upgrade support (§5.2): a draining server has closed its service
   // port — new requests are dropped (clients retry elsewhere / later) while
@@ -180,17 +172,11 @@ class ChunkServer {
   // predecessor's version and gets a VERSION_MISMATCH (the client resyncs
   // and retries; a data-blind ack here would silently lose the write).
   // `data` is a ref-counted BufferView shared by every hop (local journal
-  // append, all replication legs); a null view is a timing-only payload. The
-  // raw-pointer overloads keep the legacy buffer-outlives-callback contract.
+  // append, all replication legs); a null view is a timing-only payload.
+  // Each backup's ack counts toward the quorum at most once.
   void HandleWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
                    uint64_t version, ursa::BufferView data, std::vector<ReplicaRef> backups,
                    WriteCallback done, const obs::SpanRef& span = {}, uint64_t write_id = 0);
-  void HandleWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
-                   uint64_t version, const void* data, std::vector<ReplicaRef> backups,
-                   WriteCallback done, const obs::SpanRef& span = {}, uint64_t write_id = 0) {
-    HandleWrite(chunk, offset, length, view, version, ursa::BufferView::Unowned(data, length),
-                std::move(backups), std::move(done), span, write_id);
-  }
 
   // Backup-side replication (also the per-replica leg of client-directed
   // tiny writes, §3.2): journal append in hybrid mode, direct write
@@ -199,12 +185,6 @@ class ChunkServer {
   void HandleReplicate(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
                        uint64_t version, ursa::BufferView data, WriteCallback done,
                        const obs::SpanRef& span = {}, uint64_t write_id = 0);
-  void HandleReplicate(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
-                       uint64_t version, const void* data, WriteCallback done,
-                       const obs::SpanRef& span = {}, uint64_t write_id = 0) {
-    HandleReplicate(chunk, offset, length, view, version,
-                    ursa::BufferView::Unowned(data, length), std::move(done), span, write_id);
-  }
 
   // Initialization protocol: report {version, view} for a chunk.
   using StateCallback = std::function<void(const Status&, ReplicaState)>;
@@ -219,7 +199,9 @@ class ChunkServer {
                           qos::ServiceClass cls = qos::ServiceClass::kRecovery);
 
   // Recovery write at the transfer target (no version checks; the master
-  // installs {version, view} via SetState once the copy completes).
+  // installs {version, view} via SetState once the copy completes). Ranges
+  // under the chunk's write shield are skipped at apply time; a piece the
+  // shield covers entirely completes OK without a device write.
   void HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t length,
                            ursa::BufferView data, storage::IoCallback done,
                            qos::ServiceClass cls = qos::ServiceClass::kRecovery);
@@ -240,13 +222,32 @@ class ChunkServer {
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
  private:
-  // Writes through the journal manager when present, else the plain store.
-  // A non-null `span` receives the durable-write duration (kBackupJournal).
-  void BackupWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
-                   ursa::BufferView data, storage::IoCallback done,
-                   const obs::SpanRef& span = {}, storage::IoTag tag = {});
-  void BackupRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
-                  storage::IoCallback done, storage::IoTag tag = {});
+  struct PrimaryWrite;
+
+  // The acceptance rule for a versioned write (§4.2.1), shared by the
+  // primary's local leg and a backup's replicate. A write at the replica's
+  // version under its view is applied: the version advances, the write
+  // identity, write shield, heat, journal lite and checksum ledger record
+  // it, and *applied is set. A retry of the applied write (one version
+  // behind, same write id) is a duplicate: OK with *applied unset. Anything
+  // else is a VersionMismatch (stale view, a different write reusing the
+  // version, or a gap). `*replica_version` gets the replica's version after
+  // the call (0 for an unknown chunk).
+  Status AcceptWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
+                     uint64_t version, uint64_t write_id, const ursa::BufferView& data,
+                     bool* applied, uint64_t* replica_version);
+  // Counts one leg of a primary write toward its quorum; on the decision
+  // replies and cancels the commit timeout.
+  void CountLeg(PrimaryWrite& w, const Status& s);
+
+  // This replica's own device I/O: through the journal manager when present
+  // (backups in hybrid mode), else the plain store. A non-null `span`
+  // receives the durable-write duration (kBackupJournal).
+  void ReplicaWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
+                    ursa::BufferView data, storage::IoCallback done,
+                    const obs::SpanRef& span = {}, storage::IoTag tag = {});
+  void ReplicaRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
+                   storage::IoCallback done, storage::IoTag tag = {});
 
   sim::Simulator* sim_;
   net::Transport* transport_;
@@ -265,7 +266,7 @@ class ChunkServer {
   // sorted, merged set of client-written ranges back-fill must not touch.
   std::map<ChunkId, std::vector<Interval>> write_shield_;
   // Ranges (offset, length) flagged corrupt by the scrubber, per chunk.
-  std::map<ChunkId, std::vector<std::pair<uint64_t, uint64_t>>> scrub_quarantine_;
+  std::map<ChunkId, std::vector<Interval>> scrub_quarantine_;
   // Wraps a completion so inflight_ops_ tracks admitted requests. The
   // callback is held behind a shared_ptr so the wrapper stays copyable and
   // const-invocable inside nested non-mutable lambdas.

@@ -564,13 +564,7 @@ void Master::RunCopy(Copy copy, std::function<void(Status)> done) {
         uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, piece.length);
         transport_->Send(from, c.target->node(), wire, [st, piece, view, landed]() {
           const Copy& c = st->copy;
-          if (c.shielded) {
-            c.target->HandleBackfillWrite(c.chunk, piece.offset, piece.length, view, landed,
-                                          c.cls);
-          } else {
-            c.target->HandleRecoveryWrite(c.chunk, piece.offset, piece.length, view, landed,
-                                          c.cls);
-          }
+          c.target->HandleRecoveryWrite(c.chunk, piece.offset, piece.length, view, landed, c.cls);
         });
       };
       if (c.source == nullptr) {
@@ -1286,8 +1280,8 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
           FinishJob(pass, s);
           return;
         }
-        // Stream the old image into every pass target through the write
-        // shield: ranges the client already wrote are subtracted at apply
+        // Stream the old image into every pass target. The targets' write
+        // shields subtract the ranges the client already wrote at apply
         // time, so old bytes can never clobber new data.
         auto remaining = std::make_shared<size_t>(pass->targets.size());
         for (ServerId sid : pass->targets) {
@@ -1295,8 +1289,7 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
                      .pieces = Pieces({Interval{0, chunk_size}}),
                      .target = servers_[sid],
                      .from = from,
-                     .bytes = Slot{data},
-                     .shielded = true};
+                     .bytes = Slot{data}};
           RunCopy(std::move(write), [this, chunk, pass, remaining](Status ws) {
             if (pass->finished) {
               return;

@@ -328,9 +328,9 @@ class Master {
   // One windowed copy: `pieces` of `chunk` go through at most
   // recovery_window_ pieces in flight. With a `source` and no `target` each
   // piece is read into `bytes`; with a `target` and no `source` each piece
-  // ships from node `from` out of `bytes` and is recovery-written (through
-  // the write shield when `shielded`); with both, each piece is read, sent
-  // and written in its own buffer. A copy with a target pauses at the
+  // ships from node `from` out of `bytes` and is recovery-written (the
+  // target's write shield, if set, applies); with both, each piece is read,
+  // sent and written in its own buffer. A copy with a target pauses at the
   // target's gate high watermark for `cls` and resumes when it drains.
   struct Copy {
     ChunkId chunk = 0;
@@ -340,7 +340,6 @@ class Master {
     net::NodeId from = 0;
     Slot bytes = {};
     qos::ServiceClass cls = qos::ServiceClass::kRecovery;
-    bool shielded = false;
   };
   void RunCopy(Copy copy, std::function<void(Status)> done);
 
@@ -435,8 +434,9 @@ class Master {
   // A failed pass is retried after spec_retry_.
   void StartSpecBackfill(ChunkId chunk);
   // The pass body: plan the shard reads, reconstruct missing data shards,
-  // then stream the old image into every alive spec replica via shielded
-  // back-fill writes (client-written ranges are subtracted at apply time).
+  // then stream the old image into every alive spec replica via recovery
+  // writes (each target's write shield subtracts client-written ranges at
+  // apply time).
   void RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass);
   // Atomic commit: retires the shards, turns the spec replicas into the
   // chunk's replica set at view+1, and clears all speculation state.

@@ -4,37 +4,36 @@
 #ifndef URSA_NET_RPC_H_
 #define URSA_NET_RPC_H_
 
-#include <functional>
-#include <utility>
-
 #include "src/common/status.h"
 
 namespace ursa::net {
 
 // Counts replies toward quorum/all-success decisions (§4.1 step 6):
-// commits when all `total` replies succeed, or — after `Arm()`ed timeout —
-// when at least `majority` have succeeded. Reports failure when success can
-// no longer be reached. Without a `decision` callback the owner polls
-// decided() after each Record*/TimeoutExpired call and reads outcome().
+// commits when all `total` replies succeed, or — after the commit timeout
+// has expired — when at least `majority` have succeeded. Reports failure
+// when success can no longer be reached. The owner polls decided() after
+// each Record*/TimeoutExpired call and reads outcome(); once decided, the
+// tallies are frozen.
 class QuorumTracker {
  public:
-  using Decision = std::function<void(const Status&, int successes, int failures)>;
-
-  QuorumTracker(int total, int majority, Decision decision = nullptr)
-      : total_(total), majority_(majority), decision_(std::move(decision)) {}
+  QuorumTracker(int total, int majority) : total_(total), majority_(majority) {}
 
   void RecordSuccess() {
-    ++successes_;
-    Evaluate(false);
+    if (!decided_) {
+      ++successes_;
+      Evaluate();
+    }
   }
   void RecordFailure() {
-    ++failures_;
-    Evaluate(false);
+    if (!decided_) {
+      ++failures_;
+      Evaluate();
+    }
   }
   // Invoked when the commit timeout expires: majority suffices from now on.
   void TimeoutExpired() {
     timed_out_ = true;
-    Evaluate(true);
+    Evaluate();
   }
 
   bool decided() const { return decided_; }
@@ -43,31 +42,23 @@ class QuorumTracker {
   int failures() const { return failures_; }
 
  private:
-  void Evaluate(bool /*from_timeout*/) {
+  void Evaluate() {
     if (decided_) {
       return;
     }
     if (successes_ == total_ || (timed_out_ && successes_ >= majority_)) {
-      Decide(OkStatus());
+      decided_ = true;
     } else if (total_ - failures_ < majority_) {
       // Even if every outstanding reply succeeds, majority is unreachable.
-      Decide(Unavailable("replication quorum failed"));
+      decided_ = true;
+      outcome_ = Unavailable("replication quorum failed");
     }
     // Otherwise wait: either more replies arrive, or the commit timeout
     // authorizes a majority commit (write-to-all first, §4.1).
   }
 
-  void Decide(Status outcome) {
-    decided_ = true;
-    outcome_ = std::move(outcome);
-    if (decision_) {
-      decision_(outcome_, successes_, failures_);
-    }
-  }
-
   int total_;
   int majority_;
-  Decision decision_;
   int successes_ = 0;
   int failures_ = 0;
   bool timed_out_ = false;

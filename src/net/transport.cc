@@ -102,12 +102,6 @@ void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {
     }
     return static_cast<double>(depth);
   });
-  registry->RegisterCallbackCounter("net.coalesced_batches", {}, [this]() {
-    return static_cast<double>(coalesced_batches_);
-  });
-  registry->RegisterCallbackCounter("net.coalesced_messages", {}, [this]() {
-    return static_cast<double>(coalesced_messages_);
-  });
   registry->RegisterCallbackCounter("net.chaos_dropped", {}, [this]() {
     return static_cast<double>(chaos_counters_.dropped);
   });
@@ -125,37 +119,6 @@ void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {
       }
     }
     return static_cast<double>(depth);
-  });
-}
-
-void Transport::SendCoalesced(NodeId from, NodeId to, uint64_t payload_bytes,
-                              sim::EventFn deliver) {
-  auto key = std::make_pair(from, to);
-  auto it = pending_batches_.find(key);
-  if (it != pending_batches_.end()) {
-    it->second.payload_bytes += payload_bytes;
-    it->second.delivers.push_back(std::move(deliver));
-    ++coalesced_messages_;
-    return;
-  }
-  PendingBatch& batch = pending_batches_[key];
-  batch.payload_bytes = payload_bytes;
-  batch.delivers.push_back(std::move(deliver));
-  sim_->After(0, [this, key]() {
-    auto node = pending_batches_.extract(key);
-    if (node.empty()) {
-      return;
-    }
-    PendingBatch flushed = std::move(node.mapped());
-    if (flushed.delivers.size() > 1) {
-      ++coalesced_batches_;
-    }
-    Send(key.first, key.second, flushed.payload_bytes,
-         [delivers = std::move(flushed.delivers)]() mutable {
-           for (sim::EventFn& fn : delivers) {
-             fn();
-           }
-         });
   });
 }
 

@@ -73,20 +73,6 @@ class Transport {
   void Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver,
             const obs::SpanRef& span, obs::Stage stage);
 
-  // Coalescing variant for small messages: sends to the same (from, to) flow
-  // enqueued within one simulator instant merge into a single framed message
-  // — one per-message overhead charge and one NIC serialization/propagation
-  // pass for the whole batch, deliver closures running in enqueue order at
-  // the destination. Meant for fan-out legs that are small and tolerate
-  // microsecond-scale batching (replication legs of small writes, their
-  // acks); large payloads should keep using Send so a bulky message never
-  // rides with — and delays — a batch. Chaos rules see the batch as one
-  // message, which is faithful: it IS one wire message.
-  void SendCoalesced(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver);
-
-  uint64_t coalesced_batches() const { return coalesced_batches_; }
-  uint64_t coalesced_messages() const { return coalesced_messages_; }
-
   // Registers transport-wide metrics (message/byte counters, NIC queue
   // depths) with `registry`. Call once after construction; the registry must
   // outlive this transport.
@@ -152,14 +138,6 @@ class Transport {
   bool LinkBroken(NodeId a, NodeId b) const;
   Rng& ChaosRng() { return chaos_rng_ != nullptr ? *chaos_rng_ : fallback_chaos_rng_; }
 
-  // Messages awaiting a coalesced flush, per (from, to) flow. The first send
-  // on a flow schedules an After(0) flush; everything enqueued before it runs
-  // rides the same wire message.
-  struct PendingBatch {
-    uint64_t payload_bytes = 0;
-    std::vector<sim::EventFn> delivers;
-  };
-
   // Per-message state while a message crosses the NICs, pooled so each hop's
   // event captures only (this, id) and stays inside InlineFn's buffer.
   struct InFlight {
@@ -190,11 +168,8 @@ class Transport {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::pair<NodeId, NodeId>> broken_links_;
   std::map<std::pair<NodeId, NodeId>, LinkChaosRule> chaos_rules_;
-  std::map<std::pair<NodeId, NodeId>, PendingBatch> pending_batches_;
   std::vector<InFlight> in_flight_;
   std::vector<uint32_t> free_in_flight_;
-  uint64_t coalesced_batches_ = 0;   // flushes that carried > 1 message
-  uint64_t coalesced_messages_ = 0;  // messages that rode an existing batch
   Rng* chaos_rng_ = nullptr;
   Rng fallback_chaos_rng_{0xC4A05ULL};  // "CHAOS"
   ChaosCounters chaos_counters_;

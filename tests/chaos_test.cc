@@ -243,7 +243,7 @@ TEST(ChaosViewChangeTest, StalePrimaryCannotAckAfterViewChange) {
   Status acked = Internal("not completed");
   bool replied = false;
   stale->HandleWrite(old_layout.chunk, 0, rogue.size(), old_view, stale_state->version,
-                     rogue.data(), old_backups,
+                     ursa::Buffer::CopyOf(rogue.data(), rogue.size()), old_backups,
                      [&](const Status& s, uint64_t) {
                        acked = s;
                        replied = true;

@@ -3,6 +3,7 @@
 // hybrid fault model's majority commit, and crash silence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -31,7 +32,7 @@ class ChunkServerTest : public ::testing::Test {
 
   // Runs a primary-driven write, returns (status, new_version).
   std::pair<Status, uint64_t> Write(uint64_t version, uint64_t offset = 0,
-                                    uint64_t length = 4096, const void* data = nullptr,
+                                    uint64_t length = 4096, ursa::BufferView data = {},
                                     uint64_t view = 1) {
     Status status = Internal("no reply");
     uint64_t new_version = 0;
@@ -72,7 +73,7 @@ TEST_F(ChunkServerTest, SequentialVersionsCommit) {
 }
 
 TEST_F(ChunkServerTest, StaleViewRejected) {
-  auto [status, version] = Write(0, 0, 4096, nullptr, /*view=*/99);
+  auto [status, version] = Write(0, 0, 4096, ursa::BufferView(), /*view=*/99);
   EXPECT_EQ(status.code(), StatusCode::kVersionMismatch);
   EXPECT_EQ(primary_->GetState(layout_.chunk)->version, 0u);
 }
@@ -106,11 +107,37 @@ TEST_F(ChunkServerTest, MajorityCommitWhenOneBackupCrashed) {
   EXPECT_EQ(backup2_->GetState(layout_.chunk)->version, 0u);  // lagging
 }
 
+// Each backup counts toward the quorum once: with backup2 down and every
+// backup1 -> primary message duplicated, the two copies of backup1's ack
+// plus the local write must not pass for all three replicas. The write
+// commits on a majority, so only once the commit timeout has run out.
+TEST_F(ChunkServerTest, DuplicatedBackupAckCountsOnce) {
+  backup2_->SetCrashed(true);
+  net::LinkChaosRule dup;
+  dup.dup_prob = 1.0;
+  cluster_.transport().SetLinkChaos(backup1_->node(), primary_->node(), dup);
+  Nanos before = sim_.Now();
+  Nanos committed = 0;
+  Status status = Internal("no reply");
+  uint64_t version = 0;
+  primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
+                        [&](const Status& s, uint64_t v) {
+                          status = s;
+                          version = v;
+                          committed = sim_.Now();
+                        });
+  sim_.RunUntil(sim_.Now() + sec(1));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(version, 1u);
+  EXPECT_GE(committed - before, cluster_.config().server.majority_commit_timeout);
+  EXPECT_GE(cluster_.transport().chaos_counters().duplicated, 1u);
+}
+
 TEST_F(ChunkServerTest, NoReplyWhenMajorityUnreachable) {
   backup1_->SetCrashed(true);
   backup2_->SetCrashed(true);
   Status status = Internal("no reply");
-  primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, nullptr, Backups(),
+  primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
                         [&](const Status& s, uint64_t) { status = s; });
   sim_.RunUntil(sim_.Now() + sec(1));
   // Primary alone is 1 of 3 — not a majority; the request cannot commit.
@@ -121,7 +148,7 @@ TEST_F(ChunkServerTest, NoReplyWhenMajorityUnreachable) {
 TEST_F(ChunkServerTest, CrashedPrimaryIsSilent) {
   primary_->SetCrashed(true);
   bool replied = false;
-  primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, nullptr, Backups(),
+  primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
                         [&](const Status&, uint64_t) { replied = true; });
   primary_->HandleRead(layout_.chunk, 0, 4096, 1, 0, nullptr,
                        [&](const Status&, uint64_t) { replied = true; });
@@ -161,7 +188,7 @@ TEST_F(ChunkServerTest, ReadChecksVersion) {
 
 TEST_F(ChunkServerTest, BackupServesJournalAwareRead) {
   auto data = test::Pattern(4096, 9);
-  ASSERT_TRUE(Write(0, 8192, 4096, data.data()).first.ok());
+  ASSERT_TRUE(Write(0, 8192, 4096, ursa::Buffer::CopyOf(data.data(), data.size())).first.ok());
   // Read from the backup as temporary primary (§4.2.1): the data is still in
   // its journal, not yet on the HDD.
   std::vector<uint8_t> out(4096);
@@ -175,7 +202,7 @@ TEST_F(ChunkServerTest, BackupServesJournalAwareRead) {
 
 TEST_F(ChunkServerTest, DuplicateReplicateAcked) {
   Status status = Internal("no reply");
-  backup1_->HandleReplicate(layout_.chunk, 0, 4096, 1, 0, nullptr,
+  backup1_->HandleReplicate(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(),
                             [&](const Status& s, uint64_t) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   ASSERT_TRUE(status.ok());
@@ -183,7 +210,7 @@ TEST_F(ChunkServerTest, DuplicateReplicateAcked) {
   // without re-execution.
   status = Internal("no reply");
   uint64_t version = 0;
-  backup1_->HandleReplicate(layout_.chunk, 0, 4096, 1, 0, nullptr,
+  backup1_->HandleReplicate(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(),
                             [&](const Status& s, uint64_t v) {
                               status = s;
                               version = v;
@@ -192,6 +219,70 @@ TEST_F(ChunkServerTest, DuplicateReplicateAcked) {
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(version, 1u);
   EXPECT_EQ(backup1_->replicates_served(), 1u);
+}
+
+// The recovery write and the speculative-promotion write shield: ranges a
+// client wrote since the shield went up are newer than the copied image and
+// are skipped at apply time.
+class RecoveryWriteTest : public ChunkServerTest {
+ protected:
+  Status RecoveryWrite(uint64_t offset, const std::vector<uint8_t>& bytes) {
+    Status status = Internal("no reply");
+    primary_->HandleRecoveryWrite(layout_.chunk, offset, bytes.size(),
+                                  ursa::Buffer::CopyOf(bytes.data(), bytes.size()),
+                                  [&](const Status& s) { status = s; });
+    sim_.RunUntil(sim_.Now() + msec(100));
+    return status;
+  }
+
+  std::vector<uint8_t> ReadBack(uint64_t offset, uint64_t length) {
+    std::vector<uint8_t> out(length);
+    Status status = Internal("no reply");
+    primary_->HandleRecoveryRead(layout_.chunk, offset, length, out.data(),
+                                 [&](const Status& s, uint64_t) { status = s; });
+    sim_.RunUntil(sim_.Now() + msec(100));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return out;
+  }
+
+  uint64_t BytesWritten() { return primary_->store()->device()->stats().bytes_written; }
+
+  // A client write of `length` pattern bytes at `offset` (version 0).
+  std::vector<uint8_t> ClientWrite(uint64_t offset, uint64_t length) {
+    std::vector<uint8_t> bytes = test::Pattern(length, 77);
+    EXPECT_TRUE(Write(0, offset, length, ursa::Buffer::CopyOf(bytes.data(), length)).first.ok());
+    return bytes;
+  }
+};
+
+TEST_F(RecoveryWriteTest, WithoutShieldWritesTheWholePiece) {
+  ClientWrite(4096, 4096);
+  std::vector<uint8_t> image = test::Pattern(12288, 5);
+  uint64_t written = BytesWritten();
+  ASSERT_TRUE(RecoveryWrite(0, image).ok());
+  EXPECT_EQ(BytesWritten() - written, image.size());
+  EXPECT_EQ(ReadBack(0, image.size()), image);
+}
+
+TEST_F(RecoveryWriteTest, PartlyShieldedPieceWritesOnlyUnshieldedBytes) {
+  primary_->EnableWriteShield(layout_.chunk);
+  std::vector<uint8_t> client = ClientWrite(4096, 4096);
+  std::vector<uint8_t> image = test::Pattern(12288, 5);
+  uint64_t written = BytesWritten();
+  ASSERT_TRUE(RecoveryWrite(0, image).ok());
+  EXPECT_EQ(BytesWritten() - written, 8192u);
+  std::vector<uint8_t> want = image;
+  std::copy(client.begin(), client.end(), want.begin() + 4096);
+  EXPECT_EQ(ReadBack(0, image.size()), want);
+}
+
+TEST_F(RecoveryWriteTest, FullyShieldedPieceCompletesWithoutDeviceWrite) {
+  primary_->EnableWriteShield(layout_.chunk);
+  std::vector<uint8_t> client = ClientWrite(4096, 4096);
+  uint64_t written = BytesWritten();
+  EXPECT_TRUE(RecoveryWrite(4096, test::Pattern(4096, 5)).ok());
+  EXPECT_EQ(BytesWritten(), written);
+  EXPECT_EQ(ReadBack(4096, 4096), client);
 }
 
 TEST_F(ChunkServerTest, VersionQueryReportsState) {

@@ -188,51 +188,6 @@ TEST(TransportTest, ByteCounters) {
   EXPECT_EQ(net.bytes_in(b), 1000 + params.overhead_bytes);
 }
 
-TEST(TransportTest, CoalescedSendsMergeIntoOneWireMessage) {
-  sim::Simulator sim;
-  Transport net(&sim);
-  NetParams params;
-  NodeId a = net.AddNode("a", params);
-  NodeId b = net.AddNode("b", params);
-  // Four small sends to the same flow in one simulator instant: one wire
-  // message, one overhead charge, delivers in enqueue order.
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    net.SendCoalesced(a, b, 1000, [&order, i]() { order.push_back(i); });
-  }
-  sim.RunToCompletion();
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-  EXPECT_EQ(net.messages_delivered(), 1u);
-  EXPECT_EQ(net.coalesced_batches(), 1u);
-  EXPECT_EQ(net.coalesced_messages(), 3u);  // three riders on the first send
-  // One framing overhead for the whole batch instead of four.
-  EXPECT_EQ(net.bytes_out(a), 4 * 1000 + params.overhead_bytes);
-  EXPECT_EQ(net.bytes_in(b), 4 * 1000 + params.overhead_bytes);
-}
-
-TEST(TransportTest, CoalescingIsPerFlowAndPerInstant) {
-  sim::Simulator sim;
-  Transport net(&sim);
-  NodeId a = net.AddNode("a");
-  NodeId b = net.AddNode("b");
-  NodeId c = net.AddNode("c");
-  int delivered = 0;
-  auto bump = [&delivered]() { ++delivered; };
-  // Different destinations never share a batch.
-  net.SendCoalesced(a, b, 100, bump);
-  net.SendCoalesced(a, c, 100, bump);
-  sim.RunToCompletion();
-  EXPECT_EQ(net.messages_delivered(), 2u);
-  EXPECT_EQ(net.coalesced_batches(), 0u);
-  // A later instant starts a fresh batch.
-  net.SendCoalesced(a, b, 100, bump);
-  sim.RunToCompletion();
-  EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(net.messages_delivered(), 3u);
-  EXPECT_EQ(net.coalesced_batches(), 0u);
-}
-
 TEST(MessageTest, WireBytesComposition) {
   EXPECT_EQ(WireBytes(MessageType::kWriteRequest, 4096),
             FixedBytes(MessageType::kWriteRequest) + 4096);
@@ -244,96 +199,80 @@ TEST(MessageTest, WireBytesComposition) {
 }
 
 TEST(QuorumTrackerTest, AllSuccessCommitsImmediately) {
-  Status decision;
-  bool decided = false;
-  QuorumTracker tracker(3, 2, [&](const Status& s, int, int) {
-    decision = s;
-    decided = true;
-  });
+  QuorumTracker tracker(3, 2);
   tracker.RecordSuccess();
   tracker.RecordSuccess();
-  EXPECT_FALSE(decided);  // write-to-all first: waits for the third
+  EXPECT_FALSE(tracker.decided());  // write-to-all first: waits for the third
   tracker.RecordSuccess();
-  EXPECT_TRUE(decided);
-  EXPECT_TRUE(decision.ok());
+  EXPECT_TRUE(tracker.decided());
+  EXPECT_TRUE(tracker.outcome().ok());
 }
 
 TEST(QuorumTrackerTest, MajorityCommitsOnlyAfterTimeout) {
-  Status decision;
-  bool decided = false;
-  QuorumTracker tracker(3, 2, [&](const Status& s, int, int) {
-    decision = s;
-    decided = true;
-  });
+  QuorumTracker tracker(3, 2);
   tracker.RecordSuccess();
   tracker.RecordSuccess();
   tracker.RecordFailure();
-  EXPECT_FALSE(decided);  // majority reached, but no timeout yet (§4.1)
+  EXPECT_FALSE(tracker.decided());  // majority reached, but no timeout yet (§4.1)
   tracker.TimeoutExpired();
-  EXPECT_TRUE(decided);
-  EXPECT_TRUE(decision.ok());
+  EXPECT_TRUE(tracker.decided());
+  EXPECT_TRUE(tracker.outcome().ok());
 }
 
 TEST(QuorumTrackerTest, TimeoutFirstThenMajority) {
-  bool decided = false;
-  Status decision;
-  QuorumTracker tracker(3, 2, [&](const Status& s, int, int) {
-    decision = s;
-    decided = true;
-  });
+  QuorumTracker tracker(3, 2);
   tracker.TimeoutExpired();
-  EXPECT_FALSE(decided);
+  EXPECT_FALSE(tracker.decided());
   tracker.RecordSuccess();
+  EXPECT_FALSE(tracker.decided());
   tracker.RecordSuccess();
-  EXPECT_TRUE(decided);
-  EXPECT_TRUE(decision.ok());
+  EXPECT_TRUE(tracker.decided());
+  EXPECT_TRUE(tracker.outcome().ok());
 }
 
 TEST(QuorumTrackerTest, MajorityUnreachableFails) {
-  Status decision;
-  QuorumTracker tracker(3, 2, [&](const Status& s, int, int) { decision = s; });
+  QuorumTracker tracker(3, 2);
   tracker.RecordFailure();
+  EXPECT_FALSE(tracker.decided());
   tracker.RecordFailure();
-  EXPECT_EQ(decision.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(tracker.decided());
+  EXPECT_EQ(tracker.outcome().code(), StatusCode::kUnavailable);
 }
 
 TEST(QuorumTrackerTest, DecidesExactlyOnce) {
-  int decisions = 0;
-  QuorumTracker tracker(3, 2, [&](const Status&, int, int) { ++decisions; });
+  QuorumTracker tracker(3, 2);
   tracker.RecordSuccess();
   tracker.RecordSuccess();
   tracker.RecordSuccess();
+  ASSERT_TRUE(tracker.decided());
+  // Nothing after the decision can flip it: not a timeout, not a failure.
   tracker.TimeoutExpired();
   tracker.RecordFailure();
-  EXPECT_EQ(decisions, 1);
+  EXPECT_TRUE(tracker.outcome().ok());
+  EXPECT_EQ(tracker.successes(), 3);
+  EXPECT_EQ(tracker.failures(), 0);
 }
 
 // Regression: a straggler leg whose reply lands AFTER the quorum already
-// decided (majority-after-timeout) must not complete the call a second time
-// or disturb the recorded tallies. Under link chaos a delayed reply routinely
-// outlives the commit decision, and a double-completion would ack one write
-// twice (the client would bump its version for a commit that happened once).
+// decided (majority-after-timeout) must not change the decision or disturb
+// the recorded tallies. Under link chaos a delayed reply routinely outlives
+// the commit decision; the owner reads the tallies at the decision (the
+// client reports a majority commit to the master when failures() > 0).
 TEST(QuorumTrackerTest, LateStragglerAfterDecisionDoesNotDoubleComplete) {
-  int decisions = 0;
-  Status decision;
-  int final_successes = 0;
-  QuorumTracker tracker(3, 2, [&](const Status& s, int successes, int) {
-    ++decisions;
-    decision = s;
-    final_successes = successes;
-  });
+  QuorumTracker tracker(3, 2);
   tracker.RecordSuccess();
   tracker.RecordFailure();
   tracker.TimeoutExpired();
-  EXPECT_EQ(decisions, 0);  // 1 of 3 succeeded: not yet a majority
-  tracker.RecordSuccess();  // majority reached after the timeout
-  EXPECT_EQ(decisions, 1);
-  EXPECT_TRUE(decision.ok());
-  EXPECT_EQ(final_successes, 2);
+  EXPECT_FALSE(tracker.decided());  // 1 of 3 succeeded: not yet a majority
+  tracker.RecordSuccess();          // majority reached after the timeout
+  ASSERT_TRUE(tracker.decided());
+  EXPECT_TRUE(tracker.outcome().ok());
+  EXPECT_EQ(tracker.successes(), 2);
   tracker.RecordSuccess();  // the straggler finally replies
   tracker.TimeoutExpired();
-  EXPECT_EQ(decisions, 1);  // decided exactly once, tallies frozen
-  EXPECT_EQ(final_successes, 2);
+  EXPECT_TRUE(tracker.outcome().ok());  // decided once, tallies frozen
+  EXPECT_EQ(tracker.successes(), 2);
+  EXPECT_EQ(tracker.failures(), 1);
 }
 
 // ---- Link chaos rules (see DESIGN.md "Fault model & chaos harness") ----

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/client/virtual_disk.h"
@@ -181,6 +182,49 @@ TEST_F(RecoveryTest, IncrementalRepairBringsLaggardCurrent) {
   auto st = cluster_->master().server(lagging)->GetState(layout.chunk);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->version, 3u);
+}
+
+// Regression: a view change keeps the survivors' write identity. A write
+// applied on two replicas whose third has crashed is still "the last write"
+// after ReportReplicaFailure installs the new view, so the client's retry of
+// it (old version, new view, same write id) is acked as a duplicate and does
+// not bump the version again. A view install that reset the identity would
+// answer the retry with "stale client version; resync required", and the
+// client would apply the write a second time at the next version.
+TEST_F(RecoveryTest, ViewChangeKeepsSurvivorWriteIdentity) {
+  Build();
+  cluster::ChunkLayout before = Layout0();
+  cluster::ChunkServer* survivors[] = {cluster_->server(before.replicas[0].server),
+                                       cluster_->server(before.replicas[1].server)};
+  const uint64_t kWriteId = 7;
+  ursa::Buffer data = ursa::Buffer::CopyOf(test::Pattern(4096, 3).data(), 4096);
+  auto replicate = [&](cluster::ChunkServer* server, uint64_t view) {
+    std::pair<Status, uint64_t> reply{Internal("no reply"), 0};
+    server->HandleReplicate(before.chunk, 0, 4096, view, /*version=*/0, data,
+                            [&](const Status& s, uint64_t v) { reply = {s, v}; }, {}, kWriteId);
+    sim_.RunUntil(sim_.Now() + msec(100));
+    return reply;
+  };
+  for (cluster::ChunkServer* server : survivors) {
+    ASSERT_TRUE(replicate(server, before.view).first.ok());
+  }
+  cluster_->CrashServer(before.replicas[2].server);
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(before.chunk, before.replicas[2].server,
+                                          [&](Status s) { recovery = s; });
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(recovery.ok()) << recovery.ToString();
+  const uint64_t new_view = Layout0().view;
+  ASSERT_EQ(new_view, before.view + 1);
+
+  for (cluster::ChunkServer* server : survivors) {
+    uint64_t served = server->replicates_served();
+    auto [status, version] = replicate(server, new_view);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(version, 1u);
+    EXPECT_EQ(server->GetState(before.chunk)->version, 1u);
+    EXPECT_EQ(server->replicates_served(), served);  // acked, not re-applied
+  }
 }
 
 TEST_F(RecoveryTest, RecoveryPrefersDistinctMachine) {
