@@ -336,7 +336,7 @@ void VirtualDisk::FinishSub(uint32_t s, Status status) {
   }
   subs_.Release(s);
   if (is_write) {
-    chunk_states_[sub.chunk_index].write_inflight = false;
+    chunk_states_[sub.chunk_index].write_inflight = 0;
     PumpWriteQueue(sub.chunk_index);
   }
   OpRecord& o = ops_[op];
@@ -392,7 +392,6 @@ void VirtualDisk::IssueRead(uint32_t s) {
   const ChunkState& cs = chunk_states_[rec.sub.chunk_index];
   const ReplicaRef& replica = layout.replicas[cs.primary % layout.replicas.size()];
   rec.replica_read = true;
-  rec.replied_version = 0;
   rec.pieces = 1;
   uint32_t p = AcquirePiece(s, PieceKind::kReplica, rec.sub.chunk_offset, rec.sub.length, rec.out);
   PieceRecord& piece = pieces_[p];
@@ -484,7 +483,6 @@ uint32_t VirtualDisk::AcquirePiece(uint32_t s, PieceKind kind, uint64_t offset, 
   piece.offset = offset;
   piece.length = length;
   piece.out = out;
-  piece.replied_version = 0;
   return p;
 }
 
@@ -613,30 +611,27 @@ void VirtualDisk::DeliverPiece(uint32_t p, uint32_t gen) {
   if (piece.kind == PieceKind::kSurvivor) {
     // Also holds the survivor buffer until the server has written into it.
     auto served = [this, p, gen, keep = UserCallback(piece.sub),
-                   buf = pieces_[piece.degraded].survivors](const Status& s, uint64_t version) {
-      OnPieceServed(p, gen, s, version);
+                   buf = pieces_[piece.degraded].survivors](const Status& s, uint64_t) {
+      OnPieceServed(p, gen, s);
     };
     static_assert(sizeof(served) <= InlineFn::kInlineBytes);
     server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version,
                        piece.out, served, span);
     return;
   }
-  auto served = [this, p, gen, keep = UserCallback(piece.sub)](const Status& s,
-                                                                uint64_t version) {
-    OnPieceServed(p, gen, s, version);
+  auto served = [this, p, gen, keep = UserCallback(piece.sub)](const Status& s, uint64_t) {
+    OnPieceServed(p, gen, s);
   };
   static_assert(sizeof(served) <= InlineFn::kInlineBytes);
   server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version, piece.out,
                      served, span);
 }
 
-void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status,
-                                uint64_t version) {
+void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status) {
   PieceRecord& piece = pieces_[p];
   if (piece.gen != gen) {
     return;  // a late or duplicated request; the piece already finished
   }
-  piece.replied_version = version;
   uint64_t bytes = status.ok() ? piece.length : 0;
   auto reply = [this, p, gen, status]() {
     if (pieces_[p].gen == gen) {
@@ -658,7 +653,6 @@ void VirtualDisk::OnPieceDone(uint32_t p, const Status& status) {
     case PieceKind::kReplica: {
       SubRecord& rec = subs_[piece.sub];
       rec.replied = sim_->Now();
-      rec.replied_version = piece.replied_version;
       FinishPiece(p, status);
       return;
     }
@@ -768,10 +762,6 @@ void VirtualDisk::FinishReadAttempt(uint32_t s) {
     FinishSub(s, OkStatus());
     return;
   }
-  if (rec.replica_read && rec.status.code() == StatusCode::kVersionMismatch &&
-      rec.replied_version > cs.version) {
-    cs.version = rec.replied_version;
-  }
   HandleAttemptFailure(s, rec.status);
 }
 
@@ -797,9 +787,9 @@ void VirtualDisk::PumpWriteQueue(size_t chunk_index) {
   if (cs.write_inflight || cs.queue_head == kNoRecord) {
     return;
   }
-  cs.write_inflight = true;
   const uint32_t s = cs.queue_head;
   SubRecord& rec = subs_[s];
+  cs.write_inflight = rec.sub.write_id;
   cs.queue_head = rec.next_queued;
   if (cs.queue_head == kNoRecord) {
     cs.queue_tail = kNoRecord;
@@ -882,7 +872,6 @@ void VirtualDisk::ClientDirectedWrite(uint32_t s) {
   int total = static_cast<int>(replicas.size());
   int majority = total / 2 + 1;
   rec.saw_mismatch = false;
-  rec.replied_version = 0;
 
   ArmWriteTimeout(s);
   rec.quorum = net::QuorumTracker(total, majority);
@@ -923,26 +912,26 @@ void VirtualDisk::DeliverLeg(uint32_t s, uint32_t tag) {
   if (server == nullptr) {
     return;  // silent drop; timeout/quorum handles it
   }
-  auto served = [this, s, tag, keep = UserCallback(s)](const Status& status, uint64_t version) {
-    OnLegServed(s, tag, status.code(), version);
+  auto served = [this, s, tag, keep = UserCallback(s)](const Status& status, uint64_t) {
+    OnLegServed(s, tag, status.code());
   };
   static_assert(sizeof(served) <= InlineFn::kInlineBytes);
   server->HandleReplicate(rec.chunk, rec.sub.chunk_offset, rec.sub.length, rec.view, rec.version,
                           rec.data, served, SubSpan(s), rec.sub.write_id);
 }
 
-void VirtualDisk::OnLegServed(uint32_t s, uint32_t tag, StatusCode code, uint64_t version) {
+void VirtualDisk::OnLegServed(uint32_t s, uint32_t tag, StatusCode code) {
   if (!SubLive(s, tag)) {
     return;
   }
-  auto reply = [this, s, tag, code, version]() { OnLegReply(s, tag, code, version); };
+  auto reply = [this, s, tag, code]() { OnLegReply(s, tag, code); };
   static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
   cluster_->transport().Send(subs_[s].targets[tag % kGenStride].node, host_->node(),
                              WireBytes(MessageType::kReplicateReply), reply, SubSpan(s),
                              obs::Stage::kNetReply);
 }
 
-void VirtualDisk::OnLegReply(uint32_t s, uint32_t tag, StatusCode code, uint64_t version) {
+void VirtualDisk::OnLegReply(uint32_t s, uint32_t tag, StatusCode code) {
   if (!SubLive(s, tag)) {
     return;
   }
@@ -955,10 +944,7 @@ void VirtualDisk::OnLegReply(uint32_t s, uint32_t tag, StatusCode code, uint64_t
   if (code == StatusCode::kOk) {
     rec.quorum.RecordSuccess();
   } else {
-    if (code == StatusCode::kVersionMismatch) {
-      rec.saw_mismatch = true;
-      rec.replied_version = std::max(rec.replied_version, version);
-    }
+    rec.saw_mismatch = rec.saw_mismatch || code == StatusCode::kVersionMismatch;
     rec.quorum.RecordFailure();
   }
   if (rec.quorum.decided()) {
@@ -1065,11 +1051,11 @@ void VirtualDisk::FinishWriteAttempt(uint32_t s) {
   ChunkState& cs = chunk_states_[rec.sub.chunk_index];
   if (rec.status.ok()) {
     // This attempt committed exactly version+1 (primary-driven: the
-    // primary's replied new_version). Concurrent reads (or earlier failed
-    // attempts) may have ALREADY adopted that number after observing our
-    // write applied at a replica, so a blind ++ here would double-count the
-    // same commit and strand the client one version above every replica
-    // forever.
+    // primary's replied new_version). A resync between attempts may ALREADY
+    // have adopted that number from a replica that no longer names this
+    // write (a view install that moves a version resets its identity), so a
+    // blind ++ here would double-count the same commit and strand the
+    // client one version above every replica forever.
     cs.version = std::max(cs.version, rec.version + 1);
     if (rec.primary_driven) {
       cs.version = std::max(cs.version, rec.replied_version);
@@ -1077,11 +1063,6 @@ void VirtualDisk::FinishWriteAttempt(uint32_t s) {
     cs.timeout_streak = 0;
     FinishSub(s, OkStatus());
     return;
-  }
-  const bool mismatch = rec.primary_driven ? rec.status.code() == StatusCode::kVersionMismatch
-                                           : rec.saw_mismatch;
-  if (mismatch && rec.replied_version > cs.version) {
-    cs.version = rec.replied_version;
   }
   HandleAttemptFailure(s, !rec.primary_driven && rec.saw_mismatch
                               ? VersionMismatch("replica ahead/behind")
@@ -1245,15 +1226,11 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
     size_t best = cs.primary % nl.replicas.size();
     int best_pref = 99;
     for (size_t r = 0; r < nl.replicas.size(); ++r) {
-      ChunkServer* server = Server(nl.replicas[r].server);
-      if (server == nullptr || server->crashed()) {
-        continue;
-      }
-      Result<ChunkServer::ReplicaState> st = server->GetState(nl.chunk);
-      if (st.ok() && (st->version > best_version ||
-                      (st->version == best_version &&
+      std::optional<uint64_t> version = ResyncVersion(chunk_index, nl.replicas[r]);
+      if (version && (*version > best_version ||
+                      (*version == best_version &&
                        ReplicaPreference(nl.replicas[r]) < best_pref))) {
-        best_version = st->version;
+        best_version = *version;
         best_pref = ReplicaPreference(nl.replicas[r]);
         best = r;
       }
@@ -1320,18 +1297,9 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
     // the single-writer client's number is authoritative (§4.1).
     const ChunkLayout& nl = Layout(chunk_index);
     ChunkState& ncs = chunk_states_[chunk_index];
-    uint64_t version = ncs.version;
     for (const ReplicaRef& r : nl.replicas) {
-      ChunkServer* server = Server(r.server);
-      if (server == nullptr || server->crashed()) {
-        continue;
-      }
-      Result<ChunkServer::ReplicaState> st = server->GetState(nl.chunk);
-      if (st.ok()) {
-        version = std::max(version, st->version);
-      }
+      ncs.version = std::max(ncs.version, ResyncVersion(chunk_index, r).value_or(0));
     }
-    ncs.version = version;
     int best_pref = 99;
     for (size_t r = 0; r < nl.replicas.size(); ++r) {
       ChunkServer* server = Server(nl.replicas[r].server);
@@ -1347,6 +1315,19 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
   };
   cluster_->master().ReportReplicaFailure(layout.chunk, suspected, resync);
   ScheduleRetry(s);
+}
+
+std::optional<uint64_t> VirtualDisk::ResyncVersion(size_t chunk_index, const ReplicaRef& r) {
+  ChunkServer* server = Server(r.server);
+  if (server == nullptr || server->crashed()) {
+    return std::nullopt;
+  }
+  Result<ChunkServer::ReplicaState> st = server->GetState(Layout(chunk_index).chunk);
+  if (!st.ok()) {
+    return std::nullopt;
+  }
+  const uint64_t own = chunk_states_[chunk_index].write_inflight;
+  return own != 0 && st->last_write_id == own ? st->version - 1 : st->version;
 }
 
 }  // namespace ursa::client

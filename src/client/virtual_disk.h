@@ -21,6 +21,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -239,7 +240,7 @@ class VirtualDisk {
     // The attempt in flight.
     Status status;  // outcome (reads: first piece error)
     Nanos replied = 0;
-    uint64_t replied_version = 0;
+    uint64_t replied_version = 0;  // primary-driven: the version it committed
     bool saw_mismatch = false;
     // Reads: pieces outstanding, and whether the attempt is one replica
     // read (as opposed to EC shard / spec-replica pieces).
@@ -287,7 +288,6 @@ class VirtualDisk {
     storage::ChunkId chunk = 0;
     uint64_t view = 0;
     uint64_t version = 0;
-    uint64_t replied_version = 0;
     sim::EventId timeout = 0;
     // kShard whose server failed: the k survivor ranges it reconstructs
     // from. Shared with each survivor's server callback, so a late server
@@ -312,7 +312,7 @@ class VirtualDisk {
     // SubRecord::next_queued).
     uint32_t queue_head = kNoRecord;
     uint32_t queue_tail = kNoRecord;
-    bool write_inflight = false;
+    uint64_t write_inflight = 0;  // write id of the one in flight (0 = none)
     int timeout_streak = 0;  // consecutive timeouts on the current primary
     // While the chunk speculates (DESIGN.md §13.6): ranges known durable on
     // the spec replicas (this client's acked writes merged with the master's
@@ -354,7 +354,7 @@ class VirtualDisk {
   // Arms the piece's timeout and sends its read request.
   void SendPiece(uint32_t p);
   void DeliverPiece(uint32_t p, uint32_t gen);
-  void OnPieceServed(uint32_t p, uint32_t gen, const Status& status, uint64_t version);
+  void OnPieceServed(uint32_t p, uint32_t gen, const Status& status);
   // First of {reply, timeout} for the piece's RPC.
   void OnPieceDone(uint32_t p, const Status& status);
   // Retires a piece and reports `status` to whatever it feeds.
@@ -371,8 +371,8 @@ class VirtualDisk {
   void ArmWriteTimeout(uint32_t s);
   void ClientDirectedWrite(uint32_t s);
   void DeliverLeg(uint32_t s, uint32_t tag);
-  void OnLegServed(uint32_t s, uint32_t tag, StatusCode code, uint64_t version);
-  void OnLegReply(uint32_t s, uint32_t tag, StatusCode code, uint64_t version);
+  void OnLegServed(uint32_t s, uint32_t tag, StatusCode code);
+  void OnLegReply(uint32_t s, uint32_t tag, StatusCode code);
   void OnQuorumDecided(uint32_t s);
   void PrimaryDrivenWrite(uint32_t s);
   void DeliverPrimaryWrite(uint32_t s, uint32_t gen);
@@ -390,6 +390,12 @@ class VirtualDisk {
   // retry after a bounded-backoff delay (or fail the sub-request once its
   // attempts are spent).
   void HandleAttemptFailure(uint32_t s, Status status);
+  // The version replica `r` of chunk `chunk_index` offers a resync; nullopt
+  // when it is down or lacks the chunk. A version that the chunk's in-flight
+  // write produced is offered one lower: that write's retry resends its own
+  // version and id, acked as a duplicate where it was applied and applied
+  // where it was not. Adopting it would apply the write a second time.
+  std::optional<uint64_t> ResyncVersion(size_t chunk_index, const cluster::ReplicaRef& r);
   // Backoff delay before retry attempt `attempt`+1 (0 = immediate).
   Nanos BackoffDelay(int attempt);
   // Runs Retry(s) after BackoffDelay, tracking backoff stats.

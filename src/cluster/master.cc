@@ -31,21 +31,13 @@ struct Master::Job {
   sim::EventId timeout_event = 0;
   // Chunks allocated by this job; freed again if it fails before commit.
   std::vector<std::pair<ServerId, ChunkId>> allocated;
-  // Speculative back-fill: the spec replicas alive at pass start — the set
-  // the commit installs. Must be a majority of the spec set so it is
-  // guaranteed to intersect every client write quorum (the freshest acked
-  // data is on some member).
+  // Promotion pass: the targets alive at pass start — the set the commit
+  // installs. Must be a majority of the targets so it is guaranteed to
+  // intersect every client write quorum (the freshest acked data is on some
+  // member).
   std::vector<ServerId> targets;
   std::function<void(Status)> done;
 };
-
-struct Master::SpecState {
-  std::shared_ptr<Job> pass;  // null between retries
-  int retries = 0;
-};
-
-// Defined after SpecState so ~unique_ptr<SpecState> sees a complete type.
-Master::~Master() = default;
 
 Master::Master(sim::Simulator* sim, net::Transport* transport, Placement placement,
                std::vector<ChunkServer*> servers)
@@ -360,17 +352,17 @@ void Master::Restore(const Checkpoint& checkpoint) {
   next_disk_id_ = checkpoint.next_disk_id;
   next_chunk_id_ = checkpoint.next_chunk_id;
   // Every in-flight back-fill pass died with the old process: cancel them so
-  // late callbacks fall silent, then rebuild speculation state from the
+  // late callbacks fall silent, then rebuild the promotions from the
   // restored layouts below (spec_replicas/spec_extents are checkpointed
   // metadata, so an acked speculative write survives the master crash).
-  std::vector<ChunkId> old_spec;
-  for (auto& [id, st] : spec_) {
-    old_spec.push_back(id);
-    if (st->pass != nullptr) {
-      EndJob(st->pass.get());
+  std::map<ChunkId, Promotion> cancelled;
+  cancelled.swap(promotions_);
+  for (auto& [id, promotion] : cancelled) {
+    if (promotion.pass != nullptr) {
+      EndJob(promotion.pass.get());
+      promotion.pass = nullptr;
     }
   }
-  spec_.clear();
   // Rebuild the chunk index; leases are deliberately NOT restored — clients
   // re-acquire them after a master restart (their timing constraints make
   // interleaving impossible, §4.1).
@@ -390,26 +382,37 @@ void Master::Restore(const Checkpoint& checkpoint) {
       }
     }
   }
-  // Chunks that were speculating before the restore but not in the
-  // checkpoint would otherwise hold their migration mark forever.
-  for (ChunkId id : old_spec) {
+  // A promotion the checkpoint does not hold is gone: drop its migration
+  // mark (it would otherwise be held forever) and fail its waiters.
+  for (auto& [id, promotion] : cancelled) {
     ChunkLayout* layout = FindLayout(id);
-    if (layout == nullptr || !layout->speculating()) {
-      FinishMigration(id);
+    if (layout != nullptr && layout->speculating()) {
+      continue;
+    }
+    FinishMigration(id);
+    for (auto& waiter : promotion.waiters) {
+      sim_->After(0, [waiter = std::move(waiter)]() { waiter(Aborted("promotion lost")); });
     }
   }
-  // Restart the back-fill for every speculating chunk in the checkpoint and
-  // re-key the tier migrator's candidate queues (tiers may have moved
-  // relative to what it last observed).
+  // Resume every promotion in the checkpoint — with the waiters, class and
+  // open bit of the cancelled one, or open when this master never saw it (a
+  // client may have written) — and re-key the tier migrator's candidate
+  // queues (tiers may have moved relative to what it last observed).
   for (auto& [disk_id, meta] : disks_) {
     (void)disk_id;
     for (ChunkLayout& layout : meta.chunks) {
       if (layout.speculating()) {
-        migrating_.insert(layout.chunk);
-        spec_[layout.chunk] = std::make_unique<SpecState>();
-        ++tier_stats_.spec_resumes;
         ChunkId chunk = layout.chunk;
-        sim_->After(0, [this, chunk]() { StartSpecBackfill(chunk); });
+        auto old = cancelled.find(chunk);
+        migrating_.insert(chunk);
+        Promotion& promotion = promotions_[chunk];
+        if (old != cancelled.end()) {
+          promotion = std::move(old->second);
+        } else {
+          promotion.open = true;
+        }
+        ++tier_stats_.spec_resumes;
+        sim_->After(0, [this, chunk]() { StartPass(chunk); });
       }
       NotifyTierChanged(layout.chunk, layout.tier == ChunkTier::kEc);
     }
@@ -877,8 +880,9 @@ void Master::RepairChunkReplicas(ChunkId chunk) {
   }
   if (layout->tier == ChunkTier::kEc) {
     if (layout->speculating()) {
-      // Mid-speculation the back-fill pass owns the stripe; its retry loop
-      // (and the post-commit stale-replica repair) covers every failure.
+      // Mid-promotion the back-fill pass owns the stripe; its retry or
+      // rollback (and the post-commit stale-replica repair) covers every
+      // failure.
       return;
     }
     // Stripe healing: rebuild any shard stranded on a crashed server.
@@ -1121,46 +1125,67 @@ void Master::FinishMigration(ChunkId chunk) {
   }
 }
 
-// ---- Speculative write promotion (DESIGN.md §13.6) ----
+// ---- Promotion (DESIGN.md §13.6) ----
+
+void Master::PromoteChunk(ChunkId chunk, bool write_triggered, std::function<void(Status)> done) {
+  Promote(chunk, write_triggered, /*open=*/false, std::move(done));
+}
 
 void Master::BeginWritePromote(ChunkId chunk, std::function<void(Status)> done) {
+  Promote(chunk, /*write=*/true, speculative_promote_, std::move(done));
+}
+
+void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(Status)> done) {
+  auto finish = [this, &done](Status s) {
+    sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
+  };
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr) {
-    sim_->After(0, [done = std::move(done)]() { done(NotFound("unknown chunk")); });
+    finish(NotFound("unknown chunk"));
     return;
   }
   if (layout->tier == ChunkTier::kReplicated && migrating_.count(chunk) == 0) {
-    sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
+    finish(OkStatus());
     return;
   }
-  if (layout->speculating()) {
-    // Join the in-flight speculation: the caller can write immediately.
-    sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
+  auto it = promotions_.find(chunk);
+  if (it != promotions_.end()) {
+    // Join the promotion in flight: an open caller may write at once (and
+    // from now on the promotion cannot roll back), any other waits for it.
+    Promotion& promotion = it->second;
+    if (write) {
+      promotion.cls = qos::ServiceClass::kRecovery;
+    }
+    if (open) {
+      promotion.open = true;
+      finish(OkStatus());
+    } else {
+      promotion.waiters.push_back(std::move(done));
+    }
     return;
   }
   if (migrating_.count(chunk) > 0) {
-    // A demote/promote/shard repair owns the chunk; queue behind it (the
-    // waiter re-enters through PromoteChunk's idempotent path).
+    // Queue behind the in-flight demotion or shard repair; FinishMigration
+    // re-runs us, and the idempotent path above completes immediately if
+    // someone else already promoted.
     promote_waiters_[chunk].push_back(std::move(done));
     return;
   }
-  if (!speculative_promote_ || layout->tier != ChunkTier::kEc) {
-    PromoteChunk(chunk, /*write_triggered=*/true, std::move(done));
+  if (FirstAliveShard(*layout, -1) == nullptr) {
+    ++tier_stats_.promote_failures;
+    finish(Unavailable("no alive shard"));
     return;
   }
-
-  // Place the future replica set exactly like a blocking promotion would.
   std::vector<ServerId> targets = PlaceReplicaTargets(chunk);
   if (targets.empty()) {
-    // Not enough healthy servers for the fast path; take the blocking one
-    // (it shares the shortage, but also its retry/queueing machinery).
-    PromoteChunk(chunk, /*write_triggered=*/true, std::move(done));
+    ++tier_stats_.promote_failures;
+    finish(ResourceExhausted("too few servers to re-replicate"));
     return;
   }
-  const DiskId disk_id = chunk_refs_.at(chunk).disk;
   // Allocate all-or-nothing, then install. Targets start at the frozen EC
-  // version AND the *current* view: shard reads stay valid and the client
+  // version AND the *current* view: shard reads stay valid and a client
   // needs no resteer — the view bumps only at commit.
+  const DiskId disk_id = chunk_refs_.at(chunk).disk;
   std::vector<ReplicaRef> refs;
   for (size_t i = 0; i < targets.size(); ++i) {
     ChunkServer* server = servers_[targets[i]];
@@ -1169,7 +1194,8 @@ void Master::BeginWritePromote(ChunkId chunk, std::function<void(Status)> done) 
       for (size_t j = 0; j < i; ++j) {
         servers_[targets[j]]->FreeChunk(chunk);
       }
-      PromoteChunk(chunk, /*write_triggered=*/true, std::move(done));
+      ++tier_stats_.promote_failures;
+      finish(alloc);
       return;
     }
     server->SetState(chunk, layout->ec_version, layout->view);
@@ -1180,10 +1206,16 @@ void Master::BeginWritePromote(ChunkId chunk, std::function<void(Status)> done) 
   layout->spec_replicas = std::move(refs);
   layout->spec_extents.clear();
   migrating_.insert(chunk);
-  spec_[chunk] = std::make_unique<SpecState>();
-  StartSpecBackfill(chunk);
-  // The ack gate is gone: the caller may write as soon as this fires.
-  sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
+  Promotion& promotion = promotions_[chunk];
+  promotion.cls = write ? qos::ServiceClass::kRecovery : qos::ServiceClass::kScrub;
+  promotion.open = open;
+  if (!open) {
+    promotion.waiters.push_back(std::move(done));
+  }
+  StartPass(chunk);
+  if (open) {
+    finish(OkStatus());  // no ack gate: the caller may write at once
+  }
 }
 
 void Master::RegisterSpecExtent(ChunkId chunk, uint64_t offset, uint64_t length) {
@@ -1194,68 +1226,53 @@ void Master::RegisterSpecExtent(ChunkId chunk, uint64_t offset, uint64_t length)
   InsertInterval(&layout->spec_extents, Interval{offset, length});
 }
 
-void Master::StartSpecBackfill(ChunkId chunk) {
-  auto it = spec_.find(chunk);
-  if (it == spec_.end() || it->second->pass != nullptr) {
-    return;
+void Master::StartPass(ChunkId chunk) {
+  auto it = promotions_.find(chunk);
+  if (it == promotions_.end() || it->second.pass != nullptr) {
+    return;  // committed or rolled back while the retry was pending
   }
-  ChunkLayout* layout = FindLayout(chunk);
-  if (layout == nullptr || layout->tier != ChunkTier::kEc || !layout->speculating()) {
-    return;  // committed or vanished while the retry was pending
-  }
+  Promotion& promotion = it->second;
   auto pass = std::make_shared<Job>();
-  // A pass ends in CommitSpecPromote or fails here: the retry is
-  // unconditional, the cause only matters for stats.
-  pass->done = [this, chunk, id = pass.get()](Status) {
-    auto it = spec_.find(chunk);
-    if (it == spec_.end() || it->second->pass.get() != id) {
-      return;
-    }
-    it->second->pass = nullptr;
-    ++it->second->retries;
-    ++tier_stats_.spec_backfill_retries;
-    sim_->After(spec_retry_, [this, chunk]() { StartSpecBackfill(chunk); });
-  };
-  it->second->pass = pass;
-  // First alive shard is the admission source, as in PromoteChunk. The
-  // back-fill unblocks the chunk's EC capacity reclaim but no ack, so it
-  // competes at recovery priority like any promotion finishing a write.
-  ChunkServer* admit_on = FirstAliveShard(*layout, -1);
+  pass->done = [this, chunk, id = pass.get()](Status s) { FailPass(chunk, id, std::move(s)); };
+  promotion.pass = pass;
+  // First alive shard is the admission source (the stripe read fans out, but
+  // one slot per pass keeps the controller's accounting simple). A write
+  // waits on the promotion or wrote ahead of it, so it competes at recovery
+  // priority; a policy promotion yields like scrub traffic.
+  ChunkServer* admit_on = FirstAliveShard(*FindLayout(chunk), -1);
   if (admit_on == nullptr) {
     FinishJob(pass, Unavailable("no alive shard"));
     return;
   }
-  StartJob(pass, admit_on, scrub::RecoveryAdmission::Priority::kRecovery,
-           "spec back-fill timed out", [this, chunk, pass]() { RunSpecBackfill(chunk, pass); });
+  StartJob(pass, admit_on,
+           promotion.cls == qos::ServiceClass::kRecovery
+               ? scrub::RecoveryAdmission::Priority::kRecovery
+               : scrub::RecoveryAdmission::Priority::kScrub,
+           "promotion timed out", [this, chunk, pass]() { RunPass(chunk, pass); });
 }
 
-void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
-  ChunkLayout* layout = FindLayout(chunk);
-  if (layout == nullptr || layout->tier != ChunkTier::kEc || !layout->speculating()) {
-    FinishJob(pass, Aborted("layout changed"));
-    return;
-  }
-  const int k = layout->ec_k;
-  const int m = layout->ec_m;
-  const uint64_t shard_size = layout->ec_shard_size;
+void Master::RunPass(ChunkId chunk, std::shared_ptr<Job> pass) {
+  const ChunkLayout& layout = *FindLayout(chunk);
+  const qos::ServiceClass cls = promotions_.at(chunk).cls;
+  const int k = layout.ec_k;
+  const int m = layout.ec_m;
+  const uint64_t shard_size = layout.ec_shard_size;
   const uint64_t chunk_size = disks_[chunk_refs_.at(chunk).disk].chunk_size;
-  const std::vector<EcShardRef>& shards = layout->ec_shards;
+  const std::vector<EcShardRef>& shards = layout.ec_shards;
 
-  // The commit installs exactly the replicas this pass back-fills, so fix
-  // the target set now: every spec replica alive at this instant. A
-  // majority of the spec set is required — it then intersects every client
-  // write quorum, so the max-version committed replica holds all acked data.
+  // The commit installs exactly the targets this pass back-fills, so fix
+  // the set now: every target alive at this instant, a majority of them.
   pass->targets.clear();
-  for (const ReplicaRef& r : layout->spec_replicas) {
+  for (const ReplicaRef& r : layout.spec_replicas) {
     if (!servers_[r.server]->crashed()) {
       pass->targets.push_back(r.server);
     }
   }
-  if (pass->targets.size() < layout->spec_replicas.size() / 2 + 1) {
-    FinishJob(pass, Unavailable("spec replica majority down"));
+  if (pass->targets.size() < layout.spec_replicas.size() / 2 + 1) {
+    FinishJob(pass, Unavailable("promotion target majority down"));
     return;
   }
-
+  // Any k alive shards suffice; data shards first minimizes reconstruction.
   ec::BackfillReadPlan plan;
   Status plan_s = PlanStripeRead(shards, k, m, /*lost=*/-1, &plan);
   if (!plan_s.ok()) {
@@ -1267,12 +1284,10 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
   if (recovery_carries_data_) {
     data = ursa::Buffer::Allocate(chunk_size);
   }
-  // Rebuild any dead data shards so the image is complete before it
-  // streams out.
   ReadStripe(
       shards, k, m, plan.sources, plan.missing_data, Interval{0, shard_size},
-      ChunkSlots(data, ursa::Buffer(), k, m, shard_size), qos::ServiceClass::kRecovery,
-      [this, chunk, pass, data, chunk_size, from = shards[plan.sources[0]].node](Status s) {
+      ChunkSlots(data, ursa::Buffer(), k, m, shard_size), cls,
+      [this, chunk, pass, data, chunk_size, cls, from = shards[plan.sources[0]].node](Status s) {
         if (pass->finished) {
           return;
         }
@@ -1280,16 +1295,14 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
           FinishJob(pass, s);
           return;
         }
-        // Stream the old image into every pass target. The targets' write
-        // shields subtract the ranges the client already wrote at apply
-        // time, so old bytes can never clobber new data.
         auto remaining = std::make_shared<size_t>(pass->targets.size());
         for (ServerId sid : pass->targets) {
           Copy write{.chunk = chunk,
                      .pieces = Pieces({Interval{0, chunk_size}}),
                      .target = servers_[sid],
                      .from = from,
-                     .bytes = Slot{data}};
+                     .bytes = Slot{data},
+                     .cls = cls};
           RunCopy(std::move(write), [this, chunk, pass, remaining](Status ws) {
             if (pass->finished) {
               return;
@@ -1299,34 +1312,28 @@ void Master::RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass) {
               return;
             }
             if (--*remaining == 0) {
-              CommitSpecPromote(chunk, pass);
+              CommitPromotion(chunk, pass);
             }
           });
         }
       });
 }
 
-void Master::CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass) {
-  if (pass->finished) {
-    return;
-  }
-  ChunkLayout* layout = FindLayout(chunk);
-  auto it = spec_.find(chunk);
-  if (layout == nullptr || layout->tier != ChunkTier::kEc || !layout->speculating() ||
-      it == spec_.end() || it->second->pass != pass) {
-    FinishJob(pass, Aborted("layout changed"));
-    return;
-  }
+void Master::CommitPromotion(ChunkId chunk, std::shared_ptr<Job> pass) {
   EndJob(pass.get());
+  ChunkLayout* layout = FindLayout(chunk);
+  auto it = promotions_.find(chunk);
+  Promotion promotion = std::move(it->second);
+  promotions_.erase(it);
 
   const uint64_t new_view = layout->view + 1;
-  // Retire the shards (a crashed server keeps its stale image, as in
-  // CommitPromote — unreachable and no longer indexed).
   for (const EcShardRef& sh : layout->ec_shards) {
     ChunkServer* server = servers_[sh.server];
     if (!server->crashed() && server->HasChunk(sh.shard_chunk)) {
       server->FreeChunk(sh.shard_chunk);
     }
+    // A crashed server keeps its stale shard image; it is unreachable and no
+    // longer indexed, so it can never serve (or corrupt) future reads.
     ec_shards_.erase(sh.shard_chunk);
     if (heat_ != nullptr) {
       heat_->ClearAlias(sh.shard_chunk);
@@ -1342,11 +1349,11 @@ void Master::CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass) {
   std::set<ServerId> committed(pass->targets.begin(), pass->targets.end());
   for (ServerId sid : pass->targets) {
     ChunkServer* server = servers_[sid];
-    // SetView, not SetState: the spec replicas carry client-advanced
-    // versions — wiping them back to the frozen one would orphan the acked
-    // writes. A target that crashed after completing its back-fill misses
-    // the install (like SetServerDemoted's view pushes) and resyncs through
-    // the stale-replica repair path once restored.
+    // SetView, not SetState: an open promotion's targets carry
+    // client-advanced versions — wiping them back to the frozen one would
+    // orphan the acked writes. A target that crashed after completing its
+    // back-fill misses the install (like SetServerDemoted's view pushes) and
+    // resyncs through the stale-replica repair path once restored.
     if (!server->crashed()) {
       server->SetView(chunk, new_view);
     }
@@ -1354,15 +1361,12 @@ void Master::CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass) {
     layout->replicas.push_back(
         ReplicaRef{sid, server->node(), server->on_ssd(), IsDemoted(sid)});
   }
-  // Spec replicas dropped at pass start (crashed then): free any that have
-  // come back — their image is a hole-ridden mix and they are not in the
-  // new replica set.
+  // Targets dropped at pass start (crashed then): free any that have come
+  // back — their image is a hole-ridden mix and they are not in the new
+  // replica set.
   for (const ReplicaRef& r : layout->spec_replicas) {
-    if (committed.count(r.server) > 0) {
-      continue;
-    }
     ChunkServer* server = servers_[r.server];
-    if (!server->crashed() && server->HasChunk(chunk)) {
+    if (committed.count(r.server) == 0 && !server->crashed() && server->HasChunk(chunk)) {
       server->FreeChunk(chunk);
     }
   }
@@ -1372,11 +1376,54 @@ void Master::CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass) {
   SortLayout(layout);
   ++recovery_stats_.view_changes;
   ++tier_stats_.promotions;
-  ++tier_stats_.write_promotions;
-  ++tier_stats_.spec_promotions;
-  spec_.erase(it);
+  if (promotion.cls == qos::ServiceClass::kRecovery) {
+    ++tier_stats_.write_promotions;
+  }
+  if (promotion.open) {
+    ++tier_stats_.spec_promotions;
+  }
   NotifyTierChanged(chunk, false);
   FinishMigration(chunk);
+  for (auto& waiter : promotion.waiters) {
+    waiter(OkStatus());
+  }
+}
+
+void Master::FailPass(ChunkId chunk, const Job* pass, Status s) {
+  auto it = promotions_.find(chunk);
+  if (it == promotions_.end() || it->second.pass.get() != pass) {
+    return;
+  }
+  Promotion& promotion = it->second;
+  promotion.pass = nullptr;
+  ChunkLayout* layout = FindLayout(chunk);
+  // A client whose layout already shows the targets writes to them without
+  // asking; a target past the frozen version means one did.
+  bool written = false;
+  for (const ReplicaRef& r : layout->spec_replicas) {
+    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
+    written = written || (st.ok() && st->version > layout->ec_version);
+  }
+  if (promotion.open || written) {
+    ++tier_stats_.spec_backfill_retries;
+    sim_->After(spec_retry_, [this, chunk]() { StartPass(chunk); });
+    return;
+  }
+  for (const ReplicaRef& r : layout->spec_replicas) {
+    ChunkServer* server = servers_[r.server];
+    if (!server->crashed() && server->HasChunk(chunk)) {
+      server->FreeChunk(chunk);
+    }
+  }
+  layout->spec_replicas.clear();
+  layout->spec_extents.clear();
+  ++tier_stats_.promote_failures;
+  std::vector<std::function<void(Status)>> waiters = std::move(promotion.waiters);
+  promotions_.erase(it);
+  FinishMigration(chunk);
+  for (auto& waiter : waiters) {
+    waiter(s);
+  }
 }
 
 void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Status)> done) {
@@ -1639,180 +1686,6 @@ void Master::CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_
   FinishJob(op, OkStatus());
 }
 
-void Master::PromoteChunk(ChunkId chunk, bool write_triggered, std::function<void(Status)> done) {
-  ChunkLayout* layout = FindLayout(chunk);
-  if (layout == nullptr) {
-    sim_->After(0, [done = std::move(done)]() { done(NotFound("unknown chunk")); });
-    return;
-  }
-  if (layout->tier == ChunkTier::kReplicated && migrating_.count(chunk) == 0) {
-    sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
-    return;
-  }
-  if (migrating_.count(chunk) > 0) {
-    // Queue behind the in-flight migration (demote, promote, or shard
-    // repair); FinishMigration re-runs us, and the idempotent path above
-    // completes immediately if someone else already promoted.
-    promote_waiters_[chunk].push_back(std::move(done));
-    return;
-  }
-  // First alive shard is the admission source (the stripe read fans out, but
-  // one slot per migration keeps the controller's accounting simple).
-  ChunkServer* admit_on = FirstAliveShard(*layout, -1);
-  if (admit_on == nullptr) {
-    ++tier_stats_.promote_failures;
-    sim_->After(0, [done = std::move(done)]() { done(Unavailable("no alive shard")); });
-    return;
-  }
-  auto op = std::make_shared<Job>();
-  op->lock = chunk;
-  op->failures = &tier_stats_.promote_failures;
-  op->done = std::move(done);
-  migrating_.insert(chunk);
-  // A write is blocked on this promotion, so it competes at recovery
-  // priority; policy promotions yield like scrub traffic.
-  StartJob(op, admit_on,
-           write_triggered ? scrub::RecoveryAdmission::Priority::kRecovery
-                           : scrub::RecoveryAdmission::Priority::kScrub,
-           "promotion timed out",
-           [this, chunk, write_triggered, op]() { PromoteChunkNow(chunk, write_triggered, op); });
-}
-
-void Master::PromoteChunkNow(ChunkId chunk, bool write_triggered, std::shared_ptr<Job> op) {
-  ChunkLayout* layout = FindLayout(chunk);
-  if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    FinishJob(op, layout == nullptr ? NotFound("unknown chunk") : OkStatus());
-    return;
-  }
-  const int k = layout->ec_k;
-  const int m = layout->ec_m;
-  const uint64_t shard_size = layout->ec_shard_size;
-  const uint64_t chunk_size = disks_[chunk_refs_.at(chunk).disk].chunk_size;
-  const uint64_t frozen_version = layout->ec_version;
-  const std::vector<EcShardRef>& shards = layout->ec_shards;
-  const qos::ServiceClass cls =
-      write_triggered ? qos::ServiceClass::kRecovery : qos::ServiceClass::kScrub;
-
-  // Any k alive shards suffice; data shards first minimizes reconstruction.
-  ec::BackfillReadPlan plan;
-  Status plan_s = PlanStripeRead(shards, k, m, /*lost=*/-1, &plan);
-  if (!plan_s.ok()) {
-    FailJob(op, plan_s);
-    return;
-  }
-  // The chunk image; parity sources read into scratch of their own.
-  ursa::Buffer data;
-  if (recovery_carries_data_) {
-    data = ursa::Buffer::Allocate(chunk_size);
-  }
-  ReadStripe(
-      shards, k, m, plan.sources, plan.missing_data, Interval{0, shard_size},
-      ChunkSlots(data, ursa::Buffer(), k, m, shard_size), cls,
-      [this, chunk, write_triggered, op, data, chunk_size, frozen_version, cls,
-       from = shards[plan.sources[0]].node](Status s) {
-        if (op->finished) {
-          return;
-        }
-        if (!s.ok()) {
-          FailJob(op, s);
-          return;
-        }
-        ChunkLayout* layout = FindLayout(chunk);
-        if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-          FinishJob(op, Aborted("layout changed"));
-          return;
-        }
-        std::vector<ServerId> targets = PlaceReplicaTargets(chunk);
-        if (targets.empty()) {
-          FailJob(op, ResourceExhausted("too few servers to re-replicate"));
-          return;
-        }
-        const uint64_t new_view = layout->view + 1;
-        const DiskId disk_id = chunk_refs_.at(chunk).disk;
-        for (ServerId sid : targets) {
-          Status alloc = servers_[sid]->AllocateChunk(chunk, new_view, disk_id);
-          if (!alloc.ok()) {
-            FailJob(op, alloc);
-            return;
-          }
-          op->allocated.emplace_back(sid, chunk);
-        }
-        auto remaining = std::make_shared<size_t>(targets.size());
-        for (ServerId sid : targets) {
-          Copy write{.chunk = chunk,
-                     .pieces = Pieces({Interval{0, chunk_size}}),
-                     .target = servers_[sid],
-                     .from = from,
-                     .bytes = Slot{data},
-                     .cls = cls};
-          RunCopy(std::move(write), [this, chunk, op, targets, write_triggered, remaining,
-                                     frozen_version](Status ws) {
-            if (op->finished) {
-              return;
-            }
-            if (!ws.ok()) {
-              FailJob(op, ws);
-              return;
-            }
-            if (--*remaining == 0) {
-              CommitPromote(chunk, targets, frozen_version, write_triggered, op);
-            }
-          });
-        }
-      });
-}
-
-void Master::CommitPromote(ChunkId chunk, std::vector<ServerId> targets,
-                           uint64_t frozen_version, bool write_triggered,
-                           std::shared_ptr<Job> op) {
-  if (op->finished) {
-    return;
-  }
-  ChunkLayout* layout = FindLayout(chunk);
-  if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    FinishJob(op, Aborted("layout changed"));
-    return;
-  }
-  const uint64_t new_view = layout->view + 1;
-  for (const EcShardRef& sh : layout->ec_shards) {
-    ChunkServer* server = servers_[sh.server];
-    if (!server->crashed() && server->HasChunk(sh.shard_chunk)) {
-      server->FreeChunk(sh.shard_chunk);
-    }
-    // A crashed server keeps its stale shard image; it is unreachable and no
-    // longer indexed, so it can never serve (or corrupt) future reads.
-    ec_shards_.erase(sh.shard_chunk);
-    if (heat_ != nullptr) {
-      heat_->ClearAlias(sh.shard_chunk);
-    }
-  }
-  layout->ec_shards.clear();
-  layout->ec_k = 0;
-  layout->ec_m = 0;
-  layout->ec_shard_size = 0;
-  layout->ec_version = 0;
-  layout->tier = ChunkTier::kReplicated;
-  layout->replicas.clear();
-  for (ServerId sid : targets) {
-    ChunkServer* server = servers_[sid];
-    // The EC tier froze the replica version at demotion; restore it so the
-    // promoted chunk resumes exactly where the replicated history left off.
-    server->SetState(chunk, frozen_version, new_view);
-    layout->replicas.push_back(
-        ReplicaRef{sid, server->node(), server->on_ssd(), IsDemoted(sid)});
-  }
-  layout->view = new_view;
-  SortLayout(layout);
-  ++recovery_stats_.view_changes;
-  op->allocated.clear();
-  ++tier_stats_.promotions;
-  if (write_triggered) {
-    ++tier_stats_.write_promotions;
-  }
-  NotifyTierChanged(chunk, false);
-  FinishJob(op, OkStatus());
-}
-
 void Master::RepairEcShard(ChunkId parent, int shard_index, std::function<void(Status)> done) {
   auto fail = [this, &done](Status s) {
     sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
@@ -1903,77 +1776,39 @@ void Master::RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<J
     FinishJob(op, ResourceExhausted("no replacement server for shard"));
     return;
   }
-  // The rebuilt shard gets a buffer of its own, so the replacement's store
-  // does not pin the source shards' bytes.
-  std::vector<Slot> slots(n);
-  if (recovery_carries_data_) {
-    slots[shard_index].buf = ursa::Buffer::Allocate(shard_size);
+  Status alloc =
+      replacement->AllocateChunk(shard_id, layout->view + 1, chunk_refs_.at(parent).disk);
+  if (!alloc.ok()) {
+    FinishJob(op, alloc);
+    return;
   }
-  const Slot rebuilt = slots[shard_index];
-  const net::NodeId from = shards[plan.sources[0]].node;
-  ReadStripe(
-      shards, k, m, plan.sources, {shard_index}, Interval{0, shard_size}, std::move(slots),
-      qos::ServiceClass::kRecovery,
-      [this, parent, shard_index, shard_id, op, rebuilt, from, shard_size, replacement,
-       disk_id = chunk_refs_.at(parent).disk](Status s) {
-        if (op->finished) {
-          return;
-        }
-        if (!s.ok()) {
-          FinishJob(op, s);
-          return;
-        }
-        ChunkLayout* layout = FindLayout(parent);
-        if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-          FinishJob(op, Aborted("layout changed"));
-          return;
-        }
-        const uint64_t new_view = layout->view + 1;
-        Status alloc = replacement->AllocateChunk(shard_id, new_view, disk_id);
-        if (!alloc.ok()) {
-          FinishJob(op, alloc);
-          return;
-        }
-        op->allocated.emplace_back(replacement->id(), shard_id);
-        Copy write{.chunk = shard_id,
-                   .pieces = Pieces({Interval{0, shard_size}}),
-                   .target = replacement,
-                   .from = from,
-                   .bytes = rebuilt};
-        RunCopy(std::move(write), [this, parent, shard_index, shard_id, op,
-                                   replacement](Status ws) {
-          if (op->finished) {
-            return;
-          }
-          if (!ws.ok()) {
-            FinishJob(op, ws);
-            return;
-          }
-          ChunkLayout* layout = FindLayout(parent);
-          if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-            FinishJob(op, Aborted("layout changed"));
-            return;
-          }
-          EcShardRef& sh = layout->ec_shards[shard_index];
-          ChunkServer* old = servers_[sh.server];
-          if (old != replacement && !old->crashed() && old->HasChunk(shard_id)) {
-            old->FreeChunk(shard_id);
-          }
-          sh = EcShardRef{replacement->id(), replacement->node(), shard_id};
-          const uint64_t new_view = layout->view + 1;
-          layout->view = new_view;
-          ++recovery_stats_.view_changes;
-          for (const EcShardRef& other : layout->ec_shards) {
-            if (!servers_[other.server]->crashed()) {
-              servers_[other.server]->SetView(other.shard_chunk, new_view);
-            }
-          }
-          op->allocated.clear();
-          ++tier_stats_.shard_repairs;
-          ++recovery_stats_.chunks_recovered;
-          FinishJob(op, OkStatus());
-        });
-      });
+  op->allocated.emplace_back(replacement->id(), shard_id);
+  RebuildShard(shards, k, m, plan.sources, shard_index, Interval{0, shard_size}, replacement,
+               qos::ServiceClass::kRecovery, op,
+               [this, parent, shard_index, shard_id, op, replacement]() {
+                 ChunkLayout* layout = FindLayout(parent);
+                 if (layout == nullptr || layout->tier != ChunkTier::kEc) {
+                   FinishJob(op, Aborted("layout changed"));
+                   return;
+                 }
+                 EcShardRef& sh = layout->ec_shards[shard_index];
+                 ChunkServer* old = servers_[sh.server];
+                 if (old != replacement && !old->crashed() && old->HasChunk(shard_id)) {
+                   old->FreeChunk(shard_id);
+                 }
+                 sh = EcShardRef{replacement->id(), replacement->node(), shard_id};
+                 const uint64_t new_view = ++layout->view;
+                 ++recovery_stats_.view_changes;
+                 for (const EcShardRef& other : layout->ec_shards) {
+                   if (!servers_[other.server]->crashed()) {
+                     servers_[other.server]->SetView(other.shard_chunk, new_view);
+                   }
+                 }
+                 op->allocated.clear();
+                 ++tier_stats_.shard_repairs;
+                 ++recovery_stats_.chunks_recovered;
+                 FinishJob(op, OkStatus());
+               });
 }
 
 void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
@@ -1994,7 +1829,6 @@ void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
   const int target = it->second.index;
   const int k = layout->ec_k;
   const int m = layout->ec_m;
-  const int n = k + m;
   const std::vector<EcShardRef> shards = layout->ec_shards;
   ChunkServer* damaged = servers_[shards[target].server];
   if (damaged->crashed()) {
@@ -2012,44 +1846,56 @@ void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
   op->done = std::move(done);
   StartJob(op, servers_[shards[plan.sources[0]].server],
            scrub::RecoveryAdmission::Priority::kScrub, "shard range repair timed out",
-           [this, shard, offset, length, target, k, m, n, sources = plan.sources, shards, damaged,
-            op]() {
+           [this, offset, length, target, k, m, sources = plan.sources, shards, damaged, op]() {
              // RS reconstruction is positional: byte b of the lost shard
              // needs byte b of k others, so only [offset, offset+length) of
              // each source is read.
-             std::vector<Slot> slots(n);
-             if (recovery_carries_data_) {
-               slots[target].buf = ursa::Buffer::Allocate(length);
-             }
-             const Slot rebuilt = slots[target];
-             ReadStripe(shards, k, m, sources, {target}, Interval{offset, length},
-                        std::move(slots), qos::ServiceClass::kScrub,
-                        [this, shard, offset, length, damaged, op, rebuilt,
-                         from = shards[sources[0]].node](Status s) {
-                          if (op->finished) {
-                            return;
-                          }
-                          if (!s.ok()) {
-                            FinishJob(op, s);
-                            return;
-                          }
-                          Copy write{.chunk = shard,
-                                     .pieces = Pieces({Interval{offset, length}}),
-                                     .target = damaged,
-                                     .from = from,
-                                     .bytes = rebuilt,
-                                     .cls = qos::ServiceClass::kScrub};
-                          RunCopy(std::move(write), [this, op](Status ws) {
-                            if (op->finished) {
-                              return;
-                            }
-                            if (ws.ok()) {
-                              ++tier_stats_.shard_range_repairs;
-                            }
-                            FinishJob(op, ws);
+             RebuildShard(shards, k, m, sources, target, Interval{offset, length}, damaged,
+                          qos::ServiceClass::kScrub, op, [this, op]() {
+                            ++tier_stats_.shard_range_repairs;
+                            FinishJob(op, OkStatus());
                           });
-                        });
            });
+}
+
+void Master::RebuildShard(const std::vector<EcShardRef>& shards, int k, int m,
+                          const std::vector<int>& sources, int lost, Interval range,
+                          ChunkServer* target, qos::ServiceClass cls, std::shared_ptr<Job> job,
+                          std::function<void()> written) {
+  // The rebuilt range gets a buffer of its own, so the target's store does
+  // not pin the source shards' bytes.
+  std::vector<Slot> slots(static_cast<size_t>(k + m));
+  if (recovery_carries_data_) {
+    slots[lost].buf = ursa::Buffer::Allocate(range.length);
+  }
+  const Slot rebuilt = slots[lost];
+  ReadStripe(shards, k, m, sources, {lost}, range, std::move(slots), cls,
+             [this, job, rebuilt, range, target, cls, shard = shards[lost].shard_chunk,
+              from = shards[sources[0]].node, written = std::move(written)](Status s) {
+               if (job->finished) {
+                 return;
+               }
+               if (!s.ok()) {
+                 FinishJob(job, s);
+                 return;
+               }
+               Copy write{.chunk = shard,
+                          .pieces = Pieces({range}),
+                          .target = target,
+                          .from = from,
+                          .bytes = rebuilt,
+                          .cls = cls};
+               RunCopy(std::move(write), [this, job, written](Status ws) {
+                 if (job->finished) {
+                   return;
+                 }
+                 if (!ws.ok()) {
+                   FinishJob(job, ws);
+                   return;
+                 }
+                 written();
+               });
+             });
 }
 
 std::vector<Master::TierChunkInfo> Master::ListTierChunks() const {

@@ -77,7 +77,6 @@ class Master {
  public:
   Master(sim::Simulator* sim, net::Transport* transport, Placement placement,
          std::vector<ChunkServer*> servers);
-  ~Master();  // out-of-line: members hold unique_ptrs to private impl types
 
   // ---- Virtual disk management ----
 
@@ -187,23 +186,25 @@ class Master {
   // (policy traffic yields to failure recovery).
   void DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Status)> done);
 
-  // Promotes an EC'd chunk back to replication: reads k shards (degraded
-  // reconstruct if some are down), writes full replicas, restores the frozen
-  // replica version, frees the shards. Idempotent — promoting a replicated
-  // chunk succeeds immediately, and concurrent requests for a chunk whose
-  // migration is in flight queue behind it. `write_triggered` promotions
-  // (client write to an EC'd chunk, acked only after promotion) run under
+  // Promotes an EC'd chunk back to replication (DESIGN.md §13.6):
+  // places and allocates fresh replica targets at the current view and the
+  // frozen EC version, back-fills them from k shards (degraded reconstruct
+  // if some are down), then retires the shards and installs the targets as
+  // the replica set at view + 1. `done` runs at that commit, or with the
+  // error when the promotion fails and rolls back. Idempotent — promoting a
+  // replicated chunk succeeds immediately, a request for a chunk already
+  // promoting joins it, and one for a chunk with a demotion or shard repair
+  // in flight queues behind it. `write_triggered` promotions run under
   // kRecovery QoS/priority; policy promotions under kScrub.
   void PromoteChunk(ChunkId chunk, bool write_triggered, std::function<void(Status)> done);
 
-  // Speculative write promotion (PariX-style, DESIGN.md §13.6): allocates
-  // fresh replica targets for a cold chunk *at the current view*, installs
-  // them as the layout's spec_replicas, arms the background shard back-fill,
-  // and completes `done` immediately — the client then writes its new data
-  // straight to the spec replicas and acks on quorum durability while the
-  // old bytes stream in behind it. Falls back to the blocking PromoteChunk
-  // when speculation is disabled or placement fails. Idempotent: a chunk
-  // that is already replicated or already speculating completes at once.
+  // The promotion a client write to a cold chunk asks for. With speculation
+  // on (PariX-style) it starts, or joins, an *open* promotion: `done` runs
+  // as soon as the targets are installed as the layout's spec_replicas, the
+  // client writes its new data straight to them and acks on quorum
+  // durability while the old bytes stream in behind it, and a failed
+  // back-fill retries instead of rolling back. Without speculation this is
+  // PromoteChunk(chunk, true, done).
   void BeginWritePromote(ChunkId chunk, std::function<void(Status)> done);
 
   // Client post-ack notification: [offset, offset+length) of `chunk` is now
@@ -216,11 +217,11 @@ class Master {
   void set_speculative_promote(bool on) { speculative_promote_ = on; }
   bool speculative_promote() const { return speculative_promote_; }
 
-  // Delay before a failed back-fill pass is retried.
+  // Delay before a failed back-fill pass of an open promotion is retried.
   void set_spec_retry_delay(Nanos d) { spec_retry_ = d; }
 
   // Observer fired with (chunk, now_ec) whenever a chunk's tier changes —
-  // demote/promote/speculative commits and master Restore. The tier
+  // demote/promote commits and master Restore. The tier
   // migrator uses it to keep its heat-indexed candidate queues keyed
   // without rescanning the chunk population.
   void SetTierChangeListener(std::function<void(ChunkId, bool)> fn) {
@@ -346,11 +347,10 @@ class Master {
   // `ranges` split at recovery_piece_.
   std::vector<Interval> Pieces(const std::vector<Interval>& ranges) const;
 
-  // One background job: a replica copy, a migration, a shard repair or a
-  // speculative back-fill pass. Exactly one of its own completion, its
+  // One background job: a replica copy, a demotion, a shard repair or a
+  // promotion's back-fill pass. Exactly one of its own completion, its
   // timeout, or a cancel ends it; late callbacks see `finished` and back off.
   struct Job;
-  struct SpecState;
 
   // Arms the job's timeout (when `timeout` names one), then runs `body` once
   // an admission slot on `source` is granted — at once without a controller.
@@ -412,35 +412,59 @@ class Master {
                   qos::ServiceClass cls, std::function<void(Status)> done);
 
   void DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<Job> op);
-  void PromoteChunkNow(ChunkId chunk, bool write_triggered, std::shared_ptr<Job> op);
   void RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<Job> op);
   void RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
                           std::function<void(Status)> done);
+  // The stripe rebuild both shard repairs share: reads `range` of the
+  // plan's `sources`, rebuilds shard `lost` from them and writes it into
+  // that shard's chunk on `target`, all under `cls`. A failure ends `job`;
+  // success runs `written`.
+  void RebuildShard(const std::vector<EcShardRef>& shards, int k, int m,
+                    const std::vector<int>& sources, int lost, Interval range,
+                    ChunkServer* target, qos::ServiceClass cls, std::shared_ptr<Job> job,
+                    std::function<void()> written);
 
   // Atomic commit steps — each runs in one event, re-verifying preconditions
   // before mutating the layout (nothing can interleave mid-function).
   void CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_t frozen_version,
                     int k, int m, uint64_t shard_size, std::shared_ptr<Job> op);
-  void CommitPromote(ChunkId chunk, std::vector<ServerId> targets, uint64_t frozen_version,
-                     bool write_triggered, std::shared_ptr<Job> op);
 
   // Ends a migration: drops the in-flight mark and reruns queued promotes.
   void FinishMigration(ChunkId chunk);
 
-  // ---- Speculative promotion internals (DESIGN.md §13.6) ----
+  // ---- Promotion internals (DESIGN.md §13.6) ----
 
-  // Arms a back-fill pass for a speculating chunk (admission + timeout);
-  // no-op when the chunk stopped speculating or a pass is already running.
-  // A failed pass is retried after spec_retry_.
-  void StartSpecBackfill(ChunkId chunk);
-  // The pass body: plan the shard reads, reconstruct missing data shards,
-  // then stream the old image into every alive spec replica via recovery
-  // writes (each target's write shield subtracts client-written ranges at
-  // apply time).
-  void RunSpecBackfill(ChunkId chunk, std::shared_ptr<Job> pass);
-  // Atomic commit: retires the shards, turns the spec replicas into the
-  // chunk's replica set at view+1, and clears all speculation state.
-  void CommitSpecPromote(ChunkId chunk, std::shared_ptr<Job> pass);
+  // One promotion in flight. An entry exists exactly while the chunk's
+  // layout holds spec_replicas (its targets), and holds the migration mark.
+  struct Promotion {
+    // kRecovery once a client write asked for it; kScrub for policy.
+    qos::ServiceClass cls = qos::ServiceClass::kRecovery;
+    // A client may already have written to the targets: a failed pass
+    // retries after spec_retry_ instead of rolling back.
+    bool open = false;
+    std::shared_ptr<Job> pass;  // null between passes
+    std::vector<std::function<void(Status)>> waiters;  // run at commit
+  };
+
+  // The one way into a promotion: joins the chunk's promotion in flight, or
+  // places, allocates and installs the targets and starts the first pass.
+  // An `open` caller proceeds at once (and opens a promotion it joins); any
+  // other caller waits for the commit.
+  void Promote(ChunkId chunk, bool write, bool open, std::function<void(Status)> done);
+  // Arms a back-fill pass (admission + timeout); no-op when the promotion
+  // ended or a pass is already running.
+  void StartPass(ChunkId chunk);
+  // The pass body: reads k shards (rebuilding dead data shards) into the old
+  // chunk image and streams it into every target alive at pass start. Each
+  // target's write shield subtracts client-written ranges at apply time.
+  void RunPass(ChunkId chunk, std::shared_ptr<Job> pass);
+  // Atomic commit: retires the shards, turns the pass's targets into the
+  // chunk's replica set at view+1, and runs the waiters.
+  void CommitPromotion(ChunkId chunk, std::shared_ptr<Job> pass);
+  // A failed pass: an open promotion, or one whose targets a client already
+  // wrote on its own, retries; any other rolls back — frees its targets and
+  // fails its waiters with `s`.
+  void FailPass(ChunkId chunk, const Job* pass, Status s);
 
   void NotifyTierChanged(ChunkId chunk, bool ec) {
     if (tier_changed_) {
@@ -476,11 +500,9 @@ class Master {
   Nanos migration_timeout_ = sec(10);
   TierStats tier_stats_;
 
-  // Speculative promotion state (DESIGN.md §13.6). Keyed by parent chunk;
-  // an entry exists exactly while the chunk's layout is speculating.
   bool speculative_promote_ = true;
   Nanos spec_retry_ = msec(100);
-  std::map<ChunkId, std::unique_ptr<SpecState>> spec_;
+  std::map<ChunkId, Promotion> promotions_;
   std::function<void(ChunkId, bool)> tier_changed_;
 };
 

@@ -22,8 +22,8 @@ class RecoveryTest : public ::testing::Test {
     disk_id_ = *cluster_->master().CreateDisk("d", 4 * kMiB, 3, 1);
     VirtualDiskClientOptions options;
     options.request_timeout = msec(300);  // fail fast in tests
-    disk_ = std::make_unique<VirtualDisk>(cluster_.get(), cluster_->AddClientMachine(), 1,
-                                          options);
+    host_ = cluster_->AddClientMachine();
+    disk_ = std::make_unique<VirtualDisk>(cluster_.get(), host_, 1, options);
     ASSERT_TRUE(disk_->Open(disk_id_).ok());
   }
 
@@ -51,6 +51,7 @@ class RecoveryTest : public ::testing::Test {
   sim::Simulator sim_;
   std::unique_ptr<cluster::Cluster> cluster_;
   cluster::DiskId disk_id_ = 0;
+  cluster::Machine* host_ = nullptr;
   std::unique_ptr<VirtualDisk> disk_;
 };
 
@@ -225,6 +226,52 @@ TEST_F(RecoveryTest, ViewChangeKeepsSurvivorWriteIdentity) {
     EXPECT_EQ(server->GetState(before.chunk)->version, 1u);
     EXPECT_EQ(server->replicates_served(), served);  // acked, not re-applied
   }
+}
+
+// A client-directed write has been applied on replica A when a view bump (a
+// health demotion of C) makes its legs to B and C answer "stale view". The
+// retry must resend the same version and write id: acked as a duplicate on
+// A, applied on B and C — one commit at v+1 everywhere. Adopting A's v+1,
+// which the write itself produced, would apply it a second time on A at v+2
+// and leave B and C behind a version gap on every later attempt.
+TEST_F(RecoveryTest, RetryAfterViewBumpResendsItsOwnVersion) {
+  Build();
+  ASSERT_TRUE(WriteSync(0, test::Pattern(4096, 1)).ok());
+  cluster::ChunkLayout before = Layout0();
+  cluster::ChunkServer* a = cluster_->server(before.replicas[0].server);
+  const uint64_t v = a->GetState(before.chunk)->version;
+  // Hold the legs to B and C back so A applies first.
+  net::LinkChaosRule slow;
+  slow.extra_delay = msec(1);
+  for (int i : {1, 2}) {
+    cluster_->transport().SetLinkChaos(host_->node(), before.replicas[i].node, slow);
+  }
+  std::vector<uint8_t> data = test::Pattern(4096, 2);
+  Status write = Internal("pending");
+  disk_->Write(0, data.size(), data.data(), [&](const Status& s) { write = s; });
+  Nanos deadline = sim_.Now() + msec(1);
+  while (a->GetState(before.chunk)->version == v && sim_.Now() < deadline) {
+    sim_.RunUntil(sim_.Now() + usec(5));
+  }
+  ASSERT_EQ(a->GetState(before.chunk)->version, v + 1) << "A never applied the write";
+  cluster_->master().SetServerDemoted(before.replicas[2].server, true);
+  sim_.RunUntil(sim_.Now() + sec(5));
+  ASSERT_TRUE(write.ok()) << write.ToString();
+
+  const cluster::ChunkLayout after = Layout0();
+  EXPECT_EQ(after.view, before.view + 1);
+  for (const cluster::ReplicaRef& r : after.replicas) {
+    EXPECT_EQ(cluster_->server(r.server)->GetState(before.chunk)->version, v + 1)
+        << "server " << r.server;
+  }
+  EXPECT_EQ(ReadSync(0, 4096), data);
+  std::vector<uint8_t> next = test::Pattern(4096, 3);
+  ASSERT_TRUE(WriteSync(0, next).ok());
+  for (const cluster::ReplicaRef& r : after.replicas) {
+    EXPECT_EQ(cluster_->server(r.server)->GetState(before.chunk)->version, v + 2)
+        << "server " << r.server;
+  }
+  EXPECT_EQ(ReadSync(0, 4096), next);
 }
 
 TEST_F(RecoveryTest, RecoveryPrefersDistinctMachine) {

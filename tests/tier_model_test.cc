@@ -1,7 +1,8 @@
 // Randomized tier state-machine harness (DESIGN.md §13.6).
 //
-// Each seed drives a live simulated cluster — tiering and speculative
-// write-promotion enabled — through a random interleaving of:
+// Each seed drives a live simulated cluster — tiering enabled, write
+// promotions speculative (open) or blocking (closed) — through a random
+// interleaving of:
 //
 //   * client writes (applied to a reference byte model at ack time)
 //   * read-verify (byte-exact against the model, in whatever tier/degraded
@@ -15,8 +16,8 @@
 // After the event budget the cluster is healed and quiesced, and the seed
 // asserts convergence: no chunk left speculating, every layout a clean
 // replicated set or a full k+m stripe, and a full-disk read-back that is
-// byte-exact against the model. 200 seeds; any interleaving that loses an
-// acked byte or wedges a speculation fails its seed.
+// byte-exact against the model. 200 seeds per promotion mode; any
+// interleaving that loses an acked byte or wedges a promotion fails its seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,7 +44,7 @@ struct SeedTotals {
 
 class TierModelHarness {
  public:
-  explicit TierModelHarness(uint64_t seed) : rng_(seed) {
+  TierModelHarness(uint64_t seed, bool speculative) : rng_(seed) {
     cluster::ClusterConfig config = test::SmallClusterConfig();
     config.tier.enabled = true;
     config.tier.heat_half_life = msec(500);
@@ -51,7 +52,7 @@ class TierModelHarness {
     config.tier.demote_max_heat = 2.0;
     config.tier.cold_age = msec(300);
     config.tier.promote_heat = 50.0;
-    config.tier.speculative_promote = true;
+    config.tier.speculative_promote = speculative;
     cluster_ = std::make_unique<cluster::Cluster>(&sim_, config);
     cluster_->master().set_migration_timeout(msec(500));
     cluster_->master().set_spec_retry_delay(msec(25));
@@ -194,8 +195,8 @@ class TierModelHarness {
       cluster_->RestoreServer(static_cast<cluster::ServerId>(crashed_));
       crashed_ = -1;
     }
-    // Quiesce: speculation retries are unbounded, so with every server back
-    // all back-fills must drain and commit.
+    // Quiesce: open promotions retry without bound, so with every server
+    // back all back-fills must drain and commit (or, closed, roll back).
     Nanos deadline = sim_.Now() + sec(60);
     while (sim_.Now() < deadline) {
       bool busy = false;
@@ -232,22 +233,42 @@ class TierModelHarness {
   int crashed_ = -1;
 };
 
-TEST(TierModelTest, RandomizedInterleavingsConvergeByteExact) {
+SeedTotals Sweep(bool speculative) {
   SeedTotals sum;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
-    TierModelHarness harness(seed);
+    TierModelHarness harness(seed, speculative);
     harness.Run();
-    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    EXPECT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
     SeedTotals t = harness.totals();
     sum.spec_promotions += t.spec_promotions;
     sum.write_promotions += t.write_promotions;
     sum.demotions += t.demotions;
     sum.spec_resumes += t.spec_resumes;
   }
+  return sum;
+}
+
+TEST(TierModelTest, RandomizedInterleavingsConvergeByteExact) {
+  SeedTotals sum = Sweep(/*speculative=*/true);
+  ASSERT_FALSE(::testing::Test::HasFailure());
   // The sweep must actually exercise the machinery it claims to test: the
   // speculative fast path, plain write-promotions, demotions, and at least
   // one back-fill resumed across a master crash.
   EXPECT_GT(sum.spec_promotions, 0u);
+  EXPECT_GT(sum.write_promotions, 0u);
+  EXPECT_GT(sum.demotions, 0u);
+  EXPECT_GT(sum.spec_resumes, 0u);
+}
+
+// The same interleavings with blocking write promotions: every promotion is
+// closed, and still runs through the one promotion engine.
+TEST(TierModelTest, BlockingPromotionInterleavingsConvergeByteExact) {
+  SeedTotals sum = Sweep(/*speculative=*/false);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  EXPECT_EQ(sum.spec_promotions, 0u);
   EXPECT_GT(sum.write_promotions, 0u);
   EXPECT_GT(sum.demotions, 0u);
   EXPECT_GT(sum.spec_resumes, 0u);

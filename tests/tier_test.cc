@@ -699,5 +699,244 @@ TEST_F(TierClusterTest, FreedShardFailsDemotionOnceAndRollsBack) {
   EXPECT_EQ(ReadSync(0, data.size()), data);
 }
 
+// ---------------------------------------------------------------------------
+// Promotion: one path, open or closed (DESIGN.md §13, Promotion)
+// ---------------------------------------------------------------------------
+
+// A closed promotion whose back-fill fails rolls back: its waiter gets the
+// error, the targets are freed, and the chunk stays EC and readable.
+TEST_F(TierClusterTest, ClosedPromotionRollsBackWhenItsPassFails) {
+  Build(/*admission=*/true);
+  auto data = test::Pattern(1 * kMiB, 81);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  ASSERT_TRUE(DemoteSync(Layout(0).chunk).ok());
+  const storage::ChunkId chunk = Layout(0).chunk;
+
+  int calls = 0;
+  Status promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false, [&](const Status& s) {
+    ++calls;
+    promote = s;
+  });
+  // The targets are placed and allocated before the shard read; free one
+  // before any back-fill piece reaches it.
+  const cluster::ChunkLayout promoting = Layout(0);
+  ASSERT_EQ(promoting.spec_replicas.size(), 3u);
+  cluster::ChunkServer* victim = cluster_->server(promoting.spec_replicas[0].server);
+  ASSERT_TRUE(victim->FreeChunk(chunk).ok());
+  sim_.RunUntil(sim_.Now() + sec(30));
+
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(promote.code(), StatusCode::kNotFound) << promote.ToString();
+  EXPECT_EQ(cluster_->master().tier_stats().promote_failures, 1u);
+  EXPECT_EQ(cluster_->master().tier_stats().spec_backfill_retries, 0u);
+  const cluster::ChunkLayout after = Layout(0);
+  EXPECT_EQ(after.tier, cluster::ChunkTier::kEc);
+  EXPECT_FALSE(after.speculating());
+  for (const cluster::ReplicaRef& r : promoting.spec_replicas) {
+    EXPECT_FALSE(cluster_->server(r.server)->HasChunk(chunk)) << r.server;
+  }
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    EXPECT_EQ(cluster_->recovery_admission()->InFlight(s), 0) << s;
+  }
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+  // The migration mark is gone: the next promotion runs and commits.
+  promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, false, [&](const Status& s) { promote = s; });
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// A speculative write that joins a closed (policy) promotion opens it: the
+// write is acked before the commit, and a pass that then fails retries
+// instead of rolling back; the policy caller's waiter fires at the commit.
+TEST_F(TierClusterTest, SpeculativeWriteOpensClosedPromotion) {
+  Build();
+  cluster_->master().set_speculative_promote(true);
+  cluster_->master().set_migration_timeout(msec(200));
+  cluster_->master().set_spec_retry_delay(msec(10));
+  auto data = test::Pattern(1 * kMiB, 82);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  ASSERT_TRUE(DemoteSync(Layout(0).chunk).ok());
+  const storage::ChunkId chunk = Layout(0).chunk;
+  // The client learns the EC layout, so its write asks the master.
+  EXPECT_EQ(ReadSync(0, 4096), std::vector<uint8_t>(data.begin(), data.begin() + 4096));
+  // Park every scrub-class back-fill piece: the policy promotion's first
+  // pass reads the shards but never writes its targets, so it times out.
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    gates.push_back(std::make_unique<test::TripGate>(
+        &sim_, cluster_->master().server(s)->store()->device(), qos::ServiceClass::kScrub,
+        /*trip_after=*/0));
+  }
+
+  Status promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
+                                  [&](const Status& s) { promote = s; });
+  auto patch = test::Pattern(64 * kKiB, 83);
+  bool acked = false;
+  Status write = Internal("pending");
+  disk_->Write(128 * kKiB, patch.size(), patch.data(), [&](const Status& s) {
+    write = s;
+    acked = true;
+  });
+  for (int i = 0; i < 100 && !acked; ++i) {
+    sim_.RunUntil(sim_.Now() + msec(1));
+  }
+  ASSERT_TRUE(acked);
+  ASSERT_TRUE(write.ok()) << write.ToString();
+  EXPECT_EQ(disk_->stats().write_promotes, 1u);  // it joined through the master
+  EXPECT_GT(disk_->stats().spec_writes, 0u);
+  EXPECT_TRUE(Layout(0).speculating());               // acked ahead of the commit
+  EXPECT_EQ(promote.code(), StatusCode::kInternal);  // the waiter still waits
+
+  // The first pass times out; the retry runs at the write's recovery class,
+  // which the gates do not park, and commits.
+  sim_.RunUntil(sim_.Now() + sec(5));
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  const cluster::TierStats& stats = cluster_->master().tier_stats();
+  EXPECT_EQ(stats.spec_backfill_retries, 1u);
+  EXPECT_EQ(stats.promote_failures, 0u);
+  EXPECT_EQ(stats.spec_promotions, 1u);
+  EXPECT_EQ(stats.write_promotions, 1u);
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  gates.clear();
+  auto expected = data;
+  std::copy(patch.begin(), patch.end(), expected.begin() + 128 * kKiB);
+  EXPECT_EQ(ReadSync(0, expected.size()), expected);
+}
+
+// A client whose layout already shows a closed promotion's targets writes
+// to them without asking the master. A pass that fails after that write
+// must not roll back (it would free acked bytes): it retries until it
+// commits, and the promotion stays closed.
+TEST_F(TierClusterTest, WrittenClosedPromotionRetriesInsteadOfRollingBack) {
+  Build();
+  cluster_->master().set_speculative_promote(false);
+  cluster_->master().set_migration_timeout(msec(200));
+  cluster_->master().set_spec_retry_delay(msec(10));
+  auto data = test::Pattern(1 * kMiB, 86);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  ASSERT_TRUE(DemoteSync(Layout(0).chunk).ok());
+  const storage::ChunkId chunk = Layout(0).chunk;
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    gates.push_back(std::make_unique<test::TripGate>(
+        &sim_, cluster_->master().server(s)->store()->device(), qos::ServiceClass::kScrub,
+        /*trip_after=*/0));
+  }
+
+  Status promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
+                                  [&](const Status& s) { promote = s; });
+  // The client's cached layout predates the demotion: the write misses the
+  // freed replicas, refreshes onto the promoting layout, and writes the
+  // targets directly.
+  auto patch = test::Pattern(64 * kKiB, 87);
+  bool acked = false;
+  Status write = Internal("pending");
+  disk_->Write(128 * kKiB, patch.size(), patch.data(), [&](const Status& s) {
+    write = s;
+    acked = true;
+  });
+  for (int i = 0; i < 100 && !acked; ++i) {
+    sim_.RunUntil(sim_.Now() + msec(1));
+  }
+  ASSERT_TRUE(acked);
+  ASSERT_TRUE(write.ok()) << write.ToString();
+  EXPECT_EQ(disk_->stats().write_promotes, 0u);
+  EXPECT_GT(disk_->stats().spec_writes, 0u);
+
+  sim_.RunUntil(sim_.Now() + sec(1));  // several passes time out
+  const cluster::TierStats& stats = cluster_->master().tier_stats();
+  EXPECT_GE(stats.spec_backfill_retries, 2u);
+  EXPECT_EQ(stats.promote_failures, 0u);
+  EXPECT_TRUE(Layout(0).speculating());
+  for (auto& gate : gates) {
+    gate->Open();
+  }
+  sim_.RunUntil(sim_.Now() + sec(5));
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  EXPECT_EQ(stats.spec_promotions, 0u);
+  EXPECT_EQ(stats.write_promotions, 0u);
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  gates.clear();
+  auto expected = data;
+  std::copy(patch.begin(), patch.end(), expected.begin() + 128 * kKiB);
+  EXPECT_EQ(ReadSync(0, expected.size()), expected);
+}
+
+// A master restart during a closed promotion neither hangs nor drops its
+// waiter: it fires at the resumed promotion's commit.
+TEST_F(TierClusterTest, RestoreResumesClosedPromotionWithItsWaiter) {
+  Build();
+  auto data = test::Pattern(1 * kMiB, 84);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  ASSERT_TRUE(DemoteSync(Layout(0).chunk).ok());
+  const storage::ChunkId chunk = Layout(0).chunk;
+
+  int calls = 0;
+  Status promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false, [&](const Status& s) {
+    ++calls;
+    promote = s;
+  });
+  sim_.RunUntil(sim_.Now() + usec(100));  // the first pass is in flight
+  ASSERT_TRUE(Layout(0).speculating());
+  cluster::Master::Checkpoint cp = cluster_->master().TakeCheckpoint();
+  cluster_->master().Restore(cp);
+  sim_.RunUntil(sim_.Now() + sec(30));
+
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  const cluster::TierStats& stats = cluster_->master().tier_stats();
+  EXPECT_EQ(stats.spec_resumes, 1u);
+  EXPECT_EQ(stats.spec_promotions, 0u);  // still closed after the restart
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// A checkpoint taken before the promotion began holds no promotion to
+// resume: its waiter fails with Aborted, and the chunk can promote again.
+TEST_F(TierClusterTest, RestoreFromBeforeClosedPromotionAbortsItsWaiter) {
+  Build();
+  auto data = test::Pattern(1 * kMiB, 85);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  ASSERT_TRUE(DemoteSync(Layout(0).chunk).ok());
+  const storage::ChunkId chunk = Layout(0).chunk;
+  cluster::Master::Checkpoint before = cluster_->master().TakeCheckpoint();
+
+  int calls = 0;
+  Status promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false, [&](const Status& s) {
+    ++calls;
+    promote = s;
+  });
+  sim_.RunUntil(sim_.Now() + usec(100));
+  ASSERT_TRUE(Layout(0).speculating());
+  cluster_->master().Restore(before);
+  sim_.RunUntil(sim_.Now() + sec(30));
+
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(promote.code(), StatusCode::kAborted) << promote.ToString();
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kEc);
+  EXPECT_FALSE(Layout(0).speculating());
+  EXPECT_EQ(cluster_->master().tier_stats().promotions, 0u);
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+  promote = Internal("pending");
+  cluster_->master().PromoteChunk(chunk, false, [&](const Status& s) { promote = s; });
+  sim_.RunUntil(sim_.Now() + sec(30));
+  ASSERT_TRUE(promote.ok()) << promote.ToString();
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
 }  // namespace
 }  // namespace ursa::tier
