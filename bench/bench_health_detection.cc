@@ -18,7 +18,9 @@
 // a recovery storm against the SSD primaries serving a foreground tenant.
 // SloMonitor throttles the bulk classes AIMD-style whenever the windowed
 // foreground p99 violates its target; the gates require the storm-window
-// read p99 to stay under the target while recovery still converges.
+// read p99 to stay under the target while recovery still converges. Every
+// I/O of the storm's measured window is traced, and the per-stage breakdown
+// is printed (tracing leaves the simulated timings as they are).
 //
 // Gates (bench/bench_baselines.json, "health_detection"): read-p99
 // improvement from detection >= 2x, detection within its 1 s budget, SLO
@@ -89,13 +91,14 @@ DetectionResult RunDetectionMode(bool health_enabled) {
   bed.cluster().machine(0).ssd(0).SetFault(storage::DeviceFault{kGrayExtraLatency, false});
   Nanos fault_time = sim.Now();
   Nanos detect_time = 0;
+  // Weak self-reference: the pending poll event holds the closure.
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&sim, &master, &detect_time, poll]() {
+  *poll = [&sim, &master, &detect_time, weak = std::weak_ptr<std::function<void()>>(poll)]() {
     if (master.IsDemoted(0)) {
       detect_time = sim.Now();
       return;
     }
-    sim.After(msec(5), *poll);
+    sim.After(msec(5), [self = weak.lock()]() { (*self)(); });
   };
   if (health_enabled) {
     (*poll)();
@@ -123,6 +126,7 @@ struct SloResult {
   uint64_t violations = 0;
   uint64_t recovery_steps = 0;
   size_t victim_chunks = 0;
+  std::string storm_breakdown;  // per-stage trace of the storm window
 };
 
 // Phase B: hybrid cluster, QoS + SLO on; crash an HDD backup of a victim
@@ -189,17 +193,24 @@ SloResult RunSloStorm() {
   };
   Nanos heal_time = 0;
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&sim, &heal_time, healed, poll]() {
+  *poll = [&sim, &heal_time, healed, weak = std::weak_ptr<std::function<void()>>(poll)]() {
     if (healed()) {
       heal_time = sim.Now();
       return;
     }
-    sim.After(msec(10), *poll);
+    sim.After(msec(10), [self = weak.lock()]() { (*self)(); });
   };
-  sim.After(msec(10), *poll);
+  sim.After(msec(10), [poll]() { (*poll)(); });
 
-  core::RunMetrics storm = bed.RunWorkload(fg, spec, msec(100), sec(2), "storm");
+  constexpr Nanos kStormWarmup = msec(100);
+  sim.At(sim.Now() + kStormWarmup, [&bed]() {
+    bed.tracer().Reset();
+    bed.EnableTracing(1);
+  });
+  core::RunMetrics storm = bed.RunWorkload(fg, spec, kStormWarmup, sec(2), "storm");
   out.storm_read_p99_us = static_cast<double>(storm.read_latency_us.Percentile(99));
+  out.storm_breakdown = bed.tracer().BreakdownTable();
+  bed.EnableTracing(0);
 
   for (int i = 0; i < 600 && heal_time == 0; ++i) {
     sim.RunUntil(sim.Now() + msec(50));
@@ -245,6 +256,7 @@ int main(int argc, char** argv) {
   std::printf("recovery: %s in %.2f s (%zu victim chunks)\n",
               slo.converged ? "converged" : "DID NOT CONVERGE", slo.recovery_s,
               slo.victim_chunks);
+  std::printf("\nStorm-window stage breakdown:\n%s", slo.storm_breakdown.c_str());
 
   bool slo_met = slo.storm_read_p99_us <= ToUsec(kSloTarget);
   bool ok = p99_improvement >= 2.0 && detected_in_budget && slo_met && slo.converged;

@@ -21,6 +21,11 @@
 //      throttles recovery, so it must still finish within ~3x of
 //      unthrottled).
 //
+// Every I/O of the storm's measured window is traced, and the per-stage
+// breakdown is printed for each mode: it shows where the storm tail sits
+// (device queue vs. network). Tracing leaves the simulated timings as they
+// are.
+//
 // Gate (bench/bench_baselines.json, "qos_interference"): QoS must cut the
 // storm-window foreground p99 by >= 2x, while throttled recovery converges
 // within ~3x of the unthrottled run.
@@ -53,6 +58,7 @@ struct ModeResult {
   double recovery_s = 0;
   size_t victim_chunks = 0;
   bool converged = false;
+  std::string storm_breakdown;  // per-stage trace of the storm window
 };
 
 // Closed-loop journal churn: random 16K timing-only writes at a fixed queue
@@ -154,20 +160,29 @@ ModeResult RunMode(bool qos_enabled) {
     return true;
   };
   Nanos heal_time = 0;
+  // Weak self-reference: the pending poll event holds the closure.
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [&sim, &heal_time, healed, poll]() {
+  *poll = [&sim, &heal_time, healed, weak = std::weak_ptr<std::function<void()>>(poll)]() {
     if (healed()) {
       heal_time = sim.Now();
       return;
     }
-    sim.After(msec(10), *poll);
+    sim.After(msec(10), [self = weak.lock()]() { (*self)(); });
   };
-  sim.After(msec(10), *poll);
+  sim.After(msec(10), [poll]() { (*poll)(); });
 
-  // 3. Foreground under the combined replay + recovery storm.
-  core::RunMetrics storm = bed.RunWorkload(fg, fg_spec, msec(100), sec(2), "storm");
+  // 3. Foreground under the combined replay + recovery storm, traced from
+  // the end of the warmup on.
+  constexpr Nanos kStormWarmup = msec(100);
+  sim.At(sim.Now() + kStormWarmup, [&bed]() {
+    bed.tracer().Reset();
+    bed.EnableTracing(1);
+  });
+  core::RunMetrics storm = bed.RunWorkload(fg, fg_spec, kStormWarmup, sec(2), "storm");
   out.storm_p50_us = static_cast<double>(storm.read_latency_us.Percentile(50));
   out.storm_p99_us = static_cast<double>(storm.read_latency_us.Percentile(99));
+  out.storm_breakdown = bed.tracer().BreakdownTable();
+  bed.EnableTracing(0);
 
   // 4. Stop the churn and wait for the victim set to converge.
   pump.stop = true;
@@ -195,6 +210,10 @@ int main(int argc, char** argv) {
                   std::to_string(r->victim_chunks)});
   }
   table.Print();
+  for (const ModeResult* r : {&off, &on}) {
+    std::printf("\nStorm-window stage breakdown, %s:\n%s", r->name.c_str(),
+                r->storm_breakdown.c_str());
+  }
 
   double p99_improvement = on.storm_p99_us > 0 ? off.storm_p99_us / on.storm_p99_us : 0;
   // Throttled recovery is slower; the acceptance bound is "within 3x of

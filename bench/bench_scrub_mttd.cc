@@ -1,5 +1,5 @@
-// Scrub MTTD benchmark (see DESIGN.md "Background scrub & recovery
-// admission"): how fast the background scrubber finds latent at-rest
+// Scrub MTTD benchmark (see DESIGN.md "Background scrub & corruption
+// repair"): how fast the background scrubber finds latent at-rest
 // corruption, and what continuous sweeping costs the foreground tail.
 //
 // Phase A (MTTD, hybrid cluster): a small disk is materialized with real
@@ -9,7 +9,7 @@
 // ledger can notice. The gated metric is mean-time-to-detect: the flip must
 // be reported within two sweep periods (the sweep in flight at injection may
 // have already passed the damaged replica), and the repair pipeline
-// (quarantine -> admission-slotted re-replication) must complete end to end.
+// (quarantine -> kScrub-class re-replication) must complete end to end.
 //
 // Phase B (foreground overhead, hybrid cluster + QoS): two identical
 // TestBeds differing only in `cluster.scrub.enabled` run the same mixed 4K

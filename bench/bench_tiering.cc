@@ -19,9 +19,10 @@
 // Phase B (foreground overhead, hybrid cluster + QoS): two identical beds
 // run the same mixed 4K workload on a hot disk; the tier-on bed also holds
 // a second, idle disk whose chunks the migrator demotes during the measured
-// window. Demotion transfers run under ServiceClass::kScrub and take
-// admission slots, so the gate bounds the foreground read p99 at 2x the
-// quiescent arm — the wave must ride idle capacity, not tax the tail.
+// window. Demotion transfers run under ServiceClass::kScrub, which every
+// device scheduler serves last, so the gate bounds the foreground read p99
+// at 2x the quiescent arm — the wave must ride idle capacity, not tax the
+// tail.
 //
 // Gates (bench/bench_baselines.json, "tiering"): wave demoted every chunk,
 // capacity factor halved, bytes intact through the shard path, cold write

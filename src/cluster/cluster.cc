@@ -85,26 +85,6 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
     health_->Start();
   }
 
-  if (config.admission.enabled) {
-    // Cluster-wide per-source transfer pacing, shared by every transfer kind
-    // the master issues (DESIGN.md §11).
-    admission_ = std::make_unique<scrub::RecoveryAdmission>(sim, config.admission);
-    master_->SetAdmission(admission_.get());
-    scrub::RecoveryAdmission* adm = admission_.get();
-    metrics_.RegisterCallbackCounter("admission.grants", {},
-                                     [adm] { return static_cast<double>(adm->grants()); });
-    metrics_.RegisterCallbackCounter("admission.waits", {},
-                                     [adm] { return static_cast<double>(adm->waits()); });
-    metrics_.RegisterCallbackCounter(
-        "admission.scrub_yields", {},
-        [adm] { return static_cast<double>(adm->scrub_yields()); });
-    metrics_.RegisterCallbackGauge(
-        "admission.queued", {}, [adm] { return static_cast<double>(adm->QueuedTotal()); });
-    metrics_.RegisterCallbackGauge(
-        "admission.peak_in_flight", {},
-        [adm] { return static_cast<double>(adm->peak_in_flight()); });
-  }
-
   if (config.slo.enabled && config.qos.enabled) {
     std::vector<qos::IoScheduler*> scheduler_ptrs;
     scheduler_ptrs.reserve(schedulers_.size());

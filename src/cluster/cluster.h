@@ -25,7 +25,6 @@
 #include "src/qos/io_scheduler.h"
 #include "src/qos/slo_monitor.h"
 #include "src/scrub/checksum_store.h"
-#include "src/scrub/recovery_admission.h"
 #include "src/scrub/scrub_config.h"
 #include "src/scrub/scrub_coordinator.h"
 #include "src/scrub/scrubber.h"
@@ -71,9 +70,6 @@ struct ClusterConfig {
   // master-side coordinator sweeps every replica once per `sweep_interval`
   // under ServiceClass::kScrub. Self-schedules like the health monitor.
   scrub::ScrubConfig scrub;
-  // Cluster-wide recovery admission: k-per-source-device transfer slots
-  // shared by recovery, demotion repair, and scrub re-replication.
-  scrub::AdmissionConfig admission;
   // Tiered placement (src/tier, DESIGN.md §13). When `tier.enabled`, chunk
   // servers feed per-chunk heat into a HeatTracker and a TierMigrator
   // periodically demotes cold chunks to k+m EC stripes (promoting them back
@@ -97,7 +93,6 @@ class Cluster {
   obs::HealthMonitor* health_monitor() { return health_.get(); }
   qos::SloMonitor* slo_monitor() { return slo_.get(); }
   scrub::ScrubCoordinator* scrub_coordinator() { return scrub_coordinator_.get(); }
-  scrub::RecoveryAdmission* recovery_admission() { return admission_.get(); }
   tier::HeatTracker* heat_tracker() { return heat_.get(); }
   tier::TierMigrator* tier_migrator() { return tier_migrator_.get(); }
   // Per-server scrub executor (null index range when scrub is disabled).
@@ -177,10 +172,7 @@ class Cluster {
   std::vector<std::vector<ServerId>> backup_pool_;   // per machine
   std::unique_ptr<Master> master_;
   std::unique_ptr<qos::SloMonitor> slo_;  // references schedulers_; last
-  // Scrub subsystem (built after master_; destroyed before it). The
-  // admission controller outlives the master's raw pointer use because no
-  // events run during destruction.
-  std::unique_ptr<scrub::RecoveryAdmission> admission_;
+  // Scrub subsystem (built after master_; destroyed before it).
   std::vector<std::unique_ptr<scrub::ChecksumStore>> checksum_stores_;  // per server
   std::vector<std::unique_ptr<scrub::Scrubber>> scrubbers_;             // per server
   std::unique_ptr<scrub::ScrubCoordinator> scrub_coordinator_;

@@ -26,8 +26,6 @@ struct Master::Job {
   ChunkId lock = 0;
   uint64_t* failures = nullptr;
   bool finished = false;
-  bool granted = false;  // holding an admission slot
-  uint64_t admission_source = 0;
   sim::EventId timeout_event = 0;
   // Chunks allocated by this job; freed again if it fails before commit.
   std::vector<std::pair<ServerId, ChunkId>> allocated;
@@ -36,6 +34,8 @@ struct Master::Job {
   // intersect every client write quorum (the freshest acked data is on some
   // member).
   std::vector<ServerId> targets;
+  // Pieces landed by the copies that carry this job (Copy::job).
+  uint64_t landed = 0;
   std::function<void(Status)> done;
 };
 
@@ -516,7 +516,7 @@ void Master::RunCopy(Copy copy, std::function<void(Status)> done) {
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [this, st, weak = std::weak_ptr<std::function<void()>>(pump)] {
     const Copy& c = st->copy;
-    if (st->failed || st->waiting) {
+    if (st->failed || st->waiting || (c.job != nullptr && c.job->finished)) {
       return;
     }
     // QoS backpressure: while the target device's scheduler reports the
@@ -550,6 +550,9 @@ void Master::RunCopy(Copy copy, std::function<void(Status)> done) {
         }
         if (st->copy.target != nullptr) {
           recovery_stats_.bytes_transferred += len;
+        }
+        if (st->copy.job != nullptr) {
+          ++st->copy.job->landed;
         }
         if (++st->landed == st->copy.pieces.size()) {
           st->done(OkStatus());
@@ -589,30 +592,16 @@ void Master::RunCopy(Copy copy, std::function<void(Status)> done) {
   (*pump)();
 }
 
-void Master::StartJob(const std::shared_ptr<Job>& job, ChunkServer* source,
-                      scrub::RecoveryAdmission::Priority priority, const char* timeout,
-                      std::function<void()> body) {
-  if (timeout != nullptr) {
-    job->timeout_event = sim_->After(migration_timeout_, [this, job, timeout]() {
-      job->timeout_event = 0;
-      FailJob(job, TimedOut(timeout));
-    });
-  }
-  if (admission_ == nullptr) {
-    body();
-    return;
-  }
-  // Cluster-wide per-source pacing: the job runs only once this source
-  // device has a free transfer slot, and holds it until the job ends.
-  job->admission_source = source->id();
-  admission_->Acquire(source->id(), priority, [this, job, body = std::move(body)]() {
-    if (job->finished) {
-      admission_->Release(job->admission_source);
-      return;
-    }
-    job->granted = true;
-    body();
-  });
+void Master::StartJob(const std::shared_ptr<Job>& job, const char* timeout) {
+  job->timeout_event =
+      sim_->After(migration_timeout_, [this, job, timeout, landed = job->landed]() {
+        job->timeout_event = 0;
+        if (job->landed != landed) {
+          StartJob(job, timeout);  // still making progress
+          return;
+        }
+        FailJob(job, TimedOut(timeout));
+      });
 }
 
 bool Master::EndJob(Job* job) {
@@ -622,9 +611,6 @@ bool Master::EndJob(Job* job) {
   job->finished = true;
   if (job->timeout_event != 0) {
     sim_->Cancel(job->timeout_event);
-  }
-  if (job->granted) {
-    admission_->Release(job->admission_source);
   }
   return true;
 }
@@ -663,20 +649,17 @@ void Master::FailJob(std::shared_ptr<Job> job, Status s) {
 void Master::CopyReplica(ChunkId chunk, ChunkServer* source, ChunkServer* target,
                          std::vector<Interval> ranges, qos::ServiceClass cls,
                          std::function<void(Status)> done) {
-  Copy copy{.chunk = chunk, .pieces = Pieces(ranges), .source = source, .target = target,
-            .cls = cls};
-  if (copy.pieces.empty()) {
+  std::vector<Interval> pieces = Pieces(ranges);
+  if (pieces.empty()) {
     sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
     return;
   }
   auto job = std::make_shared<Job>();
   job->done = std::move(done);
-  auto priority = cls == qos::ServiceClass::kScrub ? scrub::RecoveryAdmission::Priority::kScrub
-                                                   : scrub::RecoveryAdmission::Priority::kRecovery;
-  StartJob(job, source, priority, /*timeout=*/nullptr,
-           [this, job, copy = std::move(copy)]() mutable {
-             RunCopy(std::move(copy), [this, job](Status s) { FinishJob(job, std::move(s)); });
-           });
+  Copy copy{.chunk = chunk, .pieces = std::move(pieces), .source = source, .target = target,
+            .cls = cls, .job = job};
+  StartJob(job, "replica copy timed out");
+  RunCopy(std::move(copy), [this, job](Status s) { FinishJob(job, std::move(s)); });
 }
 
 void Master::CatchUp(ChunkId chunk, ChunkServer* source, ChunkServer* laggard,
@@ -807,18 +790,28 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
     return;
   }
 
+  // A recovery that fails leaves the layout as it was: the replacement is
+  // freed again, so the caller's retry allocates afresh.
+  auto fail = [chunk, target](const std::function<void(Status)>& done, const Status& s) {
+    if (!target->crashed() && target->HasChunk(chunk)) {
+      target->FreeChunk(chunk);
+    }
+    done(s);
+  };
   CopyReplica(
       chunk, source, target, {Interval{0, disk.chunk_size}}, qos::ServiceClass::kRecovery,
-      [this, chunk, layout, failed, source, target, new_view, version_h,
+      [this, chunk, layout, failed, source, target, new_view, version_h, fail,
        done = std::move(done)](const Status& s) {
         if (!s.ok()) {
-          done(s);
+          fail(done, s);
           return;
         }
         // Before installing the new view, bring every LAGGING survivor up to
         // versionH with real data (incremental repair from the source's
         // journal lite, or a full copy when history is gone) — a bare
-        // version fast-forward would hide lost writes.
+        // version fast-forward would hide lost writes. So a catch-up that
+        // fails fails the recovery: no laggard moves to versionH without
+        // the data behind it.
         auto laggards = std::make_shared<std::vector<ChunkServer*>>();
         for (const ReplicaRef& r : layout->replicas) {
           if (r.server == failed || servers_[r.server]->crashed()) {
@@ -829,8 +822,12 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
             laggards->push_back(servers_[r.server]);
           }
         }
-        auto finish = [this, chunk, layout, failed, target, new_view, version_h,
-                       done = std::move(done)]() {
+        auto finish = [this, chunk, layout, failed, target, new_view, version_h, fail,
+                       done = std::move(done)](const Status& caught_up) {
+          if (!caught_up.ok()) {
+            fail(done, caught_up);
+            return;
+          }
           // Install the new view. Writes kept committing during the
           // transfer, so survivors may have advanced past versionH — never
           // move a replica's version backward, only adopt the new view.
@@ -856,17 +853,24 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
           done(OkStatus());
         };
         if (laggards->empty()) {
-          finish();
+          finish(OkStatus());
           return;
         }
+        // Every catch-up ends (its job times out if it stalls); the first
+        // failure is the recovery's.
         auto remaining = std::make_shared<size_t>(laggards->size());
-        auto finish_shared = std::make_shared<std::function<void()>>(std::move(finish));
+        auto first_failure = std::make_shared<Status>(OkStatus());
+        auto finish_shared =
+            std::make_shared<std::function<void(const Status&)>>(std::move(finish));
         for (ChunkServer* laggard : *laggards) {
           Result<ChunkServer::ReplicaState> st = laggard->GetState(chunk);
           CatchUp(chunk, source, laggard, st.ok() ? st->version : 0,
-                  [remaining, finish_shared](Status) {
+                  [remaining, first_failure, finish_shared](const Status& s) {
+                    if (!s.ok() && first_failure->ok()) {
+                      *first_failure = s;
+                    }
                     if (--*remaining == 0) {
-                      (*finish_shared)();
+                      (*finish_shared)(*first_failure);
                     }
                   });
         }
@@ -1012,13 +1016,13 @@ Result<std::vector<ServerId>> Master::PickShardServers(int n, uint64_t salt) con
   return out;
 }
 
-ChunkServer* Master::FirstAliveShard(const ChunkLayout& layout, int skip) const {
-  for (int i = 0; i < static_cast<int>(layout.ec_shards.size()); ++i) {
-    if (i != skip && !servers_[layout.ec_shards[i].server]->crashed()) {
-      return servers_[layout.ec_shards[i].server];
+bool Master::HasAliveShard(const ChunkLayout& layout) const {
+  for (const EcShardRef& sh : layout.ec_shards) {
+    if (!servers_[sh.server]->crashed()) {
+      return true;
     }
   }
-  return nullptr;
+  return false;
 }
 
 Status Master::PlanStripeRead(const std::vector<EcShardRef>& shards, int k, int m, int lost,
@@ -1171,7 +1175,7 @@ void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(St
     promote_waiters_[chunk].push_back(std::move(done));
     return;
   }
-  if (FirstAliveShard(*layout, -1) == nullptr) {
+  if (!HasAliveShard(*layout)) {
     ++tier_stats_.promote_failures;
     finish(Unavailable("no alive shard"));
     return;
@@ -1235,20 +1239,8 @@ void Master::StartPass(ChunkId chunk) {
   auto pass = std::make_shared<Job>();
   pass->done = [this, chunk, id = pass.get()](Status s) { FailPass(chunk, id, std::move(s)); };
   promotion.pass = pass;
-  // First alive shard is the admission source (the stripe read fans out, but
-  // one slot per pass keeps the controller's accounting simple). A write
-  // waits on the promotion or wrote ahead of it, so it competes at recovery
-  // priority; a policy promotion yields like scrub traffic.
-  ChunkServer* admit_on = FirstAliveShard(*FindLayout(chunk), -1);
-  if (admit_on == nullptr) {
-    FinishJob(pass, Unavailable("no alive shard"));
-    return;
-  }
-  StartJob(pass, admit_on,
-           promotion.cls == qos::ServiceClass::kRecovery
-               ? scrub::RecoveryAdmission::Priority::kRecovery
-               : scrub::RecoveryAdmission::Priority::kScrub,
-           "promotion timed out", [this, chunk, pass]() { RunPass(chunk, pass); });
+  StartJob(pass, "promotion timed out");
+  RunPass(chunk, pass);
 }
 
 void Master::RunPass(ChunkId chunk, std::shared_ptr<Job> pass) {
@@ -1500,45 +1492,10 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
   op->failures = &tier_stats_.demote_failures;
   op->done = std::move(done);
   migrating_.insert(chunk);
-  StartJob(op, source, scrub::RecoveryAdmission::Priority::kScrub, "demotion timed out",
-           [this, chunk, k, m, op]() { DemoteChunkNow(chunk, k, m, op); });
-}
-
-void Master::DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<Job> op) {
-  ChunkLayout* layout = FindLayout(chunk);
-  if (layout == nullptr || layout->tier != ChunkTier::kReplicated) {
-    FailJob(op, Aborted("layout changed"));
-    return;
-  }
-  auto ref = chunk_refs_.find(chunk);
-  const DiskMeta& disk = disks_[ref->second.disk];
+  StartJob(op, "demotion timed out");
   const uint64_t chunk_size = disk.chunk_size;
   const uint64_t shard_size = chunk_size / static_cast<uint64_t>(k);
   const int n = k + m;
-
-  // Re-pick the source (state may have shifted while queued for admission).
-  ChunkServer* source = nullptr;
-  const ReplicaRef* source_ref = nullptr;
-  uint64_t version0 = 0;
-  for (const ReplicaRef& r : layout->replicas) {
-    ChunkServer* server = servers_[r.server];
-    if (server->crashed()) {
-      continue;
-    }
-    Result<ChunkServer::ReplicaState> st = server->GetState(chunk);
-    if (!st.ok()) {
-      continue;
-    }
-    if (source == nullptr || PreferReplica(r, *source_ref)) {
-      source = server;
-      source_ref = &r;
-      version0 = st->version;
-    }
-  }
-  if (source == nullptr) {
-    FailJob(op, Unavailable("no alive replica"));
-    return;
-  }
   Result<std::vector<ServerId>> targets = PickShardServers(n, chunk);
   if (!targets.ok()) {
     FailJob(op, targets.status());
@@ -1707,25 +1664,11 @@ void Master::RepairEcShard(ChunkId parent, int shard_index, std::function<void(S
     fail(Unavailable("migration in flight"));
     return;
   }
-  ChunkServer* admit_on = FirstAliveShard(*layout, shard_index);
-  if (admit_on == nullptr) {
-    fail(Unavailable("fewer than k shards alive"));
-    return;
-  }
   auto op = std::make_shared<Job>();
   op->lock = parent;
   op->done = std::move(done);
   migrating_.insert(parent);
-  StartJob(op, admit_on, scrub::RecoveryAdmission::Priority::kRecovery, "shard repair timed out",
-           [this, parent, shard_index, op]() { RepairEcShardNow(parent, shard_index, op); });
-}
-
-void Master::RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<Job> op) {
-  ChunkLayout* layout = FindLayout(parent);
-  if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    FinishJob(op, Aborted("layout changed"));
-    return;
-  }
+  StartJob(op, "shard repair timed out");
   const int k = layout->ec_k;
   const int m = layout->ec_m;
   const int n = k + m;
@@ -1844,18 +1787,14 @@ void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
   // Range repairs don't hold the parent's migration lock.
   auto op = std::make_shared<Job>();
   op->done = std::move(done);
-  StartJob(op, servers_[shards[plan.sources[0]].server],
-           scrub::RecoveryAdmission::Priority::kScrub, "shard range repair timed out",
-           [this, offset, length, target, k, m, sources = plan.sources, shards, damaged, op]() {
-             // RS reconstruction is positional: byte b of the lost shard
-             // needs byte b of k others, so only [offset, offset+length) of
-             // each source is read.
-             RebuildShard(shards, k, m, sources, target, Interval{offset, length}, damaged,
-                          qos::ServiceClass::kScrub, op, [this, op]() {
-                            ++tier_stats_.shard_range_repairs;
-                            FinishJob(op, OkStatus());
-                          });
-           });
+  StartJob(op, "shard range repair timed out");
+  // RS reconstruction is positional: byte b of the lost shard needs byte b
+  // of k others, so only [offset, offset+length) of each source is read.
+  RebuildShard(shards, k, m, plan.sources, target, Interval{offset, length}, damaged,
+               qos::ServiceClass::kScrub, op, [this, op]() {
+                 ++tier_stats_.shard_range_repairs;
+                 FinishJob(op, OkStatus());
+               });
 }
 
 void Master::RebuildShard(const std::vector<EcShardRef>& shards, int k, int m,

@@ -21,7 +21,8 @@
 #include "src/common/buffer.h"
 #include "src/ec/reed_solomon.h"
 #include "src/net/transport.h"
-#include "src/scrub/recovery_admission.h"
+#include "src/obs/metrics_registry.h"
+#include "src/sim/simulator.h"
 
 namespace ursa::tier {
 class HeatTracker;
@@ -149,16 +150,6 @@ class Master {
   // The cluster calls this on every health transition, including ->suspect.
   void OnHealthScoresChanged();
 
-  // ---- Recovery admission (DESIGN.md §11) ----
-
-  // Installs the cluster-wide per-source transfer admission controller.
-  // Every background job the master runs (DESIGN.md §14) — failure recovery,
-  // demotion-steered repair, scrub corruption repair, migrations, shard
-  // repair — acquires a source slot before its first piece; scrub-class jobs
-  // yield to recovery-class ones.
-  void SetAdmission(scrub::RecoveryAdmission* admission) { admission_ = admission; }
-  scrub::RecoveryAdmission* admission() const { return admission_; }
-
   // ---- Scrub support (DESIGN.md §11) ----
 
   // Every chunk's current placement (the scrub coordinator's sweep source).
@@ -182,8 +173,8 @@ class Master {
   // preconditions (version unchanged, no write in flight) and commits by
   // freeing the replicas and installing the EC layout. Any precondition
   // change aborts and frees the shards instead; the chunk stays replicated.
-  // Transfer I/O runs under kScrub QoS and takes a kScrub admission slot
-  // (policy traffic yields to failure recovery).
+  // Transfer I/O runs under kScrub QoS (policy traffic yields to failure
+  // recovery in every device's scheduler).
   void DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Status)> done);
 
   // Promotes an EC'd chunk back to replication (DESIGN.md §13.6):
@@ -195,7 +186,7 @@ class Master {
   // replicated chunk succeeds immediately, a request for a chunk already
   // promoting joins it, and one for a chunk with a demotion or shard repair
   // in flight queues behind it. `write_triggered` promotions run under
-  // kRecovery QoS/priority; policy promotions under kScrub.
+  // kRecovery QoS; policy promotions under kScrub.
   void PromoteChunk(ChunkId chunk, bool write_triggered, std::function<void(Status)> done);
 
   // The promotion a client write to a cold chunk asks for. With speculation
@@ -229,7 +220,7 @@ class Master {
   }
 
   // Rebuilds shard `shard_index` of EC'd chunk `parent` from k surviving
-  // shards onto a replacement server (kRecovery class + admission slot).
+  // shards onto a replacement server (kRecovery class).
   void RepairEcShard(ChunkId parent, int shard_index, std::function<void(Status)> done);
 
   // True when `id` is an EC shard chunk (not a client-addressable chunk).
@@ -249,9 +240,9 @@ class Master {
 
   const TierStats& tier_stats() const { return tier_stats_; }
 
-  // Upper bound on one migration's lifetime: a transfer wedged past this
-  // (e.g. a server crashing mid-copy silently drops the piece) aborts,
-  // releasing its admission slot and any allocated shards.
+  // Upper bound on every background job's lifetime (DESIGN.md §14): a
+  // transfer wedged past this (e.g. a server crashing mid-copy silently
+  // drops the piece) fails with kTimedOut, freeing anything it allocated.
   void set_migration_timeout(Nanos t) { migration_timeout_ = t; }
 
   // ---- Master recovery (§4.2.2: "the master is recovered first") ----
@@ -326,13 +317,20 @@ class Master {
     uint8_t* data() { return buf ? buf.data() + at : nullptr; }
   };
 
+  // One background job: a replica copy, a demotion, a shard repair or a
+  // promotion's back-fill pass. Exactly one of its own completion, its
+  // timeout, or a cancel ends it; late callbacks see `finished` and back off.
+  struct Job;
+
   // One windowed copy: `pieces` of `chunk` go through at most
   // recovery_window_ pieces in flight. With a `source` and no `target` each
   // piece is read into `bytes`; with a `target` and no `source` each piece
   // ships from node `from` out of `bytes` and is recovery-written (the
   // target's write shield, if set, applies); with both, each piece is read,
   // sent and written in its own buffer. A copy with a target pauses at the
-  // target's gate high watermark for `cls` and resumes when it drains.
+  // target's gate high watermark for `cls` and resumes when it drains. A
+  // copy that carries its `job` counts each landed piece in it and issues
+  // nothing more once the job has ended.
   struct Copy {
     ChunkId chunk = 0;
     std::vector<Interval> pieces = {};
@@ -341,24 +339,20 @@ class Master {
     net::NodeId from = 0;
     Slot bytes = {};
     qos::ServiceClass cls = qos::ServiceClass::kRecovery;
+    std::shared_ptr<Job> job = nullptr;
   };
   void RunCopy(Copy copy, std::function<void(Status)> done);
 
   // `ranges` split at recovery_piece_.
   std::vector<Interval> Pieces(const std::vector<Interval>& ranges) const;
 
-  // One background job: a replica copy, a demotion, a shard repair or a
-  // promotion's back-fill pass. Exactly one of its own completion, its
-  // timeout, or a cancel ends it; late callbacks see `finished` and back off.
-  struct Job;
-
-  // Arms the job's timeout (when `timeout` names one), then runs `body` once
-  // an admission slot on `source` is granted — at once without a controller.
-  void StartJob(const std::shared_ptr<Job>& job, ChunkServer* source,
-                scrub::RecoveryAdmission::Priority priority, const char* timeout,
-                std::function<void()> body);
-  // Marks the job finished, cancels its timeout and releases its slot;
-  // false when it had already ended.
+  // Arms the job's timeout: after migration_timeout_ it fails with
+  // TimedOut(`timeout`), unless a piece of a copy carrying the job landed
+  // meanwhile, in which case it re-arms (only a stalled copy times out). The
+  // caller runs the job body right after.
+  void StartJob(const std::shared_ptr<Job>& job, const char* timeout);
+  // Marks the job finished and cancels its timeout; false when it had
+  // already ended.
   bool EndJob(Job* job);
   // Ends the job; on failure frees what it allocated. Then drops its chunk's
   // migration mark and runs `done`.
@@ -366,8 +360,8 @@ class Master {
   // FinishJob that also counts the failure in the job's tier stat.
   void FailJob(std::shared_ptr<Job> job, Status s);
 
-  // Copies `ranges` of `chunk` from `source` to `target` as a job admitted
-  // on `source` (scrub-class copies yield to recovery-class ones).
+  // Copies `ranges` of `chunk` from `source` to `target` as one job whose
+  // I/O runs under `cls`.
   void CopyReplica(ChunkId chunk, ChunkServer* source, ChunkServer* target,
                    std::vector<Interval> ranges, qos::ServiceClass cls,
                    std::function<void(Status)> done);
@@ -388,9 +382,8 @@ class Master {
   // Picks `n` distinct alive servers, round-robining machines for spread.
   Result<std::vector<ServerId>> PickShardServers(int n, uint64_t salt) const;
 
-  // First alive server holding a shard of `layout` other than shard `skip`
-  // (a stripe job's admission source); null when there is none.
-  ChunkServer* FirstAliveShard(const ChunkLayout& layout, int skip) const;
+  // Whether any shard of `layout` sits on an alive server.
+  bool HasAliveShard(const ChunkLayout& layout) const;
 
   // Picks k alive shards of a stripe to read, data shards first, treating
   // shard `lost` (-1 = none) as gone; `plan->missing_data` lists the data
@@ -411,8 +404,6 @@ class Master {
                   std::vector<int> wanted, Interval range, std::vector<Slot> slots,
                   qos::ServiceClass cls, std::function<void(Status)> done);
 
-  void DemoteChunkNow(ChunkId chunk, int k, int m, std::shared_ptr<Job> op);
-  void RepairEcShardNow(ChunkId parent, int shard_index, std::shared_ptr<Job> op);
   void RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
                           std::function<void(Status)> done);
   // The stripe rebuild both shard repairs share: reads `range` of the
@@ -451,7 +442,7 @@ class Master {
   // An `open` caller proceeds at once (and opens a promotion it joins); any
   // other caller waits for the commit.
   void Promote(ChunkId chunk, bool write, bool open, std::function<void(Status)> done);
-  // Arms a back-fill pass (admission + timeout); no-op when the promotion
+  // Starts a back-fill pass under its timeout; no-op when the promotion
   // ended or a pass is already running.
   void StartPass(ChunkId chunk);
   // The pass body: reads k shards (rebuilding dead data shards) into the old
@@ -489,7 +480,6 @@ class Master {
   std::set<ServerId> demoted_;  // health-demoted servers
   std::function<double(ServerId)> health_score_;  // null = binary demotion only
   double health_score_deadband_ = 1.5;
-  scrub::RecoveryAdmission* admission_ = nullptr;  // null = watermark-only pacing
 
   // Tiering state (DESIGN.md §13).
   std::map<ChunkId, EcShardInfo> ec_shards_;  // shard chunk id -> (parent, index)

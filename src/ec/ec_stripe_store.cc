@@ -565,28 +565,6 @@ void EcStripeStore::RepairShard(int shard, storage::BlockDevice* replacement,
                                 storage::IoCallback done) {
   URSA_CHECK_LT(static_cast<size_t>(shard), devices_.size());
   URSA_CHECK(!alive_[shard]) << "repairing a live shard";
-  if (admission_.acquire == nullptr) {
-    RepairShardNow(shard, replacement, std::move(done));
-    return;
-  }
-  // Rebuild reads fan out across every surviving shard: hold the whole
-  // repair behind one transfer slot keyed by the rebuilt shard.
-  ++stats_.repair_admissions;
-  admission_.acquire(static_cast<uint64_t>(shard),
-                     [this, shard, replacement, done = std::move(done)]() mutable {
-                       auto release = admission_.release;
-                       RepairShardNow(shard, replacement,
-                                      [shard, release, done = std::move(done)](const Status& s) {
-                                        if (release != nullptr) {
-                                          release(static_cast<uint64_t>(shard));
-                                        }
-                                        done(s);
-                                      });
-                     });
-}
-
-void EcStripeStore::RepairShardNow(int shard, storage::BlockDevice* replacement,
-                                   storage::IoCallback done) {
   // Pending parity deltas must be durable in the parity shards before they
   // serve as reconstruction sources.
   Flush([this, shard, replacement, done = std::move(done)](const Status& fs) mutable {

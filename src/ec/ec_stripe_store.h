@@ -71,24 +71,11 @@ struct EcStats {
   // devices — each one is a saved read-modify-write round trip.
   uint64_t parity_log_coalesced = 0;
   uint64_t degraded_reads = 0;
-  // Repairs that went through the admission hooks (see AdmissionHooks).
-  uint64_t repair_admissions = 0;
   // Scratch-pool accounting: `scratch_fresh` counts pool misses (heap
   // allocations); in steady state acquires keep rising while fresh stays
   // flat — encode/decode runs allocation-free off recycled buffers.
   uint64_t scratch_acquires = 0;
   uint64_t scratch_fresh = 0;
-};
-
-// Optional gate on background rebuild traffic. Kept generic (plain
-// callables, opaque source key) so ursa::ec stays free of higher-layer
-// dependencies; the cluster wires these to scrub::RecoveryAdmission.
-struct AdmissionHooks {
-  // Requests a transfer slot for `source`; `grant` fires — possibly later —
-  // once a slot is free.
-  std::function<void(uint64_t source, std::function<void()> grant)> acquire;
-  // Returns the slot. Called exactly once per granted acquire.
-  std::function<void(uint64_t source)> release;
 };
 
 class EcStripeStore {
@@ -109,13 +96,7 @@ class EcStripeStore {
   // the stripe runs degraded until repaired).
   void FailShard(int shard);
   // Rebuilds shard i from the survivors onto `replacement` and swaps it in.
-  // When admission hooks are installed, the rebuild waits for a transfer
-  // slot first (rebuild reads fan out across every surviving shard; the
-  // stripe must not flood devices also serving foreground I/O).
   void RepairShard(int shard, storage::BlockDevice* replacement, storage::IoCallback done);
-
-  // Installs the background-traffic gate used by RepairShard.
-  void SetAdmissionHooks(AdmissionHooks hooks) { admission_ = std::move(hooks); }
 
   // Applies all pending parity-log deltas to the parity shards.
   void Flush(storage::IoCallback done);
@@ -140,9 +121,6 @@ class EcStripeStore {
 
   std::vector<Extent> SplitLogical(uint64_t offset, uint64_t length) const;
 
-  // RepairShard past the admission gate (releases the slot when done).
-  void RepairShardNow(int shard, storage::BlockDevice* replacement, storage::IoCallback done);
-
   void PartialWriteExtent(const Extent& ext, const uint8_t* data, storage::IoCallback done);
   void DegradedReadExtent(const Extent& ext, uint8_t* out, storage::IoCallback done);
 
@@ -166,7 +144,6 @@ class EcStripeStore {
   uint64_t rows_;
   EcStripeConfig config_;
   ReedSolomon rs_;
-  AdmissionHooks admission_;
   std::deque<LogEntry> parity_log_;
   uint64_t parity_log_used_ = 0;
   // PariX speculation cache: (shard, shard_off) -> current bytes of ranges

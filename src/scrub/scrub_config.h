@@ -1,10 +1,6 @@
-// Configuration for the background scrub subsystem (DESIGN.md §11).
-//
-// Two independent knobs live here because the master consumes both: the
+// Configuration for the background scrub subsystem (DESIGN.md §11): the
 // scrubber/coordinator pair that proactively verifies cold chunk data under
-// ServiceClass::kScrub, and the cluster-wide recovery admission controller
-// that caps concurrent transfers per *source* device — shared by failure
-// recovery, demotion-steered repair, and scrub-triggered re-replication.
+// ServiceClass::kScrub.
 #ifndef URSA_SCRUB_SCRUB_CONFIG_H_
 #define URSA_SCRUB_SCRUB_CONFIG_H_
 
@@ -47,16 +43,6 @@ struct ScrubConfig {
   // health score (windowed p99 / peer median, see obs::HealthMonitor) is at
   // or above this ratio — its siblings may soon be the last good copies.
   double peer_risk_score = 1.5;
-};
-
-// Cluster-wide recovery admission (master-side): at most `per_source`
-// concurrent transfers may read from any one source device. Replaces
-// per-target-watermark-only pacing as the storm-shaping mechanism — a source
-// SSD serving foreground traffic is never saturated by an unbounded fan-out
-// of recovery reads.
-struct AdmissionConfig {
-  bool enabled = true;
-  int per_source = 2;
 };
 
 }  // namespace ursa::scrub

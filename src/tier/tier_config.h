@@ -34,9 +34,8 @@ struct TierConfig {
   // unconditionally, before the ack).
   double promote_heat = 8.0;
 
-  // Concurrent migrations the migrator keeps in flight. Each migration
-  // additionally takes a RecoveryAdmission slot on its source, so the
-  // effective parallelism is min(this, admission slots).
+  // Concurrent migrations the migrator keeps in flight. Their I/O is paced
+  // by each device's QoS scheduler under ServiceClass::kScrub.
   int max_concurrent = 2;
 
   // Speculative write-promotion (PariX-style, DESIGN.md §13.6): a write into

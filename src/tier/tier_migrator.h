@@ -24,9 +24,10 @@
 //
 // The actual data movement lives behind the demote/promote hooks (the
 // master's DemoteChunkToEc / PromoteChunk); the migrator only decides WHAT
-// migrates and bounds HOW MANY migrations run concurrently. Admission
-// control (RecoveryAdmission) and QoS classing happen inside the hooks, so
-// a migration wave can never starve foreground I/O or failure recovery.
+// migrates and bounds HOW MANY migrations run concurrently. QoS classing
+// happens inside the hooks (every migration's I/O runs under kScrub in the
+// device schedulers), so a migration wave yields to foreground I/O and
+// failure recovery.
 //
 // Write-triggered promotion does NOT pass through here: a client write to
 // an EC'd chunk promotes through the master before the ack (speculatively

@@ -650,40 +650,6 @@ TEST_P(EcStoreTest, FlushCoalescesSameRangeDeltas) {
   EXPECT_EQ(ReadSync(0, expect.size()), expect);
 }
 
-TEST_P(EcStoreTest, RepairWaitsForAdmissionSlotAndReleasesIt) {
-  Build();
-  auto data = test::Pattern(4 * kUnit, 12);
-  ASSERT_TRUE(WriteSync(0, data).ok());
-
-  std::vector<std::function<void()>> pending;
-  int releases = 0;
-  AdmissionHooks hooks;
-  hooks.acquire = [&pending](uint64_t, std::function<void()> grant) {
-    pending.push_back(std::move(grant));  // hold every repair until granted
-  };
-  hooks.release = [&releases](uint64_t) { ++releases; };
-  store_->SetAdmissionHooks(std::move(hooks));
-
-  store_->FailShard(2);
-  auto replacement = std::make_unique<storage::MemDevice>(&sim_, 16 * kMiB, usec(20));
-  Status status = Internal("pending");
-  store_->RepairShard(2, replacement.get(), [&](const Status& s) { status = s; });
-  sim_.RunUntil(sim_.Now() + sec(1));
-  // No slot granted yet: the rebuild must not have started.
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(store_->alive_shards(), 5);
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(store_->stats().repair_admissions, 1u);
-
-  pending[0]();  // grant the transfer slot
-  sim_.RunUntil(sim_.Now() + sec(5));
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(store_->alive_shards(), 6);
-  EXPECT_EQ(releases, 1);
-  EXPECT_EQ(ReadSync(0, data.size()), data);
-  devices_.push_back(std::move(replacement));  // keep alive
-}
-
 INSTANTIATE_TEST_SUITE_P(Modes, EcStoreTest,
                          ::testing::Values(PartialWriteMode::kReadModifyWrite,
                                            PartialWriteMode::kParityLogging,

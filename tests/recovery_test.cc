@@ -294,7 +294,7 @@ TEST_F(RecoveryTest, RecoveryPrefersDistinctMachine) {
   EXPECT_EQ(machines.size(), 3u);
 }
 
-TEST_F(RecoveryTest, AdmissionBoundsConcurrentTransfersPerSource) {
+TEST_F(RecoveryTest, RecoveryStormRereplicatesEveryStrandedChunk) {
   Build();
   // Materialize all four chunks so a crash strands several replicas at once.
   for (int i = 0; i < 4; ++i) {
@@ -303,8 +303,7 @@ TEST_F(RecoveryTest, AdmissionBoundsConcurrentTransfersPerSource) {
   const auto& chunks = (*cluster_->master().GetDisk(disk_id_))->chunks;
 
   // Crash one server and report every chunk it hosted: the re-replication
-  // storm reads from the surviving replicas, and the admission controller
-  // must keep per-source fan-out at or under its slot count.
+  // storm reads from the surviving replicas, and every copy must finish.
   cluster::ServerId failed = chunks[0].replicas[1].server;
   std::vector<cluster::ChunkId> stranded;
   for (const auto& layout : chunks) {
@@ -325,14 +324,9 @@ TEST_F(RecoveryTest, AdmissionBoundsConcurrentTransfersPerSource) {
   }
   sim_.RunUntil(sim_.Now() + sec(30));
   EXPECT_EQ(pending, 0);
+  EXPECT_EQ(cluster_->master().recovery_stats().chunks_recovered, stranded.size());
 
-  scrub::RecoveryAdmission* admission = cluster_->recovery_admission();
-  ASSERT_NE(admission, nullptr);
-  EXPECT_GE(admission->grants(), stranded.size());
-  EXPECT_LE(admission->peak_in_flight(), admission->per_source());
-  EXPECT_EQ(admission->QueuedTotal(), 0u);  // nothing left waiting
-
-  // Data still reads back after the admission-paced recovery.
+  // Data still reads back after the recovery storm.
   disk_->RefreshLayout();
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(ReadSync(i * kMiB, 8192, sec(20)), test::Pattern(8192, 20 + i)) << i;
@@ -445,8 +439,7 @@ TEST_F(RecoveryTest, PipelinedCopyPausesAtTargetGateAndResumes) {
   EXPECT_EQ(ReadSync(0, data.size()), data);
 }
 
-// A target freed under a running copy fails it: `done` runs exactly once and
-// the source's admission slot comes back.
+// A target freed under a running copy fails it: `done` runs exactly once.
 TEST_F(RecoveryTest, FreedTargetFailsCopyOnceAndReleasesSlot) {
   Build();
   cluster_->master().set_recovery_piece(64 * kKiB);
@@ -480,11 +473,204 @@ TEST_F(RecoveryTest, FreedTargetFailsCopyOnceAndReleasesSlot) {
   sim_.RunUntil(sim_.Now() + sec(10));
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(recovery.code(), StatusCode::kNotFound) << recovery.ToString();
-  scrub::RecoveryAdmission* admission = cluster_->recovery_admission();
-  ASSERT_NE(admission, nullptr);
-  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
-    EXPECT_EQ(admission->InFlight(s), 0) << s;
+}
+
+// A server that crashes mid-copy drops the piece it was handed without a
+// reply, so only the job's timeout can end the copy: `done` runs exactly
+// once, with kTimedOut, and the replacement is freed again. The parameter
+// names what crashes: the replacement target, the source of the survivors'
+// copy, or that source while it catches a lagging survivor up — which must
+// not then move the laggard to the new version without the data.
+enum class CopyCrash { kTarget, kSource, kCatchUpSource };
+
+class CopyCrashTest : public RecoveryTest, public ::testing::WithParamInterface<CopyCrash> {};
+
+TEST_P(CopyCrashTest, CrashMidCopyTimesOutOnce) {
+  const CopyCrash crash = GetParam();
+  Build();
+  cluster_->master().set_recovery_piece(64 * kKiB);  // one piece at a time
+  cluster_->master().set_recovery_window(1);
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[1].server;
+  cluster::ChunkServer* laggard = cluster_->server(layout.replicas[2].server);
+  if (crash == CopyCrash::kCatchUpSource) {
+    // Apply a 256 KiB write on replicas 0 and 1 only: replica 2 lags a
+    // version, and catching it up takes four pieces.
+    ursa::Buffer data = ursa::Buffer::CopyOf(test::Pattern(256 * kKiB, 35).data(), 256 * kKiB);
+    for (int i = 0; i < 2; ++i) {
+      Status applied = Internal("no reply");
+      cluster_->server(layout.replicas[i].server)
+          ->HandleReplicate(layout.chunk, 0, 256 * kKiB, layout.view, /*version=*/0, data,
+                            [&](const Status& s, uint64_t) { applied = s; }, {}, /*write_id=*/1);
+      sim_.RunUntil(sim_.Now() + msec(100));
+      ASSERT_TRUE(applied.ok()) << applied.ToString();
+    }
+  } else {
+    ASSERT_TRUE(WriteSync(0, test::Pattern(64 * kKiB, 35)).ok());
   }
+  const uint64_t laggard_version = laggard->GetState(layout.chunk)->version;
+  cluster_->CrashServer(failed);
+  std::set<cluster::ServerId> holders;
+  for (const auto& r : layout.replicas) {
+    holders.insert(r.server);
+  }
+
+  int calls = 0;
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed, [&](Status s) {
+    ++calls;
+    recovery = s;
+  });
+  // The copy reads from the preferred survivor (the layout keeps it first)
+  // into the replacement ReportReplicaFailure allocated synchronously.
+  cluster::ServerId victim = layout.replicas[0].server;
+  if (crash == CopyCrash::kTarget) {
+    for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+      if (holders.count(s) == 0 && cluster_->master().server(s)->HasChunk(layout.chunk)) {
+        victim = s;
+      }
+    }
+    ASSERT_EQ(holders.count(victim), 0u);
+  }
+  if (crash == CopyCrash::kCatchUpSource) {
+    // The catch-up starts once the replacement holds the whole chunk.
+    const cluster::RecoveryStats& stats = cluster_->master().recovery_stats();
+    for (int i = 0; i < 100000 && stats.incremental_repairs + stats.full_copies == 0; ++i) {
+      sim_.RunUntil(sim_.Now() + usec(20));
+    }
+    ASSERT_EQ(stats.incremental_repairs + stats.full_copies, 1u);
+  } else {
+    sim_.RunUntil(sim_.Now() + msec(2));
+  }
+  ASSERT_EQ(calls, 0);  // still copying
+  cluster_->CrashServer(victim);
+  sim_.RunUntil(sim_.Now() + sec(60));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(recovery.code(), StatusCode::kTimedOut) << recovery.ToString();
+  EXPECT_EQ(cluster_->master().recovery_stats().chunks_recovered, 0u);
+  EXPECT_EQ(Layout0().view, layout.view);
+  EXPECT_EQ(laggard->GetState(layout.chunk)->version, laggard_version);
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    cluster::ChunkServer* server = cluster_->master().server(s);
+    if (holders.count(s) == 0 && !server->crashed()) {
+      EXPECT_FALSE(server->HasChunk(layout.chunk)) << "replacement " << s << " leaked";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Crash, CopyCrashTest,
+                         ::testing::Values(CopyCrash::kTarget, CopyCrash::kSource,
+                                           CopyCrash::kCatchUpSource),
+                         [](const ::testing::TestParamInfo<CopyCrash>& info) {
+                           switch (info.param) {
+                             case CopyCrash::kTarget:
+                               return "Target";
+                             case CopyCrash::kSource:
+                               return "Source";
+                             case CopyCrash::kCatchUpSource:
+                               return "CatchUpSource";
+                           }
+                           return "";
+                         });
+
+// A copy parked at its target's gate past the job timeout fails once and
+// frees its replacement. When the gate opens and the caller retries, only
+// the retry's copy runs: the timed-out one issues nothing more, so the
+// retry moves exactly one chunk and leaves exactly one replacement.
+TEST_F(RecoveryTest, TimedOutCopyStopsAndFreesItsReplacement) {
+  Build();
+  cluster_->master().set_recovery_piece(64 * kKiB);  // 16 pieces, window 8
+  cluster_->master().set_migration_timeout(msec(500));
+  auto data = test::Pattern(1 * kMiB, 37);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[1].server;
+  cluster_->CrashServer(failed);
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    gates.push_back(std::make_unique<test::TripGate>(
+        &sim_, cluster_->master().server(s)->store()->device(), qos::ServiceClass::kRecovery,
+        /*trip_after=*/4));
+  }
+  auto hosts = [&]() {
+    int n = 0;
+    for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+      cluster::ChunkServer* server = cluster_->master().server(s);
+      n += !server->crashed() && server->HasChunk(layout.chunk) ? 1 : 0;
+    }
+    return n;
+  };
+
+  int calls = 0;
+  Status recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed, [&](Status s) {
+    ++calls;
+    recovery = s;
+  });
+  sim_.RunUntil(sim_.Now() + sec(2));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(recovery.code(), StatusCode::kTimedOut) << recovery.ToString();
+  EXPECT_EQ(hosts(), 2);  // the replacement was freed
+  const uint64_t moved = cluster_->master().recovery_stats().bytes_transferred;
+  EXPECT_LT(moved, 1 * kMiB);
+
+  for (auto& g : gates) {
+    g->Open();
+  }
+  recovery = Internal("pending");
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed, [&](Status s) {
+    ++calls;
+    recovery = s;
+  });
+  sim_.RunUntil(sim_.Now() + sec(10));
+  EXPECT_EQ(calls, 2);
+  ASSERT_TRUE(recovery.ok()) << recovery.ToString();
+  EXPECT_EQ(cluster_->master().recovery_stats().bytes_transferred - moved, 1 * kMiB);
+  EXPECT_EQ(hosts(), 3);
+  gates.clear();
+  disk_->RefreshLayout();
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// A copy that is slow but keeps landing pieces outlives the job timeout:
+// each timeout that finds a piece landed since it was armed re-arms, so the
+// copy finishes once, with one pump (every byte sent once) and one
+// replacement.
+TEST_F(RecoveryTest, SlowCopyOutlivesTheJobTimeout) {
+  Build();
+  cluster_->master().set_recovery_piece(64 * kKiB);  // 16 pieces, one at a time
+  cluster_->master().set_recovery_window(1);
+  auto data = test::Pattern(1 * kMiB, 36);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ServerId failed = layout.replicas[1].server;
+  cluster_->CrashServer(failed);
+  // The copy takes about 34 ms, some 2 ms a piece: it lives through
+  // several timeouts.
+  cluster_->master().set_migration_timeout(msec(8));
+
+  int calls = 0;
+  Status recovery = Internal("pending");
+  const Nanos start = sim_.Now();
+  Nanos took = 0;
+  cluster_->master().ReportReplicaFailure(layout.chunk, failed, [&](Status s) {
+    ++calls;
+    recovery = s;
+    took = sim_.Now() - start;
+  });
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_EQ(calls, 1);
+  ASSERT_TRUE(recovery.ok()) << recovery.ToString();
+  EXPECT_GT(took, 3 * msec(8));
+  EXPECT_EQ(cluster_->master().recovery_stats().bytes_transferred, 1 * kMiB);
+  int hosts = 0;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    cluster::ChunkServer* server = cluster_->master().server(s);
+    hosts += !server->crashed() && server->HasChunk(layout.chunk) ? 1 : 0;
+  }
+  EXPECT_EQ(hosts, 3);  // two survivors and the replacement; nothing leaked
+  disk_->RefreshLayout();
+  EXPECT_EQ(ReadSync(0, data.size()), data);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Background scrub subsystem tests (DESIGN.md §11): checksum-ledger
-// bookkeeping, recovery-admission slotting, coordinator scheduling
-// (replica-staggering, per-server caps, health-aware ordering), and the
-// end-to-end detect -> quarantine -> repair pipeline on a live cluster.
+// bookkeeping, coordinator scheduling (replica-staggering, per-server caps,
+// health-aware ordering), and the end-to-end detect -> quarantine -> repair
+// pipeline on a live cluster.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,7 +13,6 @@
 
 #include "src/client/virtual_disk.h"
 #include "src/scrub/checksum_store.h"
-#include "src/scrub/recovery_admission.h"
 #include "src/scrub/scrub_coordinator.h"
 #include "src/scrub/scrubber.h"
 #include "src/sim/simulator.h"
@@ -175,93 +174,6 @@ TEST(ChecksumStoreTest, GenerationMovesOnEveryMutation) {
   EXPECT_GT(g2, g1);
   store.Drop(5);
   EXPECT_GT(store.generation(5), g2);  // survives Drop: stale rearms still refuse
-}
-
-// ---------------------------------------------------------------------------
-// RecoveryAdmission
-// ---------------------------------------------------------------------------
-
-class AdmissionTest : public ::testing::Test {
- protected:
-  AdmissionConfig Config(int per_source) {
-    AdmissionConfig c;
-    c.enabled = true;
-    c.per_source = per_source;
-    return c;
-  }
-
-  sim::Simulator sim_;
-};
-
-TEST_F(AdmissionTest, CapsConcurrentTransfersPerSource) {
-  RecoveryAdmission admission(&sim_, Config(2));
-  std::vector<int> granted;
-  for (int i = 0; i < 6; ++i) {
-    admission.Acquire(42, RecoveryAdmission::Priority::kRecovery,
-                      [&granted, i] { granted.push_back(i); });
-  }
-  // Two slots grant synchronously; the other four queue.
-  EXPECT_EQ(granted.size(), 2u);
-  EXPECT_EQ(admission.InFlight(42), 2);
-  EXPECT_EQ(admission.QueuedTotal(), 4u);
-  EXPECT_EQ(admission.waits(), 4u);
-
-  // Each release grants exactly one waiter, FIFO, never exceeding the cap.
-  for (int round = 0; round < 4; ++round) {
-    admission.Release(42);
-    sim_.RunUntil(sim_.Now() + usec(1));
-    EXPECT_EQ(admission.InFlight(42), 2);
-    EXPECT_EQ(granted.size(), static_cast<size_t>(3 + round));
-    EXPECT_EQ(granted.back(), 2 + round);  // acquisition order preserved
-  }
-  EXPECT_EQ(admission.peak_in_flight(), 2);
-
-  // Other sources are independent of the saturated one.
-  bool other = false;
-  admission.Acquire(7, RecoveryAdmission::Priority::kRecovery, [&other] { other = true; });
-  EXPECT_TRUE(other);
-}
-
-TEST_F(AdmissionTest, RecoveryPreemptsQueuedScrubButScrubIsNotStarved) {
-  RecoveryAdmission admission(&sim_, Config(1));
-  int running = 0;
-  admission.Acquire(5, RecoveryAdmission::Priority::kRecovery, [&running] { ++running; });
-  ASSERT_EQ(running, 1);
-
-  std::vector<const char*> order;
-  admission.Acquire(5, RecoveryAdmission::Priority::kScrub,
-                    [&order] { order.push_back("scrub"); });
-  admission.Acquire(5, RecoveryAdmission::Priority::kRecovery,
-                    [&order] { order.push_back("recovery"); });
-  EXPECT_EQ(admission.QueuedTotal(), 2u);
-
-  // The recovery waiter arrived later but drains first.
-  admission.Release(5);
-  sim_.RunUntil(sim_.Now() + usec(1));
-  ASSERT_EQ(order.size(), 1u);
-  EXPECT_STREQ(order[0], "recovery");
-  EXPECT_GE(admission.scrub_yields(), 1u);
-
-  // Once the recovery band drains the scrub waiter is granted — yielded, not
-  // starved.
-  admission.Release(5);
-  sim_.RunUntil(sim_.Now() + usec(1));
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_STREQ(order[1], "scrub");
-}
-
-TEST_F(AdmissionTest, DisabledControllerGrantsEverythingImmediately) {
-  AdmissionConfig config;
-  config.enabled = false;
-  config.per_source = 2;
-  RecoveryAdmission admission(&sim_, config);
-  int granted = 0;
-  for (int i = 0; i < 8; ++i) {
-    admission.Acquire(1, RecoveryAdmission::Priority::kRecovery, [&granted] { ++granted; });
-  }
-  EXPECT_EQ(granted, 8);
-  EXPECT_EQ(admission.QueuedTotal(), 0u);
-  EXPECT_EQ(admission.waits(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -363,12 +363,8 @@ TEST_F(MigratorTest, TouchAfterPushReKeysInsteadOfDemoting) {
 
 class TierClusterTest : public ::testing::Test {
  protected:
-  void Build(bool admission = false, bool scrub = false) {
+  void Build(bool scrub = false) {
     cluster::ClusterConfig config = test::SmallClusterConfig();
-    if (admission) {
-      config.admission.enabled = true;
-      config.admission.per_source = 1;
-    }
     if (scrub) {
       config.scrub.enabled = true;
       config.scrub.sweep_interval = msec(200);
@@ -508,14 +504,14 @@ TEST_F(TierClusterTest, JournalBacklogAndDivergenceBlockDemotion) {
   EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
 }
 
-TEST_F(TierClusterTest, MigrationCompletesUnderAdmissionPressure) {
-  Build(/*admission=*/true);
+TEST_F(TierClusterTest, ConcurrentDemotionsBothCommit) {
+  Build();
   auto data = test::Pattern(2 * kMiB, 41);  // chunks 0 and 1
   ASSERT_TRUE(WriteSync(0, data).ok());
   DrainReplay();
 
-  // Both demotions race for per-source transfer slots (per_source = 1);
-  // admission serializes conflicting transfers but must not wedge either.
+  // Both demotions run at once, paced only by the device schedulers;
+  // neither may wedge or tear the other.
   Status s0 = Internal("pending");
   Status s1 = Internal("pending");
   cluster_->master().DemoteChunkToEc(Layout(0).chunk, 4, 2,
@@ -555,7 +551,7 @@ TEST_F(TierClusterTest, ShardRepairRebuildsLostShardOnNewServer) {
 }
 
 TEST_F(TierClusterTest, ScrubDetectsAndRepairsCorruptShardRange) {
-  Build(/*admission=*/false, /*scrub=*/true);
+  Build(/*scrub=*/true);
   auto data = test::Pattern(1 * kMiB, 61);
   ASSERT_TRUE(WriteSync(0, data).ok());
   DrainReplay();
@@ -651,10 +647,10 @@ TEST_F(TierClusterTest, ShardWritesPauseAtTargetGateAndResume) {
 }
 
 // A shard freed under a running demotion fails it: `done` runs exactly once,
-// the admission slot comes back, every shard the migration allocated is
-// freed, and the chunk stays replicated.
+// every shard the migration allocated is freed, and the chunk stays
+// replicated.
 TEST_F(TierClusterTest, FreedShardFailsDemotionOnceAndRollsBack) {
-  Build(/*admission=*/true);
+  Build();
   cluster_->master().set_recovery_piece(64 * kKiB);
   cluster_->master().set_recovery_window(1);
   auto data = test::Pattern(1 * kMiB, 73);
@@ -686,9 +682,7 @@ TEST_F(TierClusterTest, FreedShardFailsDemotionOnceAndRollsBack) {
   EXPECT_EQ(demote.code(), StatusCode::kNotFound) << demote.ToString();
   EXPECT_EQ(cluster_->master().tier_stats().demote_failures, 1u);
   EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
-  scrub::RecoveryAdmission* admission = cluster_->recovery_admission();
   for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
-    EXPECT_EQ(admission->InFlight(s), 0) << s;
     for (storage::ChunkId id = first_shard; id < first_shard + 6; ++id) {
       EXPECT_FALSE(cluster_->master().server(s)->HasChunk(id)) << s << " " << id;
     }
@@ -706,7 +700,7 @@ TEST_F(TierClusterTest, FreedShardFailsDemotionOnceAndRollsBack) {
 // A closed promotion whose back-fill fails rolls back: its waiter gets the
 // error, the targets are freed, and the chunk stays EC and readable.
 TEST_F(TierClusterTest, ClosedPromotionRollsBackWhenItsPassFails) {
-  Build(/*admission=*/true);
+  Build();
   auto data = test::Pattern(1 * kMiB, 81);
   ASSERT_TRUE(WriteSync(0, data).ok());
   DrainReplay();
@@ -736,9 +730,6 @@ TEST_F(TierClusterTest, ClosedPromotionRollsBackWhenItsPassFails) {
   EXPECT_FALSE(after.speculating());
   for (const cluster::ReplicaRef& r : promoting.spec_replicas) {
     EXPECT_FALSE(cluster_->server(r.server)->HasChunk(chunk)) << r.server;
-  }
-  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
-    EXPECT_EQ(cluster_->recovery_admission()->InFlight(s), 0) << s;
   }
   EXPECT_EQ(ReadSync(0, data.size()), data);
   // The migration mark is gone: the next promotion runs and commits.
