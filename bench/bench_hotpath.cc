@@ -18,6 +18,10 @@
 //   6. The client hot path end to end: closed-loop 4 KiB writes, then reads,
 //      at queue depth 16 through a VirtualDisk on a 3-machine hybrid
 //      TestBed — simulated client ops completed per wall-clock second.
+//   7. The scheduled SSD path below the chunk server: closed-loop 4 KiB
+//      reads and writes from two tenants at queue depth 16 through a QoS
+//      IoScheduler on an SsdModel — device I/Os completed per wall-clock
+//      second.
 //
 // Emits BENCH_hotpath.json (or the --metrics-json=<path> override) for the
 // CI bench-smoke regression gate.
@@ -38,8 +42,10 @@
 #include "src/core/params.h"
 #include "src/core/system.h"
 #include "src/index/range_index.h"
+#include "src/qos/io_scheduler.h"
 #include "src/sim/event_queue.h"
 #include "src/storage/block_device.h"
+#include "src/storage/ssd_model.h"
 
 using namespace ursa;
 
@@ -414,6 +420,45 @@ VdiskResult BenchVdisk() {
   return {write4k, read4k};
 }
 
+// ---- 7. Scheduled SSD ----
+
+double BenchQosSsd() {
+  constexpr int kQueueDepth = 16;
+  constexpr int kOps = 400000;
+  constexpr uint64_t kSpan = 1ull << 30;
+  sim::Simulator sim;
+  storage::SsdModel ssd(&sim, storage::SsdParams{});
+  qos::QosConfig config;
+  config.enabled = true;
+  qos::IoScheduler sched(&sim, &ssd, config, /*device_depth=*/8, "ssd");
+  std::vector<uint8_t> out(4096);
+  Rng rng(17);
+  int issued = 0;
+  int completed = 0;
+  std::function<void()> issue = [&]() {
+    storage::IoRequest req;
+    req.type = issued % 2 == 0 ? storage::IoType::kRead : storage::IoType::kWrite;
+    req.offset = rng.Uniform(kSpan / 4096) * 4096;
+    req.length = 4096;
+    req.out = req.type == storage::IoType::kRead ? out.data() : nullptr;
+    req.tag.tenant = 1 + issued % 4 / 2;
+    req.done = [&](const Status&) {
+      ++completed;
+      if (issued < kOps) {
+        issue();
+      }
+    };
+    ++issued;
+    ssd.Submit(std::move(req));
+  };
+  auto t0 = Clock::now();
+  for (int i = 0; i < kQueueDepth; ++i) {
+    issue();
+  }
+  sim.RunToCompletion();
+  return completed / Seconds(t0, Clock::now());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -480,6 +525,12 @@ int main(int argc, char** argv) {
   vd_table.AddRow({"write", core::Table::Int(vd.write4k_per_s)});
   vd_table.AddRow({"read", core::Table::Int(vd.read4k_per_s)});
   vd_table.Print();
+  std::printf("\n");
+
+  const double qos_ssd = BenchQosSsd();
+  core::Table qos_table({"IoScheduler on SsdModel, 4KiB qd16", "ops/s"});
+  qos_table.AddRow({"read/write, two tenants", core::Table::Int(qos_ssd)});
+  qos_table.Print();
 
   std::string json_path = core::MetricsJsonPath(argc, argv);
   if (json_path.empty()) {
@@ -507,7 +558,8 @@ int main(int argc, char** argv) {
      << ",\"page_store_read4k_per_s\":" << ps.read4k_per_s
      << ",\"page_store_ring_per_s\":" << ps.ring_per_s
      << ",\"vdisk_write4k_per_s\":" << vd.write4k_per_s
-     << ",\"vdisk_read4k_per_s\":" << vd.read4k_per_s << "}\n";
+     << ",\"vdisk_read4k_per_s\":" << vd.read4k_per_s
+     << ",\"qos_ssd_io4k_per_s\":" << qos_ssd << "}\n";
   std::printf("\nmetrics written to %s\n", json_path.c_str());
   return 0;
 }

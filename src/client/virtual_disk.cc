@@ -258,10 +258,10 @@ void VirtualDisk::StartRead(uint32_t op) {
         URSA_CHECK(SubLive(s, gen));
         IssueRead(s);
       };
-      static_assert(sizeof(issue) <= InlineFn::kInlineBytes);
+      static_assert(InlineFn::kFitsInline<decltype(issue)>);
       loop_->Submit(options_.loop_issue_cost, issue);
     };
-    static_assert(sizeof(enter) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(enter)>);
     sim_->After(options_.vmm_overhead, enter);
   }
 }
@@ -280,7 +280,7 @@ void VirtualDisk::StartWrite(uint32_t op) {
       URSA_CHECK(ops_[op].gen == gen);
       StartWrite(op);
     };
-    static_assert(sizeof(resume) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(resume)>);
     sim_->After(wait, resume);
     return;
   }
@@ -312,7 +312,7 @@ void VirtualDisk::StartWrite(uint32_t op) {
       URSA_CHECK(SubLive(s, gen));
       EnqueueWrite(s);
     };
-    static_assert(sizeof(enqueue) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(enqueue)>);
     sim_->After(options_.vmm_overhead, enqueue);
   }
   rec.data = {};  // each sub-request holds its own slice
@@ -351,7 +351,7 @@ void VirtualDisk::FinishSub(uint32_t s, Status status) {
     URSA_CHECK(ops_[op].gen == gen);
     FinishOp(op);
   };
-  static_assert(sizeof(finish) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(finish)>);
   sim_->After(options_.vmm_overhead, finish);
 }
 
@@ -589,11 +589,11 @@ void VirtualDisk::SendPiece(uint32_t p) {
         OnPieceDone(p, TimedOut("rpc timeout"));
       }
     };
-    static_assert(sizeof(expire) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(expire)>);
     piece.timeout = sim_->After(options_.request_timeout, expire);
   }
   auto deliver = [this, p, gen]() { DeliverPiece(p, gen); };
-  static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(deliver)>);
   cluster_->transport().Send(host_->node(), piece.node, WireBytes(MessageType::kReadRequest),
                              deliver, SubSpan(piece.sub), obs::Stage::kNetRequest);
 }
@@ -614,7 +614,7 @@ void VirtualDisk::DeliverPiece(uint32_t p, uint32_t gen) {
                    buf = pieces_[piece.degraded].survivors](const Status& s, uint64_t) {
       OnPieceServed(p, gen, s);
     };
-    static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(served)>);
     server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version,
                        piece.out, served, span);
     return;
@@ -622,7 +622,7 @@ void VirtualDisk::DeliverPiece(uint32_t p, uint32_t gen) {
   auto served = [this, p, gen, keep = UserCallback(piece.sub)](const Status& s, uint64_t) {
     OnPieceServed(p, gen, s);
   };
-  static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version, piece.out,
                      served, span);
 }
@@ -633,12 +633,12 @@ void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status) 
     return;  // a late or duplicated request; the piece already finished
   }
   uint64_t bytes = status.ok() ? piece.length : 0;
-  auto reply = [this, p, gen, status]() {
+  auto reply = [this, p, gen, st = status]() {
     if (pieces_[p].gen == gen) {
-      OnPieceDone(p, status);
+      OnPieceDone(p, st);
     }
   };
-  static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(reply)>);
   cluster_->transport().Send(piece.node, host_->node(), WireBytes(MessageType::kReadReply, bytes),
                              reply, SubSpan(piece.sub), obs::Stage::kNetReply);
 }
@@ -710,7 +710,7 @@ void VirtualDisk::FinishPiece(uint32_t p, Status status) {
     URSA_CHECK(SubLive(s, gen));
     FinishReadAttempt(s);
   };
-  static_assert(sizeof(done) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(done)>);
   loop_->Submit(options_.loop_complete_cost + (rec.status.ok() ? copy_cost : 0), done);
 }
 
@@ -801,7 +801,7 @@ void VirtualDisk::PumpWriteQueue(size_t chunk_index) {
     URSA_CHECK(SubLive(s, gen));
     IssueWrite(s);
   };
-  static_assert(sizeof(issue) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(issue)>);
   loop_->Submit(options_.loop_issue_cost + copy_cost, issue);
 }
 
@@ -854,7 +854,7 @@ void VirtualDisk::ArmWriteTimeout(uint32_t s) {
       DecideWriteAttempt(s, TimedOut("rpc timeout"));
     }
   };
-  static_assert(sizeof(expire) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(expire)>);
   subs_[s].timeout = sim_->After(options_.request_timeout, expire);
 }
 
@@ -884,7 +884,7 @@ void VirtualDisk::ClientDirectedWrite(uint32_t s) {
       OnQuorumDecided(s);
     }
   };
-  static_assert(sizeof(commit) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(commit)>);
   rec.commit_timer = sim_->After(options_.commit_timeout, commit);
   rec.legs_fired = 0;
 
@@ -896,7 +896,7 @@ void VirtualDisk::ClientDirectedWrite(uint32_t s) {
   // masquerade as a majority.
   for (uint32_t r = 0; r < rec.targets.size(); ++r) {
     auto deliver = [this, s, tag = rec.gen + r]() { DeliverLeg(s, tag); };
-    static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(deliver)>);
     cluster_->transport().Send(host_->node(), rec.targets[r].node,
                                WireBytes(MessageType::kReplicate, rec.sub.length), deliver,
                                SubSpan(s), obs::Stage::kNetRequest);
@@ -915,7 +915,7 @@ void VirtualDisk::DeliverLeg(uint32_t s, uint32_t tag) {
   auto served = [this, s, tag, keep = UserCallback(s)](const Status& status, uint64_t) {
     OnLegServed(s, tag, status.code());
   };
-  static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleReplicate(rec.chunk, rec.sub.chunk_offset, rec.sub.length, rec.view, rec.version,
                           rec.data, served, SubSpan(s), rec.sub.write_id);
 }
@@ -925,7 +925,7 @@ void VirtualDisk::OnLegServed(uint32_t s, uint32_t tag, StatusCode code) {
     return;
   }
   auto reply = [this, s, tag, code]() { OnLegReply(s, tag, code); };
-  static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(reply)>);
   cluster_->transport().Send(subs_[s].targets[tag % kGenStride].node, host_->node(),
                              WireBytes(MessageType::kReplicateReply), reply, SubSpan(s),
                              obs::Stage::kNetReply);
@@ -986,7 +986,7 @@ void VirtualDisk::PrimaryDrivenWrite(uint32_t s) {
 
   ArmWriteTimeout(s);
   auto deliver = [this, s, gen = rec.gen]() { DeliverPrimaryWrite(s, gen); };
-  static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(deliver)>);
   cluster_->transport().Send(host_->node(), rec.targets[0].node,
                              WireBytes(MessageType::kWriteRequest, rec.sub.length), deliver,
                              SubSpan(s), obs::Stage::kNetRequest);
@@ -1005,7 +1005,7 @@ void VirtualDisk::DeliverPrimaryWrite(uint32_t s, uint32_t gen) {
                                                         uint64_t new_version) {
     OnPrimaryServed(s, gen, status, new_version);
   };
-  static_assert(sizeof(served) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleWrite(rec.chunk, rec.sub.chunk_offset, rec.sub.length, rec.view, rec.version,
                       rec.data, rec.backups, served, SubSpan(s), rec.sub.write_id);
 }
@@ -1016,12 +1016,12 @@ void VirtualDisk::OnPrimaryServed(uint32_t s, uint32_t gen, const Status& status
     return;
   }
   subs_[s].replied_version = new_version;
-  auto reply = [this, s, gen, status]() {
+  auto reply = [this, s, gen, st = status]() {
     if (SubLive(s, gen)) {
-      DecideWriteAttempt(s, status);
+      DecideWriteAttempt(s, st);
     }
   };
-  static_assert(sizeof(reply) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(reply)>);
   cluster_->transport().Send(subs_[s].targets[0].node, host_->node(),
                              WireBytes(MessageType::kWriteReply), reply, SubSpan(s),
                              obs::Stage::kNetReply);
@@ -1039,7 +1039,7 @@ void VirtualDisk::DecideWriteAttempt(uint32_t s, Status status) {
     URSA_CHECK(SubLive(s, gen));
     FinishWriteAttempt(s);
   };
-  static_assert(sizeof(done) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(done)>);
   loop_->Submit(options_.loop_complete_cost, done);
 }
 
@@ -1082,10 +1082,10 @@ void VirtualDisk::PromoteForWrite(uint32_t s) {
       URSA_CHECK(SubLive(s, gen));
       FinishPromote(s);
     };
-    static_assert(sizeof(resume) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(resume)>);
     loop_->Submit(options_.loop_complete_cost, resume);
   };
-  static_assert(sizeof(promoted) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(promoted)>);
   cluster_->master().BeginWritePromote(chunk, promoted);
 }
 
@@ -1161,7 +1161,7 @@ void VirtualDisk::ScheduleRetry(uint32_t s) {
     URSA_CHECK(SubLive(s, gen));
     Retry(s);
   };
-  static_assert(sizeof(retry) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(retry)>);
   sim_->After(delay, retry);
 }
 

@@ -1,12 +1,14 @@
 // InlineFn: a copyable `void()` functor with inline storage.
 //
 // Drop-in replacement for `std::function<void()>` on the simulator hot path.
-// Closures up to kInlineBytes live inside the object — no heap allocation on
-// construct, move, or copy. Larger closures fall back to a single heap cell,
-// exactly like std::function. Note that an InlineFn is itself larger than
-// kInlineBytes, so a closure that captures one always spills: hot-path code
-// keeps such state in pooled slots and captures only an index (see
-// sim::Resource and net::Transport, which static_assert their closure sizes).
+// Closures that satisfy kFitsInline (at most kInlineBytes, no stricter
+// alignment than max_align_t, nothrow-movable) live inside the object — no
+// heap allocation on construct, move, or copy. Other closures fall back to a
+// single heap cell, exactly like std::function. Note that an InlineFn is
+// itself larger than kInlineBytes, so a closure that captures one always
+// spills: hot-path code keeps such state in pooled slots and captures only an
+// index (see sim::Resource and net::Transport, which static_assert
+// kFitsInline on their closures).
 //
 // Semantics mirror std::function<void()>:
 //   * copyable (the transport's chaos duplicate path copies delivery
@@ -30,6 +32,14 @@ class InlineFn {
   // resource completions, RPC timeouts): a few pointers and scalars.
   static constexpr size_t kInlineBytes = 64;
 
+  // Whether a closure of type F is stored inline (no heap cell). A
+  // `const` capture (a by-copy capture of a const reference) has no nothrow
+  // move when its type's copy can throw, and so does not fit.
+  template <typename F, typename D = std::decay_t<F>>
+  static constexpr bool kFitsInline = sizeof(D) <= kInlineBytes &&
+                                      alignof(D) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<D>;
+
   InlineFn() = default;
   InlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
@@ -37,9 +47,7 @@ class InlineFn {
             typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    constexpr bool fits = sizeof(D) <= kInlineBytes && alignof(D) <= alignof(Storage) &&
-                          std::is_nothrow_move_constructible_v<D>;
-    if constexpr (fits) {
+    if constexpr (kFitsInline<D>) {
       ::new (storage_.bytes) D(std::forward<F>(f));
       ops_ = &InlineOps<D>::ops;
     } else {

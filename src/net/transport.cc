@@ -157,7 +157,7 @@ void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventF
     // Loopback: no NIC occupancy, just a scheduler hop.
     uint32_t id = AcquireInFlight(to, wire_bytes, std::move(deliver));
     auto loopback = [this, id]() { Deliver(id); };
-    static_assert(sizeof(loopback) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(loopback)>);
     sim_->After(usec(2) + chaos_delay, loopback);
     return;
   }
@@ -198,13 +198,13 @@ void Transport::Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extr
   msg.rx_nic = rx_nic;
   msg.propagation = propagation;
   auto egress_done = [this, id]() { Propagate(id); };
-  static_assert(sizeof(egress_done) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(egress_done)>);
   src.egress[tx_nic]->Submit(tx_time, egress_done);
 }
 
 void Transport::Propagate(uint32_t id) {
   auto arrived = [this, id]() { Arrive(id); };
-  static_assert(sizeof(arrived) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(arrived)>);
   sim_->After(in_flight_[id].propagation, arrived);
 }
 
@@ -216,7 +216,7 @@ void Transport::Arrive(uint32_t id) {
     return;
   }
   auto ingress_done = [this, id]() { IngressDone(id); };
-  static_assert(sizeof(ingress_done) <= InlineFn::kInlineBytes);
+  static_assert(InlineFn::kFitsInline<decltype(ingress_done)>);
   dst.ingress[msg.rx_nic]->Submit(msg.rx_time, ingress_done);
 }
 

@@ -87,11 +87,26 @@ void IoScheduler::Enqueue(ClassState& c, storage::IoRequest req) {
     }
   }
   if (tq == nullptr) {
-    c.tenants.push_back(TenantQueue{tenant, {}, 0});
-    tq = &c.tenants.back();
+    tq = &c.tenants.emplace_back();
+    tq->tenant = tenant;
+    if (!spare_queues_.empty()) {
+      tq->q = std::move(spare_queues_.back());
+      spare_queues_.pop_back();
+    }
   }
   tq->q.push_back(Queued{std::move(req), sim_->Now()});
   ++c.queued;
+}
+
+void IoScheduler::TenantQueue::PopFront() {
+  ++head;
+  if (head == q.size()) {
+    q.clear();
+    head = 0;
+  } else if (head >= 64 && head * 2 >= q.size()) {
+    q.erase(q.begin(), q.begin() + static_cast<ptrdiff_t>(head));
+    head = 0;
+  }
 }
 
 bool IoScheduler::ShouldThrottle(ServiceClass c) const {
@@ -128,19 +143,19 @@ IoScheduler::Queued IoScheduler::PopNext(ClassState& c) {
     for (size_t i = 0; i < n; ++i) {
       size_t idx = (c.rr + i) % n;
       TenantQueue& t = c.tenants[idx];
-      if (t.q.empty()) {
+      if (t.empty()) {
         continue;
       }
-      uint64_t need = std::max<uint64_t>(t.q.front().req.length, 1);
+      uint64_t need = std::max<uint64_t>(t.front().req.length, 1);
       if (t.deficit < need) {
         continue;
       }
       t.deficit -= need;
-      Queued item = std::move(t.q.front());
-      t.q.pop_front();
+      Queued item = std::move(t.front());
+      t.PopFront();
       --c.queued;
-      if (t.q.empty()) {
-        t.deficit = 0;
+      if (t.empty()) {
+        spare_queues_.push_back(std::move(t.q));
         c.tenants.erase(c.tenants.begin() + static_cast<ptrdiff_t>(idx));
         c.rr = c.tenants.empty() ? 0 : idx % c.tenants.size();
       } else {
@@ -149,7 +164,7 @@ IoScheduler::Queued IoScheduler::PopNext(ClassState& c) {
       return item;
     }
     for (TenantQueue& t : c.tenants) {
-      if (!t.q.empty()) {
+      if (!t.empty()) {
         t.deficit += config_.quantum_bytes;
       }
     }
@@ -163,8 +178,8 @@ const IoScheduler::Queued* IoScheduler::PeekNext(const ClassState& c) const {
   size_t n = c.tenants.size();
   for (size_t i = 0; i < n; ++i) {
     const TenantQueue& t = c.tenants[(c.rr + i) % n];
-    if (!t.q.empty()) {
-      return &t.q.front();
+    if (!t.empty()) {
+      return &t.front();
     }
   }
   return nullptr;
@@ -230,14 +245,16 @@ void IoScheduler::Dispatch(ClassState& c, Queued item) {
     c.admit_latency_us->Record(static_cast<int64_t>((sim_->Now() - item.enqueued) / 1000));
   }
   ++outstanding_;
-  storage::IoCallback done = std::move(item.req.done);
-  item.req.done = [this, done = std::move(done)](const Status& s) {
-    --outstanding_;
-    if (done) {
-      done(s);
-    }
-    Pump();
-  };
+  uint32_t slot;
+  if (!free_completions_.empty()) {
+    slot = free_completions_.back();
+    free_completions_.pop_back();
+    completions_[slot] = std::move(item.req.done);
+  } else {
+    slot = static_cast<uint32_t>(completions_.size());
+    completions_.push_back(std::move(item.req.done));
+  }
+  item.req.done = [this, slot](const Status& s) { Complete(slot, s); };
   // The scheduler owns arbitration now; the device model must not apply its
   // own foreground/background priority (the HDD elevator's idle grace would
   // park an already-arbitrated replay write indefinitely under foreground
@@ -245,6 +262,16 @@ void IoScheduler::Dispatch(ClassState& c, Queued item) {
   item.req.background = false;
   device_->Admit(std::move(item.req));
   FireReadyWaiters(c);
+}
+
+void IoScheduler::Complete(uint32_t slot, const Status& s) {
+  storage::IoCallback done = std::move(completions_[slot]);
+  free_completions_.push_back(slot);
+  --outstanding_;
+  if (done) {
+    done(s);
+  }
+  Pump();
 }
 
 void IoScheduler::ScheduleThrottleTimer(Nanos delay) {

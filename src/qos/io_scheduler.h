@@ -17,14 +17,19 @@
 //     (ShouldThrottle / WhenReady) so background producers pause instead of
 //     growing the queues without bound.
 //
-// Ordering note: BlockDevice::Submit applies write payloads to the backing
-// page store eagerly when a gate is attached, so scheduler reordering is
-// timing-only — data visibility keeps submission order, exactly as in the
-// ungated path.
+// Ordering note: BlockDevice::Submit serves reads and applies write payloads
+// to the backing page store before the request reaches the gate, so
+// scheduler reordering is timing-only — data visibility keeps submission
+// order, exactly as in the ungated path.
+//
+// Steady-state enqueue and dispatch allocate nothing: tenant queues are
+// vector FIFOs whose storage is recycled when a tenant is pruned, and a
+// dispatched request's callback waits in a pooled slot, so the completion
+// wrapper captures only (this, slot).
 #ifndef URSA_QOS_IO_SCHEDULER_H_
 #define URSA_QOS_IO_SCHEDULER_H_
 
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -73,10 +78,18 @@ class IoScheduler : public storage::IoGate {
     Nanos enqueued = 0;
   };
 
+  // One tenant's FIFO: q[head, size) are waiting; the consumed prefix is
+  // dropped once it dominates.
   struct TenantQueue {
     uint64_t tenant = 0;
-    std::deque<Queued> q;
+    std::vector<Queued> q;
+    size_t head = 0;
     uint64_t deficit = 0;
+
+    bool empty() const { return head == q.size(); }
+    const Queued& front() const { return q[head]; }
+    Queued& front() { return q[head]; }
+    void PopFront();
   };
 
   struct ClassState {
@@ -111,6 +124,8 @@ class IoScheduler : public storage::IoGate {
   Queued PopNext(ClassState& c);
   const Queued* PeekNext(const ClassState& c) const;
   void Dispatch(ClassState& c, Queued item);
+  // Runs the device completion of the request whose callback waits in `slot`.
+  void Complete(uint32_t slot, const Status& s);
   void FireReadyWaiters(ClassState& c);
   void ScheduleThrottleTimer(Nanos delay);
 
@@ -127,6 +142,12 @@ class IoScheduler : public storage::IoGate {
                                      ServiceClass::kScrub};
   size_t fg_cursor_ = 0;
   size_t bg_cursor_ = 0;
+
+  // Emptied tenant queues' storage, reused by the next new tenant.
+  std::vector<std::vector<Queued>> spare_queues_;
+  // Callbacks of dispatched requests, indexed by slot; freed slots are reused.
+  std::vector<storage::IoCallback> completions_;
+  std::vector<uint32_t> free_completions_;
 
   size_t outstanding_ = 0;
   int fg_streak_ = 0;  // consecutive foreground dispatches with bg waiting

@@ -34,7 +34,7 @@ void Resource::StartNext() {
     ++busy_;
     busy_time_ += job.service_time;
     auto complete = [this, slot]() { FinishJob(slot); };
-    static_assert(sizeof(complete) <= InlineFn::kInlineBytes);
+    static_assert(InlineFn::kFitsInline<decltype(complete)>);
     sim_->After(job.service_time, complete);
   }
   if (head_ == queue_.size()) {

@@ -43,6 +43,7 @@ Status ChunkStore::Free(ChunkId id) {
   if (it == slots_.end()) {
     return NotFound("chunk " + std::to_string(id) + " not allocated");
   }
+  device_->Discard(region_offset_ + it->second * chunk_size_, chunk_size_);
   free_slots_.push_back(it->second);
   slots_.erase(it);
   return OkStatus();

@@ -30,7 +30,9 @@ class ChunkStore {
   // Allocates a slot for `id`. Fails with kAlreadyExists / kResourceExhausted.
   Status Allocate(ChunkId id);
 
-  // Frees the slot for `id` (data is not scrubbed).
+  // Frees the slot for `id` and discards its bytes on the device, so a chunk
+  // later placed in the slot reads zeros where it has not written, never the
+  // previous chunk's data.
   Status Free(ChunkId id);
 
   bool Contains(ChunkId id) const { return slots_.find(id) != slots_.end(); }

@@ -10,7 +10,9 @@
 #ifndef URSA_STORAGE_SSD_MODEL_H_
 #define URSA_STORAGE_SSD_MODEL_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/units.h"
@@ -47,10 +49,22 @@ class SsdModel : public BlockDevice {
   PageStore* mutable_page_store() override { return &store_; }
 
  private:
+  // An I/O in flight: its channel slices not yet served, and its callback.
+  struct Io {
+    size_t remaining = 0;
+    IoCallback done;
+  };
+
+  // Counts down one served slice; the last one starts the controller delay.
+  void SliceDone(uint32_t slot);
+
   SsdParams params_;
   std::vector<std::unique_ptr<sim::Resource>> channels_;
   size_t inflight_ = 0;
   PageStore store_;
+  // Records of in-flight I/Os, indexed by slot; freed slots are reused.
+  std::vector<Io> ios_;
+  std::vector<uint32_t> free_ios_;
 };
 
 }  // namespace ursa::storage

@@ -1,7 +1,10 @@
 // Unit tests for the QoS subsystem: token-bucket conformance, weighted DRR
 // fairness (classes and tenants), starvation freedom under saturating
 // foreground load, and watermark backpressure (ShouldThrottle / WhenReady).
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -9,6 +12,23 @@
 #include "src/qos/token_bucket.h"
 #include "src/sim/simulator.h"
 #include "src/storage/mem_device.h"
+#include "src/storage/ssd_model.h"
+
+// Counts every heap allocation this test binary makes, so a test can assert
+// that a steady-state path allocates nothing.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ursa::qos {
 namespace {
@@ -321,6 +341,70 @@ TEST(IoSchedulerTest, GatedWritesKeepSubmissionOrderVisibility) {
   std::vector<uint8_t> got(4096);
   dev.ReadSync(0, got.data(), got.size());
   EXPECT_EQ(got, second);
+}
+
+// ---- Allocation-free device path ----
+
+// Closed-loop 4 KiB reads and writes from two tenants at queue depth 16
+// through a scheduler on an SsdModel: more requests than the device depth,
+// so tenant queues fill, empty, get pruned and come back. Once the pools
+// and queues have grown, an I/O allocates nothing — the SsdModel's per-I/O
+// record, the tenant queues and the dispatch completions are all pooled.
+class SsdLoop {
+ public:
+  SsdLoop() : ssd_(&sim_, storage::SsdParams{}), sched_(&sim_, &ssd_, Config(), 4, "ssd") {}
+
+  // Runs `ops` I/Os to completion at queue depth 16.
+  void Run(int ops) {
+    target_ = issued_ + ops;
+    for (int i = 0; i < 16; ++i) {
+      Issue();
+    }
+    sim_.RunToCompletion();
+  }
+  int completed() const { return completed_; }
+
+ private:
+  static QosConfig Config() {
+    QosConfig config;
+    config.enabled = true;
+    return config;
+  }
+
+  void Issue() {
+    IoRequest req;
+    req.type = issued_ % 2 == 0 ? IoType::kRead : IoType::kWrite;
+    req.offset = (static_cast<uint64_t>(issued_) * 7919 % 4096) * 4096;
+    req.length = 4096;
+    req.out = req.type == IoType::kRead ? out_.data() : nullptr;
+    req.tag.tenant = 1 + issued_ % 4 / 2;
+    req.done = [this](const Status&) {
+      ++completed_;
+      if (issued_ < target_) {
+        Issue();
+      }
+    };
+    ++issued_;
+    ssd_.Submit(std::move(req));
+  }
+
+  sim::Simulator sim_;
+  storage::SsdModel ssd_;
+  IoScheduler sched_;
+  std::vector<uint8_t> out_ = std::vector<uint8_t>(4096);
+  int issued_ = 0;
+  int target_ = 0;
+  int completed_ = 0;
+};
+
+TEST(IoSchedulerTest, SteadyStateSsdIoAllocatesNothing) {
+  SsdLoop loop;
+  loop.Run(2000);  // warm-up: pools, queues and the event heap grow
+  const uint64_t before = g_allocations.load();
+  loop.Run(4000);
+  const uint64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(loop.completed(), 6000);
+  EXPECT_EQ(allocations, 0u) << "heap allocations in 4000 steady-state I/Os";
 }
 
 }  // namespace
