@@ -61,6 +61,12 @@ JournalManager::JournalManager(sim::Simulator* sim, storage::ChunkStore* backup_
                                   [this]() { return static_cast<double>(IndexSegments()); });
 }
 
+JournalManager::~JournalManager() {
+  if (tick_ != 0) {
+    sim_->Cancel(tick_);
+  }
+}
+
 const JournalStats& JournalManager::stats() const {
   stats_cache_.journaled_writes = journaled_writes_->value();
   stats_cache_.bypassed_writes = bypassed_writes_->value();
@@ -353,14 +359,12 @@ void JournalManager::RecoverFromJournals(storage::IoCallback done) {
         if (corruption_handler_) {
           corruption_handler_(cr.chunk, cr.offset, cr.length,
                               [this, chunk = cr.chunk, offset = cr.offset,
-                               length = cr.length]() {
-                                ClearQuarantine(chunk, offset, length);
-                                corruptions_repaired_->Increment();
-                              });
+                               length = cr.length]() { Heal(chunk, offset, length); });
         }
       }
     }
     active_ = 0;
+    restored_ = true;
     Kick();
     (*done_shared)(OkStatus());
   };
@@ -417,12 +421,15 @@ bool JournalManager::HasIndexedData(storage::ChunkId chunk) const {
 }
 
 void JournalManager::Kick() {
-  if (!replay_running_ || replay_wave_inflight_ || tick_scheduled_) {
+  if (!replay_running_ || replay_wave_inflight_ || tick_ != 0) {
     return;
   }
-  tick_scheduled_ = true;
-  sim_->After(0, [this]() {
-    tick_scheduled_ = false;
+  ScheduleTick(0);
+}
+
+void JournalManager::ScheduleTick(Nanos delay) {
+  tick_ = sim_->After(delay, [this]() {
+    tick_ = 0;
     ReplayTick();
   });
 }
@@ -494,11 +501,7 @@ void JournalManager::ReplayTick() {
   if (chosen == journals_.size()) {
     if (waiting_on_busy_hdd) {
       // Poll for idleness; bounded because the HDD must eventually drain.
-      tick_scheduled_ = true;
-      sim_->After(options_.replay_poll_interval, [this]() {
-        tick_scheduled_ = false;
-        ReplayTick();
-      });
+      ScheduleTick(options_.replay_poll_interval);
     }
     return;  // fully drained: stop; the next Write() re-kicks us
   }
@@ -588,8 +591,7 @@ void JournalManager::OnCorruptRecord(size_t idx, const AppendedRecord& rec) {
     corruption_handler_(rec.chunk_id, rec.chunk_offset, rec.length,
                         [this, chunk = rec.chunk_id, offset = static_cast<uint64_t>(rec.chunk_offset),
                          length = static_cast<uint64_t>(rec.length)]() {
-                          ClearQuarantine(chunk, offset, length);
-                          corruptions_repaired_->Increment();
+                          Heal(chunk, offset, length);
                         });
   }
 }
@@ -639,12 +641,82 @@ void JournalManager::RecordDone(const std::shared_ptr<ReplayWave>& wave) {
   if (--wave->records_remaining > 0) {
     return;
   }
-  JournalWriter* writer = journals_[wave->journal].writer.get();
   for (size_t i = 0; i < wave->records; ++i) {
-    writer->PopFrontAndFree();
+    FreeFront(wave->journal);
+  }
+  ReleaseKept();
+  if (restored_ && ReplayDrained() && !AnyKept()) {
+    restored_ = false;
   }
   replay_wave_inflight_ = false;
   Kick();
+}
+
+void JournalManager::FreeFront(size_t k) {
+  JournalWriter* writer = journals_[k].writer.get();
+  if (MustKeep(k, writer->pending().front())) {
+    writer->PopFrontAndKeep();
+  } else {
+    writer->PopFrontAndFree();
+  }
+}
+
+bool JournalManager::MustKeep(size_t k, const AppendedRecord& rec) const {
+  if (IsQuarantined(rec.chunk_id, rec.chunk_offset, rec.length)) {
+    return true;
+  }
+  // Each journal frees in append order, and a chunk's versions rise in
+  // append order, so with one journal holding records an older overlapping
+  // record would have been freed first. Only a second journal, a kept
+  // record or a rebuilt queue can hold one.
+  bool may_overlap = restored_ || AnyKept();
+  for (size_t j = 0; j < journals_.size() && !may_overlap; ++j) {
+    may_overlap = j != k && journals_[j].writer->HasPending();
+  }
+  if (!may_overlap) {
+    return false;
+  }
+  auto older = [&rec](const AppendedRecord& o) {
+    return !o.invalidation && o.chunk_id == rec.chunk_id && o.version < rec.version &&
+           o.chunk_offset < rec.chunk_offset + rec.length &&
+           rec.chunk_offset < o.chunk_offset + o.length;
+  };
+  for (const JournalSlot& slot : journals_) {
+    if (std::any_of(slot.writer->pending().begin(), slot.writer->pending().end(), older) ||
+        std::any_of(slot.writer->kept().begin(), slot.writer->kept().end(), older)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void JournalManager::ReleaseKept() {
+  // Releasing one record can unblock another, so sweep until nothing moves.
+  for (bool released = true; released;) {
+    released = false;
+    for (size_t k = 0; k < journals_.size(); ++k) {
+      JournalWriter* writer = journals_[k].writer.get();
+      for (size_t i = 0; i < writer->kept().size();) {
+        if (MustKeep(k, writer->kept()[i])) {
+          ++i;
+          continue;
+        }
+        writer->Release(i);
+        released = true;
+      }
+    }
+  }
+}
+
+bool JournalManager::AnyKept() const {
+  return std::any_of(journals_.begin(), journals_.end(),
+                     [](const JournalSlot& slot) { return !slot.writer->kept().empty(); });
+}
+
+void JournalManager::Heal(storage::ChunkId chunk, uint64_t offset, uint64_t length) {
+  ClearQuarantine(chunk, offset, length);
+  corruptions_repaired_->Increment();
+  ReleaseKept();
 }
 
 void JournalManager::PrepDone(const std::shared_ptr<ReplayWave>& wave) {

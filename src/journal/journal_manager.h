@@ -67,6 +67,9 @@ class JournalManager {
   JournalManager(sim::Simulator* sim, storage::ChunkStore* backup_store,
                  const JournalManagerOptions& options = {},
                  obs::MetricsRegistry* registry = nullptr);
+  // Cancels the queued replay tick, so a destroyed manager (a crashed server
+  // rebuilt in place) leaves no event behind that points at it.
+  ~JournalManager();
 
   // Registers a journal in preference order (primary SSD journal first). An
   // `on_hdd` journal is replayed only when its device is otherwise idle.
@@ -188,6 +191,22 @@ class JournalManager {
   // Schedules a ReplayTick if replay is running and none is queued.
   void Kick();
   void ReplayTick();
+  // Queues the replay tick `delay` from now.
+  void ScheduleTick(Nanos delay);
+
+  // Takes the front record of journal `k` off its replay queue. Its bytes are
+  // discarded unless a rebuild scan still needs them (see MustKeep).
+  void FreeFront(size_t k);
+  // Whether a replayed record of journal `k` must stay on the device: while
+  // its range is quarantined (the scan must find the damage again), or while
+  // an older data record overlapping it is still on a journal device (the
+  // scan would otherwise serve that older record in its place).
+  bool MustKeep(size_t k, const AppendedRecord& rec) const;
+  // Discards every kept record that no longer must stay.
+  void ReleaseKept();
+  bool AnyKept() const;
+  // Lifts a repaired range's quarantine.
+  void Heal(storage::ChunkId chunk, uint64_t offset, uint64_t length);
 
   // One replay wave runs in two phases so the HDD sees elevator-friendly
   // traffic: phase A reads and CRC-verifies every record payload of the wave
@@ -231,7 +250,11 @@ class JournalManager {
 
   bool replay_running_ = false;
   bool replay_wave_inflight_ = false;
-  bool tick_scheduled_ = false;
+  sim::EventId tick_ = 0;  // the queued replay tick; 0 when none
+  // Set by RecoverFromJournals until every journal drains: a rebuilt replay
+  // queue is in ring order, which after a wrap is not append order, so an
+  // older record may sit behind a newer one in the same journal.
+  bool restored_ = false;
   bool replay_waiting_ready_ = false;  // WhenReady backpressure waiter armed
 };
 

@@ -12,12 +12,6 @@ void HddModel::SubmitIo(IoRequest req) {
   URSA_CHECK_LE(req.offset + req.length, params_.capacity) << "I/O beyond HDD capacity";
   stats_.RecordSubmit(req);
 
-  if (req.type == IoType::kWrite) {
-    ApplyWritePayload(store_, req);
-  } else {
-    ApplyReadPayload(store_, req);
-  }
-
   uint64_t offset = req.offset;
   bool background = req.background;
   if (!background) {

@@ -23,14 +23,7 @@ void MemDevice::SubmitIo(IoRequest req) {
     return;
   }
 
-  // Perform the data movement immediately (device state reflects the write as
-  // of submission order) but report completion through the event loop.
-  if (req.type == IoType::kWrite) {
-    ApplyWritePayload(store_, req);
-  } else {
-    ApplyReadPayload(store_, req);
-  }
-
+  // Submit has moved the bytes; report completion through the event loop.
   sim_->After(fixed_latency_, [this, done = std::move(req.done)]() {
     --inflight_;
     if (done) {

@@ -21,7 +21,8 @@ class MemDevice : public BlockDevice {
   uint64_t capacity() const override { return capacity_; }
   size_t inflight() const override { return inflight_; }
 
-  // Fails the next `n` submissions with kUnavailable (fault injection).
+  // Fails the next `n` submissions with kUnavailable (fault injection). The
+  // failure is a completion status only: Submit has already moved the bytes.
   void FailNext(int n) { fail_next_ = n; }
 
   // Direct synchronous access for test assertions (no simulated time).
