@@ -118,27 +118,7 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
     ServerId sid = s->id();
     jm->SetCorruptionHandler([this, sid](storage::ChunkId chunk, uint64_t offset,
                                          uint64_t length, std::function<void()> healed) {
-      // Retry until a healthy source exists: during a partition or multi-
-      // fault window every peer may be unreachable, and giving up would
-      // strand the quarantine (reads would fail kCorruption forever). A
-      // NotFound is terminal, not transient: replay scans can quarantine a
-      // record whose decoded chunk id is itself garbage (corrupt header), and
-      // no amount of retrying repairs a chunk the master never allocated.
-      // The closure refers to itself weakly; the repair in flight and the
-      // pending retry hold it (a strong self-capture would leak it).
-      auto attempt = std::make_shared<std::function<void()>>();
-      *attempt = [this, sid, chunk, offset, length, healed = std::move(healed),
-                  weak = std::weak_ptr<std::function<void()>>(attempt)]() {
-        master_->RepairCorruptRange(chunk, sid, offset, length,
-                                    [this, healed, self = weak.lock()](Status s2) {
-                                      if (s2.ok()) {
-                                        healed();
-                                      } else if (s2.code() != StatusCode::kNotFound) {
-                                        sim_->After(msec(100), [self]() { (*self)(); });
-                                      }
-                                    });
-      };
-      (*attempt)();
+      RepairCorruptRangeUntilDone(sid, chunk, offset, length, std::move(healed));
     });
   }
 
@@ -203,20 +183,8 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
               // recovery write landing at this server lifts the quarantine.
               ++scrub_mismatches_reported_;
               server->AddScrubQuarantine(chunk, offset, length);
-              ServerId sid = server->id();
-              auto attempt = std::make_shared<std::function<void()>>();
-              *attempt = [this, sid, chunk, offset, length,
-                          weak = std::weak_ptr<std::function<void()>>(attempt)]() {
-                master_->RepairCorruptRange(chunk, sid, offset, length,
-                                            [this, self = weak.lock()](Status s2) {
-                                              if (s2.ok()) {
-                                                ++scrub_repairs_completed_;
-                                              } else if (s2.code() != StatusCode::kNotFound) {
-                                                sim_->After(msec(100), [self]() { (*self)(); });
-                                              }
-                                            });
-              };
-              (*attempt)();
+              RepairCorruptRangeUntilDone(server->id(), chunk, offset, length,
+                                          [this]() { ++scrub_repairs_completed_; });
             },
             qos::ServiceClass::kScrub);
       };
@@ -305,7 +273,7 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
                                [done = std::move(done)](Status s) { done(s.ok()); });
     };
     thooks.promote = [this](uint64_t chunk, std::function<void(bool)> done) {
-      master_->PromoteChunk(static_cast<ChunkId>(chunk), /*write_triggered=*/false,
+      master_->PromoteChunk(static_cast<ChunkId>(chunk),
                             [done = std::move(done)](Status s) { done(s.ok()); });
     };
     master_->set_speculative_promote(config.tier.speculative_promote);
@@ -482,6 +450,31 @@ Machine* Cluster::AddClientMachine(int cores) {
       sim_, transport_.get(),
       static_cast<MachineId>(1000 + client_machines_.size()), cfg));
   return client_machines_.back().get();
+}
+
+void Cluster::RepairCorruptRangeUntilDone(ServerId server, ChunkId chunk, uint64_t offset,
+                                          uint64_t length, std::function<void()> repaired) {
+  // Retry until a healthy source exists: during a partition or multi-fault
+  // window every peer may be unreachable, and giving up would strand the
+  // quarantine (reads would fail kCorruption forever). A NotFound is
+  // terminal, not transient: replay scans can quarantine a record whose
+  // decoded chunk id is itself garbage (corrupt header), and no amount of
+  // retrying repairs a chunk the master never allocated. The closure refers
+  // to itself weakly; the repair in flight and the pending retry hold it (a
+  // strong self-capture would leak it).
+  auto attempt = std::make_shared<std::function<void()>>();
+  *attempt = [this, server, chunk, offset, length, repaired = std::move(repaired),
+              weak = std::weak_ptr<std::function<void()>>(attempt)]() {
+    master_->RepairCorruptRange(chunk, server, offset, length,
+                                [this, repaired, self = weak.lock()](Status s) {
+                                  if (s.ok()) {
+                                    repaired();
+                                  } else if (s.code() != StatusCode::kNotFound) {
+                                    sim_->After(msec(100), [self]() { (*self)(); });
+                                  }
+                                });
+  };
+  (*attempt)();
 }
 
 void Cluster::CrashServer(ServerId id) {

@@ -146,6 +146,12 @@ class Cluster {
   void RegisterHealthDevice(storage::BlockDevice* device, std::string name, std::string group,
                             ServerId server);
 
+  // Re-replicates a corrupt range of `chunk` on `server` through the master,
+  // retrying every 100 ms until the repair lands; `repaired` runs then. A
+  // NotFound ends the retries without `repaired`.
+  void RepairCorruptRangeUntilDone(ServerId server, ChunkId chunk, uint64_t offset,
+                                   uint64_t length, std::function<void()> repaired);
+
   sim::Simulator* sim_;
   ClusterConfig config_;
   // Declared before every component so the registry's callback closures

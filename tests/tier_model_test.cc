@@ -154,8 +154,7 @@ class TierModelHarness {
       cluster_->master().DemoteChunkToEc(Layout(rng_() % NumChunks()).chunk, 4, 2,
                                          [](const Status&) {});
     } else if (pick < 75) {
-      cluster_->master().PromoteChunk(Layout(rng_() % NumChunks()).chunk,
-                                      /*write_triggered=*/false, [](const Status&) {});
+      cluster_->master().PromoteChunk(Layout(rng_() % NumChunks()).chunk, [](const Status&) {});
     } else if (pick < 82) {
       // Repair a random shard of a random EC chunk, fire-and-forget so the
       // repair overlaps whatever comes next.

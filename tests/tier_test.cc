@@ -593,8 +593,7 @@ TEST_F(TierClusterTest, DemotePromoteRoundTripReleasesDoneCallbacks) {
                                      [&demote, sentinel](const Status& s) { demote = s; });
   sim_.RunUntil(sim_.Now() + sec(30));
   ASSERT_TRUE(demote.ok()) << demote.ToString();
-  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
-                                  [&promote, sentinel](const Status& s) { promote = s; });
+  cluster_->master().PromoteChunk(chunk, [&promote, sentinel](const Status& s) { promote = s; });
   sentinel.reset();
   sim_.RunUntil(sim_.Now() + sec(30));
   ASSERT_TRUE(promote.ok()) << promote.ToString();
@@ -709,7 +708,7 @@ TEST_F(TierClusterTest, ClosedPromotionRollsBackWhenItsPassFails) {
 
   int calls = 0;
   Status promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false, [&](const Status& s) {
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) {
     ++calls;
     promote = s;
   });
@@ -734,7 +733,7 @@ TEST_F(TierClusterTest, ClosedPromotionRollsBackWhenItsPassFails) {
   EXPECT_EQ(ReadSync(0, data.size()), data);
   // The migration mark is gone: the next promotion runs and commits.
   promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, false, [&](const Status& s) { promote = s; });
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) { promote = s; });
   sim_.RunUntil(sim_.Now() + sec(30));
   ASSERT_TRUE(promote.ok()) << promote.ToString();
   EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
@@ -766,8 +765,7 @@ TEST_F(TierClusterTest, SpeculativeWriteOpensClosedPromotion) {
   }
 
   Status promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
-                                  [&](const Status& s) { promote = s; });
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) { promote = s; });
   auto patch = test::Pattern(64 * kKiB, 83);
   bool acked = false;
   Status write = Internal("pending");
@@ -823,8 +821,7 @@ TEST_F(TierClusterTest, WrittenClosedPromotionRetriesInsteadOfRollingBack) {
   }
 
   Status promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false,
-                                  [&](const Status& s) { promote = s; });
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) { promote = s; });
   // The client's cached layout predates the demotion: the write misses the
   // freed replicas, refreshes onto the promoting layout, and writes the
   // targets directly.
@@ -874,7 +871,7 @@ TEST_F(TierClusterTest, RestoreResumesClosedPromotionWithItsWaiter) {
 
   int calls = 0;
   Status promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false, [&](const Status& s) {
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) {
     ++calls;
     promote = s;
   });
@@ -907,7 +904,7 @@ TEST_F(TierClusterTest, RestoreFromBeforeClosedPromotionAbortsItsWaiter) {
 
   int calls = 0;
   Status promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, /*write_triggered=*/false, [&](const Status& s) {
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) {
     ++calls;
     promote = s;
   });
@@ -923,9 +920,111 @@ TEST_F(TierClusterTest, RestoreFromBeforeClosedPromotionAbortsItsWaiter) {
   EXPECT_EQ(cluster_->master().tier_stats().promotions, 0u);
   EXPECT_EQ(ReadSync(0, data.size()), data);
   promote = Internal("pending");
-  cluster_->master().PromoteChunk(chunk, false, [&](const Status& s) { promote = s; });
+  cluster_->master().PromoteChunk(chunk, [&](const Status& s) { promote = s; });
   sim_.RunUntil(sim_.Now() + sec(30));
   ASSERT_TRUE(promote.ok()) << promote.ToString();
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+// ---------------------------------------------------------------------------
+// Tier jobs follow the job rule of every master job (DESIGN.md §14)
+// ---------------------------------------------------------------------------
+
+enum class TierJob { kDemotion, kPromotion };
+
+class TierJobTest : public TierClusterTest, public ::testing::WithParamInterface<TierJob> {};
+
+// A tier job whose copies are slow but keep landing pieces outlives the job
+// timeout: each timeout that finds a piece landed since it was armed
+// re-arms, so the job commits once, every byte moved once.
+TEST_P(TierJobTest, SlowCopyOutlivesTheJobTimeout) {
+  const TierJob job = GetParam();
+  Build();
+  auto data = test::Pattern(1 * kMiB, 91);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  const storage::ChunkId chunk = Layout(0).chunk;
+  if (job == TierJob::kPromotion) {
+    ASSERT_TRUE(DemoteSync(chunk).ok());
+  }
+  cluster_->master().set_recovery_piece(64 * kKiB);  // one piece at a time
+  cluster_->master().set_recovery_window(1);
+  // Each piece lands within the timeout; the whole job takes far longer.
+  const Nanos timeout = job == TierJob::kDemotion ? msec(2) : msec(8);
+  cluster_->master().set_migration_timeout(timeout);
+  const uint64_t moved = cluster_->master().recovery_stats().bytes_transferred;
+
+  int calls = 0;
+  Status status = Internal("pending");
+  const Nanos start = sim_.Now();
+  Nanos took = 0;
+  auto done = [&](const Status& s) {
+    ++calls;
+    status = s;
+    took = sim_.Now() - start;
+  };
+  if (job == TierJob::kDemotion) {
+    cluster_->master().DemoteChunkToEc(chunk, 4, 2, done);
+  } else {
+    cluster_->master().PromoteChunk(chunk, done);
+  }
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_EQ(calls, 1);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(took, 3 * timeout);
+  // A demotion writes 4 data and 2 parity shards of 256 KiB; a promotion
+  // writes the 1 MiB chunk to each of its 3 targets.
+  EXPECT_EQ(cluster_->master().recovery_stats().bytes_transferred - moved,
+            job == TierJob::kDemotion ? 6 * 256 * kKiB : 3 * kMiB);
+  EXPECT_EQ(Layout(0).tier,
+            job == TierJob::kDemotion ? cluster::ChunkTier::kEc : cluster::ChunkTier::kReplicated);
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
+INSTANTIATE_TEST_SUITE_P(Job, TierJobTest,
+                         ::testing::Values(TierJob::kDemotion, TierJob::kPromotion),
+                         [](const ::testing::TestParamInfo<TierJob>& info) {
+                           return info.param == TierJob::kDemotion ? "Demotion" : "Promotion";
+                         });
+
+// A back-fill pass parked at its targets' gates past the job timeout fails,
+// and the open promotion retries on the same targets. When the gates open,
+// only the live pass writes: the timed-out ones issue nothing more, so each
+// target receives the chunk exactly once.
+TEST_F(TierClusterTest, TimedOutPassIssuesNoFurtherPiece) {
+  Build();
+  auto data = test::Pattern(1 * kMiB, 92);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  const storage::ChunkId chunk = Layout(0).chunk;
+  ASSERT_TRUE(DemoteSync(chunk).ok());
+  cluster_->master().set_recovery_piece(64 * kKiB);  // 16 pieces per target
+  cluster_->master().set_recovery_window(1);
+  cluster_->master().set_migration_timeout(msec(500));
+  cluster_->master().set_spec_retry_delay(msec(10));
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    gates.push_back(std::make_unique<test::TripGate>(
+        &sim_, cluster_->master().server(s)->store()->device(), qos::ServiceClass::kRecovery,
+        /*trip_after=*/2));
+  }
+
+  Status begin = Internal("pending");
+  cluster_->master().BeginWritePromote(chunk, [&](const Status& s) { begin = s; });
+  sim_.RunUntil(sim_.Now() + sec(2));
+  ASSERT_TRUE(begin.ok()) << begin.ToString();
+  EXPECT_GE(cluster_->master().tier_stats().spec_backfill_retries, 1u);
+  ASSERT_TRUE(Layout(0).speculating());
+  const uint64_t moved = cluster_->master().recovery_stats().bytes_transferred;
+
+  for (auto& g : gates) {
+    g->Open();
+  }
+  sim_.RunUntil(sim_.Now() + sec(30));
+  EXPECT_EQ(cluster_->master().tier_stats().promotions, 1u);
+  EXPECT_EQ(Layout(0).tier, cluster::ChunkTier::kReplicated);
+  EXPECT_EQ(cluster_->master().recovery_stats().bytes_transferred - moved, 3 * kMiB);
+  gates.clear();
   EXPECT_EQ(ReadSync(0, data.size()), data);
 }
 
