@@ -454,12 +454,12 @@ void ChunkServer::HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t le
 }
 
 void ChunkServer::HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t length,
-                                      ursa::BufferView data, storage::IoCallback done,
-                                      qos::ServiceClass cls) {
+                                      uint64_t version, ursa::BufferView data,
+                                      storage::IoCallback done, qos::ServiceClass cls) {
   if (crashed_) {
     return;
   }
-  machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, cls,
+  machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, version, cls,
                                              data = std::move(data),
                                              done = std::move(done)]() mutable {
     if (!store_->Contains(chunk)) {
@@ -491,16 +491,20 @@ void ChunkServer::HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t l
       }
       // Fresh bytes heal whatever scrub flagged in range.
       ClearScrubQuarantine(chunk, p.offset, p.length);
-      store_->Write(chunk, p.offset, p.length, piece_data,
-                    [join](const Status& s) {
-                      if (!s.ok() && join->first_error.ok()) {
-                        join->first_error = s;
-                      }
-                      if (--join->remaining == 0) {
-                        join->done(join->first_error);
-                      }
-                    },
-                    tag);
+      storage::IoCallback landed = [join](const Status& s) {
+        if (!s.ok() && join->first_error.ok()) {
+          join->first_error = s;
+        }
+        if (--join->remaining == 0) {
+          join->done(join->first_error);
+        }
+      };
+      if (journal_manager_ != nullptr) {
+        journal_manager_->DirectWrite(chunk, p.offset, p.length, version, piece_data,
+                                      std::move(landed), tag);
+      } else {
+        store_->Write(chunk, p.offset, p.length, piece_data, std::move(landed), tag);
+      }
     }
   });
 }

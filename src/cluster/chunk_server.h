@@ -198,11 +198,13 @@ class ChunkServer {
                           ReadCallback done,
                           qos::ServiceClass cls = qos::ServiceClass::kRecovery);
 
-  // Recovery write at the transfer target (no version checks; the master
-  // installs {version, view} via SetState once the copy completes). Ranges
-  // under the chunk's write shield are skipped at apply time; a piece the
-  // shield covers entirely completes OK without a device write.
-  void HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t length,
+  // Recovery write at the transfer target of the data of `version` (no
+  // version checks; the master installs {version, view} via SetState once
+  // the copy completes). Ranges under the chunk's write shield are skipped
+  // at apply time; a piece the shield covers entirely completes OK without a
+  // device write. On a backup the rest is a JournalManager::DirectWrite, so
+  // older journal records of the range stop being served and replayed.
+  void HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
                            ursa::BufferView data, storage::IoCallback done,
                            qos::ServiceClass cls = qos::ServiceClass::kRecovery);
 

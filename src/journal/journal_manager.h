@@ -13,11 +13,13 @@
 // manager moves on to the next registered journal (least-loaded co-located
 // SSD, then an HDD journal that is replayed only when the disk is idle). When
 // every journal is full the write falls through to a direct HDD write (the
-// cluster additionally rate-limits such clients).
+// cluster additionally rate-limits such clients). Bypasses, fallbacks and
+// recovery writes are all direct writes (DirectWrite).
 #ifndef URSA_JOURNAL_JOURNAL_MANAGER_H_
 #define URSA_JOURNAL_JOURNAL_MANAGER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -91,6 +93,18 @@ class JournalManager {
     Write(chunk, offset, length, version, ursa::BufferView::Unowned(data, length),
           std::move(done), span, tag);
   }
+
+  // Writes [offset, offset+length) of `chunk` straight to the HDD as the data
+  // of `version`: the journal bypass, the full-journal fallback, and every
+  // recovery write a server receives. Journal mappings of records up to
+  // `version` are dropped (a newer record's mapping stays: it holds newer
+  // bytes, and its replay lands after this write), and once any journal has
+  // held a record, a durable header-only invalidation marker of `version`
+  // keeps a rebuild from mapping those records again. `done` runs when both
+  // the HDD write and the marker are durable; a marker that finds no journal
+  // room waits for the next replay wave to free some.
+  void DirectWrite(storage::ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
+                   ursa::BufferView data, storage::IoCallback done, storage::IoTag tag = {});
 
   // Reads the newest backup data: journal overlays the HDD chunk store.
   // Needed when a backup serves as temporary primary (§4.2.1) and during
@@ -184,6 +198,14 @@ class JournalManager {
   // corruption, and asks the handler (if any) to re-replicate.
   void OnCorruptRecord(size_t idx, const AppendedRecord& rec);
 
+  // Drops the index mappings in [offset, offset+length) of `chunk` whose
+  // records are not newer than `version`.
+  void DropMappingsUpTo(storage::ChunkId chunk, uint64_t offset, uint64_t length,
+                        uint64_t version);
+  // Appends the waiting invalidation markers, in order, while a journal has
+  // room.
+  void AppendMarkers();
+
   // Pending data record of journal `idx` whose payload covers region-relative
   // `byte_off`; null when none does (e.g. already replayed).
   const AppendedRecord* FindPendingRecord(size_t idx, uint64_t byte_off) const;
@@ -244,6 +266,17 @@ class JournalManager {
   // Reused result buffer for the whole-index queries behind IndexSegments
   // and HasIndexedData, so the gauge pollers do not allocate.
   mutable index::SegmentVec scratch_segments_;
+
+  // Invalidation markers of direct writes, waiting for journal room.
+  struct Marker {
+    storage::ChunkId chunk;
+    uint64_t offset;
+    uint64_t length;
+    uint64_t version;
+    storage::IoTag tag;
+    storage::IoCallback done;
+  };
+  std::deque<Marker> markers_;
 
   CorruptionHandler corruption_handler_;
   std::map<storage::ChunkId, std::vector<std::pair<uint64_t, uint64_t>>> quarantine_;

@@ -228,7 +228,7 @@ class RecoveryWriteTest : public ChunkServerTest {
  protected:
   Status RecoveryWrite(uint64_t offset, const std::vector<uint8_t>& bytes) {
     Status status = Internal("no reply");
-    primary_->HandleRecoveryWrite(layout_.chunk, offset, bytes.size(),
+    primary_->HandleRecoveryWrite(layout_.chunk, offset, bytes.size(), /*version=*/0,
                                   ursa::Buffer::CopyOf(bytes.data(), bytes.size()),
                                   [&](const Status& s) { status = s; });
     sim_.RunUntil(sim_.Now() + msec(100));

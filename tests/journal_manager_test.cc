@@ -19,6 +19,9 @@ class JournalManagerTest : public ::testing::Test {
 
   void Build(JournalManagerOptions options = {}, uint64_t ssd_region = 256 * kKiB,
              uint64_t exp_region = 128 * kKiB, uint64_t hdd_region = 512 * kKiB) {
+    ssd_region_ = ssd_region;
+    exp_region_ = exp_region;
+    hdd_region_ = hdd_region;
     ssd_ = std::make_unique<storage::MemDevice>(&sim_, 8 * kMiB);
     hdd_ = std::make_unique<storage::MemDevice>(&sim_, 16 * kMiB);
     // HDD layout: [0, hdd_region) journal, rest chunk store.
@@ -62,6 +65,9 @@ class JournalManagerTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  uint64_t ssd_region_ = 0;
+  uint64_t exp_region_ = 0;
+  uint64_t hdd_region_ = 0;
   std::unique_ptr<storage::MemDevice> ssd_;
   std::unique_ptr<storage::MemDevice> hdd_;
   std::unique_ptr<storage::ChunkStore> store_;
@@ -105,6 +111,28 @@ TEST_F(JournalManagerTest, BypassInvalidatesOverlappedJournalData) {
             std::vector<uint8_t>(large.begin() + 8192, large.begin() + 8192 + 4096));
   // The journal index holds nothing live for the chunk anymore.
   EXPECT_TRUE(manager_->IndexSnapshot(1).empty());
+}
+
+// A direct write drops only the mappings of records up to its version: a
+// recovery write of older data leaves a newer journaled write in place.
+TEST_F(JournalManagerTest, DirectWriteKeepsANewerRecord) {
+  Build();
+  auto older = test::Pattern(4096, 7);
+  auto newer = test::Pattern(4096, 8);
+  ASSERT_TRUE(Write(0, older, 1).ok());
+  ASSERT_TRUE(Write(8192, newer, 3).ok());
+  auto repaired = test::Pattern(16 * kKiB, 9);  // the data of version 2
+  Status status = Internal("pending");
+  manager_->DirectWrite(1, 0, repaired.size(), 2,
+                        ursa::BufferView::Unowned(repaired.data(), repaired.size()),
+                        [&](const Status& s) { status = s; });
+  sim_.RunUntil(sim_.Now() + msec(10));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::vector<uint8_t> expect = repaired;
+  std::copy(newer.begin(), newer.end(), expect.begin() + 8192);
+  EXPECT_EQ(Read(0, expect.size()), expect);
+  DrainReplay();
+  EXPECT_EQ(Read(0, expect.size()), expect);
 }
 
 TEST_F(JournalManagerTest, OverlayReadMixesJournalAndStore) {
@@ -281,7 +309,8 @@ TEST_F(JournalManagerTest, WriteAlignmentEnforced) {
 class JournalCrashTest : public JournalManagerTest {
  protected:
   // "Crashes" the manager: throws away all volatile state by constructing a
-  // fresh JournalManager over the SAME devices and journal regions, then
+  // fresh JournalManager over the SAME devices and journal regions (Build's),
+  // then
   // recovers it from the rings. `before_recover` runs on the fresh manager
   // before the scan (e.g. to wire a corruption handler, which in production
   // the cluster installs at server construction — before recovery).
@@ -289,12 +318,12 @@ class JournalCrashTest : public JournalManagerTest {
                        const JournalManagerOptions& options = {}) {
     manager_ = std::make_unique<JournalManager>(&sim_, store_.get(), options);
     manager_->AddJournal(
-        std::make_unique<JournalWriter>(&sim_, ssd_.get(), 0, 256 * kKiB, "ssd"), false);
+        std::make_unique<JournalWriter>(&sim_, ssd_.get(), 0, ssd_region_, "ssd"), false);
     manager_->AddJournal(
-        std::make_unique<JournalWriter>(&sim_, ssd_.get(), 256 * kKiB, 128 * kKiB, "exp"),
+        std::make_unique<JournalWriter>(&sim_, ssd_.get(), ssd_region_, exp_region_, "exp"),
         false);
     manager_->AddJournal(
-        std::make_unique<JournalWriter>(&sim_, hdd_.get(), 0, 512 * kKiB, "hdd"), true);
+        std::make_unique<JournalWriter>(&sim_, hdd_.get(), 0, hdd_region_, "hdd"), true);
     if (before_recover) {
       before_recover(*manager_);
     }
@@ -408,6 +437,73 @@ TEST_F(JournalCrashTest, FreedRecordIsNotResurrectedByRebuild) {
   hdd_->ReadSync(store_->SlotOffset(1) + kAt, raw.data(), raw.size());
   EXPECT_EQ(raw, b);
   EXPECT_EQ(Read(kAt, 4096), b);
+}
+
+// Regression: a write that falls back to the HDD because every journal is
+// full leaves a durable invalidation marker, like a bypass. Without one, the
+// rebuild mapped the older journaled record of the range again, served it,
+// and would have replayed it over the newer HDD bytes.
+TEST_F(JournalCrashTest, FullJournalFallbackSurvivesCrash) {
+  Build({}, /*ssd_region=*/16 * kKiB, /*exp_region=*/16 * kKiB, /*hdd_region=*/32 * kKiB);
+  uint64_t version = 0;
+  const uint64_t kAt = 512 * kKiB;
+  auto v1 = test::Pattern(4096, 700);
+  ASSERT_TRUE(Write(kAt, v1, ++version).ok());
+  // Fillers until no journal fits another 4 KiB record.
+  auto fits = [this]() {
+    for (size_t k = 0; k < manager_->num_journals(); ++k) {
+      if (manager_->journal(k).CanFit(4096)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (uint64_t i = 0; fits(); ++i) {
+    ASSERT_TRUE(Write(i * 4096, test::Pattern(4096, 710 + i), ++version).ok());
+  }
+  auto v2 = test::Pattern(4096, 701);
+  ASSERT_TRUE(Write(kAt, v2, ++version).ok());
+  ASSERT_EQ(manager_->stats().direct_fallback_writes, 1u);
+  EXPECT_EQ(Read(kAt, 4096), v2);
+
+  CrashAndRecover();
+  EXPECT_EQ(Read(kAt, 4096), v2);
+  DrainReplay();
+  std::vector<uint8_t> raw(4096);
+  hdd_->ReadSync(store_->SlotOffset(1) + kAt, raw.data(), raw.size());
+  EXPECT_EQ(raw, v2);
+}
+
+// A direct write acks only once its invalidation marker is durable. With
+// every ring full to the last byte, the marker waits for replay to free
+// room, and the write acks only then.
+TEST_F(JournalCrashTest, DirectWriteAcksOnceItsMarkerIsDurable) {
+  Build({}, /*ssd_region=*/16 * kKiB, /*exp_region=*/16 * kKiB, /*hdd_region=*/32 * kKiB);
+  uint64_t version = 0;
+  const uint64_t kAt = 512 * kKiB;
+  auto v1 = test::Pattern(4096, 720);
+  ASSERT_TRUE(Write(kAt, v1, ++version).ok());  // 4608 bytes of the primary ring
+  // A 11 KiB record (11776 bytes) ends the primary ring exactly; 7.5 KiB
+  // records (8 KiB each) fill the other two.
+  ASSERT_TRUE(Write(0, test::Pattern(11 * kKiB, 721), ++version).ok());
+  for (uint64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(Write(64 * kKiB + i * 8 * kKiB, test::Pattern(7680, 722 + i), ++version).ok());
+  }
+  for (size_t k = 0; k < manager_->num_journals(); ++k) {
+    ASSERT_EQ(manager_->journal(k).free_bytes(), 0u) << k;
+  }
+
+  auto v2 = test::Pattern(4096, 730);
+  Status status = Internal("pending");
+  manager_->Write(1, kAt, v2.size(), ++version, v2.data(), [&](const Status& s) { status = s; });
+  sim_.RunUntil(sim_.Now() + msec(10));
+  EXPECT_EQ(status.code(), StatusCode::kInternal);  // the marker has no room yet
+  EXPECT_EQ(Read(kAt, 4096), v2);
+  DrainReplay();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  CrashAndRecover();
+  EXPECT_EQ(Read(kAt, 4096), v2);
 }
 
 // Regression: a replayed record stays on its device while an older record it

@@ -185,6 +185,51 @@ TEST_F(RecoveryTest, IncrementalRepairBringsLaggardCurrent) {
   EXPECT_EQ(st->version, 3u);
 }
 
+// Regression: a backup caught up while it still holds an un-replayed journal
+// record of the range serves and keeps the repaired bytes. The recovery
+// write went to its HDD alone, so the journal index still mapped the older
+// record: reads returned it, and its replay wrote it over the repair.
+TEST_F(RecoveryTest, CaughtUpBackupDropsItsOlderJournalRecord) {
+  Build();
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ChunkServer* lag = cluster_->server(layout.replicas[2].server);
+  ASSERT_NE(lag->journal_manager(), nullptr);
+  test::TripGate gate(&sim_, lag->store()->device(), qos::ServiceClass::kJournalReplay, 0);
+  ASSERT_TRUE(WriteSync(0, test::Pattern(4096, 38)).ok());
+  cluster_->CrashServer(lag->id());
+  auto v2 = test::Pattern(4096, 39);
+  ASSERT_TRUE(WriteSync(0, v2, sec(10)).ok());
+  cluster_->RestoreServer(lag->id());
+
+  Status repair = Internal("pending");
+  cluster_->master().RepairReplica(layout.chunk, lag->id(), [&](Status s) { repair = s; });
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(repair.ok()) << repair.ToString();
+  EXPECT_EQ(lag->GetState(layout.chunk)->version, 2u);
+  auto read_lag = [&]() {
+    std::vector<uint8_t> out(4096);
+    Status status = Internal("pending");
+    lag->HandleRecoveryRead(layout.chunk, 0, out.size(), out.data(),
+                            [&](const Status& s, uint64_t) { status = s; });
+    sim_.RunUntil(sim_.Now() + msec(100));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return out;
+  };
+  EXPECT_EQ(read_lag(), v2);
+
+  gate.Open();
+  sim_.RunUntil(sim_.Now() + sec(1));
+  EXPECT_TRUE(lag->journal_manager()->ReplayDrained());
+  std::vector<uint8_t> hdd(4096);
+  Status status = Internal("pending");
+  lag->store()->Read(layout.chunk, 0, hdd.size(), hdd.data(),
+                     [&](const Status& s) { status = s; });
+  sim_.RunUntil(sim_.Now() + msec(100));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(hdd, v2);
+  EXPECT_EQ(read_lag(), v2);
+}
+
 // Regression: a view change keeps the survivors' write identity. A write
 // applied on two replicas whose third has crashed is still "the last write"
 // after ReportReplicaFailure installs the new view, so the client's retry of
