@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/chaos/block_history.h"
 #include "src/chaos/chaos_engine.h"
 #include "src/client/virtual_disk.h"
 #include "src/common/logging.h"
@@ -19,57 +20,6 @@ namespace {
 constexpr uint64_t kBlock = 4096;
 constexpr uint64_t kWorkloadSalt = 0x0515CA11ull;
 constexpr uint64_t kTransportSalt = 0x7E1E7A05ull;
-
-// Single-writer per-block history + the Appendix A visibility bounds.
-// Failed writes stay uncommitted: they never raise the lower bound but may
-// legally be visible (the client gave up; a replica may still have applied
-// them), which the upper bound already allows.
-class BlockHistory {
- public:
-  uint32_t OnWriteInvoke(Nanos now) {
-    writes_.push_back(WriteRecord{next_seq_, now, -1});
-    return next_seq_++;
-  }
-  void OnWriteCommit(uint32_t seq, Nanos now) {
-    for (auto& w : writes_) {
-      if (w.seq == seq) {
-        w.commit = now;
-      }
-    }
-  }
-
-  // Returns "" when the read is linearizable, else a description.
-  std::string CheckRead(uint32_t seq, Nanos invoke, Nanos response) const {
-    uint32_t min_seq = 0;
-    uint32_t max_seq = 0;
-    for (const auto& w : writes_) {
-      if (w.commit >= 0 && w.commit < invoke) {
-        min_seq = std::max(min_seq, w.seq);
-      }
-      if (w.invoke < response) {
-        max_seq = std::max(max_seq, w.seq);
-      }
-    }
-    if (seq < min_seq) {
-      return "STALE read: returned seq " + std::to_string(seq) + " but write " +
-             std::to_string(min_seq) + " committed before the read was invoked";
-    }
-    if (seq > max_seq) {
-      return "FUTURE read: returned seq " + std::to_string(seq) + " but only " +
-             std::to_string(max_seq) + " writes were invoked before the read responded";
-    }
-    return "";
-  }
-
- private:
-  struct WriteRecord {
-    uint32_t seq;
-    Nanos invoke;
-    Nanos commit;  // -1 until committed
-  };
-  uint32_t next_seq_ = 1;
-  std::vector<WriteRecord> writes_;
-};
 
 }  // namespace
 
@@ -242,7 +192,7 @@ ChaosReport RunChaos(const ChaosPlan& plan) {
       std::vector<std::vector<uint8_t>> images;
       for (size_t r = 0; r < layout.replicas.size(); ++r) {
         cluster::ChunkServer* server = cluster.server(layout.replicas[r].server);
-        Result<cluster::ChunkServer::ReplicaState> st = server->GetState(layout.chunk);
+        Result<cluster::ReplicaState> st = server->GetState(layout.chunk);
         if (!st.ok()) {
           problems->push_back("chunk " + std::to_string(layout.chunk) + " replica " +
                               std::to_string(r) + ": no state");

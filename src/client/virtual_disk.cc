@@ -13,6 +13,7 @@ namespace ursa::client {
 using cluster::ChunkLayout;
 using cluster::ChunkServer;
 using cluster::ReplicaRef;
+using cluster::ReplicaState;
 using net::MessageType;
 using net::WireBytes;
 using storage::ChunkId;
@@ -94,20 +95,14 @@ Status VirtualDisk::Open(cluster::DiskId disk) {
   for (size_t i = 0; i < meta_.chunks.size(); ++i) {
     const ChunkLayout& layout = meta_.chunks[i];
     ChunkState& cs = chunk_states_[i];
-    uint64_t version = 0;
     // A speculating chunk's write set is its spec replicas (the committed
     // replica list is empty until the promotion commits).
     for (const ReplicaRef& ref : WriteSet(layout)) {
-      ChunkServer* server = Server(ref.server);
-      if (server == nullptr || server->crashed()) {
-        continue;
-      }
-      Result<ChunkServer::ReplicaState> st = server->GetState(layout.chunk);
-      if (st.ok()) {
-        version = std::max(version, st->version);
+      if (Result<ReplicaState> st = ReplicaStateOf(layout, ref); st.ok()) {
+        cs.version = cluster::AdoptVersion(cs.version, st->version);
       }
     }
-    cs.version = version;
+    cs.committed = cs.version;
     cs.spec_extents = layout.spec_extents;
     // Preferred primary: healthy SSD, then healthy HDD, then demoted
     // replicas (health steering, DESIGN.md §10).
@@ -828,7 +823,7 @@ void VirtualDisk::IssueWriteAttempt(uint32_t s) {
       // Spec replicas start at the frozen EC version; a fresh client (whose
       // counter may still read 0) adopts it rather than burning an attempt
       // on the inevitable mismatch.
-      cs.version = std::max(cs.version, layout.ec_version);
+      cs.version = cluster::AdoptVersion(cs.version, layout.ec_version);
       rec.spec_write = true;
       ClientDirectedWrite(s);
       return;
@@ -1050,16 +1045,9 @@ void VirtualDisk::FinishWriteAttempt(uint32_t s) {
   }
   ChunkState& cs = chunk_states_[rec.sub.chunk_index];
   if (rec.status.ok()) {
-    // This attempt committed exactly version+1 (primary-driven: the
-    // primary's replied new_version). A resync between attempts may ALREADY
-    // have adopted that number from a replica that no longer names this
-    // write (a view install that moves a version resets its identity), so a
-    // blind ++ here would double-count the same commit and strand the
-    // client one version above every replica forever.
-    cs.version = std::max(cs.version, rec.version + 1);
-    if (rec.primary_driven) {
-      cs.version = std::max(cs.version, rec.replied_version);
-    }
+    cs.committed = cluster::CommitVersion(cs.committed, rec.version,
+                                          rec.primary_driven ? rec.replied_version : 0);
+    cs.version = cs.committed;
     cs.timeout_streak = 0;
     FinishSub(s, OkStatus());
     return;
@@ -1191,6 +1179,9 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
   }
 
   if (subs_[s].attempt >= options_.max_attempts) {
+    if (ops_[subs_[s].op].is_write) {
+      FenceWrite(chunk_index);
+    }
     FinishSub(s, std::move(status));
     return;
   }
@@ -1221,27 +1212,31 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
       Retry(s);
       return;
     }
-    cluster::ServerId stale = nl.replicas[cs.primary % nl.replicas.size()].server;
     uint64_t best_version = 0;
+    uint64_t lowest = UINT64_MAX;
     size_t best = cs.primary % nl.replicas.size();
     int best_pref = 99;
     for (size_t r = 0; r < nl.replicas.size(); ++r) {
-      std::optional<uint64_t> version = ResyncVersion(chunk_index, nl.replicas[r]);
-      if (version && (*version > best_version ||
-                      (*version == best_version &&
-                       ReplicaPreference(nl.replicas[r]) < best_pref))) {
-        best_version = *version;
-        best_pref = ReplicaPreference(nl.replicas[r]);
+      Result<ReplicaState> st = ReplicaStateOf(nl, nl.replicas[r]);
+      if (!st.ok()) {
+        continue;
+      }
+      uint64_t version = cluster::ResyncVersion(*st, cs.write_inflight);
+      lowest = std::min(lowest, version);
+      int pref = ReplicaPreference(nl.replicas[r]);
+      if (cluster::Fresher(version, best_version, pref < best_pref)) {
+        best_version = version;
+        best_pref = pref;
         best = r;
       }
     }
-    if (nl.replicas[best].server != stale) {
-      cs.primary = best;
-      cluster_->master().RepairReplica(nl.chunk, stale, [](Status) {});
+    cs.primary = best;
+    if (lowest < best_version) {
+      // Every laggard, not just the primary: with two behind, no write
+      // commits until they catch up.
+      cluster_->master().RepairChunkReplicas(nl.chunk);
     }
-    // The single-writer client's version is authoritative: never lower it,
-    // only adopt newer observations.
-    cs.version = std::max(cs.version, best_version);
+    cs.version = cluster::AdoptVersion(cs.committed, best_version);
     cs.timeout_streak = 0;
     Retry(s);
     return;
@@ -1292,14 +1287,9 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
   ++stats_.primary_switches;
   ++stats_.failures_reported;
   auto resync = [this, chunk_index](const Status&) {
-    RefreshLayout();
-    // Resync the client version after the view change — upward only:
-    // the single-writer client's number is authoritative (§4.1).
-    const ChunkLayout& nl = Layout(chunk_index);
     ChunkState& ncs = chunk_states_[chunk_index];
-    for (const ReplicaRef& r : nl.replicas) {
-      ncs.version = std::max(ncs.version, ResyncVersion(chunk_index, r).value_or(0));
-    }
+    Resync(chunk_index, ncs.write_inflight);
+    const ChunkLayout& nl = Layout(chunk_index);
     int best_pref = 99;
     for (size_t r = 0; r < nl.replicas.size(); ++r) {
       ChunkServer* server = Server(nl.replicas[r].server);
@@ -1317,17 +1307,34 @@ void VirtualDisk::HandleAttemptFailure(uint32_t s, Status status) {
   ScheduleRetry(s);
 }
 
-std::optional<uint64_t> VirtualDisk::ResyncVersion(size_t chunk_index, const ReplicaRef& r) {
+void VirtualDisk::FenceWrite(size_t chunk_index) {
+  if (Layout(chunk_index).tier != cluster::ChunkTier::kReplicated) {
+    return;
+  }
+  cluster_->master().FenceChunk(Layout(chunk_index).chunk);
+  cluster_->master().RepairChunkReplicas(Layout(chunk_index).chunk);  // what it left behind
+  Resync(chunk_index, 0);  // the write is no longer in flight
+}
+
+void VirtualDisk::Resync(size_t chunk_index, uint64_t inflight_write_id) {
+  RefreshLayout();
+  const ChunkLayout& layout = Layout(chunk_index);
+  uint64_t offered = 0;
+  for (const ReplicaRef& r : layout.replicas) {
+    if (Result<ReplicaState> st = ReplicaStateOf(layout, r); st.ok()) {
+      offered = std::max(offered, cluster::ResyncVersion(*st, inflight_write_id));
+    }
+  }
+  ChunkState& cs = chunk_states_[chunk_index];
+  cs.version = cluster::AdoptVersion(cs.committed, offered);
+}
+
+Result<ReplicaState> VirtualDisk::ReplicaStateOf(const ChunkLayout& layout, const ReplicaRef& r) {
   ChunkServer* server = Server(r.server);
   if (server == nullptr || server->crashed()) {
-    return std::nullopt;
+    return Unavailable("replica down");
   }
-  Result<ChunkServer::ReplicaState> st = server->GetState(Layout(chunk_index).chunk);
-  if (!st.ok()) {
-    return std::nullopt;
-  }
-  const uint64_t own = chunk_states_[chunk_index].write_inflight;
-  return own != 0 && st->last_write_id == own ? st->version - 1 : st->version;
+  return server->GetState(layout.chunk);
 }
 
 }  // namespace ursa::client

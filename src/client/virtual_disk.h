@@ -21,7 +21,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -306,7 +305,8 @@ class VirtualDisk {
   };
 
   struct ChunkState {
-    uint64_t version = 0;
+    uint64_t committed = 0;  // made by the last acked write (at open: the replicas' highest)
+    uint64_t version = 0;    // the next write's version: committed, or what a resync adopted
     size_t primary = 0;  // index into layout replicas
     // Writes waiting for the chunk's one in-flight write (FIFO through
     // SubRecord::next_queued).
@@ -390,12 +390,19 @@ class VirtualDisk {
   // retry after a bounded-backoff delay (or fail the sub-request once its
   // attempts are spent).
   void HandleAttemptFailure(uint32_t s, Status status);
-  // The version replica `r` of chunk `chunk_index` offers a resync; nullopt
-  // when it is down or lacks the chunk. A version that the chunk's in-flight
-  // write produced is offered one lower: that write's retry resends its own
-  // version and id, acked as a duplicate where it was applied and applied
-  // where it was not. Adopting it would apply the write a second time.
-  std::optional<uint64_t> ResyncVersion(size_t chunk_index, const cluster::ReplicaRef& r);
+  // A write that failed for good may have landed on some replicas, and its
+  // requests still in flight may land on others: a view change fences them
+  // off, the replicas it left behind are repaired, and the chunk's next
+  // write continues from what the write left.
+  void FenceWrite(size_t chunk_index);
+  // Refreshes the layout and sets the chunk's next version to what its
+  // replicas offer (cluster::ResyncVersion, for the in-flight write
+  // `inflight_write_id`), never below the committed one.
+  void Resync(size_t chunk_index, uint64_t inflight_write_id);
+  // Replica `r`'s state of `layout`'s chunk; an error when its server is
+  // down or lacks the chunk.
+  Result<cluster::ReplicaState> ReplicaStateOf(const cluster::ChunkLayout& layout,
+                                               const cluster::ReplicaRef& r);
   // Backoff delay before retry attempt `attempt`+1 (0 = immediate).
   Nanos BackoffDelay(int attempt);
   // Runs Retry(s) after BackoffDelay, tracking backoff stats.

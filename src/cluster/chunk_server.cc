@@ -24,7 +24,7 @@ ChunkServer::ChunkServer(sim::Simulator* sim, net::Transport* transport, Machine
 
 Status ChunkServer::AllocateChunk(ChunkId chunk, uint64_t view, uint64_t tenant) {
   URSA_RETURN_IF_ERROR(store_->Allocate(chunk));
-  states_[chunk] = ReplicaState{0, view};
+  states_[chunk] = ReplicaState{.view = view};
   if (tenant != 0) {
     chunk_tenants_[chunk] = tenant;
   }
@@ -94,7 +94,7 @@ uint64_t ChunkServer::TenantOf(ChunkId chunk) const {
   return it == chunk_tenants_.end() ? 0 : it->second;
 }
 
-Result<ChunkServer::ReplicaState> ChunkServer::GetState(ChunkId chunk) const {
+Result<ReplicaState> ChunkServer::GetState(ChunkId chunk) const {
   auto it = states_.find(chunk);
   if (it == states_.end()) {
     return NotFound("no such chunk replica");
@@ -102,19 +102,11 @@ Result<ChunkServer::ReplicaState> ChunkServer::GetState(ChunkId chunk) const {
   return it->second;
 }
 
-void ChunkServer::SetState(ChunkId chunk, uint64_t version, uint64_t view) {
-  ReplicaState& st = states_[chunk];
-  if (st.version != version) {
-    st.last_write_id = 0;  // a different history: no known last write
-  }
-  st.version = version;
-  st.view = view;
-}
-
-void ChunkServer::SetView(ChunkId chunk, uint64_t view) {
+void ChunkServer::InstallView(ChunkId chunk, uint64_t view, uint64_t version,
+                              uint64_t write_id) {
   auto it = states_.find(chunk);
   if (it != states_.end()) {
-    SetState(chunk, it->second.version, view);
+    cluster::InstallView(it->second, view, version, write_id);
   }
 }
 
@@ -180,16 +172,8 @@ void ChunkServer::HandleRead(ChunkId chunk, uint64_t offset, uint64_t length, ui
       return;
     }
     const ReplicaState& st = it->second;
-    if (st.view != view) {
-      done(VersionMismatch("stale view"), st.version);
-      return;
-    }
-    if (st.version < expected_version) {
-      // Stale replica: it has not executed writes the client already knows
-      // committed. A replica AHEAD of the client's number is fine — the disk
-      // has a single writer (§4.1), so any newer version is this client's own
-      // pipelined write, already committed or in flight from this client.
-      done(VersionMismatch("replica version is stale"), st.version);
+    if (Status readable = CheckRead(st, view, expected_version); !readable.ok()) {
+      done(readable, st.version);
       return;
     }
     if (IsScrubQuarantined(chunk, offset, length)) {
@@ -234,25 +218,12 @@ Status ChunkServer::AcceptWrite(ChunkId chunk, uint64_t offset, uint64_t length,
     return NotFound("chunk not hosted here");
   }
   ReplicaState& st = it->second;
+  WriteVerdict verdict = JudgeWrite(st, view, version, write_id);
   *replica_version = st.version;
-  if (st.view != view) {
-    return VersionMismatch("stale view");
+  if (verdict != WriteVerdict::kApply) {
+    return VerdictStatus(verdict);
   }
-  if (version + 1 == st.version) {
-    if (write_id == 0 || write_id == st.last_write_id) {
-      return OkStatus();  // the applied write again (a client retry or a duplicate)
-    }
-    // A DIFFERENT write reusing the version of one that failed at the
-    // client. Acking it would lose its data; make the client resync.
-    return VersionMismatch("stale client version; resync required");
-  }
-  if (version != st.version) {
-    return VersionMismatch("version gap; repair required");
-  }
-  st.version = version + 1;
-  st.last_write_id = write_id;
   *applied = true;
-  *replica_version = st.version;
   auto shield = write_shield_.find(chunk);
   if (shield != write_shield_.end()) {
     // Speculative promotion target: remember the client-written range so

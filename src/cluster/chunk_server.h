@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/cluster/machine.h"
+#include "src/cluster/replica_protocol.h"
 #include "src/cluster/types.h"
 #include "src/common/buffer.h"
 #include "src/journal/journal_lite.h"
@@ -63,16 +64,6 @@ class ChunkServer {
 
   // ---- Control plane (master-invoked, no network modelling) ----
 
-  struct ReplicaState {
-    uint64_t version = 0;
-    uint64_t view = 0;
-    // Identity of the last write applied here. Version numbers alone cannot
-    // distinguish "retry of the write I already executed" (ack without
-    // re-applying) from "a DIFFERENT write reusing the version of one that
-    // failed client-side" (must NOT be acked: its data was never written).
-    uint64_t last_write_id = 0;
-  };
-
   // `tenant` is the owning virtual disk's id; it rides every I/O this server
   // issues for the chunk as the QoS tenant (per-disk fair shares).
   Status AllocateChunk(ChunkId chunk, uint64_t view, uint64_t tenant = 0);
@@ -83,13 +74,10 @@ class ChunkServer {
   // Every chunk with a replica state here (the coordinator's sweep source).
   std::vector<ChunkId> HostedChunks() const;
   Result<ReplicaState> GetState(ChunkId chunk) const;
-  // Installs {version, view}. The write identity survives when the version
-  // does not change: the replica still holds exactly the write it names, so
-  // a client's retry of that write after a view change is acked as a
-  // duplicate instead of being taken for a different write.
-  void SetState(ChunkId chunk, uint64_t version, uint64_t view);
-  // SetState at the replica's current version (a no-op for an unknown chunk).
-  void SetView(ChunkId chunk, uint64_t view);
+  // The master's view install (cluster::InstallView): `view`, and `version`
+  // and `write_id` when `version` is higher than the replica's. A no-op for
+  // an unknown chunk.
+  void InstallView(ChunkId chunk, uint64_t view, uint64_t version = 0, uint64_t write_id = 0);
 
   // Fault injection: a crashed server drops every message (clients time out).
   void SetCrashed(bool crashed) { crashed_ = crashed; }
@@ -199,7 +187,7 @@ class ChunkServer {
                           qos::ServiceClass cls = qos::ServiceClass::kRecovery);
 
   // Recovery write at the transfer target of the data of `version` (no
-  // version checks; the master installs {version, view} via SetState once
+  // version checks; the master installs {version, view} via InstallView once
   // the copy completes). Ranges under the chunk's write shield are skipped
   // at apply time; a piece the shield covers entirely completes OK without a
   // device write. On a backup the rest is a JournalManager::DirectWrite, so
@@ -226,14 +214,11 @@ class ChunkServer {
  private:
   struct PrimaryWrite;
 
-  // The acceptance rule for a versioned write (§4.2.1), shared by the
-  // primary's local leg and a backup's replicate. A write at the replica's
-  // version under its view is applied: the version advances, the write
-  // identity, write shield, heat, journal lite and checksum ledger record
-  // it, and *applied is set. A retry of the applied write (one version
-  // behind, same write id) is a duplicate: OK with *applied unset. Anything
-  // else is a VersionMismatch (stale view, a different write reusing the
-  // version, or a gap). `*replica_version` gets the replica's version after
+  // A versioned write's acceptance (cluster::JudgeWrite), shared by the
+  // primary's local leg and a backup's replicate. An applied write sets
+  // *applied and is recorded by the write shield, heat, journal lite and
+  // checksum ledger; a duplicate is OK with *applied unset; anything else is
+  // a VersionMismatch. `*replica_version` gets the replica's version after
   // the call (0 for an unknown chunk).
   Status AcceptWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
                      uint64_t version, uint64_t write_id, const ursa::BufferView& data,

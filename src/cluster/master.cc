@@ -17,6 +17,10 @@ namespace {
 int ReplicaRank(const ReplicaRef& r) {
   return (r.demoted ? 2 : 0) + (r.on_ssd ? 0 : 1);
 }
+
+// The health score a device must reach before PreferReplica lets it break a
+// rank tie.
+constexpr double kHealthScoreDeadband = 1.5;
 }  // namespace
 
 // Shared state of one background job. `failures` is the tier stat a failure
@@ -57,7 +61,7 @@ bool Master::PreferReplica(const ReplicaRef& a, const ReplicaRef& b) const {
   if (health_score_) {
     double score_a = health_score_(a.server);
     double score_b = health_score_(b.server);
-    if (score_a != score_b && std::max(score_a, score_b) >= health_score_deadband_) {
+    if (score_a != score_b && std::max(score_a, score_b) >= kHealthScoreDeadband) {
       return score_a < score_b;
     }
   }
@@ -160,6 +164,13 @@ void Master::SetServerDemoted(ServerId server, bool demoted) {
   }
 }
 
+void Master::FenceChunk(ChunkId chunk) {
+  ChunkLayout* layout = FindLayout(chunk);
+  if (layout != nullptr && layout->tier == ChunkTier::kReplicated) {
+    InstallNextView(layout);
+  }
+}
+
 void Master::InstallNextView(ChunkLayout* layout) {
   ++layout->view;
   ++recovery_stats_.view_changes;
@@ -167,12 +178,12 @@ void Master::InstallNextView(ChunkLayout* layout) {
   // paths when restored.
   for (const ReplicaRef& r : layout->replicas) {
     if (!servers_[r.server]->crashed()) {
-      servers_[r.server]->SetView(layout->chunk, layout->view);
+      servers_[r.server]->InstallView(layout->chunk, layout->view);
     }
   }
   for (const EcShardRef& sh : layout->ec_shards) {
     if (!servers_[sh.server]->crashed()) {
-      servers_[sh.server]->SetView(sh.shard_chunk, layout->view);
+      servers_[sh.server]->InstallView(sh.shard_chunk, layout->view);
     }
   }
 }
@@ -430,22 +441,20 @@ ChunkLayout* Master::FindLayout(ChunkId chunk) {
 }
 
 const ReplicaRef* Master::FreshestReplica(const ChunkLayout& layout, ServerId exclude,
-                                          uint64_t* version) const {
+                                          ReplicaState* state) const {
   const ReplicaRef* best = nullptr;
   for (const ReplicaRef& r : layout.replicas) {
     if (r.server == exclude || servers_[r.server]->crashed()) {
       continue;
     }
-    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(layout.chunk);
+    Result<ReplicaState> st = servers_[r.server]->GetState(layout.chunk);
     if (!st.ok()) {
       continue;
     }
-    // Version first (a stale source would hide committed writes); at equal
-    // versions prefer healthy over demoted, SSD over HDD, and lower health
-    // score (a gray-slow source would drag the whole transfer).
-    if (best == nullptr || st->version > *version ||
-        (st->version == *version && PreferReplica(r, *best))) {
-      *version = st->version;
+    // At equal versions prefer healthy over demoted, SSD over HDD, and lower
+    // health score (a gray-slow source would drag the whole transfer).
+    if (best == nullptr || Fresher(st->version, state->version, PreferReplica(r, *best))) {
+      *state = *st;
       best = &r;
     }
   }
@@ -752,8 +761,8 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
     return;
   }
 
-  uint64_t version_h = 0;
-  const ReplicaRef* source_ref = FreshestReplica(*layout, failed, &version_h);
+  ReplicaState fresh;
+  const ReplicaRef* source_ref = FreshestReplica(*layout, failed, &fresh);
   if (source_ref == nullptr) {
     done(Unavailable("no readable survivor"));
     return;
@@ -789,8 +798,7 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
     done(ResourceExhausted("no replacement server available"));
     return;
   }
-  uint64_t new_view = layout->view + 1;
-  Status alloc = target->AllocateChunk(chunk, new_view, ref->second.disk);
+  Status alloc = target->AllocateChunk(chunk, layout->view + 1, ref->second.disk);
   if (!alloc.ok()) {
     done(alloc);
     return;
@@ -806,7 +814,7 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
   };
   CopyReplica(
       chunk, source, target, {Interval{0, disk.chunk_size}}, qos::ServiceClass::kRecovery,
-      [this, chunk, layout, failed, source, target, new_view, version_h, fail,
+      [this, chunk, layout, failed, source, target, fresh, fail,
        done = std::move(done)](const Status& s) {
         if (!s.ok()) {
           fail(done, s);
@@ -823,31 +831,29 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
           if (r.server == failed || servers_[r.server]->crashed()) {
             continue;
           }
-          Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
-          if (st.ok() && st->version < version_h) {
+          Result<ReplicaState> st = servers_[r.server]->GetState(chunk);
+          if (st.ok() && st->version < fresh.version) {
             laggards->push_back(servers_[r.server]);
           }
         }
-        auto finish = [this, chunk, layout, failed, target, new_view, version_h, fail,
+        auto finish = [this, chunk, layout, failed, target, fresh, fail,
                        done = std::move(done)](const Status& caught_up) {
           if (!caught_up.ok()) {
             fail(done, caught_up);
             return;
           }
           // Install the new view. Writes kept committing during the
-          // transfer, so survivors may have advanced past versionH — never
-          // move a replica's version backward, only adopt the new view.
-          target->SetState(chunk, version_h, new_view);
+          // transfer, so survivors may have advanced past versionH.
+          // The view current now: another job may have installed one since.
+          const uint64_t new_view = layout->view + 1;
+          target->InstallView(chunk, new_view, fresh.version, fresh.last_write_id);
           for (ReplicaRef& r : layout->replicas) {
             if (r.server == failed) {
               r = ReplicaRef{target->id(), target->node(), target->on_ssd(),
                              IsDemoted(target->id())};
             } else {
-              Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
-              if (st.ok()) {
-                servers_[r.server]->SetState(chunk, std::max(st->version, version_h),
-                                             new_view);
-              }
+              servers_[r.server]->InstallView(chunk, new_view, fresh.version,
+                                              fresh.last_write_id);
             }
           }
           layout->view = new_view;
@@ -869,7 +875,7 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
         auto finish_shared =
             std::make_shared<std::function<void(const Status&)>>(std::move(finish));
         for (ChunkServer* laggard : *laggards) {
-          Result<ChunkServer::ReplicaState> st = laggard->GetState(chunk);
+          Result<ReplicaState> st = laggard->GetState(chunk);
           CatchUp(chunk, source, laggard, st.ok() ? st->version : 0,
                   [remaining, first_failure, finish_shared](const Status& s) {
                     if (!s.ok() && first_failure->ok()) {
@@ -927,8 +933,8 @@ void Master::RepairCorruptRange(ChunkId chunk, ServerId corrupt_server, uint64_t
   // Freshest alive replica OTHER than the damaged one. Version order does not
   // gate this repair: the corrupt replica may well hold the highest version —
   // the flipped bits destroyed its data, not its metadata.
-  uint64_t version = 0;
-  const ReplicaRef* source = FreshestReplica(*layout, corrupt_server, &version);
+  ReplicaState fresh;
+  const ReplicaRef* source = FreshestReplica(*layout, corrupt_server, &fresh);
   if (source == nullptr) {
     // No healthy replica to heal from: leave the range quarantined (reads
     // keep failing with kCorruption rather than serving stale bytes).
@@ -955,27 +961,24 @@ void Master::RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(S
     return;
   }
   ChunkServer* laggard = servers_[lagging];
-  Result<ChunkServer::ReplicaState> lag_state = laggard->GetState(chunk);
+  Result<ReplicaState> lag_state = laggard->GetState(chunk);
   if (!lag_state.ok()) {
     done(lag_state.status());
     return;
   }
 
   // Find the freshest peer (healthy over demoted, SSD over HDD at ties).
-  uint64_t version_h = 0;
-  const ReplicaRef* source = FreshestReplica(*layout, lagging, &version_h);
-  if (source == nullptr || version_h <= lag_state->version) {
+  ReplicaState fresh;
+  const ReplicaRef* source = FreshestReplica(*layout, lagging, &fresh);
+  if (source == nullptr || fresh.version <= lag_state->version) {
     done(OkStatus());  // already up to date
     return;
   }
-  // The laggard may receive replications while the repair transfer runs;
-  // never move its version backward when installing the repaired state.
+  // The laggard may receive replications while the repair transfer runs.
   CatchUp(chunk, servers_[source->server], laggard, lag_state->version,
-          [laggard, chunk, version_h, view = layout->view, done = std::move(done)](Status s) {
+          [laggard, chunk, fresh, view = layout->view, done = std::move(done)](Status s) {
             if (s.ok()) {
-              Result<ChunkServer::ReplicaState> now = laggard->GetState(chunk);
-              laggard->SetState(chunk, now.ok() ? std::max(now->version, version_h) : version_h,
-                                view);
+              laggard->InstallView(chunk, view, fresh.version, fresh.last_write_id);
             }
             done(s);
           });
@@ -1211,7 +1214,7 @@ void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(St
       finish(alloc);
       return;
     }
-    server->SetState(chunk, layout->ec_version, layout->view);
+    server->InstallView(chunk, layout->view, layout->ec_version);
     server->EnableWriteShield(chunk);
     refs.push_back(ReplicaRef{targets[i], server->node(), server->on_ssd(),
                               IsDemoted(targets[i])});
@@ -1343,13 +1346,12 @@ void Master::CommitPromotion(ChunkId chunk, std::shared_ptr<Job> pass) {
   std::set<ServerId> committed(pass->targets.begin(), pass->targets.end());
   for (ServerId sid : pass->targets) {
     ChunkServer* server = servers_[sid];
-    // SetView, not SetState: an open promotion's targets carry
-    // client-advanced versions — wiping them back to the frozen one would
-    // orphan the acked writes. A target that crashed after completing its
-    // back-fill misses the install (like SetServerDemoted's view pushes) and
-    // resyncs through the stale-replica repair path once restored.
+    // The view alone: an open promotion's targets carry client-advanced
+    // versions. A target that crashed after completing its back-fill misses
+    // the install (like SetServerDemoted's view pushes) and resyncs through
+    // the stale-replica repair path once restored.
     if (!server->crashed()) {
-      server->SetView(chunk, new_view);
+      server->InstallView(chunk, new_view);
     }
     server->DisableWriteShield(chunk);
     layout->replicas.push_back(
@@ -1386,7 +1388,7 @@ void Master::FailPass(ChunkId chunk, const Job* pass, Status s) {
   // asking; a target past the frozen version means one did.
   bool written = false;
   for (const ReplicaRef& r : layout->spec_replicas) {
-    Result<ChunkServer::ReplicaState> st = servers_[r.server]->GetState(chunk);
+    Result<ReplicaState> st = servers_[r.server]->GetState(chunk);
     written = written || (st.ok() && st->version > layout->ec_version);
   }
   if (promotion.open || written) {
@@ -1453,7 +1455,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
       fail(Unavailable("journal backlog pending"));
       return;
     }
-    Result<ChunkServer::ReplicaState> st = server->GetState(chunk);
+    Result<ReplicaState> st = server->GetState(chunk);
     if (!st.ok()) {
       continue;
     }
@@ -1576,7 +1578,7 @@ void Master::CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_
       if (server->crashed()) {
         continue;
       }
-      Result<ChunkServer::ReplicaState> st = server->GetState(chunk);
+      Result<ReplicaState> st = server->GetState(chunk);
       if ((st.ok() && st->version != frozen_version) || server->HasJournalBacklog(chunk)) {
         dirty = true;
         break;

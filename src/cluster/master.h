@@ -137,13 +137,17 @@ class Master {
   // Supplies the HealthMonitor's numeric score for a server's device (windowed
   // p99 / peer median; 0 while unscored). With a provider installed, replica
   // ordering and recovery-source selection break rank ties toward the lower
-  // score once either side crosses `health_score_deadband` — a *suspect*
+  // score once either side crosses a deadband of 1.5 — a *suspect*
   // device sheds read preference gracefully before the binary demotion flag
   // ever flips.
   void SetHealthScoreProvider(std::function<double(ServerId)> fn) {
     health_score_ = std::move(fn);
   }
-  void set_health_score_deadband(double d) { health_score_deadband_ = d; }
+
+  // Installs the next view of a replicated chunk: requests sent under the
+  // old one are refused from then on (a client fences off a write that
+  // failed for good).
+  void FenceChunk(ChunkId chunk);
 
   // Re-sorts every layout under the current health scores; bumps the view
   // (and installs it) only for layouts whose replica order actually changed.
@@ -297,11 +301,11 @@ class Master {
 
   ChunkLayout* FindLayout(ChunkId chunk);
 
-  // Freshest alive replica of `layout` other than `exclude`: highest version
-  // first, then PreferReplica. Null when none answers; `*version` gets its
-  // version.
+  // Freshest alive replica of `layout` other than `exclude` (cluster::Fresher
+  // with PreferReplica breaking ties). Null when none answers; `*state` gets
+  // its state.
   const ReplicaRef* FreshestReplica(const ChunkLayout& layout, ServerId exclude,
-                                    uint64_t* version) const;
+                                    ReplicaState* state) const;
 
   // A fresh replica set for `chunk`, placed as CreateDisk placed it and topped
   // up around crashed servers and current holders; empty when fewer than the
@@ -506,7 +510,6 @@ class Master {
   RecoveryStats recovery_stats_;
   std::set<ServerId> demoted_;  // health-demoted servers
   std::function<double(ServerId)> health_score_;  // null = binary demotion only
-  double health_score_deadband_ = 1.5;
 
   // Tiering state (DESIGN.md §13).
   std::map<ChunkId, EcShardInfo> ec_shards_;  // shard chunk id -> (parent, index)

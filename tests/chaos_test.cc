@@ -235,7 +235,7 @@ TEST(ChaosViewChangeTest, StalePrimaryCannotAckAfterViewChange) {
   // own (stale) version, the old backup list. The current replicas reject
   // the stale view, so the quorum cannot form and the ack never happens.
   cluster::ChunkServer* stale = cluster.server(old_primary);
-  Result<cluster::ChunkServer::ReplicaState> stale_state = stale->GetState(old_layout.chunk);
+  Result<cluster::ReplicaState> stale_state = stale->GetState(old_layout.chunk);
   ASSERT_TRUE(stale_state.ok());
   std::vector<cluster::ReplicaRef> old_backups(old_layout.replicas.begin() + 1,
                                                old_layout.replicas.end());

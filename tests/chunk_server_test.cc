@@ -287,9 +287,9 @@ TEST_F(RecoveryWriteTest, FullyShieldedPieceCompletesWithoutDeviceWrite) {
 
 TEST_F(ChunkServerTest, VersionQueryReportsState) {
   ASSERT_TRUE(Write(0).first.ok());
-  ChunkServer::ReplicaState state;
+  cluster::ReplicaState state;
   Status status = Internal("no reply");
-  primary_->HandleVersionQuery(layout_.chunk, [&](const Status& s, ChunkServer::ReplicaState st) {
+  primary_->HandleVersionQuery(layout_.chunk, [&](const Status& s, cluster::ReplicaState st) {
     status = s;
     state = st;
   });

@@ -1,13 +1,5 @@
-// Per-chunk linearizability checking (the paper's Appendix A, as a test).
-//
-// The paper proves: "if a write request to a chunk is committed at time t1,
-// then any following read request to that chunk issued at time t2 > t1 will
-// see the committed (or newer) data." With a single writer per disk (§4.1),
-// writes to one block are totally ordered by issue order, so a history is
-// per-chunk linearizable iff every read of a block returns a version v with
-//
-//   v >= any write to that block whose COMMIT preceded the read's INVOCATION
-//   v <= any write to that block whose INVOCATION preceded the read's RESPONSE
+// Per-chunk linearizability checking (the paper's Appendix A, as a test;
+// the bounds are chaos::BlockHistory's).
 //
 // The harness below records invocation/response timestamps of concurrent,
 // pipelined reads and writes (tagging each block's bytes with its write
@@ -20,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/chaos/block_history.h"
 #include "src/client/virtual_disk.h"
 #include "src/common/rng.h"
 #include "src/core/system.h"
@@ -29,61 +22,6 @@ namespace ursa::client {
 namespace {
 
 constexpr uint64_t kBlock = 4096;
-
-// One block's write history and the checker for reads of it.
-class BlockHistory {
- public:
-  // Returns the sequence number to embed in the write's payload.
-  uint32_t OnWriteInvoke(Nanos now) {
-    writes_.push_back(WriteRecord{next_seq_, now, -1});
-    return next_seq_++;
-  }
-  void OnWriteCommit(uint32_t seq, Nanos now) {
-    for (auto& w : writes_) {
-      if (w.seq == seq) {
-        w.commit = now;
-      }
-    }
-  }
-
-  // Validates a read that returned version `seq` (0 = never written).
-  testing::AssertionResult CheckRead(uint32_t seq, Nanos invoke, Nanos response) const {
-    // Lower bound: the newest write committed before the read began.
-    uint32_t min_seq = 0;
-    for (const auto& w : writes_) {
-      if (w.commit >= 0 && w.commit < invoke) {
-        min_seq = std::max(min_seq, w.seq);
-      }
-    }
-    // Upper bound: any write invoked before the read ended may be visible.
-    uint32_t max_seq = 0;
-    for (const auto& w : writes_) {
-      if (w.invoke < response) {
-        max_seq = std::max(max_seq, w.seq);
-      }
-    }
-    if (seq < min_seq) {
-      return testing::AssertionFailure()
-             << "STALE read: returned seq " << seq << " but write " << min_seq
-             << " committed before the read was invoked";
-    }
-    if (seq > max_seq) {
-      return testing::AssertionFailure()
-             << "FUTURE read: returned seq " << seq << " but only " << max_seq
-             << " writes were even invoked before the read responded";
-    }
-    return testing::AssertionSuccess();
-  }
-
- private:
-  struct WriteRecord {
-    uint32_t seq;
-    Nanos invoke;
-    Nanos commit;  // -1 until committed
-  };
-  uint32_t next_seq_ = 1;
-  std::vector<WriteRecord> writes_;
-};
 
 // Harness: fires pipelined reads/writes over `blocks` 4K blocks, embedding
 // the sequence number in each write's payload and checking every read.
@@ -128,8 +66,10 @@ class LinearizabilityHarness {
         }
         uint32_t seq = 0;
         std::memcpy(&seq, buf->data(), sizeof(seq));
-        testing::AssertionResult result =
-            histories_[block].CheckRead(seq, invoke, sim_->Now());
+        std::string violation = histories_[block].CheckRead(seq, invoke, sim_->Now());
+        testing::AssertionResult result = violation.empty()
+                                              ? testing::AssertionSuccess()
+                                              : testing::AssertionFailure() << violation;
         EXPECT_TRUE(result) << "block " << block;
         all_ok_ = all_ok_ && static_cast<bool>(result);
         ++checked_reads_;
@@ -141,7 +81,7 @@ class LinearizabilityHarness {
   VirtualDisk* disk_;
   int blocks_;
   Rng rng_;
-  std::vector<BlockHistory> histories_;
+  std::vector<chaos::BlockHistory> histories_;
   int checked_reads_ = 0;
   int committed_writes_ = 0;
   bool all_ok_ = true;

@@ -44,15 +44,35 @@ TEST_F(MasterEdgeTest, RepairChunkReplicasHealsLaggard) {
   cluster::ChunkServer* laggard = cluster_.server(layout.replicas[2].server);
   cluster::ChunkServer* fresh = cluster_.server(layout.replicas[0].server);
   // Simulate a missed write: the fresh replica advanced, the laggard did not.
-  fresh->SetState(layout.chunk, 3, layout.view);
-  cluster_.server(layout.replicas[1].server)->SetState(layout.chunk, 3, layout.view);
-  laggard->SetState(layout.chunk, 1, layout.view);
+  fresh->InstallView(layout.chunk, layout.view, 3);
+  cluster_.server(layout.replicas[1].server)->InstallView(layout.chunk, layout.view, 3);
+  laggard->InstallView(layout.chunk, layout.view, 1);
 
   cluster_.master().RepairChunkReplicas(layout.chunk);
   sim_.RunUntil(sim_.Now() + sec(10));
-  Result<cluster::ChunkServer::ReplicaState> st = laggard->GetState(layout.chunk);
+  Result<cluster::ReplicaState> st = laggard->GetState(layout.chunk);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->version, 3u);
+}
+
+// A view change lands while a laggard's repair copies: the repair's install,
+// made for the older view, must not take the laggard back to it.
+TEST_F(MasterEdgeTest, RepairOutlivedByAViewChangeKeepsTheNewView) {
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ChunkServer* laggard = cluster_.server(layout.replicas[2].server);
+  cluster_.server(layout.replicas[0].server)->InstallView(layout.chunk, layout.view, 3);
+  cluster_.server(layout.replicas[1].server)->InstallView(layout.chunk, layout.view, 3);
+  laggard->InstallView(layout.chunk, layout.view, 1);
+
+  cluster_.master().RepairChunkReplicas(layout.chunk);
+  cluster_.master().SetServerDemoted(layout.replicas[1].server, true);  // the next view
+  sim_.RunUntil(sim_.Now() + sec(10));
+  const uint64_t view = Layout0().view;
+  ASSERT_EQ(view, layout.view + 1);
+  Result<cluster::ReplicaState> st = laggard->GetState(layout.chunk);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->view, view);
+  EXPECT_EQ(st->version, 1u);  // the stale repair raised nothing; a later one will
 }
 
 TEST_F(MasterEdgeTest, RecoveryPieceSizeDoesNotChangeBytes) {

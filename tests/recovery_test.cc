@@ -17,11 +17,12 @@ namespace {
 
 class RecoveryTest : public ::testing::Test {
  protected:
-  void Build() {
+  void Build(int max_attempts = VirtualDiskClientOptions{}.max_attempts) {
     cluster_ = std::make_unique<cluster::Cluster>(&sim_, test::SmallClusterConfig());
     disk_id_ = *cluster_->master().CreateDisk("d", 4 * kMiB, 3, 1);
     VirtualDiskClientOptions options;
     options.request_timeout = msec(300);  // fail fast in tests
+    options.max_attempts = max_attempts;
     host_ = cluster_->AddClientMachine();
     disk_ = std::make_unique<VirtualDisk>(cluster_.get(), host_, 1, options);
     ASSERT_TRUE(disk_->Open(disk_id_).ok());
@@ -263,7 +264,9 @@ TEST_F(RecoveryTest, ViewChangeKeepsSurvivorWriteIdentity) {
   const uint64_t new_view = Layout0().view;
   ASSERT_EQ(new_view, before.view + 1);
 
-  for (cluster::ChunkServer* server : survivors) {
+  // The survivors keep the identity, and the replacement takes its source's.
+  for (const cluster::ReplicaRef& r : Layout0().replicas) {
+    cluster::ChunkServer* server = cluster_->server(r.server);
     uint64_t served = server->replicates_served();
     auto [status, version] = replicate(server, new_view);
     EXPECT_TRUE(status.ok()) << status.ToString();
@@ -271,6 +274,59 @@ TEST_F(RecoveryTest, ViewChangeKeepsSurvivorWriteIdentity) {
     EXPECT_EQ(server->GetState(before.chunk)->version, 1u);
     EXPECT_EQ(server->replicates_served(), served);  // acked, not re-applied
   }
+}
+
+// A write failed for good after landing on replica A only. The client's
+// next write must not reuse its version: committed on B and C while A still
+// held the failed write, the one version would name two different byte
+// images, and a read from A would return the failed write.
+TEST_F(RecoveryTest, WriteThatFailedForGoodIsFencedBeforeTheNextWrite) {
+  Build(/*max_attempts=*/1);
+  ASSERT_TRUE(WriteSync(0, test::Pattern(4096, 1)).ok());
+  const cluster::ChunkLayout before = Layout0();
+  net::LinkChaosRule rule;
+  rule.blocked = true;
+  for (int i : {1, 2}) {
+    cluster_->transport().SetLinkChaos(host_->node(), before.replicas[i].node, rule);
+  }
+  EXPECT_FALSE(WriteSync(0, test::Pattern(4096, 2)).ok());
+  rule.blocked = false;
+  for (int i : {1, 2}) {
+    cluster_->transport().SetLinkChaos(host_->node(), before.replicas[i].node, rule);
+  }
+  const std::vector<uint8_t> next = test::Pattern(4096, 3);
+  ASSERT_TRUE(WriteSync(0, next, sec(10)).ok());
+  EXPECT_EQ(ReadSync(0, 4096), next);
+  const cluster::ChunkLayout after = Layout0();
+  EXPECT_GT(after.view, before.view);  // the fence
+  for (const cluster::ReplicaRef& r : after.replicas) {
+    EXPECT_EQ(cluster_->server(r.server)->GetState(after.chunk)->version,
+              cluster_->server(after.replicas[0].server)->GetState(after.chunk)->version)
+        << "server " << r.server;
+  }
+}
+
+// An attempt that resynced elsewhere may resend a write one version above
+// the one it made on a replica. The replica refuses it: applying it again
+// would count the one write twice and shift that replica's history.
+TEST_F(RecoveryTest, ReplicaRefusesItsLastWriteAtItsNewVersion) {
+  Build();
+  cluster::ChunkLayout layout = Layout0();
+  cluster::ChunkServer* server = cluster_->server(layout.replicas[1].server);
+  ursa::Buffer data = ursa::Buffer::CopyOf(test::Pattern(4096, 5).data(), 4096);
+  auto replicate = [&](uint64_t version) {
+    std::pair<Status, uint64_t> reply{Internal("no reply"), 0};
+    server->HandleReplicate(layout.chunk, 0, 4096, layout.view, version, data,
+                            [&](const Status& s, uint64_t v) { reply = {s, v}; }, {},
+                            /*write_id=*/9);
+    sim_.RunUntil(sim_.Now() + msec(100));
+    return reply;
+  };
+  ASSERT_TRUE(replicate(0).first.ok());
+  auto [status, version] = replicate(1);
+  EXPECT_EQ(status.code(), StatusCode::kVersionMismatch) << status.ToString();
+  EXPECT_EQ(server->GetState(layout.chunk)->version, 1u);
+  EXPECT_EQ(server->replicates_served(), 1u);
 }
 
 // A client-directed write has been applied on replica A when a view bump (a

@@ -68,13 +68,13 @@ TEST_F(UpgradeTest, DrainingServerDropsNewRequestsButFinishesInflight) {
   ChunkServer* server = cluster_.server(0);
   server->SetDraining(true);
   bool replied = false;
-  server->HandleVersionQuery(1, [&](const Status&, ChunkServer::ReplicaState) {
+  server->HandleVersionQuery(1, [&](const Status&, cluster::ReplicaState) {
     replied = true;
   });
   sim_.RunUntil(sim_.Now() + msec(100));
   EXPECT_FALSE(replied);  // port closed
   server->SetDraining(false);
-  server->HandleVersionQuery(1, [&](const Status&, ChunkServer::ReplicaState) {
+  server->HandleVersionQuery(1, [&](const Status&, cluster::ReplicaState) {
     replied = true;
   });
   sim_.RunUntil(sim_.Now() + msec(100));
