@@ -602,24 +602,16 @@ void VirtualDisk::DeliverPiece(uint32_t p, uint32_t gen) {
   if (server == nullptr) {
     return;  // the timeout handles it
   }
-  const obs::SpanRef& span = SubSpan(piece.sub);
-  if (piece.kind == PieceKind::kSurvivor) {
-    // Also holds the survivor buffer until the server has written into it.
-    auto served = [this, p, gen, keep = UserCallback(piece.sub),
-                   buf = pieces_[piece.degraded].survivors](const Status& s, uint64_t) {
-      OnPieceServed(p, gen, s);
-    };
-    static_assert(InlineFn::kFitsInline<decltype(served)>);
-    server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version,
-                       piece.out, served, span);
-    return;
-  }
-  auto served = [this, p, gen, keep = UserCallback(piece.sub)](const Status& s, uint64_t) {
+  // A survivor piece also holds the survivor buffer until the server has
+  // written into it.
+  auto served = [this, p, gen, keep = UserCallback(piece.sub),
+                 buf = piece.kind == PieceKind::kSurvivor ? pieces_[piece.degraded].survivors
+                                                          : nullptr](const Status& s, uint64_t) {
     OnPieceServed(p, gen, s);
   };
   static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version, piece.out,
-                     served, span);
+                     served, SubSpan(piece.sub));
 }
 
 void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status) {

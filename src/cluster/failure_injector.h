@@ -1,10 +1,8 @@
-// Failure injection utilities.
-//
-// Two roles: (1) crash/restore live chunk servers on a schedule for recovery
-// experiments and availability tests; (2) a fleet-scale hazard-rate model
-// that generates component failures over simulated deployment time — the
-// generator behind the Table 1 reproduction (HDD ≈ 70% of failures, an order
-// of magnitude above SSD).
+// The fleet failure model: a hazard-rate model that generates component
+// failures over simulated deployment time — the generator behind the Table 1
+// reproduction (HDD ≈ 70% of failures, an order of magnitude above SSD).
+// Live chunk servers are crashed and restored through Cluster::CrashServer /
+// RestoreServer, not here.
 #ifndef URSA_CLUSTER_FAILURE_INJECTOR_H_
 #define URSA_CLUSTER_FAILURE_INJECTOR_H_
 

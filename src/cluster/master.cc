@@ -21,6 +21,9 @@ int ReplicaRank(const ReplicaRef& r) {
 // The health score a device must reach before PreferReplica lets it break a
 // rank tie.
 constexpr double kHealthScoreDeadband = 1.5;
+
+// A server id no replica has: FreshestReplica excludes nothing.
+constexpr ServerId kNoServer = ~ServerId{0};
 }  // namespace
 
 // Shared state of one background job. `failures` is the tier stat a failure
@@ -31,6 +34,9 @@ struct Master::Job {
   sim::EventId timeout_event = 0;
   // Chunks allocated by this job; freed again if it fails before commit.
   std::vector<std::pair<ServerId, ChunkId>> allocated;
+  // EC shard ids this job created and indexed; un-indexed again if it fails
+  // before commit. A shard repair rebuilds an indexed shard and adds none.
+  std::vector<ChunkId> indexed;
   // Promotion pass: the targets alive at pass start — the set the commit
   // installs. Must be a majority of the targets so it is guaranteed to
   // intersect every client write quorum (the freshest acked data is on some
@@ -508,6 +514,15 @@ std::vector<Interval> Master::Pieces(const std::vector<Interval>& ranges) const 
 }
 
 void Master::RunCopy(Copy copy, std::function<void()> done) {
+  if (copy.pieces.empty()) {
+    // Nothing to move: land on the next event, as a copy of bytes would.
+    sim_->After(0, [job = std::move(copy.job), done = std::move(done)]() {
+      if (!job->finished) {
+        done();
+      }
+    });
+    return;
+  }
   struct State {
     Copy copy;
     size_t issued = 0;
@@ -602,6 +617,23 @@ void Master::RunCopy(Copy copy, std::function<void()> done) {
   (*pump)();
 }
 
+std::function<void()> Master::Join(size_t copies, std::function<void()> done) {
+  if (copies == 0) {
+    done();
+    return nullptr;
+  }
+  struct State {
+    size_t remaining;
+    std::function<void()> done;
+  };
+  auto st = std::make_shared<State>(State{copies, std::move(done)});
+  return [st]() {
+    if (--st->remaining == 0) {
+      st->done();
+    }
+  };
+}
+
 std::shared_ptr<Master::Job> Master::StartJob(const char* timeout, uint64_t* failures,
                                               std::function<void(Status)> done) {
   auto job = std::make_shared<Job>();
@@ -640,14 +672,16 @@ void Master::FinishJob(std::shared_ptr<Job> job, Status s) {
     return;
   }
   if (!s.ok()) {
-    // Roll back anything this job allocated but never committed.
+    // Roll back anything this job allocated or indexed but never committed.
     for (const auto& [sid, cid] : job->allocated) {
       if (!servers_[sid]->crashed() && servers_[sid]->HasChunk(cid)) {
         servers_[sid]->FreeChunk(cid);
       }
-      ec_shards_.erase(cid);
+    }
+    for (ChunkId shard : job->indexed) {
+      ec_shards_.erase(shard);
       if (heat_ != nullptr) {
-        heat_->ClearAlias(cid);
+        heat_->ClearAlias(shard);
       }
     }
   }
@@ -663,32 +697,52 @@ void Master::FailJob(std::shared_ptr<Job> job, Status s) {
   FinishJob(std::move(job), std::move(s));
 }
 
-void Master::CopyReplica(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                         std::vector<Interval> ranges, qos::ServiceClass cls,
-                         std::function<void(Status)> done) {
-  std::vector<Interval> pieces = Pieces(ranges);
-  if (pieces.empty()) {
-    sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
-    return;
-  }
-  auto job = StartJob("replica copy timed out", nullptr, std::move(done));
-  Copy copy{.chunk = chunk, .pieces = std::move(pieces), .source = source, .target = target,
-            .cls = cls, .job = job};
-  RunCopy(std::move(copy), [this, job]() { FinishJob(job, OkStatus()); });
+void Master::Defer(std::function<void(Status)> done, Status s) {
+  sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
 }
 
-void Master::CatchUp(ChunkId chunk, ChunkServer* source, ChunkServer* laggard,
-                     uint64_t from_version, std::function<void(Status)> done) {
+std::vector<ChunkServer*> Master::Laggards(const ChunkLayout& layout, ServerId skip,
+                                           uint64_t version) const {
+  std::vector<ChunkServer*> laggards;
+  for (const ReplicaRef& r : layout.replicas) {
+    if (r.server == skip || servers_[r.server]->crashed()) {
+      continue;
+    }
+    Result<ReplicaState> st = servers_[r.server]->GetState(layout.chunk);
+    if (st.ok() && st->version < version) {
+      laggards.push_back(servers_[r.server]);
+    }
+  }
+  return laggards;
+}
+
+Master::Copy Master::CatchUp(const std::shared_ptr<Job>& job, ChunkId chunk, ChunkServer* source,
+                             ChunkServer* laggard) {
   std::vector<Interval> ranges;
-  if (source->ModifiedSince(chunk, from_version, &ranges)) {
+  if (source->ModifiedSince(chunk, laggard->GetState(chunk)->version, &ranges)) {
     ++recovery_stats_.incremental_repairs;
   } else {
     // History GC'd: transfer the whole chunk (§4.2.1).
     ++recovery_stats_.full_copies;
     ranges = {Interval{0, disks_[chunk_refs_.at(chunk).disk].chunk_size}};
   }
-  CopyReplica(chunk, source, laggard, std::move(ranges), qos::ServiceClass::kRecovery,
-              std::move(done));
+  return Copy{.chunk = chunk, .pieces = Pieces(ranges), .source = source, .target = laggard,
+              .job = job};
+}
+
+void Master::RepairLaggards(ChunkId chunk, ChunkServer* source, const ReplicaState& fresh,
+                            std::vector<ChunkServer*> laggards, std::function<void(Status)> done) {
+  auto job = StartJob("replica repair timed out", nullptr, std::move(done));
+  auto repaired = Join(laggards.size(), [this, job]() { FinishJob(job, OkStatus()); });
+  // A laggard may receive replications while its copy runs; it takes the
+  // version once its own copy has landed.
+  const uint64_t view = FindLayout(chunk)->view;
+  for (ChunkServer* laggard : laggards) {
+    RunCopy(CatchUp(job, chunk, source, laggard), [chunk, laggard, view, fresh, repaired]() {
+      laggard->InstallView(chunk, view, fresh.version, fresh.last_write_id);
+      repaired();
+    });
+  }
 }
 
 void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
@@ -721,8 +775,6 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
     done(OkStatus());
     return;
   }
-  auto ref = chunk_refs_.find(chunk);
-  const DiskMeta& disk = disks_[ref->second.disk];
 
   // Verify the suspicion before acting (§4.2.2: Ursa deliberately avoids
   // declaring replicas dead on a timeout alone). A client timeout can stem
@@ -731,15 +783,7 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
   // freshest) data. If the suspect responds, repair lagging replicas
   // instead of changing the view.
   if (failed < servers_.size() && !servers_[failed]->crashed()) {
-    auto remaining = std::make_shared<size_t>(layout->replicas.size());
-    auto done_shared = std::make_shared<std::function<void(Status)>>(std::move(done));
-    for (const ReplicaRef& r : layout->replicas) {
-      RepairReplica(chunk, r.server, [remaining, done_shared](Status) {
-        if (--*remaining == 0) {
-          (*done_shared)(OkStatus());
-        }
-      });
-    }
+    RepairChunkReplicas(chunk, [done = std::move(done)](const Status&) { done(OkStatus()); });
     return;
   }
 
@@ -798,122 +842,78 @@ void Master::ReportReplicaFailure(ChunkId chunk, ServerId failed,
     done(ResourceExhausted("no replacement server available"));
     return;
   }
-  Status alloc = target->AllocateChunk(chunk, layout->view + 1, ref->second.disk);
+  const DiskId disk = chunk_refs_.at(chunk).disk;
+  Status alloc = target->AllocateChunk(chunk, layout->view + 1, disk);
   if (!alloc.ok()) {
     done(alloc);
     return;
   }
 
-  // A recovery that fails leaves the layout as it was: the replacement is
-  // freed again, so the caller's retry allocates afresh.
-  auto fail = [chunk, target](const std::function<void(Status)>& done, const Status& s) {
-    if (!target->crashed() && target->HasChunk(chunk)) {
-      target->FreeChunk(chunk);
+  // A recovery that fails leaves the layout as it was: the job's rollback
+  // frees the replacement, so the caller's retry allocates afresh.
+  auto job = StartJob("replica recovery timed out", nullptr, std::move(done));
+  job->allocated.emplace_back(target->id(), chunk);
+  Copy copy{.chunk = chunk, .pieces = Pieces({Interval{0, disks_[disk].chunk_size}}),
+            .source = source, .target = target, .job = job};
+  RunCopy(std::move(copy), [this, chunk, layout, failed, source, target, fresh, job]() {
+    // Before installing the new view, bring every LAGGING survivor up to
+    // versionH with real data (incremental repair from the source's journal
+    // lite, or a full copy when history is gone) — a bare version
+    // fast-forward would hide lost writes. The catch-ups are copies of this
+    // job, so one that fails fails the recovery: no laggard moves to
+    // versionH without the data behind it.
+    std::vector<ChunkServer*> laggards = Laggards(*layout, failed, fresh.version);
+    auto caught_up = Join(laggards.size(), [this, chunk, layout, failed, target, fresh, job]() {
+      // Install the new view. Writes kept committing during the transfer,
+      // so survivors may have advanced past versionH. The view current
+      // now: another job may have installed one since.
+      const uint64_t new_view = layout->view + 1;
+      target->InstallView(chunk, new_view, fresh.version, fresh.last_write_id);
+      for (ReplicaRef& r : layout->replicas) {
+        if (r.server == failed) {
+          r = ReplicaRef{target->id(), target->node(), target->on_ssd(),
+                         IsDemoted(target->id())};
+        } else {
+          servers_[r.server]->InstallView(chunk, new_view, fresh.version, fresh.last_write_id);
+        }
+      }
+      layout->view = new_view;
+      // Keep the preferred primary first (a healthy SSD replica if any,
+      // health-score tiebroken).
+      SortLayout(layout);
+      ++recovery_stats_.chunks_recovered;
+      ++recovery_stats_.view_changes;
+      FinishJob(job, OkStatus());
+    });
+    for (ChunkServer* laggard : laggards) {
+      RunCopy(CatchUp(job, chunk, source, laggard), caught_up);
     }
-    done(s);
-  };
-  CopyReplica(
-      chunk, source, target, {Interval{0, disk.chunk_size}}, qos::ServiceClass::kRecovery,
-      [this, chunk, layout, failed, source, target, fresh, fail,
-       done = std::move(done)](const Status& s) {
-        if (!s.ok()) {
-          fail(done, s);
-          return;
-        }
-        // Before installing the new view, bring every LAGGING survivor up to
-        // versionH with real data (incremental repair from the source's
-        // journal lite, or a full copy when history is gone) — a bare
-        // version fast-forward would hide lost writes. So a catch-up that
-        // fails fails the recovery: no laggard moves to versionH without
-        // the data behind it.
-        auto laggards = std::make_shared<std::vector<ChunkServer*>>();
-        for (const ReplicaRef& r : layout->replicas) {
-          if (r.server == failed || servers_[r.server]->crashed()) {
-            continue;
-          }
-          Result<ReplicaState> st = servers_[r.server]->GetState(chunk);
-          if (st.ok() && st->version < fresh.version) {
-            laggards->push_back(servers_[r.server]);
-          }
-        }
-        auto finish = [this, chunk, layout, failed, target, fresh, fail,
-                       done = std::move(done)](const Status& caught_up) {
-          if (!caught_up.ok()) {
-            fail(done, caught_up);
-            return;
-          }
-          // Install the new view. Writes kept committing during the
-          // transfer, so survivors may have advanced past versionH.
-          // The view current now: another job may have installed one since.
-          const uint64_t new_view = layout->view + 1;
-          target->InstallView(chunk, new_view, fresh.version, fresh.last_write_id);
-          for (ReplicaRef& r : layout->replicas) {
-            if (r.server == failed) {
-              r = ReplicaRef{target->id(), target->node(), target->on_ssd(),
-                             IsDemoted(target->id())};
-            } else {
-              servers_[r.server]->InstallView(chunk, new_view, fresh.version,
-                                              fresh.last_write_id);
-            }
-          }
-          layout->view = new_view;
-          // Keep the preferred primary first (a healthy SSD replica if any,
-          // health-score tiebroken).
-          SortLayout(layout);
-          ++recovery_stats_.chunks_recovered;
-          ++recovery_stats_.view_changes;
-          done(OkStatus());
-        };
-        if (laggards->empty()) {
-          finish(OkStatus());
-          return;
-        }
-        // Every catch-up ends (its job times out if it stalls); the first
-        // failure is the recovery's.
-        auto remaining = std::make_shared<size_t>(laggards->size());
-        auto first_failure = std::make_shared<Status>(OkStatus());
-        auto finish_shared =
-            std::make_shared<std::function<void(const Status&)>>(std::move(finish));
-        for (ChunkServer* laggard : *laggards) {
-          Result<ReplicaState> st = laggard->GetState(chunk);
-          CatchUp(chunk, source, laggard, st.ok() ? st->version : 0,
-                  [remaining, first_failure, finish_shared](const Status& s) {
-                    if (!s.ok() && first_failure->ok()) {
-                      *first_failure = s;
-                    }
-                    if (--*remaining == 0) {
-                      (*finish_shared)(*first_failure);
-                    }
-                  });
-        }
-      });
+  });
 }
 
-void Master::RepairChunkReplicas(ChunkId chunk) {
+void Master::RepairChunkReplicas(ChunkId chunk, std::function<void(Status)> done) {
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr) {
+    if (done) {
+      done(NotFound("unknown chunk"));
+    }
     return;
   }
-  if (layout->tier == ChunkTier::kEc) {
-    if (layout->speculating()) {
-      // Mid-promotion the back-fill pass owns the stripe; its retry or
-      // rollback (and the post-commit stale-replica repair) covers every
-      // failure.
-      return;
-    }
+  // Mid-promotion the back-fill pass owns the stripe; its retry or rollback
+  // (and the post-commit stale-replica repair) covers every failure.
+  if (layout->tier == ChunkTier::kEc && !layout->speculating()) {
     // Stripe healing: rebuild any shard stranded on a crashed server.
     for (size_t i = 0; i < layout->ec_shards.size(); ++i) {
       if (servers_[layout->ec_shards[i].server]->crashed()) {
         RepairEcShard(chunk, static_cast<int>(i), [](Status) {});
       }
     }
-    return;
   }
-  for (const ReplicaRef& r : layout->replicas) {
-    if (!servers_[r.server]->crashed()) {
-      RepairReplica(chunk, r.server, [](Status) {});
-    }
-  }
+  // An EC layout has no replicas, so no source and no laggards.
+  ReplicaState fresh;
+  const ReplicaRef* source = FreshestReplica(*layout, kNoServer, &fresh);
+  RepairLaggards(chunk, source == nullptr ? nullptr : servers_[source->server], fresh,
+                 Laggards(*layout, kNoServer, fresh.version), std::move(done));
 }
 
 void Master::RepairCorruptRange(ChunkId chunk, ServerId corrupt_server, uint64_t offset,
@@ -927,7 +927,7 @@ void Master::RepairCorruptRange(ChunkId chunk, ServerId corrupt_server, uint64_t
   }
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr) {
-    sim_->After(0, [done = std::move(done)]() { done(NotFound("unknown chunk")); });
+    Defer(std::move(done), NotFound("unknown chunk"));
     return;
   }
   // Freshest alive replica OTHER than the damaged one. Version order does not
@@ -938,16 +938,17 @@ void Master::RepairCorruptRange(ChunkId chunk, ServerId corrupt_server, uint64_t
   if (source == nullptr) {
     // No healthy replica to heal from: leave the range quarantined (reads
     // keep failing with kCorruption rather than serving stale bytes).
-    sim_->After(0, [done = std::move(done)]() {
-      done(Unavailable("no healthy replica for corruption repair"));
-    });
+    Defer(std::move(done), Unavailable("no healthy replica for corruption repair"));
     return;
   }
   ++recovery_stats_.corruption_repairs;
   // Scrub repair: lowest-priority class — it races nothing (reads of the
   // range stay quarantined until `done`).
-  CopyReplica(chunk, servers_[source->server], servers_[corrupt_server],
-              {Interval{offset, length}}, qos::ServiceClass::kScrub, std::move(done));
+  auto job = StartJob("corruption repair timed out", nullptr, std::move(done));
+  Copy copy{.chunk = chunk, .pieces = Pieces({Interval{offset, length}}),
+            .source = servers_[source->server], .target = servers_[corrupt_server],
+            .cls = qos::ServiceClass::kScrub, .job = job};
+  RunCopy(std::move(copy), [this, job]() { FinishJob(job, OkStatus()); });
 }
 
 void Master::RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(Status)> done) {
@@ -974,14 +975,7 @@ void Master::RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(S
     done(OkStatus());  // already up to date
     return;
   }
-  // The laggard may receive replications while the repair transfer runs.
-  CatchUp(chunk, servers_[source->server], laggard, lag_state->version,
-          [laggard, chunk, fresh, view = layout->view, done = std::move(done)](Status s) {
-            if (s.ok()) {
-              laggard->InstallView(chunk, view, fresh.version, fresh.last_write_id);
-            }
-            done(s);
-          });
+  RepairLaggards(chunk, servers_[source->server], fresh, {laggard}, std::move(done));
 }
 
 // ---- Tiered placement (DESIGN.md §13) ----
@@ -1060,56 +1054,43 @@ void Master::ReadStripe(const std::shared_ptr<Job>& job, const std::vector<EcSha
                         int k, int m, std::vector<int> sources, std::vector<int> wanted,
                         Interval range, std::vector<Slot> slots, qos::ServiceClass cls,
                         std::function<void()> done) {
-  struct State {
-    size_t remaining = 0;
-    std::vector<int> sources;
-    std::vector<int> wanted;
-    std::vector<Slot> slots;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<State>();
-  st->remaining = sources.size();
-  st->sources = std::move(sources);
-  st->wanted = std::move(wanted);
-  st->slots = std::move(slots);
-  st->done = std::move(done);
-  for (int idx : st->sources) {
-    Slot& slot = st->slots[idx];
-    if (!slot.buf && recovery_carries_data_) {
-      slot = Slot{ursa::Buffer::Allocate(range.length)};  // decode-only scratch
+  for (int idx : sources) {
+    if (!slots[idx].buf && recovery_carries_data_) {
+      slots[idx] = Slot{ursa::Buffer::Allocate(range.length)};  // decode-only scratch
     }
-    Copy read{.chunk = shards[idx].shard_chunk,
-              .pieces = Pieces({range}),
-              .source = servers_[shards[idx].server],
-              .bytes = slot,
-              .cls = cls,
-              .job = job};
-    RunCopy(std::move(read), [this, st, job, k, m, length = range.length]() {
-      if (--st->remaining > 0) {
+  }
+  auto read = Join(sources.size(), [this, job, k, m, length = range.length, sources, slots,
+                                    wanted = std::move(wanted), done = std::move(done)]() mutable {
+    // All k sources are in: rebuild the wanted slots from them.
+    if (recovery_carries_data_ && !wanted.empty()) {
+      std::vector<bool> present(k + m, false);
+      std::vector<const uint8_t*> in(k + m, nullptr);
+      for (int i : sources) {
+        present[i] = true;
+        in[i] = slots[i].data();
+      }
+      ec::ReedSolomon::DecodePlan plan;
+      Status ps = Codec(k, m)->PlanReconstruct(present, wanted, &plan);
+      if (!ps.ok()) {
+        FailJob(job, ps);
         return;
       }
-      // All k sources are in: rebuild the wanted slots from them.
-      if (recovery_carries_data_ && !st->wanted.empty()) {
-        std::vector<bool> present(k + m, false);
-        std::vector<const uint8_t*> in(k + m, nullptr);
-        for (int i : st->sources) {
-          present[i] = true;
-          in[i] = st->slots[i].data();
-        }
-        ec::ReedSolomon::DecodePlan plan;
-        Status ps = Codec(k, m)->PlanReconstruct(present, st->wanted, &plan);
-        if (!ps.ok()) {
-          FailJob(job, ps);
-          return;
-        }
-        std::vector<uint8_t*> out(k + m, nullptr);
-        for (int t : st->wanted) {
-          out[t] = st->slots[t].data();
-        }
-        Codec(k, m)->ReconstructWith(plan, in, out, length);
+      std::vector<uint8_t*> out(k + m, nullptr);
+      for (int t : wanted) {
+        out[t] = slots[t].data();
       }
-      st->done();
-    });
+      Codec(k, m)->ReconstructWith(plan, in, out, length);
+    }
+    done();
+  });
+  for (int idx : sources) {
+    Copy copy{.chunk = shards[idx].shard_chunk,
+              .pieces = Pieces({range}),
+              .source = servers_[shards[idx].server],
+              .bytes = slots[idx],
+              .cls = cls,
+              .job = job};
+    RunCopy(std::move(copy), read);
   }
 }
 
@@ -1152,17 +1133,14 @@ void Master::BeginWritePromote(ChunkId chunk, std::function<void(Status)> done) 
 }
 
 void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(Status)> done) {
-  auto finish = [this, &done](Status s) {
-    sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
-  };
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr) {
-    finish(NotFound("unknown chunk"));
+    Defer(std::move(done), NotFound("unknown chunk"));
     return;
   }
   auto it = migrations_.find(chunk);
   if (layout->tier == ChunkTier::kReplicated && it == migrations_.end()) {
-    finish(OkStatus());
+    Defer(std::move(done), OkStatus());
     return;
   }
   if (it != migrations_.end() && it->second.promotion) {
@@ -1174,7 +1152,7 @@ void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(St
     }
     if (open) {
       promotion.open = true;
-      finish(OkStatus());
+      Defer(std::move(done), OkStatus());
     } else {
       promotion.waiters.push_back(std::move(done));
     }
@@ -1189,13 +1167,13 @@ void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(St
   }
   if (!HasAliveShard(*layout)) {
     ++tier_stats_.promote_failures;
-    finish(Unavailable("no alive shard"));
+    Defer(std::move(done), Unavailable("no alive shard"));
     return;
   }
   std::vector<ServerId> targets = PlaceReplicaTargets(chunk);
   if (targets.empty()) {
     ++tier_stats_.promote_failures;
-    finish(ResourceExhausted("too few servers to re-replicate"));
+    Defer(std::move(done), ResourceExhausted("too few servers to re-replicate"));
     return;
   }
   // Allocate all-or-nothing, then install. Targets start at the frozen EC
@@ -1211,7 +1189,7 @@ void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(St
         servers_[targets[j]]->FreeChunk(chunk);
       }
       ++tier_stats_.promote_failures;
-      finish(alloc);
+      Defer(std::move(done), alloc);
       return;
     }
     server->InstallView(chunk, layout->view, layout->ec_version);
@@ -1230,7 +1208,7 @@ void Master::Promote(ChunkId chunk, bool write, bool open, std::function<void(St
   }
   StartPass(chunk);
   if (open) {
-    finish(OkStatus());  // no ack gate: the caller may write at once
+    Defer(std::move(done), OkStatus());  // no ack gate: the caller may write at once
   }
 }
 
@@ -1293,7 +1271,9 @@ void Master::RunPass(ChunkId chunk, std::shared_ptr<Job> pass) {
       ChunkSlots(data, ursa::Buffer(), k, m, shard_size), cls,
       [this, chunk, pass, data, chunk_size, cls, version = layout.ec_version,
        from = shards[plan.sources[0]].node]() {
-        auto remaining = std::make_shared<size_t>(pass->targets.size());
+        auto written = Join(pass->targets.size(), [this, chunk, pass]() {
+          CommitPromotion(chunk, pass);
+        });
         for (ServerId sid : pass->targets) {
           Copy write{.chunk = chunk,
                      .pieces = Pieces({Interval{0, chunk_size}}),
@@ -1303,11 +1283,7 @@ void Master::RunPass(ChunkId chunk, std::shared_ptr<Job> pass) {
                      .version = version,
                      .cls = cls,
                      .job = pass};
-          RunCopy(std::move(write), [this, chunk, pass, remaining]() {
-            if (--*remaining == 0) {
-              CommitPromotion(chunk, pass);
-            }
-          });
+          RunCopy(std::move(write), written);
         }
       });
 }
@@ -1409,34 +1385,31 @@ void Master::FailPass(ChunkId chunk, const Job* pass, Status s) {
 }
 
 void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Status)> done) {
-  auto fail = [this, &done](Status s) {
-    sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
-  };
   ChunkLayout* layout = FindLayout(chunk);
   if (layout == nullptr) {
-    fail(NotFound("unknown chunk"));
+    Defer(std::move(done), NotFound("unknown chunk"));
     return;
   }
   if (layout->tier != ChunkTier::kReplicated) {
-    fail(AlreadyExists("chunk already EC"));
+    Defer(std::move(done), AlreadyExists("chunk already EC"));
     return;
   }
   if (migrations_.count(chunk) > 0) {
-    fail(Unavailable("migration already in flight"));
+    Defer(std::move(done), Unavailable("migration already in flight"));
     return;
   }
   if (k < 1 || m < 1) {
-    fail(InvalidArgument("bad EC geometry"));
+    Defer(std::move(done), InvalidArgument("bad EC geometry"));
     return;
   }
   auto ref = chunk_refs_.find(chunk);
   const DiskMeta& disk = disks_[ref->second.disk];
   if (disk.chunk_size % static_cast<uint64_t>(k) != 0) {
-    fail(InvalidArgument("chunk size not divisible by k"));
+    Defer(std::move(done), InvalidArgument("chunk size not divisible by k"));
     return;
   }
   if (heat_ != nullptr && heat_->InflightWrites(chunk) > 0) {
-    fail(Unavailable("writes in flight"));
+    Defer(std::move(done), Unavailable("writes in flight"));
     return;
   }
   // Replay writes into a freed chunk would fail hard (the journal replayer
@@ -1452,7 +1425,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
       continue;
     }
     if (server->HasJournalBacklog(chunk)) {
-      fail(Unavailable("journal backlog pending"));
+      Defer(std::move(done), Unavailable("journal backlog pending"));
       return;
     }
     Result<ReplicaState> st = server->GetState(chunk);
@@ -1464,7 +1437,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
       have_version = true;
     } else if (st->version != version0) {
       // Divergent replicas mean a repair is due; demote after it heals.
-      fail(Unavailable("replicas diverge"));
+      Defer(std::move(done), Unavailable("replicas diverge"));
       return;
     }
     if (source == nullptr || PreferReplica(r, *source_ref)) {
@@ -1473,7 +1446,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
     }
   }
   if (source == nullptr) {
-    fail(Unavailable("no alive replica"));
+    Defer(std::move(done), Unavailable("no alive replica"));
     return;
   }
 
@@ -1533,6 +1506,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
         return;
       }
       op->allocated.emplace_back(targets[i], shard_id);
+      op->indexed.push_back(shard_id);
       ec_shards_[shard_id] = EcShardInfo{chunk, i};
       if (heat_ != nullptr) {
         heat_->SetAlias(shard_id, chunk);
@@ -1540,7 +1514,9 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
       shards[i] = EcShardRef{targets[i], target->node(), shard_id};
     }
 
-    auto remaining = std::make_shared<int>(n);
+    auto written = Join(n, [this, chunk, op, shards, version0, k, m, shard_size]() {
+      CommitDemote(chunk, shards, version0, k, m, shard_size, op);
+    });
     for (int i = 0; i < n; ++i) {
       Copy write{.chunk = shards[i].shard_chunk,
                  .pieces = Pieces({Interval{0, shard_size}}),
@@ -1550,12 +1526,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
                  .version = version0,
                  .cls = qos::ServiceClass::kScrub,
                  .job = op};
-      RunCopy(std::move(write), [this, chunk, op, shards, remaining, version0, k, m,
-                                 shard_size]() {
-        if (--*remaining == 0) {
-          CommitDemote(chunk, shards, version0, k, m, shard_size, op);
-        }
-      });
+      RunCopy(std::move(write), written);
     }
   });
 }
@@ -1604,30 +1575,28 @@ void Master::CommitDemote(ChunkId chunk, std::vector<EcShardRef> shards, uint64_
   layout->ec_version = frozen_version;
   InstallNextView(layout);
   op->allocated.clear();  // committed: the abort path must not free them
+  op->indexed.clear();
   ++tier_stats_.demotions;
   NotifyTierChanged(chunk, true);
   FinishJob(op, OkStatus());
 }
 
 void Master::RepairEcShard(ChunkId parent, int shard_index, std::function<void(Status)> done) {
-  auto fail = [this, &done](Status s) {
-    sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
-  };
   ChunkLayout* layout = FindLayout(parent);
   if (layout == nullptr) {
-    fail(NotFound("unknown chunk"));
+    Defer(std::move(done), NotFound("unknown chunk"));
     return;
   }
   if (layout->tier != ChunkTier::kEc) {
-    fail(OkStatus());  // promoted away in the meantime; nothing to repair
+    Defer(std::move(done), OkStatus());  // promoted away in the meantime; nothing to repair
     return;
   }
   if (shard_index < 0 || shard_index >= static_cast<int>(layout->ec_shards.size())) {
-    fail(InvalidArgument("bad shard index"));
+    Defer(std::move(done), InvalidArgument("bad shard index"));
     return;
   }
   if (migrations_.count(parent) > 0) {
-    fail(Unavailable("migration in flight"));
+    Defer(std::move(done), Unavailable("migration in flight"));
     return;
   }
   auto op = StartMigration(parent, "shard repair timed out", nullptr, std::move(done));
@@ -1712,17 +1681,14 @@ void Master::RepairEcShard(ChunkId parent, int shard_index, std::function<void(S
 
 void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
                                 std::function<void(Status)> done) {
-  auto fail = [this, &done](Status s) {
-    sim_->After(0, [s = std::move(s), done = std::move(done)]() mutable { done(std::move(s)); });
-  };
   auto it = ec_shards_.find(shard);
   if (it == ec_shards_.end()) {
-    fail(NotFound("not an EC shard"));
+    Defer(std::move(done), NotFound("not an EC shard"));
     return;
   }
   ChunkLayout* layout = FindLayout(it->second.parent);
   if (layout == nullptr || layout->tier != ChunkTier::kEc) {
-    fail(NotFound("stale shard"));
+    Defer(std::move(done), NotFound("stale shard"));
     return;
   }
   const int target = it->second.index;
@@ -1731,13 +1697,13 @@ void Master::RepairEcShardRange(ChunkId shard, uint64_t offset, uint64_t length,
   const std::vector<EcShardRef> shards = layout->ec_shards;
   ChunkServer* damaged = servers_[shards[target].server];
   if (damaged->crashed()) {
-    fail(Unavailable("shard server down"));
+    Defer(std::move(done), Unavailable("shard server down"));
     return;
   }
   ec::BackfillReadPlan plan;
   Status plan_s = PlanStripeRead(shards, k, m, target, &plan);
   if (!plan_s.ok()) {
-    fail(plan_s);
+    Defer(std::move(done), plan_s);
     return;
   }
   // Range repairs don't hold the parent's migration record.

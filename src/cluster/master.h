@@ -94,19 +94,24 @@ class Master {
 
   // ---- Failure handling (§4.2.2) ----
 
-  // Client-reported replica failure: allocate a replacement, transfer the
-  // newest data (from the survivor with the highest version among a majority),
-  // incremental-repair lagging survivors, then bump the chunk's view.
-  // `done` runs when the new view is installed.
+  // Client-reported replica failure, as one job: allocate a replacement,
+  // transfer the newest data (from the survivor with the highest version
+  // among a majority), incremental-repair lagging survivors, then bump the
+  // chunk's view. `done` runs when the new view is installed, or with the
+  // error once the job failed and freed the replacement. A suspect that is
+  // still alive is not replaced: the laggards are repaired and `done` runs
+  // with Ok, without a view change.
   void ReportReplicaFailure(ChunkId chunk, ServerId failed, std::function<void(Status)> done);
 
   // Incremental repair of a lagging replica using a peer's journal lite
   // (§4.2.1); falls back to a full chunk copy when history is gone.
   void RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(Status)> done);
 
-  // Repairs every lagging replica of `chunk` toward the freshest alive one
-  // (fire-and-forget; used when a client reports a degraded commit).
-  void RepairChunkReplicas(ChunkId chunk);
+  // Repairs every alive lagging replica of `chunk` toward the freshest one,
+  // as one job (used when a client reports a degraded commit). `done`, if
+  // set, runs when the job ends; an EC chunk instead starts a rebuild of
+  // each shard stranded on a crashed server and runs `done` at once.
+  void RepairChunkReplicas(ChunkId chunk, std::function<void(Status)> done = nullptr);
 
   // Re-replicates [offset, offset+length) of `chunk` onto `corrupt_server`
   // from the freshest OTHER alive replica. Unlike RepairReplica, this runs
@@ -322,10 +327,10 @@ class Master {
     uint8_t* data() { return buf ? buf.data() + at : nullptr; }
   };
 
-  // One background job: a replica copy, a demotion, a shard repair or a
-  // promotion's back-fill pass. Exactly one of its own completion, its
-  // timeout, the first failure of one of its copies, or a cancel ends it;
-  // nothing of the job runs after that.
+  // One background job: a replica recovery, a laggard or corruption repair,
+  // a demotion, a shard repair or a promotion's back-fill pass. Exactly one
+  // of its own completion, its timeout, the first failure of one of its
+  // copies, or a cancel ends it; nothing of the job runs after that.
   struct Job;
 
   // One windowed copy of `job`: `pieces` of `chunk` go through at most
@@ -350,8 +355,14 @@ class Master {
     std::shared_ptr<Job> job = nullptr;
   };
   // Runs `copy`. Its first failed piece fails the job (FailJob); `done` runs
-  // once every piece has landed, if the job is still live.
+  // once every piece has landed, if the job is still live. A copy with no
+  // pieces lands one event later.
   void RunCopy(Copy copy, std::function<void()> done);
+  // The one join of copies of a job that run side by side: returns what
+  // each of the `copies` copies runs once it has landed (as, or at the end
+  // of, its RunCopy continuation); `done` runs after the last of them, or
+  // at once when `copies` is 0.
+  static std::function<void()> Join(size_t copies, std::function<void()> done);
 
   // `ranges` split at recovery_piece_.
   std::vector<Interval> Pieces(const std::vector<Interval>& ranges) const;
@@ -367,20 +378,29 @@ class Master {
   // Marks the job finished and cancels its timeout; false when it had
   // already ended.
   bool EndJob(Job* job);
-  // Ends the job; on failure frees what it allocated. Then runs its `done`.
+  // Ends the job; on failure frees what it allocated and un-indexes the
+  // shards it indexed. Then runs its `done`.
   void FinishJob(std::shared_ptr<Job> job, Status s);
   // FinishJob that also counts the failure in the job's tier stat.
   void FailJob(std::shared_ptr<Job> job, Status s);
+  // Runs `done(s)` one event later: how a request refused before its job
+  // starts still completes after the call returns.
+  void Defer(std::function<void(Status)> done, Status s);
 
-  // Copies `ranges` of `chunk` from `source` to `target` as one job whose
-  // I/O runs under `cls`.
-  void CopyReplica(ChunkId chunk, ChunkServer* source, ChunkServer* target,
-                   std::vector<Interval> ranges, qos::ServiceClass cls,
-                   std::function<void(Status)> done);
-  // Brings `laggard` up to `source`: the ranges `source`'s journal lite
-  // records since `from_version`, or the whole chunk when history is gone.
-  void CatchUp(ChunkId chunk, ChunkServer* source, ChunkServer* laggard, uint64_t from_version,
-               std::function<void(Status)> done);
+  // The alive replicas of `layout` other than `skip` whose version is below
+  // `version`.
+  std::vector<ChunkServer*> Laggards(const ChunkLayout& layout, ServerId skip,
+                                     uint64_t version) const;
+  // The copy of `job` that brings `laggard` up to `source`: the ranges
+  // `source`'s journal lite records since the laggard's version, or the
+  // whole chunk when history is gone.
+  Copy CatchUp(const std::shared_ptr<Job>& job, ChunkId chunk, ChunkServer* source,
+               ChunkServer* laggard);
+  // Catches `laggards` up to `source` (whose state was `fresh`) as one job;
+  // each laggard takes `fresh` at the view current now once its own copy
+  // has landed. `done`, if set, runs at the job's end.
+  void RepairLaggards(ChunkId chunk, ChunkServer* source, const ReplicaState& fresh,
+                      std::vector<ChunkServer*> laggards, std::function<void(Status)> done);
 
   // ---- Tiering internals (DESIGN.md §13) ----
 

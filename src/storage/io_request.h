@@ -58,18 +58,20 @@ struct IoRequest {
   // copied at apply time and they keep the buffer-outlives-callback contract.
   // Last so the positional {type, offset, length, data, out, background,
   // done} aggregate initializations used across tests and benches stay valid.
-  BufferView hold;
+  // It and every member after it has a default initializer, so those
+  // initializations build clean under -Wmissing-field-initializers.
+  BufferView hold = {};
 
   // ---- Extensions (appended after `hold` for the same reason) ----
 
   // QoS classification; kAuto derives from `type` + `background`.
-  IoTag tag;
+  IoTag tag = {};
   // Scatter-gather write payload. When non-empty the on-device bytes are the
   // concatenation of the segments (lengths must sum to `length`) and `data`
   // and `hold` are ignored; devices treat the request as one contiguous write
   // for timing. Null-data segments write zeros (they really overwrite — ring
   // journals reuse space, so stale bytes must not survive under the padding).
-  std::vector<IoSegment> scatter;
+  std::vector<IoSegment> scatter = {};
   // Zero-copy read: when set, the read stores its bytes here instead of
   // copying them into `out` — shared with the device's stored bytes when the
   // range was written as one extent (see PageStore::ReadView). The pointee

@@ -580,9 +580,10 @@ TEST_F(RecoveryTest, FreedTargetFailsCopyOnceAndReleasesSlot) {
 // reply, so only the job's timeout can end the copy: `done` runs exactly
 // once, with kTimedOut, and the replacement is freed again. The parameter
 // names what crashes: the replacement target, the source of the survivors'
-// copy, or that source while it catches a lagging survivor up — which must
-// not then move the laggard to the new version without the data.
-enum class CopyCrash { kTarget, kSource, kCatchUpSource };
+// copy, that source while it catches a lagging survivor up — which must
+// not then move the laggard to the new version without the data — or the
+// laggard itself mid-catch-up.
+enum class CopyCrash { kTarget, kSource, kCatchUpSource, kLaggard };
 
 class CopyCrashTest : public RecoveryTest, public ::testing::WithParamInterface<CopyCrash> {};
 
@@ -594,7 +595,8 @@ TEST_P(CopyCrashTest, CrashMidCopyTimesOutOnce) {
   cluster::ChunkLayout layout = Layout0();
   cluster::ServerId failed = layout.replicas[1].server;
   cluster::ChunkServer* laggard = cluster_->server(layout.replicas[2].server);
-  if (crash == CopyCrash::kCatchUpSource) {
+  const bool catch_up = crash == CopyCrash::kCatchUpSource || crash == CopyCrash::kLaggard;
+  if (catch_up) {
     // Apply a 256 KiB write on replicas 0 and 1 only: replica 2 lags a
     // version, and catching it up takes four pieces.
     ursa::Buffer data = ursa::Buffer::CopyOf(test::Pattern(256 * kKiB, 35).data(), 256 * kKiB);
@@ -633,7 +635,10 @@ TEST_P(CopyCrashTest, CrashMidCopyTimesOutOnce) {
     }
     ASSERT_EQ(holders.count(victim), 0u);
   }
-  if (crash == CopyCrash::kCatchUpSource) {
+  if (crash == CopyCrash::kLaggard) {
+    victim = laggard->id();
+  }
+  if (catch_up) {
     // The catch-up starts once the replacement holds the whole chunk.
     const cluster::RecoveryStats& stats = cluster_->master().recovery_stats();
     for (int i = 0; i < 100000 && stats.incremental_repairs + stats.full_copies == 0; ++i) {
@@ -661,7 +666,7 @@ TEST_P(CopyCrashTest, CrashMidCopyTimesOutOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Crash, CopyCrashTest,
                          ::testing::Values(CopyCrash::kTarget, CopyCrash::kSource,
-                                           CopyCrash::kCatchUpSource),
+                                           CopyCrash::kCatchUpSource, CopyCrash::kLaggard),
                          [](const ::testing::TestParamInfo<CopyCrash>& info) {
                            switch (info.param) {
                              case CopyCrash::kTarget:
@@ -670,6 +675,8 @@ INSTANTIATE_TEST_SUITE_P(Crash, CopyCrashTest,
                                return "Source";
                              case CopyCrash::kCatchUpSource:
                                return "CatchUpSource";
+                             case CopyCrash::kLaggard:
+                               return "Laggard";
                            }
                            return "";
                          });

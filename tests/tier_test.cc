@@ -550,6 +550,51 @@ TEST_F(TierClusterTest, ShardRepairRebuildsLostShardOnNewServer) {
   EXPECT_EQ(disk_->stats().ec_degraded_reads, 0u);
 }
 
+// A shard repair that fails un-indexes only what it created, never the shard
+// it was rebuilding: the layout still holds that shard, so a later failure
+// report (or a scrub repair) of it must still reach its stripe.
+TEST_F(TierClusterTest, FailedShardRepairKeepsTheShardIndexed) {
+  Build();
+  auto data = test::Pattern(1 * kMiB, 52);
+  ASSERT_TRUE(WriteSync(0, data).ok());
+  DrainReplay();
+  ASSERT_TRUE(DemoteSync(Layout(0).chunk).ok());
+  const storage::ChunkId chunk = Layout(0).chunk;
+  const storage::ChunkId shard = Layout(0).ec_shards[2].shard_chunk;
+  cluster_->CrashServer(Layout(0).ec_shards[2].server);
+
+  // Park the rebuild's write at every gate until the job times out.
+  cluster_->master().set_migration_timeout(msec(500));
+  std::vector<std::unique_ptr<test::TripGate>> gates;
+  for (cluster::ServerId s = 0; s < cluster_->master().num_servers(); ++s) {
+    gates.push_back(std::make_unique<test::TripGate>(
+        &sim_, cluster_->master().server(s)->store()->device(), qos::ServiceClass::kRecovery,
+        /*trip_after=*/0));
+  }
+  Status repair = Internal("pending");
+  cluster_->master().RepairEcShard(chunk, 2, [&](const Status& s) { repair = s; });
+  sim_.RunUntil(sim_.Now() + sec(2));
+  ASSERT_EQ(repair.code(), StatusCode::kTimedOut) << repair.ToString();
+  EXPECT_TRUE(cluster_->master().IsEcShard(shard));
+
+  for (auto& g : gates) {
+    g->Open();
+  }
+  gates.clear();
+  repair = Internal("pending");
+  cluster_->master().RepairEcShard(chunk, 2, [&](const Status& s) { repair = s; });
+  sim_.RunUntil(sim_.Now() + sec(10));
+  ASSERT_TRUE(repair.ok()) << repair.ToString();
+  EXPECT_TRUE(cluster_->master().IsEcShard(shard));
+
+  // A report against the rebuilt shard's live server is transient slowness.
+  Status report = Internal("pending");
+  cluster_->master().ReportReplicaFailure(shard, Layout(0).ec_shards[2].server,
+                                          [&](const Status& s) { report = s; });
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(ReadSync(0, data.size()), data);
+}
+
 TEST_F(TierClusterTest, ScrubDetectsAndRepairsCorruptShardRange) {
   Build(/*scrub=*/true);
   auto data = test::Pattern(1 * kMiB, 61);
