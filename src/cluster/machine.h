@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/types.h"
@@ -46,7 +47,10 @@ class Machine {
   int num_hdds() const { return static_cast<int>(hdds_.size()); }
 
   // Runs `fn` after charging `cost` of one CPU core (FIFO across cores).
-  void RunOnCpu(Nanos cost, sim::EventFn fn) { cpu_->Submit(cost, std::move(fn)); }
+  template <typename F>
+  void RunOnCpu(Nanos cost, F&& fn) {
+    cpu_->Submit(cost, std::forward<F>(fn));
+  }
 
   // Occupies one core for `cost` without gating anything — models parallel
   // worker-thread overhead (it shows up in utilization, not latency).

@@ -48,6 +48,52 @@ uint32_t CrcTable(const void* data, size_t len, uint32_t seed) {
   return ~crc;
 }
 
+// ---- Shifting a CRC register past zero bytes (combine, three-way) ----
+
+// Byte-indexed tables for shift(r, n): t[k][b] = shift(b << 8k, n).
+using ShiftTables = std::array<std::array<uint32_t, 256>, 4>;
+
+// a * b modulo the CRC polynomial, in the reflected bit order (x^0 is the
+// top bit).
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+    }
+    b = TimesX(b);
+  }
+  return product;
+}
+
+// x^(8 * bytes) modulo the polynomial, by repeated squaring.
+uint32_t XPowBytes(uint64_t bytes) {
+  uint32_t result = 1u << 31;  // x^0
+  uint32_t square = 1u << 23;  // x^8: one byte
+  for (; bytes != 0; bytes >>= 1) {
+    if ((bytes & 1) != 0) {
+      result = MultModP(square, result);
+    }
+    square = MultModP(square, square);
+  }
+  return result;
+}
+
+ShiftTables BuildShiftTables(size_t zero_bytes) {
+  const uint32_t x_pow = XPowBytes(zero_bytes);
+  ShiftTables t{};
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      t[k][b] = MultModP(x_pow, b << (8 * k));
+    }
+  }
+  return t;
+}
+
+uint32_t Shift(const ShiftTables& t, uint32_t crc) {
+  return t[0][crc & 0xFF] ^ t[1][(crc >> 8) & 0xFF] ^ t[2][(crc >> 16) & 0xFF] ^ t[3][crc >> 24];
+}
+
 // ---- Slicing-by-8 ----
 // Eight derived tables let the inner loop fold 8 input bytes per iteration:
 // table k advances a byte's contribution k further positions through the CRC
@@ -120,40 +166,6 @@ uint32_t CrcSlice8(const void* data, size_t len, uint32_t seed) {
 #ifdef URSA_CRC32_X86
 constexpr size_t kLongBlock = 8192;
 constexpr size_t kShortBlock = 256;
-
-// Byte-indexed tables for shift(r, n): t[k][b] = shift(b << 8k, n).
-using ShiftTables = std::array<std::array<uint32_t, 256>, 4>;
-
-// a * b modulo the CRC polynomial, in the reflected bit order (x^0 is the
-// top bit).
-uint32_t MultModP(uint32_t a, uint32_t b) {
-  uint32_t product = 0;
-  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
-    if ((a & m) != 0) {
-      product ^= b;
-    }
-    b = TimesX(b);
-  }
-  return product;
-}
-
-ShiftTables BuildShiftTables(size_t zero_bytes) {
-  uint32_t x_pow = 1u << 31;  // x^0
-  for (size_t bit = 0; bit < 8 * zero_bytes; ++bit) {
-    x_pow = TimesX(x_pow);
-  }
-  ShiftTables t{};
-  for (int k = 0; k < 4; ++k) {
-    for (uint32_t b = 0; b < 256; ++b) {
-      t[k][b] = MultModP(x_pow, b << (8 * k));
-    }
-  }
-  return t;
-}
-
-uint32_t Shift(const ShiftTables& t, uint32_t crc) {
-  return t[0][crc & 0xFF] ^ t[1][(crc >> 8) & 0xFF] ^ t[2][(crc >> 16) & 0xFF] ^ t[3][crc >> 24];
-}
 
 // While at least 3 * kBlock bytes remain, runs three crc32q chains over the
 // next three kBlock-byte blocks and folds them into crc, advancing p and len.
@@ -249,10 +261,40 @@ const Dispatch& Best() {
   return best;
 }
 
+uint64_t crc32c_bytes = 0;
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+  crc32c_bytes += len;
   return Best().fn(data, len, seed);
+}
+
+uint64_t Crc32cBytesHashed() { return crc32c_bytes; }
+
+uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
+  // crc(a || b) = crc(a) * x^(8 |b|) + crc(b) modulo the polynomial: the
+  // pre- and post-inversions cancel between the two terms.
+  if (len_b == kCrc32cSector) {
+    static const ShiftTables sector_shift = BuildShiftTables(kCrc32cSector);
+    return Shift(sector_shift, crc_a) ^ crc_b;
+  }
+  return MultModP(XPowBytes(len_b), crc_a) ^ crc_b;
+}
+
+void Crc32cSectors(const void* data, size_t len, uint32_t* sums) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t off = 0; off < len; off += kCrc32cSector) {
+    *sums++ = Crc32c(p + off, len - off < kCrc32cSector ? len - off : kCrc32cSector);
+  }
+}
+
+uint32_t Crc32cFromSectors(uint32_t seed, const uint32_t* sums, size_t len) {
+  uint32_t crc = seed;
+  for (size_t off = 0; off < len; off += kCrc32cSector) {
+    crc = Crc32cCombine(crc, *sums++, len - off < kCrc32cSector ? len - off : kCrc32cSector);
+  }
+  return crc;
 }
 
 bool Crc32cImplAvailable(Crc32cImpl impl) {

@@ -1,6 +1,7 @@
-// InlineFn: a copyable `void()` functor with inline storage.
+// InlineFunction<R(Args...)>: a copyable functor with inline storage, and
+// InlineFn, its `void()` form.
 //
-// Drop-in replacement for `std::function<void()>` on the simulator hot path.
+// Drop-in replacement for `std::function` on the simulator hot path.
 // Closures that satisfy kFitsInline (at most kInlineBytes, no stricter
 // alignment than max_align_t, nothrow-movable) live inside the object — no
 // heap allocation on construct, move, or copy. Other closures fall back to a
@@ -10,7 +11,7 @@
 // index (see sim::Resource and net::Transport, which static_assert
 // kFitsInline on their closures).
 //
-// Semantics mirror std::function<void()>:
+// Semantics mirror std::function:
 //   * copyable (the transport's chaos duplicate path copies delivery
 //     closures), movable, empty-testable;
 //   * operator() is const but invokes the target as non-const, so `mutable`
@@ -26,7 +27,11 @@
 
 namespace ursa {
 
-class InlineFn {
+template <typename Sig>
+class InlineFunction;
+
+template <typename R, typename... Args>
+class InlineFunction<R(Args...)> {
  public:
   // Sized for the simulator's small hot-path closures (event delivery,
   // resource completions, RPC timeouts): a few pointers and scalars.
@@ -40,49 +45,59 @@ class InlineFn {
                                       alignof(D) <= alignof(std::max_align_t) &&
                                       std::is_nothrow_move_constructible_v<D>;
 
-  InlineFn() = default;
-  InlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  InlineFunction() = default;
+  InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (kFitsInline<D>) {
-      ::new (storage_.bytes) D(std::forward<F>(f));
-      ops_ = &InlineOps<D>::ops;
+            typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
+    Construct(std::forward<F>(f));
+  }
+
+  InlineFunction(InlineFunction&& other) noexcept { MoveFrom(std::move(other)); }
+  InlineFunction(const InlineFunction& other) { CopyFrom(other); }
+
+  // Replaces the target with `f`, built in place: no temporary InlineFunction
+  // and so no relocation of the closure.
+  template <typename F, typename D = std::decay_t<F>>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<D, InlineFunction>) {
+      *this = std::forward<F>(f);
+    } else if constexpr (std::is_same_v<D, std::nullptr_t>) {
+      Reset();
     } else {
-      ::new (storage_.bytes) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOps<D>::ops;
+      Reset();
+      Construct(std::forward<F>(f));
     }
   }
 
-  InlineFn(InlineFn&& other) noexcept { MoveFrom(std::move(other)); }
-  InlineFn(const InlineFn& other) { CopyFrom(other); }
-
-  InlineFn& operator=(InlineFn&& other) noexcept {
+  InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       Reset();
       MoveFrom(std::move(other));
     }
     return *this;
   }
-  InlineFn& operator=(const InlineFn& other) {
+  InlineFunction& operator=(const InlineFunction& other) {
     if (this != &other) {
-      InlineFn tmp(other);  // copy may throw; build aside first
+      InlineFunction tmp(other);  // copy may throw; build aside first
       Reset();
       MoveFrom(std::move(tmp));
     }
     return *this;
   }
-  InlineFn& operator=(std::nullptr_t) {
+  InlineFunction& operator=(std::nullptr_t) {
     Reset();
     return *this;
   }
 
-  ~InlineFn() { Reset(); }
+  ~InlineFunction() { Reset(); }
 
   // Matches std::function: const call operator, non-const target invocation.
-  void operator()() const { ops_->invoke(storage_.bytes); }
+  R operator()(Args... args) const {
+    return ops_->invoke(storage_.bytes, std::forward<Args>(args)...);
+  }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -92,7 +107,7 @@ class InlineFn {
   };
 
   struct Ops {
-    void (*invoke)(unsigned char* s);
+    R (*invoke)(unsigned char* s, Args&&... args);
     // Move-constructs dst from src and destroys src.
     void (*relocate)(unsigned char* dst, unsigned char* src);
     void (*copy)(unsigned char* dst, const unsigned char* src);
@@ -110,7 +125,9 @@ class InlineFn {
 
   template <typename D>
   struct InlineOps {
-    static void Invoke(unsigned char* s) { (*Target<D>(s))(); }
+    static R Invoke(unsigned char* s, Args&&... args) {
+      return (*Target<D>(s))(std::forward<Args>(args)...);
+    }
     static void Relocate(unsigned char* dst, unsigned char* src) {
       ::new (dst) D(std::move(*Target<D>(src)));
       Target<D>(src)->~D();
@@ -125,7 +142,9 @@ class InlineFn {
   template <typename D>
   struct HeapOps {
     using P = D*;
-    static void Invoke(unsigned char* s) { (**Target<P>(s))(); }
+    static R Invoke(unsigned char* s, Args&&... args) {
+      return (**Target<P>(s))(std::forward<Args>(args)...);
+    }
     static void Relocate(unsigned char* dst, unsigned char* src) {
       ::new (dst) P(*Target<P>(src));
       Target<P>(src)->~P();
@@ -140,14 +159,25 @@ class InlineFn {
     static constexpr Ops ops{&Invoke, &Relocate, &Copy, &Destroy};
   };
 
-  void MoveFrom(InlineFn&& other) noexcept {
+  template <typename F, typename D = std::decay_t<F>>
+  void Construct(F&& f) {
+    if constexpr (kFitsInline<D>) {
+      ::new (storage_.bytes) D(std::forward<F>(f));
+      ops_ = &InlineOps<D>::ops;
+    } else {
+      ::new (storage_.bytes) D*(new D(std::forward<F>(f)));
+      ops_ = &HeapOps<D>::ops;
+    }
+  }
+
+  void MoveFrom(InlineFunction&& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
       ops_->relocate(storage_.bytes, other.storage_.bytes);
       other.ops_ = nullptr;
     }
   }
-  void CopyFrom(const InlineFn& other) {
+  void CopyFrom(const InlineFunction& other) {
     if (other.ops_ != nullptr) {
       other.ops_->copy(storage_.bytes, other.storage_.bytes);
       ops_ = other.ops_;
@@ -163,6 +193,8 @@ class InlineFn {
   const Ops* ops_ = nullptr;
   Storage storage_;
 };
+
+using InlineFn = InlineFunction<void()>;
 
 }  // namespace ursa
 

@@ -36,6 +36,7 @@ void RangeIndex::Insert(uint32_t offset, uint32_t length, uint64_t j_offset) {
   URSA_CHECK_LE(length, kMaxLength);
   URSA_CHECK_LE(static_cast<uint64_t>(offset) + length, static_cast<uint64_t>(kMaxOffset) + 1);
   URSA_CHECK_LE(j_offset + length, kMaxJOffset + 1);
+  count_valid_ = false;
   CarveTree(offset, offset + length, /*tombstone=*/false);
   tree_.Put(offset, TreeVal{length, j_offset, /*tombstone=*/false});
   MaybeCompact();
@@ -45,6 +46,7 @@ void RangeIndex::EraseRange(uint32_t offset, uint32_t length) {
   if (length == 0) {
     return;
   }
+  count_valid_ = false;
   CarveTree(offset, offset + length, /*tombstone=*/false);
   if (!array_.empty()) {
     // A tombstone shadows any stale array mappings under the erased range.
@@ -330,7 +332,17 @@ void RangeIndex::QueryMappedTo(uint32_t offset, uint32_t length, SegmentVec* out
   QueryInto(offset, offset + length, /*mapped_only=*/true, out);
 }
 
+size_t RangeIndex::MappedSegments(SegmentVec* scratch) const {
+  if (!count_valid_) {
+    QueryMappedTo(0, kMaxOffset, scratch);
+    mapped_count_ = scratch->size();
+    count_valid_ = true;
+  }
+  return mapped_count_;
+}
+
 void RangeIndex::Compact() {
+  count_valid_ = false;
   scratch_.clear();
   scratch_.reserve(array_.size() + tree_.size());
   std::vector<Packed>& merged = scratch_;
@@ -473,6 +485,7 @@ size_t RangeIndex::MemoryBytes() const {
 }
 
 void RangeIndex::Clear() {
+  count_valid_ = false;
   tree_.clear();
   array_.clear();
   fence_.clear();

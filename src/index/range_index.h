@@ -131,6 +131,10 @@ class RangeIndex {
   void QueryTo(uint32_t offset, uint32_t length, SegmentVec* out) const;
   void QueryMappedTo(uint32_t offset, uint32_t length, SegmentVec* out) const;
 
+  // Mapped segments a whole-index QueryMappedTo returns, recounted (through
+  // `scratch`) only when the index changed since the last count.
+  size_t MappedSegments(SegmentVec* scratch) const;
+
   // Folds the tree level into the array level. Normally triggered
   // automatically; exposed for benchmarks that want paper-like level sizes.
   void Compact();
@@ -203,6 +207,9 @@ class RangeIndex {
   void MaybeCompact();
 
   size_t merge_threshold_;
+  // MappedSegments' memo; every mutator clears count_valid_.
+  mutable size_t mapped_count_ = 0;
+  mutable bool count_valid_ = false;
   BtreeMap<TreeVal> tree_;            // level 0 (cache-friendly B+-tree, §3.3's write cache)
   std::vector<Packed> array_;         // level 1, sorted by offset, non-overlapping
   std::vector<Packed> scratch_;       // reused merge buffer for Compact()

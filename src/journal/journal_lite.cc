@@ -6,10 +6,15 @@ namespace ursa::journal {
 
 void JournalLite::Record(storage::ChunkId chunk, uint64_t version, uint64_t offset,
                          uint64_t length) {
-  entries_.push_back(Entry{chunk, version, offset, length});
-  while (entries_.size() > max_entries_) {
-    entries_.pop_front();  // GC oldest history
+  if (max_entries_ == 0) {
+    return;
   }
+  if (entries_.size() < max_entries_) {
+    entries_.push_back(Entry{chunk, version, offset, length});
+    return;
+  }
+  entries_[oldest_] = Entry{chunk, version, offset, length};  // GC oldest history
+  oldest_ = (oldest_ + 1) % max_entries_;
 }
 
 bool JournalLite::ModifiedSince(storage::ChunkId chunk, uint64_t since_version,

@@ -10,7 +10,6 @@
 #define URSA_JOURNAL_JOURNAL_LITE_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/common/interval.h"
@@ -33,7 +32,10 @@ class JournalLite {
                      std::vector<Interval>* out) const;
 
   size_t size() const { return entries_.size(); }
-  void Clear() { entries_.clear(); }
+  void Clear() {
+    entries_.clear();
+    oldest_ = 0;
+  }
 
  private:
   struct Entry {
@@ -44,7 +46,10 @@ class JournalLite {
   };
 
   size_t max_entries_;
-  std::deque<Entry> entries_;  // FIFO; front is oldest
+  // A ring once full: a new entry overwrites the oldest, at oldest_, so
+  // recording allocates nothing in steady state.
+  std::vector<Entry> entries_;
+  size_t oldest_ = 0;
 };
 
 }  // namespace ursa::journal

@@ -101,6 +101,15 @@ uint32_t RecordHeader::ComputeCrcVectored(const storage::IoSegment* segments,
   return c;
 }
 
+uint32_t RecordHeader::ComputeCrcFromSums(const uint32_t* sums) const {
+  uint8_t buf[kEncodedSize];
+  RecordHeader copy = *this;
+  copy.crc = 0;
+  copy.EncodeTo(buf);
+  uint32_t c = Crc32c(buf, kEncodedSize);
+  return invalidation() ? c : Crc32cFromSectors(c, sums, length);
+}
+
 std::vector<uint8_t> EncodeRecord(const RecordHeader& header, const void* payload) {
   std::vector<uint8_t> image(RecordFootprint(header.length), 0);
   RecordHeader h = header;

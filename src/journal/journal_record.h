@@ -65,6 +65,12 @@ struct RecordHeader {
   // copy, without materializing one. Segment lengths must sum to `length`.
   // This is what lets the scatter append skip the record-image copy.
   uint32_t ComputeCrcVectored(const storage::IoSegment* segments, size_t count) const;
+
+  // The same CRC from the payload's per-512-byte sums (Crc32cSectors over
+  // its `length` bytes): the header bytes are hashed and the payload's sums
+  // joined with Crc32cCombine, so the payload is not read again.
+  // Bit-identical to ComputeCrc over the bytes the sums were taken from.
+  uint32_t ComputeCrcFromSums(const uint32_t* sums) const;
 };
 
 // Builds the full on-disk image of a record (header sector + padded payload):

@@ -43,16 +43,28 @@ bool Transport::IsNodeDown(NodeId node) const {
 void Transport::SetLinkChaos(NodeId from, NodeId to, const LinkChaosRule& rule) {
   URSA_CHECK_LT(from, nodes_.size());
   URSA_CHECK_LT(to, nodes_.size());
-  chaos_rules_[{from, to}] = rule;
+  std::vector<std::optional<LinkChaosRule>>& out = nodes_[from]->chaos_out;
+  if (out.size() <= to) {
+    out.resize(to + 1);
+  }
+  out[to] = rule;
 }
 
-void Transport::ClearLinkChaos(NodeId from, NodeId to) { chaos_rules_.erase({from, to}); }
+void Transport::ClearLinkChaos(NodeId from, NodeId to) {
+  if (from < nodes_.size() && to < nodes_[from]->chaos_out.size()) {
+    nodes_[from]->chaos_out[to].reset();
+  }
+}
 
-void Transport::ClearAllLinkChaos() { chaos_rules_.clear(); }
+void Transport::ClearAllLinkChaos() {
+  for (auto& node : nodes_) {
+    node->chaos_out.clear();
+  }
+}
 
 const LinkChaosRule* Transport::FindLinkChaos(NodeId from, NodeId to) const {
-  auto it = chaos_rules_.find({from, to});
-  return it == chaos_rules_.end() ? nullptr : &it->second;
+  const std::vector<std::optional<LinkChaosRule>>& out = nodes_[from]->chaos_out;
+  return to < out.size() && out[to].has_value() ? &*out[to] : nullptr;
 }
 
 void Transport::SetLinkBroken(NodeId a, NodeId b, bool broken) {
@@ -67,20 +79,6 @@ void Transport::SetLinkBroken(NodeId a, NodeId b, bool broken) {
     broken_links_.erase(std::remove_if(broken_links_.begin(), broken_links_.end(), match),
                         broken_links_.end());
   }
-}
-
-void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver,
-                     const obs::SpanRef& span, obs::Stage stage) {
-  if (span == nullptr) {
-    Send(from, to, payload_bytes, std::move(deliver));
-    return;
-  }
-  Nanos sent = sim_->Now();
-  Send(from, to, payload_bytes,
-       [this, span, stage, sent, deliver = std::move(deliver)]() mutable {
-         span->RecordStage(stage, sim_->Now() - sent);
-         deliver();
-       });
 }
 
 void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {
@@ -122,81 +120,82 @@ void Transport::RegisterMetrics(obs::MetricsRegistry* registry) {
   });
 }
 
-void Transport::Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver) {
+bool Transport::Admit(NodeId from, NodeId to, uint64_t payload_bytes, Route* route) {
   URSA_CHECK_LT(from, nodes_.size());
   URSA_CHECK_LT(to, nodes_.size());
   Node& src = *nodes_[from];
   Node& dst = *nodes_[to];
 
   if (src.down || dst.down || LinkBroken(from, to)) {
-    return;  // dropped; the sender's timeout machinery notices
+    return false;  // dropped; the sender's timeout machinery notices
   }
 
   const LinkChaosRule* rule = FindLinkChaos(from, to);
-  Nanos chaos_delay = 0;
-  bool duplicate = false;
   if (rule != nullptr) {
     if (rule->blocked || (rule->drop_prob > 0 && ChaosRng().Bernoulli(rule->drop_prob))) {
       ++chaos_counters_.dropped;
-      return;  // same silent drop as a broken link
+      return false;  // same silent drop as a broken link
     }
     if (rule->extra_delay > 0 || rule->jitter > 0) {
-      chaos_delay = rule->extra_delay;
+      route->chaos_delay = rule->extra_delay;
       if (rule->jitter > 0) {
-        chaos_delay += static_cast<Nanos>(ChaosRng().Uniform(static_cast<uint64_t>(rule->jitter) + 1));
+        route->chaos_delay +=
+            static_cast<Nanos>(ChaosRng().Uniform(static_cast<uint64_t>(rule->jitter) + 1));
       }
       ++chaos_counters_.delayed;
     }
-    duplicate = rule->dup_prob > 0 && ChaosRng().Bernoulli(rule->dup_prob);
+    route->duplicate = rule->dup_prob > 0 && ChaosRng().Bernoulli(rule->dup_prob);
   }
 
-  uint64_t wire_bytes = payload_bytes + src.params.overhead_bytes;
-  src.bytes_out += wire_bytes;
-
-  if (from == to) {
-    // Loopback: no NIC occupancy, just a scheduler hop.
-    uint32_t id = AcquireInFlight(to, wire_bytes, std::move(deliver));
-    auto loopback = [this, id]() { Deliver(id); };
-    static_assert(InlineFn::kFitsInline<decltype(loopback)>);
-    sim_->After(usec(2) + chaos_delay, loopback);
-    return;
-  }
-
-  if (duplicate) {
+  route->wire_bytes = payload_bytes + src.params.overhead_bytes;
+  src.bytes_out += route->wire_bytes;
+  if (route->duplicate && from != to) {
     // The duplicate samples its own delay, so it can arrive before or after
     // the original — both orders occur in real networks.
     ++chaos_counters_.duplicated;
-    Nanos dup_delay = rule->extra_delay;
+    route->dup_delay = rule->extra_delay;
     if (rule->jitter > 0) {
-      dup_delay += static_cast<Nanos>(ChaosRng().Uniform(static_cast<uint64_t>(rule->jitter) + 1));
+      route->dup_delay +=
+          static_cast<Nanos>(ChaosRng().Uniform(static_cast<uint64_t>(rule->jitter) + 1));
     }
-    src.bytes_out += wire_bytes;
-    Transmit(from, to, wire_bytes, dup_delay, deliver);  // copies the closure
+    src.bytes_out += route->wire_bytes;
   }
-  Transmit(from, to, wire_bytes, chaos_delay, std::move(deliver));
+  return true;
 }
 
-void Transport::Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extra_propagation,
-                         sim::EventFn deliver) {
+void Transport::Dispatch(NodeId from, NodeId to, uint32_t id, const Route& route) {
+  if (from == to) {
+    // Loopback: no NIC occupancy, just a scheduler hop.
+    auto loopback = [this, id]() { Deliver(id); };
+    static_assert(InlineFn::kFitsInline<decltype(loopback)>);
+    sim_->After(usec(2) + route.chaos_delay, loopback);
+    return;
+  }
+  if (route.duplicate) {
+    uint32_t dup = AcquireInFlight(to, route.wire_bytes);
+    in_flight_[dup].deliver = in_flight_[id].deliver;  // copies the closure
+    Transmit(from, dup, route.dup_delay);
+  }
+  Transmit(from, id, route.chaos_delay);
+}
+
+void Transport::Transmit(NodeId from, uint32_t id, Nanos extra_propagation) {
+  InFlight& msg = in_flight_[id];
+  const NodeId to = msg.to;
   Node& src = *nodes_[from];
   Node& dst = *nodes_[to];
 
-  Nanos tx_time = TransferTime(wire_bytes, src.params.nic_bw);
-  Nanos rx_time = TransferTime(wire_bytes, dst.params.nic_bw);
-  Nanos propagation = src.params.propagation + extra_propagation;
+  Nanos tx_time = TransferTime(msg.wire_bytes, src.params.nic_bw);
+  msg.rx_time = TransferTime(msg.wire_bytes, dst.params.nic_bw);
+  msg.propagation = src.params.propagation + extra_propagation;
 
   // LACP-style flow pinning: the (from,to) pair always uses the same NIC
   // index at both endpoints.
   uint64_t flow_hash = (static_cast<uint64_t>(from) * 0x9E3779B1u) ^
                        (static_cast<uint64_t>(to) * 0x85EBCA77u);
   size_t tx_nic = flow_hash % src.egress.size();
-  size_t rx_nic = flow_hash % dst.ingress.size();
+  msg.rx_nic = flow_hash % dst.ingress.size();
 
-  uint32_t id = AcquireInFlight(to, wire_bytes, std::move(deliver));
-  InFlight& msg = in_flight_[id];
-  msg.rx_time = rx_time;
-  msg.rx_nic = rx_nic;
-  msg.propagation = propagation;
   auto egress_done = [this, id]() { Propagate(id); };
   static_assert(InlineFn::kFitsInline<decltype(egress_done)>);
   src.egress[tx_nic]->Submit(tx_time, egress_done);
@@ -232,30 +231,23 @@ void Transport::Deliver(uint32_t id) {
   InFlight& msg = in_flight_[id];
   nodes_[msg.to]->bytes_in += msg.wire_bytes;
   ++messages_delivered_;
-  sim::EventFn deliver = std::move(msg.deliver);
+  // The record stays acquired while its closure runs, so messages the
+  // closure sends take other records.
+  msg.deliver();
   ReleaseInFlight(id);
-  deliver();
 }
 
-uint32_t Transport::AcquireInFlight(NodeId to, uint64_t wire_bytes, sim::EventFn deliver) {
-  uint32_t id;
-  if (!free_in_flight_.empty()) {
-    id = free_in_flight_.back();
-    free_in_flight_.pop_back();
-  } else {
-    id = static_cast<uint32_t>(in_flight_.size());
-    in_flight_.emplace_back();
-  }
+uint32_t Transport::AcquireInFlight(NodeId to, uint64_t wire_bytes) {
+  uint32_t id = in_flight_.Acquire();
   InFlight& msg = in_flight_[id];
   msg.to = to;
   msg.wire_bytes = wire_bytes;
-  msg.deliver = std::move(deliver);
   return id;
 }
 
 void Transport::ReleaseInFlight(uint32_t id) {
   in_flight_[id].deliver = nullptr;
-  free_in_flight_.push_back(id);
+  in_flight_.Release(id);
 }
 
 }  // namespace ursa::net

@@ -18,13 +18,14 @@
 #define URSA_NET_TRANSPORT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/slot_pool.h"
 #include "src/common/units.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
@@ -62,16 +63,39 @@ class Transport {
 
   NodeId AddNode(const std::string& name, const NetParams& params = NetParams());
 
-  // Sends `payload_bytes` (+ framing overhead) from -> to; `deliver` runs at
-  // the destination once the message has fully arrived. Loopback (from == to)
-  // skips the NICs and costs a small fixed delay.
-  void Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver);
+  // Sends `payload_bytes` (+ framing overhead) from -> to; `deliver` (an
+  // EventFn or any `void()` closure) runs at the destination once the message
+  // has fully arrived. Loopback (from == to) skips the NICs and costs a small
+  // fixed delay. The closure is built once, in the message's pooled record,
+  // and runs there: a dropped message never builds it.
+  template <typename F>
+  void Send(NodeId from, NodeId to, uint64_t payload_bytes, F&& deliver) {
+    Route route;
+    if (!Admit(from, to, payload_bytes, &route)) {
+      return;
+    }
+    uint32_t id = AcquireInFlight(to, route.wire_bytes);
+    in_flight_[id].deliver.Emplace(std::forward<F>(deliver));
+    Dispatch(from, to, id, route);
+  }
 
   // Traced variant: stamps the wire time (send call to delivery, covering
   // egress queue + serialization + propagation + ingress) into `span` under
   // `stage`. A null span degrades to the untraced Send.
-  void Send(NodeId from, NodeId to, uint64_t payload_bytes, sim::EventFn deliver,
-            const obs::SpanRef& span, obs::Stage stage);
+  template <typename F>
+  void Send(NodeId from, NodeId to, uint64_t payload_bytes, F&& deliver,
+            const obs::SpanRef& span, obs::Stage stage) {
+    if (span == nullptr) {
+      Send(from, to, payload_bytes, std::forward<F>(deliver));
+      return;
+    }
+    Nanos sent = sim_->Now();
+    Send(from, to, payload_bytes,
+         [this, span, stage, sent, deliver = sim::EventFn(std::forward<F>(deliver))]() {
+           span->RecordStage(stage, sim_->Now() - sent);
+           deliver();
+         });
+  }
 
   // Registers transport-wide metrics (message/byte counters, NIC queue
   // depths) with `registry`. Call once after construction; the registry must
@@ -92,6 +116,8 @@ class Transport {
   // Installs (replacing any previous) a directed fault rule on from -> to.
   // The reverse direction is unaffected, which is what makes asymmetric
   // partitions expressible. Rules apply to subsequently sent messages only.
+  // Rules sit in a flat per-sender table indexed by destination, so the
+  // per-message lookup is two array reads.
   void SetLinkChaos(NodeId from, NodeId to, const LinkChaosRule& rule);
   void ClearLinkChaos(NodeId from, NodeId to);
   void ClearAllLinkChaos();
@@ -115,7 +141,7 @@ class Transport {
   uint64_t messages_delivered() const { return messages_delivered_; }
   // Messages sent but not yet delivered or dropped in flight (pooled
   // in-flight records in use).
-  size_t messages_in_flight() const { return in_flight_.size() - free_in_flight_.size(); }
+  size_t messages_in_flight() const { return in_flight_.in_use(); }
   size_t num_nodes() const { return nodes_.size(); }
 
   double nic_bw(NodeId node) const { return nodes_[node]->params.nic_bw; }
@@ -133,13 +159,31 @@ class Transport {
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
     bool down = false;
+    // Chaos rules of links from this node, indexed by destination; grown on
+    // demand, an unset entry means no rule.
+    std::vector<std::optional<LinkChaosRule>> chaos_out;
   };
+
+  // What Admit decided for one message: its wire size and chaos fate.
+  struct Route {
+    uint64_t wire_bytes = 0;
+    Nanos chaos_delay = 0;
+    bool duplicate = false;
+    Nanos dup_delay = 0;
+  };
+  // Drops the message (down node, broken link, chaos drop) or fills `route`
+  // and counts its bytes out; returns whether it goes on the wire.
+  bool Admit(NodeId from, NodeId to, uint64_t payload_bytes, Route* route);
+  // Puts an admitted message (record `id`, closure in place) on the wire,
+  // with a chaos duplicate when the route says so.
+  void Dispatch(NodeId from, NodeId to, uint32_t id, const Route& route);
 
   bool LinkBroken(NodeId a, NodeId b) const;
   Rng& ChaosRng() { return chaos_rng_ != nullptr ? *chaos_rng_ : fallback_chaos_rng_; }
 
   // Per-message state while a message crosses the NICs, pooled so each hop's
-  // event captures only (this, id) and stays inside InlineFn's buffer.
+  // event captures only (this, id) and stays inside InlineFn's buffer. The
+  // record holds the deliver closure from Send to delivery.
   struct InFlight {
     NodeId to = 0;
     uint64_t wire_bytes = 0;
@@ -149,27 +193,24 @@ class Transport {
     sim::EventFn deliver;
   };
 
-  uint32_t AcquireInFlight(NodeId to, uint64_t wire_bytes, sim::EventFn deliver);
+  uint32_t AcquireInFlight(NodeId to, uint64_t wire_bytes);
   void ReleaseInFlight(uint32_t id);
 
   // The NIC-and-propagation delivery path shared by the original message and
   // chaos duplicates. `extra_propagation` is the chaos delay for this copy.
-  void Transmit(NodeId from, NodeId to, uint64_t wire_bytes, Nanos extra_propagation,
-                sim::EventFn deliver);
+  void Transmit(NodeId from, uint32_t id, Nanos extra_propagation);
   // Transmit's stages: egress done -> propagation done -> ingress done.
   void Propagate(uint32_t id);
   void Arrive(uint32_t id);
   void IngressDone(uint32_t id);
-  // Counts the message in at its destination, frees its record and runs
-  // its deliver closure.
+  // Counts the message in at its destination, runs its deliver closure in
+  // place and frees its record.
   void Deliver(uint32_t id);
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::pair<NodeId, NodeId>> broken_links_;
-  std::map<std::pair<NodeId, NodeId>, LinkChaosRule> chaos_rules_;
-  std::vector<InFlight> in_flight_;
-  std::vector<uint32_t> free_in_flight_;
+  SlotPool<InFlight> in_flight_;
   Rng* chaos_rng_ = nullptr;
   Rng fallback_chaos_rng_{0xC4A05ULL};  // "CHAOS"
   ChaosCounters chaos_counters_;

@@ -245,15 +245,8 @@ void IoScheduler::Dispatch(ClassState& c, Queued item) {
     c.admit_latency_us->Record(static_cast<int64_t>((sim_->Now() - item.enqueued) / 1000));
   }
   ++outstanding_;
-  uint32_t slot;
-  if (!free_completions_.empty()) {
-    slot = free_completions_.back();
-    free_completions_.pop_back();
-    completions_[slot] = std::move(item.req.done);
-  } else {
-    slot = static_cast<uint32_t>(completions_.size());
-    completions_.push_back(std::move(item.req.done));
-  }
+  uint32_t slot = completions_.Acquire();
+  completions_[slot] = std::move(item.req.done);
   item.req.done = [this, slot](const Status& s) { Complete(slot, s); };
   // The scheduler owns arbitration now; the device model must not apply its
   // own foreground/background priority (the HDD elevator's idle grace would
@@ -266,7 +259,7 @@ void IoScheduler::Dispatch(ClassState& c, Queued item) {
 
 void IoScheduler::Complete(uint32_t slot, const Status& s) {
   storage::IoCallback done = std::move(completions_[slot]);
-  free_completions_.push_back(slot);
+  completions_.Release(slot);
   --outstanding_;
   if (done) {
     done(s);

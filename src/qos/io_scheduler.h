@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/slot_pool.h"
 #include "src/obs/metrics_registry.h"
 #include "src/qos/qos_config.h"
 #include "src/qos/service_class.h"
@@ -145,9 +146,8 @@ class IoScheduler : public storage::IoGate {
 
   // Emptied tenant queues' storage, reused by the next new tenant.
   std::vector<std::vector<Queued>> spare_queues_;
-  // Callbacks of dispatched requests, indexed by slot; freed slots are reused.
-  std::vector<storage::IoCallback> completions_;
-  std::vector<uint32_t> free_completions_;
+  // Callbacks of dispatched requests, indexed by slot.
+  SlotPool<storage::IoCallback> completions_;
 
   size_t outstanding_ = 0;
   int fg_streak_ = 0;  // consecutive foreground dispatches with bg waiting

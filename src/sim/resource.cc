@@ -13,29 +13,18 @@ Resource::Resource(Simulator* sim, std::string name, int servers)
   stats_epoch_ = sim_->Now();
 }
 
-void Resource::Submit(Nanos service_time, EventFn done) {
-  URSA_CHECK_GE(service_time, 0);
-  queue_.push_back(Job{service_time, std::move(done)});
-  StartNext();
+void Resource::Start(uint32_t job) {
+  ++busy_;
+  Nanos service_time = jobs_[job].service_time;
+  busy_time_ += service_time;
+  auto complete = [this, job]() { FinishJob(job); };
+  static_assert(InlineFn::kFitsInline<decltype(complete)>);
+  sim_->After(service_time, complete);
 }
 
 void Resource::StartNext() {
   while (busy_ < servers_ && head_ < queue_.size()) {
-    Job& job = queue_[head_++];
-    uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      in_service_[slot] = std::move(job.done);
-    } else {
-      slot = static_cast<uint32_t>(in_service_.size());
-      in_service_.push_back(std::move(job.done));
-    }
-    ++busy_;
-    busy_time_ += job.service_time;
-    auto complete = [this, slot]() { FinishJob(slot); };
-    static_assert(InlineFn::kFitsInline<decltype(complete)>);
-    sim_->After(job.service_time, complete);
+    Start(queue_[head_++]);
   }
   if (head_ == queue_.size()) {
     queue_.clear();
@@ -46,17 +35,20 @@ void Resource::StartNext() {
   }
 }
 
-void Resource::FinishJob(uint32_t slot) {
-  EventFn done = std::move(in_service_[slot]);
-  free_slots_.push_back(slot);
+void Resource::FinishJob(uint32_t job) {
   --busy_;
   ++completed_jobs_;
   // Start successors before running the completion so the resource never
-  // idles across a completion callback that immediately resubmits.
+  // idles across a completion callback that immediately resubmits. The
+  // record stays acquired while its callback runs, so jobs the callback
+  // submits take other records.
   StartNext();
-  if (done) {
-    done();
+  Job& j = jobs_[job];
+  if (j.done) {
+    j.done();
+    j.done = nullptr;
   }
+  jobs_.Release(job);
 }
 
 double Resource::Utilization() const {

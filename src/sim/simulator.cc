@@ -4,21 +4,6 @@
 
 namespace ursa::sim {
 
-bool Simulator::Step(Nanos deadline) {
-  if (queue_.empty()) {
-    return false;
-  }
-  Nanos when = queue_.NextTime();
-  if (when > deadline) {
-    return false;
-  }
-  EventFn fn = queue_.PopNext(&when);
-  URSA_CHECK_GE(when, now_) << "event scheduled in the past";
-  now_ = when;
-  fn();
-  return true;
-}
-
 uint64_t Simulator::RunUntil(Nanos deadline) {
   uint64_t executed = 0;
   while (Step(deadline)) {

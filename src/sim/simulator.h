@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "src/common/units.h"
 #include "src/sim/event_queue.h"
@@ -24,11 +25,18 @@ class Simulator {
 
   Nanos Now() const { return now_; }
 
-  // Schedules fn to run `delay` from now (delay >= 0).
-  EventId After(Nanos delay, EventFn fn) { return queue_.Schedule(now_ + delay, std::move(fn)); }
+  // Schedules fn (an EventFn or any `void()` closure, built in place in the
+  // queue) to run `delay` from now (delay >= 0).
+  template <typename F>
+  EventId After(Nanos delay, F&& fn) {
+    return queue_.Schedule(now_ + delay, std::forward<F>(fn));
+  }
 
   // Schedules fn at absolute time `when` (>= Now()).
-  EventId At(Nanos when, EventFn fn) { return queue_.Schedule(when, std::move(fn)); }
+  template <typename F>
+  EventId At(Nanos when, F&& fn) {
+    return queue_.Schedule(when, std::forward<F>(fn));
+  }
 
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
@@ -41,7 +49,7 @@ class Simulator {
 
   // Executes exactly one event if present; returns false when the queue is
   // empty or the next event is after `deadline`.
-  bool Step(Nanos deadline);
+  bool Step(Nanos deadline) { return queue_.RunNext(deadline, &now_); }
 
   bool idle() const { return queue_.empty(); }
   size_t pending_events() const { return queue_.size(); }

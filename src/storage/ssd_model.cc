@@ -38,14 +38,7 @@ void SsdModel::SubmitIo(IoRequest req) {
 
   // One pooled record per I/O: the slice and controller closures capture
   // (this, slot), so they stay inline and the path allocates nothing.
-  uint32_t slot;
-  if (!free_ios_.empty()) {
-    slot = free_ios_.back();
-    free_ios_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(ios_.size());
-    ios_.emplace_back();
-  }
+  uint32_t slot = ios_.Acquire();
   ios_[slot] = Io{num_slices, std::move(req.done)};
   uint64_t left = req.length;
   for (size_t s = 0; s < num_slices; ++s) {
@@ -65,7 +58,7 @@ void SsdModel::SliceDone(uint32_t slot) {
   }
   auto complete = [this, slot]() {
     IoCallback done = std::move(ios_[slot].done);
-    free_ios_.push_back(slot);
+    ios_.Release(slot);
     --inflight_;
     if (done) {
       done(OkStatus());

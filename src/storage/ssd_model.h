@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/slot_pool.h"
 #include "src/common/units.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
@@ -62,9 +63,8 @@ class SsdModel : public BlockDevice {
   std::vector<std::unique_ptr<sim::Resource>> channels_;
   size_t inflight_ = 0;
   PageStore store_;
-  // Records of in-flight I/Os, indexed by slot; freed slots are reused.
-  std::vector<Io> ios_;
-  std::vector<uint32_t> free_ios_;
+  // Records of in-flight I/Os, indexed by slot.
+  SlotPool<Io> ios_;
 };
 
 }  // namespace ursa::storage

@@ -192,6 +192,50 @@ TEST(Crc32cTest, ChainingAcrossThreeWayBlockBoundaries) {
 // With URSA_FORCE_PORTABLE_KERNELS set, the dispatcher must skip the SSE4.2
 // tier and report it unavailable; without it, whatever was picked must be
 // available. CI runs this binary both ways to cover both branches.
+// Crc32cCombine(crc(a), crc(b), |b|) == crc(a || b), with every CRC taken
+// by each available implementation, at the edge lengths and random splits.
+TEST(Crc32cTest, CombineMatchesStreamingCrc) {
+  Rng rng(11);
+  std::vector<uint8_t> data(1 << 20);
+  for (uint8_t& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  for (Crc32cImpl impl : CompiledImpls()) {
+    for (size_t len : {size_t{0}, size_t{1}, size_t{511}, size_t{512}, size_t{4096},
+                       size_t{1} << 20}) {
+      std::vector<size_t> splits = {0, len / 2, len};
+      for (int i = 0; i < 4 && len > 0; ++i) {
+        splits.push_back(static_cast<size_t>(rng.Uniform(len + 1)));
+      }
+      const uint32_t whole = Crc32cWith(impl, data.data(), len);
+      for (size_t split : splits) {
+        const uint32_t a = Crc32cWith(impl, data.data(), split);
+        const uint32_t b = Crc32cWith(impl, data.data() + split, len - split);
+        EXPECT_EQ(Crc32cCombine(a, b, len - split), whole)
+            << "impl " << static_cast<int>(impl) << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+// A record CRC built from per-sector sums equals one pass over the bytes,
+// for whole and partial trailing sectors, from any seed.
+TEST(Crc32cTest, FromSectorsMatchesOnePass) {
+  Rng rng(12);
+  std::vector<uint8_t> data(3 * kCrc32cSector + 100);
+  for (uint8_t& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t len : {size_t{0}, size_t{1}, kCrc32cSector, 2 * kCrc32cSector + 7, data.size()}) {
+    std::vector<uint32_t> sums(Crc32cSectorCount(len));
+    Crc32cSectors(data.data(), len, sums.data());
+    for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+      EXPECT_EQ(Crc32cFromSectors(seed, sums.data(), len), Crc32c(data.data(), len, seed))
+          << "len " << len;
+    }
+  }
+}
+
 TEST(Crc32cTest, DispatcherHonorsForcePortable) {
   const char* forced = std::getenv("URSA_FORCE_PORTABLE_KERNELS");
   bool force = forced != nullptr && forced[0] != '\0' && std::string(forced) != "0";

@@ -373,5 +373,53 @@ TEST(TransportChaosTest, ExtraDelayShiftsDelivery) {
   EXPECT_EQ(net.chaos_counters().delayed, 1u);
 }
 
+// The flat per-sender rule table grows with the nodes: a rule set before a
+// node joins keeps applying after, a rule on a link to the new node applies
+// too, and Clear* remove exactly what they name.
+TEST(TransportChaosTest, RulesSetBeforeAndAfterAddNodeBothApply) {
+  sim::Simulator sim;
+  Transport net(&sim);
+  NodeId a = net.AddNode("a");
+  NodeId b = net.AddNode("b");
+  LinkChaosRule block;
+  block.blocked = true;
+  net.SetLinkChaos(a, b, block);  // before c exists
+  NodeId c = net.AddNode("c");
+  net.SetLinkChaos(c, a, block);  // from the new node
+  LinkChaosRule slow;
+  slow.extra_delay = msec(3);
+  net.SetLinkChaos(a, c, slow);  // to the new node
+
+  int to_b = 0;
+  int to_a = 0;
+  Nanos to_c = 0;
+  net.Send(a, b, 512, [&]() { ++to_b; });
+  net.Send(c, a, 512, [&]() { ++to_a; });
+  net.Send(a, c, 512, [&]() { to_c = sim.Now(); });
+  sim.RunToCompletion();
+  EXPECT_EQ(to_b, 0);
+  EXPECT_EQ(to_a, 0);
+  EXPECT_GE(to_c, msec(3));
+  EXPECT_EQ(net.chaos_counters().dropped, 2u);
+  EXPECT_EQ(net.chaos_counters().delayed, 1u);
+  ASSERT_NE(net.FindLinkChaos(a, b), nullptr);
+  EXPECT_EQ(net.FindLinkChaos(b, a), nullptr);  // directed
+  EXPECT_EQ(net.FindLinkChaos(b, c), nullptr);
+
+  net.ClearLinkChaos(a, b);
+  EXPECT_EQ(net.FindLinkChaos(a, b), nullptr);
+  EXPECT_NE(net.FindLinkChaos(c, a), nullptr);
+  net.Send(a, b, 512, [&]() { ++to_b; });
+  sim.RunToCompletion();
+  EXPECT_EQ(to_b, 1);
+
+  net.ClearAllLinkChaos();
+  EXPECT_EQ(net.FindLinkChaos(c, a), nullptr);
+  EXPECT_EQ(net.FindLinkChaos(a, c), nullptr);
+  net.Send(c, a, 512, [&]() { ++to_a; });
+  sim.RunToCompletion();
+  EXPECT_EQ(to_a, 1);
+}
+
 }  // namespace
 }  // namespace ursa::net

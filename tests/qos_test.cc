@@ -1,34 +1,16 @@
 // Unit tests for the QoS subsystem: token-bucket conformance, weighted DRR
 // fairness (classes and tenants), starvation freedom under saturating
 // foreground load, and watermark backpressure (ShouldThrottle / WhenReady).
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
+#include "counting_new.h"
 #include "gtest/gtest.h"
 #include "src/qos/io_scheduler.h"
 #include "src/qos/token_bucket.h"
 #include "src/sim/simulator.h"
 #include "src/storage/mem_device.h"
 #include "src/storage/ssd_model.h"
-
-// Counts every heap allocation this test binary makes, so a test can assert
-// that a steady-state path allocates nothing.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ursa::qos {
 namespace {
@@ -400,9 +382,9 @@ class SsdLoop {
 TEST(IoSchedulerTest, SteadyStateSsdIoAllocatesNothing) {
   SsdLoop loop;
   loop.Run(2000);  // warm-up: pools, queues and the event heap grow
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = test::HeapAllocations();
   loop.Run(4000);
-  const uint64_t allocations = g_allocations.load() - before;
+  const uint64_t allocations = test::HeapAllocations() - before;
   EXPECT_EQ(loop.completed(), 6000);
   EXPECT_EQ(allocations, 0u) << "heap allocations in 4000 steady-state I/Os";
 }

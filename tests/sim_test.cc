@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -13,6 +14,9 @@
 namespace ursa::sim {
 namespace {
 
+// A RunNext deadline no event is past.
+constexpr Nanos kAnyTime = INT64_MAX;
+
 TEST(EventQueueTest, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
@@ -21,7 +25,7 @@ TEST(EventQueueTest, OrdersByTime) {
   q.Schedule(20, [&]() { fired.push_back(2); });
   while (!q.empty()) {
     Nanos when = 0;
-    q.PopNext(&when)();
+    q.RunNext(kAnyTime, &when);
   }
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
@@ -34,7 +38,7 @@ TEST(EventQueueTest, FifoAtEqualTimes) {
   }
   while (!q.empty()) {
     Nanos when = 0;
-    q.PopNext(&when)();
+    q.RunNext(kAnyTime, &when);
   }
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -58,7 +62,7 @@ TEST(EventQueueTest, CancelMiddleKeepsOthers) {
   q.Cancel(id);
   while (!q.empty()) {
     Nanos when = 0;
-    q.PopNext(&when)();
+    q.RunNext(kAnyTime, &when);
   }
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
@@ -76,7 +80,7 @@ TEST(EventQueueTest, SlotReuseDoesNotAliasIds) {
   EXPECT_EQ(q.size(), 1u);
   while (!q.empty()) {
     Nanos when = 0;
-    q.PopNext(&when)();
+    q.RunNext(kAnyTime, &when);
   }
   EXPECT_FALSE(old_fired);
   EXPECT_TRUE(new_fired);
@@ -114,8 +118,7 @@ TEST(EventQueueTest, CancelRescheduleStress) {
       live.erase(it);
     } else if (!q.empty()) {
       Nanos when = 0;
-      EventFn fn = q.PopNext(&when);
-      fn();
+      q.RunNext(kAnyTime, &when);
       // Whichever payload just fired was live (not cancelled): retire it.
       for (auto it = live.begin(); it != live.end(); ++it) {
         if (fired.count(it->first) && !expected_fired.count(it->first)) {
@@ -130,7 +133,7 @@ TEST(EventQueueTest, CancelRescheduleStress) {
   // Drain: everything still live fires exactly once; cancelled events never do.
   while (!q.empty()) {
     Nanos when = 0;
-    q.PopNext(&when)();
+    q.RunNext(kAnyTime, &when);
   }
   for (const auto& [payload, id] : live) {
     EXPECT_TRUE(fired.count(payload)) << "live event " << payload << " lost";
@@ -192,7 +195,7 @@ TEST(EventQueueTest, CancelledTimeoutsDoNotAccumulate) {
     } else if (!q.empty() && order.begin()->first < now + 1000) {
       // Fire the head; it must be the (when, seq) minimum of the reference.
       Nanos when = 0;
-      q.PopNext(&when)();
+      q.RunNext(kAnyTime, &when);
       auto head = *order.begin();
       ASSERT_EQ(when, head.first);
       ASSERT_EQ(fired_payload, payload_of_seq[head.second]) << "step " << step;
@@ -207,7 +210,7 @@ TEST(EventQueueTest, CancelledTimeoutsDoNotAccumulate) {
   }
   while (!q.empty()) {
     Nanos when = 0;
-    q.PopNext(&when)();
+    q.RunNext(kAnyTime, &when);
     auto head = *order.begin();
     ASSERT_EQ(when, head.first);
     ASSERT_EQ(fired_payload, payload_of_seq[head.second]);
