@@ -20,6 +20,10 @@
 //     keep their existing contract (buffer outlives the callback).
 //   * A null view (data() == nullptr) is a timing-only payload: it carries a
 //     length through the protocol but no bytes (simulated-cost writes).
+//   * Each allocation memoizes the CRC32C of its 512-byte sectors
+//     (BufferView::SectorSums): the first consumer that asks hashes the
+//     sectors, every later one (the scrub ledger and the journal record CRC
+//     on every replica) reuses the sums (DESIGN.md §8).
 #ifndef URSA_COMMON_BUFFER_H_
 #define URSA_COMMON_BUFFER_H_
 
@@ -34,25 +38,34 @@ namespace ursa {
 
 class BufferView;
 
+namespace buffer_internal {
+
+// What every owning Buffer shares besides its bytes: where they start, and
+// the memo of their 512-byte sectors' CRC32C (sums[i] is valid when bit i
+// of `known` is set). Allocate places it and the memo arrays in the same
+// heap block as the bytes.
+struct Allocation {
+  const uint8_t* bytes = nullptr;
+  size_t size = 0;
+  uint64_t* known = nullptr;
+  uint32_t* sums = nullptr;
+};
+
+}  // namespace buffer_internal
+
 class Buffer {
  public:
   Buffer() = default;
 
   // Uninitialized storage — caller fills every byte before publishing views.
-  // One heap block holds both the bytes and the reference count.
-  static Buffer Allocate(size_t n) {
-    Buffer b;
-    if (n > 0) {
-      b.data_ = std::make_shared_for_overwrite<uint8_t[]>(n);
-    }
-    b.size_ = n;
-    return b;
-  }
+  // One heap block holds the reference count, the sector-sum memo and the
+  // bytes.
+  static Buffer Allocate(size_t n);
 
   static Buffer AllocateZeroed(size_t n) {
     Buffer b = Allocate(n);
     if (n > 0) {
-      std::memset(b.data_.get(), 0, n);
+      std::memset(b.data_, 0, n);
     }
     return b;
   }
@@ -60,30 +73,22 @@ class Buffer {
   static Buffer CopyOf(const void* data, size_t n) {
     Buffer b = Allocate(n);
     if (n > 0) {
-      std::memcpy(b.data_.get(), data, n);
+      std::memcpy(b.data_, data, n);
     }
     return b;
   }
 
-  // Adopts a vector's storage without copying (aliasing shared_ptr keeps the
+  // Adopts a vector's storage without copying (the shared block keeps the
   // vector alive). For edges that already materialized bytes in a vector.
-  static Buffer FromVector(std::vector<uint8_t> v) {
-    Buffer b;
-    b.size_ = v.size();
-    if (!v.empty()) {
-      auto holder = std::make_shared<std::vector<uint8_t>>(std::move(v));
-      b.data_ = std::shared_ptr<uint8_t[]>(holder, holder->data());
-    }
-    return b;
-  }
+  static Buffer FromVector(std::vector<uint8_t> v);
 
-  uint8_t* data() { return data_.get(); }
-  const uint8_t* data() const { return data_.get(); }
+  uint8_t* data() { return data_; }
+  const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   explicit operator bool() const { return data_ != nullptr; }
   // Number of Buffers and views sharing these bytes (0 for an empty Buffer).
-  long use_count() const { return data_.use_count(); }
+  long use_count() const { return block_.use_count(); }
 
   // Whole-buffer and sliced views (defined after BufferView).
   BufferView View() const;
@@ -91,7 +96,8 @@ class Buffer {
 
  private:
   friend class BufferView;
-  std::shared_ptr<uint8_t[]> data_;
+  std::shared_ptr<const buffer_internal::Allocation> block_;
+  uint8_t* data_ = nullptr;
   size_t size_ = 0;
 };
 
@@ -101,10 +107,10 @@ class BufferView {
   BufferView() = default;
 
   BufferView(const Buffer& b)  // NOLINT(google-explicit-constructor)
-      : owner_(b.data_), data_(b.data_.get()), size_(b.size_) {}
+      : owner_(b.block_), data_(b.data_), size_(b.size_) {}
 
   BufferView(const Buffer& b, size_t offset, size_t length)
-      : owner_(b.data_), data_(b.data_.get() + offset), size_(length) {}
+      : owner_(b.block_), data_(b.data_ + offset), size_(length) {}
 
   // Wraps raw bytes without taking ownership: the caller guarantees the
   // pointee outlives every use of the view (the legacy `const void*`
@@ -141,8 +147,17 @@ class BufferView {
   // rest.
   bool owned() const { return owner_ != nullptr; }
 
+  // The CRC32C of each 512-byte sector of the view (the last one may be
+  // short), as Crc32cSectors computes them: memoized with the allocation, so
+  // only the first call for a sector hashes it. Null when the view has no
+  // allocation (null and unowned views) or its sectors are not the
+  // allocation's: it starts off a sector boundary, or ends inside a sector
+  // short of the allocation's end.
+  const uint32_t* SectorSums() const;
+
  private:
-  std::shared_ptr<const uint8_t[]> owner_;  // null for unowned and null views
+  // Null for unowned and null views.
+  std::shared_ptr<const buffer_internal::Allocation> owner_;
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/crc32.h"
 
 namespace ursa {
 namespace {
@@ -128,6 +129,54 @@ TEST(BufferTest, EmptyBufferAndViews) {
   EXPECT_EQ(fv.size(), 0u);
   BufferView v = b.View();
   EXPECT_TRUE(v.empty());
+}
+
+std::vector<uint32_t> SectorsOf(const uint8_t* data, size_t len) {
+  std::vector<uint32_t> sums(Crc32cSectorCount(len));
+  Crc32cSectors(data, len, sums.data());
+  return sums;
+}
+
+// The allocation memoizes its sector sums: the first view that asks hashes
+// them, every later view of the same sectors reuses them.
+TEST(BufferTest, SectorSumsAreMemoizedPerAllocation) {
+  std::vector<uint8_t> bytes(4096 + 100);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  Buffer b = Buffer::CopyOf(bytes.data(), bytes.size());
+  const std::vector<uint32_t> want = SectorsOf(bytes.data(), bytes.size());
+
+  const uint64_t before = Crc32cBytesHashed();
+  const uint32_t* tail = b.View(1024, bytes.size() - 1024).SectorSums();  // ends short
+  ASSERT_NE(tail, nullptr);
+  EXPECT_EQ(std::vector<uint32_t>(tail, tail + 7), std::vector<uint32_t>(want.begin() + 2,
+                                                                          want.end()));
+  EXPECT_EQ(Crc32cBytesHashed() - before, bytes.size() - 1024);
+  const uint32_t* all = b.View().SectorSums();
+  ASSERT_NE(all, nullptr);
+  EXPECT_EQ(std::vector<uint32_t>(all, all + want.size()), want);
+  EXPECT_EQ(Crc32cBytesHashed() - before, bytes.size());  // only sectors 0-1 were new
+  EXPECT_EQ(BufferView(b).Slice(512, 512).SectorSums(), all + 1);
+  EXPECT_EQ(Crc32cBytesHashed() - before, bytes.size());
+}
+
+TEST(BufferTest, SectorSumsNeedTheAllocationsSectors) {
+  Buffer b = Buffer::AllocateZeroed(4096);
+  EXPECT_EQ(b.View(100, 512).SectorSums(), nullptr);   // starts inside a sector
+  EXPECT_EQ(b.View(0, 1000).SectorSums(), nullptr);    // ends inside one, short of the end
+  EXPECT_NE(b.View(512, 1024).SectorSums(), nullptr);  // whole sectors
+  EXPECT_EQ(BufferView::Unowned(b.data(), 4096).SectorSums(), nullptr);
+  EXPECT_EQ(BufferView().SectorSums(), nullptr);
+}
+
+TEST(BufferTest, AdoptedVectorMemoizesToo) {
+  std::vector<uint8_t> v(1536, 0x5A);
+  const std::vector<uint32_t> want = SectorsOf(v.data(), v.size());
+  Buffer b = Buffer::FromVector(std::move(v));
+  const uint32_t* sums = b.View().SectorSums();
+  ASSERT_NE(sums, nullptr);
+  EXPECT_EQ(std::vector<uint32_t>(sums, sums + want.size()), want);
 }
 
 }  // namespace
