@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/ec/reed_solomon.h"
 #include "src/net/message.h"
-#include "src/net/rpc.h"
 
 namespace ursa::client {
 
@@ -329,7 +329,7 @@ void VirtualDisk::FinishSub(uint32_t s, Status status) {
       cluster_->master().RegisterSpecExtent(now.chunk, sub.chunk_offset, sub.length);
     }
   }
-  subs_.Release(s);
+  Release(subs_, s);
   if (is_write) {
     chunk_states_[sub.chunk_index].write_inflight = 0;
     PumpWriteQueue(sub.chunk_index);
@@ -363,7 +363,7 @@ void VirtualDisk::FinishOp(uint32_t op) {
   }
   std::shared_ptr<storage::IoCallback> done = std::move(rec.done);
   Status status = std::move(rec.first_error);
-  ops_.Release(op);
+  Release(ops_, op);
   --inflight_user_ops_;
   (*done)(status);
 }
@@ -396,15 +396,6 @@ void VirtualDisk::IssueRead(uint32_t s) {
   piece.view = layout.view;
   piece.version = cs.version;
   SendPiece(p);
-}
-
-ec::ReedSolomon* VirtualDisk::Codec(int k, int m) {
-  auto key = std::make_pair(k, m);
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    it = codecs_.emplace(key, std::make_unique<ec::ReedSolomon>(k, m)).first;
-  }
-  return it->second.get();
 }
 
 void VirtualDisk::IssueEcRead(uint32_t s) {
@@ -679,7 +670,7 @@ void VirtualDisk::FinishPiece(uint32_t p, Status status) {
   const PieceKind kind = piece.kind;
   const uint32_t s = piece.sub;
   const uint32_t degraded = piece.degraded;
-  pieces_.Release(p);
+  Release(pieces_, p);
   if (kind == PieceKind::kSurvivor) {
     OnSurvivorDone(degraded, status);
     return;
@@ -716,22 +707,17 @@ void VirtualDisk::OnSurvivorDone(uint32_t p, const Status& status) {
   if (piece.out != nullptr && piece.survivors != nullptr) {
     const int k = static_cast<int>(piece.sources.size());
     const int n = k + piece.ec_m;
-    ec::ReedSolomon* rs = Codec(k, piece.ec_m);
-    std::vector<bool> present(n, false);
     std::vector<const uint8_t*> shards(n, nullptr);
     for (size_t i = 0; i < piece.sources.size(); ++i) {
-      present[piece.sources[i]] = true;
       shards[piece.sources[i]] = piece.survivors->data() + i * piece.length;
-    }
-    ec::ReedSolomon::DecodePlan plan;
-    Status ps = rs->PlanReconstruct(present, {piece.shard}, &plan);
-    if (!ps.ok()) {
-      FinishPiece(p, ps);
-      return;
     }
     std::vector<uint8_t*> rebuild(n, nullptr);
     rebuild[piece.shard] = static_cast<uint8_t*>(piece.out);
-    rs->ReconstructWith(plan, shards, rebuild, piece.length);
+    if (Status rs = ec::Codec(k, piece.ec_m).Reconstruct(shards, rebuild, piece.length);
+        !rs.ok()) {
+      FinishPiece(p, rs);
+      return;
+    }
   }
   FinishPiece(p, OkStatus());
 }
@@ -856,30 +842,23 @@ void VirtualDisk::ClientDirectedWrite(uint32_t s) {
   const std::vector<ReplicaRef>& replicas = WriteSet(layout);
   URSA_CHECK_LE(replicas.size(), kMaxLegs);
   rec.targets.assign(replicas.begin(), replicas.end());
-  int total = static_cast<int>(replicas.size());
-  int majority = total / 2 + 1;
   rec.saw_mismatch = false;
 
   ArmWriteTimeout(s);
-  rec.quorum = net::QuorumTracker(total, majority);
+  rec.quorum = cluster::WriteQuorum(static_cast<int>(replicas.size()));
   auto commit = [this, s, gen = rec.gen]() {
-    if (!SubLive(s, gen)) {
-      return;
-    }
-    subs_[s].quorum.TimeoutExpired();
-    if (subs_[s].quorum.decided()) {
+    if (SubLive(s, gen) && subs_[s].quorum.Expire()) {
       OnQuorumDecided(s);
     }
   };
   static_assert(InlineFn::kFitsInline<decltype(commit)>);
-  rec.commit_timer = sim_->After(options_.commit_timeout, commit);
-  rec.legs_fired = 0;
+  rec.commit_timer = sim_->After(cluster::kMajorityCommitTimeout, commit);
 
   // Client-directed replication (§3.2): one message per replica in parallel;
   // all legs stamp the shared span, which keeps the per-stage maximum (the
   // quorum waits for all replicas in the common case, so the slowest leg is
-  // the critical path). Each replica counts toward the quorum at most once:
-  // a chaos-duplicated request or reply must not let one replica's ack
+  // the critical path). Replica r is leg r of the quorum, which counts it
+  // once: a chaos-duplicated request or reply must not let one replica's ack
   // masquerade as a majority.
   for (uint32_t r = 0; r < rec.targets.size(); ++r) {
     auto deliver = [this, s, tag = rec.gen + r]() { DeliverLeg(s, tag); };
@@ -923,18 +902,14 @@ void VirtualDisk::OnLegReply(uint32_t s, uint32_t tag, StatusCode code) {
     return;
   }
   SubRecord& rec = subs_[s];
-  const uint32_t leg = 1u << (tag % kGenStride);
-  if ((rec.legs_fired & leg) != 0) {
-    return;  // this replica already counted
+  const int leg = static_cast<int>(tag % kGenStride);
+  // Count ignores a repeated leg too, but saw_mismatch must not see it: a
+  // chaos-duplicated request is answered again, perhaps with another code.
+  if (rec.quorum.counted(leg)) {
+    return;
   }
-  rec.legs_fired |= leg;
-  if (code == StatusCode::kOk) {
-    rec.quorum.RecordSuccess();
-  } else {
-    rec.saw_mismatch = rec.saw_mismatch || code == StatusCode::kVersionMismatch;
-    rec.quorum.RecordFailure();
-  }
-  if (rec.quorum.decided()) {
+  rec.saw_mismatch = rec.saw_mismatch || code == StatusCode::kVersionMismatch;
+  if (rec.quorum.Count(leg, code == StatusCode::kOk)) {
     const sim::EventId commit_timer = rec.commit_timer;
     OnQuorumDecided(s);
     sim_->Cancel(commit_timer);

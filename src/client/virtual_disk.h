@@ -19,7 +19,6 @@
 #ifndef URSA_CLIENT_VIRTUAL_DISK_H_
 #define URSA_CLIENT_VIRTUAL_DISK_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -29,8 +28,7 @@
 #include "src/common/inline_fn.h"
 #include "src/common/rate_limiter.h"
 #include "src/common/rng.h"
-#include "src/ec/reed_solomon.h"
-#include "src/net/rpc.h"
+#include "src/common/slot_pool.h"
 
 namespace ursa::client {
 
@@ -39,7 +37,6 @@ struct VirtualDiskClientOptions {
   int max_attempts = 4;                // retries across primary switches
   uint64_t tiny_write_threshold = cluster::kTinyWriteThreshold;  // Tc
   bool client_directed = true;         // Ursa replicates tiny writes itself
-  Nanos commit_timeout = msec(200);    // majority-commit authorization delay
   Nanos loop_issue_cost = usec(4);     // client event-loop CPU per issue
   Nanos loop_complete_cost = usec(3);  // and per completion
   Nanos vmm_overhead = usec(55);       // NBD/QEMU fixed path cost (each way)
@@ -127,7 +124,7 @@ class VirtualDisk {
   size_t chunk_primary(size_t index) const { return chunk_states_[index].primary; }
   // Pooled op, sub-request and read-piece records in use. Zero once every
   // accepted op has called back.
-  size_t live_records() const { return ops_.live() + subs_.live() + pieces_.live(); }
+  size_t live_records() const { return ops_.in_use() + subs_.in_use() + pieces_.in_use(); }
 
   // ---- Online client upgrade (§5.2, core/shell split) ----
   // Stops accepting new I/O from the VMM, completes pending requests, saves
@@ -169,33 +166,15 @@ class VirtualDisk {
   static constexpr uint32_t kMaxLegs = kGenStride;
   static constexpr uint32_t kNoRecord = ~0u;
 
-  // Records at fixed addresses, recycled through a free list. Release()
-  // calls T::Reset (which keeps reusable capacity) and bumps the generation.
+  // Returns record `i` to its SlotPool: T::Reset drops what it holds (and
+  // keeps reusable capacity), and its generation advances.
   template <typename T>
-  class Pool {
-   public:
-    uint32_t Acquire() {
-      if (free_.empty()) {
-        slots_.push_back(std::make_unique<T>());
-        return static_cast<uint32_t>(slots_.size() - 1);
-      }
-      uint32_t i = free_.back();
-      free_.pop_back();
-      return i;
-    }
-    void Release(uint32_t i) {
-      T& r = *slots_[i];
-      r.Reset();
-      r.gen += kGenStride;
-      free_.push_back(i);
-    }
-    T& operator[](uint32_t i) { return *slots_[i]; }
-    size_t live() const { return slots_.size() - free_.size(); }
-
-   private:
-    std::vector<std::unique_ptr<T>> slots_;
-    std::vector<uint32_t> free_;
-  };
+  static void Release(SlotPool<T>& pool, uint32_t i) {
+    T& r = pool[i];
+    r.Reset();
+    r.gen += kGenStride;
+    pool.Release(i);
+  }
 
   // One user Read/Write, from entry (paused and throttled included) to the
   // user callback.
@@ -253,10 +232,10 @@ class VirtualDisk {
     sim::EventId timeout = 0;
     std::vector<cluster::ReplicaRef> targets;  // legs, or {primary}
     std::vector<cluster::ReplicaRef> backups;  // primary-driven chain
-    // Client-directed quorum (§4.1).
-    net::QuorumTracker quorum{0, 0};
+    // Client-directed: the quorum of the legs (one per target) and its
+    // commit timer.
+    cluster::WriteQuorum quorum;
     sim::EventId commit_timer = 0;
-    uint32_t legs_fired = 0;  // bit r: replica r already counted
     void Reset() {
       out = nullptr;
       data = {};
@@ -361,7 +340,6 @@ class VirtualDisk {
   void FinishPiece(uint32_t p, Status status);
   void OnSurvivorDone(uint32_t p, const Status& status);
   void FinishReadAttempt(uint32_t s);
-  ec::ReedSolomon* Codec(int k, int m);
 
   // ---- Writes ----
   void EnqueueWrite(uint32_t s);
@@ -437,9 +415,9 @@ class VirtualDisk {
   std::vector<ChunkState> chunk_states_;
   ClientStats stats_;
 
-  Pool<OpRecord> ops_;
-  Pool<SubRecord> subs_;
-  Pool<PieceRecord> pieces_;
+  SlotPool<OpRecord> ops_;
+  SlotPool<SubRecord> subs_;
+  SlotPool<PieceRecord> pieces_;
   std::vector<SubRequest> split_;        // SplitRequest scratch
   std::vector<uint32_t> piece_scratch_;  // IssueEcRead scratch
 
@@ -458,9 +436,6 @@ class VirtualDisk {
   // Logical-write id generator (see SubRequest::write_id). Client ids are
   // folded in so two clients never mint the same id.
   uint64_t next_write_id_ = 0;
-
-  // Reed-Solomon codecs for client-side degraded reads, keyed by (k, m).
-  std::map<std::pair<int, int>, std::unique_ptr<ec::ReedSolomon>> codecs_;
 };
 
 }  // namespace ursa::client

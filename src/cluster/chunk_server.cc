@@ -20,9 +20,12 @@ ChunkServer::ChunkServer(sim::Simulator* sim, net::Transport* transport, Machine
       store_(store),
       journal_manager_(journal_manager),
       on_ssd_(on_ssd),
-      config_(config) {}
+      config_(config) {
+  ops_->server = this;
+}
 
 ChunkServer::~ChunkServer() {
+  ops_->server = nullptr;
   for (uint32_t slot = 0; slot < ops_->ops.size(); ++slot) {
     Op& op = OpAt(slot);
     if (op.refs > 0) {
@@ -36,89 +39,91 @@ ChunkServer::~ChunkServer() {
 
 Status ChunkServer::AllocateChunk(ChunkId chunk, uint64_t view, uint64_t tenant) {
   URSA_RETURN_IF_ERROR(store_->Allocate(chunk));
-  states_[chunk] = ReplicaState{.view = view};
-  if (tenant != 0) {
-    chunk_tenants_[chunk] = tenant;
-  }
+  replicas_[chunk] = Replica{.state = {.view = view}, .tenant = tenant};
   return OkStatus();
 }
 
 Status ChunkServer::FreeChunk(ChunkId chunk) {
   URSA_RETURN_IF_ERROR(store_->Free(chunk));
-  states_.erase(chunk);
-  chunk_tenants_.erase(chunk);
-  scrub_quarantine_.erase(chunk);
-  write_shield_.erase(chunk);
+  replicas_.erase(chunk);
   if (checksums_ != nullptr) {
     checksums_->Drop(chunk);
   }
   return OkStatus();
 }
 
+const ChunkServer::Replica* ChunkServer::Find(ChunkId chunk) const {
+  auto it = replicas_.find(chunk);
+  return it == replicas_.end() ? nullptr : &it->second;
+}
+
 std::vector<ChunkId> ChunkServer::HostedChunks() const {
   std::vector<ChunkId> chunks;
-  chunks.reserve(states_.size());
-  for (const auto& [chunk, state] : states_) {
+  chunks.reserve(replicas_.size());
+  for (const auto& [chunk, replica] : replicas_) {
     chunks.push_back(chunk);
   }
   return chunks;
 }
 
 void ChunkServer::AddScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t length) {
-  scrub_quarantine_[chunk].push_back(Interval{offset, length});
+  if (Replica* r = Find(chunk)) {
+    r->quarantine.push_back(Interval{offset, length});
+  }
 }
 
 void ChunkServer::ClearScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t length) {
-  auto it = scrub_quarantine_.find(chunk);
-  if (it == scrub_quarantine_.end()) {
-    return;
-  }
-  std::vector<Interval>& ranges = it->second;
-  std::erase_if(ranges, [cleared = Interval{offset, length}](const Interval& r) {
-    return r.Overlaps(cleared);
-  });
-  if (ranges.empty()) {
-    scrub_quarantine_.erase(it);
+  if (Replica* r = Find(chunk)) {
+    std::erase_if(r->quarantine, [cleared = Interval{offset, length}](const Interval& q) {
+      return q.Overlaps(cleared);
+    });
   }
 }
 
-bool ChunkServer::IsScrubQuarantined(ChunkId chunk, uint64_t offset, uint64_t length) const {
-  auto it = scrub_quarantine_.find(chunk);
-  if (it == scrub_quarantine_.end()) {
-    return false;
-  }
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [range = Interval{offset, length}](const Interval& r) {
-                       return r.Overlaps(range);
+bool ChunkServer::Quarantined(const Replica& r, uint64_t offset, uint64_t length) {
+  return std::any_of(r.quarantine.begin(), r.quarantine.end(),
+                     [range = Interval{offset, length}](const Interval& q) {
+                       return q.Overlaps(range);
                      });
+}
+
+bool ChunkServer::IsScrubQuarantined(ChunkId chunk, uint64_t offset, uint64_t length) const {
+  const Replica* r = Find(chunk);
+  return r != nullptr && Quarantined(*r, offset, length);
 }
 
 size_t ChunkServer::scrub_quarantine_size() const {
   size_t n = 0;
-  for (const auto& [chunk, ranges] : scrub_quarantine_) {
-    n += ranges.size();
+  for (const auto& [chunk, replica] : replicas_) {
+    n += replica.quarantine.size();
   }
   return n;
 }
 
-uint64_t ChunkServer::TenantOf(ChunkId chunk) const {
-  auto it = chunk_tenants_.find(chunk);
-  return it == chunk_tenants_.end() ? 0 : it->second;
+void ChunkServer::EnableWriteShield(ChunkId chunk) {
+  if (Replica* r = Find(chunk)) {
+    r->shield.emplace();
+  }
+}
+
+void ChunkServer::DisableWriteShield(ChunkId chunk) {
+  if (Replica* r = Find(chunk)) {
+    r->shield.reset();
+  }
 }
 
 Result<ReplicaState> ChunkServer::GetState(ChunkId chunk) const {
-  auto it = states_.find(chunk);
-  if (it == states_.end()) {
+  const Replica* r = Find(chunk);
+  if (r == nullptr) {
     return NotFound("no such chunk replica");
   }
-  return it->second;
+  return r->state;
 }
 
 void ChunkServer::InstallView(ChunkId chunk, uint64_t view, uint64_t version,
                               uint64_t write_id) {
-  auto it = states_.find(chunk);
-  if (it != states_.end()) {
-    cluster::InstallView(it->second, view, version, write_id);
+  if (Replica* r = Find(chunk)) {
+    cluster::InstallView(r->state, view, version, write_id);
   }
 }
 
@@ -168,6 +173,9 @@ void ChunkServer::OpPool::Unref(uint32_t slot, uint32_t gen) {
   if (--op.refs > 0) {
     return;
   }
+  if (op.done && server != nullptr) {
+    server->Abandon(op);
+  }
   // Drop what the op holds; the vectors keep their capacity for reuse.
   ++op.gen;
   op.data = ursa::BufferView();
@@ -199,6 +207,13 @@ void ChunkServer::Reply(Op& op, const Status& s, uint64_t version) {
   op.done = nullptr;
 }
 
+void ChunkServer::Abandon(const Op& op) {
+  --inflight_ops_;
+  if (op.applied && heat_ != nullptr) {
+    heat_->EndWrite(op.chunk);
+  }
+}
+
 void ChunkServer::HandleRead(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
                              uint64_t expected_version, void* out, ReadCallback done,
                              const obs::SpanRef& span) {
@@ -216,19 +231,19 @@ void ChunkServer::ServeRead(uint32_t slot) {
   if (op.span != nullptr) {
     op.span->RecordStage(obs::Stage::kServerCpu, sim_->Now() - op.entered);
   }
-  auto it = states_.find(op.chunk);
+  const Replica* r = Find(op.chunk);
   Status refused;
-  if (it == states_.end()) {
+  if (r == nullptr) {
     refused = NotFound("chunk not hosted here");
-  } else if (Status readable = CheckRead(it->second, op.view, op.version); !readable.ok()) {
+  } else if (Status readable = CheckRead(r->state, op.view, op.version); !readable.ok()) {
     refused = readable;
-  } else if (IsScrubQuarantined(op.chunk, op.offset, op.length)) {
+  } else if (Quarantined(*r, op.offset, op.length)) {
     // Known-bad bytes are never served; repair (already in flight) clears
     // the quarantine once fresh bytes land.
     refused = Corruption("range quarantined by scrub");
   }
   if (!refused.ok()) {
-    Reply(op, refused, it == states_.end() ? 0 : it->second.version);
+    Reply(op, refused, r == nullptr ? 0 : r->state.version);
     Unref(slot);
     return;
   }
@@ -236,12 +251,12 @@ void ChunkServer::ServeRead(uint32_t slot) {
   if (heat_ != nullptr) {
     heat_->RecordRead(op.chunk, op.length);
   }
-  op.reply_version = it->second.version;
+  op.reply_version = r->state.version;
   op.io_start = sim_->Now();
   // The CPU stage's reference passes to the device callback.
   ReplicaRead(op.chunk, op.offset, op.length, op.out,
               [this, slot](const Status& s) { ReadDone(slot, s); },
-              storage::IoTag{qos::ServiceClass::kForegroundRead, TenantOf(op.chunk)});
+              storage::IoTag{qos::ServiceClass::kForegroundRead, r->tenant});
 }
 
 void ChunkServer::ReadDone(uint32_t slot, const Status& s) {
@@ -253,36 +268,29 @@ void ChunkServer::ReadDone(uint32_t slot, const Status& s) {
   Unref(slot);
 }
 
-Status ChunkServer::AcceptWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
-                                uint64_t version, uint64_t write_id,
-                                const ursa::BufferView& data, bool* applied,
-                                uint64_t* replica_version) {
-  *applied = false;
-  *replica_version = 0;
-  auto it = states_.find(chunk);
-  if (it == states_.end()) {
+Status ChunkServer::AcceptWrite(Op& op, Replica** replica) {
+  op.applied = false;
+  Replica* r = *replica = Find(op.chunk);
+  if (r == nullptr) {
     return NotFound("chunk not hosted here");
   }
-  ReplicaState& st = it->second;
-  WriteVerdict verdict = JudgeWrite(st, view, version, write_id);
-  *replica_version = st.version;
+  WriteVerdict verdict = JudgeWrite(r->state, op.view, op.version, op.write_id);
   if (verdict != WriteVerdict::kApply) {
     return VerdictStatus(verdict);
   }
-  *applied = true;
-  auto shield = write_shield_.find(chunk);
-  if (shield != write_shield_.end()) {
+  op.applied = true;
+  if (r->shield.has_value()) {
     // Speculative promotion target: remember the client-written range so
     // the back-fill never overwrites it with reconstructed old data.
-    InsertInterval(&shield->second, Interval{offset, length});
+    InsertInterval(&*r->shield, Interval{op.offset, op.length});
   }
   if (heat_ != nullptr) {
-    heat_->RecordWrite(chunk, length);
-    heat_->BeginWrite(chunk);
+    heat_->RecordWrite(op.chunk, op.length);
+    heat_->BeginWrite(op.chunk);
   }
-  journal_lite_.Record(chunk, st.version, offset, length);
+  journal_lite_.Record(op.chunk, r->state.version, op.offset, op.length);
   if (checksums_ != nullptr) {
-    checksums_->OnWrite(chunk, offset, length, data);
+    checksums_->OnWrite(op.chunk, op.offset, op.length, op.data);
   }
   return OkStatus();
 }
@@ -294,7 +302,7 @@ void ChunkServer::HandleWrite(ChunkId chunk, uint64_t offset, uint64_t length, u
   if (crashed_ || draining_) {
     return;
   }
-  URSA_CHECK_LE(backups.size(), 64u);
+  URSA_CHECK_LT(backups.size(), 64u);  // quorum legs 0 (local) to 63
   uint32_t slot =
       Admit(chunk, offset, length, view, version, write_id, std::move(data), span, std::move(done));
   OpAt(slot).backups.assign(backups.begin(), backups.end());
@@ -307,22 +315,19 @@ void ChunkServer::ServeWrite(uint32_t slot) {
   if (w.span != nullptr) {
     w.span->RecordStage(obs::Stage::kServerCpu, sim_->Now() - w.entered);
   }
-  uint64_t replica_version = 0;
-  Status accepted = AcceptWrite(w.chunk, w.offset, w.length, w.view, w.version, w.write_id,
-                                w.data, &w.applied, &replica_version);
+  Replica* r = nullptr;
+  Status accepted = AcceptWrite(w, &r);
   if (!accepted.ok()) {
-    Reply(w, accepted, replica_version);
+    Reply(w, accepted, r == nullptr ? 0 : r->state.version);
     Unref(slot);
     return;
   }
   ++writes_served_;
-  int total = 1 + static_cast<int>(w.backups.size());
-  w.quorum = net::QuorumTracker(total, total / 2 + 1);
-  w.backups_counted = 0;
+  w.quorum = WriteQuorum(1 + static_cast<int>(w.backups.size()));
   // Authorize majority commit after the timeout (§4.1 step 6). The timeout
   // holds a reference until it fires or CountLeg cancels it.
   ++w.refs;
-  w.timeout = sim_->After(config_.majority_commit_timeout, [this, slot]() { CommitTimeout(slot); });
+  w.timeout = sim_->After(kMajorityCommitTimeout, [this, slot]() { CommitTimeout(slot); });
 
   // Local chunk write (LCW). The primary's device time is its own stage so
   // the trace separates it from the parallel backup legs. A duplicate is a
@@ -333,7 +338,7 @@ void ChunkServer::ServeWrite(uint32_t slot) {
   if (w.applied) {
     ReplicaWrite(w.chunk, w.offset, w.length, w.version + 1, w.data,
                  [this, slot](const Status& s) { LocalLegDone(slot, s); }, {},
-                 storage::IoTag{qos::ServiceClass::kForegroundWrite, TenantOf(w.chunk)});
+                 storage::IoTag{qos::ServiceClass::kForegroundWrite, r->tenant});
   } else {
     sim_->After(0, [this, slot]() { LocalLegDone(slot, OkStatus()); });
   }
@@ -349,17 +354,9 @@ void ChunkServer::ServeWrite(uint32_t slot) {
   Unref(slot);  // the CPU stage's reference
 }
 
-void ChunkServer::CountLeg(uint32_t slot, bool ok) {
+void ChunkServer::CountLeg(uint32_t slot, int leg, bool ok) {
   Op& w = OpAt(slot);
-  if (w.quorum.decided()) {
-    return;
-  }
-  if (ok) {
-    w.quorum.RecordSuccess();
-  } else {
-    w.quorum.RecordFailure();
-  }
-  if (w.quorum.decided()) {
+  if (w.quorum.Count(leg, ok)) {
     Decide(w);
     if (sim_->Cancel(w.timeout)) {
       Unref(slot);  // the cancelled timeout's reference
@@ -379,14 +376,13 @@ void ChunkServer::LocalLegDone(uint32_t slot, const Status& s) {
   if (w.span != nullptr) {
     w.span->RecordStage(obs::Stage::kPrimaryStorage, sim_->Now() - w.io_start);
   }
-  CountLeg(slot, s.ok());
+  CountLeg(slot, 0, s.ok());
   Unref(slot);
 }
 
 void ChunkServer::CommitTimeout(uint32_t slot) {
   Op& w = OpAt(slot);
-  w.quorum.TimeoutExpired();
-  if (w.quorum.decided()) {
+  if (w.quorum.Expire()) {
     Decide(w);
   }
   Unref(slot);
@@ -396,14 +392,14 @@ void ChunkServer::DeliverReplicate(const DeliverRef& ref, uint32_t b) {
   Op& w = ref.op();
   ChunkServer* server = resolver_(w.backups[b].server);
   if (server == nullptr) {
-    BackupLegDone(ref, b, false);  // the backup server is gone
+    CountLeg(ref.slot(), 1 + b, false);  // the backup server is gone
     return;
   }
   // The ack travels back over the network. Both closures hold a reference,
   // so the op outlives its commit timeout until every ack has landed or
   // been dropped: a late ack still counts toward an undecided quorum.
   auto served = [this, ref, b, from = w.backups[b].node](const Status& s, uint64_t) {
-    auto ack = [this, ref, b, ok = s.ok()]() { BackupLegDone(ref, b, ok); };
+    auto ack = [this, ref, b, ok = s.ok()]() { CountLeg(ref.slot(), 1 + b, ok); };
     static_assert(InlineFn::kFitsInline<decltype(ack)>);
     transport_->Send(from, node(), net::WireBytes(net::MessageType::kReplicateReply),
                      std::move(ack));
@@ -411,15 +407,6 @@ void ChunkServer::DeliverReplicate(const DeliverRef& ref, uint32_t b) {
   static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleReplicate(w.chunk, w.offset, w.length, w.view, w.version, w.data,
                           std::move(served), w.span, w.write_id);
-}
-
-void ChunkServer::BackupLegDone(const DeliverRef& ref, uint32_t b, bool ok) {
-  Op& w = ref.op();
-  const uint64_t bit = uint64_t{1} << b;
-  if ((w.backups_counted & bit) == 0) {
-    w.backups_counted |= bit;
-    CountLeg(ref.slot(), ok);
-  }
 }
 
 void ChunkServer::HandleReplicate(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
@@ -440,20 +427,20 @@ void ChunkServer::ServeReplicate(uint32_t slot) {
   if (op.span != nullptr) {
     op.span->RecordStage(obs::Stage::kServerCpu, sim_->Now() - op.entered);
   }
-  uint64_t new_version = 0;
-  Status accepted = AcceptWrite(op.chunk, op.offset, op.length, op.view, op.version, op.write_id,
-                                op.data, &op.applied, &new_version);
+  Replica* r = nullptr;
+  Status accepted = AcceptWrite(op, &r);
   if (!accepted.ok() || !op.applied) {
-    Reply(op, accepted, new_version);  // a duplicate delivery is acked again
+    // A duplicate delivery is acked again.
+    Reply(op, accepted, r == nullptr ? 0 : r->state.version);
     Unref(slot);
     return;
   }
   ++replicates_served_;
-  op.reply_version = new_version;
+  op.reply_version = r->state.version;
   // The CPU stage's reference passes to the device callback.
-  ReplicaWrite(op.chunk, op.offset, op.length, new_version, op.data,
+  ReplicaWrite(op.chunk, op.offset, op.length, op.reply_version, op.data,
                [this, slot](const Status& s) { ReplicateDone(slot, s); }, op.span,
-               storage::IoTag{qos::ServiceClass::kForegroundWrite, TenantOf(op.chunk)});
+               storage::IoTag{qos::ServiceClass::kForegroundWrite, r->tenant});
 }
 
 void ChunkServer::ReplicateDone(uint32_t slot, const Status& s) {
@@ -470,12 +457,12 @@ void ChunkServer::HandleVersionQuery(ChunkId chunk, StateCallback done) {
     return;
   }
   machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, done = std::move(done)]() mutable {
-    auto it = states_.find(chunk);
-    if (it == states_.end()) {
+    const Replica* r = Find(chunk);
+    if (r == nullptr) {
       done(NotFound("chunk not hosted here"), ReplicaState{});
       return;
     }
-    done(OkStatus(), it->second);
+    done(OkStatus(), r->state);
   });
 }
 
@@ -486,20 +473,20 @@ void ChunkServer::HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t le
   }
   machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, out, cls,
                                              done = std::move(done)]() mutable {
-    auto it = states_.find(chunk);
-    if (it == states_.end()) {
+    const Replica* r = Find(chunk);
+    if (r == nullptr) {
       done(NotFound("chunk not hosted here"), 0);
       return;
     }
-    uint64_t version = it->second.version;
-    if (IsScrubQuarantined(chunk, offset, length)) {
+    uint64_t version = r->state.version;
+    if (Quarantined(*r, offset, length)) {
       // A replica with known-bad bytes in range is never a repair source.
       done(Corruption("range quarantined by scrub"), version);
       return;
     }
     ReplicaRead(chunk, offset, length, out,
                 [done = std::move(done), version](const Status& s) { done(s, version); },
-                storage::IoTag{cls, TenantOf(chunk)});
+                storage::IoTag{cls, r->tenant});
   });
 }
 
@@ -512,17 +499,17 @@ void ChunkServer::HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t l
   machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, version, cls,
                                              data = std::move(data),
                                              done = std::move(done)]() mutable {
-    if (!store_->Contains(chunk)) {
+    Replica* r = Find(chunk);
+    if (r == nullptr) {
       done(NotFound("recovery target chunk not allocated"));
       return;
     }
     // Subtract the shield INSIDE this event: every client write applied so
     // far is in the shield, and no new one can interleave before the pieces
     // below are submitted, so old bytes never land over newer client bytes.
-    auto shield = write_shield_.find(chunk);
-    std::vector<Interval> pieces = shield == write_shield_.end()
-                                       ? std::vector<Interval>{Interval{offset, length}}
-                                       : SubtractAll(Interval{offset, length}, shield->second);
+    std::vector<Interval> pieces = r->shield.has_value()
+                                       ? SubtractAll(Interval{offset, length}, *r->shield)
+                                       : std::vector<Interval>{Interval{offset, length}};
     if (pieces.empty()) {
       sim_->After(0, [done = std::move(done)]() { done(OkStatus()); });
       return;
@@ -533,7 +520,7 @@ void ChunkServer::HandleRecoveryWrite(ChunkId chunk, uint64_t offset, uint64_t l
       storage::IoCallback done;
     };
     auto join = std::make_shared<Join>(Join{pieces.size(), OkStatus(), std::move(done)});
-    storage::IoTag tag{cls, TenantOf(chunk)};
+    storage::IoTag tag{cls, r->tenant};
     for (const Interval& p : pieces) {
       ursa::BufferView piece_data = data.Slice(p.offset - offset, p.length);
       if (checksums_ != nullptr) {

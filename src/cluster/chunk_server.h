@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +31,6 @@
 #include "src/journal/journal_lite.h"
 #include "src/journal/journal_manager.h"
 #include "src/net/message.h"
-#include "src/net/rpc.h"
 #include "src/net/transport.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
@@ -44,9 +44,6 @@ namespace ursa::cluster {
 
 struct ChunkServerConfig {
   CpuCosts cpu;
-  // Wait before committing on a bare majority (§4.1 step 6). In the normal
-  // case all replicas reply far sooner and the timeout is cancelled.
-  Nanos majority_commit_timeout = msec(200);
 };
 
 // Resolves a ServerId to the in-process server object (set up by Cluster).
@@ -78,9 +75,7 @@ class ChunkServer {
   // issues for the chunk as the QoS tenant (per-disk fair shares).
   Status AllocateChunk(ChunkId chunk, uint64_t view, uint64_t tenant = 0);
   Status FreeChunk(ChunkId chunk);
-  // QoS tenant recorded at allocation (0 when unknown).
-  uint64_t TenantOf(ChunkId chunk) const;
-  bool HasChunk(ChunkId chunk) const { return states_.find(chunk) != states_.end(); }
+  bool HasChunk(ChunkId chunk) const { return replicas_.find(chunk) != replicas_.end(); }
   // Every chunk with a replica state here (the coordinator's sweep source).
   std::vector<ChunkId> HostedChunks() const;
   Result<ReplicaState> GetState(ChunkId chunk) const;
@@ -104,7 +99,8 @@ class ChunkServer {
   // Quarantined ranges fail reads (foreground AND recovery-source) with
   // kCorruption — known-bad bytes are never served and this replica is never
   // a repair source for the damaged range. Repair completion (the recovery
-  // write landing fresh bytes) clears the overlap.
+  // write landing fresh bytes) clears the overlap. A chunk not hosted here
+  // has no quarantine.
   void AddScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t length);
   void ClearScrubQuarantine(ChunkId chunk, uint64_t offset, uint64_t length);
   bool IsScrubQuarantined(ChunkId chunk, uint64_t offset, uint64_t length) const;
@@ -131,12 +127,9 @@ class ChunkServer {
   // old data; the check happens at apply time inside one simulator event,
   // so there is no window between "client write applied" and "shield
   // visible to back-fill". (Clears leftovers: a chunk can speculate again
-  // after demoting anew.)
-  void EnableWriteShield(ChunkId chunk) { write_shield_[chunk].clear(); }
-  void DisableWriteShield(ChunkId chunk) { write_shield_.erase(chunk); }
-  bool write_shield_enabled(ChunkId chunk) const {
-    return write_shield_.find(chunk) != write_shield_.end();
-  }
+  // after demoting anew.) Only a hosted chunk has a shield.
+  void EnableWriteShield(ChunkId chunk);
+  void DisableWriteShield(ChunkId chunk);
 
   // Hot-upgrade support (§5.2): a draining server has closed its service
   // port — new requests are dropped (clients retry elsewhere / later) while
@@ -175,7 +168,8 @@ class ChunkServer {
   // and retries; a data-blind ack here would silently lose the write).
   // `data` is a ref-counted BufferView shared by every hop (local journal
   // append, all replication legs); a null view is a timing-only payload.
-  // Each backup's ack counts toward the quorum at most once.
+  // The commit rule is cluster::WriteQuorum's, with the primary's own write
+  // as leg 0.
   void HandleWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
                    uint64_t version, ursa::BufferView data, const std::vector<ReplicaRef>& backups,
                    WriteCallback done, const obs::SpanRef& span = {}, uint64_t write_id = 0);
@@ -239,7 +233,9 @@ class ChunkServer {
   // duplicated on the wire, and a backup may drop a request unserved, so the
   // delivery, the backup's reply callback and its ack each hold a DeliverRef,
   // which counts itself on copy and destruction. An op thus lives until its
-  // quorum is decided and every backup leg has acked or been dropped.
+  // quorum is decided and every backup leg has acked or been dropped. A
+  // primary write that never reaches a decision (its legs all lost) is freed
+  // without a reply: the client's timeout owns the retry.
   struct Op {
     uint32_t gen = 0;
     uint32_t refs = 0;
@@ -257,23 +253,23 @@ class ChunkServer {
     Nanos entered = 0;   // admission (server CPU stage start)
     Nanos io_start = 0;  // device I/O start
     ReplyCallback done;
-    // Primary writes only: the backups, which of them already counted (a
-    // duplicated ack must not count twice), the quorum and its timeout.
+    // Primary writes only: the backups, the quorum and its commit timeout.
     std::vector<ReplicaRef> backups;
-    uint64_t backups_counted = 0;
-    net::QuorumTracker quorum{1, 1};
+    WriteQuorum quorum{};
     sim::EventId timeout = 0;
   };
   // The op records. Shared with the DeliverRefs in flight, so a message
   // still on the wire when its server is destroyed can release its op.
   struct OpPool {
     SlotPool<Op> ops;
+    ChunkServer* server = nullptr;  // null once the server is destroyed
     Op& At(uint32_t slot, uint32_t gen) {
       Op& op = ops[slot];
       URSA_CHECK_EQ(op.gen, gen) << "stale chunk-server op";
       return op;
     }
-    // Drops one reference; the last one resets and frees the record.
+    // Drops one reference; the last one resets and frees the record, and
+    // ends an op that still owes its reply (ChunkServer::Abandon).
     void Unref(uint32_t slot, uint32_t gen);
   };
   // A counted reference to an op, for closures that may be copied or
@@ -313,6 +309,9 @@ class ChunkServer {
   void Unref(uint32_t slot) { ops_->Unref(slot, ops_->ops[slot].gen); }
   // Runs the op's reply callback (once) and ends its inflight count.
   void Reply(Op& op, const Status& s, uint64_t version);
+  // Ends an op freed before its reply: its inflight count, and the heat
+  // write an applied write began. It sends nothing.
+  void Abandon(const Op& op);
 
   // Stages of the pooled requests. Each takes the op's slot while holding a
   // reference to it.
@@ -327,22 +326,33 @@ class ChunkServer {
   void CommitTimeout(uint32_t slot);
   // Forwards the write to backup `b` (at its delivery on the backup's node).
   void DeliverReplicate(const DeliverRef& ref, uint32_t b);
-  // Counts backup `b`'s ack, unless that backup already counted.
-  void BackupLegDone(const DeliverRef& ref, uint32_t b, bool ok);
+
+  // One chunk's replica here: its protocol state, the QoS tenant (virtual
+  // disk id, 0 when unknown) its I/O runs under, the speculative-promotion
+  // write shield (present while enabled: the sorted, merged client-written
+  // ranges the back-fill must not touch) and the scrub quarantine.
+  struct Replica {
+    ReplicaState state;
+    uint64_t tenant = 0;
+    std::optional<std::vector<Interval>> shield{};
+    std::vector<Interval> quarantine{};
+  };
+  // The chunk's record; null when the chunk is not hosted here.
+  const Replica* Find(ChunkId chunk) const;
+  Replica* Find(ChunkId chunk) { return const_cast<Replica*>(std::as_const(*this).Find(chunk)); }
+  static bool Quarantined(const Replica& r, uint64_t offset, uint64_t length);
 
   // A versioned write's acceptance (cluster::JudgeWrite), shared by the
   // primary's local leg and a backup's replicate. An applied write sets
-  // *applied and is recorded by the write shield, heat, journal lite and
-  // checksum ledger; a duplicate is OK with *applied unset; anything else is
-  // a VersionMismatch. `*replica_version` gets the replica's version after
-  // the call (0 for an unknown chunk).
-  Status AcceptWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
-                     uint64_t version, uint64_t write_id, const ursa::BufferView& data,
-                     bool* applied, uint64_t* replica_version);
-  // Counts one leg of a primary write toward its quorum; on the decision
+  // op.applied and is recorded by the write shield, heat, journal lite and
+  // checksum ledger; a duplicate is OK with op.applied unset; anything else
+  // is a VersionMismatch, or NotFound for a chunk not hosted here. `*replica`
+  // gets the chunk's record (null when not hosted).
+  Status AcceptWrite(Op& op, Replica** replica);
+  // Counts leg `leg` of a primary write toward its quorum; on the decision
   // replies and cancels the commit timeout. The caller holds a reference, or
   // must not touch the op after the call.
-  void CountLeg(uint32_t slot, bool ok);
+  void CountLeg(uint32_t slot, int leg, bool ok);
   // Replies to a decided primary write.
   void Decide(Op& w);
 
@@ -364,15 +374,9 @@ class ChunkServer {
   bool on_ssd_;
   ChunkServerConfig config_;
   ServerResolver resolver_;
-  std::map<ChunkId, ReplicaState> states_;
-  std::map<ChunkId, uint64_t> chunk_tenants_;  // QoS tenant (virtual disk id)
+  std::map<ChunkId, Replica> replicas_;  // ordered: HostedChunks ascends
   scrub::ChecksumStore* checksums_ = nullptr;  // null when scrub is disabled
   tier::HeatTracker* heat_ = nullptr;          // null when tiering is disabled
-  // Presence of a key = shield enabled for that chunk; the value is the
-  // sorted, merged set of client-written ranges back-fill must not touch.
-  std::map<ChunkId, std::vector<Interval>> write_shield_;
-  // Ranges (offset, length) flagged corrupt by the scrubber, per chunk.
-  std::map<ChunkId, std::vector<Interval>> scrub_quarantine_;
   std::shared_ptr<OpPool> ops_ = std::make_shared<OpPool>();
 
   journal::JournalLite journal_lite_;

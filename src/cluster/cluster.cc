@@ -295,7 +295,13 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
   }
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  // heat_ goes before servers_, and a server's teardown may drop the last
+  // reference to an undecided write elsewhere, which ends its heat write.
+  for (auto& s : servers_) {
+    s->SetHeatTracker(nullptr);
+  }
+}
 
 double Cluster::HealthScoreOfServer(ServerId server) const {
   if (health_ == nullptr || server >= server_health_device_.size()) {

@@ -980,15 +980,6 @@ void Master::RepairReplica(ChunkId chunk, ServerId lagging, std::function<void(S
 
 // ---- Tiered placement (DESIGN.md §13) ----
 
-ec::ReedSolomon* Master::Codec(int k, int m) {
-  auto key = std::make_pair(k, m);
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    it = codecs_.emplace(key, std::make_unique<ec::ReedSolomon>(k, m)).first;
-  }
-  return it->second.get();
-}
-
 Result<std::vector<ServerId>> Master::PickShardServers(int n, uint64_t salt) const {
   // Round-robin machines so a k+m stripe spreads as widely as the cluster
   // allows; with fewer machines than shards, machines host several shards
@@ -1063,23 +1054,18 @@ void Master::ReadStripe(const std::shared_ptr<Job>& job, const std::vector<EcSha
                                     wanted = std::move(wanted), done = std::move(done)]() mutable {
     // All k sources are in: rebuild the wanted slots from them.
     if (recovery_carries_data_ && !wanted.empty()) {
-      std::vector<bool> present(k + m, false);
       std::vector<const uint8_t*> in(k + m, nullptr);
       for (int i : sources) {
-        present[i] = true;
         in[i] = slots[i].data();
-      }
-      ec::ReedSolomon::DecodePlan plan;
-      Status ps = Codec(k, m)->PlanReconstruct(present, wanted, &plan);
-      if (!ps.ok()) {
-        FailJob(job, ps);
-        return;
       }
       std::vector<uint8_t*> out(k + m, nullptr);
       for (int t : wanted) {
         out[t] = slots[t].data();
       }
-      Codec(k, m)->ReconstructWith(plan, in, out, length);
+      if (Status rs = ec::Codec(k, m).Reconstruct(in, out, length); !rs.ok()) {
+        FailJob(job, rs);
+        return;
+      }
     }
     done();
   });
@@ -1491,7 +1477,7 @@ void Master::DemoteChunkToEc(ChunkId chunk, int k, int m, std::function<void(Sta
       for (int j = 0; j < m; ++j) {
         parity[j] = slots[k + j].data();
       }
-      Codec(k, m)->Encode(data, parity, shard_size);
+      ec::Codec(k, m).Encode(data, parity, shard_size);
     }
     tier_stats_.ec_bytes_encoded += chunk_size;
 

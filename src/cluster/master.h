@@ -409,8 +409,6 @@ class Master {
     int index = 0;
   };
 
-  ec::ReedSolomon* Codec(int k, int m);
-
   // Picks `n` distinct alive servers, round-robining machines for spread.
   Result<std::vector<ServerId>> PickShardServers(int n, uint64_t salt) const;
 
@@ -533,7 +531,6 @@ class Master {
 
   // Tiering state (DESIGN.md §13).
   std::map<ChunkId, EcShardInfo> ec_shards_;  // shard chunk id -> (parent, index)
-  std::map<std::pair<int, int>, std::unique_ptr<ec::ReedSolomon>> codecs_;
   std::map<ChunkId, Migration> migrations_;
   tier::HeatTracker* heat_ = nullptr;
   Nanos migration_timeout_ = sec(10);

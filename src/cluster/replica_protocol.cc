@@ -59,6 +59,33 @@ void InstallView(ReplicaState& st, uint64_t view, uint64_t version, uint64_t wri
   st.view = view;
 }
 
+bool WriteQuorum::Count(int leg, bool ok) {
+  const uint64_t bit = uint64_t{1} << leg;
+  if (decided_ || (counted_ & bit) != 0) {
+    return false;
+  }
+  counted_ |= bit;
+  ++(ok ? successes_ : failures_);
+  return Decide();
+}
+
+bool WriteQuorum::Expire() {
+  expired_ = true;
+  return !decided_ && Decide();
+}
+
+bool WriteQuorum::Decide() {
+  // Write to all first: a majority commits only once the timeout authorized
+  // it. Failure is decided as soon as the outstanding legs cannot make one.
+  decided_ = successes_ == legs_ || (expired_ && successes_ >= majority()) ||
+             legs_ - failures_ < majority();
+  return decided_;
+}
+
+Status WriteQuorum::outcome() const {
+  return successes_ >= majority() ? OkStatus() : Unavailable("replication quorum failed");
+}
+
 uint64_t ResyncVersion(const ReplicaState& st, uint64_t inflight_write_id) {
   return inflight_write_id != 0 && st.last_write_id == inflight_write_id ? st.version - 1
                                                                           : st.version;

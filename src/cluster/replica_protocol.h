@@ -1,8 +1,9 @@
 // The per-chunk replication protocol's rules (§4): versions and views.
 //
 // Every decision that reads or moves a replica's {version, view, write id},
-// or works out the client's version of a chunk, lives here, so the chunk
-// server, the client and the master apply one set of rules and the
+// works out the client's version of a chunk or commits a replicated write
+// lives here, so the chunk server, the client and the master apply one set
+// of rules and the
 // exhaustive explorer (tests/replica_protocol_explorer_test.cc) checks them
 // on every interleaving. Nothing here touches the simulator, the network or
 // a device: each rule is a pure function of the states it is handed.
@@ -93,6 +94,48 @@ uint64_t ResyncVersion(const ReplicaState& st, uint64_t inflight_write_id);
 // have adopted that number, so it is a max, never a blind increment.
 uint64_t CommitVersion(uint64_t client_version, uint64_t sent_version,
                        uint64_t replied_version = 0);
+
+// ---- Committing a write ----
+
+// The commit rule of a replicated write (§4.1 step 6): the write goes to
+// every leg and commits once all of them succeed, or, after the commit
+// timeout (kMajorityCommitTimeout), once a majority (legs / 2 + 1) has. It
+// fails once a majority can no longer succeed. Each leg counts once, so a
+// duplicated request or ack never passes for another replica. A client-
+// directed write has one leg per replica; a primary write counts its own
+// device write as leg 0 and backup b as leg b + 1. The owner keeps the
+// timer and calls Expire when it fires. Once decided, nothing changes.
+class WriteQuorum {
+ public:
+  WriteQuorum() = default;
+  explicit WriteQuorum(int legs) : legs_(legs) {}
+
+  // Counts leg `leg` (< 64) unless it already counted or the write is
+  // decided. True when this call decided the write.
+  bool Count(int leg, bool ok);
+  // The commit timeout expired: a majority suffices from now on. True when
+  // this call decided the write.
+  bool Expire();
+
+  bool decided() const { return decided_; }
+  bool expired() const { return expired_; }
+  bool counted(int leg) const { return (counted_ >> leg & 1) != 0; }
+  int successes() const { return successes_; }
+  int failures() const { return failures_; }
+  // Once decided: OK for a commit, Unavailable when a majority failed.
+  Status outcome() const;
+
+ private:
+  bool Decide();
+  int majority() const { return legs_ / 2 + 1; }
+
+  uint64_t counted_ = 0;  // bit l: leg l counted
+  int legs_ = 0;
+  int successes_ = 0;
+  int failures_ = 0;
+  bool expired_ = false;
+  bool decided_ = false;
+};
 
 // ---- Choosing a source ----
 

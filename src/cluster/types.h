@@ -93,9 +93,13 @@ struct ChunkLayout {
   bool speculating() const { return !spec_replicas.empty(); }
 };
 
-// Protocol constants (§3.2).
+// Protocol constants (§3.2, §4.1).
 inline constexpr uint64_t kTinyWriteThreshold = 8 * kKiB;    // Tc: client-directed
 inline constexpr uint64_t kJournalBypassThreshold = 64 * kKiB;  // Tj
+// How long a replicated write waits for every leg before a majority may
+// commit it (cluster::WriteQuorum). In the normal case every replica replies
+// far sooner and the timer is cancelled.
+inline constexpr Nanos kMajorityCommitTimeout = msec(200);
 
 }  // namespace ursa::cluster
 

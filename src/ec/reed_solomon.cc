@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -183,13 +186,13 @@ void ReedSolomon::ReconstructWith(const DecodePlan& plan,
 }
 
 Status ReedSolomon::Reconstruct(const std::vector<const uint8_t*>& shards,
-                                std::vector<uint8_t*> out, size_t len) const {
+                                const std::vector<uint8_t*>& out, size_t len) const {
   URSA_CHECK_EQ(shards.size(), static_cast<size_t>(n()));
   std::vector<bool> present(n());
   std::vector<int> wanted;
   for (int i = 0; i < n(); ++i) {
     present[i] = shards[i] != nullptr;
-    if (!present[i]) {
+    if (!present[i] && out[i] != nullptr) {
       wanted.push_back(i);
     }
   }
@@ -200,6 +203,15 @@ Status ReedSolomon::Reconstruct(const std::vector<const uint8_t*>& shards,
   }
   ReconstructWith(plan, shards, out, len);
   return OkStatus();
+}
+
+const ReedSolomon& Codec(int k, int m) {
+  static std::map<std::pair<int, int>, std::unique_ptr<ReedSolomon>> codecs;
+  std::unique_ptr<ReedSolomon>& codec = codecs[{k, m}];
+  if (codec == nullptr) {
+    codec = std::make_unique<ReedSolomon>(k, m);
+  }
+  return *codec;
 }
 
 Status PlanBackfillRead(const std::vector<bool>& alive, int k, int m, BackfillReadPlan* plan) {

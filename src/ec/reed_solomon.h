@@ -88,11 +88,12 @@ class ReedSolomon {
     ReconstructWith(plan, shards, out, len, GfKernelBestTier());
   }
 
-  // Reconstructs the full stripe from any k surviving shards.
-  // `shards[i]` is shard i's bytes or nullptr if lost; lost shards must point
-  // at writable buffers in `out[i]`. Fails when fewer than k survive.
-  // (Compiles a throwaway DecodePlan; hot paths cache one instead.)
-  Status Reconstruct(const std::vector<const uint8_t*>& shards, std::vector<uint8_t*> out,
+  // Rebuilds every lost shard that has a writable buffer out[i] from the
+  // first k surviving ones: `shards[i]` is shard i's bytes or nullptr if
+  // lost. Fails when fewer than k survive. (Compiles a throwaway DecodePlan;
+  // hot paths cache one instead.) The master's stripe repair and the
+  // client's degraded read both rebuild through it.
+  Status Reconstruct(const std::vector<const uint8_t*>& shards, const std::vector<uint8_t*>& out,
                      size_t len) const;
 
  private:
@@ -110,6 +111,9 @@ class ReedSolomon {
   std::vector<GfMulTable> enc_tables_;
   std::vector<uint8_t> enc_coefs_;
 };
+
+// The process's one codec per (k, m), built on first use.
+const ReedSolomon& Codec(int k, int m);
 
 // Read plan for rebuilding the full data image of a stripe (promotion
 // back-fill, PariX-style speculation): which k shards to read — data shards

@@ -12,6 +12,7 @@
 #include "src/common/crc32.h"
 #include "src/journal/journal_record.h"
 #include "src/scrub/checksum_store.h"
+#include "src/tier/heat_tracker.h"
 #include "test_util.h"
 
 namespace ursa::cluster {
@@ -108,7 +109,7 @@ TEST_F(ChunkServerTest, MajorityCommitWhenOneBackupCrashed) {
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(version, 1u);
   Nanos elapsed = sim_.Now() - before;
-  EXPECT_GE(elapsed, cluster_.config().server.majority_commit_timeout);
+  EXPECT_GE(elapsed, kMajorityCommitTimeout);
   EXPECT_EQ(backup2_->GetState(layout_.chunk)->version, 0u);  // lagging
 }
 
@@ -134,7 +135,7 @@ TEST_F(ChunkServerTest, DuplicatedBackupAckCountsOnce) {
   sim_.RunUntil(sim_.Now() + sec(1));
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(version, 1u);
-  EXPECT_GE(committed - before, cluster_.config().server.majority_commit_timeout);
+  EXPECT_GE(committed - before, kMajorityCommitTimeout);
   EXPECT_GE(cluster_.transport().chaos_counters().duplicated, 1u);
 }
 
@@ -144,7 +145,7 @@ TEST_F(ChunkServerTest, DuplicatedBackupAckCountsOnce) {
 // ack arrives. The op then ends, so nothing stays counted in flight.
 TEST_F(ChunkServerTest, BackupAckAfterCommitTimeoutStillCommits) {
   backup2_->SetCrashed(true);
-  const Nanos timeout = cluster_.config().server.majority_commit_timeout;
+  const Nanos timeout = kMajorityCommitTimeout;
   net::LinkChaosRule slow;
   slow.extra_delay = timeout + msec(100);
   cluster_.transport().SetLinkChaos(backup1_->node(), primary_->node(), slow);
@@ -164,6 +165,70 @@ TEST_F(ChunkServerTest, BackupAckAfterCommitTimeoutStillCommits) {
   EXPECT_GE(committed - before, slow.extra_delay);
   EXPECT_EQ(primary_->inflight_ops(), 0u);
   EXPECT_EQ(backup1_->inflight_ops(), 0u);
+}
+
+// A primary write that never reaches a quorum ends all the same: with
+// backup2 down and every primary -> backup1 message dropped, only the local
+// write succeeds. The write sends no reply (the client's timeout owns the
+// retry), and once its commit timeout has fired neither the op nor the heat
+// write it began stays counted in flight; a chunk with an in-flight write
+// never demotes.
+TEST_F(ChunkServerTest, WriteThatNeverDecidesEndsItsInflightCounts) {
+  tier::HeatTracker heat(&sim_, sec(10));
+  primary_->SetHeatTracker(&heat);
+  backup2_->SetCrashed(true);
+  net::LinkChaosRule blocked;
+  blocked.blocked = true;
+  cluster_.transport().SetLinkChaos(primary_->node(), backup1_->node(), blocked);
+  bool replied = false;
+  primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
+                        [&](const Status&, uint64_t) { replied = true; });
+  sim_.RunUntil(sim_.Now() + sec(1));
+  EXPECT_FALSE(replied);
+  EXPECT_EQ(primary_->GetState(layout_.chunk)->version, 1u);  // the local write applied
+  EXPECT_EQ(primary_->inflight_ops(), 0u);
+  EXPECT_EQ(heat.InflightWrites(layout_.chunk), 0u);
+  primary_->SetHeatTracker(nullptr);
+}
+
+// A tiered cluster torn down while a primary write is still undecided: its
+// commit timeout has fired, and the replicate a stuck backup holds keeps the
+// op's last reference. The backup's teardown drops it, which abandons the op
+// on a primary destroyed later, after the cluster's heat tracker is gone.
+// Ending the heat write there would touch freed memory (an ASan build sees it).
+TEST(ChunkServerTeardownTest, UndecidedWriteOutlivesTheHeatTracker) {
+  sim::Simulator sim;
+  ClusterConfig config = test::SmallClusterConfig();
+  config.tier.enabled = true;
+  auto cluster = std::make_unique<Cluster>(&sim, config);
+  Result<DiskId> disk = cluster->master().CreateDisk("d", 1 * kMiB, 3, 1);
+  ASSERT_TRUE(disk.ok());
+  const ChunkLayout layout = (*cluster->master().GetDisk(*disk))->chunks[0];
+  // Servers are destroyed in id order: the primary is the highest id, the
+  // stuck backup the lowest.
+  std::vector<ReplicaRef> replicas = layout.replicas;
+  std::sort(replicas.begin(), replicas.end(),
+            [](const ReplicaRef& a, const ReplicaRef& b) { return a.server < b.server; });
+  ChunkServer* primary = cluster->server(replicas[2].server);
+  ChunkServer* stuck = cluster->server(replicas[0].server);
+  cluster->server(replicas[1].server)->SetCrashed(true);
+  Machine* machine = stuck->machine();
+  for (int i = 0; i < machine->num_ssds(); ++i) {
+    machine->ssd(i).SetFault(storage::DeviceFault{0, /*stuck=*/true});
+  }
+  for (int i = 0; i < machine->num_hdds(); ++i) {
+    machine->hdd(i).SetFault(storage::DeviceFault{0, /*stuck=*/true});
+  }
+  bool replied = false;
+  primary->HandleWrite(layout.chunk, 0, 4096, layout.view, 0, ursa::BufferView(),
+                       {replicas[0], replicas[1]},
+                       [&](const Status&, uint64_t) { replied = true; });
+  sim.RunUntil(sim.Now() + sec(1));
+  EXPECT_FALSE(replied);
+  EXPECT_EQ(primary->inflight_ops(), 1u);
+  // The primary's write and the stuck backup's replicate.
+  EXPECT_EQ(cluster->heat_tracker()->InflightWrites(layout.chunk), 2u);
+  cluster.reset();
 }
 
 TEST_F(ChunkServerTest, NoReplyWhenMajorityUnreachable) {

@@ -1,13 +1,17 @@
 // Tests for cluster construction, placement policy, master metadata, leases,
-// and the fleet failure model (Table 1's generator).
+// the fleet failure model (Table 1's generator) and the write commit rule
+// (WriteQuorum).
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/client/virtual_disk.h"
 #include "src/cluster/cluster.h"
 #include "src/cluster/failure_injector.h"
+#include "src/cluster/replica_protocol.h"
 #include "src/common/rng.h"
 #include "test_util.h"
 
@@ -246,6 +250,77 @@ TEST(FleetFailureTest, RatiosSumToOne) {
     total += counts.Ratio(static_cast<ComponentKind>(k));
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+// The commit rule on a three-leg WriteQuorum. A script is a list of "+L"
+// (leg L succeeds), "-L" (leg L fails) and "T" (the commit timeout expires);
+// `decider` is the index of the one step that decides the write (-1: none),
+// followed by the outcome and the final tallies.
+struct QuorumScript {
+  const char* steps;
+  int decider;
+  StatusCode outcome;
+  int successes;
+  int failures;
+};
+
+void ExpectQuorumDecides(const QuorumScript& s) {
+  SCOPED_TRACE(s.steps);
+  WriteQuorum quorum(3);
+  std::istringstream script(s.steps);
+  std::string step;
+  for (int i = 0; script >> step; ++i) {
+    bool decided = step == "T" ? quorum.Expire() : quorum.Count(step[1] - '0', step[0] == '+');
+    EXPECT_EQ(decided, i == s.decider) << "step " << i << " (" << step << ")";
+    EXPECT_EQ(quorum.decided(), s.decider >= 0 && i >= s.decider) << "step " << i;
+  }
+  if (s.decider >= 0) {
+    EXPECT_EQ(quorum.outcome().code(), s.outcome);
+  }
+  EXPECT_EQ(quorum.successes(), s.successes);
+  EXPECT_EQ(quorum.failures(), s.failures);
+}
+
+// The next six keep the suite name they have always run under, so their
+// results stay comparable across history; they exercise WriteQuorum.
+TEST(QuorumTrackerTest, AllSuccessCommitsImmediately) {
+  // Write to all first: two successes wait for the third.
+  ExpectQuorumDecides({"+0 +1 +2", 2, StatusCode::kOk, 3, 0});
+}
+
+TEST(QuorumTrackerTest, MajorityCommitsOnlyAfterTimeout) {
+  // A majority commits only once the timeout authorized it (§4.1).
+  ExpectQuorumDecides({"+0 +1 -2 T", 3, StatusCode::kOk, 2, 1});
+}
+
+TEST(QuorumTrackerTest, TimeoutFirstThenMajority) {
+  ExpectQuorumDecides({"T +0 +1", 2, StatusCode::kOk, 2, 0});
+}
+
+TEST(QuorumTrackerTest, MajorityUnreachableFails) {
+  // The third leg replies after the failure was decided; it is not counted.
+  ExpectQuorumDecides({"-0 -1 +2", 1, StatusCode::kUnavailable, 0, 2});
+}
+
+TEST(QuorumTrackerTest, DecidesExactlyOnce) {
+  // Nothing after the decision flips it: not a timeout, not a failure.
+  ExpectQuorumDecides({"+0 +1 +2 T -1", 2, StatusCode::kOk, 3, 0});
+}
+
+TEST(QuorumTrackerTest, LateStragglerAfterDecisionDoesNotDoubleComplete) {
+  // Leg 2 is still outstanding when a majority-after-timeout decides; its
+  // late reply changes neither the decision nor the tallies the owner reads.
+  ExpectQuorumDecides({"+0 T +1 +2 T", 2, StatusCode::kOk, 2, 0});
+}
+
+TEST(WriteQuorumTest, RepeatedLegCountsOnce) {
+  // A duplicated ack never passes for another replica, even after the timeout.
+  ExpectQuorumDecides({"+0 +0 +0 T +0 +1", 5, StatusCode::kOk, 2, 0});
+}
+
+TEST(WriteQuorumTest, RepeatedFailureCountsOnce) {
+  // A duplicated failure never makes a majority fail.
+  ExpectQuorumDecides({"-0 -0 +1 +2 T", 4, StatusCode::kOk, 2, 1});
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 // Tests for the simulated network: serialization + propagation timing,
-// bandwidth contention, FIFO delivery, fault injection, and the RPC helpers
-// (QuorumTracker commit rules).
+// bandwidth contention, FIFO delivery and fault injection.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "src/net/message.h"
-#include "src/net/rpc.h"
 #include "src/net/transport.h"
 
 namespace ursa::net {
@@ -196,83 +194,6 @@ TEST(MessageTest, WireBytesComposition) {
     EXPECT_STRNE(MessageTypeName(static_cast<MessageType>(t)), "UNKNOWN");
     EXPECT_GT(FixedBytes(static_cast<MessageType>(t)), 0u);
   }
-}
-
-TEST(QuorumTrackerTest, AllSuccessCommitsImmediately) {
-  QuorumTracker tracker(3, 2);
-  tracker.RecordSuccess();
-  tracker.RecordSuccess();
-  EXPECT_FALSE(tracker.decided());  // write-to-all first: waits for the third
-  tracker.RecordSuccess();
-  EXPECT_TRUE(tracker.decided());
-  EXPECT_TRUE(tracker.outcome().ok());
-}
-
-TEST(QuorumTrackerTest, MajorityCommitsOnlyAfterTimeout) {
-  QuorumTracker tracker(3, 2);
-  tracker.RecordSuccess();
-  tracker.RecordSuccess();
-  tracker.RecordFailure();
-  EXPECT_FALSE(tracker.decided());  // majority reached, but no timeout yet (§4.1)
-  tracker.TimeoutExpired();
-  EXPECT_TRUE(tracker.decided());
-  EXPECT_TRUE(tracker.outcome().ok());
-}
-
-TEST(QuorumTrackerTest, TimeoutFirstThenMajority) {
-  QuorumTracker tracker(3, 2);
-  tracker.TimeoutExpired();
-  EXPECT_FALSE(tracker.decided());
-  tracker.RecordSuccess();
-  EXPECT_FALSE(tracker.decided());
-  tracker.RecordSuccess();
-  EXPECT_TRUE(tracker.decided());
-  EXPECT_TRUE(tracker.outcome().ok());
-}
-
-TEST(QuorumTrackerTest, MajorityUnreachableFails) {
-  QuorumTracker tracker(3, 2);
-  tracker.RecordFailure();
-  EXPECT_FALSE(tracker.decided());
-  tracker.RecordFailure();
-  EXPECT_TRUE(tracker.decided());
-  EXPECT_EQ(tracker.outcome().code(), StatusCode::kUnavailable);
-}
-
-TEST(QuorumTrackerTest, DecidesExactlyOnce) {
-  QuorumTracker tracker(3, 2);
-  tracker.RecordSuccess();
-  tracker.RecordSuccess();
-  tracker.RecordSuccess();
-  ASSERT_TRUE(tracker.decided());
-  // Nothing after the decision can flip it: not a timeout, not a failure.
-  tracker.TimeoutExpired();
-  tracker.RecordFailure();
-  EXPECT_TRUE(tracker.outcome().ok());
-  EXPECT_EQ(tracker.successes(), 3);
-  EXPECT_EQ(tracker.failures(), 0);
-}
-
-// Regression: a straggler leg whose reply lands AFTER the quorum already
-// decided (majority-after-timeout) must not change the decision or disturb
-// the recorded tallies. Under link chaos a delayed reply routinely outlives
-// the commit decision; the owner reads the tallies at the decision (the
-// client reports a majority commit to the master when failures() > 0).
-TEST(QuorumTrackerTest, LateStragglerAfterDecisionDoesNotDoubleComplete) {
-  QuorumTracker tracker(3, 2);
-  tracker.RecordSuccess();
-  tracker.RecordFailure();
-  tracker.TimeoutExpired();
-  EXPECT_FALSE(tracker.decided());  // 1 of 3 succeeded: not yet a majority
-  tracker.RecordSuccess();          // majority reached after the timeout
-  ASSERT_TRUE(tracker.decided());
-  EXPECT_TRUE(tracker.outcome().ok());
-  EXPECT_EQ(tracker.successes(), 2);
-  tracker.RecordSuccess();  // the straggler finally replies
-  tracker.TimeoutExpired();
-  EXPECT_TRUE(tracker.outcome().ok());  // decided once, tallies frozen
-  EXPECT_EQ(tracker.successes(), 2);
-  EXPECT_EQ(tracker.failures(), 1);
 }
 
 // ---- Link chaos rules (see DESIGN.md "Fault model & chaos harness") ----

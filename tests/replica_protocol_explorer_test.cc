@@ -50,7 +50,6 @@
 
 #include "src/chaos/block_history.h"
 #include "src/cluster/replica_protocol.h"
-#include "src/net/rpc.h"
 
 namespace ursa::cluster {
 namespace {
@@ -105,17 +104,16 @@ struct Replica {
   bool crashed = false;
 };
 
-// A primary-driven write in flight at its primary (ChunkServer's
-// PrimaryWrite).
+// A primary-driven write in flight at its primary (ChunkServer's primary
+// write op). Its quorum counts the local write as leg 0 and backup b as leg
+// b + 1; it expires when the primary's commit timeout fires.
 struct PrimaryWrite {
   bool live = false;
   uint8_t slot = 0;
   uint8_t gen = 0;
   std::array<uint8_t, 2> backups{};
-  uint8_t counted = 0;
-  bool commit_fired = false;
   uint64_t version = 0;
-  net::QuorumTracker quorum{kReplicas, kReplicas / 2 + 1};
+  WriteQuorum quorum{kReplicas};
 };
 
 struct Client {
@@ -133,9 +131,9 @@ struct Client {
   uint64_t sent_version = 0;
   uint64_t sent_view = 0;
   std::array<uint8_t, kReplicas> targets{};
-  net::QuorumTracker quorum{kReplicas, kReplicas / 2 + 1};
-  bool commit_fired = false;
-  uint8_t legs = 0;
+  // Client-directed: leg l goes to targets[l]; it expires when the client's
+  // commit timer fires.
+  WriteQuorum quorum{kReplicas};
   bool saw_mismatch = false;
   uint64_t replied_version = 0;
   uint8_t timeout_streak = 0;
@@ -176,6 +174,12 @@ bool Alive(const Model& m, uint8_t slot) {
 uint64_t Hash(const Model& m) {
   std::string b;
   auto put = [&b](const auto& v) { b.append(reinterpret_cast<const char*>(&v), sizeof(v)); };
+  auto put_quorum = [&put](const WriteQuorum& q) {
+    for (int leg = 0; leg < kReplicas; ++leg) {
+      put(q.counted(leg));
+    }
+    put(q.successes()), put(q.failures()), put(q.expired()), put(q.decided());
+  };
   for (const Replica& r : m.replicas) {
     put(r.st.version), put(r.st.view), put(r.st.last_write_id), put(r.content), put(r.applied);
     put(r.hosted), put(r.crashed);
@@ -186,9 +190,9 @@ uint64_t Hash(const Model& m) {
   // Only whether a message or primary write belongs to the attempt in flight
   // matters, not the attempt's generation number.
   put(c.primary_driven), put(c.attempt), put(c.pending), put(c.sent_version);
-  put(c.sent_view), put(c.targets), put(c.commit_fired), put(c.legs), put(c.saw_mismatch);
+  put(c.sent_view), put(c.targets), put(c.saw_mismatch);
   put(c.replied_version), put(c.timeout_streak), put(c.awaiting_resync);
-  put(c.quorum.successes()), put(c.quorum.failures()), put(c.quorum.decided());
+  put_quorum(c.quorum);
   std::vector<std::string> msgs;
   for (Msg msg : m.net) {
     msg.gen = msg.gen == c.gen ? 1 : 0;
@@ -201,8 +205,8 @@ uint64_t Hash(const Model& m) {
   for (const PrimaryWrite& w : m.writes) {
     put(w.live);
     if (w.live) {
-      put(w.slot), put(w.gen == c.gen), put(w.backups), put(w.counted), put(w.commit_fired);
-      put(w.version), put(w.quorum.successes()), put(w.quorum.failures());
+      put(w.slot), put(w.gen == c.gen), put(w.backups), put(w.version);
+      put_quorum(w.quorum);
     }
   }
   const MasterJob& j = m.replace;
@@ -238,11 +242,9 @@ void IssueAttempt(Model& m) {
   c.pending = true;
   c.sent_version = c.version;
   c.sent_view = c.view;
-  c.commit_fired = false;
-  c.legs = 0;
   c.saw_mismatch = false;
   c.replied_version = 0;
-  c.quorum = net::QuorumTracker(kReplicas, kReplicas / 2 + 1);
+  c.quorum = WriteQuorum(kReplicas);
   Msg req{.gen = c.gen, .view = c.view, .version = c.version, .write_id = c.seq};
   if (c.primary_driven) {
     req.kind = Kind::kWrite;
@@ -384,18 +386,11 @@ bool Decide(Model& m, StatusCode code) {
   return AttemptFailed(m, code);
 }
 
-bool ClientQuorumDecided(Model& m) {
-  Client& c = m.client;
-  if (!c.quorum.decided()) {
-    return true;
-  }
-  return Decide(m, c.quorum.outcome().code());
-}
+// The client's quorum decided the attempt (VirtualDisk::OnQuorumDecided).
+bool ClientQuorumDecided(Model& m) { return Decide(m, m.client.quorum.outcome().code()); }
 
+// The primary's quorum decided its write: it replies.
 void PrimaryDecided(Model& m, PrimaryWrite& w) {
-  if (!w.quorum.decided()) {
-    return;
-  }
   w.live = false;
   m.net.push_back(Msg{.kind = Kind::kWriteReply, .slot = w.slot, .gen = w.gen,
                       .code = w.quorum.outcome().code(), .version = w.version + 1});
@@ -418,17 +413,11 @@ bool Deliver(Model& m, size_t i, std::string* violation) {
       return true;
     }
     case Kind::kLegReply: {
-      if (!c.pending || msg.gen != c.gen || (c.legs & (1u << msg.pw)) != 0) {
+      if (!c.pending || msg.gen != c.gen) {
         return true;
       }
-      c.legs |= static_cast<uint8_t>(1u << msg.pw);
-      if (msg.code == StatusCode::kOk) {
-        c.quorum.RecordSuccess();
-      } else {
-        c.saw_mismatch = c.saw_mismatch || msg.code == StatusCode::kVersionMismatch;
-        c.quorum.RecordFailure();
-      }
-      return ClientQuorumDecided(m);
+      c.saw_mismatch = c.saw_mismatch || msg.code == StatusCode::kVersionMismatch;
+      return !c.quorum.Count(msg.pw, msg.code == StatusCode::kOk) || ClientQuorumDecided(m);
     }
     case Kind::kWrite: {
       if (!Alive(m, msg.slot)) {
@@ -447,7 +436,7 @@ bool Deliver(Model& m, size_t i, std::string* violation) {
           continue;
         }
         w = PrimaryWrite{.live = true, .slot = msg.slot, .gen = msg.gen, .version = msg.version};
-        w.quorum.RecordSuccess();  // the local leg
+        w.quorum.Count(0, true);  // the local leg
         uint8_t b = 0;
         for (uint8_t slot : c.members) {  // the request carries the replica list
           if (slot != msg.slot) {
@@ -480,17 +469,9 @@ bool Deliver(Model& m, size_t i, std::string* violation) {
         return true;
       }
       PrimaryWrite& w = m.writes[msg.pw / 2];
-      const uint8_t bit = static_cast<uint8_t>(1u << (msg.pw % 2));
-      if (!w.live || (w.counted & bit) != 0) {
-        return true;
+      if (w.live && w.quorum.Count(1 + msg.pw % 2, msg.code == StatusCode::kOk)) {
+        PrimaryDecided(m, w);
       }
-      w.counted |= bit;
-      if (msg.code == StatusCode::kOk) {
-        w.quorum.RecordSuccess();
-      } else {
-        w.quorum.RecordFailure();
-      }
-      PrimaryDecided(m, w);
       return true;
     }
     case Kind::kWriteReply:
@@ -580,12 +561,12 @@ void Prune(Model& m) {
   std::erase_if(m.net, [&m, &c, &waited](const Msg& msg) {
     switch (msg.kind) {
       case Kind::kLegReply:
-        return !waited(msg) || (c.legs & (1u << msg.pw)) != 0;
+        return !waited(msg) || c.quorum.counted(msg.pw);
       case Kind::kWriteReply:
         return !waited(msg);
       case Kind::kForwardReply:
         return msg.pw == kNone || !m.writes[msg.pw / 2].live ||
-               (m.writes[msg.pw / 2].counted & (1u << (msg.pw % 2))) != 0;
+               m.writes[msg.pw / 2].quorum.counted(1 + msg.pw % 2);
       default:
         return m.replicas[msg.slot].crashed;
     }
@@ -711,21 +692,21 @@ std::string FaultFreeWrite(Model m, bool primary_driven) {
     if (!m.net.empty()) {
       trace += "\n      deliver " + Describe(m.net[0]);
       Deliver(m, 0, &violation);
-    } else if (m.client.pending && !m.client.primary_driven && !m.client.commit_fired) {
-      m.client.commit_fired = true;
-      m.client.quorum.TimeoutExpired();
-      ClientQuorumDecided(m);
+    } else if (m.client.pending && !m.client.primary_driven && !m.client.quorum.expired()) {
+      if (m.client.quorum.Expire()) {
+        ClientQuorumDecided(m);
+      }
     } else if (PrimaryWrite* w = [&m]() -> PrimaryWrite* {
                  for (PrimaryWrite& w : m.writes) {
-                   if (w.live && !w.commit_fired) {
+                   if (w.live && !w.quorum.expired()) {
                      return &w;
                    }
                  }
                  return nullptr;
                }()) {
-      w->commit_fired = true;
-      w->quorum.TimeoutExpired();
-      PrimaryDecided(m, *w);
+      if (w->quorum.Expire()) {
+        PrimaryDecided(m, *w);
+      }
     } else if (m.client.pending) {
       Decide(m, StatusCode::kTimedOut);
     }
@@ -845,26 +826,24 @@ class Explorer {
       Try(m, "deliver " + what,
           [i](Model& n, std::string* violation) { return Deliver(n, i, violation); });
     }
-    if (c.pending && !c.primary_driven && !c.commit_fired) {
+    if (c.pending && !c.primary_driven && !c.quorum.expired()) {
       Try(m, "client commit timeout", [](Model& n, std::string*) {
-        n.client.commit_fired = true;
-        n.client.quorum.TimeoutExpired();
-        return ClientQuorumDecided(n);
+        return !n.client.quorum.Expire() || ClientQuorumDecided(n);
       });
     }
     // The request timeout (800 ms) never fires before the commit timer
     // (200 ms) it was armed with.
-    if (c.pending && (c.primary_driven || c.commit_fired)) {
+    if (c.pending && (c.primary_driven || c.quorum.expired())) {
       Try(m, "client request timeout",
           [](Model& n, std::string*) { return Decide(n, StatusCode::kTimedOut); });
     }
     for (size_t k = 0; k < m.writes.size(); ++k) {
-      if (m.writes[k].live && !m.writes[k].commit_fired) {
+      if (m.writes[k].live && !m.writes[k].quorum.expired()) {
         Try(m, "primary commit timeout", [k](Model& n, std::string*) {
           PrimaryWrite& w = n.writes[k];
-          w.commit_fired = true;
-          w.quorum.TimeoutExpired();
-          PrimaryDecided(n, w);
+          if (w.quorum.Expire()) {
+            PrimaryDecided(n, w);
+          }
           return true;
         });
       }
