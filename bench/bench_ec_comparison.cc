@@ -124,12 +124,16 @@ SchemeResult RunReplication() {
     auto joiner = std::make_shared<int>(3);
     auto shared = std::make_shared<storage::IoCallback>(std::move(done));
     for (auto& ssd : ssds) {
-      ssd->Submit(storage::IoRequest{storage::IoType::kWrite, offset, len, nullptr, nullptr,
-                                     false, [joiner, shared](const Status& s) {
-                                       if (--*joiner == 0) {
-                                         (*shared)(s);
-                                       }
-                                     }});
+      storage::IoRequest req;
+      req.type = storage::IoType::kWrite;
+      req.offset = offset;
+      req.length = len;
+      req.done = [joiner, shared](const Status& s) {
+        if (--*joiner == 0) {
+          (*shared)(s);
+        }
+      };
+      ssd->Submit(std::move(req));
     }
   };
   SchemeResult r;
@@ -160,7 +164,7 @@ SchemeResult RunEc(ec::PartialWriteMode mode, const char* name) {
   ec::EcStripeStore store(&sim, devices, kRows, config);
   uint64_t span = store.logical_size();
   auto write = [&](uint64_t offset, uint64_t len, storage::IoCallback done) {
-    store.Write(offset, len, nullptr, std::move(done));
+    store.Write(offset, len, {}, std::move(done));
   };
   SchemeResult r;
   r.name = name;

@@ -307,6 +307,7 @@ PageStoreResult BenchPageStore() {
   std::vector<uint8_t> bytes(1 << 20, 0x3C);
   Buffer small = Buffer::CopyOf(bytes.data(), 4096);
   Buffer large = Buffer::CopyOf(bytes.data(), bytes.size());
+  Buffer cut = Buffer::CopyOf(bytes.data(), 512);
   std::vector<uint64_t> offsets(kSmallOps);
   for (uint64_t& off : offsets) {
     off = rng.Uniform(kSpace / 4096) * 4096;
@@ -334,8 +335,8 @@ PageStoreResult BenchPageStore() {
   storage::PageStore split;
   for (uint64_t off = 0; off < kSplitSpace; off += 1u << 20) {
     split.Write(off, large.View());
-    for (uint64_t cut = 0; cut < (1u << 20); cut += 2048) {
-      split.Write(off + cut, bytes.data(), 512);
+    for (uint64_t at = 0; at < (1u << 20); at += 2048) {
+      split.Write(off + at, cut.View());
     }
   }
   for (uint64_t& off : offsets) {

@@ -74,7 +74,7 @@ struct ChurnPump {
       ++inflight;
       uint64_t blocks = kChurnDiskSize / kChurnBlock;
       uint64_t off = (rng.Next() % blocks) * kChurnBlock;
-      disk->Write(off, kChurnBlock, nullptr, [this](const Status&) {
+      disk->Write(off, kChurnBlock, {}, [this](const Status&) {
         --inflight;
         Fill();  // ignore errors: the crash degrades some replication legs
       });

@@ -83,7 +83,8 @@ MttdResult RunMttd() {
   // writes) and let journal replay put them at rest on the backup stores.
   auto data = Pattern(64 * kKiB, 17);
   Status write_status = Internal("pending");
-  disk->Write(0, data.size(), data.data(), [&](const Status& s) { write_status = s; });
+  disk->Write(0, data.size(), Buffer::CopyOf(data.data(), data.size()),
+              [&](const Status& s) { write_status = s; });
   sim.RunUntil(sim.Now() + sec(5));
   URSA_CHECK(write_status.ok());
   for (int i = 0; i < 500; ++i) {

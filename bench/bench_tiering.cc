@@ -109,7 +109,7 @@ CapacityResult RunCapacity() {
   auto data = Pattern(kDiskSize, 29);
   Status write_status = Internal("pending");
   bool write_done = false;
-  disk->Write(0, data.size(), data.data(), [&](const Status& s) {
+  disk->Write(0, data.size(), Buffer::CopyOf(data.data(), data.size()), [&](const Status& s) {
     write_status = s;
     write_done = true;
   });
@@ -164,7 +164,7 @@ CapacityResult RunCapacity() {
   auto patch = Pattern(4 * kKiB, 31);
   Nanos issue = sim.Now();
   Nanos acked = -1;
-  disk->Write(0, patch.size(), patch.data(), [&](const Status& s) {
+  disk->Write(0, patch.size(), Buffer::CopyOf(patch.data(), patch.size()), [&](const Status& s) {
     if (s.ok()) {
       acked = sim.Now();
     }
@@ -223,7 +223,7 @@ ColdWriteResult MeasureColdWriteAck(bool speculative) {
   auto data = Pattern(1 * kMiB, 37);
   Status write_status = Internal("pending");
   bool write_done = false;
-  disk->Write(0, data.size(), data.data(), [&](const Status& s) {
+  disk->Write(0, data.size(), Buffer::CopyOf(data.data(), data.size()), [&](const Status& s) {
     write_status = s;
     write_done = true;
   });
@@ -244,7 +244,7 @@ ColdWriteResult MeasureColdWriteAck(bool speculative) {
   auto patch = Pattern(4 * kKiB, 41);
   Nanos issue = sim.Now();
   Nanos acked = -1;
-  disk->Write(0, patch.size(), patch.data(), [&](const Status& s) {
+  disk->Write(0, patch.size(), Buffer::CopyOf(patch.data(), patch.size()), [&](const Status& s) {
     if (s.ok()) {
       acked = sim.Now();
     }
@@ -302,9 +302,10 @@ OverheadResult RunOverheadMode(bool tier_enabled) {
   // cold-age threshold during the measured window and demote while the
   // foreground workload runs. (With tier off it just sits there.)
   auto cold_bytes = Pattern(16 * kMiB, 43);
+  Buffer cold_payload = Buffer::CopyOf(cold_bytes.data(), cold_bytes.size());
   Status cold_status = Internal("pending");
   bool cold_done = false;
-  cold->Write(0, cold_bytes.size(), cold_bytes.data(), [&](const Status& s) {
+  cold->Write(0, cold_payload.size(), cold_payload, [&](const Status& s) {
     cold_status = s;
     cold_done = true;
   });

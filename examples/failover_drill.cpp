@@ -23,7 +23,8 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
 bool SyncWrite(sim::Simulator& sim, client::VirtualDisk* disk, uint64_t offset,
                const std::vector<uint8_t>& data) {
   Status status = Internal("pending");
-  disk->Write(offset, data.size(), data.data(), [&](const Status& s) { status = s; });
+  disk->Write(offset, data.size(), Buffer::CopyOf(data.data(), data.size()),
+              [&](const Status& s) { status = s; });
   sim.RunUntil(sim.Now() + sec(10));
   return status.ok();
 }

@@ -62,7 +62,7 @@ class MiniKv {
       return false;
     }
     return Sync([&](storage::IoCallback done) {
-      disk_->Write(offset, kBucketSize, out.data(), std::move(done));
+      disk_->Write(offset, kBucketSize, Buffer::CopyOf(out.data(), out.size()), std::move(done));
     });
   }
 

@@ -35,7 +35,7 @@ int main() {
   std::snprintf(reinterpret_cast<char*>(hello.data()), hello.size(),
                 "hello from the hybrid block store");
   bool done = false;
-  disk->Write(0, hello.size(), hello.data(), [&](const Status& s) {
+  disk->Write(0, hello.size(), Buffer::CopyOf(hello.data(), hello.size()), [&](const Status& s) {
     std::printf("write committed: %s\n", s.ToString().c_str());
     done = true;
   });
@@ -58,7 +58,7 @@ int main() {
   // 5. A large write (> Tj = 64 KiB) bypasses the journals straight to the
   //    backup HDDs.
   std::vector<uint8_t> big(256 * kKiB, 0xAB);
-  disk->Write(1 * kMiB, big.size(), big.data(), [](const Status& s) {
+  disk->Write(1 * kMiB, big.size(), Buffer::CopyOf(big.data(), big.size()), [](const Status& s) {
     std::printf("256 KiB write (journal bypass) committed: %s\n", s.ToString().c_str());
   });
   sim.RunUntil(sim.Now() + msec(100));

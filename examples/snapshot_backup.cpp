@@ -21,7 +21,8 @@ namespace {
 bool SyncWrite(sim::Simulator& sim, client::BlockLayer* layer, uint64_t offset,
                const std::vector<uint8_t>& data) {
   Status status = Internal("pending");
-  layer->Write(offset, data.size(), data.data(), [&](const Status& s) { status = s; });
+  layer->Write(offset, data.size(), Buffer::CopyOf(data.data(), data.size()),
+               [&](const Status& s) { status = s; });
   sim.RunUntil(sim.Now() + sec(2));
   return status.ok();
 }

@@ -117,10 +117,10 @@ ChaosReport RunChaos(const ChaosPlan& plan) {
     ++issued;
     if (workload_rng.Bernoulli(plan.write_fraction)) {
       uint32_t seq = histories[block].OnWriteInvoke(sim.Now());
-      auto buf = std::make_shared<std::vector<uint8_t>>(kBlock, 0);
-      std::memcpy(buf->data(), &seq, sizeof(seq));
-      disk.Write(offset, kBlock, buf->data(),
-                 [&, block, seq, buf, completed](const Status& s) {
+      Buffer buf = Buffer::AllocateZeroed(kBlock);
+      std::memcpy(buf.data(), &seq, sizeof(seq));
+      disk.Write(offset, kBlock, buf,
+                 [&, block, seq, completed](const Status& s) {
                    ++*completed;
                    if (s.ok()) {
                      histories[block].OnWriteCommit(seq, sim.Now());
@@ -367,7 +367,8 @@ ChaosReport RunLatentScrub(const ChaosPlan& plan) {
     expected[b].assign(kBlock, static_cast<uint8_t>(0xA0 + b));
     uint32_t seq = histories[b].OnWriteInvoke(sim.Now());
     std::memcpy(expected[b].data(), &seq, sizeof(seq));
-    disk.Write(static_cast<uint64_t>(b) * stride, kBlock, expected[b].data(),
+    disk.Write(static_cast<uint64_t>(b) * stride, kBlock,
+               Buffer::CopyOf(expected[b].data(), kBlock),
                [&, b, seq](const Status& s) {
                  --writes_pending;
                  if (s.ok()) {
@@ -581,7 +582,8 @@ ChaosReport RunTierDrill(const ChaosPlan& plan) {
   int writes_pending = blocks;
   for (int b = 0; b < blocks; ++b) {
     expected[b].assign(kBlock, static_cast<uint8_t>(0x3B + 7 * b));
-    disk.Write(static_cast<uint64_t>(b) * stride, kBlock, expected[b].data(),
+    disk.Write(static_cast<uint64_t>(b) * stride, kBlock,
+               Buffer::CopyOf(expected[b].data(), kBlock),
                [&, b](const Status& s) {
                  --writes_pending;
                  if (s.ok()) {
@@ -746,7 +748,8 @@ ChaosReport RunTierDrill(const ChaosPlan& plan) {
                         const std::function<void()>& mid_flight) {
     expected[block].assign(kBlock, fill);
     auto wdone = std::make_shared<bool>(false);
-    disk.Write(static_cast<uint64_t>(block) * stride, kBlock, expected[block].data(),
+    disk.Write(static_cast<uint64_t>(block) * stride, kBlock,
+               Buffer::CopyOf(expected[block].data(), kBlock),
                [&, wdone, what](const Status& s) {
                  *wdone = true;
                  if (s.ok()) {

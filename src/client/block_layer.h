@@ -21,21 +21,13 @@ class BlockLayer {
  public:
   virtual ~BlockLayer() = default;
 
-  // Async block I/O; offsets/lengths 512-byte aligned; buffers outlive done.
+  // Async block I/O; offsets/lengths 512-byte aligned. A read's `out` must
+  // outlive `done`. A write's payload is a view of `length` bytes (null =
+  // timing-only) that every layer forwards as is, so the bytes the caller
+  // allocated are the bytes every replica's device keeps.
   virtual void Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done) = 0;
-  virtual void Write(uint64_t offset, uint64_t length, const void* data,
-                     storage::IoCallback done) = 0;
-
-  // Zero-copy write: layers that can forward the ref-counted view do so
-  // (VirtualDiskLayer); the default keeps the view alive until completion and
-  // routes through the raw-pointer virtual, so decorators that only know the
-  // legacy shape keep working unmodified.
   virtual void Write(uint64_t offset, uint64_t length, ursa::BufferView data,
-                     storage::IoCallback done) {
-    const void* raw = data.data();
-    Write(offset, length, raw,
-          [held = std::move(data), done = std::move(done)](const Status& s) { done(s); });
-  }
+                     storage::IoCallback done) = 0;
 
   // Logical capacity exposed to the layer above.
   virtual uint64_t size() const = 0;
@@ -48,10 +40,6 @@ class VirtualDiskLayer : public BlockLayer {
 
   void Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done) override {
     disk_->Read(offset, length, out, std::move(done));
-  }
-  void Write(uint64_t offset, uint64_t length, const void* data,
-             storage::IoCallback done) override {
-    disk_->Write(offset, length, data, std::move(done));
   }
   void Write(uint64_t offset, uint64_t length, ursa::BufferView data,
              storage::IoCallback done) override {

@@ -30,7 +30,7 @@ class CachingLayer : public BlockLayer {
       : below_(below), capacity_lines_(capacity_lines) {}
 
   void Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done) override;
-  void Write(uint64_t offset, uint64_t length, const void* data,
+  void Write(uint64_t offset, uint64_t length, ursa::BufferView data,
              storage::IoCallback done) override;
   uint64_t size() const override { return below_->size(); }
 
@@ -134,12 +134,12 @@ inline void CachingLayer::Read(uint64_t offset, uint64_t length, void* out,
                });
 }
 
-inline void CachingLayer::Write(uint64_t offset, uint64_t length, const void* data,
+inline void CachingLayer::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
                                 storage::IoCallback done) {
   // Write-through: update resident/aligned lines, then propagate below. A
   // write that partially covers a non-resident line just invalidates it.
-  if (data != nullptr) {
-    const auto* src = static_cast<const uint8_t*>(data);
+  if (data) {
+    const uint8_t* src = data.data();
     uint64_t first_full = (offset + kLineSize - 1) / kLineSize;
     uint64_t last_full = (offset + length) / kLineSize;  // exclusive
     for (uint64_t line = first_full; line < last_full; ++line) {
@@ -161,7 +161,7 @@ inline void CachingLayer::Write(uint64_t offset, uint64_t length, const void* da
       drop_line(end / kLineSize);
     }
   }
-  below_->Write(offset, length, data, std::move(done));
+  below_->Write(offset, length, std::move(data), std::move(done));
 }
 
 }  // namespace ursa::client

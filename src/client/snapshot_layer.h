@@ -43,7 +43,7 @@ class SnapshotLayer : public BlockLayer {
   }
 
   // COW: preserve not-yet-copied grains before letting the write through.
-  void Write(uint64_t offset, uint64_t length, const void* data,
+  void Write(uint64_t offset, uint64_t length, ursa::BufferView data,
              storage::IoCallback done) override;
 
   // Freezes the current live contents as the snapshot.
@@ -82,20 +82,21 @@ class SnapshotLayer : public BlockLayer {
   uint64_t next_cow_grain_ = 0;
 };
 
-inline void SnapshotLayer::Write(uint64_t offset, uint64_t length, const void* data,
+inline void SnapshotLayer::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
                                  storage::IoCallback done) {
   URSA_CHECK_LE(offset + length, live_size_);
   if (!snapshot_active_) {
-    below_->Write(offset, length, data, std::move(done));
+    below_->Write(offset, length, std::move(data), std::move(done));
     return;
   }
   PreserveGrains(offset, length,
-                 [this, offset, length, data, done = std::move(done)](const Status& s) {
+                 [this, offset, length, data = std::move(data),
+                  done = std::move(done)](const Status& s) {
                    if (!s.ok()) {
                      done(s);
                      return;
                    }
-                   below_->Write(offset, length, data, std::move(done));
+                   below_->Write(offset, length, data, done);
                  });
 }
 
@@ -115,7 +116,6 @@ inline void SnapshotLayer::PreserveGrains(uint64_t offset, uint64_t length,
     size_t remaining;
     Status status;
     storage::IoCallback next;
-    std::vector<std::shared_ptr<std::vector<uint8_t>>> buffers;
   };
   auto state = std::make_shared<CopyState>();
   state->remaining = to_copy.size();
@@ -124,9 +124,9 @@ inline void SnapshotLayer::PreserveGrains(uint64_t offset, uint64_t length,
     uint64_t slot = next_cow_grain_++;
     URSA_CHECK_LE(CowOffset(slot) + kGrainSize, below_->size()) << "COW area exhausted";
     grains_[g] = slot;
-    auto buf = std::make_shared<std::vector<uint8_t>>(kGrainSize);
-    state->buffers.push_back(buf);
-    below_->Read(g * kGrainSize, kGrainSize, buf->data(),
+    // The old grain lands in a fresh Buffer, which the COW write publishes.
+    Buffer buf = Buffer::Allocate(kGrainSize);
+    below_->Read(g * kGrainSize, kGrainSize, buf.data(),
                  [this, g, slot, buf, state](const Status& s) {
                    if (!s.ok()) {
                      if (state->status.ok()) {
@@ -137,7 +137,7 @@ inline void SnapshotLayer::PreserveGrains(uint64_t offset, uint64_t length,
                      }
                      return;
                    }
-                   below_->Write(CowOffset(slot), kGrainSize, buf->data(),
+                   below_->Write(CowOffset(slot), kGrainSize, buf,
                                  [state](const Status& s2) {
                                    if (!s2.ok() && state->status.ok()) {
                                      state->status = s2;

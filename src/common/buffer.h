@@ -14,10 +14,9 @@
 //     keep owned views as their contents after the write completes, so a
 //     mutation after publish would silently rewrite "on-disk" bytes.
 //   * BufferView is offset/length slice + strong ref: holding the view keeps
-//     the bytes alive. Closures capture views, never raw pointers.
-//   * BufferView::Unowned wraps a raw pointer WITHOUT taking ownership — the
-//     compatibility path for callers of the legacy `const void*` APIs, which
-//     keep their existing contract (buffer outlives the callback).
+//     the bytes alive. Closures capture views, never raw pointers. A view is
+//     the only way a write's bytes travel: an edge that holds raw bytes makes
+//     one Buffer of them (CopyOf, FromVector) where they enter.
 //   * A null view (data() == nullptr) is a timing-only payload: it carries a
 //     length through the protocol but no bytes (simulated-cost writes).
 //   * Each allocation memoizes the CRC32C of its 512-byte sectors
@@ -112,18 +111,6 @@ class BufferView {
   BufferView(const Buffer& b, size_t offset, size_t length)
       : owner_(b.block_), data_(b.data_ + offset), size_(length) {}
 
-  // Wraps raw bytes without taking ownership: the caller guarantees the
-  // pointee outlives every use of the view (the legacy `const void*`
-  // contract). Passing nullptr yields a null view.
-  static BufferView Unowned(const void* data, size_t length) {
-    BufferView v;
-    if (data != nullptr) {
-      v.data_ = static_cast<const uint8_t*>(data);
-      v.size_ = length;
-    }
-    return v;
-  }
-
   // Sub-slice sharing the same owner. Slicing a null view yields a null view
   // (the length travels in the protocol headers, not the view).
   BufferView Slice(size_t offset, size_t length) const {
@@ -142,21 +129,17 @@ class BufferView {
   bool empty() const { return size_ == 0; }
   // True when the view carries bytes (false = timing-only null view).
   explicit operator bool() const { return data_ != nullptr; }
-  // True when the view holds a strong reference to its bytes (false for
-  // Unowned and null views). Device stores share owned views and copy the
-  // rest.
-  bool owned() const { return owner_ != nullptr; }
 
   // The CRC32C of each 512-byte sector of the view (the last one may be
   // short), as Crc32cSectors computes them: memoized with the allocation, so
-  // only the first call for a sector hashes it. Null when the view has no
-  // allocation (null and unowned views) or its sectors are not the
+  // only the first call for a sector hashes it. Null for a null view, or
+  // when the view's sectors are not the
   // allocation's: it starts off a sector boundary, or ends inside a sector
   // short of the allocation's end.
   const uint32_t* SectorSums() const;
 
  private:
-  // Null for unowned and null views.
+  // Null for null views.
   std::shared_ptr<const buffer_internal::Allocation> owner_;
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;

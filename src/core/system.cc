@@ -105,7 +105,7 @@ class TestBed::Driver {
       IssueNext();
     };
     if (is_write) {
-      disk_->Write(offset, length, nullptr, std::move(done));
+      disk_->Write(offset, length, BufferView(), std::move(done));  // timing-only
     } else {
       disk_->Read(offset, length, nullptr, std::move(done));
     }

@@ -88,8 +88,9 @@ class EcStripeStore {
 
   uint64_t logical_size() const { return rows_ * config_.stripe_unit * config_.k; }
 
-  // Async logical I/O (512-aligned). Writes spanning rows are split.
-  void Write(uint64_t offset, uint64_t length, const void* data, storage::IoCallback done);
+  // Async logical I/O (512-aligned). Writes spanning rows are split; the
+  // data shards share slices of `data` (null = timing-only).
+  void Write(uint64_t offset, uint64_t length, ursa::BufferView data, storage::IoCallback done);
   void Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done);
 
   // Marks shard i failed (reads route around it; writes to it are dropped —
@@ -108,7 +109,9 @@ class EcStripeStore {
   struct LogEntry {
     int parity;       // which parity shard
     uint64_t offset;  // shard-relative byte offset of the delta
-    std::shared_ptr<std::vector<uint8_t>> delta;
+    // The scaled delta, published to the parity's log region (null in
+    // timing-only runs).
+    ursa::Buffer delta;
   };
 
   struct Extent {
@@ -121,12 +124,14 @@ class EcStripeStore {
 
   std::vector<Extent> SplitLogical(uint64_t offset, uint64_t length) const;
 
-  void PartialWriteExtent(const Extent& ext, const uint8_t* data, storage::IoCallback done);
+  void PartialWriteExtent(const Extent& ext, ursa::BufferView data, storage::IoCallback done);
   void DegradedReadExtent(const Extent& ext, uint8_t* out, storage::IoCallback done);
 
   // Pooled scratch: recycles shard-sized buffers across async operations so
-  // steady-state encode/decode allocates nothing (see EcStats scratch_*).
-  // Buffers return to the pool when their last shared_ptr drops.
+  // steady-state decode and delta math allocate nothing (see EcStats
+  // scratch_*). Buffers return to the pool when their last shared_ptr drops.
+  // Bytes a device keeps (parity, deltas, rebuilt shards) are Buffers
+  // instead: the device store shares them after the write.
   class BufferPool;
   std::shared_ptr<std::vector<uint8_t>> AcquireBuf(size_t len, bool zero);
 
@@ -135,7 +140,7 @@ class EcStripeStore {
   const ReedSolomon::DecodePlan* PlanForDegraded(int shard, const std::vector<int>& sources);
 
   void ShardRead(int shard, uint64_t offset, uint64_t len, void* out, storage::IoCallback done);
-  void ShardWrite(int shard, uint64_t offset, uint64_t len, const void* data,
+  void ShardWrite(int shard, uint64_t offset, uint64_t len, ursa::BufferView data,
                   storage::IoCallback done);
 
   sim::Simulator* sim_;
@@ -147,8 +152,8 @@ class EcStripeStore {
   std::deque<LogEntry> parity_log_;
   uint64_t parity_log_used_ = 0;
   // PariX speculation cache: (shard, shard_off) -> current bytes of ranges
-  // written since the last flush (empty vector in timing-only runs).
-  std::map<std::pair<int, uint64_t>, std::vector<uint8_t>> parix_cache_;
+  // written since the last flush (null view in timing-only runs).
+  std::map<std::pair<int, uint64_t>, ursa::BufferView> parix_cache_;
   std::shared_ptr<BufferPool> pool_;
   std::map<std::pair<std::vector<bool>, int>, ReedSolomon::DecodePlan> plan_cache_;
   // Reused synchronously within one Encode call (never across callbacks).

@@ -269,23 +269,23 @@ void JournalWriter::Scan(ScanCallback done) {
 void JournalWriter::CorruptByte(uint64_t region_byte, uint8_t xor_mask) {
   URSA_CHECK_LT(region_byte, region_length_);
   uint64_t sector_start = region_byte - region_byte % kSector;
-  auto buf = std::make_shared<std::vector<uint8_t>>(kSector);
+  Buffer buf = Buffer::Allocate(kSector);
   storage::IoRequest read;
   read.type = storage::IoType::kRead;
   read.offset = region_offset_ + sector_start;
   read.length = kSector;
-  read.out = buf->data();
-  read.done = [this, buf, sector_start, region_byte, xor_mask](const Status& s) {
+  read.out = buf.data();
+  read.done = [this, buf, sector_start, region_byte, xor_mask](const Status& s) mutable {
     if (!s.ok()) {
       return;
     }
-    (*buf)[region_byte % kSector] ^= xor_mask;
+    buf.data()[region_byte % kSector] ^= xor_mask;
     storage::IoRequest write;
     write.type = storage::IoType::kWrite;
     write.offset = region_offset_ + sector_start;
     write.length = kSector;
-    write.data = buf->data();
-    write.done = [buf](const Status&) {};
+    write.data = buf.View();
+    write.done = [](const Status&) {};
     device_->Submit(std::move(write));
   };
   device_->Submit(std::move(read));

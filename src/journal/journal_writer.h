@@ -87,20 +87,13 @@ class JournalWriter {
   // `data` is a BufferView appended zero-copy: the device request carries
   // {header sector, payload view, zero pad} as scatter segments, so no
   // contiguous record image is ever built and an owned view stays shared with
-  // the device store (a null view appends a timing-only record). The raw-pointer
-  // overload keeps the legacy buffer-outlives-callback contract. The optional
+  // the device store (a null view appends a timing-only record). The optional
   // `tag` classifies the journal-device write for QoS. The record CRC is
   // combined from the payload's memoized sector sums (BufferView::SectorSums)
   // when its view has them, so the bytes are not hashed again.
   Result<uint64_t> Append(storage::ChunkId chunk_id, uint32_t chunk_offset, uint32_t length,
                           uint64_t version, ursa::BufferView data, storage::IoCallback done,
                           storage::IoTag tag = {});
-  Result<uint64_t> Append(storage::ChunkId chunk_id, uint32_t chunk_offset, uint32_t length,
-                          uint64_t version, const void* data, storage::IoCallback done,
-                          storage::IoTag tag = {}) {
-    return Append(chunk_id, chunk_offset, length, version,
-                  ursa::BufferView::Unowned(data, length), std::move(done), tag);
-  }
 
   // True when a record with `payload_len` payload bytes would fit right now
   // (accounting for wrap-point padding).

@@ -42,10 +42,6 @@ class ChecksumStore {
   // every replica's ledger.
   void OnWrite(storage::ChunkId chunk, uint64_t offset, uint64_t length,
                const ursa::BufferView& data);
-  // The same for raw bytes (hashed here); null = timing-only.
-  void OnWrite(storage::ChunkId chunk, uint64_t offset, uint64_t length, const void* data) {
-    OnWrite(chunk, offset, length, ursa::BufferView::Unowned(data, length));
-  }
 
   // Marks every sector touching [offset, offset+length) unverifiable.
   void Invalidate(storage::ChunkId chunk, uint64_t offset, uint64_t length);

@@ -46,9 +46,6 @@ void PageStore::Erase(uint64_t start, uint64_t end) {
 }
 
 void PageStore::Insert(uint64_t offset, BufferView data) {
-  if (!data.owned()) {
-    data = Buffer::CopyOf(data.data(), data.size()).View();
-  }
   const uint64_t end = offset + data.size();
   extents_.Put(offset, Extent{end, std::move(data)});
 }
@@ -119,9 +116,8 @@ void BlockDevice::Submit(IoRequest req) {
   if (PageStore* store = mutable_page_store()) {
     if (req.type == IoType::kWrite) {
       ApplyWritePayload(*store, req);
-      req.data = nullptr;
+      req.data = BufferView();
       req.scatter.clear();
-      req.hold = BufferView();
     } else {
       ApplyReadPayload(*store, req);
       req.out_view = nullptr;

@@ -151,19 +151,15 @@ class BlockDevice {
 // BufferView slice. A write erases the range it covers (trimming or
 // splitting the extents at its edges into sub-slices) and inserts one
 // extent; a scatter write erases its whole range once and then inserts its
-// data segments in order. Owned views are shared, not copied, so
-// the primary, journal and replica devices that receive one payload keep a
-// single resident copy of it; un-owned (raw-pointer) payloads are copied into
-// a fresh Buffer. Stored bytes are never mutated in place — an overwrite
+// data segments in order. The views are shared, not copied, so the primary,
+// journal and replica devices that receive one payload keep a single
+// resident copy of it. Stored bytes are never mutated in place — an overwrite
 // replaces the extent — so every overwrite, bit-flip injection included, is
 // copy-on-write. Untouched space reads back as zeros.
 class PageStore {
  public:
   // Stores `data` at [offset, offset + data.size()); an empty view is a no-op.
   void Write(uint64_t offset, BufferView data);
-  void Write(uint64_t offset, const void* data, uint64_t length) {
-    Write(offset, BufferView::Unowned(data, length));
-  }
   // Stores the segments back to back from `offset`; a segment without data
   // writes `length` zeros. A data segment's view must be `length` bytes.
   void WriteScatter(uint64_t offset, const std::vector<IoSegment>& segments);
@@ -198,15 +194,16 @@ class PageStore {
 };
 
 // Applies a write request's payload to a PageStore, handling both the
-// contiguous (`hold`/`data`) and scatter-gather (`scatter`) forms. Shared by
-// every device model that carries real bytes.
+// contiguous (`data`) and scatter-gather (`scatter`) forms. Shared by every
+// device model that carries real bytes.
 inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
   if (!req.scatter.empty()) {
     store.WriteScatter(req.offset, req.scatter);
     return;
   }
-  if (BufferView payload = req.payload()) {
-    store.Write(req.offset, std::move(payload));
+  if (req.data) {
+    URSA_CHECK_EQ(req.data.size(), req.length);
+    store.Write(req.offset, req.data);
   }
 }
 

@@ -98,8 +98,7 @@ void ChunkStore::Write(ChunkId id, uint64_t offset, uint64_t length, BufferView 
   req.type = IoType::kWrite;
   req.offset = device_offset;
   req.length = length;
-  req.data = data.data();
-  req.hold = std::move(data);
+  req.data = std::move(data);
   req.tag = tag;
   req.done = std::move(done);
   device_->Submit(std::move(req));
@@ -117,8 +116,7 @@ void ChunkStore::WriteBackground(ChunkId id, uint64_t offset, uint64_t length, B
   req.type = IoType::kWrite;
   req.offset = device_offset;
   req.length = length;
-  req.data = data.data();
-  req.hold = std::move(data);
+  req.data = std::move(data);
   req.background = true;
   req.tag = tag;
   req.done = std::move(done);
@@ -129,23 +127,23 @@ void ChunkStore::CorruptByte(ChunkId id, uint64_t offset, uint8_t xor_mask) {
   URSA_CHECK_LT(offset, chunk_size_);
   constexpr uint64_t kSector = 512;
   uint64_t sector_start = SlotOffset(id) + (offset - offset % kSector);
-  auto buf = std::make_shared<std::vector<uint8_t>>(kSector);
+  Buffer buf = Buffer::Allocate(kSector);
   IoRequest read;
   read.type = IoType::kRead;
   read.offset = sector_start;
   read.length = kSector;
-  read.out = buf->data();
-  read.done = [this, buf, sector_start, offset, xor_mask](const Status& s) {
+  read.out = buf.data();
+  read.done = [this, buf, sector_start, offset, xor_mask](const Status& s) mutable {
     if (!s.ok()) {
       return;
     }
-    (*buf)[offset % 512] ^= xor_mask;
+    buf.data()[offset % kSector] ^= xor_mask;
     IoRequest write;
     write.type = IoType::kWrite;
     write.offset = sector_start;
-    write.length = 512;
-    write.data = buf->data();
-    write.done = [buf](const Status&) {};
+    write.length = kSector;
+    write.data = buf.View();
+    write.done = [](const Status&) {};
     device_->Submit(std::move(write));
   };
   device_->Submit(std::move(read));

@@ -38,31 +38,21 @@ class ChunkStore {
   bool Contains(ChunkId id) const { return slots_.find(id) != slots_.end(); }
 
   // Async chunk-relative I/O. Validates bounds, then forwards to the device.
-  // Writes take a BufferView (null view = timing-only): the view rides the
-  // IoRequest as a strong reference, so callers need not keep the bytes
-  // alive themselves, and the device store keeps sharing it afterwards — the
-  // bytes must stay immutable. The raw-pointer overloads keep the legacy contract
-  // (buffer outlives the callback) for callers without a Buffer. The optional
-  // IoTag classifies the request for QoS scheduling (class + tenant).
+  // Writes take a BufferView of `length` bytes (null view = timing-only): the
+  // view rides the IoRequest as a strong reference, so callers need not keep
+  // the bytes alive themselves, and the device store keeps sharing it
+  // afterwards — the bytes must stay immutable. The optional IoTag classifies
+  // the request for QoS scheduling (class + tenant).
   void Read(ChunkId id, uint64_t offset, uint64_t length, void* out, IoCallback done,
             IoTag tag = {});
   void Write(ChunkId id, uint64_t offset, uint64_t length, BufferView data, IoCallback done,
              IoTag tag = {});
-  void Write(ChunkId id, uint64_t offset, uint64_t length, const void* data, IoCallback done,
-             IoTag tag = {}) {
-    Write(id, offset, length, BufferView::Unowned(data, length), std::move(done), tag);
-  }
   // Background-priority write (journal replay): yields to foreground I/O.
   void WriteBackground(ChunkId id, uint64_t offset, uint64_t length, BufferView data,
                        IoCallback done, IoTag tag = {});
-  void WriteBackground(ChunkId id, uint64_t offset, uint64_t length, const void* data,
-                       IoCallback done, IoTag tag = {}) {
-    WriteBackground(id, offset, length, BufferView::Unowned(data, length), std::move(done), tag);
-  }
-  // Gather write: `segments` are concatenated at (id, offset). Owned segment
-  // views ride the request (and stay shared by the device store); Unowned
-  // ones follow the legacy contract (caller keeps them alive until `done`). A
-  // null segment view writes zeros over that span. Used by the replayer to
+  // Gather write: `segments` are concatenated at (id, offset). The segment
+  // views ride the request (and stay shared by the device store); a null
+  // segment view writes zeros over that span. Used by the replayer to
   // submit one elevator-friendly device request per coalesced run of
   // offset-adjacent merged records.
   void WriteGather(ChunkId id, uint64_t offset, std::vector<IoSegment> segments, bool background,

@@ -18,10 +18,9 @@ using IoCallback = std::function<void(const Status&)>;
 
 // One fragment of a scatter-gather write payload. A null `data` view means
 // `length` zero bytes (sector-padding tails on journal appends); otherwise
-// data.size() == length. An owned view is shared by the device store for as
-// long as the bytes stay on the device, so its Buffer must never be written
-// again once the segment is submitted; an Unowned view is copied at apply
-// time and follows the legacy buffer-outlives-callback contract.
+// data.size() == length. The device store shares the view for as long as the
+// bytes stay on the device, so its Buffer must never be written again once
+// the segment is submitted.
 struct IoSegment {
   BufferView data;
   uint64_t length = 0;
@@ -35,41 +34,32 @@ struct IoTag {
   uint64_t tenant = 0;  // virtual-disk id; 0 = system/untagged
 };
 
-// One async device operation. `data` (writes) and `out` (reads) may be null:
-// performance experiments often model timing only, while correctness tests
-// carry real bytes. Devices honour bytes whenever pointers are provided.
+// One async device operation. A write's bytes travel as an owned view
+// (`data`, or `scatter`); a read's land in `out` or `out_view`. Either side
+// may be empty: performance experiments often model timing only, while
+// correctness tests carry real bytes.
 struct IoRequest {
   IoType type = IoType::kRead;
   uint64_t offset = 0;
   uint64_t length = 0;
-  const void* data = nullptr;  // source buffer for writes
-  void* out = nullptr;         // destination buffer for reads
+  void* out = nullptr;  // destination buffer for reads
   // Background work (journal replay) yields to client-facing I/O: the HDD
   // elevator serves background requests only when no foreground request is
   // queued (§5.3's single-threaded per-disk scheduling).
   bool background = false;
   IoCallback done;
-  // The write payload as a strong reference: submitters on the zero-copy
-  // path set hold = the payload view and data = hold.data(). It keeps the
-  // bytes alive while a device parks the request (a stuck-fault device may
-  // hold it indefinitely), and the device store then shares the view instead
-  // of copying it — so the Buffer behind it must never be written again once
-  // submitted. Legacy raw-pointer callers leave it empty; their bytes are
-  // copied at apply time and they keep the buffer-outlives-callback contract.
-  // Last so the positional {type, offset, length, data, out, background,
-  // done} aggregate initializations used across tests and benches stay valid.
-  // It and every member after it has a default initializer, so those
-  // initializations build clean under -Wmissing-field-initializers.
-  BufferView hold = {};
-
-  // ---- Extensions (appended after `hold` for the same reason) ----
-
   // QoS classification; kAuto derives from `type` + `background`.
   IoTag tag = {};
+  // The contiguous write payload: `length` bytes, or a null view for a
+  // timing-only write. The strong reference keeps the bytes alive while a
+  // device parks the request (a stuck-fault device may hold it
+  // indefinitely), and the device store then shares the view — so the
+  // Buffer behind it must never be written again once submitted.
+  BufferView data = {};
   // Scatter-gather write payload. When non-empty the on-device bytes are the
   // concatenation of the segments (lengths must sum to `length`) and `data`
-  // and `hold` are ignored; devices treat the request as one contiguous write
-  // for timing. Null-data segments write zeros (they really overwrite — ring
+  // is ignored; devices treat the request as one contiguous write for
+  // timing. Null-data segments write zeros (they really overwrite — ring
   // journals reuse space, so stale bytes must not survive under the padding).
   std::vector<IoSegment> scatter = {};
   // Zero-copy read: when set, the read stores its bytes here instead of
@@ -77,15 +67,6 @@ struct IoRequest {
   // range was written as one extent (see PageStore::ReadView). The pointee
   // must outlive the callback.
   BufferView* out_view = nullptr;
-
-  // The contiguous write payload: the shared `hold` view when set, else an
-  // un-owned wrap of `data` (null when both are empty: timing-only).
-  BufferView payload() const {
-    if (!hold) {
-      return BufferView::Unowned(data, length);
-    }
-    return hold.size() == length ? hold : hold.Slice(0, length);
-  }
 };
 
 // Effective service class of a request: the explicit tag, or for kAuto the

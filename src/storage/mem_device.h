@@ -29,9 +29,6 @@ class MemDevice : public BlockDevice {
   void ReadSync(uint64_t offset, void* out, uint64_t length) const {
     store_.Read(offset, out, length);
   }
-  void WriteSync(uint64_t offset, const void* data, uint64_t length) {
-    store_.Write(offset, data, length);
-  }
 
  protected:
   void SubmitIo(IoRequest req) override;

@@ -80,34 +80,6 @@ TEST(BufferTest, NullViewBehavior) {
   EXPECT_EQ(sliced.data(), nullptr);
 }
 
-TEST(BufferTest, UnownedWrapsWithoutOwnership) {
-  uint8_t raw[8] = {9, 8, 7, 6, 5, 4, 3, 2};
-  BufferView v = BufferView::Unowned(raw, sizeof(raw));
-  EXPECT_TRUE(static_cast<bool>(v));
-  EXPECT_EQ(v.data(), raw);
-  EXPECT_EQ(v.size(), sizeof(raw));
-  // nullptr wraps to a null view regardless of the stated length.
-  BufferView n = BufferView::Unowned(nullptr, 128);
-  EXPECT_FALSE(static_cast<bool>(n));
-  EXPECT_EQ(n.size(), 0u);
-}
-
-// Device stores share owned views and copy the rest, so ownership must
-// survive slicing and never be claimed for borrowed or null bytes.
-TEST(BufferTest, OwnedDistinguishesSharedFromBorrowedBytes) {
-  Buffer b = Buffer::CopyOf("0123456789", 10);
-  EXPECT_EQ(b.use_count(), 1);
-  BufferView whole = b.View();
-  BufferView mid = whole.Slice(2, 3);
-  EXPECT_TRUE(whole.owned());
-  EXPECT_TRUE(mid.owned());
-  EXPECT_EQ(b.use_count(), 3);
-  uint8_t raw[4] = {1, 2, 3, 4};
-  EXPECT_FALSE(BufferView::Unowned(raw, sizeof(raw)).owned());
-  EXPECT_FALSE(BufferView::Unowned(raw, sizeof(raw)).Slice(1, 2).owned());
-  EXPECT_FALSE(BufferView().owned());
-}
-
 TEST(BufferTest, FromVectorAdoptsStorage) {
   std::vector<uint8_t> v(1024);
   for (size_t i = 0; i < v.size(); ++i) {
@@ -166,7 +138,6 @@ TEST(BufferTest, SectorSumsNeedTheAllocationsSectors) {
   EXPECT_EQ(b.View(100, 512).SectorSums(), nullptr);   // starts inside a sector
   EXPECT_EQ(b.View(0, 1000).SectorSums(), nullptr);    // ends inside one, short of the end
   EXPECT_NE(b.View(512, 1024).SectorSums(), nullptr);  // whole sectors
-  EXPECT_EQ(BufferView::Unowned(b.data(), 4096).SectorSums(), nullptr);
   EXPECT_EQ(BufferView().SectorSums(), nullptr);
 }
 

@@ -14,6 +14,7 @@
 #include "src/client/virtual_disk.h"
 #include "src/cluster/cluster.h"
 #include "src/journal/journal_manager.h"
+#include "test_util.h"
 
 namespace ursa::chaos {
 namespace {
@@ -109,7 +110,7 @@ TEST(ChaosIntegrityTest, BitFlipIsDetectedAndRepairedFromHealthyReplica) {
       for (size_t i = 0; i < latest[s].size(); ++i) {
         latest[s][i] = static_cast<uint8_t>(round * 31 + s * 7 + i);
       }
-      disk.Write(static_cast<uint64_t>(s) * 4096, latest[s].size(), latest[s].data(),
+      disk.Write(static_cast<uint64_t>(s) * 4096, latest[s].size(), test::Payload(latest[s]),
                  [&](const Status& st) {
                    if (st.ok()) {
                      ++acked;
@@ -205,7 +206,7 @@ TEST(ChaosViewChangeTest, StalePrimaryCannotAckAfterViewChange) {
 
   std::vector<uint8_t> data(4096, 0xAB);
   Status wrote = Internal("not completed");
-  disk.Write(0, data.size(), data.data(), [&](const Status& s) { wrote = s; });
+  disk.Write(0, data.size(), test::Payload(data), [&](const Status& s) { wrote = s; });
   sim.RunUntil(sim.Now() + msec(100));
   ASSERT_TRUE(wrote.ok());
 
@@ -256,7 +257,7 @@ TEST(ChaosViewChangeTest, StalePrimaryCannotAckAfterViewChange) {
   // the rogue bytes are nowhere to be seen through the new primary.
   std::vector<uint8_t> data2(4096, 0xCD);
   Status wrote2 = Internal("not completed");
-  disk.Write(0, data2.size(), data2.data(), [&](const Status& s) { wrote2 = s; });
+  disk.Write(0, data2.size(), test::Payload(data2), [&](const Status& s) { wrote2 = s; });
   sim.RunUntil(sim.Now() + sec(1));
   ASSERT_TRUE(wrote2.ok()) << wrote2.ToString();
   std::vector<uint8_t> readback(4096, 0);

@@ -27,7 +27,7 @@ class ClientTest : public ::testing::Test {
 
   Status WriteSync(uint64_t offset, const std::vector<uint8_t>& data) {
     Status out = Internal("pending");
-    disk_->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    disk_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + sec(2));
     return out;
   }
@@ -51,7 +51,7 @@ class ClientTest : public ::testing::Test {
     Status status = Internal("pending");
   };
   void TrackedWrite(uint64_t offset, const std::vector<uint8_t>& data, Tracked* t) {
-    disk_->Write(offset, data.size(), data.data(), [t](const Status& s) {
+    disk_->Write(offset, data.size(), test::Payload(data), [t](const Status& s) {
       ++t->calls;
       t->status = s;
     });
@@ -141,7 +141,7 @@ TEST_F(ClientTest, ManySmallWritesPipelined) {
     buffers.push_back(test::Pattern(4096, 100 + i));
   }
   for (int i = 0; i < 64; ++i) {
-    disk_->Write(i * 4096, 4096, buffers[i].data(), [&](const Status& s) {
+    disk_->Write(i * 4096, 4096, test::Payload(buffers[i]), [&](const Status& s) {
       EXPECT_TRUE(s.ok());
       ++completed;
     });
@@ -160,11 +160,11 @@ TEST_F(ClientTest, WritesToSameChunkAreOrdered) {
   auto v1 = test::Pattern(4096, 20);
   auto v2 = test::Pattern(4096, 21);
   int completed = 0;
-  disk_->Write(0, 4096, v1.data(), [&](const Status& s) {
+  disk_->Write(0, 4096, test::Payload(v1), [&](const Status& s) {
     EXPECT_TRUE(s.ok());
     ++completed;
   });
-  disk_->Write(0, 4096, v2.data(), [&](const Status& s) {
+  disk_->Write(0, 4096, test::Payload(v2), [&](const Status& s) {
     EXPECT_TRUE(s.ok());
     ++completed;
   });
@@ -344,7 +344,7 @@ TEST_F(ClientTest, RecordsDrainAfterDuplicatedReplicationReplies) {
   Tracked w;
   const Nanos issued = sim_.Now();
   Nanos acked = 0;
-  disk_->Write(8192, data.size(), data.data(), [&](const Status& s) {
+  disk_->Write(8192, data.size(), test::Payload(data), [&](const Status& s) {
     ++w.calls;
     w.status = s;
     acked = sim_.Now();

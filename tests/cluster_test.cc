@@ -160,7 +160,7 @@ TEST(MasterTest, CreateDiskSkipsDownServers) {
     ASSERT_TRUE(vd.Open(*disk).ok());
     std::vector<uint8_t> data = test::Pattern(8 * kMiB, seed);
     Status wrote = Internal("pending");
-    vd.Write(0, data.size(), data.data(), [&](const Status& s) { wrote = s; });
+    vd.Write(0, data.size(), test::Payload(data), [&](const Status& s) { wrote = s; });
     sim.RunUntil(sim.Now() + sec(5));
     ASSERT_TRUE(wrote.ok()) << wrote.ToString();
     std::vector<uint8_t> back(data.size());

@@ -478,7 +478,7 @@ class EcStoreTest : public ::testing::TestWithParam<PartialWriteMode> {
 
   Status WriteSync(uint64_t offset, const std::vector<uint8_t>& data) {
     Status out = Internal("pending");
-    store_->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    store_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + sec(1));
     return out;
   }

@@ -41,7 +41,7 @@ class JournalManagerTest : public ::testing::Test {
   // Synchronous-ish helpers driving the simulator.
   Status Write(uint64_t offset, const std::vector<uint8_t>& data, uint64_t version = 1) {
     Status out = Internal("not completed");
-    manager_->Write(1, offset, data.size(), version, data.data(),
+    manager_->Write(1, offset, data.size(), version, test::Payload(data),
                     [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + msec(10));
     return out;
@@ -123,8 +123,7 @@ TEST_F(JournalManagerTest, DirectWriteKeepsANewerRecord) {
   ASSERT_TRUE(Write(8192, newer, 3).ok());
   auto repaired = test::Pattern(16 * kKiB, 9);  // the data of version 2
   Status status = Internal("pending");
-  manager_->DirectWrite(1, 0, repaired.size(), 2,
-                        ursa::BufferView::Unowned(repaired.data(), repaired.size()),
+  manager_->DirectWrite(1, 0, repaired.size(), 2, test::Payload(repaired),
                         [&](const Status& s) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -295,7 +294,7 @@ TEST_F(JournalManagerTest, WriteAlignmentEnforced) {
   Build();
   EXPECT_DEATH(
       {
-        manager_->Write(1, 100, 512, 1, nullptr, [](const Status&) {});
+        manager_->Write(1, 100, 512, 1, {}, [](const Status&) {});
       },
       "");
 }
@@ -495,7 +494,8 @@ TEST_F(JournalCrashTest, DirectWriteAcksOnceItsMarkerIsDurable) {
 
   auto v2 = test::Pattern(4096, 730);
   Status status = Internal("pending");
-  manager_->Write(1, kAt, v2.size(), ++version, v2.data(), [&](const Status& s) { status = s; });
+  manager_->Write(1, kAt, v2.size(), ++version, test::Payload(v2),
+                  [&](const Status& s) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   EXPECT_EQ(status.code(), StatusCode::kInternal);  // the marker has no room yet
   EXPECT_EQ(Read(kAt, 4096), v2);
@@ -604,7 +604,8 @@ TEST_F(JournalCrashTest, CorruptRecordStaysUntilRepaired) {
   Build();
   auto old_data = test::Pattern(4096, 630);
   Status seeded = Internal("not completed");
-  store_->Write(1, 0, old_data.size(), old_data.data(), [&](const Status& s) { seeded = s; });
+  store_->Write(1, 0, old_data.size(), test::Payload(old_data),
+                [&](const Status& s) { seeded = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   ASSERT_TRUE(seeded.ok());
   ASSERT_TRUE(Write(0, test::Pattern(4096, 631), 2).ok());
@@ -642,7 +643,8 @@ TEST_F(JournalCrashTest, CorruptRecordRequarantinedAfterRebuild) {
   // The HDD store holds v1; the journal holds the only copy of v2.
   auto old_data = test::Pattern(4096, 21);
   Status seeded = Internal("not completed");
-  store_->Write(1, 0, old_data.size(), old_data.data(), [&](const Status& s) { seeded = s; });
+  store_->Write(1, 0, old_data.size(), test::Payload(old_data),
+                [&](const Status& s) { seeded = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   ASSERT_TRUE(seeded.ok());
   auto new_data = test::Pattern(4096, 22);
@@ -705,7 +707,7 @@ TEST_F(JournalCrashTest, RequarantinedRangeRepairsThroughHandler) {
       EXPECT_EQ(chunk, 1u);
       EXPECT_EQ(offset, 0u);
       EXPECT_EQ(length, 4096u);
-      store_->Write(chunk, offset, length, data.data(), [healed](const Status& s) {
+      store_->Write(chunk, offset, length, test::Payload(data), [healed](const Status& s) {
         ASSERT_TRUE(s.ok());
         healed();
       });
@@ -736,7 +738,7 @@ TEST_F(JournalManagerTest, SumBuiltRecordFailsReplayVerificationWhenCorrupted) {
   ASSERT_TRUE(written.ok());
   ASSERT_EQ(manager_->journal(0).pending().size(), 1u);
   const AppendedRecord& rec = manager_->journal(0).pending().front();
-  storage::IoSegment seg{BufferView::Unowned(data.data(), data.size()), data.size()};
+  storage::IoSegment seg{payload.View(), data.size()};
   EXPECT_EQ(rec.crc, rec.ToHeader().ComputeCrcVectored(&seg, 1));
 
   Rng flip_rng(5);
@@ -764,7 +766,7 @@ TEST_F(JournalManagerTest, BitFlipDetectedQuarantinedAndHealed) {
     EXPECT_EQ(chunk, 1u);
     EXPECT_EQ(offset, 0u);
     EXPECT_EQ(length, 4096u);
-    store_->Write(chunk, offset, length, data.data(),
+    store_->Write(chunk, offset, length, test::Payload(data),
                   [healed](const Status& s) {
                     ASSERT_TRUE(s.ok());
                     healed();
@@ -803,7 +805,8 @@ TEST_F(JournalManagerTest, QuarantineBlocksReadsUntilRepaired) {
   // it); the journal holds the only copy of v2.
   auto old_data = test::Pattern(4096, 1);
   Status seeded = Internal("not completed");
-  store_->Write(1, 0, old_data.size(), old_data.data(), [&](const Status& s) { seeded = s; });
+  store_->Write(1, 0, old_data.size(), test::Payload(old_data),
+                [&](const Status& s) { seeded = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   ASSERT_TRUE(seeded.ok());
 

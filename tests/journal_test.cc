@@ -65,16 +65,16 @@ TEST(RecordTest, VectoredCrcMatchesContiguous) {
   h.version = 7;
   auto payload = test::Pattern(3000, 3);
   uint32_t flat = h.ComputeCrc(payload.data());
+  Buffer bytes = test::Payload(payload);
 
   // Single segment.
-  storage::IoSegment whole{BufferView::Unowned(payload.data(), 3000), 3000};
+  storage::IoSegment whole{bytes.View(), 3000};
   EXPECT_EQ(h.ComputeCrcVectored(&whole, 1), flat);
 
   // Split at several boundaries, including odd and sector-unaligned ones.
   for (uint64_t split : {1ull, 511ull, 512ull, 513ull, 1499ull, 2999ull}) {
-    storage::IoSegment segs[2] = {{BufferView::Unowned(payload.data(), split), split},
-                                  {BufferView::Unowned(payload.data() + split, 3000 - split),
-                                   3000 - split}};
+    storage::IoSegment segs[2] = {{bytes.View(0, split), split},
+                                  {bytes.View(split, 3000 - split), 3000 - split}};
     EXPECT_EQ(h.ComputeCrcVectored(segs, 2), flat) << "split " << split;
   }
 
@@ -82,7 +82,7 @@ TEST(RecordTest, VectoredCrcMatchesContiguous) {
   std::vector<storage::IoSegment> fine;
   for (uint64_t off = 0; off < 3000; off += 97) {
     uint64_t n = std::min<uint64_t>(97, 3000 - off);
-    fine.push_back(storage::IoSegment{BufferView::Unowned(payload.data() + off, n), n});
+    fine.push_back(storage::IoSegment{bytes.View(off, n), n});
   }
   EXPECT_EQ(h.ComputeCrcVectored(fine.data(), fine.size()), flat);
 
@@ -92,8 +92,7 @@ TEST(RecordTest, VectoredCrcMatchesContiguous) {
   hz.length = 3600;
   std::vector<uint8_t> padded(3600, 0);
   std::copy(payload.begin(), payload.end(), padded.begin());
-  storage::IoSegment with_zero_tail[2] = {{BufferView::Unowned(payload.data(), 3000), 3000},
-                                          {BufferView(), 600}};
+  storage::IoSegment with_zero_tail[2] = {{bytes.View(), 3000}, {BufferView(), 600}};
   EXPECT_EQ(hz.ComputeCrcVectored(with_zero_tail, 2), hz.ComputeCrc(padded.data()));
 
   // All-null vector equals the null-payload (all-zeros) contiguous CRC.
@@ -136,7 +135,7 @@ class JournalWriterTest : public ::testing::Test {
 TEST_F(JournalWriterTest, AppendReturnsSectorAlignedPayloadOffset) {
   Status status;
   Result<uint64_t> j =
-      writer_.Append(1, 0, 4096, 1, nullptr, [&](const Status& s) { status = s; });
+      writer_.Append(1, 0, 4096, 1, {}, [&](const Status& s) { status = s; });
   ASSERT_TRUE(j.ok());
   EXPECT_EQ(*j % kSector, 0u);
   EXPECT_EQ(*j, kSector);  // first record: header sector then payload
@@ -148,7 +147,7 @@ TEST_F(JournalWriterTest, AppendReturnsSectorAlignedPayloadOffset) {
 
 TEST_F(JournalWriterTest, PayloadRoundTrip) {
   auto data = test::Pattern(4096, 3);
-  Result<uint64_t> j = writer_.Append(1, 8192, 4096, 1, data.data(), [](const Status&) {});
+  Result<uint64_t> j = writer_.Append(1, 8192, 4096, 1, test::Payload(data), [](const Status&) {});
   ASSERT_TRUE(j.ok());
   sim_.RunToCompletion();
   std::vector<uint8_t> out(4096);
@@ -161,7 +160,7 @@ TEST_F(JournalWriterTest, FillsAndReportsExhaustion) {
   // 256 KiB ring; each 4 KiB record occupies 4.5 KiB.
   size_t appended = 0;
   while (true) {
-    Result<uint64_t> j = writer_.Append(1, 0, 4096, appended, nullptr, [](const Status&) {});
+    Result<uint64_t> j = writer_.Append(1, 0, 4096, appended, {}, [](const Status&) {});
     if (!j.ok()) {
       EXPECT_EQ(j.status().code(), StatusCode::kResourceExhausted);
       break;
@@ -177,7 +176,7 @@ TEST_F(JournalWriterTest, FreeingAllowsReuseAndWraps) {
   for (int round = 0; round < 3; ++round) {
     size_t appended = 0;
     while (writer_.CanFit(4096)) {
-      ASSERT_TRUE(writer_.Append(1, 0, 4096, 1, nullptr, [](const Status&) {}).ok());
+      ASSERT_TRUE(writer_.Append(1, 0, 4096, 1, {}, [](const Status&) {}).ok());
       ++appended;
     }
     EXPECT_GT(appended, 50u);
@@ -190,8 +189,8 @@ TEST_F(JournalWriterTest, FreeingAllowsReuseAndWraps) {
 }
 
 TEST_F(JournalWriterTest, PendingFifoMetadata) {
-  writer_.Append(7, 1024, 512, 3, nullptr, [](const Status&) {});
-  writer_.Append(8, 2048, 1024, 4, nullptr, [](const Status&) {});
+  writer_.Append(7, 1024, 512, 3, {}, [](const Status&) {});
+  writer_.Append(8, 2048, 1024, 4, {}, [](const Status&) {});
   ASSERT_EQ(writer_.pending().size(), 2u);
   EXPECT_EQ(writer_.pending()[0].chunk_id, 7u);
   EXPECT_EQ(writer_.pending()[0].version, 3u);
@@ -212,7 +211,7 @@ TEST_F(JournalWriterTest, WrapNeverSplitsRecord) {
         writer_.PopFrontAndFree();
       }
     }
-    Result<uint64_t> j = writer_.Append(1, 0, 1536, 1, nullptr, [](const Status&) {});
+    Result<uint64_t> j = writer_.Append(1, 0, 1536, 1, {}, [](const Status&) {});
     ASSERT_TRUE(j.ok());
     EXPECT_LE(*j + 1536, writer_.region_length());
     EXPECT_GE(*j, kSector);
@@ -227,9 +226,10 @@ TEST_F(JournalWriterTest, ScanTruncatesRecordCutMidPayload) {
   auto a = test::Pattern(4096, 1);
   auto b = test::Pattern(8192, 2);
   auto c = test::Pattern(4096, 3);
-  ASSERT_TRUE(writer_.Append(1, 0, a.size(), 1, a.data(), [](const Status&) {}).ok());
-  ASSERT_TRUE(writer_.Append(1, 4096, b.size(), 2, b.data(), [](const Status&) {}).ok());
-  Result<uint64_t> jc = writer_.Append(1, 16384, c.size(), 3, c.data(), [](const Status&) {});
+  ASSERT_TRUE(writer_.Append(1, 0, a.size(), 1, test::Payload(a), [](const Status&) {}).ok());
+  ASSERT_TRUE(writer_.Append(1, 4096, b.size(), 2, test::Payload(b), [](const Status&) {}).ok());
+  Result<uint64_t> jc =
+      writer_.Append(1, 16384, c.size(), 3, test::Payload(c), [](const Status&) {});
   ASSERT_TRUE(jc.ok());
   sim_.RunToCompletion();
 
@@ -257,7 +257,8 @@ TEST_F(JournalWriterTest, ScanTruncatesRecordCutMidPayload) {
   // torn bytes get overwritten by the next append and scan back clean.
   writer_.RestorePending(survivors);
   auto d = test::Pattern(4096, 4);
-  Result<uint64_t> jd = writer_.Append(1, 16384, d.size(), 4, d.data(), [](const Status&) {});
+  Result<uint64_t> jd =
+      writer_.Append(1, 16384, d.size(), 4, test::Payload(d), [](const Status&) {});
   ASSERT_TRUE(jd.ok());
   EXPECT_EQ(*jd, *jc);  // reuses the truncated slot
   sim_.RunToCompletion();
@@ -279,10 +280,11 @@ TEST_F(JournalWriterTest, ScanKeepsValidRecordsPastMidRingCorruption) {
   auto a = test::Pattern(4096, 1);
   auto b = test::Pattern(4096, 2);
   auto c = test::Pattern(4096, 3);
-  ASSERT_TRUE(writer_.Append(1, 0, a.size(), 1, a.data(), [](const Status&) {}).ok());
-  Result<uint64_t> jb = writer_.Append(1, 4096, b.size(), 2, b.data(), [](const Status&) {});
+  ASSERT_TRUE(writer_.Append(1, 0, a.size(), 1, test::Payload(a), [](const Status&) {}).ok());
+  Result<uint64_t> jb =
+      writer_.Append(1, 4096, b.size(), 2, test::Payload(b), [](const Status&) {});
   ASSERT_TRUE(jb.ok());
-  ASSERT_TRUE(writer_.Append(1, 8192, c.size(), 3, c.data(), [](const Status&) {}).ok());
+  ASSERT_TRUE(writer_.Append(1, 8192, c.size(), 3, test::Payload(c), [](const Status&) {}).ok());
   sim_.RunToCompletion();
 
   writer_.CorruptByte(*jb + 100, 0x01);  // single flipped bit-pattern mid-ring
@@ -323,7 +325,7 @@ TEST_F(JournalWriterTest, SumBuiltCrcMatchesVectoredAndScanStillRejectsCorruptio
   ASSERT_EQ(writer_.pending().size(), 2u);
   for (const AppendedRecord& rec : writer_.pending()) {
     const std::vector<uint8_t>& payload = rec.version == 1 ? a : b;
-    storage::IoSegment seg{BufferView::Unowned(payload.data(), payload.size()), payload.size()};
+    storage::IoSegment seg{test::Payload(payload), payload.size()};
     EXPECT_EQ(rec.crc, rec.ToHeader().ComputeCrcVectored(&seg, 1)) << "record " << rec.version;
   }
 

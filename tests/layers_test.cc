@@ -26,7 +26,7 @@ class LayersTest : public ::testing::Test {
 
   Status WriteSync(BlockLayer* layer, uint64_t offset, const std::vector<uint8_t>& data) {
     Status out = Internal("pending");
-    layer->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    layer->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + sec(5));
     return out;
   }
@@ -38,6 +38,28 @@ class LayersTest : public ::testing::Test {
     sim_.RunUntil(sim_.Now() + sec(5));
     EXPECT_TRUE(status.ok()) << status.ToString();
     return out;
+  }
+
+  // Writes 4 KiB at offset 0 through `top` and expects the primary
+  // replica's device to hold the caller's very Buffer: a zero-copy device
+  // read of the range returns the caller's bytes by address.
+  void ExpectDeviceKeepsCallersBuffer(BlockLayer* top) {
+    Buffer payload = test::Payload(test::Pattern(4096, 40));
+    Status status = Internal("pending");
+    top->Write(0, payload.size(), payload, [&](const Status& s) { status = s; });
+    sim_.RunUntil(sim_.Now() + sec(5));
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    const cluster::ChunkLayout& layout = (*cluster_.master().GetDisk(disk_id_))->chunks[0];
+    storage::ChunkStore* store =
+        cluster_.server(layout.replicas[disk_->chunk_primary(0)].server)->store();
+    BufferView stored;
+    storage::IoRequest read =
+        test::MakeRead(store->SlotOffset(layout.chunk), 4096, nullptr, [](const Status&) {});
+    read.out_view = &stored;
+    store->device()->Submit(std::move(read));
+    sim_.RunUntil(sim_.Now() + msec(1));
+    ASSERT_EQ(stored.size(), 4096u);
+    EXPECT_EQ(stored.data(), payload.data());
   }
 
   sim::Simulator sim_;
@@ -109,6 +131,21 @@ TEST_F(LayersTest, CacheUnalignedWritesInvalidateEdges) {
   std::vector<uint8_t> expect = base_data;
   std::copy(patch.begin(), patch.end(), expect.begin() + 512);
   EXPECT_EQ(got, expect);
+}
+
+// A write through a decorator reaches the devices without a copy.
+TEST_F(LayersTest, CacheForwardsTheCallersBufferToTheDevice) {
+  CachingLayer cache(base_.get(), 64);
+  ExpectDeviceKeepsCallersBuffer(&cache);
+}
+
+// The same through a snapshot's copy-on-write path: preserving the grain
+// first does not make the guest's write a copy.
+TEST_F(LayersTest, SnapshotForwardsTheCallersBufferToTheDevice) {
+  SnapshotLayer snap(base_.get());
+  snap.TakeSnapshot();
+  ExpectDeviceKeepsCallersBuffer(&snap);
+  EXPECT_EQ(snap.preserved_grains(), 1u);
 }
 
 TEST_F(LayersTest, SnapshotPreservesFrozenImage) {

@@ -49,9 +49,9 @@ class LinearizabilityHarness {
     uint64_t offset = static_cast<uint64_t>(block) * kBlock;
     if (rng_.Bernoulli(0.5)) {
       uint32_t seq = histories_[block].OnWriteInvoke(sim_->Now());
-      auto buf = std::make_shared<std::vector<uint8_t>>(kBlock, 0);
-      std::memcpy(buf->data(), &seq, sizeof(seq));
-      disk_->Write(offset, kBlock, buf->data(), [this, block, seq, buf](const Status& s) {
+      Buffer buf = Buffer::AllocateZeroed(kBlock);
+      std::memcpy(buf.data(), &seq, sizeof(seq));
+      disk_->Write(offset, kBlock, buf, [this, block, seq](const Status& s) {
         if (s.ok()) {
           histories_[block].OnWriteCommit(seq, sim_->Now());
           ++committed_writes_;

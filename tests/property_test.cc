@@ -38,7 +38,7 @@ TEST_P(StripingPropertyTest, RoundTripAtManyOffsets) {
     uint64_t offset = rng.Uniform((8 * kMiB - io) / 512) * 512;
     auto data = test::Pattern(io, 100 + round);
     Status ws = Internal("pending");
-    disk.Write(offset, io, data.data(), [&](const Status& s) { ws = s; });
+    disk.Write(offset, io, test::Payload(data), [&](const Status& s) { ws = s; });
     sim.RunUntil(sim.Now() + sec(2));
     ASSERT_TRUE(ws.ok()) << ws.ToString();
 
@@ -88,7 +88,7 @@ TEST_P(ThresholdPropertyTest, HybridPathCorrectUnderAnyThresholds) {
     offset -= offset % 512;
     auto data = test::Pattern(len, 200 + i);
     Status ws = Internal("pending");
-    disk.Write(offset, len, data.data(), [&](const Status& s) { ws = s; });
+    disk.Write(offset, len, test::Payload(data), [&](const Status& s) { ws = s; });
     sim.RunUntil(sim.Now() + sec(2));
     ASSERT_TRUE(ws.ok());
     written.emplace_back(offset, std::move(data));
@@ -131,7 +131,7 @@ TEST_P(ReplicationPropertyTest, ReadYourWritesAndCrashTolerance) {
 
   auto data = test::Pattern(8192, replication);
   Status ws = Internal("pending");
-  disk.Write(0, data.size(), data.data(), [&](const Status& s) { ws = s; });
+  disk.Write(0, data.size(), test::Payload(data), [&](const Status& s) { ws = s; });
   sim.RunUntil(sim.Now() + sec(2));
   ASSERT_TRUE(ws.ok());
 
@@ -141,7 +141,7 @@ TEST_P(ReplicationPropertyTest, ReadYourWritesAndCrashTolerance) {
     cluster.CrashServer(meta->chunks[0].replicas[replication - 1].server);
     auto data2 = test::Pattern(8192, replication + 50);
     ws = Internal("pending");
-    disk.Write(0, data2.size(), data2.data(), [&](const Status& s) { ws = s; });
+    disk.Write(0, data2.size(), test::Payload(data2), [&](const Status& s) { ws = s; });
     sim.RunUntil(sim.Now() + sec(10));
     ASSERT_TRUE(ws.ok()) << ws.ToString();
     data = data2;
@@ -195,7 +195,7 @@ TEST_P(CrashFuzzTest, CommittedWritesSurviveCrashSchedules) {
     uint64_t offset = rng.Uniform((kSpan - len) / 512) * 512;
     auto data = test::Pattern(len, 300 + step);
     Status ws = Internal("pending");
-    disk.Write(offset, len, data.data(), [&](const Status& s) { ws = s; });
+    disk.Write(offset, len, test::Payload(data), [&](const Status& s) { ws = s; });
     sim.RunUntil(sim.Now() + sec(30));
     if (ws.ok()) {
       std::copy(data.begin(), data.end(), shadow.begin() + offset);
@@ -259,21 +259,21 @@ TEST_P(HddSchedulingTest, BackgroundYieldsToForeground) {
   Nanos first_bg_after = INT64_MAX;
   int fg_left = 10;
   for (int i = 0; i < 20; ++i) {
-    hdd.Submit(storage::IoRequest{storage::IoType::kWrite,
-                                  rng.Uniform(params.capacity / 4096) * 4096, 4096, nullptr,
-                                  nullptr, /*background=*/true, [&](const Status&) {
-                                    if (fg_left > 0) {
-                                      first_bg_after = std::min(first_bg_after, sim.Now());
-                                    }
-                                  }});
+    storage::IoRequest req =
+        test::MakeWrite(rng.Uniform(params.capacity / 4096) * 4096, 4096, {}, [&](const Status&) {
+          if (fg_left > 0) {
+            first_bg_after = std::min(first_bg_after, sim.Now());
+          }
+        });
+    req.background = true;
+    hdd.Submit(std::move(req));
   }
   for (int i = 0; i < 10; ++i) {
-    hdd.Submit(storage::IoRequest{storage::IoType::kWrite,
-                                  rng.Uniform(params.capacity / 4096) * 4096, 4096, nullptr,
-                                  nullptr, /*background=*/false, [&](const Status&) {
-                                    --fg_left;
-                                    last_fg = sim.Now();
-                                  }});
+    hdd.Submit(
+        test::MakeWrite(rng.Uniform(params.capacity / 4096) * 4096, 4096, {}, [&](const Status&) {
+          --fg_left;
+          last_fg = sim.Now();
+        }));
   }
   sim.RunToCompletion();
   EXPECT_EQ(fg_left, 0);

@@ -11,6 +11,7 @@
 #include "src/sim/simulator.h"
 #include "src/storage/mem_device.h"
 #include "src/storage/ssd_model.h"
+#include "test_util.h"
 
 namespace ursa::qos {
 namespace {
@@ -21,17 +22,6 @@ using storage::IoType;
 using storage::MemDevice;
 
 constexpr uint64_t kCap = 64 * kMiB;
-
-IoRequest MakeWrite(uint64_t offset, uint64_t length, ServiceClass cls, uint64_t tenant,
-                    storage::IoCallback done) {
-  IoRequest req;
-  req.type = IoType::kWrite;
-  req.offset = offset;
-  req.length = length;
-  req.done = std::move(done);
-  req.tag = IoTag{cls, tenant};
-  return req;
-}
 
 // ---- TokenBucket ----
 
@@ -92,12 +82,14 @@ TEST(IoSchedulerTest, ClassRateLimitShapesThroughput) {
   int completed = 0;
   Nanos last_done = 0;
   for (int i = 0; i < kN; ++i) {
-    dev.Submit(MakeWrite(static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kJournalReplay, 0, [&](const Status& s) {
-                           ASSERT_TRUE(s.ok());
-                           ++completed;
-                           last_done = sim.Now();
-                         }));
+    dev.Submit(test::MakeWrite(
+        static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status& s) {
+          ASSERT_TRUE(s.ok());
+          ++completed;
+          last_done = sim.Now();
+        },
+        IoTag{ServiceClass::kJournalReplay, 0}));
   }
   sim.RunToCompletion();
   ASSERT_EQ(completed, kN);
@@ -133,16 +125,20 @@ TEST(IoSchedulerTest, ClassWeightsSplitBandwidthWithinTier) {
     }
   };
   for (int i = 0; i < kN; ++i) {
-    dev.Submit(MakeWrite(static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kJournalReplay, 0, [&](const Status&) {
-                           ++replay_served;
-                           sample();
-                         }));
-    dev.Submit(MakeWrite((kN + static_cast<uint64_t>(i)) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kRecovery, 0, [&](const Status&) {
-                           ++recovery_served;
-                           sample();
-                         }));
+    dev.Submit(test::MakeWrite(
+        static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) {
+          ++replay_served;
+          sample();
+        },
+        IoTag{ServiceClass::kJournalReplay, 0}));
+    dev.Submit(test::MakeWrite(
+        (kN + static_cast<uint64_t>(i)) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) {
+          ++recovery_served;
+          sample();
+        },
+        IoTag{ServiceClass::kRecovery, 0}));
   }
   sim.RunToCompletion();
   ASSERT_EQ(replay_served, kN);
@@ -177,18 +173,22 @@ TEST(IoSchedulerTest, TenantsShareAClassFairly) {
     }
   };
   for (int i = 0; i < kN; ++i) {
-    dev.Submit(MakeWrite(static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kForegroundWrite, 1, [&](const Status&) {
-                           ++t1_served;
-                           sample();
-                         }));
+    dev.Submit(test::MakeWrite(
+        static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) {
+          ++t1_served;
+          sample();
+        },
+        IoTag{ServiceClass::kForegroundWrite, 1}));
   }
   for (int i = 0; i < kN; ++i) {
-    dev.Submit(MakeWrite((kN + static_cast<uint64_t>(i)) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kForegroundWrite, 2, [&](const Status&) {
-                           ++t2_served;
-                           sample();
-                         }));
+    dev.Submit(test::MakeWrite(
+        (kN + static_cast<uint64_t>(i)) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) {
+          ++t2_served;
+          sample();
+        },
+        IoTag{ServiceClass::kForegroundWrite, 2}));
   }
   sim.RunToCompletion();
   ASSERT_EQ(t1_served, kN);
@@ -215,18 +215,21 @@ TEST(IoSchedulerTest, ForegroundPreemptsBackgroundButNeverStarvesIt) {
   int bg_served = 0;
   int bg_before_fg_done = 0;
   for (int i = 0; i < kBg; ++i) {
-    dev.Submit(MakeWrite(static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB, ServiceClass::kRecovery,
-                         0, [&](const Status&) {
-                           ++bg_served;
-                           if (fg_served < kFg) {
-                             ++bg_before_fg_done;
-                           }
-                         }));
+    dev.Submit(test::MakeWrite(
+        static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) {
+          ++bg_served;
+          if (fg_served < kFg) {
+            ++bg_before_fg_done;
+          }
+        },
+        IoTag{ServiceClass::kRecovery, 0}));
   }
   for (int i = 0; i < kFg; ++i) {
-    dev.Submit(MakeWrite((kBg + static_cast<uint64_t>(i)) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kForegroundRead, 1,
-                         [&](const Status&) { ++fg_served; }));
+    dev.Submit(test::MakeWrite(
+        (kBg + static_cast<uint64_t>(i)) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) { ++fg_served; },
+        IoTag{ServiceClass::kForegroundRead, 1}));
   }
   sim.RunToCompletion();
   ASSERT_EQ(fg_served, kFg);
@@ -256,9 +259,10 @@ TEST(IoSchedulerTest, WatermarkBackpressurePausesAndResumes) {
   dev.SetFault(storage::DeviceFault{0, /*stuck=*/true});
   int completed = 0;
   for (int i = 0; i < 12; ++i) {
-    dev.Submit(MakeWrite(static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB,
-                         ServiceClass::kJournalReplay, 0,
-                         [&](const Status&) { ++completed; }));
+    dev.Submit(test::MakeWrite(
+        static_cast<uint64_t>(i) * 4 * kKiB, 4 * kKiB, {},
+        [&](const Status&) { ++completed; },
+        IoTag{ServiceClass::kJournalReplay, 0}));
   }
   sim.RunUntil(msec(1));
   EXPECT_EQ(completed, 0);
@@ -311,13 +315,11 @@ TEST(IoSchedulerTest, GatedWritesKeepSubmissionOrderVisibility) {
   std::vector<uint8_t> first(4096, 0xAA);
   std::vector<uint8_t> second(4096, 0xBB);
   int done = 0;
-  IoRequest r1 = MakeWrite(0, 4096, ServiceClass::kScrub, 0, [&](const Status&) { ++done; });
-  r1.data = first.data();
-  dev.Submit(std::move(r1));
-  IoRequest r2 =
-      MakeWrite(0, 4096, ServiceClass::kForegroundWrite, 0, [&](const Status&) { ++done; });
-  r2.data = second.data();
-  dev.Submit(std::move(r2));
+  dev.Submit(test::MakeWrite(0, 4096, Buffer::CopyOf(first.data(), first.size()),
+                             [&](const Status&) { ++done; }, IoTag{ServiceClass::kScrub, 0}));
+  dev.Submit(test::MakeWrite(0, 4096, Buffer::CopyOf(second.data(), second.size()),
+                             [&](const Status&) { ++done; },
+                             IoTag{ServiceClass::kForegroundWrite, 0}));
   sim.RunToCompletion();
   ASSERT_EQ(done, 2);
   std::vector<uint8_t> got(4096);

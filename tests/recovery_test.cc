@@ -30,7 +30,7 @@ class RecoveryTest : public ::testing::Test {
 
   Status WriteSync(uint64_t offset, const std::vector<uint8_t>& data, Nanos budget = sec(5)) {
     Status out = Internal("pending");
-    disk_->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    disk_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + budget);
     return out;
   }
@@ -349,7 +349,7 @@ TEST_F(RecoveryTest, RetryAfterViewBumpResendsItsOwnVersion) {
   }
   std::vector<uint8_t> data = test::Pattern(4096, 2);
   Status write = Internal("pending");
-  disk_->Write(0, data.size(), data.data(), [&](const Status& s) { write = s; });
+  disk_->Write(0, data.size(), test::Payload(data), [&](const Status& s) { write = s; });
   Nanos deadline = sim_.Now() + msec(1);
   while (a->GetState(before.chunk)->version == v && sim_.Now() < deadline) {
     sim_.RunUntil(sim_.Now() + usec(5));

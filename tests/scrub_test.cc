@@ -28,7 +28,7 @@ namespace {
 TEST(ChecksumStoreTest, AlignedWriteVerifiesClean) {
   ChecksumStore store(64 * kKiB);
   auto data = test::Pattern(4 * kScrubSector, 1);
-  store.OnWrite(7, 0, data.size(), data.data());
+  store.OnWrite(7, 0, data.size(), test::Payload(data));
   EXPECT_EQ(store.sectors_tracked(), 4u);
 
   ChecksumStore::VerifyResult r = store.Verify(7, 0, data.size(), data.data());
@@ -40,7 +40,7 @@ TEST(ChecksumStoreTest, AlignedWriteVerifiesClean) {
 TEST(ChecksumStoreTest, DetectsSingleFlippedByte) {
   ChecksumStore store(64 * kKiB);
   auto data = test::Pattern(8 * kScrubSector, 2);
-  store.OnWrite(1, 0, data.size(), data.data());
+  store.OnWrite(1, 0, data.size(), test::Payload(data));
 
   auto damaged = data;
   damaged[3 * kScrubSector + 17] ^= 0x40;
@@ -54,7 +54,7 @@ TEST(ChecksumStoreTest, DetectsSingleFlippedByte) {
 TEST(ChecksumStoreTest, ReportsFirstMismatchRunOnly) {
   ChecksumStore store(64 * kKiB);
   auto data = test::Pattern(8 * kScrubSector, 3);
-  store.OnWrite(1, 0, data.size(), data.data());
+  store.OnWrite(1, 0, data.size(), test::Payload(data));
 
   // Two damaged runs: sectors [1,3) and sector 6. Only the first run is
   // reported; the second surfaces on the rescrub after the repair lands.
@@ -71,14 +71,14 @@ TEST(ChecksumStoreTest, ReportsFirstMismatchRunOnly) {
 TEST(ChecksumStoreTest, PartialBoundarySectorsBecomeUnverifiable) {
   ChecksumStore store(64 * kKiB);
   auto base = test::Pattern(4 * kScrubSector, 4);
-  store.OnWrite(1, 0, base.size(), base.data());
+  store.OnWrite(1, 0, base.size(), test::Payload(base));
   ASSERT_EQ(store.sectors_tracked(), 4u);
 
   // An unaligned overwrite of [100, 1200): sector 0 and sector 2 are only
   // partially covered (unverifiable now); sector 1 is fully covered and gets
   // a fresh checksum.
   auto patch = test::Pattern(1100, 5);
-  store.OnWrite(1, 100, patch.size(), patch.data());
+  store.OnWrite(1, 100, patch.size(), test::Payload(patch));
   EXPECT_EQ(store.sectors_tracked(), 2u);  // sectors 1 and 3 remain known
 
   auto current = base;
@@ -92,12 +92,12 @@ TEST(ChecksumStoreTest, PartialBoundarySectorsBecomeUnverifiable) {
 TEST(ChecksumStoreTest, NullPayloadInvalidatesInsteadOfRecording) {
   ChecksumStore store(64 * kKiB);
   auto data = test::Pattern(4 * kScrubSector, 6);
-  store.OnWrite(1, 0, data.size(), data.data());
+  store.OnWrite(1, 0, data.size(), test::Payload(data));
   ASSERT_EQ(store.sectors_tracked(), 4u);
 
   // Timing-only write (no payload bytes): the touched sectors must not keep
   // stale checksums that would flag the unmaterialized bytes as corrupt.
-  store.OnWrite(1, kScrubSector, 2 * kScrubSector, nullptr);
+  store.OnWrite(1, kScrubSector, 2 * kScrubSector, {});
   EXPECT_EQ(store.sectors_tracked(), 2u);
   ChecksumStore::VerifyResult r = store.Verify(1, 0, data.size(), data.data());
   EXPECT_TRUE(r.ok);
@@ -117,7 +117,7 @@ TEST(ChecksumStoreTest, UnwrittenChunkSkipsEverySector) {
 TEST(ChecksumStoreTest, DropForgetsChunk) {
   ChecksumStore store(64 * kKiB);
   auto data = test::Pattern(2 * kScrubSector, 7);
-  store.OnWrite(1, 0, data.size(), data.data());
+  store.OnWrite(1, 0, data.size(), test::Payload(data));
   ASSERT_TRUE(store.HasChecksums(1));
   store.Drop(1);
   EXPECT_FALSE(store.HasChecksums(1));
@@ -131,7 +131,7 @@ TEST(ChecksumStoreTest, RearmReclaimsUnverifiableBoundarySectors) {
   std::vector<uint8_t> chunk(4 * kScrubSector, 0);
   auto data = test::Pattern(3 * kScrubSector, 5);
   std::copy(data.begin(), data.end(), chunk.begin() + 100);
-  store.OnWrite(1, 100, data.size(), data.data());
+  store.OnWrite(1, 100, data.size(), test::Payload(data));
   EXPECT_EQ(store.sectors_tracked(), 2u);
 
   uint64_t gen = store.generation(1);
@@ -148,12 +148,12 @@ TEST(ChecksumStoreTest, RearmReclaimsUnverifiableBoundarySectors) {
 TEST(ChecksumStoreTest, RearmRefusesStaleGenerationAfterRacingWrite) {
   ChecksumStore store(64 * kKiB);
   auto data = test::Pattern(2 * kScrubSector, 3);
-  store.OnWrite(1, 100, data.size(), data.data());  // boundary sectors unverifiable
+  store.OnWrite(1, 100, data.size(), test::Payload(data));  // boundary sectors unverifiable
   std::vector<uint8_t> snapshot(4 * kScrubSector, 0);  // "read" taken now
 
   uint64_t gen = store.generation(1);
   // A write lands between the scrub read and the arm attempt.
-  store.OnWrite(1, 0, kScrubSector, data.data());
+  store.OnWrite(1, 0, kScrubSector, test::Payload(data));
   EXPECT_NE(store.generation(1), gen);
   EXPECT_EQ(store.Rearm(1, 0, snapshot.size(), snapshot.data(), gen), 0u);
   // With the current generation, arming proceeds.
@@ -166,7 +166,7 @@ TEST(ChecksumStoreTest, GenerationMovesOnEveryMutation) {
   ChecksumStore store(64 * kKiB);
   EXPECT_EQ(store.generation(5), 0u);
   auto data = test::Pattern(kScrubSector, 2);
-  store.OnWrite(5, 0, data.size(), data.data());
+  store.OnWrite(5, 0, data.size(), test::Payload(data));
   uint64_t g1 = store.generation(5);
   EXPECT_GT(g1, 0u);
   store.Invalidate(5, 0, kScrubSector);
@@ -229,7 +229,7 @@ TEST_F(ScrubberRearmTest, CoverageConvergesToFullAfterUnalignedWrites) {
   for (uint64_t off : {100u, 5000u, 40000u}) {
     auto data = test::Pattern(3 * kScrubSector, static_cast<int>(off % 251));
     std::copy(data.begin(), data.end(), media_.begin() + off);
-    store_.OnWrite(1, off, data.size(), data.data());
+    store_.OnWrite(1, off, data.size(), test::Payload(data));
   }
   uint64_t total_sectors = kChunkSize / kScrubSector;
   ASSERT_LT(store_.sectors_tracked(), total_sectors);
@@ -258,7 +258,7 @@ TEST_F(ScrubberRearmTest, CoverageConvergesToFullAfterUnalignedWrites) {
 TEST_F(ScrubberRearmTest, DisabledFlagLeavesSectorsSkipped) {
   auto data = test::Pattern(3 * kScrubSector, 9);
   std::copy(data.begin(), data.end(), media_.begin() + 100);
-  store_.OnWrite(1, 100, data.size(), data.data());
+  store_.OnWrite(1, 100, data.size(), test::Payload(data));
   uint64_t tracked_before = store_.sectors_tracked();
 
   ScrubConfig config;
@@ -471,7 +471,7 @@ class ScrubClusterTest : public ::testing::Test {
 
   Status WriteSync(uint64_t offset, const std::vector<uint8_t>& data) {
     Status out = Internal("pending");
-    disk_->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    disk_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + sec(5));
     return out;
   }

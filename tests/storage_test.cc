@@ -25,7 +25,7 @@ TEST(PageStoreTest, ZeroFillAndRoundTrip) {
     EXPECT_EQ(b, 0);
   }
   auto data = test::Pattern(10000, 1);
-  store.Write(12345, data.data(), data.size());
+  store.Write(12345, test::Payload(data));
   std::vector<uint8_t> back(10000);
   store.Read(12345, back.data(), back.size());
   EXPECT_EQ(back, data);
@@ -35,8 +35,8 @@ TEST(PageStoreTest, PartialOverwrite) {
   PageStore store;
   auto a = test::Pattern(8192, 2);
   auto b = test::Pattern(100, 3);
-  store.Write(0, a.data(), a.size());
-  store.Write(4000, b.data(), b.size());
+  store.Write(0, test::Payload(a));
+  store.Write(4000, test::Payload(b));
   std::vector<uint8_t> back(8192);
   store.Read(0, back.data(), back.size());
   for (size_t i = 0; i < 4000; ++i) {
@@ -78,14 +78,13 @@ TEST(PageStoreTest, MatchesFlatModelUnderRandomWrites) {
           std::copy_n(bytes.begin() + 32, len, model.begin() + static_cast<ptrdiff_t>(off));
           break;
         }
-        case 1: {  // un-owned: the caller reuses its buffer right after
+        case 1: {  // a whole Buffer, whose caller lets go of it right after
           std::vector<uint8_t> bytes = random_bytes(len);
-          store.Write(off, bytes.data(), len);
+          store.Write(off, test::Payload(bytes));
           std::copy(bytes.begin(), bytes.end(), model.begin() + static_cast<ptrdiff_t>(off));
-          std::fill(bytes.begin(), bytes.end(), uint8_t{0xEE});
           break;
         }
-        case 2: {  // scatter: owned, zeros, un-owned
+        case 2: {  // scatter: data, zeros, data
           uint64_t a = rng.Uniform(len + 1);
           uint64_t b = a + rng.Uniform(len - a + 1);
           std::vector<uint8_t> head = random_bytes(a);
@@ -96,7 +95,7 @@ TEST(PageStoreTest, MatchesFlatModelUnderRandomWrites) {
           req.length = len;
           req.scatter = {IoSegment{Buffer::CopyOf(head.data(), a).View(), a},
                          IoSegment{BufferView(), b - a},
-                         IoSegment{BufferView::Unowned(tail.data(), len - b), len - b}};
+                         IoSegment{test::Payload(tail), len - b}};
           ApplyWritePayload(store, req);
           auto at = model.begin() + static_cast<ptrdiff_t>(off);
           std::copy(head.begin(), head.end(), at);
@@ -136,7 +135,7 @@ TEST(PageStoreTest, FullyOverwrittenPayloadIsReleased) {
   store.Write(0, payload.View());
   EXPECT_EQ(payload.use_count(), 2);  // shared, not copied
   // A write inside the extent splits it: both remainders slice the payload.
-  store.Write(1000, test::Pattern(100, 6).data(), 100);
+  store.Write(1000, test::Payload(test::Pattern(100, 6)));
   EXPECT_EQ(payload.use_count(), 3);
   EXPECT_EQ(store.extent_count(), 3u);
   store.WriteZeros(0, 1000);
@@ -240,8 +239,7 @@ TEST(BlockDeviceTest, GatedWritesApplyInSubmissionOrder) {
     req.type = IoType::kWrite;
     req.offset = offset;
     req.length = buf.size();
-    req.hold = buf.View();
-    req.data = buf.data();
+    req.data = buf.View();
     req.done = [&done](const Status& s) { done += s.ok() ? 1 : 0; };
     dev.Submit(std::move(req));
   };
@@ -257,7 +255,7 @@ TEST(BlockDeviceTest, GatedWritesApplyInSubmissionOrder) {
 
   ASSERT_EQ(gate.held().size(), 3u);
   for (const IoRequest& req : gate.held()) {
-    EXPECT_FALSE(req.hold);
+    EXPECT_FALSE(req.data);
     EXPECT_TRUE(req.scatter.empty());
   }
   EXPECT_EQ(one.use_count(), 3);  // the Buffer + the two remainders of its extent
@@ -273,16 +271,12 @@ TEST(BlockDeviceTest, GatedWritesApplyInSubmissionOrder) {
   EXPECT_EQ(got, expect);
 }
 
-IoRequest MakeIo(IoType type, uint64_t offset, uint64_t length, const void* data, void* out,
-                 IoCallback done) {
-  IoRequest req;
-  req.type = type;
-  req.offset = offset;
-  req.length = length;
-  req.data = data;
-  req.out = out;
-  req.done = std::move(done);
-  return req;
+// Writes `bytes` at `offset` through the device and settles it, then clears
+// the device's counters: the test starts from a device that holds the bytes.
+void Fill(sim::Simulator& sim, MemDevice& dev, uint64_t offset, const std::vector<uint8_t>& bytes) {
+  dev.Submit(test::MakeWrite(offset, bytes.size(), test::Payload(bytes), [](const Status&) {}));
+  sim.RunToCompletion();
+  dev.ResetStats();
 }
 
 // Discard drops a range's bytes: later reads return zeros, and the device
@@ -291,7 +285,7 @@ TEST(BlockDeviceTest, DiscardDropsBytesUntimed) {
   sim::Simulator sim;
   MemDevice dev(&sim, 1 * kMiB);
   auto data = test::Pattern(8192, 13);
-  dev.WriteSync(0, data.data(), data.size());
+  Fill(sim, dev, 0, data);
   dev.Discard(1024, 4096);
   EXPECT_EQ(sim.Now(), 0);
   EXPECT_EQ(sim.RunToCompletion(), 0u);
@@ -310,15 +304,15 @@ TEST(BlockDeviceTest, GatedReadKeepsItsBytesAcrossDiscard) {
   sim::Simulator sim;
   MemDevice dev(&sim, 1 * kMiB);
   auto data = test::Pattern(4096, 14);
-  dev.WriteSync(0, data.data(), data.size());
+  Fill(sim, dev, 0, data);
   ReversingGate gate(&dev);
   dev.SetGate(&gate);
   std::vector<uint8_t> out(4096);
   BufferView view;
   int done = 0;
   auto count = [&](const Status& s) { done += s.ok() ? 1 : 0; };
-  dev.Submit(MakeIo(IoType::kRead, 0, 4096, nullptr, out.data(), count));
-  IoRequest viewed = MakeIo(IoType::kRead, 0, 4096, nullptr, nullptr, count);
+  dev.Submit(test::MakeRead(0, 4096, out.data(), count));
+  IoRequest viewed = test::MakeRead(0, 4096, nullptr, count);
   viewed.out_view = &view;
   dev.Submit(std::move(viewed));
   dev.Discard(0, 4096);
@@ -343,17 +337,17 @@ TEST(BlockDeviceTest, StuckRequestsMoveTheirBytesAtSubmit) {
   auto data = test::Pattern(8192, 16);
   auto early = test::Pattern(1024, 17);
   auto late = test::Pattern(1024, 18);
-  dev.WriteSync(0, data.data(), data.size());
+  Fill(sim, dev, 0, data);
   dev.SetFault(DeviceFault{0, true});
   std::vector<uint8_t> before(8192);
   std::vector<uint8_t> after_early(8192);
   int done = 0;
   auto count = [&](const Status& s) { done += s.ok() ? 1 : 0; };
-  dev.Submit(MakeIo(IoType::kRead, 0, 8192, nullptr, before.data(), count));
-  dev.Submit(MakeIo(IoType::kWrite, 1024, 1024, early.data(), nullptr, count));
-  dev.Submit(MakeIo(IoType::kRead, 0, 8192, nullptr, after_early.data(), count));
+  dev.Submit(test::MakeRead(0, 8192, before.data(), count));
+  dev.Submit(test::MakeWrite(1024, 1024, test::Payload(early), count));
+  dev.Submit(test::MakeRead(0, 8192, after_early.data(), count));
   dev.Discard(0, 8192);
-  dev.Submit(MakeIo(IoType::kWrite, 2048, 1024, late.data(), nullptr, count));
+  dev.Submit(test::MakeWrite(2048, 1024, test::Payload(late), count));
   ASSERT_EQ(dev.held_requests(), 4u);
   EXPECT_EQ(done, 0);
   EXPECT_EQ(before, data);
@@ -378,16 +372,15 @@ TEST(MemDeviceTest, AsyncCompletionCarriesData) {
   MemDevice dev(&sim, 1 * kMiB, usec(10));
   auto data = test::Pattern(4096, 4);
   bool wrote = false;
-  dev.Submit(IoRequest{IoType::kWrite, 0, 4096, data.data(), nullptr, false,
-                       [&](const Status& s) { wrote = s.ok(); }});
+  dev.Submit(
+      test::MakeWrite(0, 4096, test::Payload(data), [&](const Status& s) { wrote = s.ok(); }));
   sim.RunToCompletion();
   EXPECT_TRUE(wrote);
   EXPECT_EQ(sim.Now(), usec(10));
 
   std::vector<uint8_t> out(4096);
   bool read = false;
-  dev.Submit(IoRequest{IoType::kRead, 0, 4096, nullptr, out.data(), false,
-                       [&](const Status& s) { read = s.ok(); }});
+  dev.Submit(test::MakeRead(0, 4096, out.data(), [&](const Status& s) { read = s.ok(); }));
   sim.RunToCompletion();
   EXPECT_TRUE(read);
   EXPECT_EQ(out, data);
@@ -399,10 +392,8 @@ TEST(MemDeviceTest, FailureInjection) {
   dev.FailNext(1);
   Status first;
   Status second;
-  dev.Submit(IoRequest{IoType::kRead, 0, 512, nullptr, nullptr, false,
-                       [&](const Status& s) { first = s; }});
-  dev.Submit(IoRequest{IoType::kRead, 0, 512, nullptr, nullptr, false,
-                       [&](const Status& s) { second = s; }});
+  dev.Submit(test::MakeRead(0, 512, nullptr, [&](const Status& s) { first = s; }));
+  dev.Submit(test::MakeRead(0, 512, nullptr, [&](const Status& s) { second = s; }));
   sim.RunToCompletion();
   EXPECT_EQ(first.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(second.ok());
@@ -411,8 +402,8 @@ TEST(MemDeviceTest, FailureInjection) {
 TEST(MemDeviceTest, StatsTracking) {
   sim::Simulator sim;
   MemDevice dev(&sim, 1 * kMiB);
-  dev.Submit(IoRequest{IoType::kRead, 0, 4096, nullptr, nullptr, false, [](const Status&) {}});
-  dev.Submit(IoRequest{IoType::kWrite, 0, 8192, nullptr, nullptr, false, [](const Status&) {}});
+  dev.Submit(test::MakeRead(0, 4096, nullptr, [](const Status&) {}));
+  dev.Submit(test::MakeWrite(0, 8192, {}, [](const Status&) {}));
   sim.RunToCompletion();
   EXPECT_EQ(dev.stats().reads, 1u);
   EXPECT_EQ(dev.stats().writes, 1u);
@@ -433,10 +424,10 @@ TEST(SsdModelTest, RandomReadIopsNearSpec) {
       return;
     }
     uint64_t offset = rng.Uniform(params.capacity / 4096) * 4096;
-    ssd.Submit(IoRequest{IoType::kRead, offset, 4096, nullptr, nullptr, false, [&](const Status&) {
-                           ++completed;
-                           issue();
-                         }});
+    ssd.Submit(test::MakeRead(offset, 4096, nullptr, [&](const Status&) {
+      ++completed;
+      issue();
+    }));
   };
   for (int i = 0; i < 64; ++i) {
     issue();
@@ -453,8 +444,7 @@ TEST(SsdModelTest, Qd1LatencyIncludesController) {
   SsdParams params;
   SsdModel ssd(&sim, params);
   Nanos t = 0;
-  ssd.Submit(IoRequest{IoType::kRead, 0, 4096, nullptr, nullptr, false,
-                       [&](const Status&) { t = sim.Now(); }});
+  ssd.Submit(test::MakeRead(0, 4096, nullptr, [&](const Status&) { t = sim.Now(); }));
   sim.RunToCompletion();
   // ~ overhead + transfer + controller latency: expect 60..150 us.
   EXPECT_GT(t, usec(60));
@@ -473,11 +463,11 @@ TEST(SsdModelTest, SequentialThroughputNearSpec) {
       return;
     }
     uint64_t len = 1 * kMiB;
-    ssd.Submit(IoRequest{IoType::kRead, offset % (params.capacity - len), len, nullptr, nullptr,
-                         false, [&, len](const Status&) {
-                           bytes += len;
-                           issue();
-                         }});
+    ssd.Submit(test::MakeRead(offset % (params.capacity - len), len, nullptr,
+                              [&, len](const Status&) {
+                                bytes += len;
+                                issue();
+                              }));
     offset += len;
   };
   for (int i = 0; i < 16; ++i) {
@@ -504,10 +494,10 @@ TEST(HddModelTest, RandomVsSequentialGap) {
       return;
     }
     uint64_t offset = rng.Uniform(params.capacity / 4096) * 4096;
-    hdd.Submit(IoRequest{IoType::kWrite, offset, 4096, nullptr, nullptr, false, [&](const Status&) {
-                           ++done;
-                           issue_random();
-                         }});
+    hdd.Submit(test::MakeWrite(offset, 4096, {}, [&](const Status&) {
+      ++done;
+      issue_random();
+    }));
   };
   issue_random();
   sim.RunToCompletion();
@@ -525,11 +515,10 @@ TEST(HddModelTest, RandomVsSequentialGap) {
     if (done >= 100) {
       return;
     }
-    hdd.Submit(IoRequest{IoType::kWrite, seq_off, 1 * kMiB, nullptr, nullptr, false,
-                         [&](const Status&) {
-                           ++done;
-                           issue_seq();
-                         }});
+    hdd.Submit(test::MakeWrite(seq_off, 1 * kMiB, {}, [&](const Status&) {
+      ++done;
+      issue_seq();
+    }));
     seq_off += 1 * kMiB;
   };
   issue_seq();
@@ -554,8 +543,7 @@ TEST(HddModelTest, ElevatorBeatsFifoForBatch) {
   Nanos start = sim.Now();
   int done = 0;
   for (uint64_t off : offsets) {
-    hdd.Submit(IoRequest{IoType::kWrite, off, 4096, nullptr, nullptr, false,
-                         [&](const Status&) { ++done; }});
+    hdd.Submit(test::MakeWrite(off, 4096, {}, [&](const Status&) { ++done; }));
   }
   sim.RunToCompletion();
   Nanos batch_time = sim.Now() - start;
@@ -568,8 +556,7 @@ TEST(HddModelTest, ElevatorBeatsFifoForBatch) {
     if (idx >= offsets.size()) {
       return;
     }
-    hdd2.Submit(IoRequest{IoType::kWrite, offsets[idx++], 4096, nullptr, nullptr, false,
-                          [&](const Status&) { one_by_one(); }});
+    hdd2.Submit(test::MakeWrite(offsets[idx++], 4096, {}, [&](const Status&) { one_by_one(); }));
   };
   one_by_one();
   sim.RunToCompletion();
@@ -581,7 +568,7 @@ TEST(HddModelTest, IdleFlag) {
   sim::Simulator sim;
   HddModel hdd(&sim, HddParams{});
   EXPECT_TRUE(hdd.idle());
-  hdd.Submit(IoRequest{IoType::kWrite, 0, 4096, nullptr, nullptr, false, [](const Status&) {}});
+  hdd.Submit(test::MakeWrite(0, 4096, {}, [](const Status&) {}));
   EXPECT_FALSE(hdd.idle());
   sim.RunToCompletion();
   EXPECT_TRUE(hdd.idle());
@@ -612,7 +599,7 @@ TEST(ChunkStoreTest, ReusedSlotReadsZeros) {
   const uint64_t slot = store.SlotOffset(1);
   auto data = test::Pattern(64 * kKiB, 15);
   Status wrote = Internal("pending");
-  store.Write(1, 0, data.size(), data.data(), [&](const Status& s) { wrote = s; });
+  store.Write(1, 0, data.size(), test::Payload(data), [&](const Status& s) { wrote = s; });
   sim.RunToCompletion();
   ASSERT_TRUE(wrote.ok());
   ASSERT_TRUE(store.Free(1).ok());
@@ -646,8 +633,8 @@ TEST(ChunkStoreTest, IoRoundTripAndIsolation) {
 
   auto a = test::Pattern(4096, 10);
   auto b = test::Pattern(4096, 20);
-  store.Write(1, 0, 4096, a.data(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
-  store.Write(2, 0, 4096, b.data(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  store.Write(1, 0, 4096, test::Payload(a), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  store.Write(2, 0, 4096, test::Payload(b), [](const Status& s) { ASSERT_TRUE(s.ok()); });
   sim.RunToCompletion();
 
   std::vector<uint8_t> out(4096);

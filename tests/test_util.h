@@ -57,6 +57,40 @@ inline std::vector<uint8_t> Pattern(size_t length, uint64_t seed) {
   return out;
 }
 
+// A write payload holding a copy of `bytes`: raw test bytes enter the system
+// here, as one Buffer every hop below shares.
+inline Buffer Payload(const std::vector<uint8_t>& bytes) {
+  return Buffer::CopyOf(bytes.data(), bytes.size());
+}
+
+// One device read of [offset, offset + length) into `out` (null:
+// timing-only).
+inline storage::IoRequest MakeRead(uint64_t offset, uint64_t length, void* out,
+                                   storage::IoCallback done, storage::IoTag tag = {}) {
+  storage::IoRequest req;
+  req.type = storage::IoType::kRead;
+  req.offset = offset;
+  req.length = length;
+  req.out = out;
+  req.done = std::move(done);
+  req.tag = tag;
+  return req;
+}
+
+// One device write of `data` (`length` bytes, or a null view: timing-only)
+// at `offset`.
+inline storage::IoRequest MakeWrite(uint64_t offset, uint64_t length, BufferView data,
+                                    storage::IoCallback done, storage::IoTag tag = {}) {
+  storage::IoRequest req;
+  req.type = storage::IoType::kWrite;
+  req.offset = offset;
+  req.length = length;
+  req.data = std::move(data);
+  req.done = std::move(done);
+  req.tag = tag;
+  return req;
+}
+
 // A pass-through QoS gate whose backpressure a test controls: once
 // `trip_after` writes of class `cls` have been submitted it reports the class
 // past its high watermark, and it parks WhenReady callbacks until Open()

@@ -112,7 +112,7 @@ class TierModelHarness {
   void WriteChecked(uint64_t offset, const std::vector<uint8_t>& data) {
     bool finished = false;
     Status status = Internal("pending");
-    disk_->Write(offset, data.size(), data.data(), [&](const Status& s) {
+    disk_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) {
       status = s;
       finished = true;
     });

@@ -381,7 +381,7 @@ class TierClusterTest : public ::testing::Test {
 
   Status WriteSync(uint64_t offset, const std::vector<uint8_t>& data) {
     Status out = Internal("pending");
-    disk_->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    disk_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + sec(10));
     return out;
   }
@@ -814,7 +814,7 @@ TEST_F(TierClusterTest, SpeculativeWriteOpensClosedPromotion) {
   auto patch = test::Pattern(64 * kKiB, 83);
   bool acked = false;
   Status write = Internal("pending");
-  disk_->Write(128 * kKiB, patch.size(), patch.data(), [&](const Status& s) {
+  disk_->Write(128 * kKiB, patch.size(), test::Payload(patch), [&](const Status& s) {
     write = s;
     acked = true;
   });
@@ -873,7 +873,7 @@ TEST_F(TierClusterTest, WrittenClosedPromotionRetriesInsteadOfRollingBack) {
   auto patch = test::Pattern(64 * kKiB, 87);
   bool acked = false;
   Status write = Internal("pending");
-  disk_->Write(128 * kKiB, patch.size(), patch.data(), [&](const Status& s) {
+  disk_->Write(128 * kKiB, patch.size(), test::Payload(patch), [&](const Status& s) {
     write = s;
     acked = true;
   });

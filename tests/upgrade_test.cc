@@ -24,7 +24,7 @@ class UpgradeTest : public ::testing::Test {
 
   Status WriteSync(uint64_t offset, const std::vector<uint8_t>& data, Nanos budget = sec(5)) {
     Status out = Internal("pending");
-    disk_->Write(offset, data.size(), data.data(), [&](const Status& s) { out = s; });
+    disk_->Write(offset, data.size(), test::Payload(data), [&](const Status& s) { out = s; });
     sim_.RunUntil(sim_.Now() + budget);
     return out;
   }
@@ -147,7 +147,7 @@ TEST_F(UpgradeTest, ClientUpgradeBuffersAndResumesIo) {
   // I/O issued during the upgrade is buffered, not dropped.
   auto data2 = test::Pattern(4096, 4);
   Status write_status = Internal("pending");
-  disk_->Write(0, data2.size(), data2.data(), [&](const Status& s) { write_status = s; });
+  disk_->Write(0, data2.size(), test::Payload(data2), [&](const Status& s) { write_status = s; });
 
   sim_.RunUntil(sim_.Now() + sec(2));
   EXPECT_TRUE(upgraded);
@@ -195,7 +195,7 @@ TEST_F(UpgradeTest, MasterRateLimitThrottlesClientWrites) {
     int completed = 0;
     auto data = test::Pattern(4096, 5);
     for (int i = 0; i < 50; ++i) {
-      disk_->Write((i % 64) * 4096, data.size(), data.data(),
+      disk_->Write((i % 64) * 4096, data.size(), test::Payload(data),
                    [&](const Status& s) { completed += s.ok() ? 1 : 0; });
     }
     while (completed < 50 && sim_.Step(INT64_MAX)) {
