@@ -7,7 +7,7 @@
 namespace ursa::cluster {
 
 Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
-    : sim_(sim), config_(config), tracer_(static_cast<uint32_t>(config.trace_sample_every)) {
+    : sim_(sim), config_(config) {
   transport_ = std::make_unique<net::Transport>(sim);
   transport_->RegisterMetrics(&metrics_);
 
@@ -380,7 +380,7 @@ void Cluster::BuildHybridMachine(Machine* machine) {
   std::vector<uint64_t> ssd_journal_cursor(nssd, chunk_region);
   for (int k = 0; k < nhdd; ++k) {
     storage::HddModel& hdd = machine->hdd(k);
-    uint64_t hdd_journal = config_.enable_hdd_journal ? config_.hdd_journal_bytes : 0;
+    const uint64_t hdd_journal = config_.hdd_journal_bytes;
     stores_.push_back(std::make_unique<storage::ChunkStore>(
         &hdd, config_.chunk_size, hdd_journal, hdd.capacity() - hdd_journal));
     storage::ChunkStore* backup_store = stores_.back().get();
@@ -409,15 +409,12 @@ void Cluster::BuildHybridMachine(Machine* machine) {
       ssd_journal_cursor[expansion_ssd] += region_bytes;
     }
 
-    if (config_.enable_hdd_journal) {
-      // As an overflow journal it is replayed only when the disk is idle
-      // (§3.2); as the PRIMARY journal (ablation) it replays continuously,
-      // contending with appends on the same arm — the cost §3.2 avoids.
-      jm->AddJournal(std::make_unique<journal::JournalWriter>(
-                         sim_, &hdd, 0, hdd_journal,
-                         machine->name() + "/j-hdd" + std::to_string(k)),
-                     /*on_hdd=*/config_.journal_primary_on_ssd);
-    }
+    // As an overflow journal it is replayed only when the disk is idle
+    // (§3.2); as the PRIMARY journal (ablation) it replays continuously,
+    // contending with appends on the same arm — the cost §3.2 avoids.
+    jm->AddJournal(std::make_unique<journal::JournalWriter>(
+                       sim_, &hdd, 0, hdd_journal, machine->name() + "/j-hdd" + std::to_string(k)),
+                   /*on_hdd=*/config_.journal_primary_on_ssd);
 
     journal_manager_ptrs_.push_back(jm.get());
     journal_managers_.push_back(std::move(jm));

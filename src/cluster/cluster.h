@@ -43,15 +43,11 @@ struct ClusterConfig {
   double journal_quota_fraction = 0.1;  // of SSD capacity (§3.2)
   uint64_t hdd_journal_bytes = 4 * kGiB;
   uint64_t chunk_size = storage::kDefaultChunkSize;
-  bool enable_hdd_journal = true;
   bool enable_expansion_journal = true;
   // Ablation knob: place the primary journal on the backup HDD itself
   // instead of a co-located SSD (§3.2 argues SSD placement; this measures
   // what it buys).
   bool journal_primary_on_ssd = true;
-  // Request tracing: sample every Nth client I/O into a latency-breakdown
-  // span (0 = tracing off; 1 = every request). See obs::Tracer.
-  uint64_t trace_sample_every = 0;
   // Per-device QoS scheduling (src/qos). When `qos.enabled`, every SSD and
   // HDD gets an IoScheduler gate arbitrating service classes.
   qos::QosConfig qos;

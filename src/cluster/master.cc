@@ -11,13 +11,6 @@
 namespace ursa::cluster {
 
 namespace {
-// Preference order within a replica set: healthy SSD, healthy HDD, demoted
-// SSD, demoted HDD. Lower rank = preferred (primary selection, recovery
-// sources, layout ordering).
-int ReplicaRank(const ReplicaRef& r) {
-  return (r.demoted ? 2 : 0) + (r.on_ssd ? 0 : 1);
-}
-
 // The health score a device must reach before PreferReplica lets it break a
 // rank tie.
 constexpr double kHealthScoreDeadband = 1.5;

@@ -50,6 +50,14 @@ struct ReplicaRef {
   bool demoted = false;
 };
 
+// Preference order within a replica set (DESIGN.md §10): healthy SSD,
+// healthy HDD, demoted SSD, demoted HDD. Lower rank = preferred: the master
+// orders layouts, picks primaries and recovery sources by it, and the client
+// steers its primary by it.
+inline int ReplicaRank(const ReplicaRef& r) {
+  return (r.demoted ? 2 : 0) + (r.on_ssd ? 0 : 1);
+}
+
 // Placement tier of a chunk (DESIGN.md §13): hot chunks are 3-way
 // replicated; cold chunks are demoted to a k+m Reed-Solomon stripe and
 // promoted back to replication on write (or on renewed read heat).

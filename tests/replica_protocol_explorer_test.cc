@@ -19,7 +19,9 @@
 //     a write which failed for good;
 //   * every order of delivery of every message, with any message delayed
 //     forever, and request and commit timeouts (the client's and the
-//     primary's).
+//     primary's);
+//   * at most 1 duplicated reply: a leg's or a backup's reply delivered a
+//     second time, at any later point.
 // The searched client is VirtualDisk::HandleAttemptFailure with
 // max_attempts = 2 and primary_switch_hysteresis = 1: a mismatch resyncs
 // and steers at the freshest replica, a timeout switches the primary and
@@ -30,6 +32,7 @@
 //     any replica that passes the read check for the client's version under
 //     the client's or the master's view;
 //   * each write is applied at most once per replica;
+//   * each quorum counts each of its legs once, duplicates included;
 //   * no acked write is lost: an alive member of the layout holds it;
 //   * from every end state, a fault-free write still commits, in both forms,
 //     with the client's default 4 attempts and the master healing between
@@ -84,11 +87,12 @@ struct Msg {
   uint64_t view = 0;
   uint64_t version = 0;  // requests: the version sent; kWriteReply: replied
   uint64_t write_id = 0;
+  bool duplicate = false;  // a reply's second copy, delivered after the first
 
   // The message's fields as bytes, free of padding.
   std::string Key() const {
     std::string k{static_cast<char>(kind), static_cast<char>(slot), static_cast<char>(gen),
-                  static_cast<char>(pw), static_cast<char>(code)};
+                  static_cast<char>(pw), static_cast<char>(code), static_cast<char>(duplicate)};
     for (uint64_t v : {view, version, write_id}) {
       k.append(reinterpret_cast<const char*>(&v), sizeof(v));
     }
@@ -159,7 +163,7 @@ struct Model {
   std::vector<Msg> net;
   std::array<PrimaryWrite, kMaxAttempts> writes;  // one per client attempt at most
   MasterJob replace;
-  uint8_t crashes = 1, switches = 1, view_changes = 1;
+  uint8_t crashes = 1, switches = 1, view_changes = 1, duplicates = 1;
   uint8_t last_invoked = 0, last_acked = 0;
   // Not part of the state's identity: every future check depends on the
   // history only through last_invoked / last_acked.
@@ -212,7 +216,7 @@ uint64_t Hash(const Model& m) {
   const MasterJob& j = m.replace;
   put(j.active), put(j.pos), put(j.target), put(j.source), put(j.fresh.version);
   put(j.fresh.last_write_id);
-  put(m.crashes), put(m.switches), put(m.view_changes);
+  put(m.crashes), put(m.switches), put(m.view_changes), put(m.duplicates);
   put(m.last_invoked), put(m.last_acked);
   return std::hash<std::string>{}(b);
 }
@@ -413,7 +417,8 @@ bool Deliver(Model& m, size_t i, std::string* violation) {
       return true;
     }
     case Kind::kLegReply: {
-      if (!c.pending || msg.gen != c.gen) {
+      // VirtualDisk::OnLegReply: a repeated leg must not reach saw_mismatch.
+      if (!c.pending || msg.gen != c.gen || c.quorum.counted(msg.pw)) {
         return true;
       }
       c.saw_mismatch = c.saw_mismatch || msg.code == StatusCode::kVersionMismatch;
@@ -551,7 +556,8 @@ void Repair(Model& m, uint8_t laggard) {
 
 // Keeps the search to states that differ in what can still happen. Drops
 // the messages whose delivery changes nothing (replies to a decided attempt
-// or primary write, requests to a crashed server), and strips a request
+// or primary write, a leg's first reply once the leg counted, requests to a
+// crashed server), and strips a request
 // whose reply nobody waits for of its reply address. Two such requests that
 // are then equal are one: once one is delivered, the other can only be
 // refused, as a replica's version never goes down.
@@ -561,12 +567,12 @@ void Prune(Model& m) {
   std::erase_if(m.net, [&m, &c, &waited](const Msg& msg) {
     switch (msg.kind) {
       case Kind::kLegReply:
-        return !waited(msg) || c.quorum.counted(msg.pw);
+        return !waited(msg) || (c.quorum.counted(msg.pw) && !msg.duplicate);
       case Kind::kWriteReply:
         return !waited(msg);
       case Kind::kForwardReply:
         return msg.pw == kNone || !m.writes[msg.pw / 2].live ||
-               m.writes[msg.pw / 2].quorum.counted(1 + msg.pw % 2);
+               (m.writes[msg.pw / 2].quorum.counted(1 + msg.pw % 2) && !msg.duplicate);
       default:
         return m.replicas[msg.slot].crashed;
     }
@@ -605,8 +611,26 @@ void Prune(Model& m) {
 
 // ---- Checks ----
 
+// True when the quorum counted each leg at most once (§4.1): its tallies add
+// up to the legs it marked counted.
+bool CountsEachLegOnce(const WriteQuorum& q) {
+  int legs = 0;
+  for (int leg = 0; leg < kReplicas; ++leg) {
+    legs += q.counted(leg) ? 1 : 0;
+  }
+  return q.successes() + q.failures() == legs;
+}
+
 std::string CheckState(const Model& m) {
   const Client& c = m.client;
+  if (!CountsEachLegOnce(c.quorum)) {
+    return "the client's quorum counted a leg twice";
+  }
+  for (const PrimaryWrite& w : m.writes) {
+    if (!CountsEachLegOnce(w.quorum)) {
+      return "a primary's quorum counted a backup twice";
+    }
+  }
   for (uint64_t view : {c.view, m.view}) {
     for (uint8_t slot = 0; slot < kSlots; ++slot) {
       const Replica& r = m.replicas[slot];
@@ -667,9 +691,9 @@ std::string Describe(const Msg& msg) {
   static const char* const kNames[] = {"leg",     "leg reply",     "write",
                                        "forward", "forward reply", "write reply"};
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s slot %u gen %u (view %llu version %llu id %llu code %d)",
-                kNames[static_cast<int>(msg.kind)], msg.slot, msg.gen,
-                static_cast<unsigned long long>(msg.view),
+  std::snprintf(buf, sizeof(buf), "%s%s slot %u gen %u (view %llu version %llu id %llu code %d)",
+                msg.duplicate ? "duplicate " : "", kNames[static_cast<int>(msg.kind)], msg.slot,
+                msg.gen, static_cast<unsigned long long>(msg.view),
                 static_cast<unsigned long long>(msg.version),
                 static_cast<unsigned long long>(msg.write_id), static_cast<int>(msg.code));
   return buf;
@@ -825,6 +849,19 @@ class Explorer {
       // with it still in flight has every future of the state without it.
       Try(m, "deliver " + what,
           [i](Model& n, std::string* violation) { return Deliver(n, i, violation); });
+      // The network duplicates a reply: one copy lands now, the other stays
+      // in flight, for any later delivery.
+      const Kind kind = m.net[i].kind;
+      if (m.duplicates > 0 && !m.net[i].duplicate &&
+          (kind == Kind::kLegReply || kind == Kind::kForwardReply)) {
+        Try(m, "deliver and duplicate " + what, [i](Model& n, std::string* violation) {
+          --n.duplicates;
+          Msg copy = n.net[i];
+          copy.duplicate = true;
+          n.net.push_back(copy);
+          return Deliver(n, i, violation);
+        });
+      }
     }
     if (c.pending && !c.primary_driven && !c.quorum.expired()) {
       Try(m, "client commit timeout", [](Model& n, std::string*) {
