@@ -330,7 +330,8 @@ PageStoreResult BenchPageStore() {
   double write1m = kLargeOps / Seconds(t0, t1);
 
   // 64 MiB of 1 MiB extents, each split by a 512-byte write every 2 KiB, so
-  // a 4 KiB read at a random byte offset crosses four or five extents.
+  // a 4 KiB read at a random byte offset crosses four or five extents and
+  // is assembled into a fresh Buffer.
   constexpr uint64_t kSplitSpace = 64u << 20;
   storage::PageStore split;
   for (uint64_t off = 0; off < kSplitSpace; off += 1u << 20) {
@@ -342,11 +343,10 @@ PageStoreResult BenchPageStore() {
   for (uint64_t& off : offsets) {
     off = rng.Uniform(kSplitSpace - 4096);
   }
-  std::vector<uint8_t> out(4096);
   t0 = Clock::now();
   for (uint64_t off : offsets) {
-    split.Read(off, out.data(), out.size());
-    sink = sink + out[0];
+    BufferView view = split.ReadView(off, 4096);
+    sink = sink + view.data()[0];
   }
   t1 = Clock::now();
   double read4k = kSmallOps / Seconds(t0, t1);
@@ -440,7 +440,7 @@ double BenchQosSsd() {
   qos::QosConfig config;
   config.enabled = true;
   qos::IoScheduler sched(&sim, &ssd, config, /*device_depth=*/8, "ssd");
-  std::vector<uint8_t> out(4096);
+  BufferView out;
   Rng rng(17);
   int issued = 0;
   int completed = 0;
@@ -449,7 +449,7 @@ double BenchQosSsd() {
     req.type = issued % 2 == 0 ? storage::IoType::kRead : storage::IoType::kWrite;
     req.offset = rng.Uniform(kSpan / 4096) * 4096;
     req.length = 4096;
-    req.out = req.type == storage::IoType::kRead ? out.data() : nullptr;
+    req.out_view = req.type == storage::IoType::kRead ? &out : nullptr;
     req.tag.tenant = 1 + issued % 4 / 2;
     req.done = [&](const Status&) {
       ++completed;
@@ -507,7 +507,7 @@ double BenchServerReplicate() {
     for (const cluster::ReplicaRef& r : layout.replicas) {
       cluster.server(r.server)->HandleReplicate(
           layout.chunk, 0, 4096, layout.view, slots[c].version, payload.View(),
-          [&, c](const Status& s, uint64_t) {
+          [&, c](const Status& s, uint64_t, const BufferView&) {
             URSA_CHECK(s.ok()) << s.ToString();
             if (++slots[c].acks < 3) {
               return;

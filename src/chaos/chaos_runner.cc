@@ -189,7 +189,7 @@ ChaosReport RunChaos(const ChaosPlan& plan) {
         continue;
       }
       uint64_t version0 = 0;
-      std::vector<std::vector<uint8_t>> images;
+      std::vector<BufferView> images;
       for (size_t r = 0; r < layout.replicas.size(); ++r) {
         cluster::ChunkServer* server = cluster.server(layout.replicas[r].server);
         Result<cluster::ReplicaState> st = server->GetState(layout.chunk);
@@ -205,18 +205,22 @@ ChaosReport RunChaos(const ChaosPlan& plan) {
                               std::to_string(r) + " at " + std::to_string(st->version) +
                               " vs " + std::to_string(version0));
         }
-        images.emplace_back(meta->chunk_size, 0);
-        auto read_ok = std::make_shared<Status>(Unavailable("recovery read never completed"));
-        server->HandleRecoveryRead(layout.chunk, 0, meta->chunk_size, images.back().data(),
-                                   [read_ok](const Status& s, uint64_t) { *read_ok = s; });
+        auto read = std::make_shared<std::pair<Status, BufferView>>(
+            Unavailable("recovery read never completed"), BufferView());
+        server->HandleRecoveryRead(
+            layout.chunk, 0, meta->chunk_size,
+            [read](const Status& s, uint64_t, const BufferView& bytes) { *read = {s, bytes}; });
         sim.RunUntil(sim.Now() + sec(2));
-        if (!read_ok->ok()) {
+        if (!read->first.ok()) {
           problems->push_back("chunk " + std::to_string(layout.chunk) + " replica " +
-                              std::to_string(r) + " recovery read: " + read_ok->ToString());
+                              std::to_string(r) + " recovery read: " + read->first.ToString());
         }
+        // A replica that did not serve its image compares as zeros.
+        images.push_back(read->first.ok() ? read->second
+                                          : Buffer::AllocateZeroed(meta->chunk_size).View());
       }
       for (size_t r = 1; r < images.size(); ++r) {
-        if (images[r] != images[0]) {
+        if (std::memcmp(images[r].data(), images[0].data(), meta->chunk_size) != 0) {
           problems->push_back("chunk " + std::to_string(layout.chunk) + " replica " +
                               std::to_string(r) + " bytes diverge from replica 0");
         }

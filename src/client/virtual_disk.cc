@@ -197,7 +197,7 @@ void VirtualDisk::Read(uint64_t offset, uint64_t length, void* out, storage::IoC
   rec.offset = offset;
   rec.length = length;
   rec.out = out;
-  rec.done = std::make_shared<storage::IoCallback>(std::move(done));
+  rec.done = std::move(done);
   StartRead(op);
 }
 
@@ -209,7 +209,7 @@ void VirtualDisk::Write(uint64_t offset, uint64_t length, ursa::BufferView data,
   rec.offset = offset;
   rec.length = length;
   rec.data = std::move(data);
-  rec.done = std::make_shared<storage::IoCallback>(std::move(done));
+  rec.done = std::move(done);
   StartWrite(op);
 }
 
@@ -365,11 +365,11 @@ void VirtualDisk::FinishOp(uint32_t op) {
   if (rec.span != nullptr) {
     cluster_->tracer().FinishSpan(rec.span, sim_->Now());
   }
-  std::shared_ptr<storage::IoCallback> done = std::move(rec.done);
+  storage::IoCallback done = std::move(rec.done);
   Status status = std::move(rec.first_error);
   Release(ops_, op);
   --inflight_user_ops_;
-  (*done)(status);
+  done(status);
 }
 
 // ---- Reads ----
@@ -550,14 +550,12 @@ void VirtualDisk::StartDegradedRead(uint32_t p) {
   // One contiguous survivor buffer: slot i holds source i's [off, off+len)
   // range. Reconstruction is positional per byte, so reading the SAME range
   // from k peers is enough to rebuild the missing shard's range.
-  if (piece.out != nullptr) {
-    piece.survivors = std::make_shared<std::vector<uint8_t>>(piece.sources.size() * piece.length);
-  }
+  piece.survivors.resize(piece.out == nullptr ? 0 : piece.sources.size() * piece.length);
   piece.pending = static_cast<uint32_t>(piece.sources.size());
   piece.status = Status();
   for (size_t i = 0; i < piece.sources.size(); ++i) {
     const cluster::EcShardRef& ref = layout.ec_shards[piece.sources[i]];
-    void* dst = piece.survivors == nullptr ? nullptr : piece.survivors->data() + i * piece.length;
+    void* dst = piece.survivors.empty() ? nullptr : piece.survivors.data() + i * piece.length;
     uint32_t q = AcquirePiece(piece.sub, PieceKind::kSurvivor, piece.offset, piece.length, dst);
     PieceRecord& survivor = pieces_[q];
     survivor.degraded = p;
@@ -597,22 +595,22 @@ void VirtualDisk::DeliverPiece(uint32_t p, uint32_t gen) {
   if (server == nullptr) {
     return;  // the timeout handles it
   }
-  // A survivor piece also holds the survivor buffer until the server has
-  // written into it.
-  auto served = [this, p, gen, keep = UserCallback(piece.sub),
-                 buf = piece.kind == PieceKind::kSurvivor ? pieces_[piece.degraded].survivors
-                                                          : nullptr](const Status& s, uint64_t) {
-    OnPieceServed(p, gen, s);
+  auto served = [this, p, gen](const Status& s, uint64_t, const ursa::BufferView& data) {
+    OnPieceServed(p, gen, s, data);
   };
   static_assert(InlineFn::kFitsInline<decltype(served)>);
-  server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version, piece.out,
-                     served, SubSpan(piece.sub));
+  server->HandleRead(piece.chunk, piece.offset, piece.length, piece.view, piece.version, served,
+                     SubSpan(piece.sub));
 }
 
-void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status) {
+void VirtualDisk::OnPieceServed(uint32_t p, uint32_t gen, const Status& status,
+                                const ursa::BufferView& data) {
   PieceRecord& piece = pieces_[p];
   if (piece.gen != gen) {
     return;  // a late or duplicated request; the piece already finished
+  }
+  if (status.ok() && piece.out != nullptr) {
+    std::copy_n(data.data(), piece.length, static_cast<uint8_t*>(piece.out));
   }
   uint64_t bytes = status.ok() ? piece.length : 0;
   auto reply = [this, p, gen, st = status]() {
@@ -707,12 +705,12 @@ void VirtualDisk::OnSurvivorDone(uint32_t p, const Status& status) {
     FinishPiece(p, piece.status);
     return;
   }
-  if (piece.out != nullptr && piece.survivors != nullptr) {
+  if (piece.out != nullptr) {
     const int k = static_cast<int>(piece.sources.size());
     const int n = k + piece.ec_m;
     std::vector<const uint8_t*> shards(n, nullptr);
     for (size_t i = 0; i < piece.sources.size(); ++i) {
-      shards[piece.sources[i]] = piece.survivors->data() + i * piece.length;
+      shards[piece.sources[i]] = piece.survivors.data() + i * piece.length;
     }
     std::vector<uint8_t*> rebuild(n, nullptr);
     rebuild[piece.shard] = static_cast<uint8_t*>(piece.out);
@@ -880,7 +878,7 @@ void VirtualDisk::DeliverLeg(uint32_t s, uint32_t tag) {
   if (server == nullptr) {
     return;  // silent drop; timeout/quorum handles it
   }
-  auto served = [this, s, tag](const Status& status, uint64_t) {
+  auto served = [this, s, tag](const Status& status, uint64_t, const ursa::BufferView&) {
     OnLegServed(s, tag, status.code());
   };
   static_assert(InlineFn::kFitsInline<decltype(served)>);
@@ -965,8 +963,8 @@ void VirtualDisk::DeliverPrimaryWrite(uint32_t s, uint32_t gen) {
   if (server == nullptr) {
     return;
   }
-  auto served = [this, s, gen](const Status& status, uint64_t new_version) {
-    OnPrimaryServed(s, gen, status, new_version);
+  auto served = [this, s, gen](const Status& st, uint64_t version, const ursa::BufferView&) {
+    OnPrimaryServed(s, gen, st, version);
   };
   static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleWrite(rec.chunk, rec.sub.chunk_offset, rec.sub.length, rec.view, rec.version,

@@ -87,11 +87,14 @@ class VirtualDisk {
   uint64_t size() const { return meta_.size; }
   bool is_open() const { return open_; }
 
-  // Async block I/O. Offsets/lengths must be 512-byte aligned. A read's
-  // `out` (when non-null) must outlive the callback. A write's payload is a
-  // view of `length` bytes, shared zero-copy down the whole stack (sub-
-  // requests slice it; replication legs ref it; every replica's device keeps
-  // it); a null view is a timing-only write.
+  // Async block I/O. Offsets/lengths must be 512-byte aligned. A read is the
+  // edge that takes caller memory: servers reply with views of the bytes,
+  // and the client copies a piece's view into `out` (when non-null) only
+  // while that piece's request is live, so `out` is written only before
+  // `done` runs, and the caller may reuse or free it from `done`. A write's
+  // payload is a view of `length` bytes, shared zero-copy down the whole
+  // stack (sub-requests slice it; replication legs ref it; every replica's
+  // device keeps it); a null view is a timing-only write.
   void Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done);
   void Write(uint64_t offset, uint64_t length, ursa::BufferView data, storage::IoCallback done);
 
@@ -143,9 +146,8 @@ class VirtualDisk {
 
   // ---- Pooled per-op state (DESIGN.md §8) ----
   // Every closure the client hands to the simulator, the loop, the transport
-  // or a chunk server captures (this, record index, generation tag); chunk-
-  // server read callbacks also hold the user callback (see OpRecord::done).
-  // A record's generation advances when the read RPC or write attempt it
+  // or a chunk server captures (this, record index, generation tag). A
+  // record's generation advances when the read RPC or write attempt it
   // tracks is decided and again when the record is released, so a late
   // timeout, a stale reply or a chaos duplicate finds a different tag and is
   // dropped: it can never complete a recycled record or a later attempt.
@@ -174,13 +176,7 @@ class VirtualDisk {
     uint64_t length = 0;
     void* out = nullptr;    // read destination (may be null)
     ursa::BufferView data;  // write payload, until it is sliced into subs
-    // Shared with every chunk-server callback of a read's pieces: a server
-    // may still write into `out` after a timeout retired its request, so the
-    // user callback, and any buffer it owns, lives until the last server
-    // lets go of the op. Callers that free `out` from the callback rely on
-    // this. A write's servers hold its payload view, never the caller's
-    // memory, so write legs take no pin.
-    std::shared_ptr<storage::IoCallback> done;
+    storage::IoCallback done;
     obs::SpanRef span;
     Nanos start = 0;
     uint32_t remaining = 0;  // sub-requests still running
@@ -249,6 +245,8 @@ class VirtualDisk {
     size_t replica = 0;     // kSpec: index into spec_replicas
     uint64_t offset = 0;    // chunk or shard offset of the range
     uint64_t length = 0;
+    // Where a served view is copied (null: timing-only): the caller's `out`,
+    // or for a survivor its slot in the degraded piece's `survivors`.
     void* out = nullptr;
     // The RPC in flight.
     cluster::ServerId server = 0;
@@ -258,16 +256,15 @@ class VirtualDisk {
     uint64_t version = 0;
     sim::EventId timeout = 0;
     // kShard whose server failed: the k survivor ranges it reconstructs
-    // from. Shared with each survivor's server callback, so a late server
-    // read never lands in a recycled buffer.
-    std::shared_ptr<std::vector<uint8_t>> survivors;
+    // from, back to back (the vector keeps its capacity across reuse).
+    std::vector<uint8_t> survivors;
     std::vector<int> sources;  // the k shards read (k = sources.size())
     int ec_m = 0;
     uint32_t pending = 0;
     Status status;
     void Reset() {
       out = nullptr;
-      survivors = nullptr;
+      survivors.clear();
       sources.clear();
       status = Status();
     }
@@ -323,7 +320,9 @@ class VirtualDisk {
   // Arms the piece's timeout and sends its read request.
   void SendPiece(uint32_t p);
   void DeliverPiece(uint32_t p, uint32_t gen);
-  void OnPieceServed(uint32_t p, uint32_t gen, const Status& status);
+  // The server's reply: a live piece copies the served view into its `out`
+  // here; a stale or duplicated reply is dropped with its view.
+  void OnPieceServed(uint32_t p, uint32_t gen, const Status& s, const ursa::BufferView& data);
   // First of {reply, timeout} for the piece's RPC.
   void OnPieceDone(uint32_t p, const Status& status);
   // Retires a piece and reports `status` to whatever it feeds.
@@ -379,9 +378,6 @@ class VirtualDisk {
 
   bool SubLive(uint32_t s, uint32_t tag) { return subs_[s].gen == (tag & ~(kGenStride - 1)); }
   const obs::SpanRef& SubSpan(uint32_t s) { return ops_[subs_[s].op].span; }
-  const std::shared_ptr<storage::IoCallback>& UserCallback(uint32_t s) {
-    return ops_[subs_[s].op].done;
-  }
 
   const cluster::ChunkLayout& Layout(size_t chunk_index) const {
     return meta_.chunks[chunk_index];

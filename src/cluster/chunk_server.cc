@@ -159,7 +159,7 @@ void ChunkServer::ReplicaWrite(ChunkId chunk, uint64_t offset, uint64_t length, 
   }
 }
 
-void ChunkServer::ReplicaRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
+void ChunkServer::ReplicaRead(ChunkId chunk, uint64_t offset, uint64_t length, BufferView* out,
                               storage::IoCallback done, storage::IoTag tag) {
   if (journal_manager_ != nullptr) {
     journal_manager_->Read(chunk, offset, length, out, std::move(done), tag);
@@ -178,6 +178,7 @@ void ChunkServer::OpPool::Unref(uint32_t slot, uint32_t gen) {
   }
   // Drop what the op holds; the vectors keep their capacity for reuse.
   ++op.gen;
+  op.out = ursa::BufferView();
   op.data = ursa::BufferView();
   op.span = nullptr;
   op.done = nullptr;
@@ -201,9 +202,9 @@ uint32_t ChunkServer::Admit(ChunkId chunk, uint64_t offset, uint64_t length, uin
 
 void ChunkServer::Reply(Op& op, const Status& s, uint64_t version) {
   --inflight_ops_;
-  // The caller's reference keeps the record (and so the callback) in place
-  // while the callback runs.
-  op.done(s, version);
+  // The caller's reference keeps the record (and so the callback and the
+  // read's bytes) in place while the callback runs.
+  op.done(s, version, op.out);
   op.done = nullptr;
 }
 
@@ -215,14 +216,13 @@ void ChunkServer::Abandon(const Op& op) {
 }
 
 void ChunkServer::HandleRead(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
-                             uint64_t expected_version, void* out, ReadCallback done,
+                             uint64_t expected_version, ReadCallback done,
                              const obs::SpanRef& span) {
   if (crashed_ || draining_) {
     return;  // silence; the client's timeout machinery reacts
   }
   uint32_t slot = Admit(chunk, offset, length, view, expected_version, 0, {}, span,
                         std::move(done));
-  OpAt(slot).out = out;
   machine_->RunOnCpu(config_.cpu.server_op, [this, slot]() { ServeRead(slot); });
 }
 
@@ -254,7 +254,7 @@ void ChunkServer::ServeRead(uint32_t slot) {
   op.reply_version = r->state.version;
   op.io_start = sim_->Now();
   // The CPU stage's reference passes to the device callback.
-  ReplicaRead(op.chunk, op.offset, op.length, op.out,
+  ReplicaRead(op.chunk, op.offset, op.length, &op.out,
               [this, slot](const Status& s) { ReadDone(slot, s); },
               storage::IoTag{qos::ServiceClass::kForegroundRead, r->tenant});
 }
@@ -398,11 +398,11 @@ void ChunkServer::DeliverReplicate(const DeliverRef& ref, uint32_t b) {
   // The ack travels back over the network. Both closures hold a reference,
   // so the op outlives its commit timeout until every ack has landed or
   // been dropped: a late ack still counts toward an undecided quorum.
-  auto served = [this, ref, b, from = w.backups[b].node](const Status& s, uint64_t) {
+  auto served = [this, ref, b](const Status& s, uint64_t, const ursa::BufferView&) {
     auto ack = [this, ref, b, ok = s.ok()]() { CountLeg(ref.slot(), 1 + b, ok); };
     static_assert(InlineFn::kFitsInline<decltype(ack)>);
-    transport_->Send(from, node(), net::WireBytes(net::MessageType::kReplicateReply),
-                     std::move(ack));
+    transport_->Send(ref.op().backups[b].node, node(),
+                     net::WireBytes(net::MessageType::kReplicateReply), std::move(ack));
   };
   static_assert(InlineFn::kFitsInline<decltype(served)>);
   server->HandleReplicate(w.chunk, w.offset, w.length, w.view, w.version, w.data,
@@ -466,26 +466,29 @@ void ChunkServer::HandleVersionQuery(ChunkId chunk, StateCallback done) {
   });
 }
 
-void ChunkServer::HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
+void ChunkServer::HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t length,
                                      ReadCallback done, qos::ServiceClass cls) {
   if (crashed_) {
     return;
   }
-  machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, out, cls,
+  machine_->RunOnCpu(config_.cpu.server_op, [this, chunk, offset, length, cls,
                                              done = std::move(done)]() mutable {
     const Replica* r = Find(chunk);
     if (r == nullptr) {
-      done(NotFound("chunk not hosted here"), 0);
+      done(NotFound("chunk not hosted here"), 0, {});
       return;
     }
     uint64_t version = r->state.version;
     if (Quarantined(*r, offset, length)) {
       // A replica with known-bad bytes in range is never a repair source.
-      done(Corruption("range quarantined by scrub"), version);
+      done(Corruption("range quarantined by scrub"), version, {});
       return;
     }
-    ReplicaRead(chunk, offset, length, out,
-                [done = std::move(done), version](const Status& s) { done(s, version); },
+    auto bytes = std::make_shared<ursa::BufferView>();
+    ReplicaRead(chunk, offset, length, bytes.get(),
+                [done = std::move(done), version, bytes](const Status& s) {
+                  done(s, version, *bytes);
+                },
                 storage::IoTag{cls, r->tenant});
   });
 }

@@ -143,10 +143,14 @@ class ChunkServer {
 
   // ---- Data plane (invoked at this machine after transport delivery) ----
 
-  // A reply: status plus the replica's (read) or the new (write) version.
-  // Inline storage: a reply closure of up to InlineFn::kInlineBytes costs no
-  // heap cell, and the server keeps it in its pooled op record.
-  using ReplyCallback = InlineFunction<void(const Status&, uint64_t version)>;
+  // A reply: status, the replica's (read) or the new (write) version, and a
+  // successful read's bytes as an owned view of the range (null for a
+  // write). The receiver keeps or copies the view; the server never writes
+  // its memory, so a reply that arrives after the receiver gave up is
+  // simply dropped with its view. Inline storage: a reply closure of up to
+  // InlineFn::kInlineBytes costs no heap cell, and the server keeps it in
+  // its pooled op record.
+  using ReplyCallback = InlineFunction<void(const Status&, uint64_t, const ursa::BufferView&)>;
   using ReadCallback = ReplyCallback;
   using WriteCallback = ReplyCallback;
 
@@ -155,8 +159,7 @@ class ChunkServer {
   // `span` gets the CPU-queue time (kServerCpu) and the device read
   // (kPrimaryStorage) stamped in.
   void HandleRead(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t view,
-                  uint64_t expected_version, void* out, ReadCallback done,
-                  const obs::SpanRef& span = {});
+                  uint64_t expected_version, ReadCallback done, const obs::SpanRef& span = {});
 
   // Primary-driven write (Fig. 5): version/view checks, local chunk write,
   // parallel REPLICATE to `backups`, commit on all-success or
@@ -190,8 +193,7 @@ class ChunkServer {
   // backups); reports the replica's version alongside. `cls` is the QoS class
   // the transfer runs under — kRecovery for re-replication, kScrub for
   // corruption repair.
-  void HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
-                          ReadCallback done,
+  void HandleRecoveryRead(ChunkId chunk, uint64_t offset, uint64_t length, ReadCallback done,
                           qos::ServiceClass cls = qos::ServiceClass::kRecovery);
 
   // Recovery write at the transfer target of the data of `version` (no
@@ -247,7 +249,7 @@ class ChunkServer {
     uint64_t version = 0;  // expected (read) or base (write) version
     uint64_t write_id = 0;
     uint64_t reply_version = 0;  // what the device leg's reply reports
-    void* out = nullptr;
+    ursa::BufferView out = {};   // a read's bytes, stored by its device read
     ursa::BufferView data;
     obs::SpanRef span;
     Nanos entered = 0;   // admission (server CPU stage start)
@@ -362,7 +364,8 @@ class ChunkServer {
   void ReplicaWrite(ChunkId chunk, uint64_t offset, uint64_t length, uint64_t version,
                     ursa::BufferView data, storage::IoCallback done,
                     const obs::SpanRef& span = {}, storage::IoTag tag = {});
-  void ReplicaRead(ChunkId chunk, uint64_t offset, uint64_t length, void* out,
+  // The range's bytes land in `*out` (which must outlive `done`).
+  void ReplicaRead(ChunkId chunk, uint64_t offset, uint64_t length, ursa::BufferView* out,
                    storage::IoCallback done, storage::IoTag tag = {});
 
   sim::Simulator* sim_;

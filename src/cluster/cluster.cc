@@ -132,16 +132,18 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
 
       scrub::Scrubber::Hooks hooks;
       hooks.read = [this, server](storage::ChunkId chunk, uint64_t offset, uint64_t length,
-                                  void* out, std::function<void(const Status&)> done) {
+                                  scrub::Scrubber::ReadDone done) {
         if (server->crashed()) {
           // A crashed server drops requests silently; fail fast instead of
           // hanging the coordinator's in-flight slot.
-          sim_->After(0, [done = std::move(done)] { done(Unavailable("server crashed")); });
+          sim_->After(0, [done = std::move(done)] { done(Unavailable("server crashed"), {}); });
           return;
         }
         server->HandleRecoveryRead(
-            chunk, offset, length, out,
-            [done = std::move(done)](const Status& s2, uint64_t) { done(s2); },
+            chunk, offset, length,
+            [done = std::move(done)](const Status& s2, uint64_t, const ursa::BufferView& bytes) {
+              done(s2, bytes);
+            },
             qos::ServiceClass::kScrub);
       };
       hooks.verify = [server](storage::ChunkId chunk, uint64_t offset, uint64_t length,
@@ -159,22 +161,22 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
       hooks.report = [this, server](storage::ChunkId chunk, uint64_t offset, uint64_t length) {
         // A mismatch can be a benign race: a write landing during the
         // scrubber's bulk read leaves fresh checksums in the ledger but stale
-        // bytes in the scrub buffer. Confirm with a targeted re-read of just
+        // bytes in the view it read. Confirm with a targeted re-read of just
         // the flagged run before quarantining — at-rest damage reproduces, a
         // racing write verifies clean on the second look.
         if (server->crashed()) {
           return;  // next sweep re-checks after restore
         }
-        auto buf = std::make_shared<std::vector<uint8_t>>(length);
         server->HandleRecoveryRead(
-            chunk, offset, length, buf->data(),
-            [this, server, chunk, offset, length, buf](const Status& s, uint64_t) {
+            chunk, offset, length,
+            [this, server, chunk, offset, length](const Status& s, uint64_t,
+                                                  const ursa::BufferView& bytes) {
               if (!s.ok()) {
                 // Journal-CRC failures already quarantined + kicked repair on
                 // their own path; anything else retries next sweep.
                 return;
               }
-              if (server->checksum_store()->Verify(chunk, offset, length, buf->data()).ok) {
+              if (server->checksum_store()->Verify(chunk, offset, length, bytes.data()).ok) {
                 return;  // racing write, not corruption
               }
               // Scrub hit: quarantine first (no client ever reads the damaged

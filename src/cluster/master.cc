@@ -554,9 +554,6 @@ void Master::RunCopy(Copy copy, std::function<void()> done) {
       const Interval piece = c.pieces[st->issued++];
       Slot bytes = c.bytes;
       bytes.at += piece.offset - c.pieces.front().offset;
-      if (!bytes.buf && c.source != nullptr && c.target != nullptr && recovery_carries_data_) {
-        bytes = Slot{ursa::Buffer::Allocate(piece.length)};
-      }
       auto landed = [this, st, self = weak.lock(), len = piece.length](const Status& s) {
         Job& job = *st->copy.job;
         if (job.finished) {
@@ -576,13 +573,10 @@ void Master::RunCopy(Copy copy, std::function<void()> done) {
           (*self)();
         }
       };
-      // Sends the piece to the target and writes it there as the data of
-      // `version`; the view is cut only now, once the bytes behind it are
-      // final.
-      auto ship = [this, st, piece, bytes, landed](uint64_t version) {
+      // Sends the piece's bytes to the target and writes them there as the
+      // data of `version`.
+      auto ship = [this, st, piece, landed](uint64_t version, const ursa::BufferView& view) {
         const Copy& c = st->copy;
-        ursa::BufferView view = bytes.buf ? bytes.buf.View(bytes.at, piece.length)
-                                          : ursa::BufferView();
         net::NodeId from = c.source != nullptr ? c.source->node() : c.from;
         uint64_t wire = net::WireBytes(net::MessageType::kRecoveryData, piece.length);
         transport_->Send(from, c.target->node(), wire, [st, piece, view, version, landed]() {
@@ -592,16 +586,23 @@ void Master::RunCopy(Copy copy, std::function<void()> done) {
         });
       };
       if (c.source == nullptr) {
-        ship(c.version);
+        // The slot's bytes are final by now: the view is cut only here.
+        ship(c.version, bytes.buf ? bytes.buf.View(bytes.at, piece.length) : ursa::BufferView());
         continue;
       }
+      // The source's view goes on to the target as it is; a read-only copy
+      // lands it in its slot, while the job still runs.
       c.source->HandleRecoveryRead(
-          c.chunk, piece.offset, piece.length, bytes.data(),
-          [st, landed, ship](const Status& s, uint64_t version) {
+          c.chunk, piece.offset, piece.length,
+          [this, st, landed, ship, bytes](const Status& s, uint64_t version,
+                                          const ursa::BufferView& view) mutable {
             if (st->copy.target == nullptr || !s.ok()) {
+              if (s.ok() && bytes.buf && !st->copy.job->finished) {
+                std::copy_n(view.data(), view.size(), bytes.data());
+              }
               landed(s);
             } else if (!st->copy.job->finished) {
-              ship(version);
+              ship(version, recovery_carries_data_ ? view : ursa::BufferView());
             }
           },
           c.cls);

@@ -338,8 +338,8 @@ class Master {
   // piece is read into `bytes`; with a `target` and no `source` each piece
   // ships from node `from` out of `bytes` and is recovery-written as the data
   // of `version` (the target's write shield, if set, applies); with both,
-  // each piece is read, sent and written in its own buffer, as the data of
-  // the version the source read it at. A copy with a target pauses at the
+  // the view each piece is read as is sent and written, as the data of the
+  // version the source read it at. A copy with a target pauses at the
   // target's gate high watermark for `cls` and resumes when it drains. Each
   // landed piece is progress of the job; the copy issues nothing more once the
   // job has ended.

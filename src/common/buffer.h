@@ -6,6 +6,13 @@
 // same immutable body. Every hop that used to copy into a fresh
 // std::vector<uint8_t> now just bumps a refcount.
 //
+// A read's bytes travel back the same way: the device hands out a view of
+// what it stores (a slice of the written Buffer, or one fresh Buffer when the
+// range spans several), and every hop above passes that view on. Only the
+// edges that take caller memory (VirtualDisk::Read, EcStripeStore::Read)
+// copy a view out, once, and only for a request still live — a late or
+// duplicated reply is dropped together with its view.
+//
 // Ownership rules (see DESIGN.md "Hot paths & memory discipline"):
 //   * Buffer owns a heap block; it is mutable only until published — once a
 //     BufferView of it has been handed to another component, treat the bytes
@@ -16,7 +23,10 @@
 //   * BufferView is offset/length slice + strong ref: holding the view keeps
 //     the bytes alive. Closures capture views, never raw pointers. A view is
 //     the only way a write's bytes travel: an edge that holds raw bytes makes
-//     one Buffer of them (CopyOf, FromVector) where they enter.
+//     one Buffer of them (CopyOf, FromVector) where they enter. It is also
+//     the only way a read's bytes come back: no read below those edges takes
+//     a destination pointer, so nothing writes memory its caller may have
+//     reused.
 //   * A null view (data() == nullptr) is a timing-only payload: it carries a
 //     length through the protocol but no bytes (simulated-cost writes).
 //   * Each allocation memoizes the CRC32C of its 512-byte sectors

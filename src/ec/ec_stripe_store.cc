@@ -33,6 +33,17 @@ std::shared_ptr<Joiner> MakeJoiner(size_t n, storage::IoCallback done) {
   return j;
 }
 
+// A parity's new bytes: `old_parity` with `delta` XORed in, as a fresh
+// Buffer (empty when `delta` is: a timing-only write).
+ursa::Buffer XorInto(const ursa::BufferView& old_parity, const ursa::Buffer& delta) {
+  if (!delta) {
+    return {};
+  }
+  ursa::Buffer parity = ursa::Buffer::CopyOf(old_parity.data(), delta.size());
+  GfXorAccum(delta.data(), parity.data(), delta.size());
+  return parity;
+}
+
 }  // namespace
 
 // Freelist of recycled byte buffers. Held by shared_ptr so buffer deleters
@@ -118,15 +129,15 @@ std::vector<EcStripeStore::Extent> EcStripeStore::SplitLogical(uint64_t offset,
   return out;
 }
 
-void EcStripeStore::ShardRead(int shard, uint64_t offset, uint64_t len, void* out,
-                              storage::IoCallback done) {
+void EcStripeStore::ShardRead(int shard, uint64_t offset, uint64_t len, ReadCallback done) {
   ++stats_.shard_reads;
+  auto bytes = std::make_shared<ursa::BufferView>();
   storage::IoRequest req;
   req.type = storage::IoType::kRead;
   req.offset = offset;
   req.length = len;
-  req.out = out;
-  req.done = std::move(done);
+  req.out_view = bytes.get();
+  req.done = [bytes, done = std::move(done)](const Status& s) { done(s, *bytes); };
   devices_[shard]->Submit(std::move(req));
 }
 
@@ -315,10 +326,10 @@ void EcStripeStore::PartialWriteExtent(const Extent& ext, ursa::BufferView data,
     }
   }
   // 1. Read the old data (needed for the parity delta in every scheme).
-  auto old_data = !data ? nullptr : AcquireBuf(ext.len, false);
   ShardRead(
-      ext.shard, ext.shard_off, ext.len, old_data ? old_data->data() : nullptr,
-      [this, ext, data, old_data, done = std::move(done)](const Status& s) mutable {
+      ext.shard, ext.shard_off, ext.len,
+      [this, ext, data, done = std::move(done)](const Status& s,
+                                                const ursa::BufferView& old_data) mutable {
         if (!s.ok()) {
           done(s);
           return;
@@ -328,7 +339,7 @@ void EcStripeStore::PartialWriteExtent(const Extent& ext, ursa::BufferView data,
         if (data) {
           delta = AcquireBuf(ext.len, false);
           std::memcpy(delta->data(), data.data(), ext.len);
-          GfXorAccum(old_data->data(), delta->data(), ext.len);
+          GfXorAccum(old_data.data(), delta->data(), ext.len);
         }
         if (config_.mode == PartialWriteMode::kParixSpeculative) {
           // Remember the new value so the next overwrite skips the read.
@@ -372,20 +383,14 @@ void EcStripeStore::PartialWriteExtent(const Extent& ext, ursa::BufferView data,
             devices_[idx]->Submit(std::move(log_req));
           } else {
             // RMW: read old parity, xor in the scaled delta, write back.
-            ursa::Buffer parity_buf;
-            if (scaled) {
-              parity_buf = ursa::Buffer::Allocate(ext.len);
-            }
-            ShardRead(idx, ext.shard_off, ext.len, parity_buf.data(),
-                      [this, idx, ext, scaled, parity_buf, joiner](const Status& s2) mutable {
+            ShardRead(idx, ext.shard_off, ext.len,
+                      [this, idx, ext, scaled, joiner](const Status& s2,
+                                                       const ursa::BufferView& old_parity) {
                         if (!s2.ok()) {
                           joiner->Finish(s2);
                           return;
                         }
-                        if (parity_buf) {
-                          GfXorAccum(scaled.data(), parity_buf.data(), ext.len);
-                        }
-                        ShardWrite(idx, ext.shard_off, ext.len, parity_buf,
+                        ShardWrite(idx, ext.shard_off, ext.len, XorInto(old_parity, scaled),
                                    [joiner](const Status& s3) { joiner->Finish(s3); });
                       });
           }
@@ -398,12 +403,17 @@ void EcStripeStore::Read(uint64_t offset, uint64_t length, void* out, storage::I
   auto joiner = MakeJoiner(extents.size(), std::move(done));
   auto* dst = static_cast<uint8_t*>(out);
   for (const Extent& ext : extents) {
-    uint8_t* bytes = dst == nullptr ? nullptr : dst + ext.user_off;
+    // The one copy into the caller's memory, before its callback runs.
+    auto land = [joiner, dst, at = ext.user_off](const Status& s, const ursa::BufferView& bytes) {
+      if (s.ok() && dst != nullptr) {
+        std::memcpy(dst + at, bytes.data(), bytes.size());
+      }
+      joiner->Finish(s);
+    };
     if (alive_[ext.shard]) {
-      ShardRead(ext.shard, ext.shard_off, ext.len, bytes,
-                [joiner](const Status& s) { joiner->Finish(s); });
+      ShardRead(ext.shard, ext.shard_off, ext.len, std::move(land));
     } else {
-      DegradedReadExtent(ext, bytes, [joiner](const Status& s) { joiner->Finish(s); });
+      DegradedReadExtent(ext, std::move(land));
     }
   }
 }
@@ -426,8 +436,7 @@ const ReedSolomon::DecodePlan* EcStripeStore::PlanForDegraded(
   return &plan_cache_.emplace(std::move(key), std::move(plan)).first->second;
 }
 
-void EcStripeStore::DegradedReadExtent(const Extent& ext, uint8_t* out,
-                                       storage::IoCallback done) {
+void EcStripeStore::DegradedReadExtent(const Extent& ext, ReadCallback done) {
   ++stats_.degraded_reads;
   int n = rs_.n();
   // Read the same shard range from k surviving shards, then reconstruct.
@@ -438,56 +447,57 @@ void EcStripeStore::DegradedReadExtent(const Extent& ext, uint8_t* out,
     }
   }
   if (static_cast<int>(sources.size()) < config_.k) {
-    done(Unavailable("fewer than k shards alive"));
+    done(Unavailable("fewer than k shards alive"), {});
     return;
   }
-  struct State {
-    std::vector<std::shared_ptr<std::vector<uint8_t>>> bufs;
-  };
-  auto state = std::make_shared<State>();
-  state->bufs.resize(n);
-  auto finish = [this, ext, out, state, n, sources,
-                 done = std::move(done)](const Status& s) {
-    if (!s.ok() || out == nullptr) {
-      done(s);
-      return;
-    }
-    // Apply pending parity-log deltas to the parity buffers we read.
-    for (const LogEntry& entry : parity_log_) {
-      int idx = config_.k + entry.parity;
-      if (!state->bufs[idx] || !entry.delta) {
-        continue;
-      }
-      uint64_t lo = std::max(entry.offset, ext.shard_off);
-      uint64_t hi = std::min(entry.offset + entry.delta.size(), ext.shard_off + ext.len);
-      for (uint64_t b = lo; b < hi; ++b) {
-        (*state->bufs[idx])[b - ext.shard_off] ^= entry.delta.data()[b - entry.offset];
-      }
-    }
-    // Rebuild ONLY the shard the caller asked for, straight into its output
-    // buffer, with the plan cached for this (alive set, shard) pair.
-    const ReedSolomon::DecodePlan* plan = PlanForDegraded(ext.shard, sources);
-    if (plan == nullptr) {
-      done(Unavailable("fewer than k shards alive"));
+  auto read = std::make_shared<std::vector<ursa::BufferView>>(n);
+  auto finish = [this, ext, read, n, sources, done = std::move(done)](const Status& s) {
+    if (!s.ok()) {
+      done(s, {});
       return;
     }
     std::vector<const uint8_t*> shards(n, nullptr);
     for (int src : sources) {
-      shards[src] = state->bufs[src]->data();
+      shards[src] = (*read)[src].data();
     }
+    // Pending parity-log deltas apply to private copies of the parity reads.
+    std::vector<std::shared_ptr<std::vector<uint8_t>>> patched(n);
+    for (const LogEntry& entry : parity_log_) {
+      int idx = config_.k + entry.parity;
+      if (!(*read)[idx] || !entry.delta) {
+        continue;
+      }
+      uint64_t lo = std::max(entry.offset, ext.shard_off);
+      uint64_t hi = std::min(entry.offset + entry.delta.size(), ext.shard_off + ext.len);
+      if (lo < hi && patched[idx] == nullptr) {
+        patched[idx] = AcquireBuf(ext.len, false);
+        std::memcpy(patched[idx]->data(), shards[idx], ext.len);
+        shards[idx] = patched[idx]->data();
+      }
+      for (uint64_t b = lo; b < hi; ++b) {
+        (*patched[idx])[b - ext.shard_off] ^= entry.delta.data()[b - entry.offset];
+      }
+    }
+    // Rebuild ONLY the shard the caller asked for, with the plan cached for
+    // this (alive set, shard) pair.
+    const ReedSolomon::DecodePlan* plan = PlanForDegraded(ext.shard, sources);
+    if (plan == nullptr) {
+      done(Unavailable("fewer than k shards alive"), {});
+      return;
+    }
+    ursa::Buffer rebuilt = ursa::Buffer::Allocate(ext.len);
     std::vector<uint8_t*> rebuild(n, nullptr);
-    rebuild[ext.shard] = out;
+    rebuild[ext.shard] = rebuilt.data();
     rs_.ReconstructWith(*plan, shards, rebuild, ext.len);
-    done(OkStatus());
+    done(OkStatus(), rebuilt.View());
   };
   auto joiner = MakeJoiner(sources.size(), std::move(finish));
   for (int src : sources) {
-    if (out != nullptr) {
-      state->bufs[src] = AcquireBuf(ext.len, false);
-    }
     ShardRead(src, ext.shard_off, ext.len,
-              state->bufs[src] ? state->bufs[src]->data() : nullptr,
-              [joiner](const Status& s) { joiner->Finish(s); });
+              [read, src, joiner](const Status& s, const ursa::BufferView& bytes) {
+                (*read)[src] = bytes;
+                joiner->Finish(s);
+              });
   }
 }
 
@@ -536,22 +546,16 @@ void EcStripeStore::Flush(storage::IoCallback done) {
       continue;
     }
     uint64_t len = entry.delta ? entry.delta.size() : 512;
-    ursa::Buffer parity_buf;
-    if (entry.delta) {
-      parity_buf = ursa::Buffer::Allocate(len);
-    }
     ursa::Buffer delta = entry.delta;
     uint64_t off = entry.offset;
-    ShardRead(idx, off, len, parity_buf.data(),
-              [this, idx, off, len, delta, parity_buf, joiner](const Status& s) mutable {
+    ShardRead(idx, off, len,
+              [this, idx, off, len, delta, joiner](const Status& s,
+                                                   const ursa::BufferView& old_parity) {
                 if (!s.ok()) {
                   joiner->Finish(s);
                   return;
                 }
-                if (parity_buf) {
-                  GfXorAccum(delta.data(), parity_buf.data(), len);
-                }
-                ShardWrite(idx, off, len, parity_buf,
+                ShardWrite(idx, off, len, XorInto(old_parity, delta),
                            [joiner](const Status& s2) { joiner->Finish(s2); });
               });
   }
@@ -584,10 +588,8 @@ void EcStripeStore::RepairShard(int shard, storage::BlockDevice* replacement,
       }
       uint64_t shard_off = *row * u;
       Extent ext{*row, shard, shard_off, u, 0};
-      ursa::Buffer buf = ursa::Buffer::Allocate(u);
-      DegradedReadExtent(ext, buf.data(),
-                         [this, replacement, shard_off, u, buf, row, step = weak.lock(),
-                          done_shared](const Status& s) {
+      DegradedReadExtent(ext, [this, replacement, shard_off, u, row, step = weak.lock(),
+                               done_shared](const Status& s, const ursa::BufferView& rebuilt) {
                            if (!s.ok()) {
                              (*done_shared)(s);
                              return;
@@ -596,7 +598,7 @@ void EcStripeStore::RepairShard(int shard, storage::BlockDevice* replacement,
                            req.type = storage::IoType::kWrite;
                            req.offset = shard_off;
                            req.length = u;
-                           req.data = buf;
+                           req.data = rebuilt;
                            req.done = [row, step](const Status& s2) {
                              if (!s2.ok()) {
                                return;  // dropped; caller times out

@@ -89,7 +89,9 @@ class EcStripeStore {
   uint64_t logical_size() const { return rows_ * config_.stripe_unit * config_.k; }
 
   // Async logical I/O (512-aligned). Writes spanning rows are split; the
-  // data shards share slices of `data` (null = timing-only).
+  // data shards share slices of `data` (null = timing-only). A read is the
+  // edge that takes caller memory: each extent's view is copied into `out`
+  // (when non-null) as it lands, all before `done` runs.
   void Write(uint64_t offset, uint64_t length, ursa::BufferView data, storage::IoCallback done);
   void Read(uint64_t offset, uint64_t length, void* out, storage::IoCallback done);
 
@@ -124,8 +126,14 @@ class EcStripeStore {
 
   std::vector<Extent> SplitLogical(uint64_t offset, uint64_t length) const;
 
+  // A shard or extent read's completion: its status and, on success, the
+  // range's bytes as a view.
+  using ReadCallback = std::function<void(const Status&, const ursa::BufferView& bytes)>;
+
   void PartialWriteExtent(const Extent& ext, ursa::BufferView data, storage::IoCallback done);
-  void DegradedReadExtent(const Extent& ext, uint8_t* out, storage::IoCallback done);
+  // Reconstructs the extent of a failed shard from k survivors into a fresh
+  // Buffer.
+  void DegradedReadExtent(const Extent& ext, ReadCallback done);
 
   // Pooled scratch: recycles shard-sized buffers across async operations so
   // steady-state decode and delta math allocate nothing (see EcStats
@@ -139,7 +147,7 @@ class EcStripeStore {
   // current liveness pattern; compiled on first use per (alive set, shard).
   const ReedSolomon::DecodePlan* PlanForDegraded(int shard, const std::vector<int>& sources);
 
-  void ShardRead(int shard, uint64_t offset, uint64_t len, void* out, storage::IoCallback done);
+  void ShardRead(int shard, uint64_t offset, uint64_t len, ReadCallback done);
   void ShardWrite(int shard, uint64_t offset, uint64_t len, ursa::BufferView data,
                   storage::IoCallback done);
 

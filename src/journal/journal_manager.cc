@@ -30,6 +30,39 @@ struct Joiner {
   }
 };
 
+// One overlay read's join: each segment lands in its own view, and the last
+// to land hands the range to `*out` — the one segment's view itself, or the
+// segments copied into one Buffer. First error wins, and leaves `*out` be.
+struct OverlayRead {
+  size_t remaining;
+  Status status;
+  storage::IoCallback done;
+  ursa::BufferView* out;
+  uint64_t length;
+  std::vector<std::pair<uint64_t, ursa::BufferView>> pieces;  // {offset in range, bytes}
+
+  void Land(const Status& s) {
+    if (!s.ok() && status.ok()) {
+      status = s;
+    }
+    if (--remaining > 0) {
+      return;
+    }
+    if (status.ok() && out != nullptr) {
+      if (pieces.size() == 1) {
+        *out = std::move(pieces[0].second);
+      } else {
+        ursa::Buffer range = ursa::Buffer::Allocate(length);
+        for (const auto& [at, bytes] : pieces) {
+          std::memcpy(range.data() + at, bytes.data(), bytes.size());
+        }
+        *out = range.View();
+      }
+    }
+    done(status);
+  }
+};
+
 }  // namespace
 
 JournalManager::JournalManager(sim::Simulator* sim, storage::ChunkStore* backup_store,
@@ -240,8 +273,8 @@ void JournalManager::AppendMarkers() {
   }
 }
 
-void JournalManager::Read(storage::ChunkId chunk, uint64_t offset, uint64_t length, void* out,
-                          storage::IoCallback done, storage::IoTag tag) {
+void JournalManager::Read(storage::ChunkId chunk, uint64_t offset, uint64_t length,
+                          ursa::BufferView* out, storage::IoCallback done, storage::IoTag tag) {
   URSA_CHECK_EQ(offset % kSector, 0u);
   URSA_CHECK_EQ(length % kSector, 0u);
 
@@ -266,49 +299,49 @@ void JournalManager::Read(storage::ChunkId chunk, uint64_t offset, uint64_t leng
                                       static_cast<uint32_t>(length / kSector), 0, false});
   }
 
-  auto joiner = std::make_shared<Joiner>();
-  joiner->remaining = segments.size();
-  joiner->done = std::move(done);
-  for (const index::Segment& seg : segments) {
+  auto read = std::make_shared<OverlayRead>();
+  read->remaining = segments.size();
+  read->done = std::move(done);
+  read->out = out;
+  read->length = length;
+  read->pieces.resize(segments.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const index::Segment& seg = segments[i];
     uint64_t seg_offset = static_cast<uint64_t>(seg.offset) * kSector;
     uint64_t seg_length = static_cast<uint64_t>(seg.length) * kSector;
-    void* dest =
-        out == nullptr ? nullptr : static_cast<uint8_t*>(out) + (seg_offset - offset);
-    auto cb = [joiner](const Status& s) { joiner->Finish(s); };
+    read->pieces[i].first = seg_offset - offset;
+    ursa::BufferView* bytes = out == nullptr ? nullptr : &read->pieces[i].second;
+    auto cb = [read](const Status& s) { read->Land(s); };
     if (seg.mapped) {
       size_t k = JournalOf(seg.j_offset);
       URSA_CHECK_LT(k, journals_.size());
       uint64_t byte_off = ByteOffsetOf(seg.j_offset);
       const AppendedRecord* rec = FindPendingRecord(k, byte_off);
-      if (rec != nullptr && rec->has_data && dest != nullptr) {
+      if (rec != nullptr && rec->has_data && bytes != nullptr) {
         // Verify the covering record's CRC against the on-device bytes before
         // serving any slice of it: the stored CRC spans the whole payload, so
-        // the whole payload is read (records are <= Tj = 64 KB).
+        // the whole payload is read (records are <= Tj = 64 KB), and the
+        // segment is a slice of the verified view.
         AppendedRecord rc = *rec;
-        auto buf = std::make_shared<std::vector<uint8_t>>(rc.length);
         journals_[k].writer->ReadPayload(
-            rc.j_offset, rc.length, buf->data(),
-            [this, k, rc, buf, byte_off, seg_length, dest,
-             cb = std::move(cb)](const Status& s) mutable {
-              if (!s.ok()) {
-                cb(s);
-                return;
-              }
-              if (rc.ToHeader().ComputeCrc(buf->data()) != rc.crc) {
+            rc.j_offset, rc.length, bytes,
+            [this, k, rc, read, bytes, at = byte_off - rc.j_offset,
+             seg_length](const Status& s) {
+              if (s.ok() && rc.ToHeader().ComputeCrc(bytes->data()) != rc.crc) {
                 OnCorruptRecord(k, rc);
-                cb(Corruption("journal record failed CRC on read"));
+                read->Land(Corruption("journal record failed CRC on read"));
                 return;
               }
-              std::memcpy(dest, buf->data() + (byte_off - rc.j_offset), seg_length);
-              cb(OkStatus());
+              *bytes = bytes->Slice(at, seg_length);
+              read->Land(s);
             },
             tag);
         continue;
       }
-      journals_[k].writer->ReadPayload(byte_off, static_cast<uint32_t>(seg_length), dest,
+      journals_[k].writer->ReadPayload(byte_off, static_cast<uint32_t>(seg_length), bytes,
                                        std::move(cb), tag);
     } else {
-      backup_store_->Read(chunk, seg_offset, seg_length, dest, std::move(cb), tag);
+      backup_store_->Read(chunk, seg_offset, seg_length, bytes, std::move(cb), tag);
     }
   }
 }
@@ -775,7 +808,7 @@ void JournalManager::PrepareReplay(size_t record_pos) {
     // The read is zero-copy: the payload view shares the journal device's
     // stored bytes (the appended Buffer), and the merge writes below hand
     // slices of it on to the backup device store.
-    writer->ReadPayloadView(
+    writer->ReadPayload(
         rec.j_offset, rec.length, &r.payload,
         [this, record_pos](const Status& s) {
           URSA_CHECK(s.ok()) << "journal read failed during replay: " << s.ToString();

@@ -99,8 +99,12 @@ class JournalManager {
 
   // Reads the newest backup data: journal overlays the HDD chunk store.
   // Needed when a backup serves as temporary primary (§4.2.1) and during
-  // failure recovery. Offset/length must be sector-aligned.
-  void Read(storage::ChunkId chunk, uint64_t offset, uint64_t length, void* out,
+  // failure recovery. Offset/length must be sector-aligned. On success
+  // `*out` (which must outlive `done`; null: timing-only) holds the range as
+  // a view: a slice of the one record or chunk extent that holds it, else
+  // one Buffer the pieces are copied into. A pending record is served only
+  // after its whole payload passes its CRC.
+  void Read(storage::ChunkId chunk, uint64_t offset, uint64_t length, ursa::BufferView* out,
             storage::IoCallback done, storage::IoTag tag = {});
 
   // Begins continuous replay; reschedules itself until destroyed.

@@ -160,40 +160,27 @@ Result<uint64_t> JournalWriter::Append(storage::ChunkId chunk_id, uint32_t chunk
   return meta.j_offset;
 }
 
-storage::IoRequest JournalWriter::PayloadRead(uint64_t j_offset, uint32_t length,
-                                              storage::IoCallback done, storage::IoTag tag) const {
+void JournalWriter::ReadPayload(uint64_t j_offset, uint32_t length, ursa::BufferView* out,
+                                storage::IoCallback done, storage::IoTag tag) {
   URSA_CHECK_LE(j_offset + length, region_length_);
   storage::IoRequest req;
   req.type = storage::IoType::kRead;
   req.offset = region_offset_ + j_offset;
   req.length = length;
+  req.out_view = out;
   req.tag = tag;
   req.done = std::move(done);
-  return req;
-}
-
-void JournalWriter::ReadPayload(uint64_t j_offset, uint32_t length, void* out,
-                                storage::IoCallback done, storage::IoTag tag) {
-  storage::IoRequest req = PayloadRead(j_offset, length, std::move(done), tag);
-  req.out = out;
-  device_->Submit(std::move(req));
-}
-
-void JournalWriter::ReadPayloadView(uint64_t j_offset, uint32_t length, ursa::BufferView* out,
-                                    storage::IoCallback done, storage::IoTag tag) {
-  storage::IoRequest req = PayloadRead(j_offset, length, std::move(done), tag);
-  req.out_view = out;
   device_->Submit(std::move(req));
 }
 
 void JournalWriter::Scan(ScanCallback done) {
   // Read the full region, then walk it sector by sector validating headers.
-  auto image = std::make_shared<std::vector<uint8_t>>(region_length_);
+  auto image = std::make_shared<ursa::BufferView>();
   storage::IoRequest req;
   req.type = storage::IoType::kRead;
   req.offset = region_offset_;
   req.length = region_length_;
-  req.out = image->data();
+  req.out_view = image.get();
   req.done = [this, image, done = std::move(done)](const Status& s) {
     if (!s.ok()) {
       done(s, {}, ScanReport{});
@@ -269,16 +256,17 @@ void JournalWriter::Scan(ScanCallback done) {
 void JournalWriter::CorruptByte(uint64_t region_byte, uint8_t xor_mask) {
   URSA_CHECK_LT(region_byte, region_length_);
   uint64_t sector_start = region_byte - region_byte % kSector;
-  Buffer buf = Buffer::Allocate(kSector);
+  auto sector = std::make_shared<ursa::BufferView>();
   storage::IoRequest read;
   read.type = storage::IoType::kRead;
   read.offset = region_offset_ + sector_start;
   read.length = kSector;
-  read.out = buf.data();
-  read.done = [this, buf, sector_start, region_byte, xor_mask](const Status& s) mutable {
+  read.out_view = sector.get();
+  read.done = [this, sector, sector_start, region_byte, xor_mask](const Status& s) {
     if (!s.ok()) {
       return;
     }
+    Buffer buf = Buffer::CopyOf(sector->data(), kSector);
     buf.data()[region_byte % kSector] ^= xor_mask;
     storage::IoRequest write;
     write.type = storage::IoType::kWrite;

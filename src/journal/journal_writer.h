@@ -106,14 +106,12 @@ class JournalWriter {
                                       uint32_t length, uint64_t version,
                                       storage::IoCallback done, storage::IoTag tag = {});
 
-  // Reads `length` payload bytes at region-relative `j_offset`.
-  void ReadPayload(uint64_t j_offset, uint32_t length, void* out, storage::IoCallback done,
-                   storage::IoTag tag = {});
-  // Zero-copy form: `*out` (which must outlive `done`) receives the payload
-  // as a view sharing the journal device's stored bytes — the appended
-  // payload Buffer itself when the record is intact.
-  void ReadPayloadView(uint64_t j_offset, uint32_t length, ursa::BufferView* out,
-                       storage::IoCallback done, storage::IoTag tag = {});
+  // Reads `length` payload bytes at region-relative `j_offset`: `*out`
+  // (which must outlive `done`; null: timing-only) receives them as a view
+  // sharing the journal device's stored bytes — the appended payload Buffer
+  // itself when the record is intact.
+  void ReadPayload(uint64_t j_offset, uint32_t length, ursa::BufferView* out,
+                   storage::IoCallback done, storage::IoTag tag = {});
 
   // FIFO of records not yet replayed. The replayer consumes from the front
   // and, after merging, either calls PopFrontAndFree(), which gives the
@@ -173,10 +171,6 @@ class JournalWriter {
   void PopFront();
   // Drops a record's bytes from the device.
   void Discard(const AppendedRecord& rec);
-  // A read request for `length` payload bytes at region-relative `j_offset`,
-  // without a destination.
-  storage::IoRequest PayloadRead(uint64_t j_offset, uint32_t length, storage::IoCallback done,
-                                 storage::IoTag tag) const;
 
   sim::Simulator* sim_;
   storage::BlockDevice* device_;

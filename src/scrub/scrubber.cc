@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "src/common/logging.h"
 
@@ -21,20 +20,18 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
     storage::ChunkId chunk;
     uint64_t chunk_size;
     uint64_t offset = 0;
-    std::vector<uint8_t> buf;
     ChunkResult result;
     std::function<void(ChunkResult)> done;
   };
   auto sweep = std::make_shared<Sweep>();
   sweep->chunk = chunk;
   sweep->chunk_size = chunk_size;
-  sweep->buf.resize(std::min<uint64_t>(config_.read_bytes, chunk_size));
   sweep->done = std::move(done);
 
   // The closure refers to itself weakly: a strong self-capture would be a
-  // cycle that leaks the sweep and its piece buffer. Whoever invokes it — this
-  // frame, then the read callback's yield event — holds the strong reference,
-  // so the closure stays alive while it runs and dies after the last piece.
+  // cycle that leaks the sweep. Whoever invokes it — this frame, then the
+  // read callback's yield event — holds the strong reference, so the closure
+  // stays alive while it runs and dies after the last piece.
   auto step = std::make_shared<std::function<void()>>();
   *step = [this, sweep, weak_step = std::weak_ptr<std::function<void()>>(step)] {
     if (sweep->offset >= sweep->chunk_size) {
@@ -48,10 +45,11 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
     sweep->offset += length;
     // Snapshot the ledger generation BEFORE the read: if a write lands while
     // the bulk read is in flight, Rearm sees a newer generation and refuses
-    // — the buffer may hold pre-write bytes for the sectors it touched.
+    // — the view may hold pre-write bytes for the sectors it touched.
     uint64_t gen = hooks_.generation ? hooks_.generation(sweep->chunk) : 0;
-    hooks_.read(sweep->chunk, offset, length, sweep->buf.data(),
-                [this, sweep, self = weak_step.lock(), offset, length, gen](const Status& st) {
+    hooks_.read(sweep->chunk, offset, length,
+                [this, sweep, self = weak_step.lock(), offset, length, gen](
+                    const Status& st, const ursa::BufferView& bytes) {
                   if (!st.ok()) {
                     // A journal-CRC hit: JournalManager::Read already
                     // quarantined the record and invoked the corruption
@@ -62,7 +60,7 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
                     sweep->result.bytes_read += length;
                     bytes_read_ += length;
                     ChecksumStore::VerifyResult v =
-                        hooks_.verify(sweep->chunk, offset, length, sweep->buf.data());
+                        hooks_.verify(sweep->chunk, offset, length, bytes.data());
                     sweep->result.sectors_verified += v.sectors_verified;
                     sweep->result.sectors_skipped += v.sectors_skipped;
                     sectors_verified_ += v.sectors_verified;
@@ -75,7 +73,7 @@ void Scrubber::ScrubChunk(storage::ChunkId chunk, uint64_t chunk_size,
                       // Clean piece with unverifiable sectors: reclaim them
                       // from the bytes we just read (unless a write raced).
                       uint64_t armed =
-                          hooks_.rearm(sweep->chunk, offset, length, sweep->buf.data(), gen);
+                          hooks_.rearm(sweep->chunk, offset, length, bytes.data(), gen);
                       sweep->result.sectors_rearmed += armed;
                       sectors_rearmed_ += armed;
                     }

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "src/common/buffer.h"
 #include "src/common/status.h"
 #include "src/scrub/checksum_store.h"
 #include "src/scrub/scrub_config.h"
@@ -32,11 +33,14 @@ namespace ursa::scrub {
 
 class Scrubber {
  public:
+  // A piece read's completion: its status and, on success, the bytes.
+  using ReadDone = std::function<void(const Status&, const ursa::BufferView& bytes)>;
+
   struct Hooks {
     // Reads the newest logical bytes of [offset, offset+length) under
-    // ServiceClass::kScrub (cluster wires this to HandleRecoveryRead).
-    std::function<void(storage::ChunkId chunk, uint64_t offset, uint64_t length, void* out,
-                       std::function<void(const Status&)> done)>
+    // ServiceClass::kScrub (cluster wires this to HandleRecoveryRead); `done`
+    // gets them as a view on success.
+    std::function<void(storage::ChunkId chunk, uint64_t offset, uint64_t length, ReadDone done)>
         read;
     // Verifies bytes against the server's ChecksumStore ledger.
     std::function<ChecksumStore::VerifyResult(storage::ChunkId chunk, uint64_t offset,

@@ -5,7 +5,23 @@
 #include <iterator>
 #include <utility>
 
+#include "src/common/units.h"
+
 namespace ursa::storage {
+
+namespace {
+
+// One run of zeros shared by every read of a range no extent meets (up to
+// its length): timing-only runs store no bytes, and such a read costs them
+// no allocation.
+constexpr uint64_t kZeroRun = 1 * kMiB;
+
+const Buffer& ZeroRun() {
+  static const Buffer zeros = Buffer::AllocateZeroed(kZeroRun);
+  return zeros;
+}
+
+}  // namespace
 
 void PageStore::Erase(uint64_t start, uint64_t end) {
   // First extent that ends past `start`: the predecessor of the first one
@@ -76,13 +92,24 @@ void PageStore::WriteScatter(uint64_t offset, const std::vector<IoSegment>& segm
   }
 }
 
-void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {
-  auto* dst = static_cast<uint8_t*>(out);
-  const uint64_t end = offset + length;
+BufferView PageStore::ReadView(uint64_t offset, uint64_t length) const {
   auto it = extents_.upper_bound(offset);
-  if (it != extents_.begin() && std::prev(it)->second.end > offset) {
-    --it;
+  if (it != extents_.begin()) {
+    const auto& [start, ext] = *std::prev(it);
+    if (offset + length <= ext.end) {
+      return ext.bytes.Slice(offset - start, length);
+    }
+    if (ext.end > offset) {
+      --it;
+    }
   }
+  const uint64_t end = offset + length;
+  if ((it == extents_.end() || it->first >= end) && length <= kZeroRun) {
+    return ZeroRun().View(0, length);
+  }
+  // Assemble the range from the extents it meets and the zeros between.
+  Buffer copy = Buffer::Allocate(length);
+  uint8_t* dst = copy.data();
   uint64_t pos = offset;
   for (; it != extents_.end() && it->first < end; ++it) {
     const uint64_t s = std::max(it->first, pos);
@@ -92,18 +119,6 @@ void PageStore::Read(uint64_t offset, void* out, uint64_t length) const {
     pos = e;
   }
   std::memset(dst + (pos - offset), 0, end - pos);
-}
-
-BufferView PageStore::ReadView(uint64_t offset, uint64_t length) const {
-  auto it = extents_.upper_bound(offset);
-  if (it != extents_.begin()) {
-    const auto& [start, ext] = *std::prev(it);
-    if (offset + length <= ext.end) {
-      return ext.bytes.Slice(offset - start, length);
-    }
-  }
-  Buffer copy = Buffer::Allocate(length);
-  Read(offset, copy.data(), length);
   return copy.View();
 }
 
@@ -118,10 +133,9 @@ void BlockDevice::Submit(IoRequest req) {
       ApplyWritePayload(*store, req);
       req.data = BufferView();
       req.scatter.clear();
-    } else {
-      ApplyReadPayload(*store, req);
+    } else if (req.out_view != nullptr) {
+      *req.out_view = store->ReadView(req.offset, req.length);
       req.out_view = nullptr;
-      req.out = nullptr;
     }
   }
   if (gate_ != nullptr) {

@@ -163,10 +163,10 @@ class PageStore {
   // Stores the segments back to back from `offset`; a segment without data
   // writes `length` zeros. A data segment's view must be `length` bytes.
   void WriteScatter(uint64_t offset, const std::vector<IoSegment>& segments);
-  void Read(uint64_t offset, void* out, uint64_t length) const;
   // The bytes at [offset, offset + length) as a view: a slice of the stored
-  // bytes when one extent covers the range, else a fresh Buffer filled by
-  // Read.
+  // bytes when one extent covers the range, a slice of one shared run of
+  // zeros when no extent meets it (up to 1 MiB), else a fresh Buffer
+  // assembled from the extents and the zeros between them.
   BufferView ReadView(uint64_t offset, uint64_t length) const;
   // Writes `length` zero bytes. Not a no-op: the range may hold earlier data
   // (ring journals reuse space), so it is erased back to implicit zeros.
@@ -204,16 +204,6 @@ inline void ApplyWritePayload(PageStore& store, const IoRequest& req) {
   if (req.data) {
     URSA_CHECK_EQ(req.data.size(), req.length);
     store.Write(req.offset, req.data);
-  }
-}
-
-// Serves a read request from a PageStore into `out_view` or `out` (neither:
-// timing-only).
-inline void ApplyReadPayload(const PageStore& store, const IoRequest& req) {
-  if (req.out_view != nullptr) {
-    *req.out_view = store.ReadView(req.offset, req.length);
-  } else if (req.out != nullptr) {
-    store.Read(req.offset, req.out, req.length);
   }
 }
 

@@ -68,8 +68,8 @@ Status ChunkStore::CheckRange(ChunkId id, uint64_t offset, uint64_t length,
   return OkStatus();
 }
 
-void ChunkStore::Read(ChunkId id, uint64_t offset, uint64_t length, void* out, IoCallback done,
-                      IoTag tag) {
+void ChunkStore::Read(ChunkId id, uint64_t offset, uint64_t length, BufferView* out,
+                      IoCallback done, IoTag tag) {
   uint64_t device_offset = 0;
   Status s = CheckRange(id, offset, length, &device_offset);
   if (!s.ok()) {
@@ -80,7 +80,7 @@ void ChunkStore::Read(ChunkId id, uint64_t offset, uint64_t length, void* out, I
   req.type = IoType::kRead;
   req.offset = device_offset;
   req.length = length;
-  req.out = out;
+  req.out_view = out;
   req.tag = tag;
   req.done = std::move(done);
   device_->Submit(std::move(req));
@@ -127,16 +127,17 @@ void ChunkStore::CorruptByte(ChunkId id, uint64_t offset, uint8_t xor_mask) {
   URSA_CHECK_LT(offset, chunk_size_);
   constexpr uint64_t kSector = 512;
   uint64_t sector_start = SlotOffset(id) + (offset - offset % kSector);
-  Buffer buf = Buffer::Allocate(kSector);
+  auto sector = std::make_shared<BufferView>();
   IoRequest read;
   read.type = IoType::kRead;
   read.offset = sector_start;
   read.length = kSector;
-  read.out = buf.data();
-  read.done = [this, buf, sector_start, offset, xor_mask](const Status& s) mutable {
+  read.out_view = sector.get();
+  read.done = [this, sector, sector_start, offset, xor_mask](const Status& s) {
     if (!s.ok()) {
       return;
     }
+    Buffer buf = Buffer::CopyOf(sector->data(), kSector);
     buf.data()[offset % kSector] ^= xor_mask;
     IoRequest write;
     write.type = IoType::kWrite;

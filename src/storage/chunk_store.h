@@ -41,9 +41,10 @@ class ChunkStore {
   // Writes take a BufferView of `length` bytes (null view = timing-only): the
   // view rides the IoRequest as a strong reference, so callers need not keep
   // the bytes alive themselves, and the device store keeps sharing it
-  // afterwards — the bytes must stay immutable. The optional IoTag classifies
-  // the request for QoS scheduling (class + tenant).
-  void Read(ChunkId id, uint64_t offset, uint64_t length, void* out, IoCallback done,
+  // afterwards — the bytes must stay immutable. A read hands its bytes back
+  // as a view in `*out` (IoRequest::out_view; null `out`: timing-only). The
+  // optional IoTag classifies the request for QoS scheduling (class + tenant).
+  void Read(ChunkId id, uint64_t offset, uint64_t length, BufferView* out, IoCallback done,
             IoTag tag = {});
   void Write(ChunkId id, uint64_t offset, uint64_t length, BufferView data, IoCallback done,
              IoTag tag = {});

@@ -34,15 +34,14 @@ struct IoTag {
   uint64_t tenant = 0;  // virtual-disk id; 0 = system/untagged
 };
 
-// One async device operation. A write's bytes travel as an owned view
-// (`data`, or `scatter`); a read's land in `out` or `out_view`. Either side
+// One async device operation. A write's bytes travel in as an owned view
+// (`data`, or `scatter`); a read's come back as one (`out_view`). Either side
 // may be empty: performance experiments often model timing only, while
 // correctness tests carry real bytes.
 struct IoRequest {
   IoType type = IoType::kRead;
   uint64_t offset = 0;
   uint64_t length = 0;
-  void* out = nullptr;  // destination buffer for reads
   // Background work (journal replay) yields to client-facing I/O: the HDD
   // elevator serves background requests only when no foreground request is
   // queued (§5.3's single-threaded per-disk scheduling).
@@ -62,10 +61,12 @@ struct IoRequest {
   // timing. Null-data segments write zeros (they really overwrite — ring
   // journals reuse space, so stale bytes must not survive under the padding).
   std::vector<IoSegment> scatter = {};
-  // Zero-copy read: when set, the read stores its bytes here instead of
-  // copying them into `out` — shared with the device's stored bytes when the
-  // range was written as one extent (see PageStore::ReadView). The pointee
-  // must outlive the callback.
+  // A read's bytes: when set, Submit stores the range here as an owned view
+  // — a slice of the device's stored bytes when one extent covers the range,
+  // else a fresh Buffer (see PageStore::ReadView). Null: a timing-only read.
+  // The slot belongs to the caller and must outlive `done`; nothing writes
+  // the caller's memory, so a reader that gives up on a request drops the
+  // view it was handed instead of guarding a destination buffer.
   BufferView* out_view = nullptr;
 };
 

@@ -25,9 +25,10 @@ class MemDevice : public BlockDevice {
   // failure is a completion status only: Submit has already moved the bytes.
   void FailNext(int n) { fail_next_ = n; }
 
-  // Direct synchronous access for test assertions (no simulated time).
-  void ReadSync(uint64_t offset, void* out, uint64_t length) const {
-    store_.Read(offset, out, length);
+  // The stored bytes of [offset, offset + length), for test assertions (no
+  // simulated time, no request).
+  BufferView ReadSync(uint64_t offset, uint64_t length) const {
+    return store_.ReadView(offset, length);
   }
 
  protected:

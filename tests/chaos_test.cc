@@ -165,15 +165,18 @@ TEST(ChaosIntegrityTest, BitFlipIsDetectedAndRepairedFromHealthyReplica) {
   }
   for (const cluster::ReplicaRef& r : layout.replicas) {
     cluster::ChunkServer* server = cluster.server(r.server);
-    std::vector<uint8_t> image(expected.size(), 0xEE);
+    BufferView image;
     Status read = Internal("not completed");
-    server->HandleRecoveryRead(layout.chunk, 0, image.size(), image.data(),
-                               [&](const Status& s, uint64_t) { read = s; });
+    server->HandleRecoveryRead(layout.chunk, 0, expected.size(),
+                               [&](const Status& s, uint64_t, const BufferView& bytes) {
+                                 read = s;
+                                 image = bytes;
+                               });
     for (int step = 0; step < 2000 && !read.ok(); ++step) {
       sim.RunUntil(sim.Now() + usec(100));
     }
     ASSERT_TRUE(read.ok()) << read.ToString();
-    EXPECT_EQ(image, expected) << "replica on server " << r.server << " diverged";
+    EXPECT_EQ(test::Bytes(image), expected) << "replica on server " << r.server << " diverged";
   }
 
   // And the client sees the committed data.
@@ -245,7 +248,7 @@ TEST(ChaosViewChangeTest, StalePrimaryCannotAckAfterViewChange) {
   bool replied = false;
   stale->HandleWrite(old_layout.chunk, 0, rogue.size(), old_view, stale_state->version,
                      ursa::Buffer::CopyOf(rogue.data(), rogue.size()), old_backups,
-                     [&](const Status& s, uint64_t) {
+                     [&](const Status& s, uint64_t, const BufferView&) {
                        acked = s;
                        replied = true;
                      });

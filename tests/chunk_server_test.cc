@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "counting_new.h"
+#include "src/client/virtual_disk.h"
 #include "src/cluster/cluster.h"
 #include "src/common/crc32.h"
 #include "src/journal/journal_record.h"
@@ -43,7 +44,7 @@ class ChunkServerTest : public ::testing::Test {
     Status status = Internal("no reply");
     uint64_t new_version = 0;
     primary_->HandleWrite(layout_.chunk, offset, length, view, version, data, Backups(),
-                          [&](const Status& s, uint64_t v) {
+                          [&](const Status& s, uint64_t v, const BufferView&) {
                             status = s;
                             new_version = v;
                           });
@@ -127,7 +128,7 @@ TEST_F(ChunkServerTest, DuplicatedBackupAckCountsOnce) {
   Status status = Internal("no reply");
   uint64_t version = 0;
   primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
-                        [&](const Status& s, uint64_t v) {
+                        [&](const Status& s, uint64_t v, const BufferView&) {
                           status = s;
                           version = v;
                           committed = sim_.Now();
@@ -154,7 +155,7 @@ TEST_F(ChunkServerTest, BackupAckAfterCommitTimeoutStillCommits) {
   Status status = Internal("no reply");
   uint64_t version = 0;
   primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
-                        [&](const Status& s, uint64_t v) {
+                        [&](const Status& s, uint64_t v, const BufferView&) {
                           status = s;
                           version = v;
                           committed = sim_.Now();
@@ -182,7 +183,7 @@ TEST_F(ChunkServerTest, WriteThatNeverDecidesEndsItsInflightCounts) {
   cluster_.transport().SetLinkChaos(primary_->node(), backup1_->node(), blocked);
   bool replied = false;
   primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
-                        [&](const Status&, uint64_t) { replied = true; });
+                        [&](const Status&, uint64_t, const BufferView&) { replied = true; });
   sim_.RunUntil(sim_.Now() + sec(1));
   EXPECT_FALSE(replied);
   EXPECT_EQ(primary_->GetState(layout_.chunk)->version, 1u);  // the local write applied
@@ -222,7 +223,7 @@ TEST(ChunkServerTeardownTest, UndecidedWriteOutlivesTheHeatTracker) {
   bool replied = false;
   primary->HandleWrite(layout.chunk, 0, 4096, layout.view, 0, ursa::BufferView(),
                        {replicas[0], replicas[1]},
-                       [&](const Status&, uint64_t) { replied = true; });
+                       [&](const Status&, uint64_t, const BufferView&) { replied = true; });
   sim.RunUntil(sim.Now() + sec(1));
   EXPECT_FALSE(replied);
   EXPECT_EQ(primary->inflight_ops(), 1u);
@@ -236,7 +237,7 @@ TEST_F(ChunkServerTest, NoReplyWhenMajorityUnreachable) {
   backup2_->SetCrashed(true);
   Status status = Internal("no reply");
   primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
-                        [&](const Status& s, uint64_t) { status = s; });
+                        [&](const Status& s, uint64_t, const BufferView&) { status = s; });
   sim_.RunUntil(sim_.Now() + sec(1));
   // Primary alone is 1 of 3 — not a majority; the request cannot commit.
   // (The resolver returns null for crashed servers, so both legs fail fast.)
@@ -247,9 +248,9 @@ TEST_F(ChunkServerTest, CrashedPrimaryIsSilent) {
   primary_->SetCrashed(true);
   bool replied = false;
   primary_->HandleWrite(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(), Backups(),
-                        [&](const Status&, uint64_t) { replied = true; });
-  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 0, nullptr,
-                       [&](const Status&, uint64_t) { replied = true; });
+                        [&](const Status&, uint64_t, const BufferView&) { replied = true; });
+  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 0,
+                       [&](const Status&, uint64_t, const BufferView&) { replied = true; });
   sim_.RunUntil(sim_.Now() + sec(1));
   EXPECT_FALSE(replied);
 }
@@ -261,8 +262,8 @@ TEST_F(ChunkServerTest, ReadChecksVersion) {
   // A STALE replica (version below the client's expectation) is rejected and
   // reports its actual version so the client can resync / pick another
   // replica. Expecting version 5 when the replica is at 1:
-  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 5, nullptr,
-                       [&](const Status& s, uint64_t v) {
+  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 5,
+                       [&](const Status& s, uint64_t v, const BufferView&) {
                          status = s;
                          replica_version = v;
                        });
@@ -271,15 +272,15 @@ TEST_F(ChunkServerTest, ReadChecksVersion) {
   EXPECT_EQ(replica_version, 1u);
 
   // Matching version is served.
-  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 1, nullptr,
-                       [&](const Status& s, uint64_t) { status = s; });
+  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 1,
+                       [&](const Status& s, uint64_t, const BufferView&) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   EXPECT_TRUE(status.ok());
 
   // A replica AHEAD of the expectation is served too: the single-writer
   // client owns every newer version (§4.1), so the data is not stale.
-  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 0, nullptr,
-                       [&](const Status& s, uint64_t) { status = s; });
+  primary_->HandleRead(layout_.chunk, 0, 4096, 1, 0,
+                       [&](const Status& s, uint64_t, const BufferView&) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   EXPECT_TRUE(status.ok());
 }
@@ -289,19 +290,22 @@ TEST_F(ChunkServerTest, BackupServesJournalAwareRead) {
   ASSERT_TRUE(Write(0, 8192, 4096, ursa::Buffer::CopyOf(data.data(), data.size())).first.ok());
   // Read from the backup as temporary primary (§4.2.1): the data is still in
   // its journal, not yet on the HDD.
-  std::vector<uint8_t> out(4096);
+  BufferView out;
   Status status = Internal("no reply");
-  backup1_->HandleRead(layout_.chunk, 8192, 4096, 1, 1, out.data(),
-                       [&](const Status& s, uint64_t) { status = s; });
+  backup1_->HandleRead(layout_.chunk, 8192, 4096, 1, 1,
+                       [&](const Status& s, uint64_t, const BufferView& bytes) {
+                         status = s;
+                         out = bytes;
+                       });
   sim_.RunUntil(sim_.Now() + msec(100));
   EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(test::Bytes(out), data);
 }
 
 TEST_F(ChunkServerTest, DuplicateReplicateAcked) {
   Status status = Internal("no reply");
   backup1_->HandleReplicate(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(),
-                            [&](const Status& s, uint64_t) { status = s; });
+                            [&](const Status& s, uint64_t, const BufferView&) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   ASSERT_TRUE(status.ok());
   // Redelivery of the same replication (version now one behind) is acked
@@ -309,7 +313,7 @@ TEST_F(ChunkServerTest, DuplicateReplicateAcked) {
   status = Internal("no reply");
   uint64_t version = 0;
   backup1_->HandleReplicate(layout_.chunk, 0, 4096, 1, 0, ursa::BufferView(),
-                            [&](const Status& s, uint64_t v) {
+                            [&](const Status& s, uint64_t v, const BufferView&) {
                               status = s;
                               version = v;
                             });
@@ -334,13 +338,16 @@ class RecoveryWriteTest : public ChunkServerTest {
   }
 
   std::vector<uint8_t> ReadBack(uint64_t offset, uint64_t length) {
-    std::vector<uint8_t> out(length);
+    BufferView out;
     Status status = Internal("no reply");
-    primary_->HandleRecoveryRead(layout_.chunk, offset, length, out.data(),
-                                 [&](const Status& s, uint64_t) { status = s; });
+    primary_->HandleRecoveryRead(layout_.chunk, offset, length,
+                                 [&](const Status& s, uint64_t, const BufferView& bytes) {
+                                   status = s;
+                                   out = bytes;
+                                 });
     sim_.RunUntil(sim_.Now() + msec(100));
     EXPECT_TRUE(status.ok()) << status.ToString();
-    return out;
+    return test::Bytes(out);
   }
 
   uint64_t BytesWritten() { return primary_->store()->device()->stats().bytes_written; }
@@ -399,8 +406,8 @@ TEST_F(ChunkServerTest, VersionQueryReportsState) {
 
 TEST_F(ChunkServerTest, UnknownChunkReportsNotFound) {
   Status status;
-  primary_->HandleRead(999999, 0, 512, 1, 0, nullptr,
-                       [&](const Status& s, uint64_t) { status = s; });
+  primary_->HandleRead(999999, 0, 512, 1, 0,
+                       [&](const Status& s, uint64_t, const BufferView&) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
@@ -440,7 +447,8 @@ class ReplicatedWriteTest : public ::testing::Test {
     for (const ReplicaRef& r : layout_.replicas) {
       cluster_.server(r.server)->HandleReplicate(
           layout_.chunk, 0, 4096, layout_.view, version, payload_.View(),
-          [&acks](const Status& s, uint64_t) { acks += s.ok() ? 1 : 0; }, {}, version + 1);
+          [&acks](const Status& s, uint64_t, const BufferView&) { acks += s.ok() ? 1 : 0; }, {},
+          version + 1);
     }
     while (acks < 3 && sim_.Step(sim_.Now() + msec(100))) {
     }
@@ -496,11 +504,14 @@ TEST_F(ServerSteadyStateTest, ReplicatedWriteAllocatesNothing) {
 TEST_F(ServerSteadyStateTest, ReadAllocatesNothing) {
   ASSERT_EQ(Write(0), 3);
   ChunkServer* server = cluster_.server(layout_.replicas[0].server);
-  std::vector<uint8_t> out(4096);
+  BufferView out;
   auto read = [&]() {
     Status status = Internal("no reply");
-    server->HandleRead(layout_.chunk, 0, 4096, layout_.view, 1, out.data(),
-                       [&status](const Status& s, uint64_t) { status = s; });
+    server->HandleRead(layout_.chunk, 0, 4096, layout_.view, 1,
+                       [&status, &out](const Status& s, uint64_t, const BufferView& bytes) {
+                         status = s;
+                         out = bytes;
+                       });
     while (!status.ok() && sim_.Step(sim_.Now() + msec(100))) {
     }
     return status.ok();
@@ -513,7 +524,52 @@ TEST_F(ServerSteadyStateTest, ReadAllocatesNothing) {
     ASSERT_TRUE(read());
   }
   EXPECT_EQ(test::HeapAllocations() - before, 0u) << "heap cells in 200 reads";
-  EXPECT_TRUE(std::equal(out.begin(), out.end(), payload_.data()));
+  // The reply shares the payload the write stored: no copy on the server.
+  EXPECT_EQ(out.data(), payload_.data());
+  EXPECT_EQ(out.size(), 4096u);
+}
+
+// The same gate for the client: a warm, SSD-only VirtualDisk serves a 4 KiB
+// replica read — client, transport, server and device — without a heap
+// cell. The server replies with a view and the live piece copies it into
+// the caller's buffer, so no per-op cell pins the caller's callback.
+class ClientSteadyStateTest : public ::testing::Test {
+ protected:
+  ClientSteadyStateTest() : cluster_(&sim_, test::SmallClusterConfig(StorageMode::kSsdOnly)) {
+    disk_id_ = *cluster_.master().CreateDisk("d", 1 * kMiB, 3, 1);
+    disk_ = std::make_unique<client::VirtualDisk>(&cluster_, cluster_.AddClientMachine(), 1);
+  }
+
+  sim::Simulator sim_;
+  Cluster cluster_;
+  DiskId disk_id_ = 0;
+  std::unique_ptr<client::VirtualDisk> disk_;
+};
+
+TEST_F(ClientSteadyStateTest, ReplicaReadAllocatesNothing) {
+  ASSERT_TRUE(disk_->Open(disk_id_).ok());
+  const std::vector<uint8_t> bytes = test::Pattern(4096, 11);
+  Status wrote = Internal("no reply");
+  disk_->Write(0, 4096, test::Payload(bytes), [&wrote](const Status& s) { wrote = s; });
+  sim_.RunUntil(sim_.Now() + sec(1));
+  ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+  std::vector<uint8_t> out(4096);
+  auto read = [&]() {
+    std::fill(out.begin(), out.end(), uint8_t{0});
+    Status status = Internal("no reply");
+    disk_->Read(0, 4096, out.data(), [&status](const Status& s) { status = s; });
+    while (!status.ok() && sim_.Step(sim_.Now() + msec(100))) {
+    }
+    return status.ok() && out == bytes;
+  };
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(read());
+  }
+  const uint64_t before = test::HeapAllocations();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(read());
+  }
+  EXPECT_EQ(test::HeapAllocations() - before, 0u) << "heap cells in 200 client reads";
 }
 
 }  // namespace

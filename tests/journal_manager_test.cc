@@ -48,12 +48,12 @@ class JournalManagerTest : public ::testing::Test {
   }
 
   std::vector<uint8_t> Read(uint64_t offset, uint64_t length) {
-    std::vector<uint8_t> out(length, 0xEE);
+    BufferView out;
     Status status = Internal("not completed");
-    manager_->Read(1, offset, length, out.data(), [&](const Status& s) { status = s; });
+    manager_->Read(1, offset, length, &out, [&](const Status& s) { status = s; });
     sim_.RunUntil(sim_.Now() + msec(10));
     EXPECT_TRUE(status.ok()) << status.ToString();
-    return out;
+    return test::Bytes(out);
   }
 
   void DrainReplay() {
@@ -83,8 +83,7 @@ TEST_F(JournalManagerTest, SmallWriteIsJournaled) {
   // The data is readable through the journal overlay before any replay.
   EXPECT_EQ(Read(0, 4096), data);
   // And the HDD chunk store does not have it yet.
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1), raw.data(), 4096);
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1), 4096));
   EXPECT_NE(raw, data);
 }
 
@@ -96,8 +95,7 @@ TEST_F(JournalManagerTest, LargeWriteBypassesJournal) {
   EXPECT_EQ(manager_->stats().bypassed_writes, 1u);
   EXPECT_EQ(Read(0, data.size()), data);
   // Bypass goes straight to the chunk store on the HDD.
-  std::vector<uint8_t> raw(data.size());
-  hdd_->ReadSync(store_->SlotOffset(1), raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1), data.size()));
   EXPECT_EQ(raw, data);
 }
 
@@ -154,8 +152,7 @@ TEST_F(JournalManagerTest, ReplayMovesDataToHddAndFreesJournal) {
   DrainReplay();
   EXPECT_EQ(manager_->stats().replayed_records, 1u);
   EXPECT_TRUE(manager_->IndexSnapshot(1).empty());
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1) + 4096, raw.data(), 4096);
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1) + 4096, 4096));
   EXPECT_EQ(raw, data);
   // Reads still return the right bytes after replay.
   EXPECT_EQ(Read(4096, 4096), data);
@@ -173,8 +170,7 @@ TEST_F(JournalManagerTest, ReplayMergesOverwrites) {
   DrainReplay();
   EXPECT_EQ(manager_->stats().merged_records, 9u);
   EXPECT_EQ(manager_->stats().replayed_records, 1u);
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1), raw.data(), 4096);
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1), 4096));
   EXPECT_EQ(raw, last);
 }
 
@@ -187,8 +183,7 @@ TEST_F(JournalManagerTest, PartialOverwriteReplaysLivePieces) {
   DrainReplay();
   std::vector<uint8_t> expect = a;
   std::copy(b.begin(), b.end(), expect.begin() + 4096);
-  std::vector<uint8_t> raw(16 * kKiB);
-  hdd_->ReadSync(store_->SlotOffset(1), raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1), 16 * kKiB));
   EXPECT_EQ(raw, expect);
   EXPECT_EQ(Read(0, 16 * kKiB), expect);
 }
@@ -211,8 +206,7 @@ TEST_F(JournalManagerTest, ReplayElevatorCoalescesAdjacentRecords) {
   EXPECT_EQ(manager_->stats().replayed_records, static_cast<uint64_t>(kRecords));
   EXPECT_EQ(manager_->stats().replay_submits, 1u);
   // The coalesced write is byte-correct on the backup device.
-  std::vector<uint8_t> raw(kRecords * 4096);
-  hdd_->ReadSync(store_->SlotOffset(1), raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1), kRecords * 4096));
   for (int i = 0; i < kRecords; ++i) {
     std::vector<uint8_t> got(raw.begin() + i * 4096, raw.begin() + (i + 1) * 4096);
     EXPECT_EQ(got, payloads[i]) << "record " << i;
@@ -345,8 +339,7 @@ TEST_F(JournalCrashTest, UnreplayedWritesSurviveCrash) {
   EXPECT_EQ(Read(65536, 8192), b);
   // And replay still drains the recovered queue into the HDD.
   DrainReplay();
-  std::vector<uint8_t> raw(8192);
-  hdd_->ReadSync(store_->SlotOffset(1) + 65536, raw.data(), 8192);
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1) + 65536, 8192));
   EXPECT_EQ(raw, b);
 }
 
@@ -432,8 +425,7 @@ TEST_F(JournalCrashTest, FreedRecordIsNotResurrectedByRebuild) {
   EXPECT_EQ(manager_->PendingRecords(), 0u);
   EXPECT_EQ(Read(kAt, 4096), b);
   DrainReplay();
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1) + kAt, raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1) + kAt, 4096));
   EXPECT_EQ(raw, b);
   EXPECT_EQ(Read(kAt, 4096), b);
 }
@@ -468,8 +460,7 @@ TEST_F(JournalCrashTest, FullJournalFallbackSurvivesCrash) {
   CrashAndRecover();
   EXPECT_EQ(Read(kAt, 4096), v2);
   DrainReplay();
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1) + kAt, raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1) + kAt, 4096));
   EXPECT_EQ(raw, v2);
 }
 
@@ -541,8 +532,7 @@ TEST_F(JournalCrashTest, ReplayedRecordStaysWhileAnOlderOverlapIsPending) {
   EXPECT_EQ(Read(kAt, 4096), expect);
   DrainReplay();
   EXPECT_TRUE(manager_->journal(0).kept().empty());
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1) + kAt, raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1) + kAt, 4096));
   EXPECT_EQ(raw, expect);
   EXPECT_EQ(Read(kAt, 4096), expect);
 }
@@ -590,8 +580,7 @@ TEST_F(JournalCrashTest, RebuiltQueueKeepsANewerRecordUntilTheOlderIsFreed) {
   CrashAndRecover();
   EXPECT_EQ(Read(kAt, 4096), b);
   DrainReplay();
-  std::vector<uint8_t> raw(4096);
-  hdd_->ReadSync(store_->SlotOffset(1) + kAt, raw.data(), raw.size());
+  std::vector<uint8_t> raw = test::Bytes(hdd_->ReadSync(store_->SlotOffset(1) + kAt, 4096));
   EXPECT_EQ(raw, b);
   EXPECT_EQ(Read(512 * kKiB, 4096), test::Pattern(4096, 620));
 }
@@ -625,12 +614,12 @@ TEST_F(JournalCrashTest, CorruptRecordStaysUntilRepaired) {
 
   CrashAndRecover();
   EXPECT_TRUE(manager_->IsQuarantined(1, 0, 4096));
-  std::vector<uint8_t> got(4096, 0xEE);
+  BufferView got;
   Status status = Internal("not completed");
-  manager_->Read(1, 0, 4096, got.data(), [&](const Status& s) { status = s; });
+  manager_->Read(1, 0, 4096, &got, [&](const Status& s) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
-  EXPECT_NE(got, old_data);
+  EXPECT_FALSE(got);  // no bytes, so never the stale v1 bytes
 }
 
 // Regression: the quarantine is volatile, so a crash mid-repair used to
@@ -656,9 +645,9 @@ TEST_F(JournalCrashTest, CorruptRecordRequarantinedAfterRebuild) {
   Rng flip_rng(7);
   ASSERT_TRUE(manager_->InjectBitFlip(flip_rng));
   sim_.RunUntil(sim_.Now() + msec(1));
-  std::vector<uint8_t> out(4096, 0xEE);
+  BufferView out;
   Status status = Internal("not completed");
-  manager_->Read(1, 0, 4096, out.data(), [&](const Status& s) { status = s; });
+  manager_->Read(1, 0, 4096, &out, [&](const Status& s) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   ASSERT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   ASSERT_TRUE(manager_->IsQuarantined(1, 0, 4096));
@@ -675,12 +664,12 @@ TEST_F(JournalCrashTest, CorruptRecordRequarantinedAfterRebuild) {
   EXPECT_TRUE(manager_->IsQuarantined(1, 0, 4096));
   EXPECT_EQ(manager_->stats().corruptions_detected, 1u);
   for (int i = 0; i < 3; ++i) {
-    std::vector<uint8_t> got(4096, 0xEE);
+    BufferView got;
     Status read_status = Internal("not completed");
-    manager_->Read(1, 0, 4096, got.data(), [&](const Status& s) { read_status = s; });
+    manager_->Read(1, 0, 4096, &got, [&](const Status& s) { read_status = s; });
     sim_.RunUntil(sim_.Now() + msec(10));
     EXPECT_EQ(read_status.code(), StatusCode::kCorruption) << "read " << i;
-    EXPECT_NE(got, old_data);
+    EXPECT_FALSE(got);  // no bytes, so never the stale v1 bytes
   }
   // Undamaged ranges are unaffected.
   EXPECT_EQ(Read(65536, 4096), anchor);
@@ -780,9 +769,9 @@ TEST_F(JournalManagerTest, BitFlipDetectedQuarantinedAndHealed) {
 
   // Reading through the overlay re-verifies the CRC: the damage is detected
   // and the range quarantined — the caller sees kCorruption, not garbage.
-  std::vector<uint8_t> out(4096, 0xEE);
+  BufferView out;
   Status status = Internal("not completed");
-  manager_->Read(1, 0, 4096, out.data(), [&](const Status& s) { status = s; });
+  manager_->Read(1, 0, 4096, &out, [&](const Status& s) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(10));
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   EXPECT_EQ(manager_->stats().corruptions_detected, 1u);
@@ -818,12 +807,12 @@ TEST_F(JournalManagerTest, QuarantineBlocksReadsUntilRepaired) {
 
   // No corruption handler wired: the quarantine cannot lift.
   for (int i = 0; i < 3; ++i) {
-    std::vector<uint8_t> out(4096, 0xEE);
+    BufferView out;
     Status status = Internal("not completed");
-    manager_->Read(1, 0, 4096, out.data(), [&](const Status& s) { status = s; });
+    manager_->Read(1, 0, 4096, &out, [&](const Status& s) { status = s; });
     sim_.RunUntil(sim_.Now() + msec(10));
     EXPECT_EQ(status.code(), StatusCode::kCorruption) << "read " << i;
-    EXPECT_NE(out, old_data);  // stale v1 bytes must never be served as v2
+    EXPECT_FALSE(out);  // no bytes: stale v1 bytes are never served as v2
   }
   EXPECT_TRUE(manager_->IsQuarantined(1, 0, 4096));
   EXPECT_EQ(manager_->stats().corruptions_detected, 1u);

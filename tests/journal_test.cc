@@ -150,10 +150,10 @@ TEST_F(JournalWriterTest, PayloadRoundTrip) {
   Result<uint64_t> j = writer_.Append(1, 8192, 4096, 1, test::Payload(data), [](const Status&) {});
   ASSERT_TRUE(j.ok());
   sim_.RunToCompletion();
-  std::vector<uint8_t> out(4096);
-  writer_.ReadPayload(*j, 4096, out.data(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  BufferView out;
+  writer_.ReadPayload(*j, 4096, &out, [](const Status& s) { ASSERT_TRUE(s.ok()); });
   sim_.RunToCompletion();
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(test::Bytes(out), data);
 }
 
 TEST_F(JournalWriterTest, FillsAndReportsExhaustion) {

@@ -322,9 +322,7 @@ TEST(IoSchedulerTest, GatedWritesKeepSubmissionOrderVisibility) {
                              IoTag{ServiceClass::kForegroundWrite, 0}));
   sim.RunToCompletion();
   ASSERT_EQ(done, 2);
-  std::vector<uint8_t> got(4096);
-  dev.ReadSync(0, got.data(), got.size());
-  EXPECT_EQ(got, second);
+  EXPECT_EQ(test::Bytes(dev.ReadSync(0, 4096)), second);
 }
 
 // ---- Allocation-free device path ----
@@ -360,7 +358,7 @@ class SsdLoop {
     req.type = issued_ % 2 == 0 ? IoType::kRead : IoType::kWrite;
     req.offset = (static_cast<uint64_t>(issued_) * 7919 % 4096) * 4096;
     req.length = 4096;
-    req.out = req.type == IoType::kRead ? out_.data() : nullptr;
+    req.out_view = req.type == IoType::kRead ? &out_ : nullptr;
     req.tag.tenant = 1 + issued_ % 4 / 2;
     req.done = [this](const Status&) {
       ++completed_;
@@ -375,7 +373,7 @@ class SsdLoop {
   sim::Simulator sim_;
   storage::SsdModel ssd_;
   IoScheduler sched_;
-  std::vector<uint8_t> out_ = std::vector<uint8_t>(4096);
+  BufferView out_;
   int issued_ = 0;
   int target_ = 0;
   int completed_ = 0;

@@ -208,26 +208,28 @@ TEST_F(RecoveryTest, CaughtUpBackupDropsItsOlderJournalRecord) {
   ASSERT_TRUE(repair.ok()) << repair.ToString();
   EXPECT_EQ(lag->GetState(layout.chunk)->version, 2u);
   auto read_lag = [&]() {
-    std::vector<uint8_t> out(4096);
+    BufferView out;
     Status status = Internal("pending");
-    lag->HandleRecoveryRead(layout.chunk, 0, out.size(), out.data(),
-                            [&](const Status& s, uint64_t) { status = s; });
+    lag->HandleRecoveryRead(layout.chunk, 0, 4096,
+                            [&](const Status& s, uint64_t, const BufferView& bytes) {
+                              status = s;
+                              out = bytes;
+                            });
     sim_.RunUntil(sim_.Now() + msec(100));
     EXPECT_TRUE(status.ok()) << status.ToString();
-    return out;
+    return test::Bytes(out);
   };
   EXPECT_EQ(read_lag(), v2);
 
   gate.Open();
   sim_.RunUntil(sim_.Now() + sec(1));
   EXPECT_TRUE(lag->journal_manager()->ReplayDrained());
-  std::vector<uint8_t> hdd(4096);
+  BufferView hdd;
   Status status = Internal("pending");
-  lag->store()->Read(layout.chunk, 0, hdd.size(), hdd.data(),
-                     [&](const Status& s) { status = s; });
+  lag->store()->Read(layout.chunk, 0, 4096, &hdd, [&](const Status& s) { status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(hdd, v2);
+  EXPECT_EQ(test::Bytes(hdd), v2);
   EXPECT_EQ(read_lag(), v2);
 }
 
@@ -248,7 +250,8 @@ TEST_F(RecoveryTest, ViewChangeKeepsSurvivorWriteIdentity) {
   auto replicate = [&](cluster::ChunkServer* server, uint64_t view) {
     std::pair<Status, uint64_t> reply{Internal("no reply"), 0};
     server->HandleReplicate(before.chunk, 0, 4096, view, /*version=*/0, data,
-                            [&](const Status& s, uint64_t v) { reply = {s, v}; }, {}, kWriteId);
+                            [&](const Status& s, uint64_t v, const BufferView&) { reply = {s, v}; },
+                            {}, kWriteId);
     sim_.RunUntil(sim_.Now() + msec(100));
     return reply;
   };
@@ -317,8 +320,8 @@ TEST_F(RecoveryTest, ReplicaRefusesItsLastWriteAtItsNewVersion) {
   auto replicate = [&](uint64_t version) {
     std::pair<Status, uint64_t> reply{Internal("no reply"), 0};
     server->HandleReplicate(layout.chunk, 0, 4096, layout.view, version, data,
-                            [&](const Status& s, uint64_t v) { reply = {s, v}; }, {},
-                            /*write_id=*/9);
+                            [&](const Status& s, uint64_t v, const BufferView&) { reply = {s, v}; },
+                            {}, /*write_id=*/9);
     sim_.RunUntil(sim_.Now() + msec(100));
     return reply;
   };
@@ -604,7 +607,8 @@ TEST_P(CopyCrashTest, CrashMidCopyTimesOutOnce) {
       Status applied = Internal("no reply");
       cluster_->server(layout.replicas[i].server)
           ->HandleReplicate(layout.chunk, 0, 256 * kKiB, layout.view, /*version=*/0, data,
-                            [&](const Status& s, uint64_t) { applied = s; }, {}, /*write_id=*/1);
+                            [&](const Status& s, uint64_t, const BufferView&) { applied = s; }, {},
+                            /*write_id=*/1);
       sim_.RunUntil(sim_.Now() + msec(100));
       ASSERT_TRUE(applied.ok()) << applied.ToString();
     }

@@ -188,11 +188,10 @@ class ScrubberRearmTest : public ::testing::Test {
 
   Scrubber::Hooks Hooks() {
     Scrubber::Hooks h;
-    h.read = [this](storage::ChunkId, uint64_t offset, uint64_t length, void* out,
-                    std::function<void(const Status&)> done) {
-      std::copy(media_.begin() + offset, media_.begin() + offset + length,
-                static_cast<uint8_t*>(out));
-      sim_.After(Nanos{0}, [done = std::move(done)] { done(OkStatus()); });
+    h.read = [this](storage::ChunkId, uint64_t offset, uint64_t length,
+                    std::function<void(const Status&, const BufferView&)> done) {
+      Buffer bytes = Buffer::CopyOf(media_.data() + offset, length);
+      sim_.After(Nanos{0}, [bytes, done = std::move(done)] { done(OkStatus(), bytes); });
     };
     h.verify = [this](storage::ChunkId chunk, uint64_t offset, uint64_t length,
                       const void* data) { return store_.Verify(chunk, offset, length, data); };
@@ -553,9 +552,9 @@ TEST_F(ScrubClusterTest, QuarantineBlocksReadsUntilRepairClears) {
   // range is untrustworthy until re-replicated), while disjoint ranges and
   // the healthy replicas keep serving.
   Status read_status = Internal("pending");
-  std::vector<uint8_t> buf(4096);
-  victim->HandleRecoveryRead(layout.chunk, 0, buf.size(), buf.data(),
-                             [&](const Status& s, uint64_t) { read_status = s; });
+  victim->HandleRecoveryRead(
+      layout.chunk, 0, 4096,
+      [&](const Status& s, uint64_t, const BufferView&) { read_status = s; });
   sim_.RunUntil(sim_.Now() + msec(100));
   EXPECT_EQ(read_status.code(), StatusCode::kCorruption);
 

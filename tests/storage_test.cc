@@ -19,16 +19,10 @@ namespace {
 
 TEST(PageStoreTest, ZeroFillAndRoundTrip) {
   PageStore store;
-  std::vector<uint8_t> out(100, 0xFF);
-  store.Read(5000, out.data(), out.size());
-  for (uint8_t b : out) {
-    EXPECT_EQ(b, 0);
-  }
+  EXPECT_EQ(test::Bytes(store.ReadView(5000, 100)), std::vector<uint8_t>(100, 0));
   auto data = test::Pattern(10000, 1);
   store.Write(12345, test::Payload(data));
-  std::vector<uint8_t> back(10000);
-  store.Read(12345, back.data(), back.size());
-  EXPECT_EQ(back, data);
+  EXPECT_EQ(test::Bytes(store.ReadView(12345, 10000)), data);
 }
 
 TEST(PageStoreTest, PartialOverwrite) {
@@ -37,8 +31,7 @@ TEST(PageStoreTest, PartialOverwrite) {
   auto b = test::Pattern(100, 3);
   store.Write(0, test::Payload(a));
   store.Write(4000, test::Payload(b));
-  std::vector<uint8_t> back(8192);
-  store.Read(0, back.data(), back.size());
+  std::vector<uint8_t> back = test::Bytes(store.ReadView(0, 8192));
   for (size_t i = 0; i < 4000; ++i) {
     EXPECT_EQ(back[i], a[i]);
   }
@@ -108,11 +101,6 @@ TEST(PageStoreTest, MatchesFlatModelUnderRandomWrites) {
           std::fill_n(model.begin() + static_cast<ptrdiff_t>(off), len, uint8_t{0});
           break;
         default: {
-          std::vector<uint8_t> got(len, 0xCD);
-          store.Read(off, got.data(), len);
-          ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                                 model.begin() + static_cast<ptrdiff_t>(off)))
-              << "seed " << seed << " step " << step;
           BufferView view = store.ReadView(off, len);
           ASSERT_EQ(view.size(), len);
           ASSERT_TRUE(std::equal(view.data(), view.data() + len,
@@ -122,9 +110,7 @@ TEST(PageStoreTest, MatchesFlatModelUnderRandomWrites) {
         }
       }
     }
-    std::vector<uint8_t> all(kSpace);
-    store.Read(0, all.data(), kSpace);
-    EXPECT_EQ(all, model) << "seed " << seed;
+    EXPECT_EQ(test::Bytes(store.ReadView(0, kSpace)), model) << "seed " << seed;
   }
 }
 
@@ -151,9 +137,7 @@ TEST(PageStoreTest, SharedBytesOutliveTheWritersBuffer) {
     Buffer payload = Buffer::CopyOf(bytes.data(), bytes.size());
     store.Write(512, payload.View());
   }
-  std::vector<uint8_t> back(4096);
-  store.Read(512, back.data(), back.size());
-  EXPECT_EQ(back, bytes);
+  EXPECT_EQ(test::Bytes(store.ReadView(512, 4096)), bytes);
 }
 
 TEST(PageStoreTest, ReadViewSharesOneExtentAndCopiesAcrossEdges) {
@@ -191,10 +175,8 @@ TEST(ChunkStoreTest, CorruptByteLeavesSharingPeerIntact) {
 
   a.CorruptByte(1, 1234, 0x10);
   sim.RunToCompletion();
-  std::vector<uint8_t> got_a(8192);
-  std::vector<uint8_t> got_b(8192);
-  dev_a.ReadSync(a.SlotOffset(1), got_a.data(), got_a.size());
-  dev_b.ReadSync(b.SlotOffset(1), got_b.data(), got_b.size());
+  std::vector<uint8_t> got_a = test::Bytes(dev_a.ReadSync(a.SlotOffset(1), 8192));
+  std::vector<uint8_t> got_b = test::Bytes(dev_b.ReadSync(b.SlotOffset(1), 8192));
   EXPECT_EQ(got_b, bytes);
   EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), payload.data()));
   std::vector<uint8_t> expect_a = bytes;
@@ -266,9 +248,7 @@ TEST(BlockDeviceTest, GatedWritesApplyInSubmissionOrder) {
   std::vector<uint8_t> expect = first;
   std::fill(expect.begin() + 512, expect.begin() + 1024, uint8_t{0});
   std::copy(second.begin(), second.end(), expect.begin() + 1024);
-  std::vector<uint8_t> got(4096);
-  dev.ReadSync(0, got.data(), got.size());
-  EXPECT_EQ(got, expect);
+  EXPECT_EQ(test::Bytes(dev.ReadSync(0, 4096)), expect);
 }
 
 // Writes `bytes` at `offset` through the device and settles it, then clears
@@ -292,9 +272,7 @@ TEST(BlockDeviceTest, DiscardDropsBytesUntimed) {
   EXPECT_EQ(dev.stats().reads + dev.stats().writes, 0u);
   std::vector<uint8_t> expect = data;
   std::fill(expect.begin() + 1024, expect.begin() + 5120, uint8_t{0});
-  std::vector<uint8_t> got(8192);
-  dev.ReadSync(0, got.data(), got.size());
-  EXPECT_EQ(got, expect);
+  EXPECT_EQ(test::Bytes(dev.ReadSync(0, 8192)), expect);
 }
 
 // A read takes its bytes at Submit: one still waiting in the gate returns
@@ -307,25 +285,22 @@ TEST(BlockDeviceTest, GatedReadKeepsItsBytesAcrossDiscard) {
   Fill(sim, dev, 0, data);
   ReversingGate gate(&dev);
   dev.SetGate(&gate);
-  std::vector<uint8_t> out(4096);
-  BufferView view;
+  BufferView whole;
+  BufferView part;
   int done = 0;
   auto count = [&](const Status& s) { done += s.ok() ? 1 : 0; };
-  dev.Submit(test::MakeRead(0, 4096, out.data(), count));
-  IoRequest viewed = test::MakeRead(0, 4096, nullptr, count);
-  viewed.out_view = &view;
-  dev.Submit(std::move(viewed));
+  dev.Submit(test::MakeRead(0, 4096, &whole, count));
+  dev.Submit(test::MakeRead(2048, 4096, &part, count));  // assembled: extent tail + zeros
   dev.Discard(0, 4096);
   ASSERT_EQ(gate.held().size(), 2u);
   gate.Release();
   sim.RunToCompletion();
   EXPECT_EQ(done, 2);
-  EXPECT_EQ(out, data);
-  ASSERT_EQ(view.size(), 4096u);
-  EXPECT_TRUE(std::equal(data.begin(), data.end(), view.data()));
-  std::vector<uint8_t> now(4096);
-  dev.ReadSync(0, now.data(), now.size());
-  EXPECT_EQ(now, std::vector<uint8_t>(4096, 0));
+  EXPECT_EQ(test::Bytes(whole), data);
+  std::vector<uint8_t> tail(data.begin() + 2048, data.end());
+  tail.resize(4096, 0);
+  EXPECT_EQ(test::Bytes(part), tail);
+  EXPECT_EQ(test::Bytes(dev.ReadSync(0, 4096)), std::vector<uint8_t>(4096, 0));
 }
 
 // A stuck fault changes only timing: every request moves its bytes at
@@ -339,32 +314,29 @@ TEST(BlockDeviceTest, StuckRequestsMoveTheirBytesAtSubmit) {
   auto late = test::Pattern(1024, 18);
   Fill(sim, dev, 0, data);
   dev.SetFault(DeviceFault{0, true});
-  std::vector<uint8_t> before(8192);
-  std::vector<uint8_t> after_early(8192);
+  BufferView before;
+  BufferView after_early;
   int done = 0;
   auto count = [&](const Status& s) { done += s.ok() ? 1 : 0; };
-  dev.Submit(test::MakeRead(0, 8192, before.data(), count));
+  dev.Submit(test::MakeRead(0, 8192, &before, count));
   dev.Submit(test::MakeWrite(1024, 1024, test::Payload(early), count));
-  dev.Submit(test::MakeRead(0, 8192, after_early.data(), count));
+  dev.Submit(test::MakeRead(0, 8192, &after_early, count));
   dev.Discard(0, 8192);
   dev.Submit(test::MakeWrite(2048, 1024, test::Payload(late), count));
   ASSERT_EQ(dev.held_requests(), 4u);
   EXPECT_EQ(done, 0);
-  EXPECT_EQ(before, data);
+  EXPECT_EQ(test::Bytes(before), data);
   std::vector<uint8_t> expect = data;
   std::copy(early.begin(), early.end(), expect.begin() + 1024);
-  EXPECT_EQ(after_early, expect);
+  EXPECT_EQ(test::Bytes(after_early), expect);
   expect.assign(8192, 0);
   std::copy(late.begin(), late.end(), expect.begin() + 2048);
-  std::vector<uint8_t> now(8192);
-  dev.ReadSync(0, now.data(), now.size());
-  EXPECT_EQ(now, expect);
+  EXPECT_EQ(test::Bytes(dev.ReadSync(0, 8192)), expect);
 
   dev.ClearFault();
   sim.RunToCompletion();
   EXPECT_EQ(done, 4);
-  dev.ReadSync(0, now.data(), now.size());
-  EXPECT_EQ(now, expect);
+  EXPECT_EQ(test::Bytes(dev.ReadSync(0, 8192)), expect);
 }
 
 TEST(MemDeviceTest, AsyncCompletionCarriesData) {
@@ -378,12 +350,12 @@ TEST(MemDeviceTest, AsyncCompletionCarriesData) {
   EXPECT_TRUE(wrote);
   EXPECT_EQ(sim.Now(), usec(10));
 
-  std::vector<uint8_t> out(4096);
+  BufferView out;
   bool read = false;
-  dev.Submit(test::MakeRead(0, 4096, out.data(), [&](const Status& s) { read = s.ok(); }));
+  dev.Submit(test::MakeRead(0, 4096, &out, [&](const Status& s) { read = s.ok(); }));
   sim.RunToCompletion();
   EXPECT_TRUE(read);
-  EXPECT_EQ(out, data);
+  EXPECT_EQ(test::Bytes(out), data);
 }
 
 TEST(MemDeviceTest, FailureInjection) {
@@ -606,12 +578,12 @@ TEST(ChunkStoreTest, ReusedSlotReadsZeros) {
 
   ASSERT_TRUE(store.Allocate(2).ok());
   ASSERT_EQ(store.SlotOffset(2), slot);
-  std::vector<uint8_t> out(data.size(), 0xEE);
+  BufferView out;
   Status read = Internal("pending");
-  store.Read(2, 0, out.size(), out.data(), [&](const Status& s) { read = s; });
+  store.Read(2, 0, data.size(), &out, [&](const Status& s) { read = s; });
   sim.RunToCompletion();
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(out, std::vector<uint8_t>(data.size(), 0));
+  EXPECT_EQ(test::Bytes(out), std::vector<uint8_t>(data.size(), 0));
 }
 
 TEST(ChunkStoreTest, ExhaustsSlots) {
@@ -637,13 +609,13 @@ TEST(ChunkStoreTest, IoRoundTripAndIsolation) {
   store.Write(2, 0, 4096, test::Payload(b), [](const Status& s) { ASSERT_TRUE(s.ok()); });
   sim.RunToCompletion();
 
-  std::vector<uint8_t> out(4096);
-  store.Read(1, 0, 4096, out.data(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  BufferView out;
+  store.Read(1, 0, 4096, &out, [](const Status& s) { ASSERT_TRUE(s.ok()); });
   sim.RunToCompletion();
-  EXPECT_EQ(out, a);
-  store.Read(2, 0, 4096, out.data(), [](const Status& s) { ASSERT_TRUE(s.ok()); });
+  EXPECT_EQ(test::Bytes(out), a);
+  store.Read(2, 0, 4096, &out, [](const Status& s) { ASSERT_TRUE(s.ok()); });
   sim.RunToCompletion();
-  EXPECT_EQ(out, b);
+  EXPECT_EQ(test::Bytes(out), b);
 }
 
 TEST(ChunkStoreTest, RejectsOutOfRange) {

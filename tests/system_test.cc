@@ -2,6 +2,9 @@
 // the headline performance relationships of the paper hold in miniature.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/baselines/ceph_model.h"
 #include "src/baselines/sheepdog_model.h"
 #include "src/core/system.h"
@@ -149,6 +152,68 @@ TEST(TestBedTest, MultipleConcurrentClients) {
   }
   RunMetrics m = bed.RunWorkloads(jobs, msec(200), sec(1), "multi");
   EXPECT_GT(m.read_iops(), 10000);
+}
+
+// A backup serves a read from a journal record still pending replay only
+// after the whole record passes its CRC. With the backup's devices stuck,
+// that journal read is still held when the client's piece times out and the
+// op ends. When the fault clears and the held read lands, its bytes go to
+// the server's op record and the stale reply is dropped with them: nothing
+// writes the buffer the caller got back with its callback.
+TEST(TestBedTest, LateJournalReadLeavesTheCallersBufferAlone) {
+  TestBed bed(UrsaHybridProfile(3));
+  client::VirtualDisk* disk = bed.NewDisk(kDiskSize, 3, 1);
+  sim::Simulator& sim = bed.sim();
+  cluster::Cluster& cluster = bed.cluster();
+  const cluster::ChunkLayout& layout = (*cluster.master().GetDisk(1))->chunks[0];
+  std::vector<cluster::Machine*> backups;
+  for (size_t r = 0; r < layout.replicas.size(); ++r) {
+    if (r != disk->chunk_primary(0)) {
+      backups.push_back(cluster.server(layout.replicas[r].server)->machine());
+    }
+  }
+  auto set_stuck = [&](bool ssds, bool stuck) {
+    for (cluster::Machine* m : backups) {
+      for (int i = 0; i < (ssds ? m->num_ssds() : m->num_hdds()); ++i) {
+        (ssds ? static_cast<storage::BlockDevice&>(m->ssd(i)) : m->hdd(i))
+            .SetFault(storage::DeviceFault{0, stuck});
+      }
+    }
+  };
+  // Replay stalls on the backups' stuck HDDs: the record stays pending.
+  set_stuck(/*ssds=*/false, true);
+  const std::vector<uint8_t> data(4096, 0xA7);
+  Status wrote = Internal("pending");
+  disk->Write(0, data.size(), Buffer::CopyOf(data.data(), data.size()),
+              [&](const Status& s) { wrote = s; });
+  sim.RunUntil(sim.Now() + msec(100));
+  ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+
+  // The journal SSDs stick too and the primary goes silent: the read fails
+  // over to the backups, whose journal reads hang.
+  set_stuck(/*ssds=*/true, true);
+  cluster.CrashServer(layout.replicas[disk->chunk_primary(0)].server);
+  std::vector<uint8_t> out(data.size());
+  int calls = 0;
+  disk->Read(0, out.size(), out.data(), [&](const Status&) {
+    ++calls;
+    std::fill(out.begin(), out.end(), uint8_t{0x5A});  // the caller reuses its buffer
+  });
+  sim.RunUntil(sim.Now() + sec(10));
+  ASSERT_EQ(calls, 1);
+  size_t held = 0;
+  for (cluster::Machine* m : backups) {
+    for (int i = 0; i < m->num_ssds(); ++i) {
+      held += m->ssd(i).held_requests();
+    }
+  }
+  ASSERT_GT(held, 0u) << "no journal read was left in a stuck device";
+
+  set_stuck(/*ssds=*/true, false);
+  set_stuck(/*ssds=*/false, false);
+  sim.RunUntil(sim.Now() + sec(2));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(out, std::vector<uint8_t>(data.size(), 0x5A));
 }
 
 }  // namespace

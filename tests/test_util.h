@@ -63,15 +63,20 @@ inline Buffer Payload(const std::vector<uint8_t>& bytes) {
   return Buffer::CopyOf(bytes.data(), bytes.size());
 }
 
-// One device read of [offset, offset + length) into `out` (null:
-// timing-only).
-inline storage::IoRequest MakeRead(uint64_t offset, uint64_t length, void* out,
+// The bytes of a view, as a vector to compare (empty for a null view).
+inline std::vector<uint8_t> Bytes(const BufferView& view) {
+  return std::vector<uint8_t>(view.data(), view.data() + view.size());
+}
+
+// One device read of [offset, offset + length) whose bytes land in `*out`
+// (null: timing-only).
+inline storage::IoRequest MakeRead(uint64_t offset, uint64_t length, BufferView* out,
                                    storage::IoCallback done, storage::IoTag tag = {}) {
   storage::IoRequest req;
   req.type = storage::IoType::kRead;
   req.offset = offset;
   req.length = length;
-  req.out = out;
+  req.out_view = out;
   req.done = std::move(done);
   req.tag = tag;
   return req;
